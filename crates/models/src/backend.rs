@@ -157,7 +157,7 @@ impl Ticket {
 /// verification batching comes from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackendBatch {
-    requests: Vec<ForwardRequest>,
+    pub(crate) requests: Vec<ForwardRequest>,
 }
 
 impl BackendBatch {

@@ -120,14 +120,16 @@ impl TokenizerBinding {
 /// The tokenised, difficulty-annotated view of one utterance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UtteranceTokens {
-    id: UtteranceId,
-    reference_tokens: Vec<TokenId>,
-    token_difficulties: Vec<f64>,
-    eos: TokenId,
-    bos: TokenId,
-    vocab_size: u32,
-    duration_seconds: f64,
-    prefill_tokens: usize,
+    // Crate-visible so the wire decoder can rebuild a context bit for bit.
+    // It reads one length for both token vectors, which keeps them aligned.
+    pub(crate) id: UtteranceId,
+    pub(crate) reference_tokens: Vec<TokenId>,
+    pub(crate) token_difficulties: Vec<f64>,
+    pub(crate) eos: TokenId,
+    pub(crate) bos: TokenId,
+    pub(crate) vocab_size: u32,
+    pub(crate) duration_seconds: f64,
+    pub(crate) prefill_tokens: usize,
 }
 
 impl UtteranceTokens {

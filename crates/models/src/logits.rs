@@ -38,7 +38,9 @@ pub struct Candidate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TokenLogits {
-    candidates: Vec<Candidate>,
+    // Crate-visible so the wire decoder can rebuild a distribution bit for
+    // bit, without re-sorting or filtering it.
+    pub(crate) candidates: Vec<Candidate>,
 }
 
 impl TokenLogits {

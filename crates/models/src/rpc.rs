@@ -1,15 +1,38 @@
 //! A process-boundary [`AsrBackend`]: a worker thread owning the device,
-//! driven over the serialized wire protocol of [`crate::wire`].
+//! driven over the binary wire protocol of [`crate::wire`].
 //!
-//! [`RpcBackend`] proves PR 5's ticketed `submit/poll/complete` boundary is
-//! real: the client half holds *no* model — every trait method encodes one
-//! [`WireCall`], sends it down an `mpsc` channel as JSON text, and blocks on
-//! the matching [`WireReply`].  The worker half owns an
-//! [`InFlightSimBackend`] and answers in lock step, so a scheduler driven
-//! through the wire sees the exact timing, tickets, and counters an
-//! in-process backend would produce — transcripts and latency stats stay
-//! byte-identical, which is what makes the backend a drop-in `--rpc` choice
-//! in the bench bins.
+//! [`RpcBackend`] proves the ticketed `submit/poll/complete` boundary is
+//! real: the client half holds *no* model.  Every call it makes encodes one
+//! [`WireCall`] frame and blocks on the matching [`WireReply`] frame.  The
+//! worker half owns an [`InFlightSimBackend`] and answers in lock step, so a
+//! scheduler driven through the wire sees the exact timing, tickets, and
+//! counters an in-process backend would produce — transcripts and latency
+//! stats stay byte-identical, which is what makes the backend a drop-in
+//! `--rpc` choice in the bench bins.
+//!
+//! Three things keep the boundary cheap:
+//!
+//! * **One recycled frame buffer.**  The client encodes each call into a
+//!   single `Vec<u8>` and moves it to the worker over a `sync_channel(1)`;
+//!   the worker decodes the call, encodes its reply into the same buffer
+//!   and moves it back.  The buffer grows to the largest frame once and
+//!   then stops allocating, and a bounded channel allocates nothing per
+//!   message.
+//! * **Each audio context sent once.**  The client registers a context with
+//!   the worker the first time a request uses it and forgets it once no
+//!   session holds it any more (the register/forget rule of
+//!   [`crate::wire`]), so a verify request carries only its prefix and
+//!   probe tokens.
+//! * **A local counters mirror.**  The worker's lifetime counters and device
+//!   backlog change only when a batch is submitted, so the submit reply
+//!   carries both.  The client answers [`AsrBackend::counters`] and
+//!   [`RpcBackend::device_free_ms`] from its mirror, which saves the
+//!   scheduler one round trip every tick.
+//!
+//! If the worker panics, the client panics on the call it was waiting for.
+//! Dropping the backend during that unwinding does not panic a second time
+//! (which would abort the process); a drop outside any unwinding re-raises
+//! the worker's panic instead.
 //!
 //! The protocol is deliberately synchronous per call (one call, one reply).
 //! The *pipelining* lives above the boundary: the scheduler submits waves
@@ -18,7 +41,7 @@
 //! would swap the channel pair for a socket and let `poll` return early
 //! completions; nothing in the trait contract changes.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use crate::backend::{
@@ -26,14 +49,11 @@ use crate::backend::{
 };
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
-use crate::wire::{
-    decode_batch, decode_call, decode_reply, encode_batch, encode_call, encode_reply, WireCall,
-    WireReply,
-};
+use crate::wire::{decode_reply, encode_reply, CallDecoder, CallEncoder, WireCall, WireReply};
 use crate::InFlightSimBackend;
 
 /// The client half of the process-boundary backend: implements
-/// [`AsrBackend`] by serializing every call to a worker thread that owns an
+/// [`AsrBackend`] by sending every call to a worker thread that owns an
 /// [`InFlightSimBackend`].
 ///
 /// # Example
@@ -62,14 +82,20 @@ use crate::InFlightSimBackend;
 /// ```
 #[derive(Debug)]
 pub struct RpcBackend {
-    calls: Sender<String>,
-    replies: Receiver<String>,
+    calls: SyncSender<Vec<u8>>,
+    replies: Receiver<Vec<u8>>,
+    /// The frame buffer, lent to the worker for each call and handed back
+    /// with its reply.
+    frame: Vec<u8>,
+    encoder: CallEncoder,
     profile: ModelProfile,
     dispatch_overhead_ms: f64,
     /// The worker's device backlog as of the last submit reply, mirrored
     /// client-side so the wave planner sees the cross-tick carry without a
     /// round trip.
     device_free_ms: f64,
+    /// The worker's lifetime counters as of the last submit reply.
+    counters: BackendCounters,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -93,15 +119,19 @@ impl RpcBackend {
         let backend =
             InFlightSimBackend::new(model).with_dispatch_overhead_ms(dispatch_overhead_ms);
         let profile = backend.profile().clone();
-        let (calls, worker_calls) = std::sync::mpsc::channel::<String>();
-        let (worker_replies, replies) = std::sync::mpsc::channel::<String>();
+        let counters = backend.counters();
+        let (calls, worker_calls) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
+        let (worker_replies, replies) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
         let worker = std::thread::spawn(move || worker_loop(backend, worker_calls, worker_replies));
         RpcBackend {
             calls,
             replies,
+            frame: Vec::new(),
+            encoder: CallEncoder::new(),
             profile,
             dispatch_overhead_ms,
             device_free_ms: 0.0,
+            counters,
             worker: Some(worker),
         }
     }
@@ -134,15 +164,18 @@ impl RpcBackend {
         }
     }
 
-    fn call(&self, call: &WireCall) -> WireReply {
+    fn call(&mut self, call: &WireCall) -> WireReply {
+        let mut frame = std::mem::take(&mut self.frame);
+        self.encoder.encode(call, &mut frame);
         self.calls
-            .send(encode_call(call))
+            .send(frame)
             .expect("rpc worker accepts calls while the client lives");
-        let wire = self
+        self.frame = self
             .replies
             .recv()
             .expect("rpc worker answers every call in lock step");
-        decode_reply(&wire)
+        decode_reply(&self.frame)
+            .unwrap_or_else(|error| panic!("rpc worker sent a malformed reply: {error}"))
     }
 }
 
@@ -152,11 +185,15 @@ impl AsrBackend for RpcBackend {
     }
 
     fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        let reply = self.call(&WireCall::Submit(now_ms, encode_batch(&batch)));
-        match reply {
-            WireReply::Submitted(tickets, device_free_ms) => {
+        match self.call(&WireCall::Submit(now_ms, batch)) {
+            WireReply::Submitted {
+                tickets,
+                device_free_ms,
+                counters,
+            } => {
                 self.device_free_ms = device_free_ms;
-                tickets.into_iter().map(Ticket::new).collect()
+                self.counters = counters;
+                tickets
             }
             other => unreachable!("submit answered with {other:?}"),
         }
@@ -170,63 +207,71 @@ impl AsrBackend for RpcBackend {
     }
 
     fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        match self.call(&WireCall::Complete(ticket.value())) {
+        match self.call(&WireCall::Complete(ticket)) {
             WireReply::Completed(result) => result,
             other => unreachable!("complete answered with {other:?}"),
         }
     }
 
     fn counters(&self) -> BackendCounters {
-        match self.call(&WireCall::Counters) {
-            WireReply::Counters(counters) => counters,
-            other => unreachable!("counters answered with {other:?}"),
-        }
+        self.counters
     }
 }
 
 impl Drop for RpcBackend {
     fn drop(&mut self) {
-        // Best-effort handshake: the worker may already be gone if it
-        // panicked, in which case join surfaces the panic payload instead.
-        if self.calls.send(encode_call(&WireCall::Shutdown)).is_ok() {
+        // Best-effort handshake: the worker is already gone if it panicked.
+        let mut frame = std::mem::take(&mut self.frame);
+        self.encoder.encode(&WireCall::Shutdown, &mut frame);
+        if self.calls.send(frame).is_ok() {
             let _ = self.replies.recv();
         }
         if let Some(worker) = self.worker.take() {
-            worker.join().expect("rpc worker exits cleanly");
+            if let Err(panic) = worker.join() {
+                // A dead worker already failed the call this thread was
+                // waiting on; panicking again while that unwinds would
+                // abort the process.
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         }
     }
 }
 
-/// The worker loop: decode a call, apply it to the owned backend, answer.
+/// The worker loop: decode a call, apply it to the owned backend, encode the
+/// reply into the same frame buffer and hand it back.
 fn worker_loop<M: AsrDecoderModel>(
     mut backend: InFlightSimBackend<M>,
-    calls: Receiver<String>,
-    replies: Sender<String>,
+    calls: Receiver<Vec<u8>>,
+    replies: SyncSender<Vec<u8>>,
 ) {
-    while let Ok(wire) = calls.recv() {
-        let reply = match decode_call(&wire) {
-            WireCall::Submit(now_ms, requests) => {
-                let tickets = backend.submit(decode_batch(requests), now_ms);
-                WireReply::Submitted(
-                    tickets.into_iter().map(Ticket::value).collect(),
-                    backend.device_free_ms(),
-                )
+    let mut decoder = CallDecoder::new();
+    while let Ok(mut frame) = calls.recv() {
+        let call = decoder
+            .decode(&frame)
+            .unwrap_or_else(|error| panic!("rpc client sent a malformed call: {error}"));
+        let reply = match call {
+            WireCall::Submit(now_ms, batch) => {
+                let tickets = backend.submit(batch, now_ms);
+                WireReply::Submitted {
+                    tickets,
+                    device_free_ms: backend.device_free_ms(),
+                    counters: backend.counters(),
+                }
             }
             WireCall::Poll => WireReply::Results(backend.poll()),
-            WireCall::Complete(raw) => WireReply::Completed(backend.complete(Ticket::new(raw))),
-            WireCall::Counters => WireReply::Counters(backend.counters()),
+            WireCall::Complete(ticket) => WireReply::Completed(backend.complete(ticket)),
             WireCall::SetTracing(enabled) => {
                 backend.set_device_tracing(enabled);
                 WireReply::TracingSet(enabled)
             }
             WireCall::TakeDeviceEvents => WireReply::DeviceEvents(backend.take_device_events()),
-            WireCall::Shutdown => {
-                let _ = replies.send(encode_reply(&WireReply::Bye));
-                return;
-            }
+            WireCall::Shutdown => WireReply::Bye,
         };
-        if replies.send(encode_reply(&reply)).is_err() {
-            return; // client hung up without the shutdown handshake
+        encode_reply(&reply, &mut frame);
+        if replies.send(frame).is_err() || matches!(reply, WireReply::Bye) {
+            return; // shut down, or the client hung up without the handshake
         }
     }
 }
@@ -238,8 +283,10 @@ mod tests {
     use super::*;
     use crate::backend::{ForwardKind, ForwardRequest};
     use crate::binding::{TokenizerBinding, UtteranceTokens};
+    use crate::logits::TokenLogits;
     use crate::simulated::SimulatedAsrModel;
     use specasr_audio::{Corpus, Split};
+    use specasr_tokenizer::TokenId;
 
     fn setup() -> (SimulatedAsrModel, Vec<Arc<UtteranceTokens>>) {
         let corpus = Corpus::librispeech_like(11, 3);
@@ -259,6 +306,7 @@ mod tests {
         let mut local = InFlightSimBackend::new(target.clone()).with_dispatch_overhead_ms(2.0);
         let mut remote = RpcBackend::spawn_with_overhead(target, 2.0);
         assert_eq!(remote.profile(), local.profile());
+        assert_eq!(remote.counters(), local.counters());
         assert!((remote.dispatch_overhead_ms() - 2.0).abs() < 1e-12);
 
         for (i, context) in audio.iter().enumerate() {
@@ -269,6 +317,7 @@ mod tests {
             let b = remote.submit(batch, i as f64);
             assert_eq!(a, b);
             assert!((remote.device_free_ms() - local.device_free_ms()).abs() < 1e-12);
+            assert_eq!(remote.counters(), local.counters());
         }
         let local_results = local.poll();
         let remote_results = remote.poll();
@@ -322,5 +371,38 @@ mod tests {
         let result = remote.complete(tickets[0]).expect("completed");
         assert_eq!(result.ticket, tickets[0]);
         assert!(remote.complete(tickets[0]).is_none(), "already drained");
+    }
+
+    /// A model whose every forward pass panics: the worker dies on the first
+    /// submit.
+    struct FailingModel(ModelProfile);
+
+    impl AsrDecoderModel for FailingModel {
+        fn profile(&self) -> &ModelProfile {
+            &self.0
+        }
+
+        fn next_logits(&self, _: &UtteranceTokens, _: &[TokenId]) -> TokenLogits {
+            panic!("the device failed")
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_unwinds_the_caller_instead_of_aborting() {
+        let (_, audio) = setup();
+        let caught = std::panic::catch_unwind(|| {
+            let mut remote = RpcBackend::spawn(FailingModel(ModelProfile::whisper_medium_en()));
+            remote.submit(
+                BackendBatch::of(ForwardRequest::draft_step(audio[0].clone(), Vec::new())),
+                0.0,
+            )
+        });
+        let panic = caught.expect_err("the failed call panics the caller");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("lock step"), "{message}");
     }
 }

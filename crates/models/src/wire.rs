@@ -1,89 +1,103 @@
-//! The serialized wire format of the process-boundary backend protocol.
+//! The binary wire format of the process-boundary backend protocol.
 //!
 //! [`crate::RpcBackend`] drives a worker that owns the real (simulated)
-//! device through exactly the four [`crate::AsrBackend`] trait methods, each
-//! encoded as one [`WireCall`] and answered by one [`WireReply`].  Both
-//! directions serialize to JSON text — a deliberately boring, inspectable
-//! encoding that proves the trait boundary carries everything a remote
-//! device needs: no shared memory, no function pointers, no `Arc`s crossing
-//! the boundary.
+//! device.  Every client call is one [`WireCall`] frame and every worker
+//! answer one [`WireReply`] frame, in a hand-written little-endian binary
+//! encoding.  The frames carry everything a remote device needs — no shared
+//! memory, no function pointers, no `Arc`s crossing the boundary — so the
+//! channel pair could be swapped for a socket without touching the codec.
 //!
-//! [`ForwardRequest`] holds its audio context behind an `Arc` (many requests
-//! of one session share the context without copying); an `Arc` cannot cross
-//! a process boundary, so [`WireRequest`] mirrors the request with the
-//! context inlined by value and the worker re-wraps it on decode.  Results,
-//! tickets, and counters serialize directly.
+//! # Frame layout
 //!
-//! The encoding is lossless by construction (the round-trip tests assert
-//! encode→decode identity for every variant), and because the worker prices
-//! batches with the same [`crate::InFlightSimBackend`] timeline, a scheduler
-//! driven over the wire produces byte-identical transcripts *and* identical
-//! latency stats to one holding the backend in-process.
+//! ```text
+//! frame      = body_len:u32  tag:u8  fields        body_len counts tag + fields
+//! seq<T>     = len:u32  T × len
+//! f64        = the raw IEEE-754 bits, as a u64
+//! usize      = u64
+//!
+//! call  0x01 Submit            now_ms:f64  forget:seq<u64>  requests:seq<request>
+//!       0x02 Poll
+//!       0x03 Complete          ticket:u64
+//!       0x04 SetTracing        enabled:u8
+//!       0x05 TakeDeviceEvents
+//!       0x06 Shutdown
+//! request    = context  prefix:seq<u32>  probes:seq<seq<u32>>  charge_tokens:usize  kind:u8
+//! context    = 0x00 id:u64                 a context registered by an earlier request
+//!            | 0x01 id:u64 utterance       first use: registers the context as `id`
+//! utterance  = utterance_id:u64  eos:u32  bos:u32  vocab_size:u32  duration_s:f64
+//!              prefill_tokens:usize  len:u32  token:u32 × len  difficulty:f64 × len
+//!
+//! reply 0x81 Submitted         tickets:seq<u64>  device_free_ms:f64  counters
+//!       0x82 Results           seq<result>
+//!       0x83 Completed         0x00 | 0x01 result
+//!       0x84 TracingSet        enabled:u8
+//!       0x85 DeviceEvents      seq<device_event>
+//!       0x86 Bye
+//! result     = ticket:u64  kind:u8  logits:seq<seq<token:u32 probability:f64>>
+//!              submitted_ms:f64  started_ms:f64  completed_ms:f64  batch_requests:usize
+//! counters   = batches  requests  draft_requests  verify_requests  verify_batches
+//!              probes_scored  peak_in_flight (usize each)
+//!              device_busy_ms:f64  device_idle_ms:f64
+//! device_event = seq:u64  submitted_ms:f64  started_ms:f64  completed_ms:f64
+//!                requests:u64  charge_tokens:u64  verify:u8
+//! ```
+//!
+//! Call tags and reply tags are disjoint, so a frame sent the wrong way is an
+//! unknown tag rather than a misread.
+//!
+//! # Each audio context is sent once
+//!
+//! A [`ForwardRequest`] holds its audio context behind an `Arc`, and every
+//! request of a session shares the same one.  [`CallEncoder`], the client
+//! half, keys a table by `Arc` address and keeps a strong clone in it, so an
+//! address cannot be reused while it is registered.  A submit inlines a
+//! context only the first time a request uses it, under a fresh id; later
+//! requests name the id.  Before each submit the encoder drops every entry
+//! whose strong count has fallen to 1: only the table holds it, so no caller
+//! can send it again.  The submit frame carries those ids as `forget`, and
+//! [`CallDecoder`], the worker half, removes them before it reads the
+//! requests.  Neither table ever holds more contexts than the client has
+//! live sessions.  A stream chunk's new `prefix_view` is a new `Arc`, and so
+//! simply a new context.
+//!
+//! # Floats travel as raw bits
+//!
+//! An RPC run must reproduce the in-process run's modeled numbers bit for
+//! bit, so no timestamp, probability or difficulty may round on the way.
+//! Writing each `f64` as its raw bits is exact for every value, and it is
+//! the only encoding that carries −0.0, subnormals, ±∞ and NaN payloads
+//! through unchanged.
+//!
+//! # Decoding never panics
+//!
+//! Every decoder returns a [`WireError`] for a truncated frame, an unknown
+//! tag, a length prefix past the end of the frame, an unregistered context
+//! id or trailing bytes.  Each length prefix is checked against the bytes
+//! left before anything is allocated for it, so a corrupt frame cannot ask
+//! for more memory than its own size implies.
 
+use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use specasr_audio::UtteranceId;
 use specasr_tokenizer::TokenId;
 
 use crate::backend::{
-    BackendBatch, BackendCounters, DeviceEvent, ForwardKind, ForwardRequest, ForwardResult,
+    BackendBatch, BackendCounters, DeviceEvent, ForwardKind, ForwardRequest, ForwardResult, Ticket,
 };
 use crate::binding::UtteranceTokens;
+use crate::logits::{Candidate, TokenLogits};
 
-/// A [`ForwardRequest`] flattened for the wire: the audio context inlined by
-/// value instead of shared behind an `Arc`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireRequest {
-    /// The audio context, inlined.
-    pub audio: UtteranceTokens,
-    /// The committed generated prefix shared by every probe.
-    pub prefix: Vec<TokenId>,
-    /// Token extensions of `prefix` to score, in order.
-    pub probes: Vec<Vec<TokenId>>,
-    /// Token width the pass is priced at.
-    pub charge_tokens: usize,
-    /// What the request is for.
-    pub kind: ForwardKind,
-}
-
-impl WireRequest {
-    /// Flattens `request` for the wire (clones the audio context out of its
-    /// `Arc`).
-    pub fn from_request(request: &ForwardRequest) -> Self {
-        WireRequest {
-            audio: (*request.audio).clone(),
-            prefix: request.prefix.clone(),
-            probes: request.probes.clone(),
-            charge_tokens: request.charge_tokens,
-            kind: request.kind,
-        }
-    }
-
-    /// Rebuilds the in-process request (re-wrapping the audio context in a
-    /// fresh `Arc`).
-    pub fn into_request(self) -> ForwardRequest {
-        ForwardRequest {
-            audio: Arc::new(self.audio),
-            prefix: self.prefix,
-            probes: self.probes,
-            charge_tokens: self.charge_tokens,
-            kind: self.kind,
-        }
-    }
-}
-
-/// One call from the client half of [`crate::RpcBackend`] to its worker —
-/// the four trait methods plus the shutdown handshake.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One call from the client half of [`crate::RpcBackend`] to its worker.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireCall {
     /// [`crate::AsrBackend::submit`]: a batch stamped at a wall time.
-    Submit(f64, Vec<WireRequest>),
+    Submit(f64, BackendBatch),
     /// [`crate::AsrBackend::poll`].
     Poll,
-    /// [`crate::AsrBackend::complete`] for the ticket with this raw value.
-    Complete(u64),
-    /// [`crate::AsrBackend::counters`].
-    Counters,
+    /// [`crate::AsrBackend::complete`] for one ticket.
+    Complete(Ticket),
     /// Propagates the client's trace context: enables (or disables) the
     /// worker-side device batch log so `+rpc` runs stitch the same device
     /// timeline as in-process runs.
@@ -96,18 +110,23 @@ pub enum WireCall {
 }
 
 /// The worker's answer to one [`WireCall`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireReply {
-    /// Tickets of a submitted batch, plus the worker's device backlog
-    /// (`device_free_ms`) after the submit — mirrored client-side so the
-    /// wave planner sees the same cross-tick carry as an in-process backend.
-    Submitted(Vec<u64>, f64),
+    /// The answer to [`WireCall::Submit`].  The device backlog and the
+    /// lifetime counters change only when a batch is submitted, so the
+    /// client mirrors both and reads them without a round trip.
+    Submitted {
+        /// One ticket per submitted request, in request order.
+        tickets: Vec<Ticket>,
+        /// The worker's device backlog after the submit.
+        device_free_ms: f64,
+        /// The worker's lifetime counters after the submit.
+        counters: BackendCounters,
+    },
     /// Every completed result, in completion order.
     Results(Vec<ForwardResult>),
     /// The result of one completed ticket (or `None`).
     Completed(Option<ForwardResult>),
-    /// Cumulative lifetime counters.
-    Counters(BackendCounters),
     /// Acknowledges [`WireCall::SetTracing`], echoing the new state.
     TracingSet(bool),
     /// The worker's device batch log since the last drain, in submit order.
@@ -116,155 +135,1181 @@ pub enum WireReply {
     Bye,
 }
 
-/// Encodes a call for the wire.
-pub fn encode_call(call: &WireCall) -> String {
-    serde_json::to_string(call).expect("wire calls encode infallibly")
+/// Why a frame failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The frame ends inside the `needed`-byte field starting at byte `at`.
+    Truncated {
+        /// Offset of the field.
+        at: usize,
+        /// Width of the field in bytes.
+        needed: usize,
+    },
+    /// The byte at `at` is not a known tag for `field`.
+    UnknownTag {
+        /// Offset of the tag.
+        at: usize,
+        /// What the tag selects (`call`, `reply`, `context`, ...).
+        field: &'static str,
+        /// The byte found.
+        tag: u8,
+    },
+    /// The length prefix at `at` declares more than the rest of the frame
+    /// can hold.
+    LengthPastEnd {
+        /// Offset of the length prefix.
+        at: usize,
+        /// The declared length.
+        len: u32,
+        /// Bytes left after the prefix.
+        remaining: usize,
+    },
+    /// A frame names a context id the decoder never registered or has
+    /// already forgotten.
+    UnknownContext(u64),
+    /// The frame continues past its last field, from byte `at`.
+    TrailingBytes {
+        /// Offset of the first unread byte.
+        at: usize,
+    },
+    /// The 64-bit count at `at` does not fit this platform's `usize`.
+    Overflow {
+        /// Offset of the count.
+        at: usize,
+    },
 }
 
-/// Decodes a call off the wire.
-///
-/// # Panics
-///
-/// Panics on malformed input — the protocol is internal and lock-step, so a
-/// decode failure is a bug, not an input error.
-pub fn decode_call(wire: &str) -> WireCall {
-    serde_json::from_str(wire).expect("wire calls decode losslessly")
-}
-
-/// Encodes a reply for the wire.
-pub fn encode_reply(reply: &WireReply) -> String {
-    serde_json::to_string(reply).expect("wire replies encode infallibly")
-}
-
-/// Decodes a reply off the wire.
-///
-/// # Panics
-///
-/// Panics on malformed input (see [`decode_call`]).
-pub fn decode_reply(wire: &str) -> WireReply {
-    serde_json::from_str(wire).expect("wire replies decode losslessly")
-}
-
-/// Flattens a batch for the wire.
-pub fn encode_batch(batch: &BackendBatch) -> Vec<WireRequest> {
-    batch
-        .requests()
-        .iter()
-        .map(WireRequest::from_request)
-        .collect()
-}
-
-/// Rebuilds a batch from its wire form.
-pub fn decode_batch(requests: Vec<WireRequest>) -> BackendBatch {
-    let mut batch = BackendBatch::new();
-    for request in requests {
-        batch.push(request.into_request());
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WireError::Truncated { at, needed } => {
+                write!(
+                    f,
+                    "frame truncated inside a {needed}-byte field at byte {at}"
+                )
+            }
+            WireError::UnknownTag { at, field, tag } => {
+                write!(f, "unknown {field} tag {tag:#04x} at byte {at}")
+            }
+            WireError::LengthPastEnd { at, len, remaining } => write!(
+                f,
+                "length {len} at byte {at} runs past the end of the frame ({remaining} bytes left)"
+            ),
+            WireError::UnknownContext(id) => write!(f, "context id {id} is not registered"),
+            WireError::TrailingBytes { at } => {
+                write!(f, "frame continues past its last field, from byte {at}")
+            }
+            WireError::Overflow { at } => write!(f, "count at byte {at} overflows usize"),
+        }
     }
-    batch
+}
+
+impl std::error::Error for WireError {}
+
+const CALL_SUBMIT: u8 = 0x01;
+const CALL_POLL: u8 = 0x02;
+const CALL_COMPLETE: u8 = 0x03;
+const CALL_SET_TRACING: u8 = 0x04;
+const CALL_TAKE_DEVICE_EVENTS: u8 = 0x05;
+const CALL_SHUTDOWN: u8 = 0x06;
+
+const REPLY_SUBMITTED: u8 = 0x81;
+const REPLY_RESULTS: u8 = 0x82;
+const REPLY_COMPLETED: u8 = 0x83;
+const REPLY_TRACING_SET: u8 = 0x84;
+const REPLY_DEVICE_EVENTS: u8 = 0x85;
+const REPLY_BYE: u8 = 0x86;
+
+const CONTEXT_REGISTERED: u8 = 0x00;
+const CONTEXT_NEW: u8 = 0x01;
+
+const KIND_DRAFT_STEP: u8 = 0x00;
+const KIND_VERIFY: u8 = 0x01;
+
+/// Offset of the tag byte, after the length prefix.
+const TAG_AT: usize = 4;
+
+// Smallest encoding of one item of each sequence, the bound a length prefix
+// is checked against before the decoder allocates for it.
+const TOKEN_BYTES: usize = 4;
+const ID_BYTES: usize = 8;
+const CANDIDATE_BYTES: usize = 4 + 8;
+const SEQ_BYTES: usize = 4;
+const REQUEST_MIN_BYTES: usize = 1 + 8 + SEQ_BYTES + SEQ_BYTES + 8 + 1;
+const RESULT_MIN_BYTES: usize = 8 + 1 + SEQ_BYTES + 3 * 8 + 8;
+const DEVICE_EVENT_BYTES: usize = 8 + 3 * 8 + 8 + 8 + 1;
+
+/// The client half of the codec: encodes calls, and owns the client's side
+/// of the register/forget context table (see the module docs).
+#[derive(Debug, Default)]
+pub struct CallEncoder {
+    /// Registered contexts by `Arc` address: the wire id, and a strong clone
+    /// that keeps the address from being reused while it is registered.
+    contexts: HashMap<usize, (u64, Arc<UtteranceTokens>)>,
+    next_id: u64,
+    /// Ids released by the current submit (scratch, reused).
+    forget: Vec<u64>,
+}
+
+impl CallEncoder {
+    /// An encoder with no registered context.
+    pub fn new() -> Self {
+        CallEncoder::default()
+    }
+
+    /// Encodes `call` into `frame`, replacing its contents.  The capacity is
+    /// kept, so a buffer reused across calls stops allocating once it has
+    /// grown to the largest frame.
+    pub fn encode(&mut self, call: &WireCall, frame: &mut Vec<u8>) {
+        match call {
+            WireCall::Submit(now_ms, batch) => self.encode_submit(*now_ms, batch, frame),
+            WireCall::Poll => begin(frame, CALL_POLL),
+            WireCall::Complete(ticket) => {
+                begin(frame, CALL_COMPLETE);
+                frame.put_u64(ticket.value());
+            }
+            WireCall::SetTracing(enabled) => {
+                begin(frame, CALL_SET_TRACING);
+                frame.put_u8(u8::from(*enabled));
+            }
+            WireCall::TakeDeviceEvents => begin(frame, CALL_TAKE_DEVICE_EVENTS),
+            WireCall::Shutdown => begin(frame, CALL_SHUTDOWN),
+        }
+        seal(frame);
+    }
+
+    fn encode_submit(&mut self, now_ms: f64, batch: &BackendBatch, frame: &mut Vec<u8>) {
+        // An entry with strong count 1 is held by the table alone.  Every
+        // request of `batch` holds its own clone, so no context this submit
+        // sends can be among the forgotten ones.
+        let forget = &mut self.forget;
+        forget.clear();
+        self.contexts.retain(|_, (id, context)| {
+            let live = Arc::strong_count(context) > 1;
+            if !live {
+                forget.push(*id);
+            }
+            live
+        });
+        forget.sort_unstable();
+        begin(frame, CALL_SUBMIT);
+        frame.put_f64(now_ms);
+        frame.put_seq(forget, |frame, &id| frame.put_u64(id));
+        frame.put_seq(batch.requests(), |frame, request| {
+            self.put_context(&request.audio, frame);
+            frame.put_tokens(&request.prefix);
+            frame.put_seq(&request.probes, |frame, probe| frame.put_tokens(probe));
+            frame.put_u64(request.charge_tokens as u64);
+            frame.put_u8(kind_tag(request.kind));
+        });
+    }
+
+    fn put_context(&mut self, context: &Arc<UtteranceTokens>, frame: &mut Vec<u8>) {
+        let address = Arc::as_ptr(context) as usize;
+        if let Some(&(id, _)) = self.contexts.get(&address) {
+            frame.put_u8(CONTEXT_REGISTERED);
+            frame.put_u64(id);
+            return;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.contexts.insert(address, (id, Arc::clone(context)));
+        frame.put_u8(CONTEXT_NEW);
+        frame.put_u64(id);
+        put_utterance(frame, context);
+    }
+}
+
+/// The worker half of the codec: decodes calls, and owns the worker's side
+/// of the register/forget context table (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct CallDecoder {
+    contexts: HashMap<u64, Arc<UtteranceTokens>>,
+}
+
+impl CallDecoder {
+    /// A decoder with no registered context.
+    pub fn new() -> Self {
+        CallDecoder::default()
+    }
+
+    /// Decodes one call frame.
+    ///
+    /// The registrations and forgets a submit carries take effect as they
+    /// are read, so after an error the table may hold part of the failed
+    /// frame's changes.  The protocol is lock-step with no resynchronisation:
+    /// a decode error ends the connection.
+    pub fn decode(&mut self, frame: &[u8]) -> Result<WireCall, WireError> {
+        let (mut reader, tag) = Reader::open(frame)?;
+        let call = match tag {
+            CALL_SUBMIT => self.read_submit(&mut reader)?,
+            CALL_POLL => WireCall::Poll,
+            CALL_COMPLETE => WireCall::Complete(Ticket::new(reader.u64()?)),
+            CALL_SET_TRACING => WireCall::SetTracing(reader.flag("bool")?),
+            CALL_TAKE_DEVICE_EVENTS => WireCall::TakeDeviceEvents,
+            CALL_SHUTDOWN => WireCall::Shutdown,
+            tag => {
+                return Err(WireError::UnknownTag {
+                    at: TAG_AT,
+                    field: "call",
+                    tag,
+                })
+            }
+        };
+        reader.end()?;
+        Ok(call)
+    }
+
+    fn read_submit(&mut self, reader: &mut Reader<'_>) -> Result<WireCall, WireError> {
+        let now_ms = reader.f64()?;
+        for _ in 0..reader.len(ID_BYTES)? {
+            let id = reader.u64()?;
+            self.contexts
+                .remove(&id)
+                .ok_or(WireError::UnknownContext(id))?;
+        }
+        let requests = reader.seq(REQUEST_MIN_BYTES, |reader| {
+            Ok(ForwardRequest {
+                audio: self.read_context(reader)?,
+                prefix: reader.tokens()?,
+                probes: reader.seq(SEQ_BYTES, Reader::tokens)?,
+                charge_tokens: reader.usize()?,
+                kind: reader.kind()?,
+            })
+        })?;
+        Ok(WireCall::Submit(now_ms, BackendBatch { requests }))
+    }
+
+    fn read_context(&mut self, reader: &mut Reader<'_>) -> Result<Arc<UtteranceTokens>, WireError> {
+        let at = reader.at;
+        match reader.u8()? {
+            CONTEXT_REGISTERED => {
+                let id = reader.u64()?;
+                self.contexts
+                    .get(&id)
+                    .cloned()
+                    .ok_or(WireError::UnknownContext(id))
+            }
+            CONTEXT_NEW => {
+                let id = reader.u64()?;
+                let context = Arc::new(read_utterance(reader)?);
+                self.contexts.insert(id, Arc::clone(&context));
+                Ok(context)
+            }
+            tag => Err(WireError::UnknownTag {
+                at,
+                field: "context",
+                tag,
+            }),
+        }
+    }
+}
+
+/// Encodes a reply into `frame`, replacing its contents (the capacity is
+/// kept, as in [`CallEncoder::encode`]).
+pub fn encode_reply(reply: &WireReply, frame: &mut Vec<u8>) {
+    match reply {
+        WireReply::Submitted {
+            tickets,
+            device_free_ms,
+            counters,
+        } => {
+            begin(frame, REPLY_SUBMITTED);
+            frame.put_seq(tickets, |frame, ticket| frame.put_u64(ticket.value()));
+            frame.put_f64(*device_free_ms);
+            put_counters(frame, counters);
+        }
+        WireReply::Results(results) => {
+            begin(frame, REPLY_RESULTS);
+            frame.put_seq(results, put_result);
+        }
+        WireReply::Completed(result) => {
+            begin(frame, REPLY_COMPLETED);
+            frame.put_u8(u8::from(result.is_some()));
+            if let Some(result) = result {
+                put_result(frame, result);
+            }
+        }
+        WireReply::TracingSet(enabled) => {
+            begin(frame, REPLY_TRACING_SET);
+            frame.put_u8(u8::from(*enabled));
+        }
+        WireReply::DeviceEvents(events) => {
+            begin(frame, REPLY_DEVICE_EVENTS);
+            frame.put_seq(events, put_device_event);
+        }
+        WireReply::Bye => begin(frame, REPLY_BYE),
+    }
+    seal(frame);
+}
+
+/// Decodes one reply frame.
+pub fn decode_reply(frame: &[u8]) -> Result<WireReply, WireError> {
+    let (mut reader, tag) = Reader::open(frame)?;
+    let reply = match tag {
+        REPLY_SUBMITTED => WireReply::Submitted {
+            tickets: reader.seq(ID_BYTES, |reader| reader.u64().map(Ticket::new))?,
+            device_free_ms: reader.f64()?,
+            counters: read_counters(&mut reader)?,
+        },
+        REPLY_RESULTS => WireReply::Results(reader.seq(RESULT_MIN_BYTES, read_result)?),
+        REPLY_COMPLETED => WireReply::Completed(if reader.flag("option")? {
+            Some(read_result(&mut reader)?)
+        } else {
+            None
+        }),
+        REPLY_TRACING_SET => WireReply::TracingSet(reader.flag("bool")?),
+        REPLY_DEVICE_EVENTS => {
+            WireReply::DeviceEvents(reader.seq(DEVICE_EVENT_BYTES, read_device_event)?)
+        }
+        REPLY_BYE => WireReply::Bye,
+        tag => {
+            return Err(WireError::UnknownTag {
+                at: TAG_AT,
+                field: "reply",
+                tag,
+            })
+        }
+    };
+    reader.end()?;
+    Ok(reply)
+}
+
+/// Starts a frame in `frame`: clears it (keeping its capacity), reserves the
+/// length prefix and writes the tag.
+fn begin(frame: &mut Vec<u8>, tag: u8) {
+    frame.clear();
+    frame.put_u32(0);
+    frame.put_u8(tag);
+}
+
+/// Fills in the length prefix of a finished frame.
+fn seal(frame: &mut [u8]) {
+    let body = u32::try_from(frame.len() - TAG_AT).expect("a frame is shorter than 4 GiB");
+    frame[..TAG_AT].copy_from_slice(&body.to_le_bytes());
+}
+
+/// Little-endian field writers over a frame buffer.
+trait Put {
+    fn put_u8(&mut self, value: u8);
+    fn put_u32(&mut self, value: u32);
+    fn put_u64(&mut self, value: u64);
+    fn put_f64(&mut self, value: f64);
+    fn put_len(&mut self, len: usize);
+    fn put_seq<T>(&mut self, items: &[T], put: impl FnMut(&mut Self, &T));
+    fn put_tokens(&mut self, tokens: &[TokenId]);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, value: u8) {
+        self.push(value);
+    }
+
+    fn put_u32(&mut self, value: u32) {
+        self.extend_from_slice(&value.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, value: u64) {
+        self.extend_from_slice(&value.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, value: f64) {
+        self.put_u64(value.to_bits());
+    }
+
+    fn put_len(&mut self, len: usize) {
+        self.put_u32(u32::try_from(len).expect("a wire sequence holds fewer than 2^32 items"));
+    }
+
+    fn put_seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.put_len(items.len());
+        for item in items {
+            put(self, item);
+        }
+    }
+
+    fn put_tokens(&mut self, tokens: &[TokenId]) {
+        self.put_seq(tokens, |frame, token| frame.put_u32(token.value()));
+    }
+}
+
+fn kind_tag(kind: ForwardKind) -> u8 {
+    match kind {
+        ForwardKind::DraftStep => KIND_DRAFT_STEP,
+        ForwardKind::Verify => KIND_VERIFY,
+    }
+}
+
+fn put_utterance(frame: &mut Vec<u8>, utterance: &UtteranceTokens) {
+    debug_assert_eq!(
+        utterance.reference_tokens.len(),
+        utterance.token_difficulties.len()
+    );
+    frame.put_u64(utterance.id.value());
+    frame.put_u32(utterance.eos.value());
+    frame.put_u32(utterance.bos.value());
+    frame.put_u32(utterance.vocab_size);
+    frame.put_f64(utterance.duration_seconds);
+    frame.put_u64(utterance.prefill_tokens as u64);
+    frame.put_tokens(&utterance.reference_tokens);
+    for &difficulty in &utterance.token_difficulties {
+        frame.put_f64(difficulty);
+    }
+}
+
+fn put_result(frame: &mut Vec<u8>, result: &ForwardResult) {
+    frame.put_u64(result.ticket.value());
+    frame.put_u8(kind_tag(result.kind));
+    frame.put_seq(&result.logits, |frame, logits| {
+        frame.put_seq(&logits.candidates, |frame, candidate| {
+            frame.put_u32(candidate.token.value());
+            frame.put_f64(candidate.probability);
+        });
+    });
+    frame.put_f64(result.submitted_ms);
+    frame.put_f64(result.started_ms);
+    frame.put_f64(result.completed_ms);
+    frame.put_u64(result.batch_requests as u64);
+}
+
+fn put_counters(frame: &mut Vec<u8>, counters: &BackendCounters) {
+    for count in [
+        counters.batches,
+        counters.requests,
+        counters.draft_requests,
+        counters.verify_requests,
+        counters.verify_batches,
+        counters.probes_scored,
+        counters.peak_in_flight,
+    ] {
+        frame.put_u64(count as u64);
+    }
+    frame.put_f64(counters.device_busy_ms);
+    frame.put_f64(counters.device_idle_ms);
+}
+
+fn put_device_event(frame: &mut Vec<u8>, event: &DeviceEvent) {
+    frame.put_u64(event.seq);
+    frame.put_f64(event.submitted_ms);
+    frame.put_f64(event.started_ms);
+    frame.put_f64(event.completed_ms);
+    frame.put_u64(event.requests);
+    frame.put_u64(event.charge_tokens);
+    frame.put_u8(u8::from(event.verify));
+}
+
+/// A bounds-checked cursor over one frame.
+struct Reader<'a> {
+    frame: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Checks the frame's length prefix against its size and reads its tag.
+    fn open(frame: &'a [u8]) -> Result<(Self, u8), WireError> {
+        let mut reader = Reader { frame, at: 0 };
+        let declared = reader.u32()?;
+        let remaining = frame.len() - TAG_AT;
+        if declared as usize > remaining {
+            return Err(WireError::LengthPastEnd {
+                at: 0,
+                len: declared,
+                remaining,
+            });
+        }
+        if (declared as usize) < remaining {
+            return Err(WireError::TrailingBytes {
+                at: TAG_AT + declared as usize,
+            });
+        }
+        let tag = reader.u8()?;
+        Ok((reader, tag))
+    }
+
+    /// Errors unless every byte of the frame was read.
+    fn end(self) -> Result<(), WireError> {
+        if self.at == self.frame.len() {
+            Ok(())
+        } else {
+            Err(WireError::TrailingBytes { at: self.at })
+        }
+    }
+
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let field = self
+            .frame
+            .get(self.at..)
+            .and_then(|rest| rest.get(..N))
+            .ok_or(WireError::Truncated {
+                at: self.at,
+                needed: N,
+            })?;
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(field);
+        self.at += N;
+        Ok(bytes)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.bytes::<1>().map(|[byte]| byte)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.bytes().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.bytes().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    fn usize(&mut self) -> Result<usize, WireError> {
+        let at = self.at;
+        usize::try_from(self.u64()?).map_err(|_| WireError::Overflow { at })
+    }
+
+    fn flag(&mut self, field: &'static str) -> Result<bool, WireError> {
+        let at = self.at;
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::UnknownTag { at, field, tag }),
+        }
+    }
+
+    fn kind(&mut self) -> Result<ForwardKind, WireError> {
+        let at = self.at;
+        match self.u8()? {
+            KIND_DRAFT_STEP => Ok(ForwardKind::DraftStep),
+            KIND_VERIFY => Ok(ForwardKind::Verify),
+            tag => Err(WireError::UnknownTag {
+                at,
+                field: "kind",
+                tag,
+            }),
+        }
+    }
+
+    /// A sequence length, checked against the bytes left at
+    /// `min_item_bytes` per item before the caller allocates for it.
+    fn len(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
+        let at = self.at;
+        let len = self.u32()?;
+        let remaining = self.frame.len() - self.at;
+        if (len as usize).saturating_mul(min_item_bytes) > remaining {
+            return Err(WireError::LengthPastEnd { at, len, remaining });
+        }
+        Ok(len as usize)
+    }
+
+    /// A length-prefixed sequence whose items each take at least
+    /// `min_item_bytes`.
+    fn seq<T>(
+        &mut self,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let len = self.len(min_item_bytes)?;
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn tokens(&mut self) -> Result<Vec<TokenId>, WireError> {
+        self.seq(TOKEN_BYTES, |reader| reader.u32().map(TokenId::new))
+    }
+}
+
+fn read_utterance(reader: &mut Reader<'_>) -> Result<UtteranceTokens, WireError> {
+    let id = UtteranceId::new(reader.u64()?);
+    let eos = TokenId::new(reader.u32()?);
+    let bos = TokenId::new(reader.u32()?);
+    let vocab_size = reader.u32()?;
+    let duration_seconds = reader.f64()?;
+    let prefill_tokens = reader.usize()?;
+    let len = reader.len(TOKEN_BYTES + 8)?;
+    let mut reference_tokens = Vec::with_capacity(len);
+    for _ in 0..len {
+        reference_tokens.push(TokenId::new(reader.u32()?));
+    }
+    let mut token_difficulties = Vec::with_capacity(len);
+    for _ in 0..len {
+        token_difficulties.push(reader.f64()?);
+    }
+    Ok(UtteranceTokens {
+        id,
+        reference_tokens,
+        token_difficulties,
+        eos,
+        bos,
+        vocab_size,
+        duration_seconds,
+        prefill_tokens,
+    })
+}
+
+fn read_result(reader: &mut Reader<'_>) -> Result<ForwardResult, WireError> {
+    let ticket = Ticket::new(reader.u64()?);
+    let kind = reader.kind()?;
+    let logits = reader.seq(SEQ_BYTES, |reader| {
+        let candidates = reader.seq(CANDIDATE_BYTES, |reader| {
+            Ok(Candidate {
+                token: TokenId::new(reader.u32()?),
+                probability: reader.f64()?,
+            })
+        })?;
+        Ok(TokenLogits { candidates })
+    })?;
+    Ok(ForwardResult {
+        ticket,
+        kind,
+        logits,
+        submitted_ms: reader.f64()?,
+        started_ms: reader.f64()?,
+        completed_ms: reader.f64()?,
+        batch_requests: reader.usize()?,
+    })
+}
+
+fn read_counters(reader: &mut Reader<'_>) -> Result<BackendCounters, WireError> {
+    Ok(BackendCounters {
+        batches: reader.usize()?,
+        requests: reader.usize()?,
+        draft_requests: reader.usize()?,
+        verify_requests: reader.usize()?,
+        verify_batches: reader.usize()?,
+        probes_scored: reader.usize()?,
+        peak_in_flight: reader.usize()?,
+        device_busy_ms: reader.f64()?,
+        device_idle_ms: reader.f64()?,
+    })
+}
+
+fn read_device_event(reader: &mut Reader<'_>) -> Result<DeviceEvent, WireError> {
+    Ok(DeviceEvent {
+        seq: reader.u64()?,
+        submitted_ms: reader.f64()?,
+        started_ms: reader.f64()?,
+        completed_ms: reader.f64()?,
+        requests: reader.u64()?,
+        charge_tokens: reader.u64()?,
+        verify: reader.flag("bool")?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Ticket;
     use crate::binding::TokenizerBinding;
-    use crate::logits::TokenLogits;
+    use crate::hashing::splitmix64;
+    use proptest::prelude::*;
     use specasr_audio::{Corpus, Split};
 
-    fn audio() -> UtteranceTokens {
-        let corpus = Corpus::librispeech_like(5, 2);
+    /// A deterministic stream of test values.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        /// Often an edge value: −0.0, a subnormal, ±∞, a NaN with a random
+        /// payload and sign, or any bit pattern at all.
+        fn float(&mut self) -> f64 {
+            let raw = self.next();
+            match self.below(8) {
+                0 => -0.0,
+                1 => f64::from_bits(raw & 0x000f_ffff_ffff_ffff),
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::from_bits(0x7ff0_0000_0000_0001 | (raw & 0x800f_ffff_ffff_ffff)),
+                5 => f64::from_bits(raw),
+                _ => (raw >> 11) as f64 / 1024.0,
+            }
+        }
+
+        fn tokens(&mut self, max: u64) -> Vec<TokenId> {
+            let len = self.below(max + 1);
+            (0..len).map(|_| TokenId::new(self.next() as u32)).collect()
+        }
+
+        fn context(&mut self) -> UtteranceTokens {
+            let reference_tokens = self.tokens(12);
+            let token_difficulties = reference_tokens.iter().map(|_| self.float()).collect();
+            UtteranceTokens {
+                id: UtteranceId::new(self.next()),
+                reference_tokens,
+                token_difficulties,
+                eos: TokenId::new(self.next() as u32),
+                bos: TokenId::new(self.next() as u32),
+                vocab_size: self.next() as u32,
+                duration_seconds: self.float(),
+                prefill_tokens: self.next() as usize,
+            }
+        }
+
+        fn request(&mut self, contexts: &[Arc<UtteranceTokens>]) -> ForwardRequest {
+            let audio = Arc::clone(&contexts[self.below(contexts.len() as u64) as usize]);
+            let probes = (0..self.below(4)).map(|_| self.tokens(3)).collect();
+            ForwardRequest {
+                audio,
+                prefix: self.tokens(6),
+                probes,
+                charge_tokens: self.next() as usize,
+                kind: if self.coin() {
+                    ForwardKind::Verify
+                } else {
+                    ForwardKind::DraftStep
+                },
+            }
+        }
+
+        fn result(&mut self) -> ForwardResult {
+            let logits = (0..self.below(4))
+                .map(|_| TokenLogits {
+                    candidates: (0..self.below(4))
+                        .map(|_| Candidate {
+                            token: TokenId::new(self.next() as u32),
+                            probability: self.float(),
+                        })
+                        .collect(),
+                })
+                .collect();
+            ForwardResult {
+                ticket: Ticket::new(self.next()),
+                kind: if self.coin() {
+                    ForwardKind::Verify
+                } else {
+                    ForwardKind::DraftStep
+                },
+                logits,
+                submitted_ms: self.float(),
+                started_ms: self.float(),
+                completed_ms: self.float(),
+                batch_requests: self.next() as usize,
+            }
+        }
+
+        fn counters(&mut self) -> BackendCounters {
+            BackendCounters {
+                batches: self.next() as usize,
+                requests: self.next() as usize,
+                draft_requests: self.next() as usize,
+                verify_requests: self.next() as usize,
+                verify_batches: self.next() as usize,
+                probes_scored: self.next() as usize,
+                peak_in_flight: self.next() as usize,
+                device_busy_ms: self.float(),
+                device_idle_ms: self.float(),
+            }
+        }
+
+        fn device_event(&mut self) -> DeviceEvent {
+            DeviceEvent {
+                seq: self.next(),
+                submitted_ms: self.float(),
+                started_ms: self.float(),
+                completed_ms: self.float(),
+                requests: self.next(),
+                charge_tokens: self.next(),
+                verify: self.coin(),
+            }
+        }
+
+        /// One reply of every variant.
+        fn replies(&mut self) -> Vec<WireReply> {
+            vec![
+                WireReply::Submitted {
+                    tickets: (0..self.below(5))
+                        .map(|_| Ticket::new(self.next()))
+                        .collect(),
+                    device_free_ms: self.float(),
+                    counters: self.counters(),
+                },
+                WireReply::Results((0..self.below(4)).map(|_| self.result()).collect()),
+                WireReply::Completed(Some(self.result())),
+                WireReply::Completed(None),
+                WireReply::TracingSet(self.coin()),
+                WireReply::DeviceEvents((0..self.below(4)).map(|_| self.device_event()).collect()),
+                WireReply::Bye,
+            ]
+        }
+    }
+
+    fn encoded_call(call: &WireCall) -> Vec<u8> {
+        let mut frame = Vec::new();
+        CallEncoder::new().encode(call, &mut frame);
+        frame
+    }
+
+    fn encoded_reply(reply: &WireReply) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_reply(reply, &mut frame);
+        frame
+    }
+
+    /// Bit-for-bit equality.  `Debug` compares every field and tells −0.0
+    /// from 0.0, but prints every NaN alike; the encodings compare the raw
+    /// bits of every float.
+    fn same_call(a: &WireCall, b: &WireCall) -> bool {
+        format!("{a:?}") == format!("{b:?}") && encoded_call(a) == encoded_call(b)
+    }
+
+    fn same_reply(a: &WireReply, b: &WireReply) -> bool {
+        format!("{a:?}") == format!("{b:?}") && encoded_reply(a) == encoded_reply(b)
+    }
+
+    fn submit(now_ms: f64, requests: Vec<ForwardRequest>) -> WireCall {
+        WireCall::Submit(now_ms, BackendBatch { requests })
+    }
+
+    fn corpus_contexts() -> Vec<Arc<UtteranceTokens>> {
+        let corpus = Corpus::librispeech_like(5, 3);
         let binding = TokenizerBinding::for_corpus(&corpus);
-        binding.bind(&corpus.split(Split::TestClean)[0])
+        binding
+            .bind_all(corpus.split(Split::TestClean))
+            .into_iter()
+            .map(Arc::new)
+            .collect()
     }
 
-    fn call_round_trip(call: WireCall) {
-        assert_eq!(decode_call(&encode_call(&call)), call);
-    }
-
-    fn reply_round_trip(reply: WireReply) {
-        assert_eq!(decode_reply(&encode_reply(&reply)), reply);
+    /// Valid frames of every call variant, each with the decoder state it
+    /// expects.
+    fn sample_call_frames() -> Vec<(CallDecoder, Vec<u8>)> {
+        let contexts = corpus_contexts();
+        let mut encoder = CallEncoder::new();
+        let mut decoder = CallDecoder::new();
+        let mut calls = Vec::new();
+        let batches = [
+            vec![
+                ForwardRequest::draft_step(Arc::clone(&contexts[0]), vec![TokenId::new(3)]),
+                ForwardRequest::verify(
+                    Arc::clone(&contexts[0]),
+                    vec![TokenId::new(1), TokenId::new(4)],
+                    vec![Vec::new(), vec![TokenId::new(9), TokenId::new(2)]],
+                    6,
+                ),
+            ],
+            // Registered on the previous submit.
+            vec![ForwardRequest::verify(
+                Arc::clone(&contexts[0]),
+                Vec::new(),
+                vec![Vec::new()],
+                1,
+            )],
+        ];
+        for requests in batches {
+            let call = submit(-0.0, requests);
+            let mut frame = Vec::new();
+            encoder.encode(&call, &mut frame);
+            calls.push((decoder.clone(), frame.clone()));
+            decoder.decode(&frame).expect("a valid submit decodes");
+        }
+        for call in [
+            WireCall::Poll,
+            WireCall::Complete(Ticket::new(42)),
+            WireCall::SetTracing(true),
+            WireCall::TakeDeviceEvents,
+            WireCall::Shutdown,
+        ] {
+            calls.push((decoder.clone(), encoded_call(&call)));
+        }
+        calls
     }
 
     #[test]
     fn every_call_variant_round_trips_identically() {
-        let draft = ForwardRequest::draft_step(Arc::new(audio()), vec![TokenId::new(3)]);
-        let verify = ForwardRequest::verify(
-            Arc::new(audio()),
-            vec![TokenId::new(1), TokenId::new(4)],
-            vec![Vec::new(), vec![TokenId::new(9)]],
-            6,
-        );
-        let mut batch = BackendBatch::new();
-        batch.push(draft);
-        batch.push(verify);
-        call_round_trip(WireCall::Submit(1234.5, encode_batch(&batch)));
-        call_round_trip(WireCall::Poll);
-        call_round_trip(WireCall::Complete(42));
-        call_round_trip(WireCall::Counters);
-        call_round_trip(WireCall::SetTracing(true));
-        call_round_trip(WireCall::SetTracing(false));
-        call_round_trip(WireCall::TakeDeviceEvents);
-        call_round_trip(WireCall::Shutdown);
+        let contexts = corpus_contexts();
+        for call in [
+            submit(
+                f64::from_bits(1),
+                vec![
+                    ForwardRequest::draft_step(Arc::clone(&contexts[1]), Vec::new()),
+                    ForwardRequest::verify(
+                        Arc::clone(&contexts[2]),
+                        vec![TokenId::new(8)],
+                        vec![vec![TokenId::new(1)], Vec::new()],
+                        4,
+                    ),
+                ],
+            ),
+            submit(f64::NAN, Vec::new()),
+            WireCall::Poll,
+            WireCall::Complete(Ticket::new(u64::MAX)),
+            WireCall::SetTracing(true),
+            WireCall::SetTracing(false),
+            WireCall::TakeDeviceEvents,
+            WireCall::Shutdown,
+        ] {
+            let decoded = CallDecoder::new()
+                .decode(&encoded_call(&call))
+                .expect("a valid call decodes");
+            assert!(same_call(&decoded, &call), "{call:?}");
+        }
     }
 
     #[test]
     fn every_reply_variant_round_trips_identically() {
-        let result = ForwardResult {
-            ticket: Ticket::new(7),
-            kind: ForwardKind::Verify,
-            logits: vec![TokenLogits::from_candidates(vec![
-                (TokenId::new(2), 0.625),
-                (TokenId::new(5), 0.25),
-            ])],
-            submitted_ms: 10.0,
-            started_ms: 12.5,
-            completed_ms: 31.25,
-            batch_requests: 3,
-        };
-        let counters = BackendCounters {
-            batches: 4,
-            requests: 9,
-            draft_requests: 2,
-            verify_requests: 7,
-            verify_batches: 3,
-            probes_scored: 21,
-            peak_in_flight: 5,
-            device_busy_ms: 123.5,
-            device_idle_ms: 4.25,
-        };
-        reply_round_trip(WireReply::Submitted(vec![0, 1, 2], 99.5));
-        reply_round_trip(WireReply::Results(vec![result.clone(), result.clone()]));
-        reply_round_trip(WireReply::Completed(Some(result)));
-        reply_round_trip(WireReply::Completed(None));
-        reply_round_trip(WireReply::Counters(counters));
-        reply_round_trip(WireReply::TracingSet(true));
-        reply_round_trip(WireReply::DeviceEvents(vec![DeviceEvent {
-            seq: 2,
-            submitted_ms: 10.0,
-            started_ms: 12.5,
-            completed_ms: 31.25,
-            requests: 3,
-            charge_tokens: 11,
-            verify: true,
-        }]));
-        reply_round_trip(WireReply::DeviceEvents(Vec::new()));
-        reply_round_trip(WireReply::Bye);
+        for reply in Draw(11).replies() {
+            let decoded = decode_reply(&encoded_reply(&reply)).expect("a valid reply decodes");
+            assert!(same_reply(&decoded, &reply), "{reply:?}");
+        }
     }
 
     #[test]
     fn wire_requests_rebuild_the_exact_in_process_request() {
-        let shared = Arc::new(audio());
-        let request = ForwardRequest::verify(
-            shared,
-            vec![TokenId::new(8)],
-            vec![vec![TokenId::new(1)], Vec::new()],
-            4,
-        );
-        let rebuilt = WireRequest::from_request(&request).into_request();
-        assert_eq!(rebuilt, request);
+        let contexts = corpus_contexts();
+        let shared = || {
+            ForwardRequest::verify(
+                Arc::clone(&contexts[0]),
+                vec![TokenId::new(8)],
+                vec![vec![TokenId::new(1)], Vec::new()],
+                4,
+            )
+        };
+        let other = ForwardRequest::draft_step(Arc::clone(&contexts[1]), vec![TokenId::new(2)]);
+        let mut encoder = CallEncoder::new();
+        let mut decoder = CallDecoder::new();
+        let mut frame = Vec::new();
+        let mut exchange = |requests: Vec<ForwardRequest>| {
+            let call = submit(3.0, requests);
+            encoder.encode(&call, &mut frame);
+            match decoder.decode(&frame).expect("decodes") {
+                WireCall::Submit(now_ms, batch) => {
+                    assert_eq!(WireCall::Submit(now_ms, batch.clone()), call);
+                    batch.requests
+                }
+                other => panic!("a submit decoded as {other:?}"),
+            }
+        };
+        let first = exchange(vec![shared(), other, shared()]);
+        // Requests that share a context on the client share one on the
+        // worker, and later submits resolve to that same registration.
+        assert!(Arc::ptr_eq(&first[0].audio, &first[2].audio));
+        assert!(!Arc::ptr_eq(&first[0].audio, &first[1].audio));
+        let second = exchange(vec![shared()]);
+        assert!(Arc::ptr_eq(&first[0].audio, &second[0].audio));
+    }
 
-        let encoded = serde_json::to_string(&WireRequest::from_request(&request)).expect("encodes");
-        let decoded: WireRequest = serde_json::from_str(&encoded).expect("round trip");
-        assert_eq!(decoded.into_request(), request);
+    proptest! {
+        #[test]
+        fn random_calls_and_replies_round_trip_bit_for_bit(seed in any::<u64>()) {
+            let mut draw = Draw(seed);
+            let mut encoder = CallEncoder::new();
+            let mut decoder = CallDecoder::new();
+            let mut frame = Vec::new();
+            let mut live: Vec<Arc<UtteranceTokens>> =
+                (0..3).map(|_| Arc::new(draw.context())).collect();
+            for _ in 0..5 {
+                // Retire a session now and then: its context is forgotten on
+                // this submit and a fresh one registers in its place.
+                if draw.coin() {
+                    live.remove(0);
+                    live.push(Arc::new(draw.context()));
+                }
+                let requests = (0..draw.below(5)).map(|_| draw.request(&live)).collect();
+                let call = submit(draw.float(), requests);
+                encoder.encode(&call, &mut frame);
+                let decoded = decoder.decode(&frame).expect("a valid submit decodes");
+                prop_assert!(same_call(&decoded, &call), "{call:?}");
+                prop_assert_eq!(encoder.contexts.len(), decoder.contexts.len());
+                prop_assert!(encoder.contexts.len() <= live.len());
+            }
+            let ticket = WireCall::Complete(Ticket::new(draw.next()));
+            let decoded = decoder.decode(&encoded_call(&ticket)).expect("decodes");
+            prop_assert_eq!(decoded, ticket);
+            for reply in draw.replies() {
+                let decoded = decode_reply(&encoded_reply(&reply)).expect("a valid reply decodes");
+                prop_assert!(same_reply(&decoded, &reply), "{reply:?}");
+            }
+        }
+
+        #[test]
+        fn random_bytes_decode_to_errors_without_panicking(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            tag in 0u8..8,
+        ) {
+            prop_assert!(CallDecoder::new().decode(&bytes).is_err());
+            prop_assert!(decode_reply(&bytes).is_err());
+            // Behind a well-formed length prefix and a real tag, the same
+            // bytes reach every field decoder; a frame may happen to be
+            // valid, but no decoder may panic.
+            for base in [CALL_SUBMIT - 1, REPLY_SUBMITTED - 1] {
+                let mut frame = Vec::new();
+                begin(&mut frame, base + tag);
+                frame.extend_from_slice(&bytes);
+                seal(&mut frame);
+                let _ = CallDecoder::new().decode(&frame);
+                let _ = decode_reply(&frame);
+            }
+        }
+    }
+
+    /// Every strict prefix of `frame`, as cut and with its length prefix
+    /// patched to match — the second form reaches the field decoders.
+    fn strict_prefixes(frame: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..frame.len()).flat_map(move |cut| {
+            let mut resealed = frame[..cut].to_vec();
+            if cut > TAG_AT {
+                seal(&mut resealed);
+            }
+            [frame[..cut].to_vec(), resealed]
+        })
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_valid_frame_is_an_error() {
+        for (decoder, frame) in &sample_call_frames() {
+            assert!(decoder.clone().decode(frame).is_ok());
+            for prefix in strict_prefixes(frame) {
+                assert!(decoder.clone().decode(&prefix).is_err(), "{prefix:?}");
+            }
+        }
+        for frame in Draw(7).replies().iter().map(encoded_reply) {
+            assert!(decode_reply(&frame).is_ok());
+            for prefix in strict_prefixes(&frame) {
+                assert!(decode_reply(&prefix).is_err(), "{prefix:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_frames_name_their_fault() {
+        let contexts = corpus_contexts();
+        let mut encoder = CallEncoder::new();
+        let request = || ForwardRequest::verify(Arc::clone(&contexts[0]), Vec::new(), vec![], 1);
+        let mut frame = Vec::new();
+        encoder.encode(&submit(0.0, vec![request()]), &mut frame);
+        encoder.encode(&submit(0.0, vec![request()]), &mut frame);
+        // The second submit names context 0, which a fresh decoder never saw.
+        assert_eq!(
+            CallDecoder::new().decode(&frame),
+            Err(WireError::UnknownContext(0))
+        );
+
+        let poll = encoded_call(&WireCall::Poll);
+        assert_eq!(
+            decode_reply(&poll),
+            Err(WireError::UnknownTag {
+                at: TAG_AT,
+                field: "reply",
+                tag: CALL_POLL,
+            })
+        );
+        let mut long = poll.clone();
+        long.push(0);
+        assert_eq!(
+            CallDecoder::new().decode(&long),
+            Err(WireError::TrailingBytes { at: 5 })
+        );
+        assert_eq!(
+            CallDecoder::new().decode(&poll[..3]),
+            Err(WireError::Truncated { at: 0, needed: 4 })
+        );
+
+        // A sequence length the rest of the frame cannot hold is refused
+        // before anything is allocated for it.
+        let mut events = encoded_reply(&WireReply::DeviceEvents(Vec::new()));
+        events[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_reply(&events),
+            Err(WireError::LengthPastEnd {
+                at: 5,
+                len: u32::MAX,
+                remaining: 0,
+            })
+        );
+        let text = WireError::UnknownContext(3).to_string();
+        assert!(text.contains("context id 3"), "{text}");
+    }
+
+    #[test]
+    fn dropping_every_session_empties_both_context_tables() {
+        let mut sessions = corpus_contexts();
+        let mut encoder = CallEncoder::new();
+        let mut decoder = CallDecoder::new();
+        let mut frame = Vec::new();
+        let mut exchange = |encoder: &mut CallEncoder, requests: Vec<ForwardRequest>| {
+            encoder.encode(&submit(0.0, requests), &mut frame);
+            decoder.decode(&frame).expect("decodes");
+            decoder.contexts.len()
+        };
+        let verify = |context: &Arc<UtteranceTokens>| {
+            ForwardRequest::verify(Arc::clone(context), Vec::new(), vec![Vec::new()], 1)
+        };
+        for _ in 0..3 {
+            let requests = sessions.iter().map(verify).collect();
+            assert_eq!(exchange(&mut encoder, requests), sessions.len());
+        }
+        // A stream chunk swaps a session's context for a new prefix view:
+        // the old one is forgotten, the new one registered.
+        sessions[0] = Arc::new((*sessions[0]).clone());
+        assert_eq!(exchange(&mut encoder, vec![verify(&sessions[0])]), 3);
+        assert_eq!(encoder.contexts.len(), 3);
+
+        sessions.clear();
+        assert_eq!(exchange(&mut encoder, Vec::new()), 0);
+        assert_eq!(encoder.contexts.len(), 0);
+    }
+
+    #[test]
+    fn a_registered_verify_request_costs_only_its_prefix_and_probe_tokens() {
+        let utterance = |len: usize| {
+            Arc::new(UtteranceTokens::new(
+                UtteranceId::new(len as u64),
+                (0..len).map(|t| TokenId::new(t as u32)).collect(),
+                vec![0.25; len],
+                TokenId::new(1),
+                TokenId::new(0),
+                4096,
+                len as f64 / 3.0,
+            ))
+        };
+        let prefix: Vec<TokenId> = (0..5).map(TokenId::new).collect();
+        let probes = vec![Vec::new(), vec![TokenId::new(7)], vec![TokenId::new(7); 3]];
+        // Frame length prefix, tag, `now_ms`, empty forget list, request
+        // count; then the context reference, prefix length, probe count,
+        // charge width and kind; then 4 bytes per prefix token, per probe
+        // length and per probe token (0 + 1 + 3 of them).
+        let fixed = 4 + 1 + 8 + 4 + 4 + (1 + 8 + 4 + 4 + 8 + 1);
+        let expected = fixed + 4 * prefix.len() + 4 * probes.len() + 4 * 4;
+        for len in [2, 40, 400] {
+            let context = utterance(len);
+            let call = submit(
+                12.5,
+                vec![ForwardRequest::verify(
+                    Arc::clone(&context),
+                    prefix.clone(),
+                    probes.clone(),
+                    6,
+                )],
+            );
+            let mut encoder = CallEncoder::new();
+            let mut frame = Vec::new();
+            encoder.encode(&call, &mut frame);
+            let registering = frame.len();
+            encoder.encode(&call, &mut frame);
+            assert_eq!(frame.len(), expected, "context of {len} tokens");
+            // Only the first use inlines the context: its fixed fields plus
+            // one token and one difficulty per reference position.
+            assert_eq!(
+                registering - frame.len(),
+                8 + 4 + 4 + 4 + 8 + 8 + 4 + 12 * len
+            );
+        }
     }
 }
