@@ -8,77 +8,20 @@
 //! When verification rejects a suffix, the rejected tokens are retained and
 //! merged back into the next round's draft ([`crate::RecycleBuffer`]),
 //! which removes most of the regeneration cost.
-
-use specasr_models::{AsrDecoderModel, UtteranceTokens};
-
-use crate::config::AdaptiveConfig;
-use crate::outcome::DecodeOutcome;
-use crate::policy::Policy;
-use crate::session::DecodeSession;
-
-/// SpecASR's adaptive single-sequence decoder.
-///
-/// # Example
-///
-/// ```
-/// use specasr::{AdaptiveConfig, AdaptiveDecoder};
-/// use specasr_audio::{Corpus, Split};
-/// use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
-///
-/// let corpus = Corpus::librispeech_like(1, 1);
-/// let binding = TokenizerBinding::for_corpus(&corpus);
-/// let audio = binding.bind(&corpus.split(Split::TestClean)[0]);
-/// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-/// let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
-///
-/// let outcome = AdaptiveDecoder::new(AdaptiveConfig::paper()).decode(&draft, &target, &audio);
-/// assert_eq!(outcome.tokens, target.greedy_transcript(&audio)); // lossless
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveDecoder {
-    config: AdaptiveConfig,
-}
-
-impl AdaptiveDecoder {
-    /// Creates a decoder with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`AdaptiveConfig::validate`]).
-    pub fn new(config: AdaptiveConfig) -> Self {
-        config.validate();
-        AdaptiveDecoder { config }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
-    }
-
-    /// Decodes `audio`, drafting with `draft` and verifying with `target`.
-    ///
-    /// Runs a [`DecodeSession`] to completion; the round-by-round mechanics
-    /// live in [`crate::DecodeSession::draft_round`] and
-    /// [`crate::DecodeSession::verify_round`].
-    pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
-    where
-        D: AsrDecoderModel + ?Sized,
-        T: AsrDecoderModel + ?Sized,
-    {
-        DecodeSession::new(Policy::AdaptiveSingleSequence(self.config), audio.clone())
-            .run(draft, target)
-    }
-}
+//!
+//! Both run under [`crate::Policy::AdaptiveSingleSequence`]; the round
+//! mechanics live in [`crate::DecodeSession`], drafted by
+//! [`crate::ModelDrafter`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::SpeculativeConfig;
-    use crate::speculative::SpeculativeDecoder;
+    use crate::config::{AdaptiveConfig, SpeculativeConfig};
+    use crate::policy::Policy;
     use crate::stats::DecodeStats;
     use specasr_audio::{Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{
+        AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
+    };
 
     fn setup(split: Split) -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(31, 8);
@@ -93,10 +36,10 @@ mod tests {
     fn adaptive_decoding_is_lossless() {
         let (draft, target, audio) = setup(Split::TestOther);
         for config in [AdaptiveConfig::paper(), AdaptiveConfig::without_recycling()] {
-            let decoder = AdaptiveDecoder::new(config);
+            let policy = Policy::AdaptiveSingleSequence(config);
             for utt in &audio {
                 assert_eq!(
-                    decoder.decode(&draft, &target, utt).tokens,
+                    policy.decode(&draft, &target, utt).tokens,
                     target.greedy_transcript(utt)
                 );
             }
@@ -106,8 +49,8 @@ mod tests {
     #[test]
     fn adaptive_prediction_needs_fewer_rounds_than_the_baseline() {
         let (draft, target, audio) = setup(Split::TestClean);
-        let baseline = SpeculativeDecoder::new(SpeculativeConfig::short_single());
-        let adaptive = AdaptiveDecoder::new(AdaptiveConfig::without_recycling());
+        let baseline = Policy::Speculative(SpeculativeConfig::short_single());
+        let adaptive = Policy::AdaptiveSingleSequence(AdaptiveConfig::without_recycling());
         let mut baseline_rounds = 0usize;
         let mut adaptive_rounds = 0usize;
         for utt in &audio {
@@ -123,8 +66,8 @@ mod tests {
     #[test]
     fn adaptive_prediction_improves_the_acceptance_ratio() {
         let (draft, target, audio) = setup(Split::TestClean);
-        let baseline = SpeculativeDecoder::new(SpeculativeConfig::long_single());
-        let adaptive = AdaptiveDecoder::new(AdaptiveConfig::without_recycling());
+        let baseline = Policy::Speculative(SpeculativeConfig::long_single());
+        let adaptive = Policy::AdaptiveSingleSequence(AdaptiveConfig::without_recycling());
         let mut baseline_stats = DecodeStats::new();
         let mut adaptive_stats = DecodeStats::new();
         for utt in &audio {
@@ -146,8 +89,8 @@ mod tests {
     #[test]
     fn recycling_reduces_draft_latency() {
         let (draft, target, audio) = setup(Split::TestOther);
-        let without = AdaptiveDecoder::new(AdaptiveConfig::without_recycling());
-        let with = AdaptiveDecoder::new(AdaptiveConfig::paper());
+        let without = Policy::AdaptiveSingleSequence(AdaptiveConfig::without_recycling());
+        let with = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
         let mut draft_ms_without = 0.0;
         let mut draft_ms_with = 0.0;
         let mut recycled = 0usize;
@@ -172,12 +115,12 @@ mod tests {
         let (draft, target, audio) = setup(Split::TestClean);
         let utt = &audio[0];
         // Threshold 0: never truncate → behaves like fixed length-24 drafting.
-        let never = AdaptiveDecoder::new(AdaptiveConfig::paper().with_threshold(0.0))
+        let never = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper().with_threshold(0.0))
             .decode(&draft, &target, utt);
         assert_eq!(never.stats.truncations, 0);
         // Threshold 1: truncate after every token → degenerates towards
         // one-token drafts but stays lossless.
-        let always = AdaptiveDecoder::new(AdaptiveConfig::paper().with_threshold(1.0))
+        let always = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper().with_threshold(1.0))
             .decode(&draft, &target, utt);
         assert_eq!(always.tokens, target.greedy_transcript(utt));
         assert!(always.stats.rounds >= never.stats.rounds);
@@ -186,8 +129,8 @@ mod tests {
     #[test]
     fn draft_steps_match_clock_passes() {
         let (draft, target, audio) = setup(Split::DevOther);
-        let outcome =
-            AdaptiveDecoder::new(AdaptiveConfig::paper()).decode(&draft, &target, &audio[0]);
+        let outcome = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper())
+            .decode(&draft, &target, &audio[0]);
         assert_eq!(
             outcome.stats.draft_steps as u64,
             outcome.clock.draft_passes()

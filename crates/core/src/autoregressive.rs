@@ -1,59 +1,20 @@
 //! Plain autoregressive decoding with the target model (the paper's first
 //! baseline and the reference output every speculative policy must match).
-
-use specasr_models::{AsrDecoderModel, UtteranceTokens};
-
-use crate::outcome::DecodeOutcome;
-use crate::policy::Policy;
-use crate::session::DecodeSession;
-
-/// Decodes with the target model only, one forward pass per output token.
-///
-/// # Example
-///
-/// ```
-/// use specasr::AutoregressiveDecoder;
-/// use specasr_audio::{Corpus, Split};
-/// use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
-///
-/// let corpus = Corpus::librispeech_like(1, 1);
-/// let binding = TokenizerBinding::for_corpus(&corpus);
-/// let audio = binding.bind(&corpus.split(Split::TestClean)[0]);
-/// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-///
-/// let outcome = AutoregressiveDecoder::new().decode(&target, &audio);
-/// assert_eq!(outcome.stats.rounds, outcome.tokens.len() + 1); // one pass per token + EOS
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AutoregressiveDecoder;
-
-impl AutoregressiveDecoder {
-    /// Creates the decoder.
-    pub fn new() -> Self {
-        AutoregressiveDecoder
-    }
-
-    /// Decodes `audio` with `target`.
-    ///
-    /// Latency accounting: one target forward pass (of one token) per emitted
-    /// token, including the final pass that emits EOS.  Prefill is tracked in
-    /// the KV cache but not charged to the clock, so that policy comparisons
-    /// isolate the decoding cost exactly as the paper's figures do.
-    pub fn decode<M>(&self, target: &M, audio: &UtteranceTokens) -> DecodeOutcome
-    where
-        M: AsrDecoderModel + ?Sized,
-    {
-        // The autoregressive policy never queries the draft model, so the
-        // target doubles as the (unused) draft argument of the session.
-        DecodeSession::new(Policy::Autoregressive, audio.clone()).run(target, target)
-    }
-}
+//!
+//! The policy is [`crate::Policy::Autoregressive`]: one target forward pass
+//! (of one token) per emitted token, including the final pass that emits
+//! EOS, and no draft model at all.  Prefill is tracked in the KV cache but
+//! not charged to the clock, so that policy comparisons isolate the decoding
+//! cost exactly as the paper's figures do.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::outcome::DecodeOutcome;
+    use crate::policy::Policy;
     use specasr_audio::{Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{
+        AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
+    };
 
     fn setup() -> (SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(19, 4);
@@ -63,11 +24,17 @@ mod tests {
         (target, audio)
     }
 
+    /// The autoregressive policy never queries the draft model, so the
+    /// target doubles as the (unused) draft argument.
+    fn decode(target: &SimulatedAsrModel, audio: &UtteranceTokens) -> DecodeOutcome {
+        Policy::Autoregressive.decode(target, target, audio)
+    }
+
     #[test]
     fn output_matches_the_target_greedy_transcript() {
         let (target, audio) = setup();
         for utt in &audio {
-            let outcome = AutoregressiveDecoder::new().decode(&target, utt);
+            let outcome = decode(&target, utt);
             assert_eq!(outcome.tokens, target.greedy_transcript(utt));
         }
     }
@@ -75,7 +42,7 @@ mod tests {
     #[test]
     fn one_target_pass_per_token_plus_eos() {
         let (target, audio) = setup();
-        let outcome = AutoregressiveDecoder::new().decode(&target, &audio[0]);
+        let outcome = decode(&target, &audio[0]);
         assert_eq!(
             outcome.clock.target_passes() as usize,
             outcome.tokens.len() + 1
@@ -89,7 +56,7 @@ mod tests {
     fn latency_is_linear_in_output_length() {
         let (target, audio) = setup();
         let per_pass = target.profile().latency().forward_pass_ms(1);
-        let outcome = AutoregressiveDecoder::new().decode(&target, &audio[1]);
+        let outcome = decode(&target, &audio[1]);
         let expected = per_pass * (outcome.tokens.len() + 1) as f64;
         assert!((outcome.clock.breakdown().target_ms - expected).abs() < 1e-9);
         assert_eq!(outcome.clock.breakdown().draft_ms, 0.0);
@@ -98,7 +65,7 @@ mod tests {
     #[test]
     fn kv_cache_tracks_prefill_and_generation() {
         let (target, audio) = setup();
-        let outcome = AutoregressiveDecoder::new().decode(&target, &audio[2]);
+        let outcome = decode(&target, &audio[2]);
         assert_eq!(
             outcome.target_cache.prefill_len(),
             audio[2].prefill_tokens()

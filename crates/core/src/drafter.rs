@@ -566,6 +566,7 @@ mod tests {
     use crate::session::DecodeSession;
     use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_runtime::KvPool;
 
     fn setup() -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);
@@ -587,6 +588,34 @@ mod tests {
             .collect();
         let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
         TokenMapDrafter::new(Arc::new(index))
+    }
+
+    /// Starts a fresh session drafting from `kind` on `pool`.
+    fn start(
+        policy: Policy,
+        kind: DrafterKind,
+        audio: &UtteranceTokens,
+        pool: &mut KvPool,
+    ) -> DecodeSession {
+        DecodeSession::new(policy, kind, audio.clone(), &[], pool).expect("unbounded")
+    }
+
+    /// Drives a session to completion drafting from `drafter`.
+    fn decode_with<Dr: Drafter>(
+        policy: Policy,
+        drafter: &Dr,
+        target: &SimulatedAsrModel,
+        audio: &UtteranceTokens,
+    ) -> DecodeSession {
+        let mut pool = KvPool::unbounded(16);
+        let mut session = start(policy, drafter.kind(), audio, &mut pool);
+        while !session.is_finished() {
+            let drafted = session.draft_round_with(drafter);
+            session
+                .verify_round(&mut pool, target, drafted)
+                .expect("unbounded");
+        }
+        session
     }
 
     fn all_policies() -> Vec<Policy> {
@@ -614,9 +643,10 @@ mod tests {
     #[test]
     fn model_drafter_matches_the_session_draft_loop() {
         let (draft, _, audio) = setup();
+        let mut pool = KvPool::unbounded(16);
         for policy in all_policies() {
-            let mut a = DecodeSession::new(policy, audio[0].clone());
-            let mut b = DecodeSession::new(policy, audio[0].clone());
+            let mut a = start(policy, DrafterKind::ModelDraft, &audio[0], &mut pool);
+            let mut b = start(policy, DrafterKind::ModelDraft, &audio[0], &mut pool);
             let via_session = a.draft_round(&draft);
             let via_drafter = b.draft_round_with(&ModelDrafter::new(&draft));
             assert_eq!(
@@ -634,12 +664,7 @@ mod tests {
         for policy in all_policies() {
             for utt in audio.iter().take(3) {
                 let ctc = CtcDrafter::paired(&target);
-                let mut session =
-                    DecodeSession::new_with_drafter(policy, utt.clone(), DrafterKind::CtcEncoder);
-                while !session.is_finished() {
-                    let drafted = session.draft_round_with(&ctc);
-                    session.verify_round(&target, drafted);
-                }
+                let session = decode_with(policy, &ctc, &target, utt);
                 let offline = policy.decode(&draft, &target, utt).tokens;
                 assert_eq!(
                     session.tokens(),
@@ -657,12 +682,7 @@ mod tests {
         let map = token_map_for(&audio);
         for policy in all_policies() {
             for utt in audio.iter().take(3) {
-                let mut session =
-                    DecodeSession::new_with_drafter(policy, utt.clone(), DrafterKind::TokenMap);
-                while !session.is_finished() {
-                    let drafted = session.draft_round_with(&map);
-                    session.verify_round(&target, drafted);
-                }
+                let session = decode_with(policy, &map, &target, utt);
                 let offline = policy.decode(&draft, &target, utt).tokens;
                 assert_eq!(
                     session.tokens(),
@@ -679,12 +699,7 @@ mod tests {
         let (_, target, audio) = setup();
         let ctc = CtcDrafter::paired(&target);
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
-        let mut session =
-            DecodeSession::new_with_drafter(policy, audio[0].clone(), DrafterKind::CtcEncoder);
-        while !session.is_finished() {
-            let drafted = session.draft_round_with(&ctc);
-            session.verify_round(&target, drafted);
-        }
+        let session = decode_with(policy, &ctc, &target, &audio[0]);
         assert_eq!(session.clock().draft_passes(), 0);
         assert_eq!(session.clock().breakdown().draft_ms, 0.0);
     }
@@ -730,18 +745,21 @@ mod tests {
         let (_, target, audio) = setup();
         let ctc = CtcDrafter::paired(&target);
         let map = token_map_for(&audio);
-        let mut session = DecodeSession::new_with_drafter(
+        let mut pool = KvPool::unbounded(16);
+        let mut session = start(
             Policy::Autoregressive,
-            audio[0].clone(),
             DrafterKind::CtcEncoder,
+            &audio[0],
+            &mut pool,
         );
         let drafted = session.draft_round_with(&ctc);
         assert_eq!(drafted.predicted_tokens(), 0);
         assert_eq!(drafted.verify_tokens(), 1);
-        let mut session = DecodeSession::new_with_drafter(
+        let mut session = start(
             Policy::Autoregressive,
-            audio[0].clone(),
             DrafterKind::TokenMap,
+            &audio[0],
+            &mut pool,
         );
         let drafted = session.draft_round_with(&map);
         assert_eq!(drafted.predicted_tokens(), 0);

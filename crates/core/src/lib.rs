@@ -8,21 +8,27 @@
 //!
 //! # Policies
 //!
-//! * [`AutoregressiveDecoder`] — the target model decodes one token per
+//! [`Policy`] names each decoding configuration, which is what the benchmark
+//! harness sweeps over, and [`Policy::decode`] runs one to completion:
+//!
+//! * [`Policy::Autoregressive`] — the target model decodes one token per
 //!   forward pass (the paper's first baseline),
-//! * [`SpeculativeDecoder`] — classic draft-then-verify speculative decoding
+//! * [`Policy::Speculative`] — classic draft-then-verify speculative decoding
 //!   with a fixed prediction length and optional beams (the `(8, 1)`,
 //!   `(16, 1)`, `(8, 2)` baselines),
-//! * [`AdaptiveDecoder`] — SpecASR's **adaptive single-sequence prediction**:
-//!   draft up to 24 tokens but truncate early when the normalised top-1 logit
-//!   falls below a threshold, with optional **draft sequence recycling** of
-//!   rejected suffixes,
-//! * [`SparseTreeDecoder`] — SpecASR's **two-pass sparse-tree prediction**:
-//!   a greedy main trunk plus sparse top-k side branches at uncertain
-//!   positions, verified in one pass with a 2-D tree attention mask.
+//! * [`Policy::AdaptiveSingleSequence`] — SpecASR's **adaptive
+//!   single-sequence prediction**: draft up to 24 tokens but truncate early
+//!   when the normalised top-1 logit falls below a threshold, with optional
+//!   **draft sequence recycling** of rejected suffixes,
+//! * [`Policy::TwoPassSparseTree`] — SpecASR's **two-pass sparse-tree
+//!   prediction**: a greedy main trunk plus sparse top-k side branches at
+//!   uncertain positions, verified in one pass with a 2-D tree attention
+//!   mask.
 //!
-//! The [`Policy`] enum names each configuration and dispatches to the right
-//! decoder, which is what the benchmark harness sweeps over.
+//! Every policy runs through one round-steppable [`DecodeSession`]: the
+//! blocking [`Policy::decode`] drives it to completion over a private KV
+//! pool, and the serving scheduler steps many of them round by round over a
+//! shared one.
 //!
 //! # Drafters
 //!
@@ -46,7 +52,7 @@
 //! # Example
 //!
 //! ```
-//! use specasr::{AdaptiveConfig, AdaptiveDecoder, AutoregressiveDecoder};
+//! use specasr::{AdaptiveConfig, Policy};
 //! use specasr_audio::{Corpus, Split};
 //! use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
 //!
@@ -57,8 +63,9 @@
 //! let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 //! let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
 //!
-//! let reference = AutoregressiveDecoder::new().decode(&target, &audio);
-//! let accelerated = AdaptiveDecoder::new(AdaptiveConfig::default()).decode(&draft, &target, &audio);
+//! let reference = Policy::Autoregressive.decode(&draft, &target, &audio);
+//! let accelerated =
+//!     Policy::AdaptiveSingleSequence(AdaptiveConfig::default()).decode(&draft, &target, &audio);
 //!
 //! assert_eq!(reference.tokens, accelerated.tokens); // lossless
 //! assert!(accelerated.clock.breakdown().decode_ms() < reference.clock.breakdown().decode_ms());
@@ -82,8 +89,6 @@ mod speculative;
 mod stats;
 mod verify;
 
-pub use adaptive::AdaptiveDecoder;
-pub use autoregressive::AutoregressiveDecoder;
 pub use config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
 pub use drafter::{DraftRequest, Drafter, DrafterKind, ModelDrafter, TokenMapDrafter};
 pub use outcome::DecodeOutcome;
@@ -91,7 +96,5 @@ pub use pipeline::{AsrPipeline, PipelineOutput};
 pub use policy::{FeatureRow, Policy, Rating};
 pub use recycle::RecycleBuffer;
 pub use session::{DecodeSession, DraftedRound, KvDemand};
-pub use sparse_tree::SparseTreeDecoder;
-pub use speculative::SpeculativeDecoder;
 pub use stats::{DecodeStats, RoundRecord};
 pub use verify::{verify_sequence, verify_tree, SequenceVerification, TreeVerification};

@@ -26,8 +26,10 @@
 
 use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, UtteranceTokens};
+use specasr_runtime::KvPool;
 
 use crate::config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+use crate::drafter::DrafterKind;
 use crate::outcome::DecodeOutcome;
 use crate::session::DecodeSession;
 
@@ -64,15 +66,30 @@ impl Policy {
     /// Decodes `audio` with this policy.  The autoregressive policy ignores
     /// the draft model.
     ///
-    /// Equivalent to running a [`crate::DecodeSession`] for this policy to
-    /// completion — which is exactly what it does, so blocking decodes and
-    /// round-interleaved (scheduled) decodes share one code path.
+    /// Runs a [`crate::DecodeSession`] for this policy to completion over a
+    /// private unbounded [`KvPool`], so blocking decodes and
+    /// round-interleaved (scheduled) decodes share one code path.  Position
+    /// bookkeeping does not depend on the paging granularity, so the block
+    /// size (16, the serving default) never changes an outcome.
     pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        DecodeSession::new(*self, audio.clone()).run(draft, target)
+        let mut pool = KvPool::unbounded(16);
+        let mut session = DecodeSession::new(
+            *self,
+            DrafterKind::ModelDraft,
+            audio.clone(),
+            &[],
+            &mut pool,
+        )
+        .expect("an unbounded pool always admits");
+        while !session
+            .step(&mut pool, draft, target)
+            .expect("an unbounded pool never exhausts")
+        {}
+        session.into_outcome()
     }
 
     /// The baselines used throughout the paper's evaluation: autoregressive

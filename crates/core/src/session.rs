@@ -1,25 +1,28 @@
 //! Round-level decoding sessions: the steppable core of every policy.
 //!
-//! Historically each decoder owned a blocking `decode` loop; a serving
-//! scheduler cannot interleave work across utterances through such a loop.
-//! [`DecodeSession`] splits one utterance's decode into explicit *rounds*:
+//! [`DecodeSession`] splits one utterance's decode into explicit *rounds*, so
+//! a serving scheduler can interleave work across utterances:
 //!
-//! 1. [`DecodeSession::draft_round`] — the session's draft source speculates
-//!    this round's material (a token sequence or a sparse token tree,
-//!    depending on the policy) and the session records the draft-side
+//! 1. [`DecodeSession::draft_round_with`] — the session's draft source
+//!    speculates this round's material (a token sequence or a sparse token
+//!    tree, depending on the policy) and the session records the draft-side
 //!    latency.  The source is any [`crate::Drafter`]: the classic draft
-//!    *model* ([`crate::ModelDrafter`], the historical `draft_round` path),
-//!    or a draft-free source (CTC collapse, token-map walk) stepped through
-//!    [`DecodeSession::draft_round_with`];
-//! 2. [`DecodeSession::verify_round`] — the target model verifies the drafted
-//!    material, the accepted prefix plus correction token are committed, and
-//!    KV caches, statistics, and the recycle buffer are updated.
+//!    *model* ([`crate::ModelDrafter`], or [`DecodeSession::draft_round`] for
+//!    short), or a draft-free source (CTC collapse, token-map walk);
+//! 2. [`DecodeSession::verify_round`] (scoring by querying the target model)
+//!    or [`DecodeSession::verify_round_from`] (scoring from a backend
+//!    completion) — the drafted material is verified, the accepted prefix
+//!    plus correction token are committed, and KV caches, statistics, and
+//!    the recycle buffer are updated.
 //!
-//! [`DecodeSession::step`] chains the two for single-utterance use, and every
-//! decoder's `decode` method is now a thin wrapper that runs a session to
-//! completion — so a scheduler that interleaves `draft_round`/`verify_round`
-//! calls across many sessions produces byte-identical transcripts to
-//! sequential decoding (the lossless invariant serving relies on).
+//! [`DecodeSession::new`] is the one way to start a session, fresh or resumed
+//! after a committed prefix, and every session allocates its KV blocks from
+//! a caller-owned [`KvPool`]: the serving scheduler's bounded pool, or the
+//! unbounded pool [`Policy::decode`] creates per utterance.  Blocking and
+//! scheduled decodes therefore run one code path, and a scheduler that
+//! interleaves rounds across many sessions produces byte-identical
+//! transcripts to sequential decoding (the lossless invariant serving relies
+//! on).
 //!
 //! The drafted material is returned as an opaque [`DraftedRound`]; its
 //! [`DraftedRound::verify_tokens`] exposes how many tokens the target pass
@@ -137,7 +140,7 @@ impl DraftedRound {
     /// the recycle-buffer update reads off the same pass).
     ///
     /// This is the probe list [`DecodeSession::verify_request`] submits and
-    /// [`DecodeSession::verify_round_from_in`] re-derives to interpret the
+    /// [`DecodeSession::verify_round_from`] re-derives to interpret the
     /// returned logits, so the two always agree.
     pub fn probe_extensions(&self) -> Vec<Vec<TokenId>> {
         let mut probes: Vec<Vec<TokenId>> = vec![Vec::new()];
@@ -212,42 +215,20 @@ pub struct KvDemand {
     pub target_blocks: usize,
 }
 
-/// Where a session's KV blocks live.
-#[derive(Debug, Clone)]
-enum SessionKv {
-    /// A standalone session owns an unbounded private pool (the blocking
-    /// `Policy::decode` path, where allocation must never fail).
-    Private {
-        pool: Box<KvPool>,
-        draft: BlockTable,
-        target: BlockTable,
-    },
-    /// A served session allocates from a scheduler-owned shared pool and is
-    /// stepped through [`DecodeSession::verify_round_in`].
-    Pooled {
-        draft: BlockTable,
-        target: BlockTable,
-    },
-}
-
-impl SessionKv {
-    fn tables(&self) -> (&BlockTable, &BlockTable) {
-        match self {
-            SessionKv::Private { draft, target, .. } | SessionKv::Pooled { draft, target } => {
-                (draft, target)
-            }
-        }
-    }
-}
-
 /// One utterance's in-flight decode under a policy, steppable round by round.
+///
+/// A session's two block tables name blocks in a [`KvPool`] the session does
+/// not own: every call that allocates or frees takes that pool, and the
+/// caller releases the blocks with [`DecodeSession::release_kv`] when it is
+/// done (or drops the pool with the session, as [`Policy::decode`] does).
 ///
 /// # Example
 ///
 /// ```
-/// use specasr::{AdaptiveConfig, DecodeSession, Policy};
+/// use specasr::{AdaptiveConfig, DecodeSession, DrafterKind, Policy};
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
+/// use specasr_runtime::KvPool;
 ///
 /// let corpus = Corpus::librispeech_like(1, 1);
 /// let binding = TokenizerBinding::for_corpus(&corpus);
@@ -256,15 +237,19 @@ impl SessionKv {
 /// let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
 ///
 /// let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
-/// let mut session = DecodeSession::new(policy, audio.clone());
+/// let mut pool = KvPool::bounded(256, 16);
+/// let mut session =
+///     DecodeSession::new(policy, DrafterKind::ModelDraft, audio.clone(), &[], &mut pool)?;
 /// while !session.is_finished() {
 ///     let drafted = session.draft_round(&draft);
-///     session.verify_round(&target, drafted);
+///     session.verify_round(&mut pool, &target, drafted)?;
 /// }
-/// let outcome = session.into_outcome();
-/// assert_eq!(outcome.tokens, target.greedy_transcript(&audio)); // lossless
+/// session.release_kv(&mut pool);
+/// assert_eq!(pool.used_blocks(), 0);
+/// assert_eq!(session.into_outcome().tokens, target.greedy_transcript(&audio)); // lossless
+/// # Ok::<(), specasr_runtime::PoolError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DecodeSession {
     policy: Policy,
     drafter: DrafterKind,
@@ -273,269 +258,87 @@ pub struct DecodeSession {
     tokens: Vec<TokenId>,
     stats: DecodeStats,
     clock: DecodeClock,
-    kv: SessionKv,
+    draft_kv: BlockTable,
+    target_kv: BlockTable,
     recycle: RecycleBuffer,
     finished: bool,
     cap: usize,
 }
 
-/// Block size of a standalone session's private pool.  Position bookkeeping
-/// is independent of the paging granularity, so any value keeps standalone
-/// outcomes byte-identical; 16 matches the serving default.
-const PRIVATE_BLOCK_SIZE: usize = 16;
-
 impl DecodeSession {
-    /// Starts a session for `audio` under `policy`.
+    /// Starts a session for `audio` under `policy`, drafting from `drafter`,
+    /// with its KV blocks allocated from `pool`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration (mirroring the
-    /// decoder constructors).
-    pub fn new(policy: Policy, audio: UtteranceTokens) -> Self {
-        Self::new_with_drafter(policy, audio, DrafterKind::ModelDraft)
-    }
-
-    /// Starts a session drafting from `drafter` (see [`DrafterKind`]).
-    /// Draft-free kinds never prefill or append the draft KV cache — the
-    /// session's [`DecodeSession::round_kv_demand`] reports zero draft
-    /// blocks every round — and must be stepped with
-    /// [`DecodeSession::draft_round_with`] using a matching
-    /// [`crate::Drafter`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration (mirroring
-    /// [`DecodeSession::new`]).
-    pub fn new_with_drafter(policy: Policy, audio: UtteranceTokens, drafter: DrafterKind) -> Self {
-        Self::validate_policy(&policy);
-        let mut pool = Box::new(KvPool::unbounded(PRIVATE_BLOCK_SIZE));
-        let mut draft = BlockTable::new();
-        let mut target = BlockTable::new();
-        // Autoregressive decoding never touches the draft model, and
-        // draft-free drafters never hold a draft KV cache, so in both cases
-        // the draft table stays empty, exactly as the blocking decoder
-        // reported it.
-        if Self::holds_draft_kv(&policy, drafter) {
-            pool.draft_mut()
-                .prefill(&mut draft, audio.prefill_tokens(), None)
-                .expect("an unbounded pool always accepts a first prefill");
-        }
-        pool.target_mut()
-            .prefill(&mut target, audio.prefill_tokens(), None)
-            .expect("an unbounded pool always accepts a first prefill");
-        Self::construct(
-            policy,
-            drafter,
-            audio,
-            SessionKv::Private {
-                pool,
-                draft,
-                target,
-            },
-        )
-    }
-
-    /// Starts a session whose KV blocks come from a shared paged `pool`
-    /// (the serving path): prefix blocks are shared with resident sessions
-    /// holding an identical prompt+audio prefix (see
-    /// [`UtteranceTokens::prefix_key`]), and allocation failures surface as
-    /// typed errors instead of panics so an over-committed or malformed
-    /// request cannot take down a serving worker.
-    ///
-    /// On error nothing stays allocated.  Sessions built this way must be
-    /// stepped with [`DecodeSession::verify_round_in`] and released with
-    /// [`DecodeSession::release_kv`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration (mirroring
-    /// [`DecodeSession::new`]; policies are server-side configuration, not
-    /// request payload).
-    pub fn new_in(
-        policy: Policy,
-        audio: UtteranceTokens,
-        pool: &mut KvPool,
-    ) -> Result<Self, PoolError> {
-        Self::new_in_with_drafter(policy, audio, DrafterKind::ModelDraft, pool)
-    }
-
-    /// The shared-pool form of [`DecodeSession::new_with_drafter`]: a
-    /// draft-free session prefills only the target sub-pool, so its whole
-    /// KV footprint — admission, per-round demand, preemption-victim size —
-    /// is target-side only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration (mirroring
-    /// [`DecodeSession::new_in`]).
-    pub fn new_in_with_drafter(
-        policy: Policy,
-        audio: UtteranceTokens,
-        drafter: DrafterKind,
-        pool: &mut KvPool,
-    ) -> Result<Self, PoolError> {
-        Self::validate_policy(&policy);
-        let key = Some(audio.prefix_key());
-        let mut draft = BlockTable::new();
-        let mut target = BlockTable::new();
-        if Self::holds_draft_kv(&policy, drafter) {
-            pool.draft_mut()
-                .prefill(&mut draft, audio.prefill_tokens(), key)?;
-        }
-        if let Err(error) = pool
-            .target_mut()
-            .prefill(&mut target, audio.prefill_tokens(), key)
-        {
-            pool.draft_mut().release(&mut draft);
-            return Err(error);
-        }
-        Ok(Self::construct(
-            policy,
-            drafter,
-            audio,
-            SessionKv::Pooled { draft, target },
-        ))
-    }
-
-    /// Starts a session that continues decoding after `committed` transcript
-    /// tokens (the streaming re-decode path): the context and both KV tables
-    /// are seeded as if those tokens had just been committed, and the next
-    /// round drafts from the end of the committed prefix.
-    ///
-    /// Committed tokens produced by any lossless decode are exactly the
+    /// An empty `committed` starts a fresh decode.  A non-empty one resumes
+    /// after those transcript tokens (a streaming re-decode, or a restore
+    /// after preemption): the transcript and both KV tables are seeded as if
+    /// the tokens had just been committed, and the next round drafts from the
+    /// end of the prefix.  Committed tokens of any lossless decode are the
     /// target's greedy choices, and every policy's continuation is a
-    /// deterministic function of `(audio, committed prefix)` — so a resumed
-    /// session commits exactly the tokens the original session would have
-    /// committed after the same prefix, for every policy.  (The recycle
-    /// buffer starts empty, which can change round boundaries but never the
-    /// committed transcript.)
+    /// deterministic function of `(audio, committed prefix)`, so a resumed
+    /// session commits exactly the tokens the original session would have.
+    /// (The recycle buffer starts empty, which can change round boundaries
+    /// but never the committed transcript.)
+    ///
+    /// Prefill blocks are shared with resident sessions holding an identical
+    /// prompt+audio prefix (see [`UtteranceTokens::prefix_key`]).  Sessions
+    /// that never query a draft model — the autoregressive policy, and
+    /// draft-free [`DrafterKind`]s — prefill and grow only the target
+    /// sub-pool, so their whole KV footprint is target-side.  On
+    /// [`PoolError::OutOfBlocks`] nothing stays allocated; an unbounded pool
+    /// never fails.
     ///
     /// # Panics
     ///
-    /// Panics if the policy carries an invalid configuration (mirroring
-    /// [`DecodeSession::new`]).
-    pub fn resume(policy: Policy, audio: UtteranceTokens, committed: &[TokenId]) -> Self {
-        Self::resume_with_drafter(policy, audio, DrafterKind::ModelDraft, committed)
-    }
-
-    /// [`DecodeSession::resume`] with an explicit draft source (see
-    /// [`DecodeSession::new_with_drafter`]).  Draft-free sessions seed the
-    /// committed prefix into the target cache only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration.
-    pub fn resume_with_drafter(
+    /// Panics if the policy carries an invalid configuration (policies are
+    /// server-side configuration, not request payload).
+    pub fn new(
         policy: Policy,
-        audio: UtteranceTokens,
         drafter: DrafterKind,
-        committed: &[TokenId],
-    ) -> Self {
-        let mut session = DecodeSession::new_with_drafter(policy, audio, drafter);
-        session
-            .seed_committed(None, committed)
-            .expect("an unbounded pool always accepts the committed prefix");
-        session
-    }
-
-    /// The shared-pool form of [`DecodeSession::resume`]: like
-    /// [`DecodeSession::new_in`], prefix blocks are shared where possible,
-    /// allocation failures surface as typed errors, and nothing stays
-    /// allocated on error.  Sessions built this way must be stepped with
-    /// [`DecodeSession::verify_round_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration.
-    pub fn resume_in(
-        policy: Policy,
         audio: UtteranceTokens,
         committed: &[TokenId],
         pool: &mut KvPool,
     ) -> Result<Self, PoolError> {
-        Self::resume_in_with_drafter(policy, audio, DrafterKind::ModelDraft, committed, pool)
-    }
-
-    /// The shared-pool form of [`DecodeSession::resume_with_drafter`]; see
-    /// [`DecodeSession::resume_in`] for the error contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy carries an invalid configuration.
-    pub fn resume_in_with_drafter(
-        policy: Policy,
-        audio: UtteranceTokens,
-        drafter: DrafterKind,
-        committed: &[TokenId],
-        pool: &mut KvPool,
-    ) -> Result<Self, PoolError> {
-        let mut session = DecodeSession::new_in_with_drafter(policy, audio, drafter, pool)?;
-        if let Err(error) = session.seed_committed(Some(pool), committed) {
-            session.release_kv(pool);
-            return Err(error);
-        }
-        Ok(session)
-    }
-
-    /// Whether sessions under this `(policy, drafter)` pair hold a draft KV
-    /// cache at all: autoregressive decoding never queries a draft source,
-    /// and draft-free sources never hold draft state.
-    fn holds_draft_kv(policy: &Policy, drafter: DrafterKind) -> bool {
-        !matches!(policy, Policy::Autoregressive) && drafter.uses_draft_kv()
-    }
-
-    /// Seeds the committed prefix into a freshly prefilled session: the
-    /// transcript takes the tokens and both KV tables grow by the committed
-    /// width (the state a session holds right after committing them).
-    fn seed_committed(
-        &mut self,
-        pool: Option<&mut KvPool>,
-        committed: &[TokenId],
-    ) -> Result<(), PoolError> {
-        if committed.is_empty() {
-            return Ok(());
-        }
-        // Sessions without a draft KV cache (autoregressive, or draft-free
-        // drafters) never touch the draft table; every other configuration
-        // holds prefill + committed positions in both tables.
-        let draft_width = if Self::holds_draft_kv(&self.policy, self.drafter) {
-            committed.len()
-        } else {
-            0
-        };
-        self.kv_append(pool, draft_width, committed.len())?;
-        self.tokens.extend_from_slice(committed);
-        Ok(())
-    }
-
-    fn validate_policy(policy: &Policy) {
-        match policy {
+        match &policy {
             Policy::AdaptiveSingleSequence(config) => config.validate(),
             Policy::TwoPassSparseTree(config) => config.validate(),
             Policy::Autoregressive | Policy::Speculative(_) => {}
         }
-    }
-
-    fn construct(
-        policy: Policy,
-        drafter: DrafterKind,
-        audio: UtteranceTokens,
-        kv: SessionKv,
-    ) -> Self {
-        let cap = audio.len() * 2 + 16;
-        let token_capacity = audio.len() + 1;
-        DecodeSession {
+        let holds_draft_kv = !matches!(policy, Policy::Autoregressive) && drafter.uses_draft_kv();
+        let key = Some(audio.prefix_key());
+        let mut draft_kv = BlockTable::new();
+        let mut target_kv = BlockTable::new();
+        if holds_draft_kv {
+            pool.draft_mut()
+                .prefill(&mut draft_kv, audio.prefill_tokens(), key)?;
+        }
+        if let Err(error) = pool
+            .target_mut()
+            .prefill(&mut target_kv, audio.prefill_tokens(), key)
+        {
+            pool.draft_mut().release(&mut draft_kv);
+            return Err(error);
+        }
+        let mut session = DecodeSession {
             policy,
             drafter,
+            cap: audio.len() * 2 + 16,
+            tokens: Vec::with_capacity(audio.len() + 1),
             audio: Arc::new(audio),
-            tokens: Vec::with_capacity(token_capacity),
             stats: DecodeStats::new(),
             clock: DecodeClock::new(),
-            kv,
+            draft_kv,
+            target_kv,
             recycle: RecycleBuffer::new(),
             finished: false,
-            cap,
+        };
+        let draft_width = if holds_draft_kv { committed.len() } else { 0 };
+        if let Err(error) = session.kv_append(pool, draft_width, committed.len()) {
+            session.release_kv(pool);
+            return Err(error);
         }
+        session.tokens.extend_from_slice(committed);
+        Ok(session)
     }
 
     /// The policy this session decodes under.
@@ -575,9 +378,9 @@ impl DecodeSession {
         self.finished
     }
 
-    /// Runs the draft phase of the next round against a draft *model* — the
-    /// historical API, equivalent to [`DecodeSession::draft_round_with`]
-    /// over [`ModelDrafter::new`]`(draft)`.
+    /// Runs the draft phase of the next round against a draft *model* —
+    /// equivalent to [`DecodeSession::draft_round_with`] over
+    /// [`ModelDrafter::new`]`(draft)`.
     ///
     /// # Panics
     ///
@@ -621,47 +424,6 @@ impl DecodeSession {
         })
     }
 
-    /// Verifies and commits one drafted round, returning `true` when the
-    /// session finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was built over a shared pool
-    /// ([`DecodeSession::new_in`]) — step those with
-    /// [`DecodeSession::verify_round_in`] so allocation goes through the
-    /// shared budget.
-    pub fn verify_round<T>(&mut self, target: &T, drafted: DraftedRound) -> bool
-    where
-        T: AsrDecoderModel + ?Sized,
-    {
-        assert!(
-            matches!(self.kv, SessionKv::Private { .. }),
-            "a pooled session must be stepped with verify_round_in"
-        );
-        self.verify_round_impl(None, target, drafted)
-            .expect("a private pool never exhausts")
-    }
-
-    /// Verifies and commits one drafted round against a shared paged pool.
-    ///
-    /// Identical to [`DecodeSession::verify_round`] except that KV appends
-    /// allocate from `pool` and an exhausted pool surfaces as
-    /// [`PoolError::OutOfBlocks`] *before* any state was mutated — the
-    /// caller can preempt another session to free blocks and retry, or
-    /// release this one (schedulers re-queue and restore by re-prefilling,
-    /// which is deterministic).
-    pub fn verify_round_in<T>(
-        &mut self,
-        pool: &mut KvPool,
-        target: &T,
-        drafted: DraftedRound,
-    ) -> Result<bool, PoolError>
-    where
-        T: AsrDecoderModel + ?Sized,
-    {
-        self.verify_round_impl(Some(pool), target, drafted)
-    }
-
     /// Runs the draft phase of the next round against an [`AsrBackend`]:
     /// every draft-model query becomes a single-probe
     /// [`specasr_models::ForwardRequest`] submitted (at `now_ms`) and
@@ -684,100 +446,17 @@ impl DecodeSession {
         self.draft_round(&bridge)
     }
 
-    /// Builds the verification [`ForwardRequest`] for `drafted`: one target
-    /// forward pass scoring every probe of
-    /// [`DraftedRound::probe_extensions`] after the committed prefix, priced
-    /// at [`DraftedRound::verify_tokens`] parallel tokens.
+    /// Verifies and commits one drafted round by querying `target`,
+    /// returning `true` when the session finished.
     ///
-    /// A scheduler collects these across all in-flight sessions into one
-    /// cross-session [`specasr_models::BackendBatch`], submits it, and
-    /// commits each session from its completion via
-    /// [`DecodeSession::verify_round_from_in`].
-    pub fn verify_request(&self, drafted: &DraftedRound) -> ForwardRequest {
-        ForwardRequest::verify(
-            Arc::clone(&self.audio),
-            self.tokens.clone(),
-            drafted.probe_extensions(),
-            drafted.verify_tokens(),
-        )
-    }
-
-    /// Verifies and commits one drafted round from a backend completion
-    /// instead of querying a target model: `result` must answer the request
-    /// built by [`DecodeSession::verify_request`] for the same `drafted`
-    /// round, and `target_profile` is the profile of the model the backend
-    /// fronts (verification latency is charged against it, exactly as the
-    /// synchronous path charges the target model).
-    ///
-    /// Outcome-identical to [`DecodeSession::verify_round`]: the acceptance
-    /// walk reads the pre-scored distributions, and the wrapped models are
-    /// pure, so the decisions cannot differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was built over a shared pool (use
-    /// [`DecodeSession::verify_round_from_in`]), or if `result` does not
-    /// carry one scored distribution per probe of `drafted`.
-    pub fn verify_round_from(
-        &mut self,
-        target_profile: &ModelProfile,
-        result: &ForwardResult,
-        drafted: DraftedRound,
-    ) -> bool {
-        assert!(
-            matches!(self.kv, SessionKv::Private { .. }),
-            "a pooled session must be stepped with verify_round_from_in"
-        );
-        self.verify_round_from_impl(None, target_profile, result, drafted)
-            .expect("a private pool never exhausts")
-    }
-
-    /// The shared-pool form of [`DecodeSession::verify_round_from`]: KV
-    /// appends allocate from `pool` and an exhausted pool surfaces as
-    /// [`PoolError::OutOfBlocks`] before any state was mutated, exactly like
-    /// [`DecodeSession::verify_round_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `result` does not carry one scored distribution per probe
-    /// of `drafted`.
-    pub fn verify_round_from_in(
+    /// KV appends allocate from `pool`, and an exhausted pool surfaces as
+    /// [`PoolError::OutOfBlocks`] *before* any state was mutated — the
+    /// caller can preempt another session to free blocks and retry, or
+    /// release this one (schedulers re-queue and restore by re-prefilling,
+    /// which is deterministic).
+    pub fn verify_round<T>(
         &mut self,
         pool: &mut KvPool,
-        target_profile: &ModelProfile,
-        result: &ForwardResult,
-        drafted: DraftedRound,
-    ) -> Result<bool, PoolError> {
-        self.verify_round_from_impl(Some(pool), target_profile, result, drafted)
-    }
-
-    fn verify_round_from_impl(
-        &mut self,
-        pool: Option<&mut KvPool>,
-        target_profile: &ModelProfile,
-        result: &ForwardResult,
-        drafted: DraftedRound,
-    ) -> Result<bool, PoolError> {
-        let probes = drafted.probe_extensions();
-        assert_eq!(
-            probes.len(),
-            result.logits.len(),
-            "one scored distribution per verification probe"
-        );
-        let table = ProbeTableModel {
-            profile: target_profile,
-            base_len: self.tokens.len(),
-            entries: probes
-                .into_iter()
-                .zip(result.logits.iter().cloned())
-                .collect(),
-        };
-        self.verify_round_impl(pool, &table, drafted)
-    }
-
-    fn verify_round_impl<T>(
-        &mut self,
-        mut pool: Option<&mut KvPool>,
         target: &T,
         drafted: DraftedRound,
     ) -> Result<bool, PoolError>
@@ -790,7 +469,7 @@ impl DecodeSession {
         // byte-identical to the historical order while making exhaustion
         // visible before any transcript state changes.
         let (draft_width, target_width) = drafted.kv_widths();
-        self.kv_append(pool.as_deref_mut(), draft_width, target_width)?;
+        self.kv_append(pool, draft_width, target_width)?;
         // Draft-free sequences verify exactly like model-drafted ones (the
         // append widths above already excluded the draft cache); normalising
         // here keeps a single sequence-verification arm.  Zero draft steps:
@@ -854,7 +533,7 @@ impl DecodeSession {
                     self.cap,
                     &mut self.stats,
                 );
-                self.kv_rollback_to_committed(pool.as_deref_mut());
+                self.kv_rollback_to_committed(pool);
                 self.stats.record_round(RoundRecord {
                     predicted: draft_tokens.len(),
                     accepted: verification.accepted_len(),
@@ -923,26 +602,77 @@ impl DecodeSession {
         Ok(self.finished)
     }
 
-    /// One complete round: draft then verify.  Returns `true` when finished.
-    pub fn step<D, T>(&mut self, draft: &D, target: &T) -> bool
+    /// Builds the verification [`ForwardRequest`] for `drafted`: one target
+    /// forward pass scoring every probe of
+    /// [`DraftedRound::probe_extensions`] after the committed prefix, priced
+    /// at [`DraftedRound::verify_tokens`] parallel tokens.
+    ///
+    /// A scheduler collects these across all in-flight sessions into one
+    /// cross-session [`specasr_models::BackendBatch`], submits it, and
+    /// commits each session from its completion via
+    /// [`DecodeSession::verify_round_from`].
+    pub fn verify_request(&self, drafted: &DraftedRound) -> ForwardRequest {
+        ForwardRequest::verify(
+            Arc::clone(&self.audio),
+            self.tokens.clone(),
+            drafted.probe_extensions(),
+            drafted.verify_tokens(),
+        )
+    }
+
+    /// Verifies and commits one drafted round from a backend completion
+    /// instead of querying a target model: `result` must answer the request
+    /// built by [`DecodeSession::verify_request`] for the same `drafted`
+    /// round, and `target_profile` is the profile of the model the backend
+    /// fronts (verification latency is charged against it, exactly as
+    /// [`DecodeSession::verify_round`] charges the target model).
+    ///
+    /// Outcome-identical to [`DecodeSession::verify_round`], pool contract
+    /// included: the acceptance walk reads the pre-scored distributions, and
+    /// the wrapped models are pure, so the decisions cannot differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `result` does not carry one scored distribution per probe
+    /// of `drafted`.
+    pub fn verify_round_from(
+        &mut self,
+        pool: &mut KvPool,
+        target_profile: &ModelProfile,
+        result: &ForwardResult,
+        drafted: DraftedRound,
+    ) -> Result<bool, PoolError> {
+        let probes = drafted.probe_extensions();
+        assert_eq!(
+            probes.len(),
+            result.logits.len(),
+            "one scored distribution per verification probe"
+        );
+        let table = ProbeTableModel {
+            profile: target_profile,
+            base_len: self.tokens.len(),
+            entries: probes
+                .into_iter()
+                .zip(result.logits.iter().cloned())
+                .collect(),
+        };
+        self.verify_round(pool, &table, drafted)
+    }
+
+    /// One complete round: draft from `draft`, then verify against `target`.
+    /// Returns `Ok(true)` when the session finished.
+    pub fn step<D, T>(
+        &mut self,
+        pool: &mut KvPool,
+        draft: &D,
+        target: &T,
+    ) -> Result<bool, PoolError>
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
         let drafted = self.draft_round(draft);
-        self.verify_round(target, drafted)
-    }
-
-    /// Runs the session to completion and returns the outcome.
-    pub fn run<D, T>(mut self, draft: &D, target: &T) -> DecodeOutcome
-    where
-        D: AsrDecoderModel + ?Sized,
-        T: AsrDecoderModel + ?Sized,
-    {
-        while !self.finished {
-            self.step(draft, target);
-        }
-        self.into_outcome()
+        self.verify_round(pool, target, drafted)
     }
 
     /// Consumes the session into a [`DecodeOutcome`].
@@ -950,53 +680,49 @@ impl DecodeSession {
     /// Normally called once [`DecodeSession::is_finished`] is `true`; calling
     /// it earlier yields the partial transcript decoded so far.  The
     /// reported KV caches are the position summaries of the block tables
-    /// (byte-identical to the pre-paged per-session bookkeeping).
+    /// (byte-identical to the pre-paged per-session bookkeeping).  Blocks
+    /// still held stay allocated in the pool: release them first with
+    /// [`DecodeSession::release_kv`] unless the pool dies with the session.
     pub fn into_outcome(self) -> DecodeOutcome {
-        let (draft, target) = self.kv.tables();
-        let draft_cache = *draft.positions();
-        let target_cache = *target.positions();
         DecodeOutcome {
             tokens: self.tokens,
             stats: self.stats,
             clock: self.clock,
-            draft_cache,
-            target_cache,
+            draft_cache: *self.draft_kv.positions(),
+            target_cache: *self.target_kv.positions(),
         }
     }
 
     /// Fresh block demand of verifying `drafted` against `pool` right now —
     /// what a memory-aware scheduler checks (and preempts against) before
-    /// calling [`DecodeSession::verify_round_in`].
+    /// calling [`DecodeSession::verify_round_from`].
     pub fn round_kv_demand(&self, pool: &KvPool, drafted: &DraftedRound) -> KvDemand {
         let (draft_width, target_width) = drafted.kv_widths();
-        let (draft, target) = self.kv.tables();
         KvDemand {
-            draft_blocks: pool.draft().blocks_needed_for_append(draft, draft_width),
-            target_blocks: pool.target().blocks_needed_for_append(target, target_width),
+            draft_blocks: pool
+                .draft()
+                .blocks_needed_for_append(&self.draft_kv, draft_width),
+            target_blocks: pool
+                .target()
+                .blocks_needed_for_append(&self.target_kv, target_width),
         }
     }
 
     /// Blocks this session currently holds across both sub-pools (the
     /// preemption-victim size signal).
     pub fn kv_blocks_held(&self) -> usize {
-        let (draft, target) = self.kv.tables();
-        draft.block_count() + target.block_count()
+        self.draft_kv.block_count() + self.target_kv.block_count()
     }
 
-    /// Releases every block a pooled session holds back to `pool` (on
-    /// finish, preemption, or memory rejection).  Idempotent; a no-op for
-    /// standalone sessions, whose private pool dies with them.
+    /// Releases every block the session holds back to `pool` (on finish,
+    /// preemption, or memory rejection).  The position bookkeeping stays, so
+    /// [`DecodeSession::into_outcome`] still reports it.  Idempotent.
     pub fn release_kv(&mut self, pool: &mut KvPool) {
-        match &mut self.kv {
-            SessionKv::Pooled { draft, target } => {
-                pool.draft_mut().release(draft);
-                pool.target_mut().release(target);
-            }
-            SessionKv::Private { .. } => {}
-        }
+        pool.draft_mut().release(&mut self.draft_kv);
+        pool.target_mut().release(&mut self.target_kv);
     }
 
-    /// Moves a pooled session's KV blocks from `source` to `dest` without
+    /// Moves the session's KV blocks from `source` to `dest` without
     /// re-prefill — the same-machine block-table hand-off fast path of a
     /// live migration between two workers' pools (see
     /// [`KvPool::hand_off`]).  After a successful move the session must be
@@ -1010,32 +736,27 @@ impl DecodeSession {
     ///
     /// # Panics
     ///
-    /// Panics on a standalone session (whose private pool dies with it) or
-    /// when the pools page at different block sizes.
+    /// Panics when the pools page at different block sizes.
     pub fn migrate_kv(&mut self, source: &mut KvPool, dest: &mut KvPool) -> Result<(), PoolError> {
-        match &mut self.kv {
-            SessionKv::Pooled { draft, target } => source.hand_off(dest, draft, target),
-            SessionKv::Private { .. } => {
-                panic!("a standalone session owns its pool and cannot migrate")
-            }
-        }
+        source.hand_off(dest, &mut self.draft_kv, &mut self.target_kv)
     }
 
-    /// Appends this round's positions to both block tables, against either
-    /// the private or the shared pool.
+    /// Appends this round's positions to both block tables.
     ///
     /// The two sub-pool demands are checked up front so the operation is
     /// atomic: on [`PoolError::OutOfBlocks`] neither table changed.
     fn kv_append(
         &mut self,
-        pool: Option<&mut KvPool>,
+        pool: &mut KvPool,
         draft_width: usize,
         target_width: usize,
     ) -> Result<(), PoolError> {
-        let (pool, draft, target) = Self::split_kv(&mut self.kv, pool);
-        let draft_need = pool.draft().blocks_needed_for_append(draft, draft_width);
-        let target_need = pool.target().blocks_needed_for_append(target, target_width);
-        for (need, sub) in [(draft_need, pool.draft()), (target_need, pool.target())] {
+        let demand = [
+            (pool.draft(), &self.draft_kv, draft_width),
+            (pool.target(), &self.target_kv, target_width),
+        ];
+        for (sub, table, width) in demand {
+            let need = sub.blocks_needed_for_append(table, width);
             if need > sub.free_blocks() {
                 return Err(PoolError::OutOfBlocks {
                     requested: need,
@@ -1045,44 +766,21 @@ impl DecodeSession {
             }
         }
         pool.draft_mut()
-            .append(draft, draft_width)
+            .append(&mut self.draft_kv, draft_width)
             .expect("draft demand was checked");
         pool.target_mut()
-            .append(target, target_width)
+            .append(&mut self.target_kv, target_width)
             .expect("target demand was checked");
         Ok(())
     }
 
     /// Rolls both KV tables back to the committed transcript length.
-    fn kv_rollback_to_committed(&mut self, pool: Option<&mut KvPool>) {
+    fn kv_rollback_to_committed(&mut self, pool: &mut KvPool) {
         let committed = self.audio.prefill_tokens() + self.tokens.len();
-        let (pool, draft, target) = Self::split_kv(&mut self.kv, pool);
-        pool.draft_mut().rollback(draft, committed.min(draft.len()));
-        pool.target_mut()
-            .rollback(target, committed.min(target.len()));
-    }
-
-    /// Resolves which pool backs this session's tables: the private one for
-    /// standalone sessions (an externally passed pool is never consulted),
-    /// the caller's for pooled sessions.
-    fn split_kv<'a>(
-        kv: &'a mut SessionKv,
-        pool: Option<&'a mut KvPool>,
-    ) -> (&'a mut KvPool, &'a mut BlockTable, &'a mut BlockTable) {
-        match (kv, pool) {
-            (
-                SessionKv::Private {
-                    pool,
-                    draft,
-                    target,
-                },
-                _,
-            ) => (pool.as_mut(), draft, target),
-            (SessionKv::Pooled { draft, target }, Some(pool)) => (pool, draft, target),
-            (SessionKv::Pooled { .. }, None) => {
-                panic!("a pooled session must be stepped with verify_round_in")
-            }
-        }
+        let draft_len = committed.min(self.draft_kv.len());
+        let target_len = committed.min(self.target_kv.len());
+        pool.draft_mut().rollback(&mut self.draft_kv, draft_len);
+        pool.target_mut().rollback(&mut self.target_kv, target_len);
     }
 }
 
@@ -1145,16 +843,21 @@ mod tests {
         ]
     }
 
+    /// Starts a fresh model-draft session on `pool`.
+    fn start(policy: Policy, audio: &UtteranceTokens, pool: &mut KvPool) -> DecodeSession {
+        DecodeSession::new(policy, DrafterKind::ModelDraft, audio.clone(), &[], pool)
+            .expect("pool has room")
+    }
+
     #[test]
     fn stepping_matches_blocking_decode_exactly() {
         let (draft, target, audio) = setup(Split::TestOther);
         for policy in all_policies() {
             for utt in &audio {
                 let blocking = policy.decode(&draft, &target, utt);
-                let mut session = DecodeSession::new(policy, utt.clone());
-                while !session.is_finished() {
-                    session.step(&draft, &target);
-                }
+                let mut pool = KvPool::unbounded(16);
+                let mut session = start(policy, utt, &mut pool);
+                while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
                 let stepped = session.into_outcome();
                 assert_eq!(stepped, blocking, "policy {}", policy.name());
             }
@@ -1163,18 +866,21 @@ mod tests {
 
     #[test]
     fn interleaving_sessions_does_not_change_outcomes() {
-        // Drive several sessions round-robin — the scheduler's access pattern
-        // — and compare with sequential decoding.
+        // Drive several sessions round-robin over one shared pool — the
+        // scheduler's access pattern — and compare with sequential decoding.
         let (draft, target, audio) = setup(Split::TestClean);
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        let mut pool = KvPool::unbounded(16);
         let mut sessions: Vec<DecodeSession> = audio
             .iter()
-            .map(|utt| DecodeSession::new(policy, utt.clone()))
+            .map(|utt| start(policy, utt, &mut pool))
             .collect();
         while sessions.iter().any(|s| !s.is_finished()) {
             for session in sessions.iter_mut().filter(|s| !s.is_finished()) {
                 let drafted = session.draft_round(&draft);
-                session.verify_round(&target, drafted);
+                session
+                    .verify_round(&mut pool, &target, drafted)
+                    .expect("unbounded");
             }
         }
         for (session, utt) in sessions.into_iter().zip(audio.iter()) {
@@ -1186,11 +892,13 @@ mod tests {
     #[test]
     fn drafted_round_reports_verification_width() {
         let (draft, _target, audio) = setup(Split::DevClean);
-        let mut ar = DecodeSession::new(Policy::Autoregressive, audio[0].clone());
+        let mut pool = KvPool::unbounded(16);
+        let mut ar = start(Policy::Autoregressive, &audio[0], &mut pool);
         assert_eq!(ar.draft_round(&draft).verify_tokens(), 1);
-        let mut spec = DecodeSession::new(
+        let mut spec = start(
             Policy::Speculative(SpeculativeConfig::short_single()),
-            audio[0].clone(),
+            &audio[0],
+            &mut pool,
         );
         let drafted = spec.draft_round(&draft);
         assert_eq!(drafted.verify_tokens(), drafted.predicted_tokens().max(1));
@@ -1202,8 +910,9 @@ mod tests {
         let (draft, target, audio) = setup(Split::TestClean);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
         let reference = target.greedy_transcript(&audio[0]);
-        let mut session = DecodeSession::new(policy, audio[0].clone());
-        session.step(&draft, &target);
+        let mut pool = KvPool::unbounded(16);
+        let mut session = start(policy, &audio[0], &mut pool);
+        session.step(&mut pool, &draft, &target).expect("unbounded");
         let partial = session.into_outcome();
         assert!(partial.tokens.len() <= reference.len());
         assert_eq!(partial.tokens[..], reference[..partial.tokens.len()]);
@@ -1211,17 +920,18 @@ mod tests {
 
     #[test]
     fn pooled_sessions_match_private_sessions_exactly() {
+        // A bounded pool shared by every session against the blocking path's
+        // private unbounded pool.
         let (draft, target, audio) = setup(Split::TestClean);
         let mut pool = KvPool::bounded(2048, 16);
         for policy in all_policies() {
             for utt in &audio {
-                let private = DecodeSession::new(policy, utt.clone()).run(&draft, &target);
-                let mut session =
-                    DecodeSession::new_in(policy, utt.clone(), &mut pool).expect("pool has room");
+                let private = policy.decode(&draft, &target, utt);
+                let mut session = start(policy, utt, &mut pool);
                 while !session.is_finished() {
                     let drafted = session.draft_round(&draft);
                     session
-                        .verify_round_in(&mut pool, &target, drafted)
+                        .verify_round(&mut pool, &target, drafted)
                         .expect("pool has room");
                 }
                 session.release_kv(&mut pool);
@@ -1236,13 +946,13 @@ mod tests {
         let (_draft, _target, audio) = setup(Split::DevClean);
         let mut pool = KvPool::bounded(256, 16);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
-        let mut first = DecodeSession::new_in(policy, audio[0].clone(), &mut pool).expect("room");
+        let mut first = start(policy, &audio[0], &mut pool);
         let used_by_one = pool.used_blocks();
-        let mut second = DecodeSession::new_in(policy, audio[0].clone(), &mut pool).expect("room");
+        let mut second = start(policy, &audio[0], &mut pool);
         // The second session re-uses the first one's prefill blocks wholesale.
         assert_eq!(pool.used_blocks(), used_by_one);
         assert!(pool.counters().shared_hits > 0);
-        let mut third = DecodeSession::new_in(policy, audio[1].clone(), &mut pool).expect("room");
+        let mut third = start(policy, &audio[1], &mut pool);
         assert!(
             pool.used_blocks() > used_by_one,
             "different audio: no share"
@@ -1258,8 +968,14 @@ mod tests {
         let (_draft, _target, audio) = setup(Split::DevOther);
         let mut pool = KvPool::bounded(1, 16);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
-        let error = DecodeSession::new_in(policy, audio[0].clone(), &mut pool)
-            .expect_err("one block cannot hold a prefill");
+        let error = DecodeSession::new(
+            policy,
+            DrafterKind::ModelDraft,
+            audio[0].clone(),
+            &[],
+            &mut pool,
+        )
+        .expect_err("one block cannot hold a prefill");
         assert!(matches!(
             error,
             specasr_runtime::PoolError::OutOfBlocks { .. }
@@ -1272,12 +988,12 @@ mod tests {
         let (draft, target, audio) = setup(Split::TestOther);
         let mut pool = KvPool::bounded(512, 16);
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
-        let mut session = DecodeSession::new_in(policy, audio[0].clone(), &mut pool).expect("room");
+        let mut session = start(policy, &audio[0], &mut pool);
         let drafted = session.draft_round(&draft);
         let demand = session.round_kv_demand(&pool, &drafted);
         let before = pool.used_blocks();
         session
-            .verify_round_in(&mut pool, &target, drafted)
+            .verify_round(&mut pool, &target, drafted)
             .expect("room");
         // The round's net growth is bounded by the predicted demand (the
         // post-commit rollback may return some of it).
@@ -1296,11 +1012,17 @@ mod tests {
                 let reference = policy.decode(&draft, &target, utt);
                 for cut in [0, 1, reference.tokens.len() / 2, reference.tokens.len()] {
                     let committed = &reference.tokens[..cut];
-                    let mut session = DecodeSession::resume(policy, utt.clone(), committed);
+                    let mut pool = KvPool::unbounded(16);
+                    let mut session = DecodeSession::new(
+                        policy,
+                        DrafterKind::ModelDraft,
+                        utt.clone(),
+                        committed,
+                        &mut pool,
+                    )
+                    .expect("unbounded");
                     assert_eq!(session.tokens(), committed);
-                    while !session.is_finished() {
-                        session.step(&draft, &target);
-                    }
+                    while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
                     assert_eq!(
                         session.into_outcome().tokens,
                         reference.tokens,
@@ -1319,12 +1041,18 @@ mod tests {
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
         let reference = policy.decode(&draft, &target, &audio[0]);
         let committed = &reference.tokens[..reference.tokens.len() / 2];
-        let mut session = DecodeSession::resume_in(policy, audio[0].clone(), committed, &mut pool)
-            .expect("pool has room");
+        let mut session = DecodeSession::new(
+            policy,
+            DrafterKind::ModelDraft,
+            audio[0].clone(),
+            committed,
+            &mut pool,
+        )
+        .expect("pool has room");
         while !session.is_finished() {
             let drafted = session.draft_round(&draft);
             session
-                .verify_round_in(&mut pool, &target, drafted)
+                .verify_round(&mut pool, &target, drafted)
                 .expect("pool has room");
         }
         session.release_kv(&mut pool);
@@ -1348,9 +1076,14 @@ mod tests {
             "precondition: the committed prefix must overflow the prefill tail"
         );
         let mut pool = KvPool::bounded(prefill_blocks, 16);
-        let error =
-            DecodeSession::resume_in(policy, audio[0].clone(), &reference.tokens, &mut pool)
-                .expect_err("the committed appends cannot fit");
+        let error = DecodeSession::new(
+            policy,
+            DrafterKind::ModelDraft,
+            audio[0].clone(),
+            &reference.tokens,
+            &mut pool,
+        )
+        .expect_err("the committed appends cannot fit");
         assert!(matches!(error, PoolError::OutOfBlocks { .. }));
         assert_eq!(pool.used_blocks(), 0, "failed resume must not leak");
     }
@@ -1361,10 +1094,11 @@ mod tests {
         let (draft, target, audio) = setup(Split::TestClean);
         let mut draft_backend = SyncBackendAdapter::new(&draft);
         let mut target_backend = SyncBackendAdapter::new(&target);
+        let mut pool = KvPool::bounded(2048, 16);
         for policy in all_policies() {
             for utt in &audio {
                 let blocking = policy.decode(&draft, &target, utt);
-                let mut session = DecodeSession::new(policy, utt.clone());
+                let mut session = start(policy, utt, &mut pool);
                 let mut now = 0.0;
                 while !session.is_finished() {
                     let drafted = session.draft_round_via(&mut draft_backend, now);
@@ -1374,42 +1108,17 @@ mod tests {
                         .complete(tickets[0])
                         .expect("computed at submit");
                     now = result.completed_ms;
-                    session.verify_round_from(target.profile(), &result, drafted);
+                    session
+                        .verify_round_from(&mut pool, target.profile(), &result, drafted)
+                        .expect("pool has room");
                 }
+                session.release_kv(&mut pool);
                 assert_eq!(session.into_outcome(), blocking, "policy {}", policy.name());
             }
         }
+        assert_eq!(pool.used_blocks(), 0, "released sessions leave no blocks");
         assert!(target_backend.counters().verify_requests > 0);
         assert!(draft_backend.counters().draft_requests > 0);
-    }
-
-    #[test]
-    fn backend_stepping_over_a_shared_pool_matches_the_private_path() {
-        use specasr_models::{AsrBackend, BackendBatch, SyncBackendAdapter};
-        let (draft, target, audio) = setup(Split::TestOther);
-        let mut draft_backend = SyncBackendAdapter::new(&draft);
-        let mut target_backend = SyncBackendAdapter::new(&target);
-        let mut pool = KvPool::bounded(2048, 16);
-        for policy in all_policies() {
-            let utt = &audio[0];
-            let private = DecodeSession::new(policy, utt.clone()).run(&draft, &target);
-            let mut session =
-                DecodeSession::new_in(policy, utt.clone(), &mut pool).expect("pool has room");
-            while !session.is_finished() {
-                let drafted = session.draft_round_via(&mut draft_backend, 0.0);
-                let request = session.verify_request(&drafted);
-                let tickets = target_backend.submit(BackendBatch::of(request), 0.0);
-                let result = target_backend
-                    .complete(tickets[0])
-                    .expect("computed at submit");
-                session
-                    .verify_round_from_in(&mut pool, target.profile(), &result, drafted)
-                    .expect("pool has room");
-            }
-            session.release_kv(&mut pool);
-            assert_eq!(session.into_outcome(), private, "policy {}", policy.name());
-        }
-        assert_eq!(pool.used_blocks(), 0);
     }
 
     #[test]
@@ -1417,13 +1126,15 @@ mod tests {
         // The probe list must contain the empty probe and one entry per
         // draft position (sequences) or per distinct node path (trees).
         let (draft, _target, audio) = setup(Split::DevClean);
-        let mut ar = DecodeSession::new(Policy::Autoregressive, audio[0].clone());
+        let mut pool = KvPool::unbounded(16);
+        let mut ar = start(Policy::Autoregressive, &audio[0], &mut pool);
         let drafted = ar.draft_round(&draft);
         assert_eq!(drafted.probe_extensions(), vec![Vec::new()]);
 
-        let mut spec = DecodeSession::new(
+        let mut spec = start(
             Policy::Speculative(SpeculativeConfig::short_single()),
-            audio[0].clone(),
+            &audio[0],
+            &mut pool,
         );
         let drafted = spec.draft_round(&draft);
         let probes = drafted.probe_extensions();
@@ -1433,9 +1144,10 @@ mod tests {
             assert_eq!(pair[1].len(), pair[0].len() + 1, "sequence prefixes grow");
         }
 
-        let mut tree = DecodeSession::new(
+        let mut tree = start(
             Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
-            audio[0].clone(),
+            &audio[0],
+            &mut pool,
         );
         let drafted = tree.draft_round(&draft);
         let probes = drafted.probe_extensions();
@@ -1452,7 +1164,8 @@ mod tests {
         use specasr_models::{ForwardKind, ForwardResult, Ticket};
         let (draft, target, audio) = setup(Split::DevOther);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
-        let mut session = DecodeSession::new(policy, audio[0].clone());
+        let mut pool = KvPool::unbounded(16);
+        let mut session = start(policy, &audio[0], &mut pool);
         let drafted = session.draft_round(&draft);
         let bogus = ForwardResult {
             ticket: Ticket::new(0),
@@ -1463,26 +1176,16 @@ mod tests {
             completed_ms: 0.0,
             batch_requests: 1,
         };
-        let _ = session.verify_round_from(target.profile(), &bogus, drafted);
-    }
-
-    #[test]
-    #[should_panic(expected = "verify_round_in")]
-    fn stepping_a_pooled_session_without_its_pool_panics() {
-        let (draft, target, audio) = setup(Split::DevClean);
-        let mut pool = KvPool::bounded(256, 16);
-        let policy = Policy::Autoregressive;
-        let mut session = DecodeSession::new_in(policy, audio[0].clone(), &mut pool).expect("room");
-        let drafted = session.draft_round(&draft);
-        let _ = session.verify_round(&target, drafted);
+        let _ = session.verify_round_from(&mut pool, target.profile(), &bogus, drafted);
     }
 
     #[test]
     #[should_panic(expected = "finished session")]
     fn drafting_after_finish_panics() {
         let (draft, target, audio) = setup(Split::DevOther);
-        let mut session = DecodeSession::new(Policy::Autoregressive, audio[0].clone());
-        while !session.step(&draft, &target) {}
+        let mut pool = KvPool::unbounded(16);
+        let mut session = start(Policy::Autoregressive, &audio[0], &mut pool);
+        while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
         let _ = session.draft_round(&draft);
     }
 }

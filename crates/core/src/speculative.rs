@@ -1,75 +1,25 @@
 //! Baseline speculative decoding with a fixed prediction length and optional
 //! beams — the `(8, 1)`, `(16, 1)`, and `(8, 2)` configurations the paper
 //! compares against.
-
-use specasr_models::{AsrDecoderModel, UtteranceTokens};
-
-use crate::config::SpeculativeConfig;
-use crate::outcome::DecodeOutcome;
-use crate::policy::Policy;
-use crate::session::DecodeSession;
-
-/// Classic draft-then-verify speculative decoding.
-///
-/// With one beam the draft speculates `prediction_length` tokens greedily and
-/// the target verifies them in one pass.  With `beams > 1` the draft keeps the
-/// top-`beams` candidates of its *first* step and extends each greedily,
-/// producing a fixed token tree that the target verifies with a 2-D attention
-/// mask (the SpecInfer-style baseline).
-///
-/// # Example
-///
-/// ```
-/// use specasr::{SpeculativeConfig, SpeculativeDecoder};
-/// use specasr_audio::{Corpus, Split};
-/// use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
-///
-/// let corpus = Corpus::librispeech_like(1, 1);
-/// let binding = TokenizerBinding::for_corpus(&corpus);
-/// let audio = binding.bind(&corpus.split(Split::TestClean)[0]);
-/// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-/// let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
-///
-/// let outcome = SpeculativeDecoder::new(SpeculativeConfig::short_single())
-///     .decode(&draft, &target, &audio);
-/// assert_eq!(outcome.tokens, target.greedy_transcript(&audio)); // lossless
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpeculativeDecoder {
-    config: SpeculativeConfig,
-}
-
-impl SpeculativeDecoder {
-    /// Creates a decoder with the given configuration.
-    pub fn new(config: SpeculativeConfig) -> Self {
-        SpeculativeDecoder { config }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &SpeculativeConfig {
-        &self.config
-    }
-
-    /// Decodes `audio`, drafting with `draft` and verifying with `target`.
-    ///
-    /// Runs a [`DecodeSession`] to completion; the per-round draft/verify
-    /// mechanics (including the beam-tree construction) live in
-    /// [`crate::DecodeSession`].
-    pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
-    where
-        D: AsrDecoderModel + ?Sized,
-        T: AsrDecoderModel + ?Sized,
-    {
-        DecodeSession::new(Policy::Speculative(self.config), audio.clone()).run(draft, target)
-    }
-}
+//!
+//! Classic draft-then-verify speculative decoding: with one beam the draft
+//! speculates `prediction_length` tokens greedily and the target verifies
+//! them in one pass.  With `beams > 1` the draft keeps the top-`beams`
+//! candidates of its *first* step and extends each greedily, producing a
+//! fixed token tree that the target verifies with a 2-D attention mask (the
+//! SpecInfer-style baseline).
+//!
+//! All three run under [`crate::Policy::Speculative`]; the round mechanics,
+//! beam-tree construction included, live in [`crate::DecodeSession`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::autoregressive::AutoregressiveDecoder;
+    use crate::config::SpeculativeConfig;
+    use crate::policy::Policy;
     use specasr_audio::{Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{
+        AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
+    };
 
     fn setup() -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(29, 6);
@@ -88,10 +38,10 @@ mod tests {
             SpeculativeConfig::long_single(),
             SpeculativeConfig::short_double_beam(),
         ] {
-            let decoder = SpeculativeDecoder::new(config);
+            let policy = Policy::Speculative(config);
             for utt in &audio {
                 let reference = target.greedy_transcript(utt);
-                let outcome = decoder.decode(&draft, &target, utt);
+                let outcome = policy.decode(&draft, &target, utt);
                 assert_eq!(outcome.tokens, reference, "config {:?}", config);
             }
         }
@@ -100,13 +50,13 @@ mod tests {
     #[test]
     fn speculative_decoding_is_faster_than_autoregressive() {
         let (draft, target, audio) = setup();
-        let spec = SpeculativeDecoder::new(SpeculativeConfig::short_single());
+        let spec = Policy::Speculative(SpeculativeConfig::short_single());
         let mut spec_ms = 0.0;
         let mut ar_ms = 0.0;
         for utt in &audio {
             spec_ms += spec.decode(&draft, &target, utt).decode_ms();
-            ar_ms += AutoregressiveDecoder::new()
-                .decode(&target, utt)
+            ar_ms += Policy::Autoregressive
+                .decode(&target, &target, utt)
                 .decode_ms();
         }
         assert!(
@@ -118,7 +68,7 @@ mod tests {
     #[test]
     fn rounds_and_passes_are_consistent() {
         let (draft, target, audio) = setup();
-        let outcome = SpeculativeDecoder::new(SpeculativeConfig::short_single())
+        let outcome = Policy::Speculative(SpeculativeConfig::short_single())
             .decode(&draft, &target, &audio[0]);
         assert_eq!(outcome.stats.rounds as u64, outcome.clock.target_passes());
         assert_eq!(
@@ -135,11 +85,11 @@ mod tests {
         let mut short_rounds = 0usize;
         let mut long_rounds = 0usize;
         for utt in &audio {
-            short_rounds += SpeculativeDecoder::new(SpeculativeConfig::new(4, 1))
+            short_rounds += Policy::Speculative(SpeculativeConfig::new(4, 1))
                 .decode(&draft, &target, utt)
                 .stats
                 .rounds;
-            long_rounds += SpeculativeDecoder::new(SpeculativeConfig::new(16, 1))
+            long_rounds += Policy::Speculative(SpeculativeConfig::new(16, 1))
                 .decode(&draft, &target, utt)
                 .stats
                 .rounds;
@@ -150,10 +100,10 @@ mod tests {
     #[test]
     fn beam_trees_are_larger_than_single_sequences() {
         let (draft, target, audio) = setup();
-        let single = SpeculativeDecoder::new(SpeculativeConfig::new(8, 1))
-            .decode(&draft, &target, &audio[0]);
-        let double = SpeculativeDecoder::new(SpeculativeConfig::new(8, 2))
-            .decode(&draft, &target, &audio[0]);
+        let single =
+            Policy::Speculative(SpeculativeConfig::new(8, 1)).decode(&draft, &target, &audio[0]);
+        let double =
+            Policy::Speculative(SpeculativeConfig::new(8, 2)).decode(&draft, &target, &audio[0]);
         let single_avg_tree = single
             .stats
             .rounds_detail
@@ -176,7 +126,7 @@ mod tests {
     #[test]
     fn kv_caches_end_at_the_committed_length() {
         let (draft, target, audio) = setup();
-        let outcome = SpeculativeDecoder::new(SpeculativeConfig::short_single())
+        let outcome = Policy::Speculative(SpeculativeConfig::short_single())
             .decode(&draft, &target, &audio[2]);
         let committed = audio[2].prefill_tokens() + outcome.tokens.len();
         assert!(outcome.target_cache.len() <= committed + 1);

@@ -1042,7 +1042,7 @@ where
             let rounds_before = session.decode.stats().rounds_detail.len();
             session
                 .decode
-                .verify_round_from_in(&mut self.kv, &target_profile, &result, round)
+                .verify_round_from(&mut self.kv, &target_profile, &result, round)
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
             // (everything the verify pass just recorded) and its share of
@@ -1194,7 +1194,10 @@ where
     }
 
     /// Delivers every due chunk into the parked streams and moves the ones
-    /// that gained decodable audio back into the admission queue.
+    /// that gained decodable audio back into the admission queue, carrying
+    /// the new audio-horizon view as their decode context.  The view is
+    /// built once here: chunks reach parked streams only, so it cannot change
+    /// before the request is admitted.
     fn release_due_streams(&mut self) {
         let wall = self.wall_ms;
         let mut index = 0;
@@ -1205,13 +1208,18 @@ where
                 .stream
                 .as_mut()
                 .expect("only streaming requests park between chunks");
-            let delivered = stream.deliver_due(wall, id, &mut self.tracer);
-            if delivered && stream.decodable() {
-                let mut request = self.waiting.remove(index);
-                request.refresh_stream_view();
-                self.queue.push_back(request);
+            let view = if stream.deliver_due(wall, id, &mut self.tracer) {
+                stream.session.view()
             } else {
-                index += 1;
+                None
+            };
+            match view {
+                Some(view) => {
+                    let mut request = self.waiting.remove(index);
+                    request.audio = view;
+                    self.queue.push_back(request);
+                }
+                None => index += 1,
             }
         }
     }
@@ -1234,10 +1242,7 @@ where
     /// the request (final partial) or parks it for the next chunk.
     fn finish_stream_view(&mut self, mut session: ServerSession) -> Option<RequestOutcome> {
         let mut stream = session.stream.take().expect("caller checked the stream");
-        // The finished session is cheap to clone here: a pooled session's KV
-        // blocks were already released, leaving tokens and bookkeeping.
-        let view_outcome = session.decode.clone().into_outcome();
-        let partial = stream.session.absorb(&view_outcome);
+        let partial = stream.session.absorb(&session.decode);
         let span = PartialSpan {
             partial_index: partial.partial_index,
             chunk_index: stream.delivered.saturating_sub(1),
@@ -1277,7 +1282,7 @@ where
         }
         stream.partials.push(span);
         if partial.is_final {
-            return Some(self.retire_stream(session, *stream, view_outcome));
+            return Some(self.retire_stream(session, *stream));
         }
         // Park for the next chunk; the original arrival keeps accumulating
         // aging credit across re-entries, and the emitted partial keeps the
@@ -1291,13 +1296,9 @@ where
     /// transcript (byte-identical to the offline decode), the decode
     /// statistics pooled across every per-chunk re-decode, and the full
     /// partial-span history.  Time-to-first-token is the first partial's
-    /// arrival-to-emission latency.
-    fn retire_stream(
-        &mut self,
-        session: ServerSession,
-        stream: StreamState,
-        last_view_outcome: DecodeOutcome,
-    ) -> RequestOutcome {
+    /// arrival-to-emission latency, and the reported KV caches are the final
+    /// view's.
+    fn retire_stream(&mut self, session: ServerSession, stream: StreamState) -> RequestOutcome {
         let arrival_ms = session.arrival_ms;
         let first_admitted = stream.first_admitted_ms.unwrap_or(arrival_ms);
         let first_partial = stream
@@ -1311,12 +1312,13 @@ where
             time_to_first_token_ms: (first_partial.emitted_ms - arrival_ms).max(0.0)
                 + first_partial.encoder_ms,
         };
+        let last_view = session.decode.into_outcome();
         let outcome = DecodeOutcome {
             tokens: stream.session.final_tokens().to_vec(),
             stats: stream.session.decode_stats().clone(),
             clock: stream.session.clock().clone(),
-            draft_cache: last_view_outcome.draft_cache,
-            target_cache: last_view_outcome.target_cache,
+            draft_cache: last_view.draft_cache,
+            target_cache: last_view.target_cache,
         };
         let text = self
             .binding

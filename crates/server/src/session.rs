@@ -69,12 +69,6 @@ impl StreamState {
         }
         delivered_any
     }
-
-    /// `true` once the audio received so far covers at least one reference
-    /// token, i.e. a re-decode would produce a hypothesis.
-    pub fn decodable(&self) -> bool {
-        self.session.view().is_some()
-    }
 }
 
 /// A request waiting in the admission queue (fresh, re-queued after a
@@ -87,8 +81,8 @@ pub(crate) struct QueuedRequest {
     /// Draft-free kinds admit with a target-only KV footprint.
     pub drafter: DrafterKind,
     /// The decode context: the full utterance for offline requests, the
-    /// current audio-horizon view for streaming requests (refreshed each
-    /// time a chunk is delivered).
+    /// current audio-horizon view for streaming requests (rebuilt once per
+    /// chunk delivery, when the stream re-enters the queue).
     pub audio: UtteranceTokens,
     pub utterance_id: UtteranceId,
     pub audio_seconds: f64,
@@ -110,16 +104,6 @@ pub(crate) struct QueuedRequest {
 }
 
 impl QueuedRequest {
-    /// Re-syncs `audio` with the stream session's current view after chunk
-    /// delivery (no-op for offline requests or inaudible streams).
-    pub fn refresh_stream_view(&mut self) {
-        if let Some(stream) = &self.stream {
-            if let Some(view) = stream.session.view() {
-                self.audio = view;
-            }
-        }
-    }
-
     /// `true` once this request has delivered its first partial (or first
     /// token); deadline shedding only applies before that.
     pub fn first_output_emitted(&self) -> bool {
@@ -143,27 +127,17 @@ impl QueuedRequest {
         admitted_ms: f64,
         pool: &mut KvPool,
     ) -> Result<ServerSession, Box<(QueuedRequest, PoolError)>> {
-        let started = match &self.stream {
-            None => DecodeSession::new_in_with_drafter(
-                self.policy,
-                self.audio.clone(),
-                self.drafter,
-                pool,
-            ),
-            Some(stream) => {
-                let view = stream
-                    .session
-                    .view()
-                    .expect("queued streaming requests always have a decodable view");
-                DecodeSession::resume_in_with_drafter(
-                    self.policy,
-                    view,
-                    self.drafter,
-                    stream.session.committed(),
-                    pool,
-                )
-            }
+        let committed = match &self.stream {
+            Some(stream) => stream.session.committed(),
+            None => &[],
         };
+        let started = DecodeSession::new(
+            self.policy,
+            self.drafter,
+            self.audio.clone(),
+            committed,
+            pool,
+        );
         match started {
             Ok(decode) => {
                 if let Some(stream) = self.stream.as_mut() {
@@ -194,7 +168,10 @@ impl QueuedRequest {
 
 /// A request admitted into the batch, decoding round by round against the
 /// scheduler's shared KV pool.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: the decode session's block tables name blocks in that pool,
+/// and a copy released alongside the original would free them twice.
+#[derive(Debug)]
 pub(crate) struct ServerSession {
     pub id: RequestId,
     pub policy: Policy,

@@ -12,7 +12,7 @@
 //!                                      │   truncated reference, boundary-boosted
 //!                                      ▼   difficulty near the chunk horizon)
 //!                              re-decode from the committed prefix
-//!                              (DecodeSession::resume / resume_in)
+//!                              (DecodeSession::new(.., committed, pool))
 //!                                      │
 //!                                      ▼
 //!                          partial hypothesis ──► commit rule ──► committed tokens

@@ -2,7 +2,7 @@
 //! the committed prefix, and the lossless partial-commit rule.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeOutcome, DecodeSession, DecodeStats, Policy};
+use specasr::{DecodeSession, DecodeStats, DrafterKind, Policy};
 use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
 use specasr_runtime::{KvPool, PoolError};
 use specasr_tokenizer::TokenId;
@@ -38,10 +38,10 @@ pub struct PartialTranscript {
 ///
 /// The decode itself runs through [`specasr::DecodeSession`] — either the
 /// one-call [`StreamingSession::redecode`] (standalone use, private KV pool)
-/// or the [`StreamingSession::resume_decode_in`] /
-/// [`StreamingSession::absorb`] pair (serving use: the scheduler steps the
-/// session round by round against its shared paged pool, and may preempt and
-/// deterministically restore it between rounds).
+/// or the [`StreamingSession::resume_decode`] / [`StreamingSession::absorb`]
+/// pair (serving use: the scheduler steps the session round by round against
+/// its shared paged pool, and may preempt and deterministically restore it
+/// between rounds).
 ///
 /// Under a tracing-enabled scheduler, every chunk arrival, emitted partial,
 /// and retraction of a served stream is also stamped into the
@@ -203,21 +203,14 @@ impl StreamingSession {
     }
 
     /// Starts the re-decode of the current view from the committed prefix,
-    /// against a private KV pool (standalone use).  Returns `None` while the
-    /// view is empty.
-    pub fn resume_decode(&self) -> Option<DecodeSession> {
+    /// with its KV blocks allocated from `pool` (see
+    /// [`specasr::DecodeSession::new`] for sharing and error semantics).
+    /// Returns `None` while the view is empty.
+    pub fn resume_decode(&self, pool: &mut KvPool) -> Option<Result<DecodeSession, PoolError>> {
         let view = self.view()?;
-        Some(DecodeSession::resume(self.policy, view, &self.committed))
-    }
-
-    /// Starts the re-decode of the current view from the committed prefix
-    /// against a shared paged pool (the serving path; see
-    /// [`specasr::DecodeSession::resume_in`] for sharing and error
-    /// semantics).  Returns `None` while the view is empty.
-    pub fn resume_decode_in(&self, pool: &mut KvPool) -> Option<Result<DecodeSession, PoolError>> {
-        let view = self.view()?;
-        Some(DecodeSession::resume_in(
+        Some(DecodeSession::new(
             self.policy,
+            DrafterKind::ModelDraft,
             view,
             &self.committed,
             pool,
@@ -227,9 +220,8 @@ impl StreamingSession {
     /// Absorbs a finished re-decode of the current view: pools its
     /// statistics, applies the commit rule, and emits the partial.
     ///
-    /// The caller must pass the outcome of a session started by
-    /// [`StreamingSession::resume_decode`] /
-    /// [`StreamingSession::resume_decode_in`] *after the last
+    /// The caller must pass a session started by
+    /// [`StreamingSession::resume_decode`] *after the last
     /// [`StreamingSession::push_audio`] call* — the commit rule trusts that
     /// the hypothesis extends the committed prefix at the current horizon.
     ///
@@ -237,14 +229,14 @@ impl StreamingSession {
     ///
     /// Panics if the hypothesis does not start with the committed prefix
     /// (the caller resumed from stale state).
-    pub fn absorb(&mut self, outcome: &DecodeOutcome) -> PartialTranscript {
+    pub fn absorb(&mut self, decode: &DecodeSession) -> PartialTranscript {
+        let hypothesis = decode.tokens();
         assert!(
-            outcome.tokens.starts_with(&self.committed),
+            hypothesis.starts_with(&self.committed),
             "a re-decode must extend the committed prefix"
         );
-        self.decode_stats.merge(&outcome.stats);
-        self.clock.merge(&outcome.clock);
-        let hypothesis = &outcome.tokens;
+        self.decode_stats.merge(decode.stats());
+        self.clock.merge(decode.clock());
         let committed_before = self.committed.len();
 
         // Survival/retraction bookkeeping over the uncommitted region.
@@ -271,7 +263,7 @@ impl StreamingSession {
         // Commit rule: everything on the final re-decode (it *is* the
         // offline decode); otherwise horizon margin AND K-stability.
         if self.complete {
-            self.committed = hypothesis.clone();
+            self.committed = hypothesis.to_vec();
             self.finished = true;
         } else {
             let stable_limit = hypothesis.len().saturating_sub(self.config.boundary_tokens);
@@ -294,24 +286,27 @@ impl StreamingSession {
         self.partials += 1;
         self.retracted_tokens += retracted;
         self.emitted_tokens += hypothesis.len() - self.committed.len().min(hypothesis.len());
-        self.last_hypothesis = hypothesis.clone();
+        self.last_hypothesis = hypothesis.to_vec();
         partial
     }
 
-    /// One complete streaming step against a private pool: re-decode the
-    /// current view to its end and absorb the result.  Returns `None` while
-    /// no token is audible yet.
+    /// One complete streaming step against a private unbounded pool:
+    /// re-decode the current view to its end and absorb the result.  Returns
+    /// `None` while no token is audible yet.
     pub fn redecode<D, T>(&mut self, draft: &D, target: &T) -> Option<PartialTranscript>
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        let mut session = self.resume_decode()?;
-        while !session.is_finished() {
-            session.step(draft, target);
-        }
-        let outcome = session.into_outcome();
-        Some(self.absorb(&outcome))
+        let mut pool = KvPool::unbounded(16);
+        let mut session = self
+            .resume_decode(&mut pool)?
+            .expect("an unbounded pool always admits");
+        while !session
+            .step(&mut pool, draft, target)
+            .expect("an unbounded pool never exhausts")
+        {}
+        Some(self.absorb(&session))
     }
 }
 
@@ -520,7 +515,12 @@ mod tests {
         // must be rejected.
         let mut other = StreamingSession::new(policy, audio[1].clone(), StreamConfig::default());
         other.push_audio(audio[1].duration_seconds());
-        let stale = other.resume_decode().expect("audible").run(&draft, &target);
+        let mut pool = KvPool::unbounded(16);
+        let mut stale = other
+            .resume_decode(&mut pool)
+            .expect("audible")
+            .expect("unbounded");
+        while !stale.step(&mut pool, &draft, &target).expect("unbounded") {}
         session.absorb(&stale);
     }
 
@@ -536,18 +536,18 @@ mod tests {
         let mut pooled = StreamingSession::new(policy, audio[2].clone(), config);
         for chunk in chunk_schedule(audio[2].duration_seconds(), &config.chunk) {
             pooled.push_audio(chunk.end_seconds);
-            let Some(result) = pooled.resume_decode_in(&mut pool) else {
+            let Some(result) = pooled.resume_decode(&mut pool) else {
                 continue;
             };
             let mut session = result.expect("pool has room");
             while !session.is_finished() {
                 let drafted = session.draft_round(&draft);
                 session
-                    .verify_round_in(&mut pool, &target, drafted)
+                    .verify_round(&mut pool, &target, drafted)
                     .expect("pool has room");
             }
             session.release_kv(&mut pool);
-            pooled.absorb(&session.into_outcome());
+            pooled.absorb(&session);
         }
         assert_eq!(pooled.final_tokens(), private.final_tokens());
         assert_eq!(pool.used_blocks(), 0, "released streams leave no blocks");

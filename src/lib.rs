@@ -9,9 +9,8 @@
 /// Re-exports of the user-facing API across the workspace crates.
 pub mod prelude {
     pub use specasr::{
-        AdaptiveConfig, AdaptiveDecoder, AsrPipeline, AutoregressiveDecoder, DecodeOutcome,
-        DecodeSession, DecodeStats, Drafter, DrafterKind, ModelDrafter, Policy, SparseTreeConfig,
-        SparseTreeDecoder, SpeculativeConfig, SpeculativeDecoder, TokenMapDrafter,
+        AdaptiveConfig, AsrPipeline, DecodeOutcome, DecodeSession, DecodeStats, Drafter,
+        DrafterKind, ModelDrafter, Policy, SparseTreeConfig, SpeculativeConfig, TokenMapDrafter,
     };
     pub use specasr_audio::{Corpus, EncoderProfile, Split, Utterance};
     pub use specasr_fleet::{FleetConfig, FleetController, FleetCounters};

@@ -1,8 +1,8 @@
 //! Draft-free speculation tests: CTC-encoder and token-map drafters must be
 //! byte-identical to offline pipeline decoding under the same lossless
-//! verification — for every policy, with private and pooled KV alike — while
-//! allocating *zero* draft sub-pool blocks and dispatching zero draft-lane
-//! backend work.
+//! verification — for every policy, fresh or resumed after a committed
+//! prefix, over unbounded and bounded pools alike — while allocating *zero*
+//! draft sub-pool blocks and dispatching zero draft-lane backend work.
 
 use std::sync::Arc;
 
@@ -50,36 +50,20 @@ fn drafters_for(setup: &StandardSetup, audio: &[UtteranceTokens]) -> Vec<Box<dyn
     ]
 }
 
-/// Decodes one utterance with a draft-free drafter against a private KV pool.
-fn decode_private(
-    setup: &StandardSetup,
-    policy: Policy,
-    drafter: &dyn Drafter,
-    audio: &UtteranceTokens,
-) -> Vec<TokenId> {
-    let mut session = DecodeSession::new_with_drafter(policy, audio.clone(), drafter.kind());
-    loop {
-        let drafted = session.draft_round_with(drafter);
-        if session.verify_round(&setup.target, drafted) {
-            break;
-        }
-    }
-    session.tokens().to_vec()
-}
-
-/// Decodes one utterance with a draft-free drafter against a shared pool,
-/// asserting at every round that no draft sub-pool blocks are demanded or
-/// held.
+/// Decodes one utterance with a draft-free drafter against `pool`, resuming
+/// after `committed` (empty for a fresh decode), asserting after construction
+/// and at every round that no draft sub-pool blocks are demanded or held.
 fn decode_pooled(
     setup: &StandardSetup,
     policy: Policy,
     drafter: &dyn Drafter,
     audio: &UtteranceTokens,
+    committed: &[TokenId],
     pool: &mut KvPool,
 ) -> Vec<TokenId> {
-    let mut session =
-        DecodeSession::new_in_with_drafter(policy, audio.clone(), drafter.kind(), pool)
-            .expect("the test pool admits a single session");
+    let mut session = DecodeSession::new(policy, drafter.kind(), audio.clone(), committed, pool)
+        .expect("the test pool admits a single session");
+    assert_eq!(session.tokens(), committed);
     assert_eq!(
         pool.sub_pool_used_blocks().0,
         0,
@@ -93,7 +77,7 @@ fn decode_pooled(
             "a draft-free round must demand no draft sub-pool blocks"
         );
         let finished = session
-            .verify_round_in(pool, &setup.target, drafted)
+            .verify_round(pool, &setup.target, drafted)
             .expect("the test pool covers the whole decode");
         assert_eq!(pool.sub_pool_used_blocks().0, 0);
         if finished {
@@ -114,7 +98,8 @@ fn draft_free_drafters_are_lossless_for_every_policy() {
         for policy in all_policies() {
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = decode_private(&setup, policy, drafter.as_ref(), utt);
+                let mut pool = KvPool::unbounded(16);
+                let got = decode_pooled(&setup, policy, drafter.as_ref(), utt, &[], &mut pool);
                 assert_eq!(
                     got,
                     reference,
@@ -127,6 +112,9 @@ fn draft_free_drafters_are_lossless_for_every_policy() {
     }
 }
 
+/// Draft-free sessions hold zero draft sub-pool blocks and end on the offline
+/// transcript, fresh or resumed after a committed prefix (the streaming and
+/// restore path, which serving only reaches with model drafts).
 #[test]
 fn draft_free_sessions_hold_zero_draft_sub_pool_blocks() {
     let setup = StandardSetup::new(302, 3);
@@ -136,8 +124,18 @@ fn draft_free_sessions_hold_zero_draft_sub_pool_blocks() {
             let mut pool = KvPool::bounded(256, 16);
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = decode_pooled(&setup, policy, drafter.as_ref(), utt, &mut pool);
-                assert_eq!(got, reference);
+                for cut in [0, 1, reference.len() / 2, reference.len()] {
+                    let committed = &reference[..cut];
+                    let got =
+                        decode_pooled(&setup, policy, drafter.as_ref(), utt, committed, &mut pool);
+                    assert_eq!(
+                        got,
+                        reference,
+                        "{:?} under {} resumed at {cut}",
+                        drafter.kind(),
+                        policy.name()
+                    );
+                }
             }
         }
     }
@@ -147,8 +145,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random corpus/model seeds: both draft-free drafters stay
-    /// byte-identical to offline pipeline decoding across every policy, with
-    /// private and pooled KV alike.
+    /// byte-identical to offline pipeline decoding across every policy, over
+    /// bounded and unbounded pools alike.
     #[test]
     fn draft_free_losslessness_holds_for_random_seeds(
         seed in 0u64..10_000,
@@ -161,12 +159,12 @@ proptest! {
         for drafter in drafters_for(&setup, &audio) {
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = if pooled {
-                    let mut pool = KvPool::bounded(512, 16);
-                    decode_pooled(&setup, policy, drafter.as_ref(), utt, &mut pool)
+                let mut pool = if pooled {
+                    KvPool::bounded(512, 16)
                 } else {
-                    decode_private(&setup, policy, drafter.as_ref(), utt)
+                    KvPool::unbounded(16)
                 };
+                let got = decode_pooled(&setup, policy, drafter.as_ref(), utt, &[], &mut pool);
                 prop_assert_eq!(
                     &got,
                     &reference,
