@@ -1,5 +1,7 @@
 //! Configuration types for the decoding policies.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the baseline speculative decoder.
@@ -46,7 +48,14 @@ impl SpeculativeConfig {
 
     /// Short label used in figures, e.g. `"(8, 1)"`.
     pub fn label(&self) -> String {
-        format!("({}, {})", self.prediction_length, self.beams)
+        self.to_string()
+    }
+}
+
+impl fmt::Display for SpeculativeConfig {
+    /// Writes [`SpeculativeConfig::label`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}, {})", self.prediction_length, self.beams)
     }
 }
 

@@ -275,7 +275,7 @@ where
                 }
             }
         };
-        DraftedRound { plan }
+        DraftedRound::new(plan)
     }
 }
 

@@ -88,6 +88,7 @@ mod sparse_tree;
 mod speculative;
 mod stats;
 mod verify;
+mod walk;
 
 pub use config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
 pub use drafter::{DraftRequest, Drafter, DrafterKind, ModelDrafter, TokenMapDrafter};

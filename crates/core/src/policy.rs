@@ -24,6 +24,8 @@
 //! and [`SparseTreeConfig`] constructors such as
 //! [`AdaptiveConfig::paper`].
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, UtteranceTokens};
 use specasr_runtime::KvPool;
@@ -47,20 +49,10 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// A short, stable name for figures and JSON records.
+    /// A short, stable name for figures and JSON records (the policy's
+    /// [`fmt::Display`] form, which writes it without allocating).
     pub fn name(&self) -> String {
-        match self {
-            Policy::Autoregressive => "autoregressive".to_owned(),
-            Policy::Speculative(config) => format!("speculative {}", config.label()),
-            Policy::AdaptiveSingleSequence(config) => {
-                if config.recycling {
-                    "specasr-asp+recycle".to_owned()
-                } else {
-                    "specasr-asp".to_owned()
-                }
-            }
-            Policy::TwoPassSparseTree(_) => "specasr-tsp".to_owned(),
-        }
+        self.to_string()
     }
 
     /// Decodes `audio` with this policy.  The autoregressive policy ignores
@@ -148,6 +140,22 @@ impl Policy {
                 flexibility: Rating::High,
             },
         ]
+    }
+}
+
+impl fmt::Display for Policy {
+    /// Writes [`Policy::name`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Policy::Autoregressive => f.write_str("autoregressive"),
+            Policy::Speculative(config) => write!(f, "speculative {config}"),
+            Policy::AdaptiveSingleSequence(config) => f.write_str(if config.recycling {
+                "specasr-asp+recycle"
+            } else {
+                "specasr-asp"
+            }),
+            Policy::TwoPassSparseTree(_) => f.write_str("specasr-tsp"),
+        }
     }
 }
 

@@ -27,14 +27,20 @@
 //! The drafted material is returned as an opaque [`DraftedRound`]; its
 //! [`DraftedRound::verify_tokens`] exposes how many tokens the target pass
 //! must process, which is what a continuous-batching scheduler needs to cost
-//! a grouped verification step before running it.
+//! a grouped verification step before running it.  A drafted round also
+//! lays out, once, the flat probe set its verification pass scores
+//! ([`DraftedRound::probe_extensions`]).  Both verify calls run one
+//! acceptance walk over that layout by probe index — reading a completion's
+//! distributions in place, or querying the target for just the probes the
+//! walk visits — and then one commit.  The reference verifiers in
+//! [`crate::verify_sequence`] and [`crate::verify_tree`] define the rule the
+//! walk reproduces.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use specasr_models::{
     AsrBackend, AsrDecoderModel, BackendModelBridge, DecodeClock, ForwardRequest, ForwardResult,
-    ModelProfile, TokenLogits, UtteranceTokens,
+    LatencyModel, ModelProfile, Probes, UtteranceTokens,
 };
 use specasr_runtime::{BlockTable, KvPool, PoolError, TokenTree};
 use specasr_tokenizer::TokenId;
@@ -45,16 +51,18 @@ use crate::policy::Policy;
 use crate::recycle::RecycleBuffer;
 use crate::round::commit_round;
 use crate::stats::{DecodeStats, RoundRecord};
-use crate::verify::{verify_sequence, verify_tree};
+use crate::walk::{ProbeLayout, Walk};
 
-/// The material one draft phase produced, waiting to be verified.
+/// The material one draft phase produced, waiting to be verified, with the
+/// probe layout its verification pass scores.
 ///
 /// Opaque by design: schedulers only need the verification width; the
 /// policy-specific payload goes straight back into
 /// [`DecodeSession::verify_round`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DraftedRound {
-    pub(crate) plan: RoundPlan,
+    plan: RoundPlan,
+    layout: ProbeLayout,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -84,13 +92,17 @@ pub(crate) enum RoundPlan {
 }
 
 impl DraftedRound {
+    /// Wraps `plan`, laying out its probes once.
+    pub(crate) fn new(plan: RoundPlan) -> Self {
+        let layout = ProbeLayout::of(&plan);
+        DraftedRound { plan, layout }
+    }
+
     /// An autoregressive round: draft nothing, verify one token.  The plan
     /// every [`crate::Drafter`] must return under
     /// [`Policy::Autoregressive`].
     pub fn autoregressive() -> Self {
-        DraftedRound {
-            plan: RoundPlan::Autoregressive,
-        }
+        DraftedRound::new(RoundPlan::Autoregressive)
     }
 
     /// A draft-free sequence round: `tokens` were produced outside the draft
@@ -103,9 +115,7 @@ impl DraftedRound {
     /// This is the constructor external [`crate::Drafter`] implementations
     /// build their rounds with.
     pub fn external(tokens: Vec<TokenId>) -> Self {
-        DraftedRound {
-            plan: RoundPlan::ExternalSequence { tokens },
-        }
+        DraftedRound::new(RoundPlan::ExternalSequence { tokens })
     }
 
     /// Number of tokens the target model will process when verifying this
@@ -133,48 +143,32 @@ impl DraftedRound {
     }
 
     /// The probe extensions one verification forward pass over this round
-    /// must score (relative to the committed prefix): the empty probe (the
-    /// correction/bonus position) plus every draft position — each prefix of
-    /// a drafted sequence, or each root-to-node path of a drafted token tree
-    /// (including the sparse-tree trunk, whose per-position target outputs
-    /// the recycle-buffer update reads off the same pass).
+    /// scores (relative to the committed prefix), as one flat set laid out
+    /// when the round was drafted: the empty probe (the correction/bonus
+    /// position), then each distinct draft path in first-seen order — each
+    /// prefix of a drafted sequence, or each root-to-node path of a drafted
+    /// token tree, in node insertion order — then the prefixes of a
+    /// sparse-tree trunk that the tree does not spell (the recycle-buffer
+    /// update reads the trunk's target outputs off the same pass).
     ///
-    /// This is the probe list [`DecodeSession::verify_request`] submits and
-    /// [`DecodeSession::verify_round_from`] re-derives to interpret the
-    /// returned logits, so the two always agree.
-    pub fn probe_extensions(&self) -> Vec<Vec<TokenId>> {
-        let mut probes: Vec<Vec<TokenId>> = vec![Vec::new()];
-        match &self.plan {
-            RoundPlan::Autoregressive => {}
-            RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                for end in 1..=tokens.len() {
-                    probes.push(tokens[..end].to_vec());
-                }
-            }
+    /// [`DecodeSession::verify_request`] submits exactly this set, and
+    /// [`DecodeSession::verify_round_from`] reads the completion's
+    /// distributions back by index into it.
+    pub fn probe_extensions(&self) -> &Probes {
+        self.layout.probes()
+    }
+
+    /// Runs the acceptance walk of this round; `greedy(i)` is the target's
+    /// greedy token after the committed prefix plus probe `i`.
+    fn walk(&self, greedy: impl FnMut(usize) -> TokenId) -> Walk {
+        let trunk = match &self.plan {
             RoundPlan::Tree {
-                tree, trunk_tokens, ..
-            } => {
-                // Distinct branches can in principle spell identical token
-                // paths; dedup keeps the probe list minimal (insertion order
-                // stays deterministic — the set only filters).
-                let mut seen: HashSet<Vec<TokenId>> = HashSet::new();
-                seen.insert(Vec::new());
-                let mut push_unique = |probe: Vec<TokenId>, probes: &mut Vec<Vec<TokenId>>| {
-                    if seen.insert(probe.clone()) {
-                        probes.push(probe);
-                    }
-                };
-                for id in tree.node_ids() {
-                    push_unique(tree.path_tokens(id), &mut probes);
-                }
-                if let Some(trunk) = trunk_tokens {
-                    for end in 1..=trunk.len() {
-                        push_unique(trunk[..end].to_vec(), &mut probes);
-                    }
-                }
-            }
-        }
-        probes
+                trunk_tokens: Some(trunk),
+                ..
+            } => Some(trunk.as_slice()),
+            _ => None,
+        };
+        self.layout.walk(trunk, greedy)
     }
 
     /// KV positions this round appends to the (draft, target) caches before
@@ -449,6 +443,10 @@ impl DecodeSession {
     /// Verifies and commits one drafted round by querying `target`,
     /// returning `true` when the session finished.
     ///
+    /// The acceptance walk asks the model only for the probes it visits,
+    /// building each query context (committed prefix plus probe) in one
+    /// reused buffer.
+    ///
     /// KV appends allocate from `pool`, and an exhausted pool surfaces as
     /// [`PoolError::OutOfBlocks`] *before* any state was mutated — the
     /// caller can preempt another session to free blocks and retry, or
@@ -470,140 +468,19 @@ impl DecodeSession {
         // visible before any transcript state changes.
         let (draft_width, target_width) = drafted.kv_widths();
         self.kv_append(pool, draft_width, target_width)?;
-        // Draft-free sequences verify exactly like model-drafted ones (the
-        // append widths above already excluded the draft cache); normalising
-        // here keeps a single sequence-verification arm.  Zero draft steps:
-        // no draft forward passes were run.
-        let plan = match drafted.plan {
-            RoundPlan::ExternalSequence { tokens } => RoundPlan::Sequence {
-                tokens,
-                steps: 0,
-                recycled: 0,
-                truncated: false,
-            },
-            plan => plan,
-        };
-        match plan {
-            // Normalised away above; kept irrefutable for the compiler.
-            RoundPlan::ExternalSequence { .. } => unreachable!("normalised to Sequence above"),
-            RoundPlan::Autoregressive => {
-                let next = target.greedy_token(&self.audio, &self.tokens);
-                self.clock.charge_target(target.profile().latency(), 1);
-                self.stats.record_round(RoundRecord {
-                    predicted: 0,
-                    accepted: 0,
-                    draft_steps: 0,
-                    tree_size: 1,
-                    recycled: 0,
-                    truncated: false,
-                });
-                self.stats.record_correction();
-                if next == self.audio.eos() || self.tokens.len() >= self.cap {
-                    self.finished = true;
-                } else {
-                    self.tokens.push(next);
-                }
-            }
-            RoundPlan::Sequence {
-                tokens: draft_tokens,
-                steps,
-                recycled,
-                truncated,
-            } => {
-                // Verify phase: one target pass over the draft sequence.
-                let verification =
-                    verify_sequence(target, &self.audio, &self.tokens, &draft_tokens);
-                self.clock
-                    .charge_target(target.profile().latency(), draft_tokens.len().max(1));
-
-                // Retain the rejected suffix for the next round (only the
-                // adaptive policy reads it back).
-                self.recycle = if verification.all_accepted {
-                    RecycleBuffer::new()
-                } else {
-                    RecycleBuffer::from_rejected(&draft_tokens, verification.accepted_len())
-                };
-
-                // Commit, then roll the caches back to the committed length.
-                self.finished = commit_round(
-                    &mut self.tokens,
-                    &verification.accepted,
-                    verification.correction,
-                    self.audio.eos(),
-                    self.cap,
-                    &mut self.stats,
-                );
-                self.kv_rollback_to_committed(pool);
-                self.stats.record_round(RoundRecord {
-                    predicted: draft_tokens.len(),
-                    accepted: verification.accepted_len(),
-                    draft_steps: steps,
-                    tree_size: draft_tokens.len(),
-                    recycled,
-                    truncated,
-                });
-            }
-            RoundPlan::Tree {
-                tree,
-                trunk_tokens,
-                steps,
-                recycled,
-            } => {
-                // Verification: one target pass over the whole tree.
-                let verification = verify_tree(target, &self.audio, &self.tokens, &tree);
-                self.clock.charge_target(
-                    target.profile().latency(),
-                    verification.nodes_processed.max(1),
-                );
-
-                // Two-pass sparse trees retain the trunk's rejected suffix
-                // for the next round.  The trunk's per-position target
-                // outputs are available from the same verification pass, so
-                // no extra latency is charged.
-                if let Some(trunk_tokens) = &trunk_tokens {
-                    let trunk_verification =
-                        verify_sequence(target, &self.audio, &self.tokens, trunk_tokens);
-                    self.recycle = if trunk_verification.all_accepted {
-                        RecycleBuffer::new()
-                    } else {
-                        RecycleBuffer::from_rejected(
-                            trunk_tokens,
-                            trunk_verification.accepted_len(),
-                        )
-                    };
-                }
-
-                // Commit, then roll the caches back to the committed length
-                // (the tree appends were sized by `DraftedRound::kv_widths`).
-                self.finished = commit_round(
-                    &mut self.tokens,
-                    &verification.accepted,
-                    verification.correction,
-                    self.audio.eos(),
-                    self.cap,
-                    &mut self.stats,
-                );
-                self.kv_rollback_to_committed(pool);
-                self.stats.record_round(RoundRecord {
-                    predicted: tree.len(),
-                    accepted: verification.accepted_len(),
-                    draft_steps: steps,
-                    tree_size: tree.len(),
-                    recycled,
-                    truncated: false,
-                });
-            }
-        }
-        // Safety cap on speculative rounds (autoregressive decoding caps on
-        // the committed length above, one round per token).
-        if !matches!(self.policy, Policy::Autoregressive) && self.stats.rounds >= self.cap {
-            self.finished = true;
-        }
-        Ok(self.finished)
+        let probes = drafted.probe_extensions();
+        let mut context = Vec::with_capacity(self.tokens.len() + drafted.predicted_tokens());
+        let walk = drafted.walk(|probe| {
+            context.clear();
+            context.extend_from_slice(&self.tokens);
+            context.extend_from_slice(probes.get(probe));
+            target.greedy_token(&self.audio, &context)
+        });
+        Ok(self.commit(pool, target.profile().latency(), drafted, walk))
     }
 
     /// Builds the verification [`ForwardRequest`] for `drafted`: one target
-    /// forward pass scoring every probe of
+    /// forward pass scoring the probe set of
     /// [`DraftedRound::probe_extensions`] after the committed prefix, priced
     /// at [`DraftedRound::verify_tokens`] parallel tokens.
     ///
@@ -615,7 +492,7 @@ impl DecodeSession {
         ForwardRequest::verify(
             Arc::clone(&self.audio),
             self.tokens.clone(),
-            drafted.probe_extensions(),
+            drafted.probe_extensions().clone(),
             drafted.verify_tokens(),
         )
     }
@@ -627,9 +504,10 @@ impl DecodeSession {
     /// fronts (verification latency is charged against it, exactly as
     /// [`DecodeSession::verify_round`] charges the target model).
     ///
-    /// Outcome-identical to [`DecodeSession::verify_round`], pool contract
-    /// included: the acceptance walk reads the pre-scored distributions, and
-    /// the wrapped models are pure, so the decisions cannot differ.
+    /// The acceptance walk reads `result.logits[i]` in place for each probe
+    /// `i` it visits — the same walk and the same commit as
+    /// [`DecodeSession::verify_round`], pool contract included, and the
+    /// models are pure, so the two calls cannot decide differently.
     ///
     /// # Panics
     ///
@@ -642,21 +520,110 @@ impl DecodeSession {
         result: &ForwardResult,
         drafted: DraftedRound,
     ) -> Result<bool, PoolError> {
-        let probes = drafted.probe_extensions();
         assert_eq!(
-            probes.len(),
+            drafted.probe_extensions().len(),
             result.logits.len(),
             "one scored distribution per verification probe"
         );
-        let table = ProbeTableModel {
-            profile: target_profile,
-            base_len: self.tokens.len(),
-            entries: probes
-                .into_iter()
-                .zip(result.logits.iter().cloned())
-                .collect(),
+        let (draft_width, target_width) = drafted.kv_widths();
+        self.kv_append(pool, draft_width, target_width)?;
+        let eos = self.audio.eos();
+        let walk = drafted.walk(|probe| result.logits[probe].greedy_or(eos));
+        Ok(self.commit(pool, target_profile.latency(), drafted, walk))
+    }
+
+    /// Commits a walked round: charges the target pass, updates the recycle
+    /// buffer, appends the accepted tokens and the correction, rolls the KV
+    /// caches back to the committed length and records the round.  Returns
+    /// `true` when the session finished.
+    fn commit(
+        &mut self,
+        pool: &mut KvPool,
+        latency: &LatencyModel,
+        drafted: DraftedRound,
+        walk: Walk,
+    ) -> bool {
+        // One target pass over the whole draft: the sequence or every tree
+        // node (the sparse-tree trunk's outputs come from the same pass).
+        self.clock.charge_target(latency, drafted.verify_tokens());
+        let predicted = drafted.predicted_tokens();
+        let DraftedRound { plan, layout } = drafted;
+        let eos = self.audio.eos();
+        let (draft_steps, recycled, truncated) = match &plan {
+            RoundPlan::Sequence {
+                steps,
+                recycled,
+                truncated,
+                ..
+            } => (*steps, *recycled, *truncated),
+            RoundPlan::Tree {
+                steps, recycled, ..
+            } => (*steps, *recycled, false),
+            // Draft-free material ran no draft forward passes.
+            RoundPlan::Autoregressive | RoundPlan::ExternalSequence { .. } => (0, 0, false),
         };
-        self.verify_round(pool, &table, drafted)
+        let accepted = layout.probes().get(walk.accepted_probe);
+        match &plan {
+            RoundPlan::Autoregressive => {
+                // One target token per round; the length cap applies before
+                // it is appended, and nothing was appended to roll back.
+                self.stats.record_round(RoundRecord {
+                    predicted: 0,
+                    accepted: 0,
+                    draft_steps: 0,
+                    tree_size: 1,
+                    recycled: 0,
+                    truncated: false,
+                });
+                self.stats.record_correction();
+                if walk.correction == eos || self.tokens.len() >= self.cap {
+                    self.finished = true;
+                } else {
+                    self.tokens.push(walk.correction);
+                }
+            }
+            plan => {
+                // Retain the rejected suffix of the sequence, or of the
+                // sparse tree's trunk, for the next round (only the adaptive
+                // and sparse-tree policies read it back); the beam tree
+                // leaves the buffer as it is.
+                match plan {
+                    RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
+                        self.recycle = RecycleBuffer::from_rejected(tokens, accepted.len());
+                    }
+                    RoundPlan::Tree {
+                        trunk_tokens: Some(trunk),
+                        ..
+                    } => self.recycle = RecycleBuffer::from_rejected(trunk, walk.trunk_accepted),
+                    RoundPlan::Tree { .. } | RoundPlan::Autoregressive => {}
+                }
+                // Commit, then roll the caches back to the committed length
+                // (the appends were sized by `DraftedRound::kv_widths`).
+                self.finished = commit_round(
+                    &mut self.tokens,
+                    accepted,
+                    walk.correction,
+                    eos,
+                    self.cap,
+                    &mut self.stats,
+                );
+                self.kv_rollback_to_committed(pool);
+                self.stats.record_round(RoundRecord {
+                    predicted,
+                    accepted: accepted.len(),
+                    draft_steps,
+                    tree_size: predicted,
+                    recycled,
+                    truncated,
+                });
+            }
+        }
+        // Safety cap on speculative rounds (autoregressive decoding caps on
+        // the committed length above, one round per token).
+        if !matches!(self.policy, Policy::Autoregressive) && self.stats.rounds >= self.cap {
+            self.finished = true;
+        }
+        self.finished
     }
 
     /// One complete round: draft from `draft`, then verify against `target`.
@@ -784,45 +751,14 @@ impl DecodeSession {
     }
 }
 
-/// A "model" backed by the pre-scored probe table of one backend
-/// completion: `next_logits` looks the queried context's extension (beyond
-/// the committed prefix) up in the table instead of running a forward pass.
-///
-/// The verification walk (`verify_sequence` / `verify_tree`) only ever
-/// queries contexts whose extensions are probes of the drafted round, so a
-/// missing entry is an invariant violation, not a recoverable condition.
-struct ProbeTableModel<'a> {
-    profile: &'a ModelProfile,
-    base_len: usize,
-    entries: HashMap<Vec<TokenId>, TokenLogits>,
-}
-
-impl AsrDecoderModel for ProbeTableModel<'_> {
-    fn profile(&self) -> &ModelProfile {
-        self.profile
-    }
-
-    fn next_logits(&self, _audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
-        assert!(
-            prefix.len() >= self.base_len,
-            "verification contexts always extend the committed prefix"
-        );
-        let extension = &prefix[self.base_len..];
-        self.entries.get(extension).cloned().unwrap_or_else(|| {
-            panic!(
-                "verification probed an unscored extension of {} tokens",
-                extension.len()
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+    use crate::verify::{verify_sequence, verify_tree};
     use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_runtime::{NodeId, NodeOrigin};
 
     fn setup(split: Split) -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);
@@ -1123,13 +1059,13 @@ mod tests {
 
     #[test]
     fn probe_extensions_cover_every_verification_query() {
-        // The probe list must contain the empty probe and one entry per
+        // The probe set must contain the empty probe and one entry per
         // draft position (sequences) or per distinct node path (trees).
         let (draft, _target, audio) = setup(Split::DevClean);
         let mut pool = KvPool::unbounded(16);
         let mut ar = start(Policy::Autoregressive, &audio[0], &mut pool);
         let drafted = ar.draft_round(&draft);
-        assert_eq!(drafted.probe_extensions(), vec![Vec::new()]);
+        assert_eq!(drafted.probe_extensions(), &Probes::empty_probe());
 
         let mut spec = start(
             Policy::Speculative(SpeculativeConfig::short_single()),
@@ -1139,9 +1075,11 @@ mod tests {
         let drafted = spec.draft_round(&draft);
         let probes = drafted.probe_extensions();
         assert_eq!(probes.len(), drafted.predicted_tokens() + 1);
-        assert_eq!(probes[0], Vec::<specasr_tokenizer::TokenId>::new());
-        for pair in probes.windows(2) {
-            assert_eq!(pair[1].len(), pair[0].len() + 1, "sequence prefixes grow");
+        assert_eq!(probes.get(0), &[]);
+        for index in 1..probes.len() {
+            let (shorter, longer) = (probes.get(index - 1), probes.get(index));
+            assert_eq!(longer.len(), shorter.len() + 1, "sequence prefixes grow");
+            assert!(longer.starts_with(shorter));
         }
 
         let mut tree = start(
@@ -1152,10 +1090,138 @@ mod tests {
         let drafted = tree.draft_round(&draft);
         let probes = drafted.probe_extensions();
         assert!(probes.len() > 1);
-        let mut seen = probes.clone();
+        let mut seen: Vec<&[TokenId]> = probes.iter().collect();
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), probes.len(), "probes are unique");
+    }
+
+    /// A hand-built sparse-tree round: node `i` is `nodes[i].1`, under node
+    /// `nodes[i].0` (a root when `None`).
+    fn tree_round(nodes: &[(Option<usize>, TokenId)], trunk: Option<Vec<TokenId>>) -> DraftedRound {
+        let mut tree = TokenTree::new();
+        for &(parent, token) in nodes {
+            match parent {
+                None => tree.push_root(token, 0.5, NodeOrigin::Branch),
+                Some(parent) => {
+                    tree.push_child(NodeId::from_index(parent), token, 0.5, NodeOrigin::Branch)
+                }
+            };
+        }
+        DraftedRound::new(RoundPlan::Tree {
+            tree,
+            trunk_tokens: trunk,
+            steps: 3,
+            recycled: 1,
+        })
+    }
+
+    #[test]
+    fn hand_built_trees_verify_alike_from_the_model_and_from_a_completion() {
+        use specasr_models::{AsrBackend, BackendBatch, SyncBackendAdapter};
+        let (_draft, target, audio) = setup(Split::TestClean);
+        let utt = audio
+            .iter()
+            .find(|utt| target.greedy_transcript(utt).len() >= 8)
+            .expect("a long enough utterance");
+        let greedy = target.greedy_transcript(utt);
+        let g = |i: usize| greedy[i];
+        let committed = &greedy[..2];
+        // A real vocabulary token the target does not choose next.
+        let wrong = (1..)
+            .map(TokenId::new)
+            .find(|token| !greedy[..8].contains(token) && *token != utt.eos())
+            .expect("an unused token");
+        let rounds = [
+            // Two sibling roots spell the same path; the target follows the
+            // second one's subtree, past the first root's wrong child.
+            tree_round(
+                &[
+                    (None, g(2)),
+                    (Some(0), wrong),
+                    (None, g(2)),
+                    (Some(2), g(3)),
+                    (Some(3), g(4)),
+                ],
+                Some(vec![g(2), wrong, g(4)]),
+            ),
+            // The trunk is the tree's second chain, and runs past the tree.
+            tree_round(
+                &[
+                    (None, wrong),
+                    (Some(0), g(3)),
+                    (None, g(2)),
+                    (Some(2), g(3)),
+                ],
+                Some(vec![g(2), g(3), g(4), g(5), wrong]),
+            ),
+            // A trunk that is no chain of the tree at all.
+            tree_round(&[(None, g(2)), (Some(0), wrong)], Some(vec![g(2), g(3)])),
+            // Empty trees, with and without a trunk.
+            tree_round(&[], None),
+            tree_round(&[], Some(vec![g(2), g(3), wrong])),
+        ];
+        let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+        let mut backend = SyncBackendAdapter::new(&target);
+        for drafted in rounds {
+            let RoundPlan::Tree {
+                tree, trunk_tokens, ..
+            } = &drafted.plan
+            else {
+                unreachable!("built as a tree")
+            };
+            // Each distinct path once, in first-seen order: the node paths
+            // in insertion order, then the trunk's prefixes.
+            let trunk = trunk_tokens.as_deref().unwrap_or_default();
+            let mut expected: Vec<Vec<TokenId>> = vec![Vec::new()];
+            let node_paths = tree.node_ids().into_iter().map(|id| tree.path_tokens(id));
+            let trunk_prefixes = (1..=trunk.len()).map(|end| trunk[..end].to_vec());
+            for path in node_paths.chain(trunk_prefixes) {
+                if !expected.contains(&path) {
+                    expected.push(path);
+                }
+            }
+            let probes = drafted.probe_extensions();
+            assert!(probes.iter().eq(expected.iter().map(Vec::as_slice)));
+
+            let mut pool = KvPool::unbounded(16);
+            let mut resume = || {
+                DecodeSession::new(
+                    policy,
+                    DrafterKind::ModelDraft,
+                    utt.clone(),
+                    committed,
+                    &mut pool,
+                )
+                .expect("unbounded")
+            };
+            let (mut by_model, mut by_result) = (resume(), resume());
+            by_model
+                .verify_round(&mut pool, &target, drafted.clone())
+                .expect("unbounded");
+            let tickets = backend.submit(BackendBatch::of(by_result.verify_request(&drafted)), 0.0);
+            let result = backend.complete(tickets[0]).expect("computed at submit");
+            by_result
+                .verify_round_from(&mut pool, target.profile(), &result, drafted.clone())
+                .expect("unbounded");
+            assert_eq!(by_model.tokens(), by_result.tokens());
+            assert_eq!(by_model.stats(), by_result.stats());
+            assert_eq!(by_model.clock(), by_result.clock());
+            assert_eq!(by_model.recycle, by_result.recycle);
+
+            // The reference verifiers decide the same round.
+            let reference = verify_tree(&target, utt, committed, tree);
+            let mut after = committed.to_vec();
+            after.extend_from_slice(&reference.accepted);
+            after.push(reference.correction);
+            assert_eq!(by_model.tokens(), after.as_slice());
+            assert_eq!(by_model.stats().accepted_tokens, reference.accepted_len());
+            if !trunk.is_empty() {
+                let trunk_reference = verify_sequence(&target, utt, committed, trunk);
+                let recycle = RecycleBuffer::from_rejected(trunk, trunk_reference.accepted_len());
+                assert_eq!(by_model.recycle, recycle);
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! [`crate::Drafter`]) all produce candidate sequences that are checked
 //! against the same target greedy choices, which is why draft-free
 //! speculation is lossless by construction rather than by tuning.
+//!
+//! [`verify_sequence`] and [`verify_tree`] are the reference statement of
+//! the rule: they query the model branch by branch.  A
+//! [`crate::DecodeSession`] reaches the same decisions with one walk over its
+//! round's probe layout by index, and the tests hold it to these functions.
 
 use specasr_models::{AsrDecoderModel, UtteranceTokens};
 use specasr_runtime::{TokenTree, TreeAttentionMask, VerificationBatch};

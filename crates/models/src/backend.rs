@@ -10,10 +10,11 @@
 //! 1. callers build a [`BackendBatch`] of [`ForwardRequest`]s — each request
 //!    is one forward pass: an audio context, a shared generated prefix, and
 //!    the *probe extensions* whose next-token distributions the pass must
-//!    score (a single-token draft step probes one position; verifying a
-//!    whole drafted sequence or token tree probes every draft position in
-//!    the same pass, which is exactly how speculative verification runs on
-//!    real hardware);
+//!    score, as one flat [`Probes`] set (a single-token draft step probes one
+//!    position; verifying a whole drafted sequence or token tree probes every
+//!    distinct draft position in the same pass, which is exactly how
+//!    speculative verification runs on real hardware, and the caller reads
+//!    each position's distribution back by its probe index);
 //! 2. [`AsrBackend::submit`] enqueues the batch at a caller-supplied wall
 //!    time and returns one [`Ticket`] per request;
 //! 3. [`AsrBackend::poll`] / [`AsrBackend::complete`] drain the completion
@@ -63,6 +64,7 @@ use specasr_tokenizer::TokenId;
 
 use crate::binding::UtteranceTokens;
 use crate::logits::TokenLogits;
+use crate::probes::Probes;
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 
@@ -83,11 +85,11 @@ pub enum ForwardKind {
 ///
 /// Each probe is a token extension of `prefix`; the backend returns the
 /// next-token distribution *after* `prefix + probe`, one [`TokenLogits`] per
-/// probe, in probe order.  The empty probe scores the position directly
-/// after the prefix.  `charge_tokens` is the token width the pass occupies
-/// on the accelerator (what latency pricing is based on) — for a verify
-/// pass, the drafted-token count the verification processes, not the probe
-/// count.
+/// probe, in probe order, so result `i` answers probe `i`.  The empty probe
+/// scores the position directly after the prefix.  `charge_tokens` is the
+/// token width the pass occupies on the accelerator (what latency pricing is
+/// based on) — for a verify pass, the drafted-token count the verification
+/// processes, not the probe count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardRequest {
     /// The audio context the model is conditioned on (shared — many requests
@@ -95,8 +97,10 @@ pub struct ForwardRequest {
     pub audio: Arc<UtteranceTokens>,
     /// The committed generated prefix shared by every probe.
     pub prefix: Vec<TokenId>,
-    /// Token extensions of `prefix` to score, in order.
-    pub probes: Vec<Vec<TokenId>>,
+    /// Token extensions of `prefix` to score, in order, flattened into one
+    /// buffer: a verify request's set is laid out once per drafted round,
+    /// and the completion's distributions are read back by probe index.
+    pub probes: Probes,
     /// Token width the pass is priced at (parallel tokens processed).
     pub charge_tokens: usize,
     /// What the request is for.
@@ -109,7 +113,7 @@ impl ForwardRequest {
         ForwardRequest {
             audio,
             prefix,
-            probes: vec![Vec::new()],
+            probes: Probes::empty_probe(),
             charge_tokens: 1,
             kind: ForwardKind::DraftStep,
         }
@@ -120,7 +124,7 @@ impl ForwardRequest {
     pub fn verify(
         audio: Arc<UtteranceTokens>,
         prefix: Vec<TokenId>,
-        probes: Vec<Vec<TokenId>>,
+        probes: Probes,
         charge_tokens: usize,
     ) -> Self {
         ForwardRequest {
@@ -328,6 +332,9 @@ struct BackendState {
     /// timeline, pruned on every submit.
     in_flight: Vec<(f64, usize)>,
     counters: BackendCounters,
+    /// `prefix + probe` of the probe being scored, one buffer kept across
+    /// submits (every draft step is a submit of its own).
+    context: Vec<TokenId>,
 }
 
 impl BackendState {
@@ -353,7 +360,7 @@ impl BackendState {
         self.counters.peak_in_flight = self.counters.peak_in_flight.max(in_flight);
 
         let mut tickets = Vec::with_capacity(batch_requests);
-        let mut context = Vec::new();
+        let context = &mut self.context;
         for request in batch.requests {
             match request.kind {
                 ForwardKind::DraftStep => self.counters.draft_requests += 1,
@@ -361,11 +368,11 @@ impl BackendState {
             }
             self.counters.probes_scored += request.probes.len();
             let mut logits = Vec::with_capacity(request.probes.len());
-            for probe in &request.probes {
+            for probe in request.probes.iter() {
                 context.clear();
                 context.extend_from_slice(&request.prefix);
                 context.extend_from_slice(probe);
-                logits.push(model.next_logits(&request.audio, &context));
+                logits.push(model.next_logits(&request.audio, context));
             }
             let ticket = Ticket(self.next_ticket);
             self.next_ticket += 1;
@@ -892,8 +899,8 @@ mod tests {
     fn probe_results_match_direct_model_queries() {
         let (_, target, audio) = setup();
         let transcript = target.greedy_transcript(&audio[0]);
-        let probes: Vec<Vec<TokenId>> = (0..=transcript.len().min(4))
-            .map(|i| transcript[..i].to_vec())
+        let probes: Probes = (0..=transcript.len().min(4))
+            .map(|i| &transcript[..i])
             .collect();
         let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), probes.clone(), 4);
         let mut backend = SyncBackendAdapter::new(&target);
@@ -916,7 +923,7 @@ mod tests {
             batch.push(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                Probes::empty_probe(),
                 widths,
             ));
         }
@@ -955,8 +962,8 @@ mod tests {
         let (_, target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target).with_dispatch_overhead_ms(2.0);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), vec![Vec::new()], 4);
+        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 8);
+        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), Probes::empty_probe(), 4);
         backend.submit(BackendBatch::of(a), 0.0);
         backend.submit(BackendBatch::of(b), 1.0); // queues behind the first
         let results = backend.poll();
@@ -964,7 +971,7 @@ mod tests {
         assert!((results[0].completed_ms - first_done).abs() < 1e-9);
         assert!((results[1].completed_ms - (first_done + latency.forward_pass_ms(4))).abs() < 1e-9);
         // Submitting after the device drained starts immediately again.
-        let c = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 1);
+        let c = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
         let tickets = backend.submit(BackendBatch::of(c), 1e6);
         let result = backend.complete(tickets[0]).expect("completed");
         assert!((result.completed_ms - (1e6 + 2.0 + latency.forward_pass_ms(1))).abs() < 1e-6);
@@ -998,7 +1005,7 @@ mod tests {
             BackendBatch::of(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                Probes::empty_probe(),
                 16,
             )),
             0.0,
@@ -1007,7 +1014,7 @@ mod tests {
             BackendBatch::of(ForwardRequest::verify(
                 audio[1].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                Probes::empty_probe(),
                 1,
             )),
             0.0,
@@ -1033,7 +1040,7 @@ mod tests {
             verify.push(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                Probes::empty_probe(),
                 2,
             ));
         }
@@ -1100,8 +1107,8 @@ mod tests {
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target);
         let service = latency.forward_pass_ms(8);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), vec![Vec::new()], 8);
+        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 8);
+        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), Probes::empty_probe(), 8);
         backend.submit(BackendBatch::of(a), 0.0);
         backend.submit(BackendBatch::of(b), service + 25.0);
         let counters = backend.counters();

@@ -18,6 +18,8 @@
 //! * [`backend`] — the batched submit/complete [`backend::AsrBackend`] API
 //!   serving schedulers drive: [`backend::ForwardRequest`] batches, tickets,
 //!   a completion queue, and simulated in-flight backends,
+//! * [`probes`] — [`probes::Probes`], the flat probe set one forward pass
+//!   scores,
 //! * [`simulated`] — the audio-conditioned simulated ASR model: scale-
 //!   dependent substitution errors, draft/target agreement driven by acoustic
 //!   difficulty, re-alignment after mismatches,
@@ -56,6 +58,7 @@ pub mod ctc;
 pub(crate) mod hashing;
 pub mod latency;
 pub mod logits;
+pub mod probes;
 pub mod profiles;
 pub mod rpc;
 pub mod simulated;
@@ -72,6 +75,7 @@ pub use ctc::CtcDrafter;
 pub use hashing::splitmix64;
 pub use latency::{DecodeClock, LatencyBreakdown, LatencyModel};
 pub use logits::TokenLogits;
+pub use probes::Probes;
 pub use profiles::{AccuracyProfile, ModelProfile, ModelRole, ModelScale};
 pub use rpc::RpcBackend;
 pub use simulated::SimulatedAsrModel;

@@ -52,25 +52,33 @@ impl TokenLogits {
     /// # Panics
     ///
     /// Panics if the retained probabilities sum to more than `1.0 + 1e-6`.
-    pub fn from_candidates(pairs: Vec<(TokenId, f64)>) -> Self {
-        let mut filtered: Vec<(TokenId, f64)> = Vec::with_capacity(pairs.len());
-        for (token, probability) in pairs {
+    pub fn from_candidates(mut pairs: Vec<(TokenId, f64)>) -> Self {
+        // Filter and dedup in place: the first `kept` pairs are the retained
+        // ones, in first-seen order, so `pairs` is the only allocation (the
+        // final `collect` reuses it too).
+        let mut kept = 0;
+        for read in 0..pairs.len() {
+            let (token, probability) = pairs[read];
             if probability <= 0.0 {
                 continue;
             }
-            match filtered.iter_mut().find(|(t, _)| *t == token) {
+            match pairs[..kept].iter_mut().find(|(t, _)| *t == token) {
                 Some((_, existing)) => *existing = existing.max(probability),
-                None => filtered.push((token, probability)),
+                None => {
+                    pairs[kept] = (token, probability);
+                    kept += 1;
+                }
             }
         }
-        filtered.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("probabilities are finite"));
-        let total: f64 = filtered.iter().map(|(_, p)| p).sum();
+        pairs.truncate(kept);
+        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("probabilities are finite"));
+        let total: f64 = pairs.iter().map(|(_, p)| p).sum();
         assert!(
             total <= 1.0 + 1e-6,
             "candidate probabilities sum to {total}, which exceeds 1"
         );
         TokenLogits {
-            candidates: filtered
+            candidates: pairs
                 .into_iter()
                 .map(|(token, probability)| Candidate { token, probability })
                 .collect(),
@@ -105,6 +113,13 @@ impl TokenLogits {
     /// The highest-probability candidate.
     pub fn top1(&self) -> Option<Candidate> {
         self.candidates.first().copied()
+    }
+
+    /// The greedy (top-1) token, or `fallback` when no candidate was
+    /// retained.  [`crate::AsrDecoderModel::greedy_token`] is this with EOS
+    /// as the fallback.
+    pub fn greedy_or(&self, fallback: TokenId) -> TokenId {
+        self.top1().map_or(fallback, |c| c.token)
     }
 
     /// Normalised probability of the top-1 candidate (0 if empty).
@@ -219,21 +234,44 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The construction rule spelled out plainly: drop non-positive
+    /// probabilities, keep each token's highest probability at its first
+    /// position, then sort by descending probability, ties in that order.
+    fn reference(pairs: &[(TokenId, f64)]) -> Vec<Candidate> {
+        let mut kept: Vec<Candidate> = Vec::new();
+        for &(token, probability) in pairs.iter().filter(|(_, p)| *p > 0.0) {
+            match kept.iter_mut().find(|c| c.token == token) {
+                Some(existing) => existing.probability = existing.probability.max(probability),
+                None => kept.push(Candidate { token, probability }),
+            }
+        }
+        kept.sort_by(|a, b| b.probability.partial_cmp(&a.probability).expect("finite"));
+        kept
+    }
+
     proptest! {
         #[test]
         fn construction_preserves_order_and_bounds(
-            raw in proptest::collection::vec((0u32..500, 0.0f64..0.099), 0..10)
+            raw in proptest::collection::vec((0u32..500, 0.0f64..0.099), 0..10),
+            // Few tokens and a coarse grid: duplicate tokens, tied
+            // probabilities, zeros and negatives all come up often.
+            grid in proptest::collection::vec((0u32..6, 0u32..12), 0..12),
         ) {
-            let logits = TokenLogits::from_candidates(
-                raw.into_iter().map(|(t, p)| (TokenId::new(t), p)).collect(),
-            );
-            let probs: Vec<f64> = logits.iter().map(|c| c.probability).collect();
-            for pair in probs.windows(2) {
-                prop_assert!(pair[0] >= pair[1]);
-            }
-            prop_assert!(probs.iter().sum::<f64>() <= 1.0 + 1e-6);
-            for candidate in logits.iter() {
-                prop_assert!(candidate.probability > 0.0);
+            let drawn = raw.into_iter().map(|(t, p)| (TokenId::new(t), p));
+            let gridded = grid
+                .into_iter()
+                .map(|(t, step)| (TokenId::new(t), (f64::from(step) - 2.0) * 0.01));
+            for pairs in [drawn.collect::<Vec<_>>(), gridded.collect()] {
+                let logits = TokenLogits::from_candidates(pairs.clone());
+                prop_assert_eq!(&logits.candidates, &reference(&pairs));
+                let probs: Vec<f64> = logits.iter().map(|c| c.probability).collect();
+                for pair in probs.windows(2) {
+                    prop_assert!(pair[0] >= pair[1]);
+                }
+                prop_assert!(probs.iter().sum::<f64>() <= 1.0 + 1e-6);
+                for candidate in logits.iter() {
+                    prop_assert!(candidate.probability > 0.0);
+                }
             }
         }
     }

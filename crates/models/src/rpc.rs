@@ -284,6 +284,7 @@ mod tests {
     use crate::backend::{ForwardKind, ForwardRequest};
     use crate::binding::{TokenizerBinding, UtteranceTokens};
     use crate::logits::TokenLogits;
+    use crate::probes::Probes;
     use crate::simulated::SimulatedAsrModel;
     use specasr_audio::{Corpus, Split};
     use specasr_tokenizer::TokenId;
@@ -311,7 +312,7 @@ mod tests {
 
         for (i, context) in audio.iter().enumerate() {
             let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), vec![Vec::new()], 4 + i);
+                ForwardRequest::verify(context.clone(), Vec::new(), Probes::empty_probe(), 4 + i);
             let batch = BackendBatch::of(request);
             let a = local.submit(batch.clone(), i as f64);
             let b = remote.submit(batch, i as f64);
@@ -336,7 +337,7 @@ mod tests {
         remote.set_device_tracing(true);
         for (i, context) in audio.iter().enumerate() {
             let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), vec![Vec::new()], 3 + i);
+                ForwardRequest::verify(context.clone(), Vec::new(), Probes::empty_probe(), 3 + i);
             local.submit(BackendBatch::of(request.clone()), i as f64);
             remote.submit(BackendBatch::of(request), i as f64);
         }
@@ -350,7 +351,8 @@ mod tests {
         // Disabling clears the buffered log on both sides.
         local.set_device_tracing(true);
         remote.set_device_tracing(true);
-        let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 2);
+        let request =
+            ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 2);
         local.submit(BackendBatch::of(request.clone()), 99.0);
         remote.submit(BackendBatch::of(request), 99.0);
         local.set_device_tracing(false);

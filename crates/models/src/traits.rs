@@ -27,10 +27,7 @@ pub trait AsrDecoderModel: Send + Sync {
 
     /// Greedy (top-1) next token; falls back to EOS on an empty distribution.
     fn greedy_token(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenId {
-        self.next_logits(audio, prefix)
-            .top1()
-            .map(|c| c.token)
-            .unwrap_or_else(|| audio.eos())
+        self.next_logits(audio, prefix).greedy_or(audio.eos())
     }
 
     /// The model's full greedy transcription of `audio` (EOS excluded).

@@ -88,6 +88,7 @@ use crate::backend::{
 };
 use crate::binding::UtteranceTokens;
 use crate::logits::{Candidate, TokenLogits};
+use crate::probes::Probes;
 
 /// One call from the client half of [`crate::RpcBackend`] to its worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,7 +299,10 @@ impl CallEncoder {
         frame.put_seq(batch.requests(), |frame, request| {
             self.put_context(&request.audio, frame);
             frame.put_tokens(&request.prefix);
-            frame.put_seq(&request.probes, |frame, probe| frame.put_tokens(probe));
+            frame.put_len(request.probes.len());
+            for probe in request.probes.iter() {
+                frame.put_tokens(probe);
+            }
             frame.put_u64(request.charge_tokens as u64);
             frame.put_u8(kind_tag(request.kind));
         });
@@ -372,7 +376,7 @@ impl CallDecoder {
             Ok(ForwardRequest {
                 audio: self.read_context(reader)?,
                 prefix: reader.tokens()?,
-                probes: reader.seq(SEQ_BYTES, Reader::tokens)?,
+                probes: reader.probes()?,
                 charge_tokens: reader.usize()?,
                 kind: reader.kind()?,
             })
@@ -723,6 +727,19 @@ impl<'a> Reader<'a> {
     fn tokens(&mut self) -> Result<Vec<TokenId>, WireError> {
         self.seq(TOKEN_BYTES, |reader| reader.u32().map(TokenId::new))
     }
+
+    /// A `seq<seq<u32>>` probe set, read straight into one flat buffer.
+    fn probes(&mut self) -> Result<Probes, WireError> {
+        let count = self.len(SEQ_BYTES)?;
+        let mut probes = Probes::with_capacity(count, 0);
+        for _ in 0..count {
+            for _ in 0..self.len(TOKEN_BYTES)? {
+                probes.tokens.push(TokenId::new(self.u32()?));
+            }
+            probes.seal();
+        }
+        Ok(probes)
+    }
 }
 
 fn read_utterance(reader: &mut Reader<'_>) -> Result<UtteranceTokens, WireError> {
@@ -1000,7 +1017,7 @@ mod tests {
                 ForwardRequest::verify(
                     Arc::clone(&contexts[0]),
                     vec![TokenId::new(1), TokenId::new(4)],
-                    vec![Vec::new(), vec![TokenId::new(9), TokenId::new(2)]],
+                    Probes::from_iter([vec![], vec![TokenId::new(9), TokenId::new(2)]]),
                     6,
                 ),
             ],
@@ -1008,7 +1025,7 @@ mod tests {
             vec![ForwardRequest::verify(
                 Arc::clone(&contexts[0]),
                 Vec::new(),
-                vec![Vec::new()],
+                Probes::empty_probe(),
                 1,
             )],
         ];
@@ -1042,7 +1059,7 @@ mod tests {
                     ForwardRequest::verify(
                         Arc::clone(&contexts[2]),
                         vec![TokenId::new(8)],
-                        vec![vec![TokenId::new(1)], Vec::new()],
+                        Probes::from_iter([vec![TokenId::new(1)], vec![]]),
                         4,
                     ),
                 ],
@@ -1077,7 +1094,7 @@ mod tests {
             ForwardRequest::verify(
                 Arc::clone(&contexts[0]),
                 vec![TokenId::new(8)],
-                vec![vec![TokenId::new(1)], Vec::new()],
+                Probes::from_iter([vec![TokenId::new(1)], vec![]]),
                 4,
             )
         };
@@ -1191,7 +1208,8 @@ mod tests {
     fn malformed_frames_name_their_fault() {
         let contexts = corpus_contexts();
         let mut encoder = CallEncoder::new();
-        let request = || ForwardRequest::verify(Arc::clone(&contexts[0]), Vec::new(), vec![], 1);
+        let request =
+            || ForwardRequest::verify(Arc::clone(&contexts[0]), Vec::new(), Probes::new(), 1);
         let mut frame = Vec::new();
         encoder.encode(&submit(0.0, vec![request()]), &mut frame);
         encoder.encode(&submit(0.0, vec![request()]), &mut frame);
@@ -1249,7 +1267,7 @@ mod tests {
             decoder.contexts.len()
         };
         let verify = |context: &Arc<UtteranceTokens>| {
-            ForwardRequest::verify(Arc::clone(context), Vec::new(), vec![Vec::new()], 1)
+            ForwardRequest::verify(Arc::clone(context), Vec::new(), Probes::empty_probe(), 1)
         };
         for _ in 0..3 {
             let requests = sessions.iter().map(verify).collect();
@@ -1280,7 +1298,7 @@ mod tests {
             ))
         };
         let prefix: Vec<TokenId> = (0..5).map(TokenId::new).collect();
-        let probes = vec![Vec::new(), vec![TokenId::new(7)], vec![TokenId::new(7); 3]];
+        let probes = Probes::from_iter([vec![], vec![TokenId::new(7)], vec![TokenId::new(7); 3]]);
         // Frame length prefix, tag, `now_ms`, empty forget list, request
         // count; then the context reference, prefix length, probe count,
         // charge width and kind; then 4 bytes per prefix token, per probe

@@ -3,6 +3,7 @@
 //! KV-pool preemption when memory runs out.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
@@ -215,6 +216,9 @@ pub struct Scheduler<D, T> {
     ticks_seen: u64,
     /// Copy-on-write copies already reported to the recorder.
     cow_reported: u64,
+    /// The committing session's policy name, one buffer reused every round
+    /// so the speculation ledger is fed without allocating.
+    policy_name: String,
 }
 
 impl<D, T> Scheduler<D, T>
@@ -301,6 +305,7 @@ where
             tracer: Tracer::disabled(),
             ticks_seen: 0,
             cow_reported: 0,
+            policy_name: String::new(),
         }
     }
 
@@ -944,12 +949,15 @@ where
         } else {
             Vec::new()
         };
+        // Every submit hands out increasing tickets, so `ticket_owner` is
+        // sorted by ticket, and each wave's entries sit side by side.
+        debug_assert!(ticket_owner.windows(2).all(|pair| pair[0].0 < pair[1].0));
         for result in self.target.poll() {
             tick_end = tick_end.max(result.completed_ms);
-            let &(_, owner, wave_index) = ticket_owner
-                .iter()
-                .find(|(ticket, _, _)| *ticket == result.ticket)
+            let at = ticket_owner
+                .binary_search_by_key(&result.ticket, |&(ticket, _, _)| ticket)
                 .expect("every completion answers a ticket submitted this tick");
+            let (_, owner, wave_index) = ticket_owner[at];
             wave_completed[wave_index] = wave_completed[wave_index].max(result.completed_ms);
             if let Some(span) = wave_spans.get_mut(wave_index) {
                 *span = Some((result.submitted_ms, result.started_ms, result.completed_ms));
@@ -957,18 +965,15 @@ where
             results[owner] = Some(result);
         }
         if self.tracer.is_enabled() {
-            for (wave_index, span) in wave_spans.into_iter().enumerate() {
-                let Some((submitted_ms, started_ms, completed_ms)) = span else {
+            for wave in ticket_owner.chunk_by(|a, b| a.2 == b.2) {
+                let wave_index = wave[0].2;
+                let Some((submitted_ms, started_ms, completed_ms)) = wave_spans[wave_index] else {
                     continue;
                 };
-                let ticket_ids: Vec<u64> = ticket_owner
+                let ticket_ids: Vec<u64> =
+                    wave.iter().map(|&(ticket, _, _)| ticket.value()).collect();
+                let requests: Vec<u64> = wave
                     .iter()
-                    .filter(|&&(_, _, wave)| wave == wave_index)
-                    .map(|&(ticket, _, _)| ticket.value())
-                    .collect();
-                let requests: Vec<u64> = ticket_owner
-                    .iter()
-                    .filter(|&&(_, _, wave)| wave == wave_index)
                     .map(|&(_, owner, _)| self.active[owner].id.value())
                     .collect();
                 self.tracer.record_with(|| TraceEvent::VerifyWaveCompleted {
@@ -1055,10 +1060,12 @@ where
                 });
             let wave_index = wave_of[index];
             let per_token_ms = wave_service_ms / wave_charges[wave_index].max(1) as f64;
-            let policy_name = session.policy.name();
+            let policy_name = &mut self.policy_name;
+            policy_name.clear();
+            write!(policy_name, "{}", session.policy).expect("writing to a String cannot fail");
             let drafter_label = session.decode.drafter().label();
             self.stats.record_verify_outcome(
-                &policy_name,
+                policy_name,
                 drafter_label,
                 round_drafted,
                 round_accepted,

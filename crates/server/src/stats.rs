@@ -537,10 +537,19 @@ impl ServerStats {
         charged: usize,
         per_token_ms: f64,
     ) {
-        let group = self
+        // Found by comparing borrowed labels: the key is allocated only the
+        // first time a (policy, drafter) pair commits a round.
+        let found = self
             .speculation
-            .entry((policy.to_string(), drafter.to_string()))
-            .or_default();
+            .iter_mut()
+            .find(|((p, d), _)| p == policy && d == drafter);
+        let group = match found {
+            Some((_, group)) => group,
+            None => self
+                .speculation
+                .entry((policy.to_owned(), drafter.to_owned()))
+                .or_default(),
+        };
         group.rounds += 1;
         group.drafted_tokens += drafted;
         group.accepted_tokens += accepted;
@@ -1139,6 +1148,47 @@ mod tests {
         assert_eq!(stats.tokens_per_second(), 0.0);
         assert_eq!(stats.batching_speedup(), 1.0);
         assert_eq!(stats.e2e_p50_ms(), 0.0);
+    }
+
+    #[test]
+    fn verify_outcomes_fold_into_one_group_per_policy_and_drafter() {
+        let mut stats = ServerStats::new();
+        // Interleaved rounds of two groups: (drafted, accepted, charged, ms
+        // per billed token).
+        let rounds = [
+            ("specasr-tsp", "model", 8, 5, 9, 0.5),
+            ("specasr-asp", "ctc", 4, 4, 5, 0.25),
+            ("specasr-tsp", "model", 6, 1, 7, 1.0),
+            ("specasr-asp", "ctc", 2, 0, 3, 2.0),
+            ("specasr-tsp", "model", 3, 3, 4, 0.5),
+        ];
+        for (policy, drafter, drafted, accepted, charged, per_token_ms) in rounds {
+            stats.record_verify_outcome(policy, drafter, drafted, accepted, charged, per_token_ms);
+        }
+        let groups = stats.speculation_groups();
+        let keys: Vec<(&str, &str)> = groups
+            .keys()
+            .map(|(policy, drafter)| (policy.as_str(), drafter.as_str()))
+            .collect();
+        assert_eq!(keys, [("specasr-asp", "ctc"), ("specasr-tsp", "model")]);
+
+        let tsp = &groups[&("specasr-tsp".to_owned(), "model".to_owned())];
+        assert_eq!(tsp.rounds(), 3);
+        assert_eq!(tsp.drafted_tokens(), 17);
+        assert_eq!(tsp.accepted_tokens(), 9);
+        assert_eq!(tsp.charged_tokens(), 20);
+        assert!((tsp.accepted_work_ms() - (2.5 + 1.0 + 1.5)).abs() < 1e-12);
+        assert!((tsp.probe_overhead_ms() - (0.5 + 1.0 + 0.5)).abs() < 1e-12);
+        assert!((tsp.rejected_draft_ms() - (1.5 + 5.0)).abs() < 1e-12);
+
+        let asp = &groups[&("specasr-asp".to_owned(), "ctc".to_owned())];
+        assert_eq!(asp.rounds(), 2);
+        assert_eq!(asp.drafted_tokens(), 6);
+        assert_eq!(asp.accepted_tokens(), 4);
+        assert_eq!(asp.charged_tokens(), 8);
+        assert!((asp.accepted_work_ms() - 1.0).abs() < 1e-12);
+        assert!((asp.probe_overhead_ms() - (0.25 + 2.0)).abs() < 1e-12);
+        assert!((asp.rejected_draft_ms() - 4.0).abs() < 1e-12);
     }
 
     #[test]

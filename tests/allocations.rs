@@ -1,0 +1,183 @@
+//! Heap allocations of one verify round on the serving path.
+//!
+//! `DecodeSession::verify_request` plus `DecodeSession::verify_round_from` is
+//! what the scheduler runs for every session in every round.  Their
+//! allocations must not grow with the draft: the probe set is laid out once,
+//! when the round is drafted, the request copies it as two flat buffers, and
+//! the commit reads the completion's distributions in place.  A counting
+//! global allocator checks that the two calls stay under one small constant
+//! per round, for short and long draft-free sequences and for every
+//! sparse-tree round over a corpus split.  It counts per thread, so tests
+//! running in parallel do not see each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use specasr::{AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig};
+use specasr_audio::Split;
+use specasr_models::{
+    AsrBackend, AsrDecoderModel, BackendBatch, SimulatedAsrModel, SyncBackendAdapter,
+};
+use specasr_runtime::KvPool;
+use specasr_suite::StandardSetup;
+use specasr_tokenizer::TokenId;
+
+/// Most heap allocations `verify_request` and `verify_round_from` may make
+/// together in one round: the committed-prefix copy and the two probe
+/// buffers of the request, the retained suffix of a rejected draft, and the
+/// occasional growth of a transcript, round log or KV block table (all of
+/// which first grow in a session's first round).
+const ROUND_BUDGET: u64 = 6;
+
+/// Sessions allocate their KV blocks from a bounded pool, as when serving.
+fn serving_pool() -> KvPool {
+    KvPool::bounded(4096, 16)
+}
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down may have no counter left; nothing to count.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// The system allocator, counting allocations per thread.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches only a const-
+// initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (hence from `System`) with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator with `layout`, and
+        // `new_size` is non-zero and does not overflow, as the caller
+        // guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Drives `session` to completion through a backend, drafting each round
+/// with `draft`, and returns what `verify_request` plus `verify_round_from`
+/// allocated in each round.
+fn verify_allocations(
+    session: &mut DecodeSession,
+    pool: &mut KvPool,
+    target: &SimulatedAsrModel,
+    mut draft: impl FnMut(&mut DecodeSession) -> DraftedRound,
+) -> Vec<u64> {
+    let mut backend = SyncBackendAdapter::new(target);
+    let mut rounds = Vec::new();
+    while !session.is_finished() {
+        let drafted = draft(session);
+        let (request, requested) = counted(|| session.verify_request(&drafted));
+        let tickets = backend.submit(BackendBatch::of(request), 0.0);
+        let result = backend.complete(tickets[0]).expect("computed at submit");
+        let (verified, committed) =
+            counted(|| session.verify_round_from(pool, target.profile(), &result, drafted));
+        verified.expect("the pool has room");
+        rounds.push(requested + committed);
+    }
+    rounds
+}
+
+#[test]
+fn external_rounds_allocate_the_same_for_2_and_24_draft_tokens() {
+    let setup = StandardSetup::new(31, 6);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    for draft_len in [2, 24] {
+        let mut rounds = 0;
+        for utterance in setup.corpus.split(Split::TestOther) {
+            let audio = setup.binding.bind(utterance);
+            let greedy = setup.target.greedy_transcript(&audio);
+            let eos = audio.eos();
+            let mut pool = serving_pool();
+            let mut session =
+                DecodeSession::new(policy, DrafterKind::TokenMap, audio, &[], &mut pool)
+                    .expect("the pool has room");
+            // The draft continues the target's transcript with every
+            // seventh position wrong, so rounds both accept and recycle.
+            let costs = verify_allocations(&mut session, &mut pool, &setup.target, |session| {
+                let at = session.tokens().len();
+                DraftedRound::external(
+                    (at..at + draft_len)
+                        .map(|i| {
+                            let right = greedy.get(i).copied().unwrap_or(eos);
+                            if i % 7 == 6 {
+                                TokenId::new(right.value() + 1)
+                            } else {
+                                right
+                            }
+                        })
+                        .collect(),
+                )
+            });
+            rounds += costs.len();
+            let worst = costs.iter().max().copied().unwrap_or(0);
+            assert!(
+                worst <= ROUND_BUDGET,
+                "{draft_len}-token drafts: a round allocated {worst} times ({costs:?})"
+            );
+        }
+        assert!(rounds > 6, "{draft_len}-token drafts ran {rounds} rounds");
+    }
+}
+
+#[test]
+fn sparse_tree_rounds_allocate_the_same_whatever_the_tree() {
+    let setup = StandardSetup::new(31, 6);
+    let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+    let mut widest = 0;
+    for utterance in setup.corpus.split(Split::TestOther) {
+        let audio = setup.binding.bind(utterance);
+        let mut pool = serving_pool();
+        let mut session =
+            DecodeSession::new(policy, DrafterKind::ModelDraft, audio, &[], &mut pool)
+                .expect("the pool has room");
+        let costs = verify_allocations(&mut session, &mut pool, &setup.target, |session| {
+            let drafted = session.draft_round(&setup.draft);
+            widest = widest.max(drafted.verify_tokens());
+            drafted
+        });
+        let worst = costs.iter().max().copied().unwrap_or(0);
+        assert!(
+            worst <= ROUND_BUDGET,
+            "a tree round allocated {worst} times ({costs:?})"
+        );
+    }
+    assert!(
+        widest >= 16,
+        "the split drafts wide trees (widest {widest})"
+    );
+}
