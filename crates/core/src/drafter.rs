@@ -17,10 +17,13 @@
 //!   falling back to shorter drafts off-map.  No forward passes, no draft KV.
 //!
 //! The serving consequences of draft-free drafting are what matter at scale:
-//! a draft-free [`crate::DecodeSession`] never prefs or appends the draft KV
-//! sub-pool ([`crate::KvDemand::draft_blocks`] is 0 every round) and never
-//! submits draft-lane backend batches, so a scheduler admitting draft-free
-//! sessions sees roughly double the effective pool capacity.
+//! a draft-free [`crate::DecodeSession`] never prefills or appends the draft
+//! KV sub-pool ([`crate::KvDemand::draft_blocks`] is 0 every round) and never
+//! queries a draft model, so a scheduler admitting draft-free sessions sees
+//! roughly double the effective pool capacity and no draft-lane traffic.
+//! Model-draft sessions query the draft model in place, through
+//! [`crate::DecodeSession::draft_round`], whether they decode offline or are
+//! served.
 //!
 //! [`DrafterKind`] names the three sources so sessions, scheduler queues, and
 //! bench rows can carry the choice as plain data; the trait objects
@@ -31,14 +34,13 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, CtcDrafter, DecodeClock, UtteranceTokens};
-use specasr_runtime::{NodeOrigin, TokenTree};
+use specasr_runtime::{NodeId, NodeOrigin, TokenTree};
 use specasr_tokenizer::{TokenId, TokenMapIndex};
 
 use crate::config::SparseTreeConfig;
 use crate::policy::Policy;
-use crate::recycle::{run_draft_phase, DraftPhase, RecycleBuffer};
+use crate::recycle::{draft_context, merge_position, run_draft_phase, DraftPhase, RecycleBuffer};
 use crate::session::{DraftedRound, RoundPlan};
-use crate::sparse_tree::merge_slot;
 
 /// Names a draft-token source, carried per session through queues, bench
 /// rows, and serialized records.
@@ -186,7 +188,7 @@ where
             Policy::Autoregressive => RoundPlan::Autoregressive,
             Policy::Speculative(config) if config.beams <= 1 => {
                 let mut tokens = Vec::with_capacity(config.prediction_length);
-                let mut context = committed.to_vec();
+                let mut context = draft_context(committed, config.prediction_length);
                 let mut steps = 0usize;
                 while tokens.len() < config.prediction_length {
                     let next = draft.greedy_token(audio, &context);
@@ -265,10 +267,18 @@ where
                     clock,
                 );
                 // Pass 2: sparse branch expansion at the uncertain positions.
-                let (tree, branch_steps, branch_recycled) =
-                    grow_sparse_tree(&config, draft, audio, committed, &trunk, clock);
+                let trunk_tokens = trunk.token_ids();
+                let (tree, branch_steps, branch_recycled) = grow_sparse_tree(
+                    &config,
+                    draft,
+                    audio,
+                    committed,
+                    &trunk,
+                    &trunk_tokens,
+                    clock,
+                );
                 RoundPlan::Tree {
-                    trunk_tokens: Some(trunk.token_ids()),
+                    trunk_tokens: Some(trunk_tokens),
                     tree,
                     steps: trunk.steps + branch_steps,
                     recycled: trunk.recycled + branch_recycled,
@@ -386,7 +396,7 @@ where
     let first_logits = draft.next_logits(audio, committed);
     clock.charge_draft(draft.profile().latency(), beams);
     steps += 1;
-    let mut branch_tips = Vec::new();
+    let mut branch_tips = Vec::with_capacity(beams);
     for candidate in first_logits.iter().take(beams) {
         let origin = if branch_tips.is_empty() {
             NodeOrigin::Trunk
@@ -397,26 +407,24 @@ where
         branch_tips.push((node, candidate.token == audio.eos()));
     }
 
-    // Subsequent steps: extend every live branch greedily in parallel.
+    // Subsequent steps: extend every live branch greedily in parallel, each
+    // query's context rebuilt in one buffer as the prefix plus the branch.
+    let mut context = draft_context(committed, prediction_length);
     for _ in 1..prediction_length {
-        let live: Vec<usize> = branch_tips
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, done))| !done)
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
+        let live = branch_tips.iter().filter(|(_, done)| !done).count();
+        if live == 0 {
             break;
         }
-        clock.charge_draft(draft.profile().latency(), live.len());
+        clock.charge_draft(draft.profile().latency(), live);
         steps += 1;
-        for branch in live {
-            let (tip, _) = branch_tips[branch];
-            let mut context = committed.to_vec();
-            context.extend(tree.path_tokens(tip));
+        for (branch, (tip, done)) in branch_tips.iter_mut().enumerate() {
+            if *done {
+                continue;
+            }
+            set_branch_path(&mut context, committed.len(), &tree, *tip);
             let logits = draft.next_logits(audio, &context);
             let Some(top1) = logits.top1() else {
-                branch_tips[branch].1 = true;
+                *done = true;
                 continue;
             };
             let origin = if branch == 0 {
@@ -424,15 +432,29 @@ where
             } else {
                 NodeOrigin::Branch
             };
-            let node = tree.push_child(tip, top1.token, top1.probability, origin);
-            branch_tips[branch] = (node, top1.token == audio.eos());
+            *tip = tree.push_child(*tip, top1.token, top1.probability, origin);
+            *done = top1.token == audio.eos();
         }
     }
     (tree, steps)
 }
 
+/// Replaces everything in `context` after its first `base` tokens with the
+/// tokens on `tree`'s path from the root to `tip`.
+fn set_branch_path(context: &mut Vec<TokenId>, base: usize, tree: &TokenTree, tip: NodeId) {
+    context.truncate(base);
+    let mut node = Some(tip);
+    while let Some(id) = node {
+        let step = tree.node(id);
+        context.push(step.token);
+        node = step.parent;
+    }
+    context[base..].reverse();
+}
+
 /// Builds the sparse token tree from the trunk draft: the trunk chain plus
 /// one side branch per uncertain position (up to `max_branches`).
+/// `trunk_tokens` are the trunk's token ids.
 ///
 /// Returns `(tree, branch_draft_steps, branch_recycled_tokens)`.
 fn grow_sparse_tree<D>(
@@ -441,17 +463,17 @@ fn grow_sparse_tree<D>(
     audio: &UtteranceTokens,
     prefix: &[TokenId],
     trunk: &DraftPhase,
+    trunk_tokens: &[TokenId],
     clock: &mut DecodeClock,
 ) -> (TokenTree, usize, usize)
 where
     D: AsrDecoderModel + ?Sized,
 {
     let mut tree = TokenTree::new();
-    let trunk_tokens = trunk.token_ids();
 
     // Trunk chain.
-    let mut trunk_nodes: Vec<specasr_runtime::NodeId> = Vec::with_capacity(trunk.tokens.len());
-    let mut previous: Option<specasr_runtime::NodeId> = None;
+    let mut trunk_nodes: Vec<NodeId> = Vec::with_capacity(trunk.tokens.len());
+    let mut previous: Option<NodeId> = None;
     for drafted in &trunk.tokens {
         let origin = if drafted.recycled {
             NodeOrigin::Recycled
@@ -468,7 +490,7 @@ where
 
     // Uncertain positions: low-confidence, freshly generated, non-EOS trunk
     // tokens with a recorded runner-up candidate.
-    let uncertain: Vec<(usize, TokenId, f64)> = trunk
+    let uncertain = trunk
         .tokens
         .iter()
         .enumerate()
@@ -476,22 +498,27 @@ where
             !d.recycled && d.probability < config.uncertainty_threshold && d.token != audio.eos()
         })
         .filter_map(|(i, d)| d.runner_up.map(|(alt, p)| (i, alt, p)))
-        .take(config.max_branches)
-        .collect();
+        .take(config.max_branches);
 
     let mut branch_steps = 0usize;
     let mut branch_recycled = 0usize;
     let branch_width = config.branch_top_k.saturating_sub(1).max(1);
+    // One query context per round: the prefix, the trunk up to the branch
+    // point, then the branch drafted so far.
+    let mut context = draft_context(prefix, trunk_tokens.len() + 1 + config.branch_extension);
+    let mut alternatives: Vec<(TokenId, f64)> = Vec::with_capacity(branch_width);
 
-    for &(position, alt_token, alt_probability) in &uncertain {
+    for (position, alt_token, alt_probability) in uncertain {
+        context.truncate(prefix.len());
+        context.extend_from_slice(&trunk_tokens[..position]);
+        let branch_start = context.len();
         // Open `branch_top_k - 1` alternative branches at this position; the
         // paper finds a single (top-2) branch optimal, so additional widths
         // reuse lower-ranked candidates from a fresh draft query only when
         // configured.
-        let mut alternatives: Vec<(TokenId, f64)> = vec![(alt_token, alt_probability)];
+        alternatives.clear();
+        alternatives.push((alt_token, alt_probability));
         if branch_width > 1 {
-            let mut context = prefix.to_vec();
-            context.extend_from_slice(&trunk_tokens[..position]);
             let logits = draft.next_logits(audio, &context);
             clock.charge_draft(draft.profile().latency(), 1);
             branch_steps += 1;
@@ -500,7 +527,7 @@ where
             }
         }
 
-        for (token, probability) in alternatives {
+        for &(token, probability) in &alternatives {
             let parent = if position == 0 {
                 None
             } else {
@@ -510,27 +537,24 @@ where
                 None => tree.push_root(token, probability, NodeOrigin::Branch),
                 Some(p) => tree.push_child(p, token, probability, NodeOrigin::Branch),
             };
-            let mut branch_tokens = vec![token];
+            context.truncate(branch_start);
+            context.push(token);
 
             // Extend the branch greedily, merging back onto the trunk as soon
             // as a generated token matches it at the corresponding or an
             // adjacent position.
             for _ in 0..config.branch_extension {
-                let mut context = prefix.to_vec();
-                context.extend_from_slice(&trunk_tokens[..position]);
-                context.extend_from_slice(&branch_tokens);
                 let logits = draft.next_logits(audio, &context);
                 clock.charge_draft(draft.profile().latency(), 1);
                 branch_steps += 1;
                 let Some(top1) = logits.top1() else { break };
 
                 // Merge check against the trunk.
-                let trunk_slot = position + branch_tokens.len();
+                let trunk_slot = position + (context.len() - branch_start);
                 if let Some(merge_at) =
-                    merge_slot(&trunk_tokens, trunk_slot, top1.token, config.merge_offset)
+                    merge_position(trunk_tokens, trunk_slot, top1.token, config.merge_offset)
                 {
                     tip = tree.push_child(tip, top1.token, top1.probability, NodeOrigin::Branch);
-                    branch_tokens.push(top1.token);
                     // Adopt the trunk continuation after the merge point.
                     // Adoption is capped so side branches stay sparse and the
                     // verification tree does not balloon.
@@ -541,14 +565,13 @@ where
                             break;
                         }
                         tip = tree.push_child(tip, recycled_token, 1.0, NodeOrigin::Recycled);
-                        branch_tokens.push(recycled_token);
                         branch_recycled += 1;
                     }
                     break;
                 }
 
                 tip = tree.push_child(tip, top1.token, top1.probability, NodeOrigin::Branch);
-                branch_tokens.push(top1.token);
+                context.push(top1.token);
                 if top1.token == audio.eos() {
                     break;
                 }

@@ -134,8 +134,11 @@ pub(crate) fn run_draft_phase<M>(
 where
     M: AsrDecoderModel + ?Sized,
 {
-    let mut phase = DraftPhase::default();
-    let mut context: Vec<TokenId> = prefix.to_vec();
+    let mut phase = DraftPhase {
+        tokens: Vec::with_capacity(max_len),
+        ..DraftPhase::default()
+    };
+    let mut context = draft_context(prefix, max_len);
     let parallel_width = if retained.is_empty() { 1 } else { 2 };
 
     while phase.tokens.len() < max_len {
@@ -195,24 +198,33 @@ where
     phase
 }
 
-/// Finds the retained-suffix index that `token` (regenerated at `position`)
-/// may merge with, searching the corresponding position first and then the
-/// allowed offsets.
-fn merge_position(
+/// A draft-query context: `prefix`, with room for the `room` tokens a draft
+/// round may append to it.
+pub(crate) fn draft_context(prefix: &[TokenId], room: usize) -> Vec<TokenId> {
+    let mut context = Vec::with_capacity(prefix.len() + room);
+    context.extend_from_slice(prefix);
+    context
+}
+
+/// Finds the index of `retained` that `token` (drafted at `position`) may
+/// merge with: the corresponding position first, then nearer offsets up to
+/// `merge_offset`, the earlier index first at equal distance.  Recycling
+/// merges onto the retained suffix, and sparse-tree branches onto the trunk.
+pub(crate) fn merge_position(
     retained: &[TokenId],
     position: usize,
     token: TokenId,
     merge_offset: usize,
 ) -> Option<usize> {
-    let lo = position.saturating_sub(merge_offset);
-    let hi = (position + merge_offset).min(retained.len().saturating_sub(1));
-    if retained.is_empty() {
-        return None;
-    }
-    // Prefer the exact position, then nearer offsets.
-    let mut candidates: Vec<usize> = (lo..=hi).collect();
-    candidates.sort_by_key(|&j| j.abs_diff(position));
-    candidates.into_iter().find(|&j| retained[j] == token)
+    let last = retained.len().checked_sub(1)?;
+    (0..=merge_offset).find_map(|distance| {
+        let earlier = position.checked_sub(distance);
+        let later = (distance > 0).then_some(position + distance);
+        [earlier, later]
+            .into_iter()
+            .flatten()
+            .find(|&index| index <= last && retained[index] == token)
+    })
 }
 
 #[cfg(test)]
@@ -252,6 +264,47 @@ mod tests {
         assert_eq!(merge_position(&[], 0, t(9), 1), None);
         // Offset 0 only matches the exact position.
         assert_eq!(merge_position(&retained, 1, t(7), 0), None);
+    }
+
+    /// The merge rule written as a sort, the reference `merge_position`
+    /// must match: the candidate window ordered by distance from `position`,
+    /// earlier indices first at equal distance.
+    fn merge_position_by_sorting(
+        retained: &[TokenId],
+        position: usize,
+        token: TokenId,
+        merge_offset: usize,
+    ) -> Option<usize> {
+        if retained.is_empty() {
+            return None;
+        }
+        let lo = position.saturating_sub(merge_offset);
+        let hi = (position + merge_offset).min(retained.len() - 1);
+        let mut candidates: Vec<usize> = (lo..=hi).collect();
+        candidates.sort_by_key(|&j| j.abs_diff(position));
+        candidates.into_iter().find(|&j| retained[j] == token)
+    }
+
+    #[test]
+    fn merge_position_searches_the_window_in_sorted_order() {
+        let tokens: Vec<TokenId> = [7u32, 8, 7, 9, 8, 7]
+            .into_iter()
+            .map(TokenId::new)
+            .collect();
+        for len in 0..=tokens.len() {
+            let retained = &tokens[..len];
+            for position in 0..len + 4 {
+                for merge_offset in 0..4 {
+                    for token in [7, 8, 9, 10].map(t) {
+                        assert_eq!(
+                            merge_position(retained, position, token, merge_offset),
+                            merge_position_by_sorting(retained, position, token, merge_offset),
+                            "{retained:?} at {position}, offset {merge_offset}, {token:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn setup() -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {

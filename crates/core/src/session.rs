@@ -39,8 +39,8 @@
 use std::sync::Arc;
 
 use specasr_models::{
-    AsrBackend, AsrDecoderModel, BackendModelBridge, DecodeClock, ForwardRequest, ForwardResult,
-    LatencyModel, ModelProfile, Probes, UtteranceTokens,
+    AsrDecoderModel, DecodeClock, ForwardRequest, ForwardResult, LatencyModel, ModelProfile,
+    Probes, UtteranceTokens,
 };
 use specasr_runtime::{BlockTable, KvPool, PoolError, TokenTree};
 use specasr_tokenizer::TokenId;
@@ -261,7 +261,8 @@ pub struct DecodeSession {
 
 impl DecodeSession {
     /// Starts a session for `audio` under `policy`, drafting from `drafter`,
-    /// with its KV blocks allocated from `pool`.
+    /// with its KV blocks allocated from `pool`.  A caller that keeps the
+    /// audio context behind an `Arc` shares it instead of copying it.
     ///
     /// An empty `committed` starts a fresh decode.  A non-empty one resumes
     /// after those transcript tokens (a streaming re-decode, or a restore
@@ -289,10 +290,11 @@ impl DecodeSession {
     pub fn new(
         policy: Policy,
         drafter: DrafterKind,
-        audio: UtteranceTokens,
+        audio: impl Into<Arc<UtteranceTokens>>,
         committed: &[TokenId],
         pool: &mut KvPool,
     ) -> Result<Self, PoolError> {
+        let audio = audio.into();
         match &policy {
             Policy::AdaptiveSingleSequence(config) => config.validate(),
             Policy::TwoPassSparseTree(config) => config.validate(),
@@ -318,7 +320,7 @@ impl DecodeSession {
             drafter,
             cap: audio.len() * 2 + 16,
             tokens: Vec::with_capacity(audio.len() + 1),
-            audio: Arc::new(audio),
+            audio,
             stats: DecodeStats::new(),
             clock: DecodeClock::new(),
             draft_kv,
@@ -341,14 +343,15 @@ impl DecodeSession {
     }
 
     /// The draft source this session was configured for.  Schedulers
-    /// dispatch the draft phase on this: model-draft sessions go to the
-    /// draft backend, draft-free sessions to the installed [`Drafter`].
+    /// dispatch the draft phase on this: model-draft sessions query the
+    /// draft model through [`DecodeSession::draft_round`], draft-free
+    /// sessions go to the installed [`Drafter`].
     pub fn drafter(&self) -> DrafterKind {
         self.drafter
     }
 
-    /// The bound utterance being decoded.
-    pub fn audio(&self) -> &UtteranceTokens {
+    /// The bound utterance being decoded, shared.
+    pub fn audio(&self) -> &Arc<UtteranceTokens> {
         &self.audio
     }
 
@@ -416,28 +419,6 @@ impl DecodeSession {
             recycle: &self.recycle,
             clock: &mut self.clock,
         })
-    }
-
-    /// Runs the draft phase of the next round against an [`AsrBackend`]:
-    /// every draft-model query becomes a single-probe
-    /// [`specasr_models::ForwardRequest`] submitted (at `now_ms`) and
-    /// completed through the backend.  Outcome-identical to
-    /// [`DecodeSession::draft_round`] over the model the backend fronts —
-    /// draft steps are inherently sequential within a session (each depends
-    /// on the previous token), so the loop structure stays and only the
-    /// model boundary changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is already finished.
-    pub fn draft_round_via<B>(&mut self, backend: &mut B, now_ms: f64) -> DraftedRound
-    where
-        B: AsrBackend + Send,
-    {
-        // Seed the bridge with the session's shared audio context so the
-        // draft loop's requests reference it without ever copying it.
-        let bridge = BackendModelBridge::with_audio(backend, now_ms, Arc::clone(&self.audio));
-        self.draft_round(&bridge)
     }
 
     /// Verifies and commits one drafted round by querying `target`,
@@ -1028,7 +1009,6 @@ mod tests {
     fn backend_stepping_matches_blocking_decode_exactly() {
         use specasr_models::{AsrBackend, BackendBatch, SyncBackendAdapter};
         let (draft, target, audio) = setup(Split::TestClean);
-        let mut draft_backend = SyncBackendAdapter::new(&draft);
         let mut target_backend = SyncBackendAdapter::new(&target);
         let mut pool = KvPool::bounded(2048, 16);
         for policy in all_policies() {
@@ -1037,7 +1017,7 @@ mod tests {
                 let mut session = start(policy, utt, &mut pool);
                 let mut now = 0.0;
                 while !session.is_finished() {
-                    let drafted = session.draft_round_via(&mut draft_backend, now);
+                    let drafted = session.draft_round(&draft);
                     let request = session.verify_request(&drafted);
                     let tickets = target_backend.submit(BackendBatch::of(request), now);
                     let result = target_backend
@@ -1054,7 +1034,6 @@ mod tests {
         }
         assert_eq!(pool.used_blocks(), 0, "released sessions leave no blocks");
         assert!(target_backend.counters().verify_requests > 0);
-        assert!(draft_backend.counters().draft_requests > 0);
     }
 
     #[test]

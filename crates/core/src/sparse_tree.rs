@@ -13,35 +13,17 @@
 //! drafting and the grouped tree verification live in
 //! [`crate::DecodeSession`].
 
-use specasr_tokenizer::TokenId;
-
-/// Finds the trunk index near `slot` holding `token`, within `merge_offset`.
-pub(crate) fn merge_slot(
-    trunk: &[TokenId],
-    slot: usize,
-    token: TokenId,
-    merge_offset: usize,
-) -> Option<usize> {
-    if trunk.is_empty() {
-        return None;
-    }
-    let lo = slot.saturating_sub(merge_offset);
-    let hi = (slot + merge_offset).min(trunk.len() - 1);
-    let mut candidates: Vec<usize> = (lo..=hi).collect();
-    candidates.sort_by_key(|&j| j.abs_diff(slot));
-    candidates.into_iter().find(|&j| trunk[j] == token)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{AdaptiveConfig, SparseTreeConfig};
     use crate::policy::Policy;
+    use crate::recycle::merge_position;
     use crate::stats::DecodeStats;
     use specasr_audio::{Corpus, Split};
     use specasr_models::{
         AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
     };
+    use specasr_tokenizer::TokenId;
 
     fn setup(
         target_profile: ModelProfile,
@@ -141,12 +123,14 @@ mod tests {
         assert_eq!(outcome.tokens, target.greedy_transcript(&audio[0]));
     }
 
+    /// A branch merges back onto its trunk through the recycling rule: the
+    /// nearest trunk slot holding the token within the merge offset.
     #[test]
     fn merge_slot_prefers_the_nearest_match() {
         let trunk: Vec<TokenId> = [5u32, 6, 7, 6].into_iter().map(TokenId::new).collect();
-        assert_eq!(merge_slot(&trunk, 1, TokenId::new(6), 1), Some(1));
-        assert_eq!(merge_slot(&trunk, 2, TokenId::new(6), 1), Some(1));
-        assert_eq!(merge_slot(&trunk, 0, TokenId::new(9), 1), None);
-        assert_eq!(merge_slot(&[], 0, TokenId::new(9), 1), None);
+        assert_eq!(merge_position(&trunk, 1, TokenId::new(6), 1), Some(1));
+        assert_eq!(merge_position(&trunk, 2, TokenId::new(6), 1), Some(1));
+        assert_eq!(merge_position(&trunk, 0, TokenId::new(9), 1), None);
+        assert_eq!(merge_position(&[], 0, TokenId::new(9), 1), None);
     }
 }

@@ -33,8 +33,7 @@
 //!   after one forward-pass-priced service interval.  Batches are priced as
 //!   grouped passes (base cost once, per-token cost for every request), and
 //!   concurrent submissions overlap freely — the model for a pool of
-//!   identical accelerators, or per-session draft chains that genuinely run
-//!   in parallel.
+//!   identical accelerators.
 //! * [`InFlightSimBackend`] — adds a *device timeline*: batches execute
 //!   serially on one device, a batch submitted while another is executing
 //!   queues behind it, and every batch pays a dispatch overhead.  Submitting
@@ -42,24 +41,21 @@
 //!   does next, which is how scheduler-level draft/verify overlap becomes
 //!   visible in measured wall-clock.
 //!
-//! [`BackendModelBridge`] closes the loop in the other direction: it exposes
-//! an `&mut` backend as an [`AsrDecoderModel`], turning every `next_logits`
-//! call into a single-probe [`ForwardRequest`] submit + complete.  The
-//! inherently sequential draft loops (each step depends on the previous
-//! token) run unchanged against the bridge, so the whole decode path speaks
-//! [`ForwardRequest`] at the model boundary.
-//!
-//! Not every session exercises both lanes.  The serving scheduler keeps a
-//! draft backend and a verify backend; sessions drafted by a draft-free
-//! drafter (CTC-encoder collapse or token-map lookup — see the core crate's
-//! `Drafter` trait) submit *no* draft-lane batches at all, and their rounds
+//! Only verification goes through a backend.  Draft loops are inherently
+//! sequential (each step depends on the previous token, so there is nothing
+//! to batch within a session): the serving scheduler queries its draft model
+//! directly, models the draft lane's device time on a timeline of its own,
+//! and counts every draft-model query as one single-probe
+//! [`ForwardKind::DraftStep`] request in the draft lane's
+//! [`BackendCounters`].  Sessions drafted by a draft-free drafter
+//! (CTC-encoder collapse or token-map lookup — see the core crate's
+//! `Drafter` trait) make *no* draft-model queries at all, and their rounds
 //! appear on the verify lane only.  The per-lane request counters on the
 //! backend stats exist precisely so that capacity shift is measurable.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use specasr_audio::UtteranceId;
 use specasr_tokenizer::TokenId;
 
 use crate::binding::UtteranceTokens;
@@ -300,7 +296,7 @@ impl BackendCounters {
 /// simulated backends compute results eagerly, so `complete` always succeeds
 /// right after `submit`; an RPC-backed implementation would block or return
 /// `None` until the wire answers — callers that need lock-step behaviour
-/// (the draft loops) use [`BackendModelBridge`], callers that want overlap
+/// complete each ticket right after submitting it, callers that want overlap
 /// (the serving scheduler) submit everything first and drain afterwards.
 pub trait AsrBackend {
     /// The profile of the model this backend fronts.
@@ -519,8 +515,7 @@ impl DeviceTimeline {
 ///
 /// Every batch completes one grouped forward pass after submission;
 /// concurrent submissions overlap freely (no shared device timeline), which
-/// models per-session draft chains running in parallel on a pool of
-/// accelerators.  Since the wrapped models are pure, results are computed
+/// models a pool of accelerators.  Since the wrapped models are pure, results are computed
 /// eagerly and [`AsrBackend::complete`] always succeeds right after
 /// [`AsrBackend::submit`] — wrapped this way, every existing model keeps
 /// byte-identical decoding behaviour through the new API.
@@ -563,16 +558,6 @@ impl<M: AsrDecoderModel> SyncBackendAdapter<M> {
             model,
             state: BackendState::default(),
         }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Unwraps the adapter back into its model.
-    pub fn into_model(self) -> M {
-        self.model
     }
 }
 
@@ -785,92 +770,6 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
     }
 }
 
-/// Exposes an `&mut` backend as an [`AsrDecoderModel`]: each `next_logits`
-/// call becomes a single-probe [`ForwardRequest`] submitted and completed in
-/// lock step.
-///
-/// This is how the inherently sequential draft loops (each step depends on
-/// the previous token, so there is nothing to batch *within* a session) run
-/// against a backend without being rewritten as state machines — the loop
-/// structure stays, the model boundary becomes [`ForwardRequest`].  `now_ms`
-/// stamps every submission (the serving scheduler passes its tick start).
-#[derive(Debug)]
-pub struct BackendModelBridge<'a, B> {
-    inner: Mutex<BridgeInner<'a, B>>,
-    profile: ModelProfile,
-    now_ms: f64,
-}
-
-#[derive(Debug)]
-struct BridgeInner<'a, B> {
-    backend: &'a mut B,
-    /// The shared audio context of this bridge's draft loop, cloned once on
-    /// first use and re-used for every subsequent step (a bridge lives for
-    /// one draft round, which always queries a single audio context — the
-    /// cache is keyed on the utterance id as a guard).
-    audio: Option<(UtteranceId, Arc<UtteranceTokens>)>,
-}
-
-impl<'a, B: AsrBackend> BackendModelBridge<'a, B> {
-    /// Bridges `backend`, stamping submissions at `now_ms`.
-    pub fn new(backend: &'a mut B, now_ms: f64) -> Self {
-        Self::construct(backend, now_ms, None)
-    }
-
-    /// Like [`BackendModelBridge::new`], with the draft loop's audio context
-    /// pre-seeded: callers that already hold the context behind an `Arc`
-    /// (decode sessions do) share it into the bridge so no clone ever
-    /// happens on the draft path.
-    pub fn with_audio(backend: &'a mut B, now_ms: f64, audio: Arc<UtteranceTokens>) -> Self {
-        let seeded = Some((audio.id(), audio));
-        Self::construct(backend, now_ms, seeded)
-    }
-
-    fn construct(
-        backend: &'a mut B,
-        now_ms: f64,
-        audio: Option<(UtteranceId, Arc<UtteranceTokens>)>,
-    ) -> Self {
-        let profile = backend.profile().clone();
-        BackendModelBridge {
-            inner: Mutex::new(BridgeInner { backend, audio }),
-            profile,
-            now_ms,
-        }
-    }
-}
-
-impl<B: AsrBackend + Send> AsrDecoderModel for BackendModelBridge<'_, B> {
-    fn profile(&self) -> &ModelProfile {
-        &self.profile
-    }
-
-    fn next_logits(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
-        let mut inner = self.inner.lock().expect("bridge lock is never poisoned");
-        let shared = match &inner.audio {
-            Some((id, shared)) if *id == audio.id() => Arc::clone(shared),
-            _ => {
-                let shared = Arc::new(audio.clone());
-                inner.audio = Some((audio.id(), Arc::clone(&shared)));
-                shared
-            }
-        };
-        let tickets = inner.backend.submit(
-            BackendBatch::of(ForwardRequest::draft_step(shared, prefix.to_vec())),
-            self.now_ms,
-        );
-        let result = inner
-            .backend
-            .complete(tickets[0])
-            .expect("a simulated backend completes at submit time");
-        result
-            .logits
-            .into_iter()
-            .next()
-            .expect("a draft step scores exactly one probe")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,23 +877,6 @@ mod tests {
         assert_eq!(backend.counters().verify_batches, 3);
         assert_eq!(backend.counters().verify_requests, 3);
         assert!((backend.counters().verify_batch_occupancy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bridge_reproduces_the_wrapped_model_exactly() {
-        let (draft, _, audio) = setup();
-        let mut backend = SyncBackendAdapter::new(&draft);
-        let reference = draft.greedy_transcript(&audio[0]);
-        let transcript = {
-            let bridge = BackendModelBridge::new(&mut backend, 0.0);
-            bridge.greedy_transcript(&audio[0])
-        };
-        assert_eq!(transcript, reference);
-        let counters = backend.counters();
-        assert_eq!(counters.draft_requests, counters.requests);
-        assert!(counters.draft_requests > 0);
-        assert_eq!(counters.verify_batches, 0);
-        assert_eq!(counters.probes_scored, counters.requests);
     }
 
     #[test]

@@ -77,19 +77,15 @@ impl TokenizerBinding {
     /// Panics if the utterance transcript tokenises to an empty sequence,
     /// which cannot happen for corpora generated by [`specasr_audio`].
     pub fn bind(&self, utterance: &Utterance) -> UtteranceTokens {
-        let words = utterance.words();
-        let difficulties = utterance.word_difficulties();
-        let mut tokens: Vec<TokenId> = Vec::new();
-        let mut token_difficulties: Vec<f64> = Vec::new();
-        for (word, &difficulty) in words.iter().zip(difficulties.iter()) {
-            let ids = self
-                .tokenizer
-                .encode(word)
-                .expect("lenient encoding never fails");
-            for id in ids {
-                tokens.push(id);
-                token_difficulties.push(difficulty);
-            }
+        let words = utterance.transcript().split_whitespace();
+        // Every word encodes to at least one token.
+        let mut tokens: Vec<TokenId> = Vec::with_capacity(utterance.word_count());
+        let mut token_difficulties: Vec<f64> = Vec::with_capacity(utterance.word_count());
+        // One marked-word buffer serves every word of the transcript.
+        let mut scratch = String::new();
+        for (word, &difficulty) in words.zip(utterance.word_difficulties()) {
+            self.tokenizer.encode_into(word, &mut scratch, &mut tokens);
+            token_difficulties.resize(tokens.len(), difficulty);
         }
         assert!(
             !tokens.is_empty(),

@@ -67,8 +67,8 @@ pub mod traits;
 pub mod wire;
 
 pub use backend::{
-    AsrBackend, BackendBatch, BackendCounters, BackendModelBridge, DeviceEvent, DeviceTimeline,
-    ForwardKind, ForwardRequest, ForwardResult, InFlightSimBackend, SyncBackendAdapter, Ticket,
+    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, DeviceTimeline, ForwardKind,
+    ForwardRequest, ForwardResult, InFlightSimBackend, SyncBackendAdapter, Ticket,
 };
 pub use binding::{TokenizerBinding, UtteranceTokens};
 pub use ctc::CtcDrafter;

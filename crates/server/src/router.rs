@@ -379,7 +379,7 @@ where
             id,
             policy,
             drafter,
-            audio: self.binding.bind(utterance),
+            audio: Arc::new(self.binding.bind(utterance)),
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: self

@@ -4,17 +4,19 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, DeviceTimeline,
-    ForwardResult, InFlightSimBackend, ModelProfile, RpcBackend, SyncBackendAdapter, Ticket,
-    TokenizerBinding,
+    ForwardResult, InFlightSimBackend, ModelProfile, RpcBackend, Ticket, TokenLogits,
+    TokenizerBinding, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
 use specasr_stream::{StreamConfig, StreamingSession};
+use specasr_tokenizer::TokenId;
 use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer};
 
 use crate::batch::{plan_verify_waves, plan_verify_waves_pipelined, TickCost};
@@ -115,6 +117,37 @@ impl<T: AsrDecoderModel> AsrBackend for VerifyBackend<T> {
     }
 }
 
+/// The scheduler's draft model for one draft round, counting the queries the
+/// round makes.
+struct CountedDraft<'a, D> {
+    model: &'a D,
+    queries: AtomicUsize,
+}
+
+impl<D> CountedDraft<'_, D> {
+    /// Adds the round's queries to the draft lane's counters, each as the
+    /// single-probe draft-step batch it stands for.
+    fn count_into(self, counters: &mut BackendCounters) {
+        let steps = self.queries.into_inner();
+        counters.batches += steps;
+        counters.requests += steps;
+        counters.draft_requests += steps;
+        counters.probes_scored += steps;
+    }
+}
+
+impl<D: AsrDecoderModel> AsrDecoderModel for CountedDraft<'_, D> {
+    fn profile(&self) -> &ModelProfile {
+        self.model.profile()
+    }
+
+    fn next_logits(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
+        // A statistic the drafting thread reads back: no ordering needed.
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.model.next_logits(audio, prefix)
+    }
+}
+
 /// How one in-flight session leaves (or stays in) the batch at tick end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Removal {
@@ -173,11 +206,13 @@ enum Removal {
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<D, T> {
-    /// The draft backend: per-session draft chains run through it as
-    /// single-token `ForwardRequest`s.  The blanket adapter has no shared
-    /// device timeline — sessions draft in parallel, the model for a pool of
-    /// draft-sized accelerators.
-    draft: SyncBackendAdapter<D>,
+    /// The draft model.  Model-draft sessions query it in place, through
+    /// the same `draft_round` call a blocking decode makes; the lane's
+    /// device time is modeled by `draft_timeline`.
+    draft: D,
+    /// The draft lane's counters: every draft-model query counts as one
+    /// single-probe draft-step batch.
+    draft_counters: BackendCounters,
     /// The target backend: cross-session verification batches run through
     /// it.  One serialised device timeline, so verification waves submitted
     /// while straggler draft phases still run genuinely overlap them.
@@ -196,9 +231,9 @@ pub struct Scheduler<D, T> {
     encoder: EncoderProfile,
     config: ServerConfig,
     /// Installed draft-free draft sources, one per [`DrafterKind`].
-    /// Model-draft sessions go through the draft backend instead; draft-free
-    /// sessions dispatch their draft phase to the matching entry here (and
-    /// never touch the draft backend or the draft KV sub-pool).
+    /// Model-draft sessions query `draft` instead; draft-free sessions
+    /// dispatch their draft phase to the matching entry here (and never
+    /// touch the draft model, the draft lane or the draft KV sub-pool).
     drafters: Vec<(DrafterKind, Arc<dyn Drafter + Send + Sync>)>,
     queue: VecDeque<QueuedRequest>,
     /// Streaming requests parked between chunks: their current view is fully
@@ -287,7 +322,8 @@ where
         let mut stats = ServerStats::new();
         stats.set_kv_capacity(2 * config.kv_blocks);
         Scheduler {
-            draft: SyncBackendAdapter::new(draft),
+            draft,
+            draft_counters: BackendCounters::default(),
             target,
             draft_timeline: DeviceTimeline::new(config.draft_lanes),
             outstanding_waves: VecDeque::new(),
@@ -319,20 +355,20 @@ where
 
     /// Installs (or replaces) a draft-free draft source.  Sessions submitted
     /// with the matching [`DrafterKind`] dispatch their draft phases to it;
-    /// they submit no draft-lane backend batches and demand zero draft
+    /// they make no draft-model queries and demand zero draft
     /// sub-pool blocks, so admission and preemption see roughly double the
     /// effective pool capacity for them.
     ///
     /// # Panics
     ///
-    /// Panics if the drafter reports [`DrafterKind::ModelDraft`] — the model
-    /// draft path runs through the scheduler's draft backend, not an
-    /// installed drafter.
+    /// Panics if the drafter reports [`DrafterKind::ModelDraft`] — model
+    /// drafting queries the scheduler's own draft model, not an installed
+    /// drafter.
     pub fn install_drafter(&mut self, drafter: Arc<dyn Drafter + Send + Sync>) {
         let kind = drafter.kind();
         assert!(
             kind != DrafterKind::ModelDraft,
-            "model drafting runs through the draft backend; install draft-free drafters only"
+            "model drafting queries the scheduler's draft model; install draft-free drafters only"
         );
         if let Some(slot) = self.drafters.iter_mut().find(|(k, _)| *k == kind) {
             slot.1 = drafter;
@@ -365,9 +401,9 @@ where
         &self.kv
     }
 
-    /// The draft model (behind its backend adapter).
+    /// The draft model.
     pub fn draft_model(&self) -> &D {
-        self.draft.model()
+        &self.draft
     }
 
     /// The target model (behind its in-flight backend).
@@ -384,11 +420,6 @@ where
                 panic!("the RPC worker owns the target model; only its profile crosses the wire")
             }
         }
-    }
-
-    /// The backend the per-session draft chains are submitted through.
-    pub fn draft_backend(&self) -> &SyncBackendAdapter<D> {
-        &self.draft
     }
 
     /// The backend the cross-session verification batches are submitted
@@ -497,7 +528,7 @@ where
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
-        let audio = self.binding.bind(utterance);
+        let audio = Arc::new(self.binding.bind(utterance));
         self.enqueue(QueuedRequest {
             id,
             policy,
@@ -601,7 +632,7 @@ where
             id,
             policy,
             drafter: DrafterKind::ModelDraft,
-            audio,
+            audio: Arc::new(audio),
             utterance_id: utterance.id(),
             audio_seconds,
             encoder_ms,
@@ -756,11 +787,11 @@ where
             return Vec::new();
         }
 
-        // Draft phase: every active session speculates its next round
-        // through the draft backend (each draft query is a single-probe
-        // `ForwardRequest` submit + complete).  The per-session draft device
-        // time is read off the session clock delta; sessions draft in
-        // parallel on the accelerator.
+        // Draft phase: every active session speculates its next round.
+        // Model-draft sessions query the draft model in place, each query
+        // counted as one draft step on the draft lane.  The per-session
+        // draft device time is read off the session clock delta; sessions
+        // draft in parallel on the accelerator.
         let tick_start = self.wall_ms;
         self.ticks_seen += 1;
         let tick = self.ticks_seen;
@@ -812,14 +843,20 @@ where
         for &index in &order {
             let session = &mut self.active[index];
             let before = session.decode.clock().breakdown().draft_ms;
-            // Model-draft sessions run their draft chains through the draft
-            // backend; draft-free sessions dispatch to the installed drafter
-            // (no backend batches, no draft latency charged — their `spent`
-            // stays 0.0 and the verify planner sorts them first).
+            // Model-draft sessions query the draft model; draft-free sessions
+            // dispatch to the installed drafter (no draft-lane queries, no
+            // draft latency charged — their `spent` stays 0.0 and the verify
+            // planner sorts them first).
             let round = match session.decode.drafter() {
-                DrafterKind::ModelDraft => session
-                    .decode
-                    .draft_round_via(&mut self.draft, ready[index]),
+                DrafterKind::ModelDraft => {
+                    let draft = CountedDraft {
+                        model: &self.draft,
+                        queries: AtomicUsize::new(0),
+                    };
+                    let round = session.decode.draft_round(&draft);
+                    draft.count_into(&mut self.draft_counters);
+                    round
+                }
                 kind => {
                     let drafter = self
                         .drafters
@@ -1101,10 +1138,9 @@ where
                 });
             }
         }
-        // Draft-lane device time lives in the scheduler's modeled timeline
-        // (the draft backend itself only counts batch traffic), so fold it
-        // into the draft counters before publishing the gauges.
-        let mut draft_counters = self.draft.counters();
+        // Draft-lane device time lives in the scheduler's modeled timeline,
+        // so fold it into the draft counters before publishing the gauges.
+        let mut draft_counters = self.draft_counters;
         draft_counters.device_busy_ms = self.draft_timeline.busy_ms();
         draft_counters.device_idle_ms = self.draft_timeline.idle_ms();
         let target_counters = self.target.counters();
@@ -1203,8 +1239,9 @@ where
     /// Delivers every due chunk into the parked streams and moves the ones
     /// that gained decodable audio back into the admission queue, carrying
     /// the new audio-horizon view as their decode context.  The view is
-    /// built once here: chunks reach parked streams only, so it cannot change
-    /// before the request is admitted.
+    /// built and wrapped once here: chunks reach parked streams only, so it
+    /// cannot change before the request is admitted, and admission and
+    /// preemption share it instead of copying it.
     fn release_due_streams(&mut self) {
         let wall = self.wall_ms;
         let mut index = 0;
@@ -1223,7 +1260,7 @@ where
             match view {
                 Some(view) => {
                     let mut request = self.waiting.remove(index);
-                    request.audio = view;
+                    request.audio = Arc::new(view);
                     self.queue.push_back(request);
                 }
                 None => index += 1,
@@ -2267,7 +2304,7 @@ mod tests {
             id: RequestId::new(0),
             policy: Policy::Autoregressive,
             drafter: DrafterKind::ModelDraft,
-            audio: scheduler.binding.bind(utterance),
+            audio: Arc::new(scheduler.binding.bind(utterance)),
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: 1.0,
@@ -2317,7 +2354,7 @@ mod tests {
         );
         assert!(
             backend.draft_requests() > 0,
-            "draft chains go through the backend"
+            "draft-model queries count on the draft lane"
         );
         assert!(backend.verify_requests() >= scheduler.stats().completed());
         assert!(

@@ -1,6 +1,8 @@
 //! Per-request serving state: the queued form before admission and the
 //! in-flight form wrapping a core [`DecodeSession`].
 
+use std::sync::Arc;
+
 use specasr::{DecodeSession, DrafterKind, Policy};
 use specasr_audio::{StreamChunk, UtteranceId};
 use specasr_models::UtteranceTokens;
@@ -82,8 +84,9 @@ pub(crate) struct QueuedRequest {
     pub drafter: DrafterKind,
     /// The decode context: the full utterance for offline requests, the
     /// current audio-horizon view for streaming requests (rebuilt once per
-    /// chunk delivery, when the stream re-enters the queue).
-    pub audio: UtteranceTokens,
+    /// chunk delivery, when the stream re-enters the queue).  Shared with
+    /// the decode session while the request is admitted.
+    pub audio: Arc<UtteranceTokens>,
     pub utterance_id: UtteranceId,
     pub audio_seconds: f64,
     pub encoder_ms: f64,
@@ -134,7 +137,7 @@ impl QueuedRequest {
         let started = DecodeSession::new(
             self.policy,
             self.drafter,
-            self.audio.clone(),
+            Arc::clone(&self.audio),
             committed,
             pool,
         );
@@ -216,7 +219,7 @@ impl ServerSession {
             id: self.id,
             policy: self.policy,
             drafter: self.drafter,
-            audio: self.decode.audio().clone(),
+            audio: Arc::clone(self.decode.audio()),
             utterance_id: self.utterance_id,
             audio_seconds: self.audio_seconds,
             encoder_ms: self.encoder_ms,

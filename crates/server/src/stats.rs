@@ -155,29 +155,25 @@ impl MemoryStats {
 
 /// Decoder-backend statistics of one scheduler (or, after
 /// [`ServerStats::merge`], of a fleet): how the scheduler's
-/// [`specasr_models::AsrBackend`] was driven.
+/// [`specasr_models::AsrBackend`] and its draft lane were driven.
 ///
 /// Verification is where cross-session batching lives, so the occupancy
 /// gauge is computed over verify batches only — per-session draft chains
-/// are inherently serial single-token requests and would wash the signal
+/// are inherently serial single-token steps and would wash the signal
 /// out.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BackendStats {
-    /// Summed counters of the draft and target backends, with
-    /// `peak_in_flight` normalised to the target backend's depth (the draft
-    /// adapter has no shared device timeline, so its "peak" is just the
-    /// number of steps stamped at the same instant — not a depth signal).
+    /// Summed counters of the draft lane and the target backend.  The
+    /// draft lane's queries run in place, one at a time, so it adds no
+    /// in-flight depth: `peak_in_flight` is the target backend's.
     counters: BackendCounters,
 }
 
 impl BackendStats {
-    /// Builds the gauge snapshot from the scheduler's two backend counters.
+    /// Builds the gauge snapshot from the scheduler's two lane counters.
     pub(crate) fn from_counters(draft: &BackendCounters, target: &BackendCounters) -> Self {
         let mut counters = *draft;
         counters.absorb(target);
-        // The verify backend owns the shared device timeline; its peak is
-        // the meaningful concurrent-request depth.
-        counters.peak_in_flight = target.peak_in_flight;
         BackendStats { counters }
     }
 

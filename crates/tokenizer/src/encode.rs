@@ -97,7 +97,9 @@ impl Tokenizer {
     /// `Result` return type exists for signature symmetry with
     /// [`Tokenizer::decode`] and future vocabulary-free configurations.
     pub fn encode(&self, text: &str) -> Result<Vec<TokenId>, TokenizeError> {
-        self.encode_impl(text, false)
+        let mut ids = Vec::new();
+        self.encode_impl(text, false, &mut String::new(), &mut ids)?;
+        Ok(ids)
     }
 
     /// Encodes `text`, returning an error on the first character that cannot
@@ -108,65 +110,100 @@ impl Tokenizer {
     /// Returns [`TokenizeError::UncoverableInput`] if a character has no
     /// covering piece (not even as a single character).
     pub fn encode_strict(&self, text: &str) -> Result<Vec<TokenId>, TokenizeError> {
-        self.encode_impl(text, true)
-    }
-
-    fn encode_impl(&self, text: &str, strict: bool) -> Result<Vec<TokenId>, TokenizeError> {
-        let text = if self.lowercase {
-            text.to_lowercase()
-        } else {
-            text.to_owned()
-        };
         let mut ids = Vec::new();
-        for word in text.split_whitespace() {
-            self.encode_word(word, strict, &mut ids)?;
-        }
+        self.encode_impl(text, true, &mut String::new(), &mut ids)?;
         Ok(ids)
     }
 
-    /// Encodes a single whitespace-free word using greedy longest match.
+    /// Appends the lenient encoding of `text` (see [`Tokenizer::encode`]) to
+    /// `out`, building each word's marked form in `scratch`.  A caller that
+    /// encodes many texts through the same two buffers stops allocating once
+    /// they have grown.
+    pub fn encode_into(&self, text: &str, scratch: &mut String, out: &mut Vec<TokenId>) {
+        self.encode_impl(text, false, scratch, out)
+            .expect("lenient encoding never fails");
+    }
+
+    /// Encodes every whitespace-separated word of `text` into `out`,
+    /// lowercased (unless case is preserved) and marked in `marked`.
+    fn encode_impl(
+        &self,
+        text: &str,
+        strict: bool,
+        marked: &mut String,
+        out: &mut Vec<TokenId>,
+    ) -> Result<(), TokenizeError> {
+        // Lowercasing maps no character to or from whitespace, so the words
+        // of the lowercased text are the lowercased words of the text.
+        for word in text.split_whitespace() {
+            marked.clear();
+            marked.push(WORD_BOUNDARY);
+            if !self.lowercase {
+                marked.push_str(word);
+            } else if word.contains('Σ') {
+                // Capital sigma is the one letter whose lowercase depends on
+                // its neighbours (word-final `ς`, else `σ`); whitespace never
+                // counts as one, so lowercasing the word alone agrees with
+                // lowercasing the whole text.
+                marked.push_str(&word.to_lowercase());
+            } else {
+                marked.extend(word.chars().flat_map(char::to_lowercase));
+            }
+            self.encode_word(marked, strict, out)?;
+        }
+        Ok(())
+    }
+
+    /// Encodes one marked word (the boundary marker, then the word) by
+    /// greedy longest match, trying each candidate as a slice of `marked`.
     fn encode_word(
         &self,
-        word: &str,
+        marked: &str,
         strict: bool,
         out: &mut Vec<TokenId>,
     ) -> Result<(), TokenizeError> {
-        // Work on the marked form: word-initial pieces carry the boundary marker.
-        let marked: Vec<char> = std::iter::once(WORD_BOUNDARY).chain(word.chars()).collect();
+        // `start` is a byte offset into `marked`, `position` the same point
+        // counted in characters.
         let mut start = 0;
+        let mut position = 0;
         while start < marked.len() {
-            // The boundary marker alone is not a piece; skip it if stranded.
-            let remaining = marked.len() - start;
+            let rest = &marked[start..];
+            // The longest candidate spans `max_piece_chars` characters; each
+            // miss drops its last character.
+            let mut end = rest
+                .char_indices()
+                .nth(self.max_piece_chars)
+                .map_or(rest.len(), |(at, _)| at);
             let mut matched: Option<(usize, TokenId)> = None;
-            let max_len = remaining.min(self.max_piece_chars);
-            for len in (1..=max_len).rev() {
-                let candidate: String = marked[start..start + len].iter().collect();
-                if let Some(id) = self.vocab.id_of(&candidate) {
-                    matched = Some((len, id));
+            while end > 0 {
+                let candidate = &rest[..end];
+                if let Some(id) = self.vocab.id_of(candidate) {
+                    matched = Some((end, id));
                     break;
                 }
+                end = candidate.char_indices().next_back().map_or(0, |(at, _)| at);
             }
             match matched {
                 Some((len, id)) => {
                     out.push(id);
+                    position += rest[..len].chars().count();
                     start += len;
                 }
                 None => {
-                    let ch = marked[start];
-                    if ch == WORD_BOUNDARY {
-                        // No word-initial piece matched; retry the word body
-                        // without the marker.
-                        start += 1;
-                        continue;
+                    let ch = rest.chars().next().expect("`start` is inside `marked`");
+                    // A marker no word-initial piece matched is skipped: the
+                    // word body is retried without it.
+                    if ch != WORD_BOUNDARY {
+                        if strict {
+                            return Err(TokenizeError::UncoverableInput {
+                                character: ch,
+                                offset: position.saturating_sub(1),
+                            });
+                        }
+                        out.push(self.unk());
                     }
-                    if strict {
-                        return Err(TokenizeError::UncoverableInput {
-                            character: ch,
-                            offset: start.saturating_sub(1),
-                        });
-                    }
-                    out.push(self.unk());
-                    start += 1;
+                    start += ch.len_utf8();
+                    position += 1;
                 }
             }
         }
@@ -324,6 +361,94 @@ mod proptests {
         proptest::collection::vec(word_strategy(), 1..12).prop_map(|words| words.join(" "))
     }
 
+    /// The encoder before it sliced one marked buffer: the whole text
+    /// lowercased at once, a `Vec<char>` per word and a `String` per
+    /// candidate.  The slicing encoder must reproduce it exactly.
+    fn reference_encode(
+        tok: &Tokenizer,
+        text: &str,
+        strict: bool,
+    ) -> Result<Vec<TokenId>, TokenizeError> {
+        let text = if tok.lowercase {
+            text.to_lowercase()
+        } else {
+            text.to_owned()
+        };
+        let mut ids = Vec::new();
+        for word in text.split_whitespace() {
+            let marked: Vec<char> = std::iter::once(WORD_BOUNDARY).chain(word.chars()).collect();
+            let mut start = 0;
+            while start < marked.len() {
+                let remaining = marked.len() - start;
+                let mut matched: Option<(usize, TokenId)> = None;
+                let max_len = remaining.min(tok.max_piece_chars);
+                for len in (1..=max_len).rev() {
+                    let candidate: String = marked[start..start + len].iter().collect();
+                    if let Some(id) = tok.vocab.id_of(&candidate) {
+                        matched = Some((len, id));
+                        break;
+                    }
+                }
+                match matched {
+                    Some((len, id)) => {
+                        ids.push(id);
+                        start += len;
+                    }
+                    None => {
+                        let ch = marked[start];
+                        if ch == WORD_BOUNDARY {
+                            start += 1;
+                            continue;
+                        }
+                        if strict {
+                            return Err(TokenizeError::UncoverableInput {
+                                character: ch,
+                                offset: start.saturating_sub(1),
+                            });
+                        }
+                        ids.push(tok.unk());
+                        start += 1;
+                    }
+                }
+            }
+        }
+        Ok(ids)
+    }
+
+    /// A vocabulary trained on multi-byte lowercase text.
+    fn multilingual_tokenizer() -> Tokenizer {
+        let vocab = VocabularyBuilder::new()
+            .target_size(300)
+            .min_pair_frequency(1)
+            .build_from_corpus([
+                "straße café naïve σοφία οδος σας ελληνικά zoë привет mañana",
+                "a b c é ß σ ς ø и ǆ ǉ i\u{307} ab ba aσ σa",
+            ]);
+        Tokenizer::new(vocab)
+    }
+
+    /// Characters the vocabulary covers as they are, covers only once
+    /// lowercased (capital sigma, titlecase digraphs, a capital that
+    /// lowercases to two characters), or cannot cover, plus case-ignorable
+    /// marks and the word-boundary marker itself.
+    const MIXED_CHARS: &str = "abcéßσςøиοABÉΣΟØИǅǈİẞ'\u{301}·.模😀\u{2581}";
+
+    /// Whitespace of several widths, one and two characters long.
+    const SEPARATORS: [&str; 4] = [" ", "\t", "\u{3000}", "\u{a0}\n"];
+
+    fn mixed_text_strategy() -> impl Strategy<Value = String> {
+        let word =
+            proptest::collection::vec(prop::sample::select(MIXED_CHARS.chars().collect()), 1..7)
+                .prop_map(|chars| chars.into_iter().collect::<String>());
+        let separator = prop::sample::select(SEPARATORS.to_vec());
+        proptest::collection::vec((separator, word), 0..6).prop_map(|words| {
+            words
+                .into_iter()
+                .map(|(gap, word)| gap.to_owned() + &word)
+                .collect()
+        })
+    }
+
     proptest! {
         /// Any sentence drawn from the training alphabet round-trips exactly.
         #[test]
@@ -337,6 +462,23 @@ mod proptests {
             let tok = Tokenizer::new(vocab);
             let ids = tok.encode(&sentence).expect("encode");
             prop_assert_eq!(tok.decode(&ids).expect("decode"), sentence);
+        }
+
+        /// Slicing the marked word gives the reference encoder's ids and
+        /// strict-mode errors, with and without lowercasing, and
+        /// `encode_into` appends exactly those ids.
+        #[test]
+        fn slicing_encoder_matches_the_reference(text in mixed_text_strategy()) {
+            let mut scratch = String::new();
+            for tok in [multilingual_tokenizer(), multilingual_tokenizer().preserve_case()] {
+                let reference =
+                    reference_encode(&tok, &text, false).expect("lenient encoding never fails");
+                prop_assert_eq!(tok.encode(&text), Ok(reference.clone()));
+                prop_assert_eq!(tok.encode_strict(&text), reference_encode(&tok, &text, true));
+                let mut appended = vec![tok.bos()];
+                tok.encode_into(&text, &mut scratch, &mut appended);
+                prop_assert_eq!(&appended[1..], reference.as_slice());
+            }
         }
 
         /// Encoding never produces ids outside the vocabulary.

@@ -1,4 +1,4 @@
-//! Heap allocations of one verify round on the serving path.
+//! Heap allocations of the serving path's draft and verify rounds.
 //!
 //! `DecodeSession::verify_request` plus `DecodeSession::verify_round_from` is
 //! what the scheduler runs for every session in every round.  Their
@@ -9,16 +9,26 @@
 //! per round, for short and long draft-free sequences and for every
 //! sparse-tree round over a corpus split.  It counts per thread, so tests
 //! running in parallel do not see each other's allocations.
+//!
+//! Drafting queries the draft model step after step.  A scheduler's draft
+//! loop sizes its buffers once per round, so between two consecutive
+//! draft-model queries it typically allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
-use specasr::{AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig};
-use specasr_audio::Split;
+use specasr::{
+    AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig,
+    SpeculativeConfig,
+};
+use specasr_audio::{EncoderProfile, Split};
 use specasr_models::{
-    AsrBackend, AsrDecoderModel, BackendBatch, SimulatedAsrModel, SyncBackendAdapter,
+    AsrBackend, AsrDecoderModel, BackendBatch, ModelProfile, SimulatedAsrModel, SyncBackendAdapter,
+    TokenLogits, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
+use specasr_server::{Scheduler, ServerConfig};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
 
@@ -80,12 +90,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// This thread's allocations so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
 /// Runs `f`, returning its result and the allocations it made on this
 /// thread.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     let result = f();
-    (result, ALLOCATIONS.with(Cell::get) - before)
+    (result, allocations() - before)
 }
 
 /// Drives `session` to completion through a backend, drafting each round
@@ -180,4 +195,76 @@ fn sparse_tree_rounds_allocate_the_same_whatever_the_tree() {
         widest >= 16,
         "the split drafts wide trees (widest {widest})"
     );
+}
+
+/// A draft model that stamps this thread's allocation count on entry to and
+/// exit from every query, into a buffer reserved up front.
+#[derive(Debug)]
+struct StampingDraft {
+    model: SimulatedAsrModel,
+    stamps: Mutex<Vec<(u64, u64)>>,
+}
+
+impl AsrDecoderModel for StampingDraft {
+    fn profile(&self) -> &ModelProfile {
+        self.model.profile()
+    }
+
+    fn next_logits(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
+        let entry = allocations();
+        let logits = self.model.next_logits(audio, prefix);
+        let exit = allocations();
+        let mut stamps = self.stamps.lock().expect("no query panicked");
+        assert!(
+            stamps.len() < stamps.capacity(),
+            "the stamp buffer must not grow while it is being read"
+        );
+        stamps.push((entry, exit));
+        logits
+    }
+}
+
+#[test]
+fn draft_loops_allocate_nothing_between_most_draft_queries() {
+    let setup = StandardSetup::new(31, 6);
+    for policy in [
+        Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+        Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+        Policy::Speculative(SpeculativeConfig::short_double_beam()),
+    ] {
+        let draft = StampingDraft {
+            model: setup.draft.clone(),
+            stamps: Mutex::new(Vec::with_capacity(1 << 16)),
+        };
+        let mut scheduler = Scheduler::new(
+            draft,
+            setup.target.clone(),
+            setup.binding.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            ServerConfig::default().with_max_batch(4),
+        );
+        for utterance in setup.corpus.split(Split::TestOther) {
+            scheduler.submit(policy, utterance).expect("queue has room");
+        }
+        scheduler.run_until_idle();
+        let stamps = scheduler
+            .draft_model()
+            .stamps
+            .lock()
+            .expect("no query panicked");
+        let mut gaps: Vec<u64> = stamps
+            .windows(2)
+            .map(|pair| pair[1].0 - pair[0].1)
+            .collect();
+        assert!(gaps.len() > 100, "{}: {} gaps", policy.name(), gaps.len());
+        gaps.sort_unstable();
+        let median = gaps[gaps.len() / 2];
+        assert!(
+            median <= 1,
+            "{}: median {median} allocations between draft queries (quartiles {} and {})",
+            policy.name(),
+            gaps[gaps.len() / 4],
+            gaps[gaps.len() * 3 / 4]
+        );
+    }
 }

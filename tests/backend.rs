@@ -44,10 +44,10 @@ fn start(policy: Policy, audio: UtteranceTokens, pool: &mut KvPool) -> DecodeSes
     DecodeSession::new(policy, DrafterKind::ModelDraft, audio, &[], pool).expect("pool has room")
 }
 
-/// Drives every session to completion through shared backends: drafts in a
-/// rotated per-round order, verification submitted as cross-session batches
-/// of `group_size`, completions drained with `poll` and committed in a
-/// shuffled order.  Finished sessions release their blocks into `pool`.
+/// Drives every session to completion through a shared target backend:
+/// drafts from the draft model in a rotated per-round order, verification
+/// submitted as cross-session batches of `group_size`, completions drained
+/// with `poll` and committed in a shuffled order.  Finished sessions release their blocks into `pool`.
 /// Returns the transcripts by session index.
 fn decode_all_via_backend(
     setup: &StandardSetup,
@@ -56,7 +56,6 @@ fn decode_all_via_backend(
     group_size: usize,
     order_seed: u64,
 ) -> Vec<(usize, Vec<specasr_tokenizer::TokenId>)> {
-    let mut draft_backend = SyncBackendAdapter::new(setup.draft.clone());
     let mut target_backend = SyncBackendAdapter::new(setup.target.clone());
     let target_profile = setup.target.profile().clone();
     let mut transcripts = Vec::new();
@@ -67,7 +66,7 @@ fn decode_all_via_backend(
         sessions.rotate_left(rotation);
         let mut drafted = Vec::with_capacity(sessions.len());
         for (_, session) in sessions.iter_mut() {
-            drafted.push(session.draft_round_via(&mut draft_backend, round as f64));
+            drafted.push(session.draft_round(&setup.draft));
         }
 
         // Verification: cross-session batches of `group_size`, submitted in

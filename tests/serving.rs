@@ -4,11 +4,17 @@
 //! constrained KV pool forces preemption), respect FIFO admission, and
 //! actually sustain concurrent in-flight sessions.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use specasr::{AdaptiveConfig, AsrPipeline, Policy, SparseTreeConfig, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split};
+use specasr_models::{
+    AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenLogits, UtteranceTokens,
+};
 use specasr_server::{AdmissionPolicy, PreemptPolicy, Scheduler, ServerConfig};
 use specasr_suite::StandardSetup;
+use specasr_tokenizer::TokenId;
 
 fn serving_policies() -> Vec<Policy> {
     vec![
@@ -390,6 +396,70 @@ proptest! {
             "pipelining lost to drain-per-tick: {} vs {}",
             wall,
             reference_wall
+        );
+    }
+}
+
+/// A draft model that counts every query made of it.
+#[derive(Debug)]
+struct CountingDraft {
+    model: SimulatedAsrModel,
+    queries: AtomicUsize,
+}
+
+impl AsrDecoderModel for CountingDraft {
+    fn profile(&self) -> &ModelProfile {
+        self.model.profile()
+    }
+
+    fn next_logits(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.model.next_logits(audio, prefix)
+    }
+}
+
+/// The draft lane counts each draft-model query as one single-probe
+/// draft-step batch: the published backend counters carry exactly the
+/// queries the draft model answered, for sequences, sparse trees and beam
+/// trees alike.
+#[test]
+fn draft_lane_counters_count_every_draft_model_query() {
+    let setup = StandardSetup::new(31, 6);
+    for policy in [
+        Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+        Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+        Policy::Speculative(SpeculativeConfig::short_double_beam()),
+    ] {
+        let draft = CountingDraft {
+            model: setup.draft.clone(),
+            queries: AtomicUsize::new(0),
+        };
+        let mut scheduler = Scheduler::new(
+            draft,
+            setup.target.clone(),
+            setup.binding.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            ServerConfig::default().with_max_batch(4),
+        );
+        for utterance in setup.corpus.split(Split::TestOther) {
+            scheduler.submit(policy, utterance).expect("queue has room");
+        }
+        scheduler.run_until_idle();
+        let queries = scheduler.draft_model().queries.load(Ordering::Relaxed);
+        let backend = scheduler.stats().backend();
+        assert!(queries > 0, "{} drafts from the model", policy.name());
+        assert_eq!(backend.draft_requests(), queries, "{}", policy.name());
+        assert_eq!(
+            backend.requests() - backend.verify_requests(),
+            queries,
+            "{}",
+            policy.name()
+        );
+        assert_eq!(
+            backend.batches() - backend.verify_batches(),
+            queries,
+            "{}",
+            policy.name()
         );
     }
 }
