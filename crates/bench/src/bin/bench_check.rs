@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! # default pairs (serve_load + serve_open_loop + serve_streaming +
-//! # serve_elastic), ±15% tolerance:
+//! # serve_elastic), exact up to a 1e-9 relative tolerance:
 //! cargo run -p specasr-bench --release --bin bench_check
 //!
 //! # explicit pairs and tolerance:
@@ -33,7 +33,7 @@ use std::process::ExitCode;
 
 use specasr_bench::experiments_dir;
 use specasr_bench::regression::{
-    breach_table, compare_records, Violation, DEFAULT_TOLERANCE, GATED_METRICS,
+    band, breach_table, compare_records, Violation, DEFAULT_TOLERANCE, GATED_METRICS,
 };
 use specasr_metrics::ExperimentRecord;
 use specasr_trace::{analyze_events, parse_jsonl, TraceAnalysis};
@@ -100,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: bench_check [--tolerance 0.15] [--attribution <dump.jsonl>]... \
+                    "usage: bench_check [--tolerance 1e-9] [--attribution <dump.jsonl>]... \
                      [<baseline.json> <fresh.json>]..."
                         .to_owned(),
                 )
@@ -170,9 +170,9 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "bench_check: gating {:?} at ±{:.0}%",
+        "bench_check: gating {:?} at {}",
         GATED_METRICS,
-        tolerance * 100.0
+        band(tolerance)
     );
 
     let mut failed = false;

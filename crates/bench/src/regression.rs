@@ -73,8 +73,32 @@ pub const GATED_METRICS: [&str; 11] = [
     "goodput_utps",
 ];
 
-/// Default relative tolerance band (±15%).
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
+/// Default relative tolerance: exact, up to floating-point noise.
+///
+/// Every gated metric is a modeled number and the sweeps regenerate bit for
+/// bit, so any drift is a behaviour change.  The `1e-9` band only absorbs
+/// last-digit libm differences between hosts.
+pub const DEFAULT_TOLERANCE: f64 = 1e-9;
+
+/// Renders a relative tolerance as a band: `±15.0%`, or `±1e-9` when the
+/// band is too narrow to read at one decimal of a percent.
+pub fn band(tolerance: f64) -> String {
+    if tolerance >= 5e-4 {
+        format!("\u{b1}{:.1}%", tolerance * 100.0)
+    } else {
+        format!("\u{b1}{tolerance:.0e}")
+    }
+}
+
+/// Renders a relative change as a signed percentage (`-20.0%`), or in
+/// scientific notation when it is too small to read at one decimal.
+fn signed_percent(relative: f64) -> String {
+    if relative.abs() >= 5e-4 {
+        format!("{:+.1}%", relative * 100.0)
+    } else {
+        format!("{relative:+.1e}")
+    }
+}
 
 /// One gated metric that drifted outside the tolerance band, or a row that
 /// disappeared from the fresh record.
@@ -124,9 +148,8 @@ impl std::fmt::Display for Violation {
                 relative,
             } => write!(
                 f,
-                "row `{label}` metric `{metric}` drifted {:+.1}% (baseline {baseline:.4}, \
-                 fresh {fresh:.4})",
-                relative * 100.0
+                "row `{label}` metric `{metric}` drifted {} (baseline {baseline}, fresh {fresh})",
+                signed_percent(*relative)
             ),
         }
     }
@@ -149,7 +172,9 @@ impl std::fmt::Display for Violation {
 ///     .with_row(ReportRow::new("a").with("throughput_utps", 10.0));
 /// let fresh = ExperimentRecord::new("x", "t")
 ///     .with_row(ReportRow::new("a").with("throughput_utps", 10.5));
-/// assert!(compare_records(&baseline, &fresh, DEFAULT_TOLERANCE).is_empty());
+/// // A 5% drift passes a ±10% band, but not the exact default.
+/// assert!(compare_records(&baseline, &fresh, 0.10).is_empty());
+/// assert_eq!(compare_records(&baseline, &fresh, DEFAULT_TOLERANCE).len(), 1);
 /// ```
 ///
 /// # Panics
@@ -209,9 +234,9 @@ pub fn compare_records(
 /// first metric that tripped.  `fresh_row` is `None` when the row vanished
 /// from the fresh record entirely.
 pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, tolerance: f64) -> String {
-    let allowed = format!("\u{b1}{:.1}%", tolerance * 100.0);
+    let allowed = band(tolerance);
     let mut lines = vec![format!(
-        "{:<26} {:>14} {:>14} {:>9} {:>9}  status",
+        "{:<26} {:>20} {:>20} {:>9} {:>9}  status",
         "metric", "baseline", "current", "delta", "allowed"
     )];
     for metric in GATED_METRICS {
@@ -220,7 +245,7 @@ pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, toleran
         };
         match fresh_row.and_then(|row| row.value(metric)) {
             None => lines.push(format!(
-                "{metric:<26} {base_value:>14.4} {:>14} {:>9} {allowed:>9}  MISSING",
+                "{metric:<26} {base_value:>20} {:>20} {:>9} {allowed:>9}  MISSING",
                 "-", "-"
             )),
             Some(fresh_value) => {
@@ -232,9 +257,8 @@ pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, toleran
                     "ok"
                 };
                 lines.push(format!(
-                    "{metric:<26} {base_value:>14.4} {fresh_value:>14.4} {:>+8.1}% {allowed:>9}  \
-                     {status}",
-                    relative * 100.0
+                    "{metric:<26} {base_value:>20} {fresh_value:>20} {:>9} {allowed:>9}  {status}",
+                    signed_percent(relative)
                 ));
             }
         }
@@ -245,6 +269,9 @@ pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, toleran
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A ±15% band: the within-band cases below drift by up to 14%.
+    const BAND: f64 = 0.15;
 
     fn record(throughput: f64, p99: f64) -> ExperimentRecord {
         ExperimentRecord::new("serve", "t").with_row(
@@ -266,20 +293,20 @@ mod tests {
         let base = record(20.0, 900.0);
         let mut fresh = record(20.0 * 1.14, 900.0 * 0.86);
         fresh.rows[0].values.insert("ungated_metric".into(), 0.0);
-        assert!(compare_records(&base, &fresh, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh, BAND).is_empty());
     }
 
     #[test]
     fn drift_beyond_tolerance_fails_in_both_directions() {
         let base = record(20.0, 900.0);
         let slow = record(20.0 * 0.8, 900.0);
-        let violations = compare_records(&base, &slow, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &slow, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("throughput_utps"));
         assert!(violations[0].to_string().contains("-20.0%"));
 
         let spiky = record(20.0, 900.0 * 1.3);
-        let violations = compare_records(&base, &spiky, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &spiky, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("e2e_p99_ms"));
     }
@@ -311,7 +338,7 @@ mod tests {
     fn breach_table_reports_every_gated_metric_with_verdicts() {
         let base = record(20.0, 900.0);
         let fresh = record(20.0 * 0.8, 900.0 * 1.05);
-        let table = breach_table(&base.rows[0], fresh.row("w1@q10"), DEFAULT_TOLERANCE);
+        let table = breach_table(&base.rows[0], fresh.row("w1@q10"), BAND);
         let lines: Vec<&str> = table.lines().collect();
         // Header + the two gated metrics the row carries; the ungated
         // metric never appears.
@@ -356,7 +383,7 @@ mod tests {
                 .with("peak_kv_blocks", 130.0)
                 .with("preemptions", 0.0),
         );
-        assert!(compare_records(&base, &fresh, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh, BAND).is_empty());
 
         // Peak occupancy drift beyond the band fails.
         let bloated = ExperimentRecord::new("serve", "t").with_row(
@@ -364,7 +391,7 @@ mod tests {
                 .with("peak_kv_blocks", 160.0)
                 .with("preemptions", 0.0),
         );
-        let violations = compare_records(&base, &bloated, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &bloated, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("peak_kv_blocks"));
 
@@ -375,7 +402,7 @@ mod tests {
                 .with("peak_kv_blocks", 120.0)
                 .with("preemptions", 1.0),
         );
-        let violations = compare_records(&base, &preempting, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &preempting, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("preemptions"));
     }
@@ -392,7 +419,7 @@ mod tests {
                 .with("first_partial_p99_ms", 430.0)
                 .with("retraction_rate", 0.11),
         );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh_ok, BAND).is_empty());
 
         // A commit rule that makes partials flickier fails the gate even
         // when latency holds.
@@ -401,7 +428,7 @@ mod tests {
                 .with("first_partial_p99_ms", 400.0)
                 .with("retraction_rate", 0.20),
         );
-        let violations = compare_records(&base, &flicky, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &flicky, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("retraction_rate"));
 
@@ -410,7 +437,7 @@ mod tests {
                 .with("first_partial_p99_ms", 600.0)
                 .with("retraction_rate", 0.10),
         );
-        let violations = compare_records(&base, &slow, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &slow, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("first_partial_p99_ms"));
     }
@@ -427,7 +454,7 @@ mod tests {
                 .with("throughput_utps", 25.0)
                 .with("backend_batch_occupancy", 7.5),
         );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh_ok, BAND).is_empty());
 
         // A scheduler that quietly stops batching verification across
         // sessions fails the gate even when throughput holds.
@@ -436,7 +463,7 @@ mod tests {
                 .with("throughput_utps", 25.0)
                 .with("backend_batch_occupancy", 1.0),
         );
-        let violations = compare_records(&base, &unbatched, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &unbatched, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]
             .to_string()
@@ -455,7 +482,7 @@ mod tests {
                 .with("throughput_utps", 25.0)
                 .with("rejected_draft_device_ms", 43.0),
         );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh_ok, BAND).is_empty());
 
         // A drafter change that burns more device time on rejected drafts
         // fails the gate even when throughput holds.
@@ -464,7 +491,7 @@ mod tests {
                 .with("throughput_utps", 25.0)
                 .with("rejected_draft_device_ms", 60.0),
         );
-        let violations = compare_records(&base, &wasteful, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &wasteful, BAND);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]
             .to_string()
@@ -485,7 +512,7 @@ mod tests {
                 .with("migrations", 8.0)
                 .with("goodput_utps", 54.0),
         );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
+        assert!(compare_records(&base, &fresh_ok, BAND).is_empty());
 
         // A drain that silently stops migrating live sessions fails the
         // gate even when throughput holds, and so does a scaling change
@@ -496,11 +523,26 @@ mod tests {
                 .with("migrations", 0.0)
                 .with("goodput_utps", 30.0),
         );
-        let violations = compare_records(&base, &degraded, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &degraded, BAND);
         assert_eq!(violations.len(), 2);
         let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         assert!(rendered.iter().any(|line| line.contains("migrations")));
         assert!(rendered.iter().any(|line| line.contains("goodput_utps")));
+    }
+
+    #[test]
+    fn the_default_tolerance_is_exact_up_to_float_noise() {
+        let base = record(20.0, 900.0);
+        let noisy = record(20.0 * (1.0 + 1e-12), 900.0);
+        assert!(compare_records(&base, &noisy, DEFAULT_TOLERANCE).is_empty());
+        let moved = record(20.0 * (1.0 + 1e-6), 900.0);
+        let violations = compare_records(&base, &moved, DEFAULT_TOLERANCE);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].to_string().contains("+1.0e-6"));
+        let table = breach_table(&base.rows[0], moved.row("w1@q10"), DEFAULT_TOLERANCE);
+        let line = table.lines().nth(1).expect("a throughput line");
+        assert!(line.contains("+1.0e-6") && line.contains("\u{b1}1e-9") && line.ends_with("DRIFT"));
+        assert_eq!(band(0.15), "\u{b1}15.0%");
     }
 
     #[test]

@@ -339,14 +339,12 @@ where
 
         let active = self.router.active_workers();
         let queue_pressure = self.router.queued() as f64 / active as f64;
+        // A class with no completions reads a P99 of 0, which never exceeds
+        // the (validated, positive) target.
         let p99_breach = self.config.e2e_p99_target_ms.is_some_and(|target| {
-            let stats = self.router.fleet_stats();
             [SloClass::Interactive, SloClass::Standard]
                 .iter()
-                .any(|&class| {
-                    let slo = stats.slo_class(class);
-                    slo.completed() > 0 && slo.e2e_p99_ms() > target
-                })
+                .any(|&class| self.router.slo_e2e_p99_ms(class) > target)
         });
 
         let breached = queue_pressure > self.config.queue_target || p99_breach;

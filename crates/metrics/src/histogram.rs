@@ -130,16 +130,47 @@ impl Histogram {
     /// Builds a histogram sized to cover `samples` exactly and records them
     /// all.  The range spans `[0, max]` (padded slightly so the maximum does
     /// not sit on the clamping edge), which is the shape latency samples
-    /// need.
+    /// need.  The one-slice case of [`Histogram::of_sample_sets`].
     ///
     /// # Panics
     ///
     /// Panics if `bins` is zero.
     pub fn of_samples(bins: usize, samples: &[f64]) -> Self {
-        let max = samples.iter().copied().fold(0.0f64, f64::max);
+        Histogram::of_sample_sets(bins, [samples])
+    }
+
+    /// Builds the histogram [`Histogram::of_samples`] would build over the
+    /// concatenation of `sets`, without concatenating them: one pass finds
+    /// the maximum, a second records every sample.
+    ///
+    /// Neither the range nor the bin counts depend on the order of the
+    /// samples, so [`Histogram::percentile`] reads the same as over the
+    /// pooled samples, bit for bit.  (The sum is added in `sets` order.)
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use specasr_metrics::Histogram;
+    ///
+    /// let pooled = Histogram::of_samples(64, &[10.0, 20.0, 500.0]);
+    /// let sets = Histogram::of_sample_sets(64, [&[500.0][..], &[10.0, 20.0]]);
+    /// assert_eq!(sets.bin_counts(), pooled.bin_counts());
+    /// assert_eq!(sets.percentile(0.99), pooled.percentile(0.99));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` is zero.
+    pub fn of_sample_sets<'a, I>(bins: usize, sets: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: Clone,
+    {
+        let sets = sets.into_iter();
+        let max = sets.clone().flatten().copied().fold(0.0f64, f64::max);
         let hi = if max > 0.0 { max * 1.0001 } else { 1.0 };
         let mut histogram = Histogram::new(0.0, hi, bins);
-        histogram.record_all(samples.iter().copied());
+        histogram.record_all(sets.flatten().copied());
         histogram
     }
 
@@ -303,6 +334,29 @@ mod tests {
         // at the upper edge of the maximum's.
         assert!(h.percentile(0.0) <= 1.0);
         assert!(h.percentile(1.0) >= 100.0);
+    }
+
+    #[test]
+    fn sample_sets_bin_like_their_pooled_samples_in_any_order() {
+        let a = [3.0, 250.0, 17.5];
+        let b = [0.0, 999.25];
+        let c = [42.0, 42.0, 610.0, 1.0];
+        let pooled: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
+        let reference = Histogram::of_samples(512, &pooled);
+        let orders: [[&[f64]; 4]; 3] = [[&a, &b, &c, &[]], [&c, &[], &a, &b], [&[], &b, &c, &a]];
+        for sets in orders {
+            let binned = Histogram::of_sample_sets(512, sets);
+            assert_eq!(binned.bin_counts(), reference.bin_counts());
+            assert_eq!(binned.bin_range(511), reference.bin_range(511));
+            for quantile in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(
+                    binned.percentile(quantile).to_bits(),
+                    reference.percentile(quantile).to_bits()
+                );
+            }
+        }
+        let empty = Histogram::of_sample_sets(8, [&[][..], &[]]);
+        assert_eq!(empty, Histogram::of_samples(8, &[]));
     }
 
     #[test]

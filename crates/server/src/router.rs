@@ -29,10 +29,10 @@ use specasr_metrics::Histogram;
 use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
-use crate::request::{RequestId, RequestOutcome, SubmitError};
+use crate::request::{RequestId, RequestOutcome, SloClass, SubmitError};
 use crate::scheduler::Scheduler;
 use crate::session::QueuedRequest;
-use crate::stats::ServerStats;
+use crate::stats::{ServerStats, SloClassStats};
 use crate::worker::{Worker, WorkerId, WorkerState};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
 
@@ -685,6 +685,18 @@ where
             merged.merge(worker.stats());
         }
         merged
+    }
+
+    /// P99 of one SLO class's end-to-end latency across the fleet, reaped
+    /// workers included.  Every worker's samples are binned in place into
+    /// one histogram, so this reads
+    /// `self.fleet_stats().slo_class(class).e2e_p99_ms()` bit for bit
+    /// without merging the fleet's statistics.
+    pub fn slo_e2e_p99_ms(&self, class: SloClass) -> f64 {
+        let parts = std::iter::once(&self.retired_stats)
+            .chain(self.workers.iter().map(Worker::stats))
+            .map(|stats| stats.slo_class(class));
+        SloClassStats::pooled_e2e_histogram(parts).percentile(0.99)
     }
 
     /// Fleet-wide end-to-end latency histogram, built by merging the

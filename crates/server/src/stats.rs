@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use specasr::DecodeStats;
 use specasr_metrics::Histogram;
 use specasr_models::BackendCounters;
 use specasr_trace::MetricsRegistry;
@@ -413,6 +412,14 @@ impl SloClassStats {
         Histogram::of_samples(LATENCY_BINS, &self.e2e_samples)
     }
 
+    /// The end-to-end histogram of `parts` merged (see
+    /// [`ServerStats::merge`]), binned from each part's samples in place.
+    pub(crate) fn pooled_e2e_histogram<'a>(
+        parts: impl Iterator<Item = &'a SloClassStats> + Clone,
+    ) -> Histogram {
+        Histogram::of_sample_sets(LATENCY_BINS, parts.map(|part| part.e2e_samples.as_slice()))
+    }
+
     /// Histogram of this class's time-to-first-token latency (ms).
     pub fn ttft_histogram(&self) -> Histogram {
         Histogram::of_samples(LATENCY_BINS, &self.ttft_samples)
@@ -445,6 +452,14 @@ impl SloClassStats {
 ///
 /// Populated incrementally by the scheduler; latency percentiles are read
 /// through [`specasr_metrics::Histogram`] built over the recorded samples.
+///
+/// Memory: everything is a counter, except the latency samples.  A
+/// completed request adds five `f64` samples (end-to-end, time to first
+/// token and queue wait, plus its SLO class's end-to-end and time to first
+/// token), a completed stream one more (its first-partial latency), and
+/// each streaming partial one (its span).  No per-round history is kept:
+/// the draft-token acceptance is two counters, and the per-`(policy,
+/// drafter)` speculation groups are one entry per combination that ran.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
     completed: usize,
@@ -466,7 +481,8 @@ pub struct ServerStats {
     peak_in_flight: usize,
     total_tokens: usize,
     total_audio_seconds: f64,
-    decode: DecodeStats,
+    predicted_tokens: usize,
+    accepted_tokens: usize,
     speculation: BTreeMap<(String, String), SpeculationGroupStats>,
     e2e_samples: Vec<f64>,
     ttft_samples: Vec<f64>,
@@ -495,7 +511,8 @@ impl ServerStats {
         self.completed += 1;
         self.total_tokens += outcome.token_count();
         self.total_audio_seconds += outcome.audio_seconds;
-        self.decode.merge(&outcome.outcome.stats);
+        self.predicted_tokens += outcome.outcome.stats.predicted_tokens;
+        self.accepted_tokens += outcome.outcome.stats.accepted_tokens;
         self.e2e_samples.push(outcome.latency.e2e_ms());
         self.ttft_samples
             .push(outcome.latency.time_to_first_token_ms);
@@ -659,7 +676,8 @@ impl ServerStats {
         self.peak_in_flight += other.peak_in_flight;
         self.total_tokens += other.total_tokens;
         self.total_audio_seconds += other.total_audio_seconds;
-        self.decode.merge(&other.decode);
+        self.predicted_tokens += other.predicted_tokens;
+        self.accepted_tokens += other.accepted_tokens;
         for (key, group) in &other.speculation {
             self.speculation
                 .entry(key.clone())
@@ -795,11 +813,6 @@ impl ServerStats {
         self.total_audio_seconds
     }
 
-    /// Pooled decode statistics across completed requests.
-    pub fn decode_stats(&self) -> &DecodeStats {
-        &self.decode
-    }
-
     /// Completed utterances per simulated wall-clock second.
     pub fn utterances_per_second(&self) -> f64 {
         per_second(self.completed as f64, self.wall_ms)
@@ -810,9 +823,14 @@ impl ServerStats {
         per_second(self.total_tokens as f64, self.wall_ms)
     }
 
-    /// Mean draft-token acceptance ratio across completed requests.
+    /// Mean draft-token acceptance ratio across completed requests
+    /// (accepted / predicted draft tokens; 0.0 before anything drafted).
     pub fn mean_acceptance(&self) -> f64 {
-        self.decode.acceptance_ratio()
+        if self.predicted_tokens == 0 {
+            0.0
+        } else {
+            self.accepted_tokens as f64 / self.predicted_tokens as f64
+        }
     }
 
     /// Per `(policy, drafter)` speculation-efficiency groups, label-ordered.
@@ -1246,6 +1264,19 @@ mod tests {
         assert_eq!(a.peak_in_flight(), 5);
         assert_eq!(a.e2e_histogram().count(), 3);
         assert!(a.e2e_p99_ms() > 400.0);
+    }
+
+    #[test]
+    fn acceptance_counters_merge_by_summing() {
+        let mut a = ServerStats::new();
+        assert_eq!(a.mean_acceptance(), 0.0);
+        a.predicted_tokens = 10;
+        a.accepted_tokens = 9;
+        let mut b = ServerStats::new();
+        b.predicted_tokens = 30;
+        b.accepted_tokens = 11;
+        a.merge(&b);
+        assert_eq!(a.mean_acceptance(), 0.5);
     }
 
     #[test]

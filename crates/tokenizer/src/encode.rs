@@ -427,6 +427,27 @@ mod proptests {
         Tokenizer::new(vocab)
     }
 
+    #[test]
+    fn strict_errors_locate_the_character_by_char_index_within_its_word() {
+        // `é` and `ñ` take two bytes each: the uncoverable `模` is character
+        // 5 of `caféñ模` but starts at byte 7, and the index restarts with
+        // every word.
+        let tok = multilingual_tokenizer();
+        for (text, offset) in [("caféñ模", 5), ("café ñé模a", 2)] {
+            let err = tok.encode_strict(text).expect_err("`模` is uncoverable");
+            assert_eq!(
+                err,
+                TokenizeError::UncoverableInput {
+                    character: '模',
+                    offset,
+                }
+            );
+            assert!(err
+                .to_string()
+                .contains(&format!("char index {offset} within its word")));
+        }
+    }
+
     /// Characters the vocabulary covers as they are, covers only once
     /// lowercased (capital sigma, titlecase digraphs, a capital that
     /// lowercases to two characters), or cannot cover, plus case-ignorable

@@ -22,7 +22,9 @@ pub enum TokenizeError {
     UncoverableInput {
         /// The character that could not be encoded.
         character: char,
-        /// Byte offset of the character within the input string.
+        /// Index of the character within its whitespace-separated word,
+        /// counted in characters (of the lowercased word, when the
+        /// tokenizer lowercases).
         offset: usize,
     },
     /// A token id outside the vocabulary was passed to `decode`.
@@ -37,7 +39,7 @@ impl fmt::Display for TokenizeError {
         match self {
             TokenizeError::UncoverableInput { character, offset } => write!(
                 f,
-                "character {character:?} at byte offset {offset} is not covered by the vocabulary"
+                "character {character:?} at char index {offset} within its word is not covered by the vocabulary"
             ),
             TokenizeError::UnknownTokenId { id } => {
                 write!(
@@ -62,7 +64,7 @@ mod tests {
             character: 'ß',
             offset: 3,
         };
-        assert!(e1.to_string().contains("offset 3"));
+        assert!(e1.to_string().contains("char index 3 within its word"));
         let e2 = TokenizeError::UnknownTokenId {
             id: TokenId::new(5),
         };

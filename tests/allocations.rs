@@ -13,6 +13,11 @@
 //! Drafting queries the draft model step after step.  A scheduler's draft
 //! loop sizes its buffers once per round, so between two consecutive
 //! draft-model queries it typically allocates nothing.
+//!
+//! The allocator also tracks this thread's live bytes and bytes allocated.
+//! A scheduler keeps a few latency samples per request it has served, and
+//! no per-round history; an idle fleet-controller evaluation allocates the
+//! same whatever the fleet has served.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,13 +27,14 @@ use specasr::{
     AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig,
     SpeculativeConfig,
 };
-use specasr_audio::{EncoderProfile, Split};
+use specasr_audio::{EncoderProfile, Split, Utterance};
+use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{
     AsrBackend, AsrDecoderModel, BackendBatch, ModelProfile, SimulatedAsrModel, SyncBackendAdapter,
     TokenLogits, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
-use specasr_server::{Scheduler, ServerConfig};
+use specasr_server::{Router, RouterConfig, Scheduler, ServerConfig, SloClass};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
 
@@ -44,16 +50,45 @@ fn serving_pool() -> KvPool {
     KvPool::bounded(4096, 16)
 }
 
+/// This thread's allocation tally.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// Allocations and reallocations made.
+    allocations: u64,
+    /// Bytes requested by those calls (a reallocation requests its new
+    /// size).
+    allocated_bytes: u64,
+    /// Bytes allocated minus bytes freed, by layout size.  Memory another
+    /// thread allocated and this one freed counts negative.
+    live_bytes: i64,
+}
+
 thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            allocations: 0,
+            allocated_bytes: 0,
+            live_bytes: 0,
+        })
+    };
 }
 
-fn count() {
-    // A thread being torn down may have no counter left; nothing to count.
-    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+/// Counts one call that requests `requested` bytes (zero for a free) and
+/// changes this thread's live bytes by `live_delta`.
+fn count(requested: usize, live_delta: i64) {
+    // A thread being torn down may have no tally left; nothing to count.
+    let _ = TALLY.try_with(|tally| {
+        let mut next = tally.get();
+        if requested > 0 {
+            next.allocations += 1;
+            next.allocated_bytes += requested as u64;
+        }
+        next.live_bytes += live_delta;
+        tally.set(next);
+    });
 }
 
-/// The system allocator, counting allocations per thread.
+/// The system allocator, tallying allocations per thread.
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -61,25 +96,26 @@ struct CountingAlloc;
 // initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), layout.size() as i64);
         // SAFETY: the caller guarantees `layout` has a non-zero size.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), layout.size() as i64);
         // SAFETY: the caller guarantees `layout` has a non-zero size.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator (hence from `System`) with
         // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator with `layout`, and
         // `new_size` is non-zero and does not overflow, as the caller
         // guarantees.
@@ -92,7 +128,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// This thread's allocations so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+    TALLY.with(Cell::get).allocations
+}
+
+/// Bytes this thread has requested so far.
+fn allocated_bytes() -> u64 {
+    TALLY.with(Cell::get).allocated_bytes
+}
+
+/// Bytes this thread holds now (allocated minus freed).
+fn live_bytes() -> i64 {
+    TALLY.with(Cell::get).live_bytes
 }
 
 /// Runs `f`, returning its result and the allocations it made on this
@@ -267,4 +313,122 @@ fn draft_loops_allocate_nothing_between_most_draft_queries() {
             gaps[gaps.len() * 3 / 4]
         );
     }
+}
+
+/// Every split of the corpus, in order: the request mix the serving tests
+/// cycle through.
+fn corpus_pool(setup: &StandardSetup) -> Vec<&Utterance> {
+    Split::ALL
+        .iter()
+        .flat_map(|&split| setup.corpus.split(split))
+        .collect()
+}
+
+/// Most bytes a scheduler may keep per extra request served: five `f64`
+/// latency samples and the slack of the vectors holding them.
+const RETAINED_BYTES_PER_REQUEST: f64 = 64.0;
+
+#[test]
+fn a_scheduler_retains_no_per_round_history() {
+    let setup = StandardSetup::new(31, 6);
+    let pool = corpus_pool(&setup);
+    for policy in [
+        Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+        Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+    ] {
+        let mut scheduler = Scheduler::new(
+            setup.draft.clone(),
+            setup.target.clone(),
+            setup.binding.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            ServerConfig::default(),
+        );
+        let mut served = 0;
+        let mut held = Vec::new();
+        for milestone in [256, 1024] {
+            while served < milestone {
+                for index in served..served + 16 {
+                    scheduler
+                        .submit(policy, pool[index % pool.len()])
+                        .expect("queue has room");
+                }
+                let outcomes = scheduler.run_until_idle();
+                assert_eq!(outcomes.len(), 16);
+                served += 16;
+            }
+            held.push(live_bytes());
+        }
+        let rounds = scheduler
+            .stats()
+            .speculation_groups()
+            .values()
+            .map(|group| group.rounds())
+            .sum::<usize>();
+        assert!(
+            rounds > 2 * 1024,
+            "{}: {rounds} rounds over 1024 requests",
+            policy.name()
+        );
+        let per_request = (held[1] - held[0]) as f64 / (1024 - 256) as f64;
+        assert!(
+            per_request <= RETAINED_BYTES_PER_REQUEST,
+            "{}: the scheduler kept {per_request:.1} bytes per extra request served",
+            policy.name()
+        );
+    }
+}
+
+#[test]
+fn idle_controller_evaluations_allocate_the_same_at_any_history_length() {
+    let setup = StandardSetup::new(31, 6);
+    let pool = corpus_pool(&setup);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let make = |_| (setup.draft.clone(), setup.target.clone());
+    let router = Router::new(
+        RouterConfig::default().with_workers(1),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        make,
+    );
+    let config = FleetConfig::default()
+        .with_worker_bounds(1, 1)
+        .with_e2e_p99_target_ms(Some(1_000.0));
+    let every_ms = config.evaluate_every_ms;
+    let mut fleet = FleetController::new(router, config, make);
+    let mut submitted = 0;
+    let mut completed = 0;
+    let mut per_evaluation = Vec::new();
+    for milestone in [64, 512] {
+        while completed < milestone {
+            for _ in 0..8 {
+                let budget = if submitted % 2 == 0 { 500.0 } else { 2_000.0 };
+                fleet
+                    .submit_with_budget(policy, pool[submitted % pool.len()], Some(budget))
+                    .expect("queue has room");
+                submitted += 1;
+            }
+            completed += fleet.run_until_idle().len();
+        }
+        let stats = fleet.router().fleet_stats();
+        for class in [SloClass::Interactive, SloClass::Standard] {
+            assert!(stats.slo_class(class).completed() > 0, "{class} served");
+        }
+        let evaluations = fleet.counters().evaluations;
+        let start_ms = fleet.router().now_ms();
+        let before = allocated_bytes();
+        let outcomes = fleet.advance_to(start_ms + 20.0 * every_ms);
+        let bytes = allocated_bytes() - before;
+        assert!(outcomes.is_empty());
+        assert_eq!(fleet.counters().evaluations - evaluations, 20);
+        per_evaluation.push(bytes / 20);
+    }
+    assert_eq!(
+        per_evaluation[0], per_evaluation[1],
+        "bytes per idle evaluation after 64 and after 512 requests"
+    );
+    assert!(
+        per_evaluation[0] <= 16 * 1024,
+        "an idle evaluation allocated {} bytes",
+        per_evaluation[0]
+    );
 }

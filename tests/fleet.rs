@@ -629,3 +629,85 @@ fn fleet_metrics_reconcile_exactly_with_controller_counters() {
         counters.sessions_migrated
     );
 }
+
+/// The fleet controller reads each SLO class's P99 in place, through
+/// `Router::slo_e2e_p99_ms`, instead of merging the fleet's statistics.  The
+/// read must equal the merged statistics' P99 bit for bit for every class,
+/// while the fleet scales up, drains, and after it reaps a worker whose
+/// samples now live in the router's retired aggregate.
+#[test]
+fn in_place_slo_p99_equals_the_merged_fleet_stats_bit_for_bit() {
+    fn assert_p99s_match(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) {
+        let merged = router.fleet_stats();
+        for class in SloClass::ALL {
+            assert_eq!(
+                router.slo_e2e_p99_ms(class).to_bits(),
+                merged.slo_class(class).e2e_p99_ms().to_bits(),
+                "{class} P99 at {:.0} ms",
+                router.now_ms()
+            );
+        }
+    }
+
+    let setup = StandardSetup::new(408, 8);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let pool = corpus_pool(&setup);
+    const BUDGETS: [Option<f64>; 4] = [Some(500.0), Some(2_000.0), Some(8_000.0), None];
+    let config = FleetConfig::default()
+        .with_worker_bounds(1, 3)
+        .with_evaluate_every_ms(50.0)
+        .with_hysteresis(1, 2)
+        .with_queue_target(2.0)
+        .with_e2e_p99_target_ms(Some(1_000.0));
+    let router = router_for(
+        &setup,
+        RouterConfig::default()
+            .with_workers(1)
+            .with_worker_config(ServerConfig::default().with_queue_depth(256)),
+    );
+    let mut fleet = FleetController::new(router, config, |_| {
+        (setup.draft.clone(), setup.target.clone())
+    });
+    for index in 0..48 {
+        fleet
+            .submit_with_budget(policy, pool[index % pool.len()], BUDGETS[index % 4])
+            .expect("queues are deep");
+    }
+    let mut now_ms = fleet.router().now_ms();
+    while !fleet.router().is_idle() {
+        now_ms += 100.0;
+        fleet.advance_to(now_ms);
+        assert_p99s_match(fleet.router());
+    }
+    // A quiet tail: sustained headroom drains the added workers, and the
+    // next evaluations reap them.
+    fleet.advance_to(now_ms + 2_000.0);
+    assert_p99s_match(fleet.router());
+
+    let counters = fleet.counters();
+    assert!(
+        counters.scale_ups > 0,
+        "the burst must scale up: {counters:?}"
+    );
+    assert!(
+        counters.workers_removed > 0,
+        "the tail must reap a worker: {counters:?}"
+    );
+    let merged = fleet.router().fleet_stats();
+    let live: usize = fleet
+        .router()
+        .workers()
+        .iter()
+        .map(|worker| worker.stats().completed())
+        .sum();
+    assert!(
+        live < merged.completed(),
+        "reaped workers served requests: {live} of {}",
+        merged.completed()
+    );
+    let served_classes = SloClass::ALL
+        .iter()
+        .filter(|&&class| merged.slo_class(class).completed() > 0)
+        .count();
+    assert!(served_classes >= 3, "{served_classes} classes served");
+}
