@@ -77,7 +77,7 @@ const DRAFTER_CONCURRENCY: usize = 8;
 /// In-flight window every cell serves under (`max_in_flight_waves`): deep
 /// enough that the next round's drafts and verify waves submit while the
 /// previous tick's waves drain, which is where the c≥8 throughput comes
-/// from.  Transcripts are byte-identical to drain-per-tick at any depth.
+/// from.  Transcripts are byte-identical to a one-wave window at any depth.
 const PIPELINE_DEPTH: usize = 4;
 
 /// Draft-free drafter kinds compared against the model-draft baseline.

@@ -102,7 +102,7 @@ fn budget_of(slo: SloClass) -> f64 {
 
 /// In-flight window every cell serves under (`max_in_flight_waves`):
 /// submit-ahead/complete-behind across tick boundaries, byte-identical
-/// transcripts to drain-per-tick.
+/// transcripts to a one-wave window.
 const PIPELINE_DEPTH: usize = 4;
 
 fn admissions() -> Vec<(&'static str, AdmissionPolicy)> {

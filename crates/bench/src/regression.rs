@@ -37,7 +37,7 @@ use specasr_metrics::{ExperimentRecord, ReportRow};
 /// the peak number of forward requests simultaneously outstanding on the
 /// target backend (by modeled timestamp overlap).  A collapse back toward
 /// the batch width means waves stopped overlapping across tick boundaries —
-/// the scheduler silently fell back to drain-per-tick and the device
+/// the scheduler silently fell back to one wave in flight and the device
 /// timeline has idle gaps again.
 ///
 /// `rejected_draft_device_ms` gates speculation efficiency: the device

@@ -1007,9 +1007,9 @@ mod tests {
 
     #[test]
     fn backend_stepping_matches_blocking_decode_exactly() {
-        use specasr_models::{AsrBackend, BackendBatch, SyncBackendAdapter};
+        use specasr_models::{AsrBackend, BackendBatch, InFlightSimBackend};
         let (draft, target, audio) = setup(Split::TestClean);
-        let mut target_backend = SyncBackendAdapter::new(&target);
+        let mut target_backend = InFlightSimBackend::new(&target).with_lanes(0);
         let mut pool = KvPool::bounded(2048, 16);
         for policy in all_policies() {
             for utt in &audio {
@@ -1097,7 +1097,7 @@ mod tests {
 
     #[test]
     fn hand_built_trees_verify_alike_from_the_model_and_from_a_completion() {
-        use specasr_models::{AsrBackend, BackendBatch, SyncBackendAdapter};
+        use specasr_models::{AsrBackend, BackendBatch, InFlightSimBackend};
         let (_draft, target, audio) = setup(Split::TestClean);
         let utt = audio
             .iter()
@@ -1141,7 +1141,7 @@ mod tests {
             tree_round(&[], Some(vec![g(2), g(3), wrong])),
         ];
         let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
-        let mut backend = SyncBackendAdapter::new(&target);
+        let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
         for drafted in rounds {
             let RoundPlan::Tree {
                 tree, trunk_tokens, ..
@@ -1206,7 +1206,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one scored distribution per verification probe")]
     fn mismatched_verify_results_panic() {
-        use specasr_models::{ForwardKind, ForwardResult, Ticket};
+        use specasr_models::{ForwardResult, Ticket};
         let (draft, target, audio) = setup(Split::DevOther);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
         let mut pool = KvPool::unbounded(16);
@@ -1214,7 +1214,6 @@ mod tests {
         let drafted = session.draft_round(&draft);
         let bogus = ForwardResult {
             ticket: Ticket::new(0),
-            kind: ForwardKind::Verify,
             logits: Vec::new(),
             submitted_ms: 0.0,
             started_ms: 0.0,

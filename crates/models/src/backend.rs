@@ -8,13 +8,12 @@
 //! completion-queue redesign of that boundary:
 //!
 //! 1. callers build a [`BackendBatch`] of [`ForwardRequest`]s — each request
-//!    is one forward pass: an audio context, a shared generated prefix, and
-//!    the *probe extensions* whose next-token distributions the pass must
-//!    score, as one flat [`Probes`] set (a single-token draft step probes one
-//!    position; verifying a whole drafted sequence or token tree probes every
-//!    distinct draft position in the same pass, which is exactly how
-//!    speculative verification runs on real hardware, and the caller reads
-//!    each position's distribution back by its probe index);
+//!    is one verification pass: an audio context, a shared generated prefix,
+//!    and the *probe extensions* whose next-token distributions the pass
+//!    must score, as one flat [`Probes`] set (every distinct draft position
+//!    of a drafted sequence or token tree, scored in the same pass, which is
+//!    exactly how speculative verification runs on real hardware; the caller
+//!    reads each position's distribution back by its probe index);
 //! 2. [`AsrBackend::submit`] enqueues the batch at a caller-supplied wall
 //!    time and returns one [`Ticket`] per request;
 //! 3. [`AsrBackend::poll`] / [`AsrBackend::complete`] drain the completion
@@ -26,29 +25,23 @@
 //! GPU-RPC backend later (tickets become RPC handles, `poll` becomes a
 //! completion-queue read).
 //!
-//! Two simulated backends are provided:
-//!
-//! * [`SyncBackendAdapter`] — the blanket adapter preserving every existing
-//!   [`AsrDecoderModel`]: results are computed at submit time and complete
-//!   after one forward-pass-priced service interval.  Batches are priced as
-//!   grouped passes (base cost once, per-token cost for every request), and
-//!   concurrent submissions overlap freely — the model for a pool of
-//!   identical accelerators.
-//! * [`InFlightSimBackend`] — adds a *device timeline*: batches execute
-//!   serially on one device, a batch submitted while another is executing
-//!   queues behind it, and every batch pays a dispatch overhead.  Submitting
-//!   work early therefore overlaps its service time with whatever the caller
-//!   does next, which is how scheduler-level draft/verify overlap becomes
-//!   visible in measured wall-clock.
+//! [`InFlightSimBackend`] is the simulated backend: it lifts any
+//! [`AsrDecoderModel`] into this API on a *device timeline* — batches
+//! execute on a pool of lanes (one by default, so a batch submitted while
+//! another is executing queues behind it), and every batch pays a dispatch
+//! overhead.  Submitting work early therefore overlaps its service time with
+//! whatever the caller does next, which is how scheduler-level draft/verify
+//! overlap becomes visible in measured wall-clock.  With
+//! [`InFlightSimBackend::with_lanes`]`(0)` the pool is unbounded and every
+//! batch completes one grouped-pass interval after submission.
 //!
 //! Only verification goes through a backend.  Draft loops are inherently
 //! sequential (each step depends on the previous token, so there is nothing
 //! to batch within a session): the serving scheduler queries its draft model
 //! directly, models the draft lane's device time on a timeline of its own,
-//! and counts every draft-model query as one single-probe
-//! [`ForwardKind::DraftStep`] request in the draft lane's
-//! [`BackendCounters`].  Sessions drafted by a draft-free drafter
-//! (CTC-encoder collapse or token-map lookup — see the core crate's
+//! and counts every draft-model query as one single-probe draft request in
+//! the draft lane's [`BackendCounters`].  Sessions drafted by a draft-free
+//! drafter (CTC-encoder collapse or token-map lookup — see the core crate's
 //! `Drafter` trait) make *no* draft-model queries at all, and their rounds
 //! appear on the verify lane only.  The per-lane request counters on the
 //! backend stats exist precisely so that capacity shift is measurable.
@@ -64,19 +57,7 @@ use crate::probes::Probes;
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 
-/// What a [`ForwardRequest`] is for, used for backend accounting (draft
-/// steps are serial per session; verify requests are the cross-session
-/// batching opportunity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ForwardKind {
-    /// One draft-model step: score the single position after the prefix.
-    DraftStep,
-    /// One verification pass: score every position of a drafted sequence or
-    /// token tree in parallel.
-    Verify,
-}
-
-/// One forward pass a backend must run: the audio context, the shared
+/// One verification pass a backend must run: the audio context, the shared
 /// generated prefix, and the probe extensions to score.
 ///
 /// Each probe is a token extension of `prefix`; the backend returns the
@@ -84,8 +65,8 @@ pub enum ForwardKind {
 /// probe, in probe order, so result `i` answers probe `i`.  The empty probe
 /// scores the position directly after the prefix.  `charge_tokens` is the
 /// token width the pass occupies on the accelerator (what latency pricing is
-/// based on) — for a verify pass, the drafted-token count the verification
-/// processes, not the probe count.
+/// based on) — the drafted-token count the verification processes, not the
+/// probe count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardRequest {
     /// The audio context the model is conditioned on (shared — many requests
@@ -99,22 +80,9 @@ pub struct ForwardRequest {
     pub probes: Probes,
     /// Token width the pass is priced at (parallel tokens processed).
     pub charge_tokens: usize,
-    /// What the request is for.
-    pub kind: ForwardKind,
 }
 
 impl ForwardRequest {
-    /// A single draft step: score the position directly after `prefix`.
-    pub fn draft_step(audio: Arc<UtteranceTokens>, prefix: Vec<TokenId>) -> Self {
-        ForwardRequest {
-            audio,
-            prefix,
-            probes: Probes::empty_probe(),
-            charge_tokens: 1,
-            kind: ForwardKind::DraftStep,
-        }
-    }
-
     /// A verification pass scoring `probes` after `prefix`, priced at
     /// `charge_tokens` parallel tokens.
     pub fn verify(
@@ -128,7 +96,6 @@ impl ForwardRequest {
             prefix,
             probes,
             charge_tokens,
-            kind: ForwardKind::Verify,
         }
     }
 }
@@ -205,8 +172,6 @@ impl BackendBatch {
 pub struct ForwardResult {
     /// The ticket of the request this result answers.
     pub ticket: Ticket,
-    /// What the request was for.
-    pub kind: ForwardKind,
     /// One distribution per probe, in probe order.
     pub logits: Vec<TokenLogits>,
     /// Wall time the batch was submitted.
@@ -241,11 +206,11 @@ pub struct BackendCounters {
     pub batches: usize,
     /// Requests submitted across all batches.
     pub requests: usize,
-    /// Requests of kind [`ForwardKind::DraftStep`].
+    /// Single-probe draft-model queries (the scheduler's draft lane).
     pub draft_requests: usize,
-    /// Requests of kind [`ForwardKind::Verify`].
+    /// Verification requests.
     pub verify_requests: usize,
-    /// Batches containing at least one verify request.
+    /// Verification batches.
     pub verify_batches: usize,
     /// Probe positions scored across all requests.
     pub probes_scored: usize,
@@ -316,10 +281,26 @@ pub trait AsrBackend {
 
     /// Cumulative lifetime counters.
     fn counters(&self) -> BackendCounters;
+
+    /// The per-batch dispatch overhead of the device timeline.
+    fn dispatch_overhead_ms(&self) -> f64;
+
+    /// The wall time the device backlog drains: a batch submitted now cannot
+    /// start executing earlier than this (the wave planner's cross-tick
+    /// carry).
+    fn device_free_ms(&self) -> f64;
+
+    /// Enables or disables the device-side batch log.  Disabling also
+    /// clears any buffered events; the sequence counter keeps running so a
+    /// re-enabled log stays in submit order.
+    fn set_device_tracing(&mut self, enabled: bool);
+
+    /// Drains the device-side batch log recorded since the last drain.
+    fn take_device_events(&mut self) -> Vec<DeviceEvent>;
 }
 
-/// Shared bookkeeping of the simulated backends: ticket allocation, the
-/// completion queue, and the in-flight gauge.
+/// Bookkeeping of the simulated backend: ticket allocation, the completion
+/// queue, and the in-flight gauge.
 #[derive(Debug, Clone, Default)]
 struct BackendState {
     next_ticket: u64,
@@ -329,7 +310,7 @@ struct BackendState {
     in_flight: Vec<(f64, usize)>,
     counters: BackendCounters,
     /// `prefix + probe` of the probe being scored, one buffer kept across
-    /// submits (every draft step is a submit of its own).
+    /// submits.
     context: Vec<TokenId>,
 }
 
@@ -347,9 +328,8 @@ impl BackendState {
         let batch_requests = batch.len();
         self.counters.batches += 1;
         self.counters.requests += batch_requests;
-        if batch.requests.iter().any(|r| r.kind == ForwardKind::Verify) {
-            self.counters.verify_batches += 1;
-        }
+        self.counters.verify_batches += 1;
+        self.counters.verify_requests += batch_requests;
         self.in_flight.retain(|&(done, _)| done > now_ms);
         self.in_flight.push((completed_ms, batch_requests));
         let in_flight: usize = self.in_flight.iter().map(|&(_, n)| n).sum();
@@ -358,10 +338,6 @@ impl BackendState {
         let mut tickets = Vec::with_capacity(batch_requests);
         let context = &mut self.context;
         for request in batch.requests {
-            match request.kind {
-                ForwardKind::DraftStep => self.counters.draft_requests += 1,
-                ForwardKind::Verify => self.counters.verify_requests += 1,
-            }
             self.counters.probes_scored += request.probes.len();
             let mut logits = Vec::with_capacity(request.probes.len());
             for probe in request.probes.iter() {
@@ -374,7 +350,6 @@ impl BackendState {
             self.next_ticket += 1;
             self.pending.push(ForwardResult {
                 ticket,
-                kind: request.kind,
                 logits,
                 submitted_ms: now_ms,
                 started_ms,
@@ -417,10 +392,10 @@ fn batch_service_ms(profile: &ModelProfile, batch: &BackendBatch) -> f64 {
 /// lane_free)` and holds the lane for `service_ms`.  With one lane (the
 /// default) this is exactly the serialized timeline of
 /// [`InFlightSimBackend`]; with `lanes = 0` the pool is unbounded and every
-/// span starts after dispatch overhead alone (the [`SyncBackendAdapter`]
-/// overlap model).  The gap between a lane's previous span and its next
-/// start accrues as `idle_ms` — the quantity a pipelined scheduler exists to
-/// drive toward zero.
+/// span starts after dispatch overhead alone (the model for a pool of
+/// identical accelerators).  The gap between a lane's previous span and its
+/// next start accrues as `idle_ms` — the quantity a pipelined scheduler
+/// exists to drive toward zero.
 #[derive(Debug, Clone)]
 pub struct DeviceTimeline {
     dispatch_overhead_ms: f64,
@@ -510,81 +485,6 @@ impl DeviceTimeline {
     }
 }
 
-/// The blanket adapter turning any [`AsrDecoderModel`] into an
-/// [`AsrBackend`].
-///
-/// Every batch completes one grouped forward pass after submission;
-/// concurrent submissions overlap freely (no shared device timeline), which
-/// models a pool of accelerators.  Since the wrapped models are pure, results are computed
-/// eagerly and [`AsrBackend::complete`] always succeeds right after
-/// [`AsrBackend::submit`] — wrapped this way, every existing model keeps
-/// byte-identical decoding behaviour through the new API.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-///
-/// use specasr_audio::{Corpus, Split};
-/// use specasr_models::{
-///     AsrBackend, BackendBatch, ForwardRequest, ModelProfile, SimulatedAsrModel,
-///     SyncBackendAdapter, TokenizerBinding,
-/// };
-///
-/// let corpus = Corpus::librispeech_like(1, 1);
-/// let binding = TokenizerBinding::for_corpus(&corpus);
-/// let audio = Arc::new(binding.bind(&corpus.split(Split::TestClean)[0]));
-/// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-///
-/// let mut backend = SyncBackendAdapter::new(target);
-/// let tickets = backend.submit(
-///     BackendBatch::of(ForwardRequest::draft_step(audio, Vec::new())),
-///     0.0,
-/// );
-/// let result = backend.complete(tickets[0]).expect("computed at submit");
-/// assert_eq!(result.logits.len(), 1);
-/// assert!(result.latency_ms() > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SyncBackendAdapter<M> {
-    model: M,
-    state: BackendState,
-}
-
-impl<M: AsrDecoderModel> SyncBackendAdapter<M> {
-    /// Wraps `model`.
-    pub fn new(model: M) -> Self {
-        SyncBackendAdapter {
-            model,
-            state: BackendState::default(),
-        }
-    }
-}
-
-impl<M: AsrDecoderModel> AsrBackend for SyncBackendAdapter<M> {
-    fn profile(&self) -> &ModelProfile {
-        self.model.profile()
-    }
-
-    fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        let completed_ms = now_ms + batch_service_ms(self.model.profile(), &batch);
-        self.state
-            .score_batch(&self.model, batch, now_ms, now_ms, completed_ms)
-    }
-
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        self.state.poll()
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        self.state.complete(ticket)
-    }
-
-    fn counters(&self) -> BackendCounters {
-        self.state.counters
-    }
-}
-
 /// One batch executed on the modeled device, as logged *by the device side*
 /// when device tracing is enabled.
 ///
@@ -608,13 +508,11 @@ pub struct DeviceEvent {
     pub requests: u64,
     /// Token width the batch was priced at.
     pub charge_tokens: u64,
-    /// Whether the batch carried verification requests.
-    pub verify: bool,
 }
 
 /// A simulated backend with *in-flight* semantics: one device timeline,
 /// per-batch dispatch overhead, and queueing behind whatever is already
-/// executing.
+/// executing.  It lifts any [`AsrDecoderModel`] into the backend API.
 ///
 /// A batch submitted at `now` starts at `max(now + dispatch_overhead_ms,
 /// device_free)` and runs for one grouped-pass service interval; the next
@@ -622,6 +520,9 @@ pub struct DeviceEvent {
 /// actually needs the results — therefore overlaps its service time with the
 /// caller's other work, which is how a scheduler's draft/verify overlap
 /// shows up in measured wall-clock instead of in an analytic cost model.
+/// [`InFlightSimBackend::with_lanes`]`(0)` removes the queueing: every batch
+/// then starts after its dispatch overhead and completes one grouped pass
+/// later, whatever else is in flight.
 ///
 /// # Example
 ///
@@ -630,7 +531,7 @@ pub struct DeviceEvent {
 ///
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{
-///     AsrBackend, BackendBatch, ForwardRequest, InFlightSimBackend, ModelProfile,
+///     AsrBackend, BackendBatch, ForwardRequest, InFlightSimBackend, ModelProfile, Probes,
 ///     SimulatedAsrModel, TokenizerBinding,
 /// };
 ///
@@ -640,8 +541,8 @@ pub struct DeviceEvent {
 /// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 ///
 /// let mut backend = InFlightSimBackend::new(target);
-/// let a = ForwardRequest::draft_step(audio.clone(), Vec::new());
-/// let b = ForwardRequest::draft_step(audio, Vec::new());
+/// let a = ForwardRequest::verify(audio.clone(), Vec::new(), Probes::empty_probe(), 4);
+/// let b = ForwardRequest::verify(audio, Vec::new(), Probes::empty_probe(), 4);
 /// backend.submit(BackendBatch::of(a), 0.0);
 /// backend.submit(BackendBatch::of(b), 0.0); // queues behind the first
 /// let results = backend.poll();
@@ -689,33 +590,6 @@ impl<M: AsrDecoderModel> InFlightSimBackend<M> {
         self
     }
 
-    /// The configured per-batch dispatch overhead.
-    pub fn dispatch_overhead_ms(&self) -> f64 {
-        self.timeline.dispatch_overhead_ms()
-    }
-
-    /// The wall time the device backlog drains: a batch submitted now cannot
-    /// start executing earlier than this (the pipelined wave planner feeds
-    /// it in as the cross-tick carry).
-    pub fn device_free_ms(&self) -> f64 {
-        self.timeline.free_ms()
-    }
-
-    /// Enables or disables the device-side batch log.  Disabling also
-    /// clears any buffered events; the sequence counter keeps running so a
-    /// re-enabled log stays in submit order.
-    pub fn set_device_tracing(&mut self, enabled: bool) {
-        self.device_tracing = enabled;
-        if !enabled {
-            self.device_log.clear();
-        }
-    }
-
-    /// Drains the device-side batch log recorded since the last drain.
-    pub fn take_device_events(&mut self) -> Vec<DeviceEvent> {
-        std::mem::take(&mut self.device_log)
-    }
-
     /// The wrapped model.
     pub fn model(&self) -> &M {
         &self.model
@@ -743,10 +617,6 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
                 completed_ms,
                 requests: batch.requests().len() as u64,
                 charge_tokens: batch.charge_tokens() as u64,
-                verify: batch
-                    .requests()
-                    .iter()
-                    .any(|request| request.kind == ForwardKind::Verify),
             });
         }
         self.device_seq += 1;
@@ -768,6 +638,25 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
         counters.device_idle_ms = self.timeline.idle_ms();
         counters
     }
+
+    fn dispatch_overhead_ms(&self) -> f64 {
+        self.timeline.dispatch_overhead_ms()
+    }
+
+    fn device_free_ms(&self) -> f64 {
+        self.timeline.free_ms()
+    }
+
+    fn set_device_tracing(&mut self, enabled: bool) {
+        self.device_tracing = enabled;
+        if !enabled {
+            self.device_log.clear();
+        }
+    }
+
+    fn take_device_events(&mut self) -> Vec<DeviceEvent> {
+        std::mem::take(&mut self.device_log)
+    }
 }
 
 #[cfg(test)]
@@ -777,11 +666,7 @@ mod tests {
     use crate::simulated::SimulatedAsrModel;
     use specasr_audio::{Corpus, Split};
 
-    fn setup() -> (
-        SimulatedAsrModel,
-        SimulatedAsrModel,
-        Vec<Arc<UtteranceTokens>>,
-    ) {
+    fn setup() -> (SimulatedAsrModel, Vec<Arc<UtteranceTokens>>) {
         let corpus = Corpus::librispeech_like(17, 3);
         let binding = TokenizerBinding::for_corpus(&corpus);
         let audio = binding
@@ -790,32 +675,30 @@ mod tests {
             .map(Arc::new)
             .collect();
         let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
-        (draft, target, audio)
+        (target, audio)
     }
 
     #[test]
     fn probe_results_match_direct_model_queries() {
-        let (_, target, audio) = setup();
+        let (target, audio) = setup();
         let transcript = target.greedy_transcript(&audio[0]);
         let probes: Probes = (0..=transcript.len().min(4))
             .map(|i| &transcript[..i])
             .collect();
         let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), probes.clone(), 4);
-        let mut backend = SyncBackendAdapter::new(&target);
+        let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
         let tickets = backend.submit(BackendBatch::of(request), 10.0);
         let result = backend.complete(tickets[0]).expect("computed at submit");
         assert_eq!(result.logits.len(), probes.len());
         for (probe, logits) in probes.iter().zip(&result.logits) {
             assert_eq!(logits, &target.next_logits(&audio[0], probe));
         }
-        assert_eq!(result.kind, ForwardKind::Verify);
         assert!((result.submitted_ms - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn batches_are_priced_as_one_grouped_pass() {
-        let (_, target, audio) = setup();
+        let (target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut batch = BackendBatch::new();
         for widths in [3usize, 5, 1] {
@@ -826,7 +709,7 @@ mod tests {
                 widths,
             ));
         }
-        let mut backend = SyncBackendAdapter::new(&target);
+        let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
         let tickets = backend.submit(batch, 100.0);
         let result = backend.complete(tickets[2]).expect("computed at submit");
         assert!((result.completed_ms - (100.0 + latency.forward_pass_ms(9))).abs() < 1e-9);
@@ -838,27 +721,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_adapter_overlaps_concurrent_submissions() {
-        let (draft, _, audio) = setup();
-        let mut backend = SyncBackendAdapter::new(&draft);
-        let a = backend.submit(
-            BackendBatch::of(ForwardRequest::draft_step(audio[0].clone(), Vec::new())),
-            0.0,
-        );
-        let b = backend.submit(
-            BackendBatch::of(ForwardRequest::draft_step(audio[1].clone(), Vec::new())),
-            0.0,
-        );
-        let ra = backend.complete(a[0]).expect("completed");
-        let rb = backend.complete(b[0]).expect("completed");
-        // No shared device: both complete one pass after their submission.
-        assert!((ra.completed_ms - rb.completed_ms).abs() < 1e-12);
-        assert_eq!(backend.counters().peak_in_flight, 2);
-    }
-
-    #[test]
     fn in_flight_backend_serialises_its_device_timeline() {
-        let (_, target, audio) = setup();
+        let (target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target).with_dispatch_overhead_ms(2.0);
         let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 8);
@@ -881,7 +745,7 @@ mod tests {
 
     #[test]
     fn poll_orders_by_completion_time_and_complete_is_exact() {
-        let (_, target, audio) = setup();
+        let (target, audio) = setup();
         let mut backend = InFlightSimBackend::new(&target);
         let late = backend.submit(
             BackendBatch::of(ForwardRequest::verify(
@@ -911,10 +775,15 @@ mod tests {
 
     #[test]
     fn occupancy_counts_only_verify_batches() {
-        let (draft, _, audio) = setup();
-        let mut backend = SyncBackendAdapter::new(&draft);
+        let (target, audio) = setup();
+        let mut backend = InFlightSimBackend::new(&target);
         backend.submit(
-            BackendBatch::of(ForwardRequest::draft_step(audio[0].clone(), Vec::new())),
+            BackendBatch::of(ForwardRequest::verify(
+                audio[0].clone(),
+                Vec::new(),
+                Probes::empty_probe(),
+                1,
+            )),
             0.0,
         );
         let mut verify = BackendBatch::new();
@@ -929,15 +798,19 @@ mod tests {
         backend.submit(verify, 0.0);
         let counters = backend.counters();
         assert_eq!(counters.batches, 2);
-        assert_eq!(counters.verify_batches, 1);
-        assert_eq!(counters.verify_requests, 4);
-        assert!((counters.verify_batch_occupancy() - 4.0).abs() < 1e-12);
+        assert_eq!(counters.verify_batches, 2);
+        assert_eq!(counters.verify_requests, 5);
+        assert_eq!(
+            counters.draft_requests, 0,
+            "draft queries never reach a backend"
+        );
+        assert!((counters.verify_batch_occupancy() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_dispatch_overhead_panics() {
-        let (_, target, _) = setup();
+        let (target, _) = setup();
         let _ = InFlightSimBackend::new(&target).with_dispatch_overhead_ms(-1.0);
     }
 
@@ -985,7 +858,7 @@ mod tests {
 
     #[test]
     fn backend_counters_expose_the_device_busy_and_idle_time() {
-        let (_, target, audio) = setup();
+        let (target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target);
         let service = latency.forward_pass_ms(8);

@@ -17,7 +17,7 @@
 //!   policy is written against (a real neural backend can be swapped in),
 //! * [`backend`] — the batched submit/complete [`backend::AsrBackend`] API
 //!   serving schedulers drive: [`backend::ForwardRequest`] batches, tickets,
-//!   a completion queue, and simulated in-flight backends,
+//!   a completion queue, and the simulated in-flight backend,
 //! * [`probes`] — [`probes::Probes`], the flat probe set one forward pass
 //!   scores,
 //! * [`simulated`] — the audio-conditioned simulated ASR model: scale-
@@ -67,8 +67,8 @@ pub mod traits;
 pub mod wire;
 
 pub use backend::{
-    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, DeviceTimeline, ForwardKind,
-    ForwardRequest, ForwardResult, InFlightSimBackend, SyncBackendAdapter, Ticket,
+    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, DeviceTimeline, ForwardRequest,
+    ForwardResult, InFlightSimBackend, Ticket,
 };
 pub use binding::{TokenizerBinding, UtteranceTokens};
 pub use ctc::CtcDrafter;

@@ -26,7 +26,7 @@
 //! * **A local counters mirror.**  The worker's lifetime counters and device
 //!   backlog change only when a batch is submitted, so the submit reply
 //!   carries both.  The client answers [`AsrBackend::counters`] and
-//!   [`RpcBackend::device_free_ms`] from its mirror, which saves the
+//!   [`AsrBackend::device_free_ms`] from its mirror, which saves the
 //!   scheduler one round trip every tick.
 //!
 //! If the worker panics, the client panics on the call it was waiting for.
@@ -63,8 +63,8 @@ use crate::InFlightSimBackend;
 ///
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{
-///     AsrBackend, BackendBatch, ForwardRequest, ModelProfile, RpcBackend, SimulatedAsrModel,
-///     TokenizerBinding,
+///     AsrBackend, BackendBatch, ForwardRequest, ModelProfile, Probes, RpcBackend,
+///     SimulatedAsrModel, TokenizerBinding,
 /// };
 ///
 /// let corpus = Corpus::librispeech_like(1, 1);
@@ -73,10 +73,8 @@ use crate::InFlightSimBackend;
 /// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 ///
 /// let mut backend = RpcBackend::spawn(target);
-/// let tickets = backend.submit(
-///     BackendBatch::of(ForwardRequest::draft_step(audio, Vec::new())),
-///     0.0,
-/// );
+/// let request = ForwardRequest::verify(audio, Vec::new(), Probes::empty_probe(), 1);
+/// let tickets = backend.submit(BackendBatch::of(request), 0.0);
 /// let result = backend.complete(tickets[0]).expect("worker answered");
 /// assert_eq!(result.logits.len(), 1);
 /// ```
@@ -136,34 +134,6 @@ impl RpcBackend {
         }
     }
 
-    /// The dispatch overhead configured on the worker's device timeline.
-    pub fn dispatch_overhead_ms(&self) -> f64 {
-        self.dispatch_overhead_ms
-    }
-
-    /// The worker's device backlog as of the last submit (the wall time a
-    /// batch submitted now could start executing).
-    pub fn device_free_ms(&self) -> f64 {
-        self.device_free_ms
-    }
-
-    /// Propagates the trace context to the worker: enables (or disables)
-    /// the device-side batch log behind the wire.
-    pub fn set_device_tracing(&mut self, enabled: bool) {
-        match self.call(&WireCall::SetTracing(enabled)) {
-            WireReply::TracingSet(state) => debug_assert_eq!(state, enabled),
-            other => unreachable!("set tracing answered with {other:?}"),
-        }
-    }
-
-    /// Drains the worker's device batch log across the wire.
-    pub fn take_device_events(&mut self) -> Vec<DeviceEvent> {
-        match self.call(&WireCall::TakeDeviceEvents) {
-            WireReply::DeviceEvents(events) => events,
-            other => unreachable!("take device events answered with {other:?}"),
-        }
-    }
-
     fn call(&mut self, call: &WireCall) -> WireReply {
         let mut frame = std::mem::take(&mut self.frame);
         self.encoder.encode(call, &mut frame);
@@ -215,6 +185,34 @@ impl AsrBackend for RpcBackend {
 
     fn counters(&self) -> BackendCounters {
         self.counters
+    }
+
+    /// The dispatch overhead configured on the worker's device timeline.
+    fn dispatch_overhead_ms(&self) -> f64 {
+        self.dispatch_overhead_ms
+    }
+
+    /// The worker's device backlog as of the last submit, from the client's
+    /// mirror.
+    fn device_free_ms(&self) -> f64 {
+        self.device_free_ms
+    }
+
+    /// Propagates the trace context to the worker: enables (or disables)
+    /// the device-side batch log behind the wire.
+    fn set_device_tracing(&mut self, enabled: bool) {
+        match self.call(&WireCall::SetTracing(enabled)) {
+            WireReply::TracingSet(state) => debug_assert_eq!(state, enabled),
+            other => unreachable!("set tracing answered with {other:?}"),
+        }
+    }
+
+    /// Drains the worker's device batch log across the wire.
+    fn take_device_events(&mut self) -> Vec<DeviceEvent> {
+        match self.call(&WireCall::TakeDeviceEvents) {
+            WireReply::DeviceEvents(events) => events,
+            other => unreachable!("take device events answered with {other:?}"),
+        }
     }
 }
 
@@ -281,7 +279,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::backend::{ForwardKind, ForwardRequest};
+    use crate::backend::ForwardRequest;
     use crate::binding::{TokenizerBinding, UtteranceTokens};
     use crate::logits::TokenLogits;
     use crate::probes::Probes;
@@ -324,7 +322,6 @@ mod tests {
         let remote_results = remote.poll();
         assert_eq!(local_results, remote_results);
         assert!(!remote_results.is_empty());
-        assert!(remote_results.iter().all(|r| r.kind == ForwardKind::Verify));
         assert_eq!(remote.counters(), local.counters());
     }
 
@@ -365,10 +362,9 @@ mod tests {
     fn complete_drains_one_ticket_across_the_wire() {
         let (target, audio) = setup();
         let mut remote = RpcBackend::spawn(target);
-        let tickets = remote.submit(
-            BackendBatch::of(ForwardRequest::draft_step(audio[0].clone(), Vec::new())),
-            5.0,
-        );
+        let request =
+            ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
+        let tickets = remote.submit(BackendBatch::of(request), 5.0);
         assert!(remote.complete(Ticket::new(999)).is_none());
         let result = remote.complete(tickets[0]).expect("completed");
         assert_eq!(result.ticket, tickets[0]);
@@ -394,10 +390,9 @@ mod tests {
         let (_, audio) = setup();
         let caught = std::panic::catch_unwind(|| {
             let mut remote = RpcBackend::spawn(FailingModel(ModelProfile::whisper_medium_en()));
-            remote.submit(
-                BackendBatch::of(ForwardRequest::draft_step(audio[0].clone(), Vec::new())),
-                0.0,
-            )
+            let request =
+                ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
+            remote.submit(BackendBatch::of(request), 0.0)
         });
         let panic = caught.expect_err("the failed call panics the caller");
         let message = panic

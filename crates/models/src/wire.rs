@@ -21,7 +21,7 @@
 //!       0x04 SetTracing        enabled:u8
 //!       0x05 TakeDeviceEvents
 //!       0x06 Shutdown
-//! request    = context  prefix:seq<u32>  probes:seq<seq<u32>>  charge_tokens:usize  kind:u8
+//! request    = context  prefix:seq<u32>  probes:seq<seq<u32>>  charge_tokens:usize
 //! context    = 0x00 id:u64                 a context registered by an earlier request
 //!            | 0x01 id:u64 utterance       first use: registers the context as `id`
 //! utterance  = utterance_id:u64  eos:u32  bos:u32  vocab_size:u32  duration_s:f64
@@ -33,13 +33,13 @@
 //!       0x84 TracingSet        enabled:u8
 //!       0x85 DeviceEvents      seq<device_event>
 //!       0x86 Bye
-//! result     = ticket:u64  kind:u8  logits:seq<seq<token:u32 probability:f64>>
+//! result     = ticket:u64  logits:seq<seq<token:u32 probability:f64>>
 //!              submitted_ms:f64  started_ms:f64  completed_ms:f64  batch_requests:usize
 //! counters   = batches  requests  draft_requests  verify_requests  verify_batches
 //!              probes_scored  peak_in_flight (usize each)
 //!              device_busy_ms:f64  device_idle_ms:f64
 //! device_event = seq:u64  submitted_ms:f64  started_ms:f64  completed_ms:f64
-//!                requests:u64  charge_tokens:u64  verify:u8
+//!                requests:u64  charge_tokens:u64
 //! ```
 //!
 //! Call tags and reply tags are disjoint, so a frame sent the wrong way is an
@@ -84,7 +84,7 @@ use specasr_audio::UtteranceId;
 use specasr_tokenizer::TokenId;
 
 use crate::backend::{
-    BackendBatch, BackendCounters, DeviceEvent, ForwardKind, ForwardRequest, ForwardResult, Ticket,
+    BackendBatch, BackendCounters, DeviceEvent, ForwardRequest, ForwardResult, Ticket,
 };
 use crate::binding::UtteranceTokens;
 use crate::logits::{Candidate, TokenLogits};
@@ -104,7 +104,7 @@ pub enum WireCall {
     /// timeline as in-process runs.
     SetTracing(bool),
     /// Drains the worker's device batch log
-    /// ([`crate::InFlightSimBackend::take_device_events`]).
+    /// ([`crate::AsrBackend::take_device_events`]).
     TakeDeviceEvents,
     /// Stop the worker loop (sent once, on drop).
     Shutdown,
@@ -224,9 +224,6 @@ const REPLY_BYE: u8 = 0x86;
 const CONTEXT_REGISTERED: u8 = 0x00;
 const CONTEXT_NEW: u8 = 0x01;
 
-const KIND_DRAFT_STEP: u8 = 0x00;
-const KIND_VERIFY: u8 = 0x01;
-
 /// Offset of the tag byte, after the length prefix.
 const TAG_AT: usize = 4;
 
@@ -236,9 +233,9 @@ const TOKEN_BYTES: usize = 4;
 const ID_BYTES: usize = 8;
 const CANDIDATE_BYTES: usize = 4 + 8;
 const SEQ_BYTES: usize = 4;
-const REQUEST_MIN_BYTES: usize = 1 + 8 + SEQ_BYTES + SEQ_BYTES + 8 + 1;
-const RESULT_MIN_BYTES: usize = 8 + 1 + SEQ_BYTES + 3 * 8 + 8;
-const DEVICE_EVENT_BYTES: usize = 8 + 3 * 8 + 8 + 8 + 1;
+const REQUEST_MIN_BYTES: usize = 1 + 8 + SEQ_BYTES + SEQ_BYTES + 8;
+const RESULT_MIN_BYTES: usize = 8 + SEQ_BYTES + 3 * 8 + 8;
+const DEVICE_EVENT_BYTES: usize = 8 + 3 * 8 + 8 + 8;
 
 /// The client half of the codec: encodes calls, and owns the client's side
 /// of the register/forget context table (see the module docs).
@@ -304,7 +301,6 @@ impl CallEncoder {
                 frame.put_tokens(probe);
             }
             frame.put_u64(request.charge_tokens as u64);
-            frame.put_u8(kind_tag(request.kind));
         });
     }
 
@@ -378,7 +374,6 @@ impl CallDecoder {
                 prefix: reader.tokens()?,
                 probes: reader.probes()?,
                 charge_tokens: reader.usize()?,
-                kind: reader.kind()?,
             })
         })?;
         Ok(WireCall::Submit(now_ms, BackendBatch { requests }))
@@ -537,13 +532,6 @@ impl Put for Vec<u8> {
     }
 }
 
-fn kind_tag(kind: ForwardKind) -> u8 {
-    match kind {
-        ForwardKind::DraftStep => KIND_DRAFT_STEP,
-        ForwardKind::Verify => KIND_VERIFY,
-    }
-}
-
 fn put_utterance(frame: &mut Vec<u8>, utterance: &UtteranceTokens) {
     debug_assert_eq!(
         utterance.reference_tokens.len(),
@@ -563,7 +551,6 @@ fn put_utterance(frame: &mut Vec<u8>, utterance: &UtteranceTokens) {
 
 fn put_result(frame: &mut Vec<u8>, result: &ForwardResult) {
     frame.put_u64(result.ticket.value());
-    frame.put_u8(kind_tag(result.kind));
     frame.put_seq(&result.logits, |frame, logits| {
         frame.put_seq(&logits.candidates, |frame, candidate| {
             frame.put_u32(candidate.token.value());
@@ -599,7 +586,6 @@ fn put_device_event(frame: &mut Vec<u8>, event: &DeviceEvent) {
     frame.put_f64(event.completed_ms);
     frame.put_u64(event.requests);
     frame.put_u64(event.charge_tokens);
-    frame.put_u8(u8::from(event.verify));
 }
 
 /// A bounds-checked cursor over one frame.
@@ -684,19 +670,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn kind(&mut self) -> Result<ForwardKind, WireError> {
-        let at = self.at;
-        match self.u8()? {
-            KIND_DRAFT_STEP => Ok(ForwardKind::DraftStep),
-            KIND_VERIFY => Ok(ForwardKind::Verify),
-            tag => Err(WireError::UnknownTag {
-                at,
-                field: "kind",
-                tag,
-            }),
-        }
-    }
-
     /// A sequence length, checked against the bytes left at
     /// `min_item_bytes` per item before the caller allocates for it.
     fn len(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
@@ -772,7 +745,6 @@ fn read_utterance(reader: &mut Reader<'_>) -> Result<UtteranceTokens, WireError>
 
 fn read_result(reader: &mut Reader<'_>) -> Result<ForwardResult, WireError> {
     let ticket = Ticket::new(reader.u64()?);
-    let kind = reader.kind()?;
     let logits = reader.seq(SEQ_BYTES, |reader| {
         let candidates = reader.seq(CANDIDATE_BYTES, |reader| {
             Ok(Candidate {
@@ -784,7 +756,6 @@ fn read_result(reader: &mut Reader<'_>) -> Result<ForwardResult, WireError> {
     })?;
     Ok(ForwardResult {
         ticket,
-        kind,
         logits,
         submitted_ms: reader.f64()?,
         started_ms: reader.f64()?,
@@ -815,7 +786,6 @@ fn read_device_event(reader: &mut Reader<'_>) -> Result<DeviceEvent, WireError> 
         completed_ms: reader.f64()?,
         requests: reader.u64()?,
         charge_tokens: reader.u64()?,
-        verify: reader.flag("bool")?,
     })
 }
 
@@ -887,11 +857,6 @@ mod tests {
                 prefix: self.tokens(6),
                 probes,
                 charge_tokens: self.next() as usize,
-                kind: if self.coin() {
-                    ForwardKind::Verify
-                } else {
-                    ForwardKind::DraftStep
-                },
             }
         }
 
@@ -908,11 +873,6 @@ mod tests {
                 .collect();
             ForwardResult {
                 ticket: Ticket::new(self.next()),
-                kind: if self.coin() {
-                    ForwardKind::Verify
-                } else {
-                    ForwardKind::DraftStep
-                },
                 logits,
                 submitted_ms: self.float(),
                 started_ms: self.float(),
@@ -943,7 +903,6 @@ mod tests {
                 completed_ms: self.float(),
                 requests: self.next(),
                 charge_tokens: self.next(),
-                verify: self.coin(),
             }
         }
 
@@ -1013,7 +972,12 @@ mod tests {
         let mut calls = Vec::new();
         let batches = [
             vec![
-                ForwardRequest::draft_step(Arc::clone(&contexts[0]), vec![TokenId::new(3)]),
+                ForwardRequest::verify(
+                    Arc::clone(&contexts[0]),
+                    vec![TokenId::new(3)],
+                    Probes::empty_probe(),
+                    1,
+                ),
                 ForwardRequest::verify(
                     Arc::clone(&contexts[0]),
                     vec![TokenId::new(1), TokenId::new(4)],
@@ -1055,7 +1019,12 @@ mod tests {
             submit(
                 f64::from_bits(1),
                 vec![
-                    ForwardRequest::draft_step(Arc::clone(&contexts[1]), Vec::new()),
+                    ForwardRequest::verify(
+                        Arc::clone(&contexts[1]),
+                        Vec::new(),
+                        Probes::empty_probe(),
+                        1,
+                    ),
                     ForwardRequest::verify(
                         Arc::clone(&contexts[2]),
                         vec![TokenId::new(8)],
@@ -1098,7 +1067,12 @@ mod tests {
                 4,
             )
         };
-        let other = ForwardRequest::draft_step(Arc::clone(&contexts[1]), vec![TokenId::new(2)]);
+        let other = ForwardRequest::verify(
+            Arc::clone(&contexts[1]),
+            vec![TokenId::new(2)],
+            Probes::empty_probe(),
+            1,
+        );
         let mut encoder = CallEncoder::new();
         let mut decoder = CallDecoder::new();
         let mut frame = Vec::new();
@@ -1300,10 +1274,10 @@ mod tests {
         let prefix: Vec<TokenId> = (0..5).map(TokenId::new).collect();
         let probes = Probes::from_iter([vec![], vec![TokenId::new(7)], vec![TokenId::new(7); 3]]);
         // Frame length prefix, tag, `now_ms`, empty forget list, request
-        // count; then the context reference, prefix length, probe count,
-        // charge width and kind; then 4 bytes per prefix token, per probe
-        // length and per probe token (0 + 1 + 3 of them).
-        let fixed = 4 + 1 + 8 + 4 + 4 + (1 + 8 + 4 + 4 + 8 + 1);
+        // count; then the context reference, prefix length, probe count and
+        // charge width; then 4 bytes per prefix token, per probe length and
+        // per probe token (0 + 1 + 3 of them).
+        let fixed = 4 + 1 + 8 + 4 + 4 + (1 + 8 + 4 + 4 + 8);
         let expected = fixed + 4 * prefix.len() + 4 * probes.len() + 4 * 4;
         for len in [2, 40, 400] {
             let context = utterance(len);

@@ -74,90 +74,48 @@ pub fn grouped_verify_ms(target: &LatencyModel, verify_widths: &[usize]) -> f64 
 
 /// One tick's verification schedule against an in-flight target backend:
 /// which sessions verify in which cross-session batch (wave), when each
-/// wave is submitted, and the modeled makespan of the whole tick.
+/// wave is submitted, and the modeled completion of the last wave.
 ///
 /// Produced by [`plan_verify_waves`]; the scheduler submits each wave as one
-/// [`specasr_models::BackendBatch`] at `tick_start + submit_offsets_ms[w]`
-/// and advances its wall clock to the last completion.
+/// [`specasr_models::BackendBatch`] at `submit_offsets_ms[w]` and advances
+/// its wall clock to the last completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyPlan {
     /// Session indices per wave, in draft-completion order (ties broken by
     /// index, so the schedule is deterministic).
     pub waves: Vec<Vec<usize>>,
-    /// Submission offset of each wave relative to the tick start — the
-    /// moment its slowest member finished drafting.
+    /// Submission time of each wave — the moment its slowest member
+    /// finished drafting, in the caller's reference frame.
     pub submit_offsets_ms: Vec<f64>,
-    /// Modeled completion of the last wave, relative to the tick start.
+    /// Modeled completion of the last wave, in the caller's reference frame.
     pub makespan_ms: f64,
 }
 
-/// Plans the tick's verification waves against a serialised device with
-/// per-batch `dispatch_overhead_ms` (the [`specasr_models::InFlightSimBackend`]
-/// timeline model).
-///
-/// The historical schedule — wait for the slowest draft, then one grouped
-/// verification pass over everyone — is always a candidate.  The overlap
-/// alternative splits the sessions (ordered by draft-completion time) into
-/// two waves: the early finishers' verification batch is submitted as soon
-/// as *their* slowest draft lands, so its service time executes in flight
-/// while the straggling draft phases are still running, and only the
-/// stragglers' (smaller) batch remains on the critical path.  The split is
-/// chosen per tick by evaluating the modeled makespan of every cut point
-/// and keeping the single grouped batch unless a split is strictly faster —
-/// so the plan never costs more wall-clock than the historical schedule,
-/// and wins exactly when one session's long adaptive draft phase used to
-/// stall everyone else's verification (the `serve_load` bottleneck at high
-/// concurrency).
-///
-/// This is the two-wave, fresh-device specialisation of
-/// [`plan_verify_waves_pipelined`], retained as the drain-per-tick
-/// scheduler's planner (`max_in_flight_waves = 1`); the pipelined scheduler
-/// calls the N-wave form with absolute draft-completion times and the
-/// device backlog carried over from previous ticks.
-///
-/// # Panics
-///
-/// Panics if `draft_ms` and `verify_widths` differ in length.
-pub fn plan_verify_waves(
-    draft_ms: &[f64],
-    verify_widths: &[usize],
-    target: &LatencyModel,
-    dispatch_overhead_ms: f64,
-) -> VerifyPlan {
-    plan_verify_waves_pipelined(
-        draft_ms,
-        verify_widths,
-        target,
-        dispatch_overhead_ms,
-        2,
-        0.0,
-    )
-}
-
 /// Plans up to `max_waves` verification waves over sessions whose draft
-/// phases complete at `draft_done_ms` (any shared reference frame: the
-/// drain-per-tick scheduler passes tick-relative durations, the pipelined
-/// scheduler passes absolute wall times), against a serialised device that
-/// is busy until `device_free_ms` with work from previous ticks.
+/// phases complete at `draft_done_ms`, against a serialised device with
+/// per-batch `dispatch_overhead_ms` (the
+/// [`specasr_models::InFlightSimBackend`] timeline model) that is busy until
+/// `device_free_ms` with work from previous ticks.  The scheduler passes
+/// absolute wall times; any shared reference frame works.
 ///
 /// Sessions are ordered by draft completion (ties by index) and partitioned
 /// into contiguous cohorts; each cohort's batch is submitted the moment its
 /// slowest member finishes drafting, pays `dispatch_overhead_ms`, then
-/// queues behind both the device backlog and every earlier wave.  The
-/// partition is chosen by a dynamic program minimising the modeled
-/// completion of the last wave: minimising each prefix's completion is
-/// optimal because a later wave's start is monotone in it.  Fewer waves are
-/// preferred whenever splitting is not strictly faster (an extra wave pays
-/// the pass base cost again), so the single grouped batch remains the plan
-/// whenever overlap cannot win.
-///
-/// `submit_offsets_ms` and `makespan_ms` come back in the caller's
-/// reference frame.
+/// queues behind both the device backlog and every earlier wave.  An early
+/// cohort's verification therefore executes in flight while the straggling
+/// draft phases still run, and only the stragglers' (smaller) batch remains
+/// on the critical path.  The partition is chosen by a dynamic program
+/// minimising the modeled completion of the last wave: minimising each
+/// prefix's completion is optimal because a later wave's start is monotone
+/// in it.  Fewer waves are preferred whenever splitting is not strictly
+/// faster (an extra wave pays the pass base cost again), so the single
+/// grouped batch — wait for the slowest draft, then verify everyone — is
+/// the plan whenever overlap cannot win, and `max_waves = 1` forces it.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ or `max_waves` is zero.
-pub fn plan_verify_waves_pipelined(
+pub fn plan_verify_waves(
     draft_done_ms: &[f64],
     verify_widths: &[usize],
     target: &LatencyModel,
@@ -201,20 +159,22 @@ pub fn plan_verify_waves_pipelined(
         start + target.forward_pass_ms(width_prefix[i] - width_prefix[j])
     };
     let wave_cap = max_waves.min(n);
-    // dp[w][i]: earliest completion of the first `i` sorted sessions in
-    // exactly `w + 1` waves; cut[w][i] reconstructs the last cohort.
-    let mut dp = vec![vec![f64::INFINITY; n + 1]; wave_cap];
-    let mut cut = vec![vec![0usize; n + 1]; wave_cap];
-    for (i, slot) in dp[0].iter_mut().enumerate().skip(1) {
+    // dp[w * row + i]: earliest completion of the first `i` sorted sessions
+    // in exactly `w + 1` waves; cut[w * row + i] reconstructs the last
+    // cohort.  One flat table each, whatever the wave cap.
+    let row = n + 1;
+    let mut dp = vec![f64::INFINITY; wave_cap * row];
+    let mut cut = vec![0usize; wave_cap * row];
+    for (i, slot) in dp[..row].iter_mut().enumerate().skip(1) {
         *slot = wave_done(device_free_ms, 0, i);
     }
     for w in 1..wave_cap {
         for i in (w + 1)..=n {
             for j in w..i {
-                let candidate = wave_done(dp[w - 1][j], j, i);
-                if candidate < dp[w][i] - 1e-9 {
-                    dp[w][i] = candidate;
-                    cut[w][i] = j;
+                let candidate = wave_done(dp[(w - 1) * row + j], j, i);
+                if candidate < dp[w * row + i] - 1e-9 {
+                    dp[w * row + i] = candidate;
+                    cut[w * row + i] = j;
                 }
             }
         }
@@ -222,30 +182,24 @@ pub fn plan_verify_waves_pipelined(
     // Prefer fewer waves unless more are strictly faster.
     let mut best_w = 0;
     for w in 1..wave_cap {
-        if dp[w][n] < dp[best_w][n] - 1e-9 {
+        if dp[w * row + n] < dp[best_w * row + n] - 1e-9 {
             best_w = w;
         }
     }
-    // Reconstruct cohort boundaries back to front.
-    let mut bounds = vec![n];
-    let mut at = n;
-    for w in (1..=best_w).rev() {
-        at = cut[w][at];
-        bounds.push(at);
-    }
-    bounds.push(0);
-    bounds.reverse();
-    let mut waves = Vec::with_capacity(best_w + 1);
-    let mut submit_offsets_ms = Vec::with_capacity(best_w + 1);
-    for pair in bounds.windows(2) {
-        let (from, to) = (pair[0], pair[1]);
-        submit_offsets_ms.push(draft_done_ms[order[to - 1]]);
-        waves.push(order[from..to].to_vec());
+    // Reconstruct the cohorts back to front.
+    let mut waves = vec![Vec::new(); best_w + 1];
+    let mut submit_offsets_ms = vec![0.0; best_w + 1];
+    let mut to = n;
+    for w in (0..=best_w).rev() {
+        let from = if w == 0 { 0 } else { cut[w * row + to] };
+        submit_offsets_ms[w] = draft_done_ms[order[to - 1]];
+        waves[w] = order[from..to].to_vec();
+        to = from;
     }
     VerifyPlan {
         waves,
         submit_offsets_ms,
-        makespan_ms: dp[best_w][n],
+        makespan_ms: dp[best_w * row + n],
     }
 }
 
@@ -299,7 +253,7 @@ mod tests {
     fn uniform_drafts_plan_one_grouped_batch() {
         // With no straggler there is nothing to overlap: splitting would pay
         // the pass base cost twice for no gain.
-        let plan = plan_verify_waves(&[5.0, 5.0, 5.0], &[8, 8, 8], &target(), 0.0);
+        let plan = plan_verify_waves(&[5.0, 5.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert_eq!(plan.waves[0].len(), 3);
         assert!((plan.submit_offsets_ms[0] - 5.0).abs() < 1e-12);
@@ -315,7 +269,7 @@ mod tests {
         // path.
         let draft_ms = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves(&draft_ms, &widths, &target(), 0.0);
+        let plan = plan_verify_waves(&draft_ms, &widths, &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 2);
         assert_eq!(plan.waves[0], vec![0, 1, 3]);
         assert_eq!(plan.waves[1], vec![2]);
@@ -340,7 +294,7 @@ mod tests {
         ];
         for (draft_ms, widths) in cases {
             for overhead in [0.0, 2.5] {
-                let plan = plan_verify_waves(draft_ms, widths, &target(), overhead);
+                let plan = plan_verify_waves(draft_ms, widths, &target(), overhead, 2, 0.0);
                 let d_max = draft_ms.iter().copied().fold(0.0f64, f64::max);
                 let single = d_max + overhead + grouped_verify_ms(&target(), widths);
                 assert!(plan.makespan_ms <= single + 1e-9);
@@ -357,14 +311,14 @@ mod tests {
         // far smaller than an extra pass base cost (20 ms): splitting would
         // push the early wave's completion past the straggler and pay the
         // base twice, so the plan must keep one grouped batch.
-        let plan = plan_verify_waves(&[1.0, 1.0, 5.0], &[8, 8, 8], &target(), 0.0);
+        let plan = plan_verify_waves(&[1.0, 1.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (5.0 + 20.0 + 0.5 * 24.0)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_ticks_plan_nothing() {
-        let plan = plan_verify_waves(&[], &[], &target(), 0.0);
+        let plan = plan_verify_waves(&[], &[], &target(), 0.0, 2, 0.0);
         assert!(plan.waves.is_empty());
         assert_eq!(plan.makespan_ms, 0.0);
     }
@@ -373,11 +327,11 @@ mod tests {
     fn three_stragglers_earn_three_waves() {
         // Draft completions spaced far wider than a pass base cost: each
         // cohort's verification hides completely under the next straggler's
-        // draft, so the N-wave planner splits three ways where the two-wave
-        // planner had to group the first two cohorts.
+        // draft, so the planner splits three ways where a two-wave cap has
+        // to group the first two cohorts.
         let done = [3.0, 3.0, 100.0, 140.0];
         let widths = [40usize, 40, 40, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 4, 0.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 0.0);
         assert_eq!(plan.waves.len(), 3);
         assert_eq!(plan.waves[0], vec![0, 1]);
         assert_eq!(plan.waves[1], vec![2]);
@@ -385,7 +339,7 @@ mod tests {
         assert_eq!(plan.submit_offsets_ms, vec![3.0, 100.0, 140.0]);
         // Only the last straggler's own pass remains on the critical path.
         assert!((plan.makespan_ms - (140.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
-        let two = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 2, 0.0);
+        let two = plan_verify_waves(&done, &widths, &target(), 0.0, 2, 0.0);
         assert!(plan.makespan_ms < two.makespan_ms - 1.0);
     }
 
@@ -393,7 +347,7 @@ mod tests {
     fn a_single_wave_cap_forces_the_grouped_batch() {
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 1, 0.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 1, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (100.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
     }
@@ -405,27 +359,9 @@ mod tests {
         // makespan is backlog + one grouped pass.
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 4, 500.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 500.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (500.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn the_two_wave_cap_reproduces_the_legacy_planner() {
-        let cases: [(&[f64], &[usize]); 4] = [
-            (&[1.0], &[4]),
-            (&[10.0, 12.0], &[8, 2]),
-            (&[1.0, 2.0, 3.0, 50.0, 4.0], &[8, 8, 8, 8, 8]),
-            (&[0.0, 0.0, 90.0], &[24, 1, 3]),
-        ];
-        for (done, widths) in cases {
-            for overhead in [0.0, 2.5] {
-                let legacy = plan_verify_waves(done, widths, &target(), overhead);
-                let general =
-                    plan_verify_waves_pipelined(done, widths, &target(), overhead, 2, 0.0);
-                assert_eq!(legacy, general);
-            }
-        }
     }
 
     #[test]
@@ -434,7 +370,7 @@ mod tests {
         let widths = [8usize, 4, 8, 2, 8, 1];
         let mut previous = f64::INFINITY;
         for cap in 1..=6 {
-            let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 1.5, cap, 10.0);
+            let plan = plan_verify_waves(&done, &widths, &target(), 1.5, cap, 10.0);
             assert!(plan.makespan_ms <= previous + 1e-9);
             assert!(plan.waves.len() <= cap);
             let scheduled: usize = plan.waves.iter().map(Vec::len).sum();

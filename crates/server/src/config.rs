@@ -92,15 +92,14 @@ pub struct ServerConfig {
     pub block_size: usize,
     /// Eviction policy when the KV pool is exhausted mid-decode.
     pub preempt_policy: PreemptPolicy,
-    /// Verification-wave pipeline depth.  `1` is the classic drain-per-tick
-    /// schedule: every wave of a tick is submitted and drained before the
-    /// next tick begins.  `2` or more turns the tick submit-ahead /
-    /// complete-behind: the wave planner may split a tick into up to this
-    /// many waves, each session's next draft phase starts at its *own* wave's
-    /// completion (not the tick's), and at most this many verification waves
-    /// may be outstanding on the device at any submission instant.
-    /// Transcripts are byte-identical at every depth — only the timeline
-    /// compresses.
+    /// Verification-wave pipeline depth (default 4).  The tick runs
+    /// submit-ahead / complete-behind: the wave planner may split a tick
+    /// into up to this many waves, each session's next draft phase starts at
+    /// its *own* wave's completion (not the tick's), and at most this many
+    /// verification waves may be outstanding on the device at any
+    /// submission instant.  `1` is a window of one wave: every tick verifies
+    /// in one grouped batch.  Transcripts are byte-identical at every depth
+    /// — only the timeline compresses.
     pub max_in_flight_waves: usize,
     /// Modeled draft-device lanes.  `0` leaves per-session draft chains
     /// unconstrained (a pool of draft-sized accelerators, the historical
@@ -163,8 +162,7 @@ impl ServerConfig {
     }
 
     /// Returns this configuration with a different verification-wave
-    /// pipeline depth (`1` = drain-per-tick, `n ≥ 2` = pipelined with at
-    /// most `n` waves in flight).
+    /// pipeline depth (at most `n` waves per tick and in flight).
     pub fn with_max_in_flight_waves(mut self, max_in_flight_waves: usize) -> Self {
         self.max_in_flight_waves = max_in_flight_waves;
         self
@@ -213,7 +211,7 @@ impl Default for ServerConfig {
             kv_blocks: 4096,
             block_size: 16,
             preempt_policy: PreemptPolicy::NewestAdmitted,
-            max_in_flight_waves: 1,
+            max_in_flight_waves: 4,
             draft_lanes: 0,
         }
     }
@@ -485,9 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn the_default_schedule_is_drain_per_tick() {
+    fn the_default_in_flight_window_is_four_waves() {
         let config = ServerConfig::default();
-        assert_eq!(config.max_in_flight_waves, 1);
+        assert_eq!(config.max_in_flight_waves, 4);
         assert_eq!(config.draft_lanes, 0);
     }
 

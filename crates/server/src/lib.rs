@@ -16,7 +16,7 @@
 //!                        in-flight session
 //!                              │  every tick:
 //!                              │    1. draft phase per session (parallel)
-//!                              │    2. ONE grouped verification pass
+//!                              │    2. grouped verification waves
 //!                              │    3. commit + retire finished sessions
 //!                              ▼
 //!                        RequestOutcome (text + latency breakdown + stats)
@@ -25,8 +25,8 @@
 //! # What batching buys
 //!
 //! A verification forward pass costs `base + per_token · n`.  Verifying each
-//! session alone pays `base` once per session and tick; the grouped pass pays
-//! it once per *tick*.  [`ServerStats::batching_speedup`] reports the
+//! session alone pays `base` once per session and tick; a grouped wave pays
+//! it once for every session in the wave.  [`ServerStats::batching_speedup`] reports the
 //! realised gain, and the `serve_load` binary in `specasr-bench` sweeps it
 //! across concurrency levels and policies.
 //!
@@ -89,9 +89,7 @@ mod session;
 mod stats;
 mod worker;
 
-pub use batch::{
-    grouped_verify_ms, plan_verify_waves, plan_verify_waves_pipelined, TickCost, VerifyPlan,
-};
+pub use batch::{grouped_verify_ms, plan_verify_waves, TickCost, VerifyPlan};
 pub use config::{
     AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RouterConfig, ServerConfig, WorkerProfile,
 };

@@ -11,15 +11,15 @@ use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, DeviceTimeline,
-    ForwardResult, InFlightSimBackend, ModelProfile, RpcBackend, Ticket, TokenLogits,
-    TokenizerBinding, UtteranceTokens,
+    ForwardResult, InFlightSimBackend, ModelProfile, RpcBackend, TokenLogits, TokenizerBinding,
+    UtteranceTokens,
 };
 use specasr_runtime::KvPool;
 use specasr_stream::{StreamConfig, StreamingSession};
 use specasr_tokenizer::TokenId;
 use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer};
 
-use crate::batch::{plan_verify_waves, plan_verify_waves_pipelined, TickCost};
+use crate::batch::{plan_verify_waves, TickCost};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
     PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError,
@@ -36,7 +36,7 @@ use crate::stats::ServerStats;
 /// through [`Scheduler`]/[`crate::Router`]/bench bins as configuration
 /// rather than as a type parameter every caller must name.
 #[derive(Debug)]
-pub enum VerifyBackend<T> {
+enum VerifyBackend<T> {
     /// The in-process simulated device.
     Sim(InFlightSimBackend<T>),
     /// A worker thread behind the serialized wire protocol.
@@ -44,75 +44,19 @@ pub enum VerifyBackend<T> {
 }
 
 impl<T: AsrDecoderModel> VerifyBackend<T> {
-    /// The per-batch dispatch overhead of the underlying device timeline.
-    pub fn dispatch_overhead_ms(&self) -> f64 {
+    /// The backend behind either variant.
+    fn backend(&self) -> &dyn AsrBackend {
         match self {
-            VerifyBackend::Sim(backend) => backend.dispatch_overhead_ms(),
-            VerifyBackend::Rpc(backend) => backend.dispatch_overhead_ms(),
+            VerifyBackend::Sim(backend) => backend,
+            VerifyBackend::Rpc(backend) => backend,
         }
     }
 
-    /// The wall time the device backlog drains (the pipelined wave
-    /// planner's cross-tick carry).
-    pub fn device_free_ms(&self) -> f64 {
+    /// The backend behind either variant, mutably.
+    fn backend_mut(&mut self) -> &mut dyn AsrBackend {
         match self {
-            VerifyBackend::Sim(backend) => backend.device_free_ms(),
-            VerifyBackend::Rpc(backend) => backend.device_free_ms(),
-        }
-    }
-
-    /// Enables (or disables) the device-side batch log.  The RPC variant
-    /// propagates the flag across the wire, so both variants log the same
-    /// events — the trace-stitching identity `+rpc` runs rely on.
-    pub fn set_device_tracing(&mut self, enabled: bool) {
-        match self {
-            VerifyBackend::Sim(backend) => backend.set_device_tracing(enabled),
-            VerifyBackend::Rpc(backend) => backend.set_device_tracing(enabled),
-        }
-    }
-
-    /// Drains the device-side batch log accumulated since the last drain.
-    pub fn take_device_events(&mut self) -> Vec<specasr_models::DeviceEvent> {
-        match self {
-            VerifyBackend::Sim(backend) => backend.take_device_events(),
-            VerifyBackend::Rpc(backend) => backend.take_device_events(),
-        }
-    }
-}
-
-impl<T: AsrDecoderModel> AsrBackend for VerifyBackend<T> {
-    fn profile(&self) -> &ModelProfile {
-        match self {
-            VerifyBackend::Sim(backend) => backend.profile(),
-            VerifyBackend::Rpc(backend) => backend.profile(),
-        }
-    }
-
-    fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        match self {
-            VerifyBackend::Sim(backend) => backend.submit(batch, now_ms),
-            VerifyBackend::Rpc(backend) => backend.submit(batch, now_ms),
-        }
-    }
-
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        match self {
-            VerifyBackend::Sim(backend) => backend.poll(),
-            VerifyBackend::Rpc(backend) => backend.poll(),
-        }
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        match self {
-            VerifyBackend::Sim(backend) => backend.complete(ticket),
-            VerifyBackend::Rpc(backend) => backend.complete(ticket),
-        }
-    }
-
-    fn counters(&self) -> BackendCounters {
-        match self {
-            VerifyBackend::Sim(backend) => backend.counters(),
-            VerifyBackend::Rpc(backend) => backend.counters(),
+            VerifyBackend::Sim(backend) => backend,
+            VerifyBackend::Rpc(backend) => backend,
         }
     }
 }
@@ -166,12 +110,14 @@ enum Removal {
 /// [`Scheduler::tick`] admits queued requests into free batch slots
 /// (iteration-level scheduling — finished sessions free their slots without
 /// waiting for the batch to drain), runs each active session's draft phase,
-/// verifies all drafted material in one grouped target pass, and retires the
-/// sessions that reached EOS.
+/// verifies the drafted material in grouped target passes — up to
+/// [`ServerConfig::max_in_flight_waves`] cross-session waves, planned by
+/// [`crate::plan_verify_waves`] — and retires the sessions that reached EOS.
 ///
-/// Time is simulated: the scheduler advances a wall clock by each tick's
-/// batched cost (see [`crate::batch::TickCost`]), which makes every
-/// throughput/latency number deterministic and reproducible.  The audio
+/// Time is simulated: the scheduler advances a wall clock to the modeled
+/// completion of each tick's last wave on the target backend's device
+/// timeline, which makes every throughput/latency number deterministic and
+/// reproducible.  The audio
 /// encoder is modelled as a concurrent pool: its latency counts toward each
 /// request's end-to-end and first-token latency but does not serialise the
 /// decoder timeline.
@@ -349,7 +295,7 @@ where
     /// observational: it reads the same simulated clock the scheduler
     /// advances, so enabling it changes no decision, latency, or transcript.
     pub fn set_trace(&mut self, config: TraceConfig) {
-        self.target.set_device_tracing(config.enabled);
+        self.target.backend_mut().set_device_tracing(config.enabled);
         self.tracer = Tracer::new(config);
     }
 
@@ -420,12 +366,6 @@ where
                 panic!("the RPC worker owns the target model; only its profile crosses the wire")
             }
         }
-    }
-
-    /// The backend the cross-session verification batches are submitted
-    /// through.
-    pub fn target_backend(&self) -> &VerifyBackend<T> {
-        &self.target
     }
 
     /// The scheduler configuration.
@@ -805,34 +745,21 @@ where
                 queued,
             });
         }
-        // Pipelined scheduling (`max_in_flight_waves ≥ 2`) starts each
-        // session's draft phase at its *own* readiness — the completion of
-        // its previous verification wave, which can precede this tick's
-        // start.  That head start is the cross-tick overlap: the next
-        // round's draft work runs while the previous tick's later waves are
-        // still draining on the device.  Depth 1 is the classic
-        // drain-per-tick schedule (everything starts at `tick_start`).
+        // Each session's draft phase starts at its *own* readiness — the
+        // completion of its previous verification wave, which can precede
+        // this tick's start.  That head start is the cross-tick overlap: the
+        // next round's draft work runs while the previous tick's later waves
+        // are still draining on the device.
         let pipeline_depth = self.config.max_in_flight_waves;
-        let pipelined = pipeline_depth > 1;
         let sessions = self.active.len();
-        let ready: Vec<f64> = self
-            .active
-            .iter()
-            .map(|session| {
-                if pipelined {
-                    session.ready_ms
-                } else {
-                    tick_start
-                }
-            })
-            .collect();
         // Draft rounds reserve modeled draft-device time in readiness order
         // (ties by batch index), so lane contention under a bounded
         // `draft_lanes` budget is deterministic.
         let mut order: Vec<usize> = (0..sessions).collect();
         order.sort_by(|&a, &b| {
-            ready[a]
-                .partial_cmp(&ready[b])
+            self.active[a]
+                .ready_ms
+                .partial_cmp(&self.active[b].ready_ms)
                 .expect("wall clocks are finite")
                 .then(a.cmp(&b))
         });
@@ -842,6 +769,7 @@ where
         let mut verify_widths = vec![0usize; sessions];
         for &index in &order {
             let session = &mut self.active[index];
+            let ready = session.ready_ms;
             let before = session.decode.clock().breakdown().draft_ms;
             // Model-draft sessions query the draft model; draft-free sessions
             // dispatch to the installed drafter (no draft-lane queries, no
@@ -872,9 +800,9 @@ where
             // lanes a round queues behind earlier rounds, pushing its
             // verify submission later exactly like contended hardware.
             let (draft_start, done) = if spent > 0.0 {
-                self.draft_timeline.occupy(ready[index], spent)
+                self.draft_timeline.occupy(ready, spent)
             } else {
-                (ready[index], ready[index])
+                (ready, ready)
             };
             let request = session.id.value();
             self.tracer.record_with(|| TraceEvent::DraftPhase {
@@ -890,36 +818,22 @@ where
         }
 
         // Verification schedule: collect every session's verify request into
-        // cross-session `BackendBatch` waves.  Sessions whose drafts
-        // finished early can have their wave submitted — and executing in
-        // flight — while the slowest draft phases are still running; the
-        // plan keeps the single grouped batch whenever overlap cannot win,
-        // so the tick never costs more than the historical
-        // wait-for-all-then-verify schedule.
-        let target_latency = self.target.profile().latency().clone();
-        let plan = if pipelined {
-            // Absolute submit times: each cohort's wave goes out the moment
-            // its slowest draft finishes, queueing behind whatever the
-            // device is already running from earlier ticks.
-            plan_verify_waves_pipelined(
-                &draft_done,
-                &verify_widths,
-                &target_latency,
-                self.target.dispatch_overhead_ms(),
-                pipeline_depth,
-                self.target.device_free_ms(),
-            )
-        } else {
-            // Drain-per-tick: the legacy 1–2 wave split over draft times
-            // relative to the tick start.
-            let relative: Vec<f64> = draft_done.iter().map(|done| done - tick_start).collect();
-            plan_verify_waves(
-                &relative,
-                &verify_widths,
-                &target_latency,
-                self.target.dispatch_overhead_ms(),
-            )
-        };
+        // cross-session `BackendBatch` waves.  Each cohort's wave goes out
+        // the moment its own slowest draft finishes, executing in flight
+        // while later cohorts still draft, and queues behind whatever the
+        // device is already running from earlier ticks.  The plan keeps the
+        // single grouped batch whenever overlap cannot win, so the tick
+        // never costs more than waiting for every draft and then verifying
+        // everyone at once.
+        let target_latency = self.target.backend().profile().latency().clone();
+        let plan = plan_verify_waves(
+            &draft_done,
+            &verify_widths,
+            &target_latency,
+            self.target.backend().dispatch_overhead_ms(),
+            pipeline_depth,
+            self.target.backend().device_free_ms(),
+        );
         let mut ticket_owner = Vec::with_capacity(self.active.len());
         let mut wave_of = vec![0usize; sessions];
         for (wave_index, (wave, offset)) in
@@ -937,11 +851,7 @@ where
             // already outstanding, the next submission stalls until the
             // oldest one completes — bounded speculation ahead of the
             // device, not an unbounded queue.
-            let mut submit_at = if pipelined {
-                *offset
-            } else {
-                tick_start + offset
-            };
+            let mut submit_at = *offset;
             while self.outstanding_waves.len() >= pipeline_depth {
                 let oldest = self
                     .outstanding_waves
@@ -949,11 +859,9 @@ where
                     .expect("the window length was just checked");
                 submit_at = submit_at.max(oldest);
             }
-            let tickets = self.target.submit(batch, submit_at);
-            if pipelined {
-                self.outstanding_waves
-                    .push_back(self.target.device_free_ms());
-            }
+            let target = self.target.backend_mut();
+            let tickets = target.submit(batch, submit_at);
+            self.outstanding_waves.push_back(target.device_free_ms());
             if self.tracer.is_enabled() {
                 let ts_ms = submit_at;
                 let ticket_ids: Vec<u64> = tickets.iter().map(|t| t.value()).collect();
@@ -989,7 +897,7 @@ where
         // Every submit hands out increasing tickets, so `ticket_owner` is
         // sorted by ticket, and each wave's entries sit side by side.
         debug_assert!(ticket_owner.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        for result in self.target.poll() {
+        for result in self.target.backend_mut().poll() {
             tick_end = tick_end.max(result.completed_ms);
             let at = ticket_owner
                 .binary_search_by_key(&result.ticket, |&(ticket, _, _)| ticket)
@@ -1047,7 +955,7 @@ where
         // preemption policy evicts sessions until the round fits — or, when
         // nothing is left to evict, the triggering request itself is dropped
         // with a memory rejection.
-        let target_profile = self.target.profile().clone();
+        let target_profile = self.target.backend().profile().clone();
         let mut removal = vec![Removal::Keep; self.active.len()];
         // Billed width of each wave (= its backend batch's `charge_tokens`):
         // the denominator of the per-token device-time share that both the
@@ -1070,15 +978,10 @@ where
             let result = results[index]
                 .take()
                 .expect("every drafted session was scored by a verification wave");
-            // Commit stamps: under pipelined scheduling each session's
-            // round lands the moment its own wave completes (first tokens
-            // and KV frees carry per-wave timestamps); drain-per-tick
-            // stamps everything at the tick's end, as before.
-            let commit_ms = if pipelined {
-                wave_completed[wave_of[index]].max(tick_start)
-            } else {
-                tick_end
-            };
+            // Commit stamps: each session's round lands the moment its own
+            // wave completes (first tokens and KV frees carry per-wave
+            // timestamps).
+            let commit_ms = wave_completed[wave_of[index]].max(tick_start);
             let wave_service_ms = (result.completed_ms - result.started_ms).max(0.0);
             let session = &mut self.active[index];
             let rounds_before = session.decode.stats().rounds_detail.len();
@@ -1143,7 +1046,7 @@ where
         let mut draft_counters = self.draft_counters;
         draft_counters.device_busy_ms = self.draft_timeline.busy_ms();
         draft_counters.device_idle_ms = self.draft_timeline.idle_ms();
-        let target_counters = self.target.counters();
+        let target_counters = self.target.backend().counters();
         self.stats
             .sync_backend_gauges(&draft_counters, &target_counters);
         self.tracer.record_with(|| TraceEvent::DeviceUtilization {
@@ -1158,7 +1061,7 @@ where
         // wire verbatim), so an `--rpc` trace carries digit-for-digit the
         // same device timeline as an in-process one.
         if self.tracer.is_enabled() {
-            for event in self.target.take_device_events() {
+            for event in self.target.backend_mut().take_device_events() {
                 self.tracer.record_with(|| TraceEvent::DeviceBatch {
                     ts_ms: event.submitted_ms,
                     seq: event.seq,
@@ -1166,7 +1069,6 @@ where
                     completed_ms: event.completed_ms,
                     requests: event.requests,
                     charge_tokens: event.charge_tokens,
-                    verify: event.verify,
                 });
             }
         }
@@ -2478,7 +2380,7 @@ mod tests {
     #[test]
     fn pipelined_waves_keep_transcripts_byte_identical() {
         let base = ServerConfig::default().with_max_batch(8);
-        let (reference, drained_wall) = transcripts_under(base);
+        let (reference, one_wave_wall) = transcripts_under(base.with_max_in_flight_waves(1));
         for depth in [2, 4, 8] {
             let (texts, wall) = transcripts_under(base.with_max_in_flight_waves(depth));
             assert_eq!(
@@ -2486,9 +2388,9 @@ mod tests {
                 "an in-flight window of {depth} changed a transcript"
             );
             assert!(
-                wall <= drained_wall + 1e-6,
-                "pipelining at depth {depth} must never lose to drain-per-tick \
-                 ({wall:.3} vs {drained_wall:.3})"
+                wall <= one_wave_wall + 1e-6,
+                "pipelining at depth {depth} must never lose to a one-wave window \
+                 ({wall:.3} vs {one_wave_wall:.3})"
             );
         }
     }
@@ -2511,16 +2413,16 @@ mod tests {
                 scheduler.stats().backend().peak_in_flight(),
             )
         };
-        let (drained_wall, drained_depth) = run(1);
+        let (one_wave_wall, one_wave_depth) = run(1);
         let (pipelined_wall, pipelined_depth) = run(4);
         assert!(
-            pipelined_wall < drained_wall,
-            "overlapping waves must shorten the serve ({pipelined_wall:.3} vs {drained_wall:.3})"
+            pipelined_wall < one_wave_wall,
+            "overlapping waves must shorten the serve ({pipelined_wall:.3} vs {one_wave_wall:.3})"
         );
         assert!(
-            pipelined_depth >= drained_depth,
+            pipelined_depth >= one_wave_depth,
             "the in-flight depth cannot shrink under pipelining \
-             ({pipelined_depth} vs {drained_depth})"
+             ({pipelined_depth} vs {one_wave_depth})"
         );
     }
 

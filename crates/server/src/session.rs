@@ -187,10 +187,9 @@ pub(crate) struct ServerSession {
     pub arrival_ms: f64,
     pub admitted_ms: f64,
     /// Wall time this session's next round may start: its own verification
-    /// wave's completion under pipelined scheduling (which can precede the
-    /// tick's end — that head start is the cross-tick overlap), the tick end
-    /// under drain-per-tick scheduling.  Reset to the admission time on
-    /// every (re-)admission.
+    /// wave's completion, which can precede the tick's end — that head start
+    /// is the cross-tick overlap.  Reset to the admission time on every
+    /// (re-)admission.
     pub ready_ms: f64,
     /// Wall time at which the first transcript token was committed.
     pub first_token_ms: Option<f64>,

@@ -695,7 +695,6 @@ pub fn analyze_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> T
                 completed_ms,
                 charge_tokens,
                 requests,
-                verify: true,
                 ..
             } => {
                 batch_charges.insert(
@@ -1059,7 +1058,6 @@ mod tests {
                 completed_ms: 25.0,
                 requests: 1,
                 charge_tokens: 5,
-                verify: true,
             },
             TraceEvent::VerifyWaveCompleted {
                 tick: 1,

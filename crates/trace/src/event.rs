@@ -119,10 +119,9 @@ pub enum TraceEvent {
     },
     /// One session's draft phase within a tick.
     DraftPhase {
-        /// Draft start: the tick start under drain-per-tick scheduling; the
-        /// session's own readiness (its previous wave's completion, possibly
-        /// before the tick start, queued behind the modeled draft-lane
-        /// budget) under pipelined scheduling.
+        /// Draft start: the session's own readiness (its previous wave's
+        /// completion, possibly before the tick start), queued behind the
+        /// modeled draft-lane budget.
         start_ms: f64,
         /// Draft end.
         end_ms: f64,
@@ -200,9 +199,6 @@ pub enum TraceEvent {
         requests: u64,
         /// Token width the batch was priced at.
         charge_tokens: u64,
-        /// Whether the batch carried verification requests (`false` = pure
-        /// draft steps).
-        verify: bool,
     },
     /// KV blocks were allocated for a request's prefill.
     KvAlloc {
@@ -561,7 +557,6 @@ impl Serialize for TraceEvent {
                 completed_ms,
                 requests,
                 charge_tokens,
-                verify,
             } => {
                 push("ts_ms", Value::Number(*ts_ms));
                 push("seq", num(*seq));
@@ -569,7 +564,6 @@ impl Serialize for TraceEvent {
                 push("completed_ms", Value::Number(*completed_ms));
                 push("requests", num(*requests));
                 push("charge_tokens", num(*charge_tokens));
-                push("verify", Value::Bool(*verify));
             }
             TraceEvent::KvAlloc {
                 ts_ms,
@@ -765,7 +759,6 @@ impl Deserialize for TraceEvent {
                 completed_ms: f("completed_ms")?,
                 requests: n("requests")?,
                 charge_tokens: n("charge_tokens")?,
-                verify: b("verify")?,
             }),
             "kv_alloc" => Ok(TraceEvent::KvAlloc {
                 ts_ms: f("ts_ms")?,
@@ -958,7 +951,6 @@ mod tests {
                 completed_ms: 6.125,
                 requests: 2,
                 charge_tokens: 10,
-                verify: true,
             },
             TraceEvent::KvAlloc {
                 ts_ms: 1.0,

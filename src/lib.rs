@@ -17,8 +17,7 @@ pub mod prelude {
     pub use specasr_metrics::{wer_between, ExperimentRecord, Histogram, ReportRow};
     pub use specasr_models::{
         AsrBackend, AsrDecoderModel, BackendBatch, CtcDrafter, ForwardRequest, ForwardResult,
-        InFlightSimBackend, ModelProfile, SimulatedAsrModel, SyncBackendAdapter, TokenizerBinding,
-        UtteranceTokens,
+        InFlightSimBackend, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
     };
     pub use specasr_server::{
         run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, AdmissionOrdering,

@@ -17,7 +17,8 @@
 //! The allocator also tracks this thread's live bytes and bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
 //! no per-round history; an idle fleet-controller evaluation allocates the
-//! same whatever the fleet has served.
+//! same whatever the fleet has served.  A verify-wave plan allocates the same
+//! whatever its wave cap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,11 +31,11 @@ use specasr::{
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{
-    AsrBackend, AsrDecoderModel, BackendBatch, ModelProfile, SimulatedAsrModel, SyncBackendAdapter,
+    AsrBackend, AsrDecoderModel, BackendBatch, InFlightSimBackend, ModelProfile, SimulatedAsrModel,
     TokenLogits, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
-use specasr_server::{Router, RouterConfig, Scheduler, ServerConfig, SloClass};
+use specasr_server::{plan_verify_waves, Router, RouterConfig, Scheduler, ServerConfig, SloClass};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
 
@@ -158,7 +159,7 @@ fn verify_allocations(
     target: &SimulatedAsrModel,
     mut draft: impl FnMut(&mut DecodeSession) -> DraftedRound,
 ) -> Vec<u64> {
-    let mut backend = SyncBackendAdapter::new(target);
+    let mut backend = InFlightSimBackend::new(target).with_lanes(0);
     let mut rounds = Vec::new();
     while !session.is_finished() {
         let drafted = draft(session);
@@ -430,5 +431,29 @@ fn idle_controller_evaluations_allocate_the_same_at_any_history_length() {
         per_evaluation[0] <= 16 * 1024,
         "an idle evaluation allocated {} bytes",
         per_evaluation[0]
+    );
+}
+
+/// The wave planner keeps its dynamic-programming tables flat: one plan
+/// over a batch allocates the same whatever the wave cap, so a deeper
+/// in-flight window costs the tick no extra allocations.
+#[test]
+fn a_wave_plan_allocates_the_same_for_every_wave_cap() {
+    let target = ModelProfile::whisper_medium_en().latency().clone();
+    // Staggered drafts behind a long device backlog: the planner weighs
+    // every split, and every cap keeps the one grouped batch.
+    let done: Vec<f64> = (0..12).map(|i| 3.0 * i as f64).collect();
+    let widths: Vec<usize> = (0..12).map(|i| 4 + i % 5).collect();
+    let costs: Vec<u64> = (1..=8)
+        .map(|max_waves| {
+            let (plan, allocated) =
+                counted(|| plan_verify_waves(&done, &widths, &target, 0.5, max_waves, 10_000.0));
+            assert_eq!(plan.waves.len(), 1, "the backlog leaves nothing to overlap");
+            allocated
+        })
+        .collect();
+    assert!(
+        costs.iter().all(|&cost| cost == costs[0]),
+        "allocations per plan, wave caps 1 to 8: {costs:?}"
     );
 }

@@ -15,7 +15,7 @@ use specasr::{
 };
 use specasr_audio::Split;
 use specasr_models::{
-    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, ForwardResult, SyncBackendAdapter,
+    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, ForwardResult, InFlightSimBackend,
     Ticket, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
@@ -56,7 +56,7 @@ fn decode_all_via_backend(
     group_size: usize,
     order_seed: u64,
 ) -> Vec<(usize, Vec<specasr_tokenizer::TokenId>)> {
-    let mut target_backend = SyncBackendAdapter::new(setup.target.clone());
+    let mut target_backend = InFlightSimBackend::new(setup.target.clone()).with_lanes(0);
     let target_profile = setup.target.profile().clone();
     let mut transcripts = Vec::new();
     let mut round = 0u64;

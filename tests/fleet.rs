@@ -498,6 +498,9 @@ fn edf_ordering_beats_fifo_on_goodput_under_overload() {
         SloClass::Relaxed => 8_000.0,
         SloClass::BestEffort => f64::INFINITY,
     };
+    // A queue deep enough that a FIFO wait can outlive the 500 ms budget:
+    // the orderings then differ in what they shed by deadline, not in how
+    // many arrivals a full queue turns away.
     let run = |ordering: AdmissionOrdering| {
         let mut router = router_for(
             &setup,
@@ -505,7 +508,7 @@ fn edf_ordering_beats_fifo_on_goodput_under_overload() {
                 ServerConfig::default()
                     .with_admission(AdmissionPolicy::Fifo)
                     .with_ordering(ordering)
-                    .with_queue_depth(8),
+                    .with_queue_depth(32),
             ),
         );
         let mut loadgen = LoadGen::new(77, 60.0);
@@ -520,14 +523,19 @@ fn edf_ordering_beats_fifo_on_goodput_under_overload() {
                 )
             }),
         );
-        report
+        let in_budget = report
             .outcomes
             .iter()
             .filter(|o| o.latency.time_to_first_token_ms <= budget_of(o.slo))
-            .count()
+            .count();
+        (in_budget, router.fleet_stats().rejected_deadline())
     };
-    let edf = run(AdmissionOrdering::EarliestDeadlineFirst);
-    let fifo = run(AdmissionOrdering::Queue);
+    let (edf, _) = run(AdmissionOrdering::EarliestDeadlineFirst);
+    let (fifo, fifo_shed) = run(AdmissionOrdering::Queue);
+    assert!(
+        fifo_shed > 0,
+        "FIFO must shed requests whose queue wait outlived their budget"
+    );
     assert!(
         edf > fifo,
         "EDF must finish more requests within budget than FIFO under \

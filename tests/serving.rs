@@ -317,8 +317,9 @@ proptest! {
     /// completions are stamped), the modeled draft budget, the
     /// policy × drafter mix, and the pool pressure (preempting sessions
     /// whose speculative submissions are then cancelled before commit),
-    /// transcripts and shed sets are byte-identical to drain-per-tick, the
-    /// latency breakdowns reconcile, and the pipelined clock never loses.
+    /// transcripts and shed sets are byte-identical to a one-wave window,
+    /// which drains every tick in one grouped batch, the latency breakdowns
+    /// reconcile, and the pipelined clock never loses.
     #[test]
     fn pipelined_scheduling_matches_drain_per_tick(
         seed in 0u64..100,
@@ -368,9 +369,9 @@ proptest! {
             (outcomes, shed, preempted, leaked, scheduler.wall_ms())
         };
         // Both runs share the draft-lane budget so the only difference is
-        // the in-flight window: drain-per-tick (depth 1) vs pipelined.
+        // the in-flight window: one wave (depth 1) vs pipelined.
         let (reference, reference_shed, _, reference_leak, reference_wall) =
-            run(base.with_draft_lanes(draft_lanes));
+            run(base.with_max_in_flight_waves(1).with_draft_lanes(draft_lanes));
         let (served, shed, _preempted, leaked, wall) = run(
             base.with_max_in_flight_waves(depth)
                 .with_draft_lanes(draft_lanes),
@@ -393,11 +394,46 @@ proptest! {
         }
         prop_assert!(
             wall <= reference_wall + 1e-6,
-            "pipelining lost to drain-per-tick: {} vs {}",
+            "pipelining lost to a one-wave window: {} vs {}",
             wall,
             reference_wall
         );
     }
+}
+
+/// A one-wave window verifies every tick in exactly one grouped batch,
+/// while the default window splits ticks whose drafts straggle.
+#[test]
+fn a_one_wave_window_submits_one_verify_batch_per_tick() {
+    let setup = StandardSetup::new(31, 8);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let serve = |config: ServerConfig| {
+        let mut scheduler = scheduler_for(&setup, config);
+        scheduler.install_drafter(std::sync::Arc::new(specasr_models::CtcDrafter::paired(
+            &setup.target,
+        )));
+        for (index, utterance) in setup.corpus.split(Split::TestClean).iter().enumerate() {
+            let drafter = if index % 2 == 0 {
+                specasr::DrafterKind::ModelDraft
+            } else {
+                specasr::DrafterKind::CtcEncoder
+            };
+            scheduler
+                .submit_with_drafter(policy, drafter, utterance)
+                .expect("queue has room");
+        }
+        scheduler.run_until_idle();
+        let stats = scheduler.stats();
+        (stats.backend().verify_batches(), stats.ticks())
+    };
+    let (batches, ticks) = serve(ServerConfig::default().with_max_in_flight_waves(1));
+    assert!(ticks > 1, "the workload spans several ticks");
+    assert_eq!(batches, ticks, "one verify batch per tick at depth 1");
+    let (batches, ticks) = serve(ServerConfig::default());
+    assert!(
+        batches > ticks,
+        "the default window splits straggling ticks: {batches} batches in {ticks} ticks"
+    );
 }
 
 /// A draft model that counts every query made of it.
