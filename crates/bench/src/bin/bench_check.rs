@@ -33,16 +33,9 @@ use std::process::ExitCode;
 
 use specasr_bench::experiments_dir;
 use specasr_bench::regression::{
-    band, breach_table, compare_records, Violation, DEFAULT_TOLERANCE, GATED_METRICS,
+    band, breach_report, compare_records, load, DEFAULT_TOLERANCE, GATED_METRICS,
 };
-use specasr_metrics::ExperimentRecord;
 use specasr_trace::{analyze_events, parse_jsonl, TraceAnalysis};
-
-fn load(path: &str) -> Result<ExperimentRecord, String> {
-    let content =
-        std::fs::read_to_string(path).map_err(|error| format!("cannot read {path}: {error}"))?;
-    serde_json::from_str(&content).map_err(|error| format!("cannot parse {path}: {error}"))
-}
 
 fn default_pairs() -> Vec<(String, String)> {
     let experiments = experiments_dir();
@@ -200,28 +193,8 @@ fn main() -> ExitCode {
             eprintln!("  FAIL {fresh_path} vs {baseline_path}:");
             // One full diagnostic table per breached row (not just the
             // tripped metrics), so the whole row's health is visible.
-            let mut reported: Vec<&str> = Vec::new();
-            for violation in &violations {
-                let label = match violation {
-                    Violation::MissingRow { label: _ } => {
-                        eprintln!("       {violation}");
-                        continue;
-                    }
-                    Violation::MissingMetric { label, .. } | Violation::Drift { label, .. } => {
-                        label.as_str()
-                    }
-                };
-                if reported.contains(&label) {
-                    continue;
-                }
-                reported.push(label);
-                let base_row = baseline
-                    .row(label)
-                    .expect("violation labels come from baseline rows");
-                eprintln!("       row `{label}`:");
-                for line in breach_table(base_row, fresh.row(label), tolerance).lines() {
-                    eprintln!("         {line}");
-                }
+            for line in breach_report(&baseline, &fresh, &violations, tolerance).lines() {
+                eprintln!("       {line}");
             }
         }
     }

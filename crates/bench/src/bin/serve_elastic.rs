@@ -39,6 +39,7 @@
 
 use specasr::{AdaptiveConfig, Policy};
 use specasr_audio::{EncoderProfile, Split, Utterance};
+use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_metrics::{ExperimentRecord, ReportRow};
@@ -345,10 +346,7 @@ fn main() {
 
     emit(&record);
     if std::env::var_os("SPECASR_WRITE_BASELINE").is_some() {
-        match std::fs::write("BENCH_serve_elastic.json", record.to_json()) {
-            Ok(()) => println!("(baseline record written to BENCH_serve_elastic.json)"),
-            Err(error) => eprintln!("warning: could not write BENCH_serve_elastic.json: {error}"),
-        }
+        write_baseline("BENCH_serve_elastic.json", &record);
     }
     println!(
         "shape check: the elastic fleet absorbs the burst the static worker drowns \

@@ -40,6 +40,7 @@ use specasr::{
     AdaptiveConfig, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig, TokenMapDrafter,
 };
 use specasr_audio::{EncoderProfile, Split};
+use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
@@ -234,10 +235,7 @@ fn main() {
 
     emit(&record);
     if std::env::var_os("SPECASR_WRITE_BASELINE").is_some() {
-        match std::fs::write("BENCH_serve.json", record.to_json()) {
-            Ok(()) => println!("(baseline record written to BENCH_serve.json)"),
-            Err(error) => eprintln!("warning: could not write BENCH_serve.json: {error}"),
-        }
+        write_baseline("BENCH_serve.json", &record);
     }
     println!(
         "shape check: throughput rises with concurrency while P99 latency trades \

@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use specasr::{AdaptiveConfig, DrafterKind, Policy, TokenMapDrafter};
 use specasr_audio::{EncoderProfile, Split, Utterance};
+use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
@@ -522,10 +523,7 @@ fn main() {
 
     emit(&record);
     if std::env::var_os("SPECASR_WRITE_BASELINE").is_some() {
-        match std::fs::write("BENCH_serve_open.json", record.to_json()) {
-            Ok(()) => println!("(baseline record written to BENCH_serve_open.json)"),
-            Err(error) => eprintln!("warning: could not write BENCH_serve_open.json: {error}"),
-        }
+        write_baseline("BENCH_serve_open.json", &record);
     }
     println!(
         "shape check: for each fleet size, P99 latency sits near the no-load service \

@@ -30,6 +30,7 @@
 
 use specasr::{AdaptiveConfig, Policy, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split, Utterance};
+use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_server::{run_open_loop_streaming, LoadGen, Scheduler, ServerConfig, StreamConfig};
@@ -167,10 +168,7 @@ fn main() {
 
     emit(&record);
     if std::env::var_os("SPECASR_WRITE_BASELINE").is_some() {
-        match std::fs::write("BENCH_stream.json", record.to_json()) {
-            Ok(()) => println!("(baseline record written to BENCH_stream.json)"),
-            Err(error) => eprintln!("warning: could not write BENCH_stream.json: {error}"),
-        }
+        write_baseline("BENCH_stream.json", &record);
     }
     println!(
         "shape check: first-partial latency tracks the chunk duration (smaller chunks \

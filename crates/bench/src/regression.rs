@@ -1,13 +1,15 @@
 //! Bench-regression comparison: fresh experiment records vs committed
 //! baselines.
 //!
-//! The serving sweeps (`serve_load`, `serve_open_loop`) are deterministic,
-//! so their committed `BENCH_*.json` records are exact perf baselines.  The
-//! `bench_check` binary re-reads a freshly generated record from
-//! `target/experiments/` and fails CI when any gated metric drifts outside
-//! the tolerance band — throughput regressions and P99 latency blow-ups
-//! alike, in either direction (an unexplained 40% "improvement" usually
-//! means the benchmark stopped measuring what it used to).
+//! The serving sweeps (`serve_load`, `serve_open_loop`, `serve_streaming`,
+//! `serve_elastic`) are deterministic, so their committed `BENCH_*.json`
+//! records are exact perf baselines.  The `bench_check` binary re-reads a
+//! freshly generated record from `target/experiments/` and fails CI when any
+//! gated metric drifts outside the tolerance band — throughput regressions
+//! and P99 latency blow-ups alike, in either direction (an unexplained 40%
+//! "improvement" usually means the benchmark stopped measuring what it used
+//! to).  Regenerating a baseline goes through [`write_baseline`], which
+//! prints what moved before it overwrites the committed file.
 
 use specasr_metrics::{ExperimentRecord, ReportRow};
 
@@ -264,6 +266,99 @@ pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, toleran
         }
     }
     lines.join("\n")
+}
+
+/// Reads an experiment record from the JSON file at `path`.
+pub fn load(path: &str) -> Result<ExperimentRecord, String> {
+    let content =
+        std::fs::read_to_string(path).map_err(|error| format!("cannot read {path}: {error}"))?;
+    serde_json::from_str(&content).map_err(|error| format!("cannot parse {path}: {error}"))
+}
+
+/// Renders `violations` of `fresh` against `baseline`: one
+/// [`breach_table`] per row with a violation, in the order the rows first
+/// breach, under a ``row `label`:`` line; a row missing from `fresh` is its
+/// violation's line alone.
+pub fn breach_report(
+    baseline: &ExperimentRecord,
+    fresh: &ExperimentRecord,
+    violations: &[Violation],
+    tolerance: f64,
+) -> String {
+    let mut lines = Vec::new();
+    let mut reported: Vec<&str> = Vec::new();
+    for violation in violations {
+        let label = match violation {
+            Violation::MissingRow { .. } => {
+                lines.push(violation.to_string());
+                continue;
+            }
+            Violation::MissingMetric { label, .. } | Violation::Drift { label, .. } => {
+                label.as_str()
+            }
+        };
+        if reported.contains(&label) {
+            continue;
+        }
+        reported.push(label);
+        let base_row = baseline
+            .row(label)
+            .expect("violation labels come from baseline rows");
+        lines.push(format!("row `{label}`:"));
+        for line in breach_table(base_row, fresh.row(label), tolerance).lines() {
+            lines.push(format!("  {line}"));
+        }
+    }
+    lines.join("\n")
+}
+
+/// What replacing the baseline `previous` with `fresh` changes, at the
+/// exact [`DEFAULT_TOLERANCE`]: the [`breach_report`] of every row that
+/// moved or vanished, a line per row that is new, or one line saying that
+/// every row is unchanged.
+pub fn baseline_changes(previous: &ExperimentRecord, fresh: &ExperimentRecord) -> String {
+    let violations = compare_records(previous, fresh, DEFAULT_TOLERANCE);
+    let mut lines = Vec::new();
+    if !violations.is_empty() {
+        lines.push(breach_report(
+            previous,
+            fresh,
+            &violations,
+            DEFAULT_TOLERANCE,
+        ));
+    }
+    for row in &fresh.rows {
+        if previous.row(&row.label).is_none() {
+            lines.push(format!("row `{}` is new", row.label));
+        }
+    }
+    if lines.is_empty() {
+        return format!(
+            "all {} rows unchanged at {}",
+            fresh.rows.len(),
+            band(DEFAULT_TOLERANCE)
+        );
+    }
+    lines.join("\n")
+}
+
+/// Regenerates the committed baseline at `path` from `record`.  Before it
+/// overwrites the file, it prints [`baseline_changes`] against the record
+/// the file holds, so a regeneration says what it moved.
+pub fn write_baseline(path: &str, record: &ExperimentRecord) {
+    match load(path) {
+        Ok(previous) => {
+            println!("{path}:");
+            for line in baseline_changes(&previous, record).lines() {
+                println!("  {line}");
+            }
+        }
+        Err(error) => println!("{path}: no previous baseline to compare ({error})"),
+    }
+    match std::fs::write(path, record.to_json()) {
+        Ok(()) => println!("(baseline record written to {path})"),
+        Err(error) => eprintln!("warning: could not write {path}: {error}"),
+    }
 }
 
 #[cfg(test)]
@@ -543,6 +638,57 @@ mod tests {
         let line = table.lines().nth(1).expect("a throughput line");
         assert!(line.contains("+1.0e-6") && line.contains("\u{b1}1e-9") && line.ends_with("DRIFT"));
         assert_eq!(band(0.15), "\u{b1}15.0%");
+    }
+
+    #[test]
+    fn breach_reports_table_each_breached_row_once() {
+        let base =
+            record(20.0, 900.0).with_row(ReportRow::new("gone").with("throughput_utps", 1.0));
+        let fresh = record(20.0 * 0.8, 900.0 * 1.3);
+        let violations = compare_records(&base, &fresh, BAND);
+        assert_eq!(violations.len(), 3);
+        let report = breach_report(&base, &fresh, &violations, BAND);
+        let lines: Vec<&str> = report.lines().collect();
+        // One table for `w1@q10` (header plus its two gated metrics), then
+        // the vanished row's violation.
+        assert_eq!(lines.len(), 5, "{report}");
+        assert_eq!(lines[0], "row `w1@q10`:");
+        assert!(lines[1].starts_with("  metric"));
+        assert!(lines[2].contains("throughput_utps") && lines[2].ends_with("DRIFT"));
+        assert!(lines[3].contains("e2e_p99_ms") && lines[3].ends_with("DRIFT"));
+        assert_eq!(lines[4], "row `gone` is missing from the fresh record");
+    }
+
+    #[test]
+    fn an_unchanged_baseline_says_so_in_one_line() {
+        let base =
+            record(20.0, 900.0).with_row(ReportRow::new("w2@q10").with("throughput_utps", 30.0));
+        let fresh = record(20.0 * (1.0 + 1e-12), 900.0)
+            .with_row(ReportRow::new("w2@q10").with("throughput_utps", 30.0));
+        assert_eq!(
+            baseline_changes(&base, &fresh),
+            "all 2 rows unchanged at \u{b1}1e-9"
+        );
+    }
+
+    #[test]
+    fn a_moved_baseline_tables_every_moved_row() {
+        let base =
+            record(20.0, 900.0).with_row(ReportRow::new("w2@q10").with("throughput_utps", 30.0));
+        let fresh = record(20.0, 900.0 * (1.0 + 1e-6))
+            .with_row(ReportRow::new("w2@q10").with("throughput_utps", 30.0))
+            .with_row(ReportRow::new("w3@q10").with("throughput_utps", 45.0));
+        let changes = baseline_changes(&base, &fresh);
+        let lines: Vec<&str> = changes.lines().collect();
+        // The moved row's table, then the new row; the unchanged row is
+        // not mentioned.
+        assert_eq!(lines.len(), 5, "{changes}");
+        assert_eq!(lines[0], "row `w1@q10`:");
+        assert!(lines[2].contains("throughput_utps") && lines[2].ends_with("ok"));
+        assert!(lines[3].contains("e2e_p99_ms") && lines[3].contains("+1.0e-6"));
+        assert!(lines[3].ends_with("DRIFT"));
+        assert_eq!(lines[4], "row `w3@q10` is new");
+        assert!(!changes.contains("w2@q10"));
     }
 
     #[test]

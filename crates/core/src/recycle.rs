@@ -47,10 +47,19 @@ impl RecycleBuffer {
     /// `accepted_len` itself was rejected (and replaced by the target's
     /// correction), so the retained suffix starts at `accepted_len + 1`.
     pub fn from_rejected(draft_tokens: &[TokenId], accepted_len: usize) -> Self {
+        let mut buffer = RecycleBuffer::new();
+        buffer.retain_rejected(draft_tokens, accepted_len);
+        buffer
+    }
+
+    /// Replaces the retained tokens with the suffix
+    /// [`RecycleBuffer::from_rejected`] would keep, refilling the buffer in
+    /// place: once it has held the longest suffix, a round's commit
+    /// allocates nothing for it.
+    pub(crate) fn retain_rejected(&mut self, draft_tokens: &[TokenId], accepted_len: usize) {
         let start = (accepted_len + 1).min(draft_tokens.len());
-        RecycleBuffer {
-            tokens: draft_tokens[start..].to_vec(),
-        }
+        self.tokens.clear();
+        self.tokens.extend_from_slice(&draft_tokens[start..]);
     }
 
     /// The retained tokens.

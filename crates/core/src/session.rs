@@ -39,8 +39,8 @@
 use std::sync::Arc;
 
 use specasr_models::{
-    AsrDecoderModel, DecodeClock, ForwardRequest, ForwardResult, LatencyModel, ModelProfile,
-    Probes, UtteranceTokens,
+    AsrDecoderModel, BackendBatch, DecodeClock, ForwardRequest, LatencyModel, Probes, TokenLogits,
+    UtteranceTokens,
 };
 use specasr_runtime::{BlockTable, KvPool, PoolError, TokenTree};
 use specasr_tokenizer::TokenId;
@@ -247,7 +247,7 @@ pub struct KvDemand {
 pub struct DecodeSession {
     policy: Policy,
     drafter: DrafterKind,
-    /// Shared so backend `ForwardRequest`s reference it without copying.
+    /// Shared so backend batches reference it without copying.
     audio: Arc<UtteranceTokens>,
     tokens: Vec<TokenId>,
     stats: DecodeStats,
@@ -460,57 +460,58 @@ impl DecodeSession {
         Ok(self.commit(pool, target.profile().latency(), drafted, walk))
     }
 
-    /// Builds the verification [`ForwardRequest`] for `drafted`: one target
-    /// forward pass scoring the probe set of
+    /// Appends the verification request for `drafted` to `batch`: one
+    /// target forward pass scoring the probe set of
     /// [`DraftedRound::probe_extensions`] after the committed prefix, priced
     /// at [`DraftedRound::verify_tokens`] parallel tokens.
     ///
-    /// A scheduler collects these across all in-flight sessions into one
-    /// cross-session [`specasr_models::BackendBatch`], submits it, and
-    /// commits each session from its completion via
+    /// The prefix and the probes are copied into the batch's flat buffers,
+    /// so a scheduler that clears and refills one cross-session batch every
+    /// tick stops allocating once the batch has held its largest tick.  It
+    /// submits the batch and commits each session from its completion via
     /// [`DecodeSession::verify_round_from`].
-    pub fn verify_request(&self, drafted: &DraftedRound) -> ForwardRequest {
-        ForwardRequest::verify(
-            Arc::clone(&self.audio),
-            self.tokens.clone(),
-            drafted.probe_extensions().clone(),
-            drafted.verify_tokens(),
-        )
+    pub fn verify_request(&self, drafted: &DraftedRound, batch: &mut BackendBatch) {
+        batch.push(ForwardRequest {
+            audio: &self.audio,
+            prefix: &self.tokens,
+            probes: drafted.probe_extensions().as_slice(),
+            charge_tokens: drafted.verify_tokens(),
+        });
     }
 
     /// Verifies and commits one drafted round from a backend completion
-    /// instead of querying a target model: `result` must answer the request
-    /// built by [`DecodeSession::verify_request`] for the same `drafted`
-    /// round, and `target_profile` is the profile of the model the backend
-    /// fronts (verification latency is charged against it, exactly as
+    /// instead of querying a target model: `logits` must be the completion
+    /// of the request [`DecodeSession::verify_request`] appended for the
+    /// same `drafted` round, and `target` is the latency model of the model
+    /// the backend fronts (verification is charged against it, exactly as
     /// [`DecodeSession::verify_round`] charges the target model).
     ///
-    /// The acceptance walk reads `result.logits[i]` in place for each probe
-    /// `i` it visits — the same walk and the same commit as
+    /// The acceptance walk reads `logits[i]` in place for each probe `i` it
+    /// visits — the same walk and the same commit as
     /// [`DecodeSession::verify_round`], pool contract included, and the
     /// models are pure, so the two calls cannot decide differently.
     ///
     /// # Panics
     ///
-    /// Panics if `result` does not carry one scored distribution per probe
+    /// Panics if `logits` does not hold one scored distribution per probe
     /// of `drafted`.
     pub fn verify_round_from(
         &mut self,
         pool: &mut KvPool,
-        target_profile: &ModelProfile,
-        result: &ForwardResult,
+        target: &LatencyModel,
+        logits: &[TokenLogits],
         drafted: DraftedRound,
     ) -> Result<bool, PoolError> {
         assert_eq!(
             drafted.probe_extensions().len(),
-            result.logits.len(),
+            logits.len(),
             "one scored distribution per verification probe"
         );
         let (draft_width, target_width) = drafted.kv_widths();
         self.kv_append(pool, draft_width, target_width)?;
         let eos = self.audio.eos();
-        let walk = drafted.walk(|probe| result.logits[probe].greedy_or(eos));
-        Ok(self.commit(pool, target_profile.latency(), drafted, walk))
+        let walk = drafted.walk(|probe| logits[probe].greedy_or(eos));
+        Ok(self.commit(pool, target, drafted, walk))
     }
 
     /// Commits a walked round: charges the target pass, updates the recycle
@@ -570,12 +571,12 @@ impl DecodeSession {
                 // leaves the buffer as it is.
                 match plan {
                     RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                        self.recycle = RecycleBuffer::from_rejected(tokens, accepted.len());
+                        self.recycle.retain_rejected(tokens, accepted.len());
                     }
                     RoundPlan::Tree {
                         trunk_tokens: Some(trunk),
                         ..
-                    } => self.recycle = RecycleBuffer::from_rejected(trunk, walk.trunk_accepted),
+                    } => self.recycle.retain_rejected(trunk, walk.trunk_accepted),
                     RoundPlan::Tree { .. } | RoundPlan::Autoregressive => {}
                 }
                 // Commit, then roll the caches back to the committed length
@@ -1007,10 +1008,12 @@ mod tests {
 
     #[test]
     fn backend_stepping_matches_blocking_decode_exactly() {
-        use specasr_models::{AsrBackend, BackendBatch, InFlightSimBackend};
+        use specasr_models::{AsrBackend, Completions, InFlightSimBackend};
         let (draft, target, audio) = setup(Split::TestClean);
         let mut target_backend = InFlightSimBackend::new(&target).with_lanes(0);
         let mut pool = KvPool::bounded(2048, 16);
+        let mut batch = BackendBatch::new();
+        let mut completions = Completions::new();
         for policy in all_policies() {
             for utt in &audio {
                 let blocking = policy.decode(&draft, &target, utt);
@@ -1018,14 +1021,14 @@ mod tests {
                 let mut now = 0.0;
                 while !session.is_finished() {
                     let drafted = session.draft_round(&draft);
-                    let request = session.verify_request(&drafted);
-                    let tickets = target_backend.submit(BackendBatch::of(request), now);
-                    let result = target_backend
-                        .complete(tickets[0])
-                        .expect("computed at submit");
+                    batch.clear();
+                    session.verify_request(&drafted, &mut batch);
+                    target_backend.submit(&batch, now);
+                    target_backend.poll(&mut completions);
+                    let (result, logits) = completions.iter().next().expect("computed at submit");
                     now = result.completed_ms;
                     session
-                        .verify_round_from(&mut pool, target.profile(), &result, drafted)
+                        .verify_round_from(&mut pool, target.profile().latency(), logits, drafted)
                         .expect("pool has room");
                 }
                 session.release_kv(&mut pool);
@@ -1097,7 +1100,7 @@ mod tests {
 
     #[test]
     fn hand_built_trees_verify_alike_from_the_model_and_from_a_completion() {
-        use specasr_models::{AsrBackend, BackendBatch, InFlightSimBackend};
+        use specasr_models::{AsrBackend, Completions, InFlightSimBackend};
         let (_draft, target, audio) = setup(Split::TestClean);
         let utt = audio
             .iter()
@@ -1142,6 +1145,8 @@ mod tests {
         ];
         let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
         let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
+        let mut batch = BackendBatch::new();
+        let mut completions = Completions::new();
         for drafted in rounds {
             let RoundPlan::Tree {
                 tree, trunk_tokens, ..
@@ -1178,10 +1183,18 @@ mod tests {
             by_model
                 .verify_round(&mut pool, &target, drafted.clone())
                 .expect("unbounded");
-            let tickets = backend.submit(BackendBatch::of(by_result.verify_request(&drafted)), 0.0);
-            let result = backend.complete(tickets[0]).expect("computed at submit");
+            batch.clear();
+            by_result.verify_request(&drafted, &mut batch);
+            backend.submit(&batch, 0.0);
+            backend.poll(&mut completions);
+            let (_, logits) = completions.iter().next().expect("computed at submit");
             by_result
-                .verify_round_from(&mut pool, target.profile(), &result, drafted.clone())
+                .verify_round_from(
+                    &mut pool,
+                    target.profile().latency(),
+                    logits,
+                    drafted.clone(),
+                )
                 .expect("unbounded");
             assert_eq!(by_model.tokens(), by_result.tokens());
             assert_eq!(by_model.stats(), by_result.stats());
@@ -1206,21 +1219,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "one scored distribution per verification probe")]
     fn mismatched_verify_results_panic() {
-        use specasr_models::{ForwardResult, Ticket};
         let (draft, target, audio) = setup(Split::DevOther);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
         let mut pool = KvPool::unbounded(16);
         let mut session = start(policy, &audio[0], &mut pool);
         let drafted = session.draft_round(&draft);
-        let bogus = ForwardResult {
-            ticket: Ticket::new(0),
-            logits: Vec::new(),
-            submitted_ms: 0.0,
-            started_ms: 0.0,
-            completed_ms: 0.0,
-            batch_requests: 1,
-        };
-        let _ = session.verify_round_from(&mut pool, target.profile(), &bogus, drafted);
+        let _ = session.verify_round_from(&mut pool, target.profile().latency(), &[], drafted);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The batched submit/complete decoder-backend API.
+//! The batched submit/poll decoder-backend API.
 //!
 //! [`crate::AsrDecoderModel::next_logits`] is a synchronous, one-token,
 //! one-sequence call — the wrong shape for a serving scheduler that wants to
@@ -7,18 +7,27 @@
 //! I/O-bound (GPU RPC, remote inference).  [`AsrBackend`] is the batched,
 //! completion-queue redesign of that boundary:
 //!
-//! 1. callers build a [`BackendBatch`] of [`ForwardRequest`]s — each request
-//!    is one verification pass: an audio context, a shared generated prefix,
-//!    and the *probe extensions* whose next-token distributions the pass
-//!    must score, as one flat [`Probes`] set (every distinct draft position
-//!    of a drafted sequence or token tree, scored in the same pass, which is
-//!    exactly how speculative verification runs on real hardware; the caller
-//!    reads each position's distribution back by its probe index);
-//! 2. [`AsrBackend::submit`] enqueues the batch at a caller-supplied wall
-//!    time and returns one [`Ticket`] per request;
-//! 3. [`AsrBackend::poll`] / [`AsrBackend::complete`] drain the completion
-//!    queue: each [`ForwardResult`] carries the scored [`TokenLogits`] plus
-//!    the modeled in-flight span (submit → completion) of its batch.
+//! 1. callers fill a [`BackendBatch`] with verification passes — each one an
+//!    audio context, a shared generated prefix, and the *probe extensions*
+//!    whose next-token distributions the pass must score (every distinct
+//!    draft position of a drafted sequence or token tree, scored in the same
+//!    pass, which is exactly how speculative verification runs on real
+//!    hardware; the caller reads each position's distribution back by its
+//!    probe index).  The batch is one set of flat buffers, and
+//!    [`ForwardRequest`] is a borrowed view of one request in it;
+//! 2. [`AsrBackend::submit`] borrows the batch, enqueues it at a
+//!    caller-supplied wall time and returns its [`TicketRange`]: one ticket
+//!    per request, consecutive, in request order;
+//! 3. [`AsrBackend::poll`] drains the completion queue into a
+//!    [`Completions`] buffer: each [`ForwardResult`] names its range of one
+//!    flat list of scored [`TokenLogits`], plus the modeled in-flight span
+//!    (submit → completion) of its batch.
+//!
+//! The caller owns the batch and the completions and reuses them from one
+//! round to the next: [`BackendBatch::clear`] and a poll keep their capacity,
+//! the simulated backend scores into pending buffers that keep theirs, and a
+//! distribution keeps its few candidates in place.  Once every buffer has
+//! held the largest round, a verify round allocates nothing.
 //!
 //! The design is deliberately futures-free — no executor, no `tokio` — so it
 //! works with the offline shims while mapping directly onto an asynchronous
@@ -46,6 +55,7 @@
 //! appear on the verify lane only.  The per-lane request counters on the
 //! backend stats exist precisely so that capacity shift is measurable.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -53,12 +63,14 @@ use specasr_tokenizer::TokenId;
 
 use crate::binding::UtteranceTokens;
 use crate::logits::TokenLogits;
-use crate::probes::Probes;
+use crate::probes::ProbeSlice;
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 
 /// One verification pass a backend must run: the audio context, the shared
-/// generated prefix, and the probe extensions to score.
+/// generated prefix, and the probe extensions to score — a borrowed view,
+/// which [`BackendBatch::push`] copies in and [`BackendBatch::requests`]
+/// hands back out.
 ///
 /// Each probe is a token extension of `prefix`; the backend returns the
 /// next-token distribution *after* `prefix + probe`, one [`TokenLogits`] per
@@ -67,42 +79,24 @@ use crate::traits::AsrDecoderModel;
 /// token width the pass occupies on the accelerator (what latency pricing is
 /// based on) — the drafted-token count the verification processes, not the
 /// probe count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardRequest {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ForwardRequest<'a> {
     /// The audio context the model is conditioned on (shared — many requests
     /// of one session reference the same context without copying it).
-    pub audio: Arc<UtteranceTokens>,
+    pub audio: &'a Arc<UtteranceTokens>,
     /// The committed generated prefix shared by every probe.
-    pub prefix: Vec<TokenId>,
-    /// Token extensions of `prefix` to score, in order, flattened into one
-    /// buffer: a verify request's set is laid out once per drafted round,
-    /// and the completion's distributions are read back by probe index.
-    pub probes: Probes,
+    pub prefix: &'a [TokenId],
+    /// Token extensions of `prefix` to score, in order: a verify request's
+    /// set is laid out once per drafted round, and the completion's
+    /// distributions are read back by probe index.
+    pub probes: ProbeSlice<'a>,
     /// Token width the pass is priced at (parallel tokens processed).
     pub charge_tokens: usize,
 }
 
-impl ForwardRequest {
-    /// A verification pass scoring `probes` after `prefix`, priced at
-    /// `charge_tokens` parallel tokens.
-    pub fn verify(
-        audio: Arc<UtteranceTokens>,
-        prefix: Vec<TokenId>,
-        probes: Probes,
-        charge_tokens: usize,
-    ) -> Self {
-        ForwardRequest {
-            audio,
-            prefix,
-            probes,
-            charge_tokens,
-        }
-    }
-}
-
-/// Handle of one submitted [`ForwardRequest`], redeemed through
-/// [`AsrBackend::poll`] or [`AsrBackend::complete`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// Handle of one submitted request, named by its [`ForwardResult`] when
+/// [`AsrBackend::poll`] drains it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(u64);
 
 impl Ticket {
@@ -119,12 +113,84 @@ impl Ticket {
     }
 }
 
-/// A group of [`ForwardRequest`]s submitted together: the backend runs them
-/// as one grouped pass (base cost paid once), which is where cross-session
-/// verification batching comes from.
+/// The tickets of one submitted batch: consecutive, one per request, in
+/// request order.
+///
+/// Every empty range is the same value, whatever ticket would have come
+/// next, so an empty batch gets the same answer in process and across the
+/// wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct TicketRange {
+    first: u64,
+    len: usize,
+}
+
+impl TicketRange {
+    /// The `len` tickets from `first` on.
+    pub fn new(first: Ticket, len: usize) -> Self {
+        match len {
+            0 => TicketRange::default(),
+            len => TicketRange {
+                first: first.value(),
+                len,
+            },
+        }
+    }
+
+    /// Number of tickets.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the range holds no ticket.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The request index `ticket` was issued to, if it is in the range.
+    pub fn position(&self, ticket: Ticket) -> Option<usize> {
+        let offset = ticket.value().checked_sub(self.first)?;
+        usize::try_from(offset)
+            .ok()
+            .filter(|&index| index < self.len)
+    }
+
+    /// The tickets in request order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Ticket> {
+        let first = self.first;
+        (0..self.len).map(move |index| Ticket(first + index as u64))
+    }
+}
+
+/// A group of verification passes submitted together: the backend runs
+/// them as one grouped pass (base cost paid once), which is where
+/// cross-session verification batching comes from.
+///
+/// The requests live in flat buffers, so a batch the caller clears and
+/// refills round after round stops allocating once it has held its largest
+/// round.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackendBatch {
-    pub(crate) requests: Vec<ForwardRequest>,
+    pub(crate) requests: Vec<RequestSlot>,
+    /// Each request's prefix, then its probes' tokens, request after
+    /// request.
+    pub(crate) tokens: Vec<TokenId>,
+    /// Where each probe ends, counted from its request's first probe token;
+    /// request after request.
+    pub(crate) probe_ends: Vec<usize>,
+}
+
+/// Where one request of a [`BackendBatch`] sits in the batch's buffers.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RequestSlot {
+    pub(crate) audio: Arc<UtteranceTokens>,
+    /// The prefix, in `tokens`; the request's probe tokens follow it up to
+    /// `tokens_end`.
+    pub(crate) prefix: Range<usize>,
+    pub(crate) tokens_end: usize,
+    /// The request's probes, in `probe_ends`.
+    pub(crate) probes: Range<usize>,
+    pub(crate) charge_tokens: usize,
 }
 
 impl BackendBatch {
@@ -133,16 +199,28 @@ impl BackendBatch {
         BackendBatch::default()
     }
 
-    /// A batch holding a single request.
-    pub fn of(request: ForwardRequest) -> Self {
-        BackendBatch {
-            requests: vec![request],
-        }
+    /// Removes every request, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.requests.clear();
+        self.tokens.clear();
+        self.probe_ends.clear();
     }
 
-    /// Adds a request to the batch.
-    pub fn push(&mut self, request: ForwardRequest) {
-        self.requests.push(request);
+    /// Copies `request` into the batch, after the requests already in it.
+    pub fn push(&mut self, request: ForwardRequest<'_>) {
+        let start = self.tokens.len();
+        self.tokens.extend_from_slice(request.prefix);
+        let prefix = start..self.tokens.len();
+        self.tokens.extend_from_slice(request.probes.tokens());
+        let ends_at = self.probe_ends.len();
+        self.probe_ends.extend_from_slice(request.probes.ends());
+        self.requests.push(RequestSlot {
+            audio: Arc::clone(request.audio),
+            prefix,
+            tokens_end: self.tokens.len(),
+            probes: ends_at..self.probe_ends.len(),
+            charge_tokens: request.charge_tokens,
+        });
     }
 
     /// Number of requests in the batch.
@@ -156,24 +234,38 @@ impl BackendBatch {
     }
 
     /// The requests in submission order.
-    pub fn requests(&self) -> &[ForwardRequest] {
-        &self.requests
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = ForwardRequest<'_>> {
+        self.requests.iter().map(|slot| self.view(slot))
     }
 
     /// Total priced token width across the batch.
     pub fn charge_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.charge_tokens).sum()
+        self.requests.iter().map(|slot| slot.charge_tokens).sum()
+    }
+
+    fn view<'a>(&'a self, slot: &'a RequestSlot) -> ForwardRequest<'a> {
+        ForwardRequest {
+            audio: &slot.audio,
+            prefix: &self.tokens[slot.prefix.clone()],
+            probes: ProbeSlice::new(
+                &self.tokens[slot.prefix.end..slot.tokens_end],
+                &self.probe_ends[slot.probes.clone()],
+            ),
+            charge_tokens: slot.charge_tokens,
+        }
     }
 }
 
-/// One completed [`ForwardRequest`]: the scored distributions plus the
-/// modeled in-flight span of the batch that served it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One completed request: where its scored distributions sit in its
+/// [`Completions`], plus the modeled in-flight span of the batch that served
+/// it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForwardResult {
     /// The ticket of the request this result answers.
     pub ticket: Ticket,
-    /// One distribution per probe, in probe order.
-    pub logits: Vec<TokenLogits>,
+    /// One distribution per probe, in probe order: a range of the
+    /// [`Completions`]' flat list, read through [`Completions::logits`].
+    pub logits: Range<usize>,
     /// Wall time the batch was submitted.
     pub submitted_ms: f64,
     /// Wall time the device actually started executing the batch (equals
@@ -195,6 +287,63 @@ impl ForwardResult {
     /// The modeled device execution time (start-to-completion).
     pub fn service_ms(&self) -> f64 {
         (self.completed_ms - self.started_ms).max(0.0)
+    }
+}
+
+/// The results one [`AsrBackend::poll`] drained, in a buffer the caller owns
+/// and passes to every poll: the results in completion order, and every
+/// result's distributions back to back in one flat list.
+///
+/// A poll clears and refills it, keeping the capacity, so a caller that
+/// polls into the same buffer stops allocating once it has held its largest
+/// round.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Completions {
+    pub(crate) results: Vec<ForwardResult>,
+    pub(crate) logits: Vec<TokenLogits>,
+}
+
+impl Completions {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Completions::default()
+    }
+
+    /// Removes every result, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.results.clear();
+        self.logits.clear();
+    }
+
+    /// Number of results.
+    pub fn len(&self) -> usize {
+        self.results.len()
+    }
+
+    /// `true` when the buffer holds no result.
+    pub fn is_empty(&self) -> bool {
+        self.results.is_empty()
+    }
+
+    /// The results in completion order (ties by ticket).
+    pub fn results(&self) -> &[ForwardResult] {
+        &self.results
+    }
+
+    /// The scored distributions of `result`, one per probe of its request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `result` did not come from this buffer.
+    pub fn logits(&self, result: &ForwardResult) -> &[TokenLogits] {
+        &self.logits[result.logits.clone()]
+    }
+
+    /// Every result with its distributions, in completion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&ForwardResult, &[TokenLogits])> {
+        self.results
+            .iter()
+            .map(|result| (result, self.logits(result)))
     }
 }
 
@@ -256,28 +405,23 @@ impl BackendCounters {
 /// The batched, completion-queue decoder-backend abstraction.
 ///
 /// `submit` never blocks: it prices and enqueues the batch at `now_ms` and
-/// hands back tickets.  Completions are drained with `poll` (everything
-/// ready, in completion order) or `complete` (one specific ticket).  The
-/// simulated backends compute results eagerly, so `complete` always succeeds
-/// right after `submit`; an RPC-backed implementation would block or return
-/// `None` until the wire answers — callers that need lock-step behaviour
-/// complete each ticket right after submitting it, callers that want overlap
-/// (the serving scheduler) submit everything first and drain afterwards.
+/// hands back its tickets.  `poll` drains every completion into the caller's
+/// buffer.  The simulated backends compute results eagerly, so a poll right
+/// after a submit returns its results; an RPC-backed implementation would
+/// return only what the wire has answered — callers that want overlap (the
+/// serving scheduler) submit everything first and drain afterwards.
 pub trait AsrBackend {
     /// The profile of the model this backend fronts.
     fn profile(&self) -> &ModelProfile;
 
-    /// Submits a batch at wall time `now_ms`, returning one ticket per
-    /// request in request order.
-    fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket>;
+    /// Submits a batch at wall time `now_ms`, returning its tickets: one
+    /// per request, consecutive, in request order.  The backend copies what
+    /// it needs, so the caller may clear and refill the batch at once.
+    fn submit(&mut self, batch: &BackendBatch, now_ms: f64) -> TicketRange;
 
-    /// Drains every completed result, ordered by completion time (ties by
-    /// ticket).
-    fn poll(&mut self) -> Vec<ForwardResult>;
-
-    /// Removes and returns the result for `ticket`, or `None` if the ticket
-    /// is unknown or not completed yet.
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult>;
+    /// Drains every completed result into `into`, replacing its contents,
+    /// ordered by completion time (ties by ticket).
+    fn poll(&mut self, into: &mut Completions);
 
     /// Cumulative lifetime counters.
     fn counters(&self) -> BackendCounters;
@@ -304,7 +448,10 @@ pub trait AsrBackend {
 #[derive(Debug, Clone, Default)]
 struct BackendState {
     next_ticket: u64,
-    pending: Vec<ForwardResult>,
+    /// Scored results not polled yet, in ticket order.  Kept across polls,
+    /// so scoring stops allocating once the buffer has held its largest
+    /// round.
+    pending: Completions,
     /// `(completed_ms, requests)` of batches still in flight on the modeled
     /// timeline, pruned on every submit.
     in_flight: Vec<(f64, usize)>,
@@ -320,11 +467,11 @@ impl BackendState {
     fn score_batch<M: AsrDecoderModel + ?Sized>(
         &mut self,
         model: &M,
-        batch: BackendBatch,
+        batch: &BackendBatch,
         now_ms: f64,
         started_ms: f64,
         completed_ms: f64,
-    ) -> Vec<Ticket> {
+    ) -> TicketRange {
         let batch_requests = batch.len();
         self.counters.batches += 1;
         self.counters.requests += batch_requests;
@@ -335,46 +482,56 @@ impl BackendState {
         let in_flight: usize = self.in_flight.iter().map(|&(_, n)| n).sum();
         self.counters.peak_in_flight = self.counters.peak_in_flight.max(in_flight);
 
-        let mut tickets = Vec::with_capacity(batch_requests);
+        let tickets = TicketRange::new(Ticket(self.next_ticket), batch_requests);
         let context = &mut self.context;
-        for request in batch.requests {
+        let pending = &mut self.pending;
+        for request in batch.requests() {
             self.counters.probes_scored += request.probes.len();
-            let mut logits = Vec::with_capacity(request.probes.len());
+            let start = pending.logits.len();
             for probe in request.probes.iter() {
                 context.clear();
-                context.extend_from_slice(&request.prefix);
+                context.extend_from_slice(request.prefix);
                 context.extend_from_slice(probe);
-                logits.push(model.next_logits(&request.audio, context));
+                pending
+                    .logits
+                    .push(model.next_logits(request.audio, context));
             }
-            let ticket = Ticket(self.next_ticket);
-            self.next_ticket += 1;
-            self.pending.push(ForwardResult {
-                ticket,
-                logits,
+            pending.results.push(ForwardResult {
+                ticket: Ticket(self.next_ticket),
+                logits: start..pending.logits.len(),
                 submitted_ms: now_ms,
                 started_ms,
                 completed_ms,
                 batch_requests,
             });
-            tickets.push(ticket);
+            self.next_ticket += 1;
         }
         tickets
     }
 
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        let mut drained = std::mem::take(&mut self.pending);
-        drained.sort_by(|a, b| {
+    /// Moves every pending result into `into`, in completion order, each
+    /// result's distributions laid out in that order too.
+    fn poll(&mut self, into: &mut Completions) {
+        into.clear();
+        let Completions { results, logits } = &mut self.pending;
+        // Tickets are unique, so the order is total and an unstable sort
+        // (which never allocates) gives the one order a stable sort would.
+        results.sort_unstable_by(|a, b| {
             a.completed_ms
                 .partial_cmp(&b.completed_ms)
                 .expect("completion times are finite")
                 .then(a.ticket.cmp(&b.ticket))
         });
-        drained
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        let index = self.pending.iter().position(|r| r.ticket == ticket)?;
-        Some(self.pending.swap_remove(index))
+        for result in results.iter() {
+            let start = into.logits.len();
+            into.logits
+                .extend(logits[result.logits.clone()].iter_mut().map(std::mem::take));
+            into.results.push(ForwardResult {
+                logits: start..into.logits.len(),
+                ..result.clone()
+            });
+        }
+        self.pending.clear();
     }
 }
 
@@ -531,8 +688,8 @@ pub struct DeviceEvent {
 ///
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{
-///     AsrBackend, BackendBatch, ForwardRequest, InFlightSimBackend, ModelProfile, Probes,
-///     SimulatedAsrModel, TokenizerBinding,
+///     AsrBackend, BackendBatch, Completions, ForwardRequest, InFlightSimBackend, ModelProfile,
+///     Probes, SimulatedAsrModel, TokenizerBinding,
 /// };
 ///
 /// let corpus = Corpus::librispeech_like(1, 1);
@@ -541,12 +698,21 @@ pub struct DeviceEvent {
 /// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 ///
 /// let mut backend = InFlightSimBackend::new(target);
-/// let a = ForwardRequest::verify(audio.clone(), Vec::new(), Probes::empty_probe(), 4);
-/// let b = ForwardRequest::verify(audio, Vec::new(), Probes::empty_probe(), 4);
-/// backend.submit(BackendBatch::of(a), 0.0);
-/// backend.submit(BackendBatch::of(b), 0.0); // queues behind the first
-/// let results = backend.poll();
+/// let probes = Probes::empty_probe();
+/// let mut batch = BackendBatch::new();
+/// batch.push(ForwardRequest {
+///     audio: &audio,
+///     prefix: &[],
+///     probes: probes.as_slice(),
+///     charge_tokens: 4,
+/// });
+/// backend.submit(&batch, 0.0);
+/// backend.submit(&batch, 0.0); // queues behind the first
+/// let mut completions = Completions::new();
+/// backend.poll(&mut completions);
+/// let results = completions.results();
 /// assert!(results[1].completed_ms > results[0].completed_ms);
+/// assert_eq!(completions.logits(&results[0]).len(), 1);
 /// assert_eq!(backend.counters().peak_in_flight, 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -606,8 +772,8 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
         self.model.profile()
     }
 
-    fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        let service_ms = batch_service_ms(self.model.profile(), &batch);
+    fn submit(&mut self, batch: &BackendBatch, now_ms: f64) -> TicketRange {
+        let service_ms = batch_service_ms(self.model.profile(), batch);
         let (start_ms, completed_ms) = self.timeline.occupy(now_ms, service_ms);
         if self.device_tracing {
             self.device_log.push(DeviceEvent {
@@ -615,7 +781,7 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
                 submitted_ms: now_ms,
                 started_ms: start_ms,
                 completed_ms,
-                requests: batch.requests().len() as u64,
+                requests: batch.len() as u64,
                 charge_tokens: batch.charge_tokens() as u64,
             });
         }
@@ -624,12 +790,8 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
             .score_batch(&self.model, batch, now_ms, start_ms, completed_ms)
     }
 
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        self.state.poll()
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        self.state.complete(ticket)
+    fn poll(&mut self, into: &mut Completions) {
+        self.state.poll(into);
     }
 
     fn counters(&self) -> BackendCounters {
@@ -663,6 +825,7 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
 mod tests {
     use super::*;
     use crate::binding::TokenizerBinding;
+    use crate::probes::Probes;
     use crate::simulated::SimulatedAsrModel;
     use specasr_audio::{Corpus, Split};
 
@@ -678,6 +841,27 @@ mod tests {
         (target, audio)
     }
 
+    /// A batch of empty-probe requests, one per `(context, charge width)`.
+    fn batch_of(requests: &[(&Arc<UtteranceTokens>, usize)]) -> BackendBatch {
+        let probes = Probes::empty_probe();
+        let mut batch = BackendBatch::new();
+        for &(audio, charge_tokens) in requests {
+            batch.push(ForwardRequest {
+                audio,
+                prefix: &[],
+                probes: probes.as_slice(),
+                charge_tokens,
+            });
+        }
+        batch
+    }
+
+    fn polled(backend: &mut impl AsrBackend) -> Completions {
+        let mut completions = Completions::new();
+        backend.poll(&mut completions);
+        completions
+    }
+
     #[test]
     fn probe_results_match_direct_model_queries() {
         let (target, audio) = setup();
@@ -685,39 +869,89 @@ mod tests {
         let probes: Probes = (0..=transcript.len().min(4))
             .map(|i| &transcript[..i])
             .collect();
-        let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), probes.clone(), 4);
+        let mut batch = BackendBatch::new();
+        batch.push(ForwardRequest {
+            audio: &audio[0],
+            prefix: &[],
+            probes: probes.as_slice(),
+            charge_tokens: 4,
+        });
         let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
-        let tickets = backend.submit(BackendBatch::of(request), 10.0);
-        let result = backend.complete(tickets[0]).expect("computed at submit");
-        assert_eq!(result.logits.len(), probes.len());
-        for (probe, logits) in probes.iter().zip(&result.logits) {
+        let tickets = backend.submit(&batch, 10.0);
+        let completions = polled(&mut backend);
+        let (result, logits) = completions.iter().next().expect("computed at submit");
+        assert_eq!(Some(result.ticket), tickets.iter().next());
+        assert_eq!(logits.len(), probes.len());
+        for (probe, logits) in probes.iter().zip(logits) {
             assert_eq!(logits, &target.next_logits(&audio[0], probe));
         }
         assert!((result.submitted_ms - 10.0).abs() < 1e-12);
     }
 
     #[test]
+    fn a_batch_reads_back_its_requests_and_clears_in_place() {
+        let (_, audio) = setup();
+        let prefix = [TokenId::new(4), TokenId::new(5)];
+        let probes: Probes = [
+            &[][..],
+            &[TokenId::new(9)],
+            &[TokenId::new(9), TokenId::new(2)],
+        ]
+        .into_iter()
+        .collect();
+        let mut batch = batch_of(&[(&audio[1], 1)]);
+        batch.push(ForwardRequest {
+            audio: &audio[0],
+            prefix: &prefix,
+            probes: probes.as_slice(),
+            charge_tokens: 6,
+        });
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.charge_tokens(), 7);
+        let second = batch.requests().nth(1).expect("two requests");
+        assert!(Arc::ptr_eq(second.audio, &audio[0]));
+        assert_eq!(second.prefix, prefix);
+        assert_eq!(second.probes, probes.as_slice());
+        let first = batch.requests().next().expect("two requests");
+        assert_eq!(first.probes, Probes::empty_probe().as_slice());
+        assert!(batch.requests().map(|r| r.charge_tokens).eq([1, 6]));
+        let capacity = (batch.tokens.capacity(), batch.probe_ends.capacity());
+        batch.clear();
+        assert!(batch.is_empty());
+        assert_eq!(
+            (batch.tokens.capacity(), batch.probe_ends.capacity()),
+            capacity
+        );
+    }
+
+    #[test]
+    fn ticket_ranges_name_each_request_once() {
+        let tickets = TicketRange::new(Ticket::new(7), 3);
+        assert!(tickets.iter().map(Ticket::value).eq([7, 8, 9]));
+        assert_eq!(tickets.position(Ticket::new(8)), Some(1));
+        assert_eq!(tickets.position(Ticket::new(6)), None);
+        assert_eq!(tickets.position(Ticket::new(10)), None);
+        // Every empty range is the same value.
+        assert_eq!(TicketRange::new(Ticket::new(7), 0), TicketRange::default());
+        assert!(TicketRange::default().is_empty());
+    }
+
+    #[test]
     fn batches_are_priced_as_one_grouped_pass() {
         let (target, audio) = setup();
         let latency = target.profile().latency().clone();
-        let mut batch = BackendBatch::new();
-        for widths in [3usize, 5, 1] {
-            batch.push(ForwardRequest::verify(
-                audio[0].clone(),
-                Vec::new(),
-                Probes::empty_probe(),
-                widths,
-            ));
-        }
+        let batch = batch_of(&[(&audio[0], 3), (&audio[0], 5), (&audio[0], 1)]);
         let mut backend = InFlightSimBackend::new(&target).with_lanes(0);
-        let tickets = backend.submit(batch, 100.0);
-        let result = backend.complete(tickets[2]).expect("computed at submit");
-        assert!((result.completed_ms - (100.0 + latency.forward_pass_ms(9))).abs() < 1e-9);
-        assert_eq!(result.batch_requests, 3);
-        // The other two complete at the same instant (one grouped pass).
-        let rest = backend.poll();
-        assert_eq!(rest.len(), 2);
-        assert!(rest.iter().all(|r| r.completed_ms == result.completed_ms));
+        let tickets = backend.submit(&batch, 100.0);
+        assert_eq!(tickets.len(), 3);
+        let completions = polled(&mut backend);
+        assert_eq!(completions.len(), 3);
+        // All three complete at the same instant: one grouped pass.
+        for (result, ticket) in completions.results().iter().zip(tickets.iter()) {
+            assert_eq!(result.ticket, ticket);
+            assert!((result.completed_ms - (100.0 + latency.forward_pass_ms(9))).abs() < 1e-9);
+            assert_eq!(result.batch_requests, 3);
+        }
     }
 
     #[test]
@@ -725,18 +959,16 @@ mod tests {
         let (target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target).with_dispatch_overhead_ms(2.0);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), Probes::empty_probe(), 4);
-        backend.submit(BackendBatch::of(a), 0.0);
-        backend.submit(BackendBatch::of(b), 1.0); // queues behind the first
-        let results = backend.poll();
+        backend.submit(&batch_of(&[(&audio[0], 8)]), 0.0);
+        backend.submit(&batch_of(&[(&audio[1], 4)]), 1.0); // queues behind the first
+        let completions = polled(&mut backend);
+        let results = completions.results();
         let first_done = 2.0 + latency.forward_pass_ms(8);
         assert!((results[0].completed_ms - first_done).abs() < 1e-9);
         assert!((results[1].completed_ms - (first_done + latency.forward_pass_ms(4))).abs() < 1e-9);
         // Submitting after the device drained starts immediately again.
-        let c = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
-        let tickets = backend.submit(BackendBatch::of(c), 1e6);
-        let result = backend.complete(tickets[0]).expect("completed");
+        backend.submit(&batch_of(&[(&audio[0], 1)]), 1e6);
+        let result = polled(&mut backend).results()[0].clone();
         assert!((result.completed_ms - (1e6 + 2.0 + latency.forward_pass_ms(1))).abs() < 1e-6);
         assert_eq!(backend.counters().verify_batches, 3);
         assert_eq!(backend.counters().verify_requests, 3);
@@ -744,58 +976,25 @@ mod tests {
     }
 
     #[test]
-    fn poll_orders_by_completion_time_and_complete_is_exact() {
+    fn poll_orders_by_completion_time() {
         let (target, audio) = setup();
         let mut backend = InFlightSimBackend::new(&target);
-        let late = backend.submit(
-            BackendBatch::of(ForwardRequest::verify(
-                audio[0].clone(),
-                Vec::new(),
-                Probes::empty_probe(),
-                16,
-            )),
-            0.0,
-        );
-        let early = backend.submit(
-            BackendBatch::of(ForwardRequest::verify(
-                audio[1].clone(),
-                Vec::new(),
-                Probes::empty_probe(),
-                1,
-            )),
-            0.0,
-        );
-        assert!(backend.complete(Ticket(99)).is_none(), "unknown ticket");
-        let results = backend.poll();
-        assert_eq!(results[0].ticket, late[0], "device order, not ticket order");
-        assert_eq!(results[1].ticket, early[0]);
-        assert!(backend.poll().is_empty(), "poll drains the queue");
-        assert!(backend.complete(late[0]).is_none(), "already drained");
+        let late = backend.submit(&batch_of(&[(&audio[0], 16)]), 0.0);
+        let early = backend.submit(&batch_of(&[(&audio[1], 1)]), 0.0);
+        let mut completions = polled(&mut backend);
+        let results = completions.results();
+        assert_eq!(Some(results[0].ticket), late.iter().next(), "device order");
+        assert_eq!(Some(results[1].ticket), early.iter().next());
+        backend.poll(&mut completions);
+        assert!(completions.is_empty(), "poll drains the queue");
     }
 
     #[test]
     fn occupancy_counts_only_verify_batches() {
         let (target, audio) = setup();
         let mut backend = InFlightSimBackend::new(&target);
-        backend.submit(
-            BackendBatch::of(ForwardRequest::verify(
-                audio[0].clone(),
-                Vec::new(),
-                Probes::empty_probe(),
-                1,
-            )),
-            0.0,
-        );
-        let mut verify = BackendBatch::new();
-        for _ in 0..4 {
-            verify.push(ForwardRequest::verify(
-                audio[0].clone(),
-                Vec::new(),
-                Probes::empty_probe(),
-                2,
-            ));
-        }
-        backend.submit(verify, 0.0);
+        backend.submit(&batch_of(&[(&audio[0], 1)]), 0.0);
+        backend.submit(&batch_of(&[(&audio[0], 2); 4]), 0.0);
         let counters = backend.counters();
         assert_eq!(counters.batches, 2);
         assert_eq!(counters.verify_batches, 2);
@@ -862,10 +1061,8 @@ mod tests {
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target);
         let service = latency.forward_pass_ms(8);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), Probes::empty_probe(), 8);
-        backend.submit(BackendBatch::of(a), 0.0);
-        backend.submit(BackendBatch::of(b), service + 25.0);
+        backend.submit(&batch_of(&[(&audio[0], 8)]), 0.0);
+        backend.submit(&batch_of(&[(&audio[1], 8)]), service + 25.0);
         let counters = backend.counters();
         assert!((counters.device_busy_ms - 2.0 * service).abs() < 1e-9);
         assert!((counters.device_idle_ms - 25.0).abs() < 1e-9);

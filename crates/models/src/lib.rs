@@ -15,9 +15,10 @@
 //!   logits, the observable that adaptive truncation thresholds on,
 //! * [`traits`] — the [`traits::AsrDecoderModel`] abstraction every decoding
 //!   policy is written against (a real neural backend can be swapped in),
-//! * [`backend`] — the batched submit/complete [`backend::AsrBackend`] API
-//!   serving schedulers drive: [`backend::ForwardRequest`] batches, tickets,
-//!   a completion queue, and the simulated in-flight backend,
+//! * [`backend`] — the batched submit/poll [`backend::AsrBackend`] API
+//!   serving schedulers drive: reusable [`backend::BackendBatch`]es, ticket
+//!   ranges, [`backend::Completions`] drained from a completion queue, and
+//!   the simulated in-flight backend,
 //! * [`probes`] — [`probes::Probes`], the flat probe set one forward pass
 //!   scores,
 //! * [`simulated`] — the audio-conditioned simulated ASR model: scale-
@@ -67,15 +68,15 @@ pub mod traits;
 pub mod wire;
 
 pub use backend::{
-    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, DeviceTimeline, ForwardRequest,
-    ForwardResult, InFlightSimBackend, Ticket,
+    AsrBackend, BackendBatch, BackendCounters, Completions, DeviceEvent, DeviceTimeline,
+    ForwardRequest, ForwardResult, InFlightSimBackend, Ticket, TicketRange,
 };
 pub use binding::{TokenizerBinding, UtteranceTokens};
 pub use ctc::CtcDrafter;
 pub use hashing::splitmix64;
 pub use latency::{DecodeClock, LatencyBreakdown, LatencyModel};
 pub use logits::TokenLogits;
-pub use probes::Probes;
+pub use probes::{ProbeSlice, Probes};
 pub use profiles::{AccuracyProfile, ModelProfile, ModelRole, ModelScale};
 pub use rpc::RpcBackend;
 pub use simulated::SimulatedAsrModel;

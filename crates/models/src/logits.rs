@@ -4,12 +4,20 @@
 //! only ever look at the top few candidates of the draft model's output and
 //! at the *normalised logit* (softmax probability) of the top-1 token, so the
 //! simulated models return exactly that sparse view.
+//!
+//! A verify pass scores one distribution per probe, 16 or more for a sparse
+//! tree, so a distribution keeps its first [`INLINE_CANDIDATES`] candidates
+//! in place and only a longer one moves to the heap.  The simulated models
+//! emit at most three, so building, scoring and draining a distribution
+//! allocates nothing.
 
-use serde::{Deserialize, Serialize};
 use specasr_tokenizer::TokenId;
 
+/// Candidates a [`TokenLogits`] holds without a heap allocation.
+pub const INLINE_CANDIDATES: usize = 4;
+
 /// A candidate token with its normalised probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// The candidate token.
     pub token: TokenId,
@@ -17,10 +25,93 @@ pub struct Candidate {
     pub probability: f64,
 }
 
+impl Candidate {
+    /// Fills the unused inline slots.
+    const UNUSED: Candidate = Candidate {
+        token: TokenId::new(0),
+        probability: 0.0,
+    };
+}
+
+/// The candidate storage of one distribution: in place up to
+/// [`INLINE_CANDIDATES`], on the heap past that.
+#[derive(Clone)]
+pub(crate) enum Candidates {
+    /// The first `len` slots hold the candidates.
+    Inline {
+        len: u8,
+        slots: [Candidate; INLINE_CANDIDATES],
+    },
+    /// More candidates than fit in place.
+    Spilled(Vec<Candidate>),
+}
+
+impl Candidates {
+    const EMPTY: Candidates = Candidates::Inline {
+        len: 0,
+        slots: [Candidate::UNUSED; INLINE_CANDIDATES],
+    };
+
+    fn as_slice(&self) -> &[Candidate] {
+        match self {
+            Candidates::Inline { len, slots } => &slots[..usize::from(*len)],
+            Candidates::Spilled(candidates) => candidates,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Candidate] {
+        match self {
+            Candidates::Inline { len, slots } => &mut slots[..usize::from(*len)],
+            Candidates::Spilled(candidates) => candidates,
+        }
+    }
+
+    /// Appends `candidate` as is, moving to the heap once the inline slots
+    /// are full.  The wire decoder rebuilds a distribution bit for bit
+    /// through this, without re-sorting or filtering it.
+    pub(crate) fn push(&mut self, candidate: Candidate) {
+        match self {
+            Candidates::Inline { len, slots } if usize::from(*len) < INLINE_CANDIDATES => {
+                slots[usize::from(*len)] = candidate;
+                *len += 1;
+            }
+            Candidates::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_CANDIDATES);
+                spilled.extend_from_slice(slots);
+                spilled.push(candidate);
+                *self = Candidates::Spilled(spilled);
+            }
+            Candidates::Spilled(candidates) => candidates.push(candidate),
+        }
+    }
+}
+
+impl PartialEq for Candidates {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Candidates {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+/// Lets the construction proptest compare against its reference rule,
+/// which builds a `Vec`.
+#[cfg(test)]
+impl PartialEq<Vec<Candidate>> for Candidates {
+    fn eq(&self, other: &Vec<Candidate>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// Sparse top-k distribution over the next token.
 ///
 /// Candidates are stored in descending probability order; probabilities are
-/// positive and sum to at most 1.
+/// positive and sum to at most 1.  Up to [`INLINE_CANDIDATES`] of them live
+/// in the value itself.
 ///
 /// # Example
 ///
@@ -28,7 +119,7 @@ pub struct Candidate {
 /// use specasr_models::TokenLogits;
 /// use specasr_tokenizer::TokenId;
 ///
-/// let logits = TokenLogits::from_candidates(vec![
+/// let logits = TokenLogits::from_candidates([
 ///     (TokenId::new(10), 0.8),
 ///     (TokenId::new(11), 0.15),
 /// ]);
@@ -36,11 +127,20 @@ pub struct Candidate {
 /// assert_eq!(logits.rank_of(TokenId::new(11)), Some(2));
 /// assert!((logits.top1_probability() - 0.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenLogits {
     // Crate-visible so the wire decoder can rebuild a distribution bit for
     // bit, without re-sorting or filtering it.
-    pub(crate) candidates: Vec<Candidate>,
+    pub(crate) candidates: Candidates,
+}
+
+impl Default for TokenLogits {
+    /// The empty distribution.
+    fn default() -> Self {
+        TokenLogits {
+            candidates: Candidates::EMPTY,
+        }
+    }
 }
 
 impl TokenLogits {
@@ -52,37 +152,32 @@ impl TokenLogits {
     /// # Panics
     ///
     /// Panics if the retained probabilities sum to more than `1.0 + 1e-6`.
-    pub fn from_candidates(mut pairs: Vec<(TokenId, f64)>) -> Self {
-        // Filter and dedup in place: the first `kept` pairs are the retained
-        // ones, in first-seen order, so `pairs` is the only allocation (the
-        // final `collect` reuses it too).
-        let mut kept = 0;
-        for read in 0..pairs.len() {
-            let (token, probability) = pairs[read];
+    pub fn from_candidates(pairs: impl AsRef<[(TokenId, f64)]>) -> Self {
+        // Filter and dedup straight into the storage: the retained pairs in
+        // first-seen order, each token at its highest probability.
+        let mut logits = TokenLogits::default();
+        for &(token, probability) in pairs.as_ref() {
             if probability <= 0.0 {
                 continue;
             }
-            match pairs[..kept].iter_mut().find(|(t, _)| *t == token) {
-                Some((_, existing)) => *existing = existing.max(probability),
-                None => {
-                    pairs[kept] = (token, probability);
-                    kept += 1;
-                }
+            let kept = logits.candidates.as_mut_slice();
+            match kept.iter_mut().find(|kept| kept.token == token) {
+                Some(existing) => existing.probability = existing.probability.max(probability),
+                None => logits.candidates.push(Candidate { token, probability }),
             }
         }
-        pairs.truncate(kept);
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("probabilities are finite"));
-        let total: f64 = pairs.iter().map(|(_, p)| p).sum();
+        let kept = logits.candidates.as_mut_slice();
+        kept.sort_by(|a, b| {
+            b.probability
+                .partial_cmp(&a.probability)
+                .expect("probabilities are finite")
+        });
+        let total: f64 = kept.iter().map(|c| c.probability).sum();
         assert!(
             total <= 1.0 + 1e-6,
             "candidate probabilities sum to {total}, which exceeds 1"
         );
-        TokenLogits {
-            candidates: pairs
-                .into_iter()
-                .map(|(token, probability)| Candidate { token, probability })
-                .collect(),
-        }
+        logits
     }
 
     /// A degenerate distribution that puts probability `p` on one token.
@@ -92,27 +187,27 @@ impl TokenLogits {
     /// Panics if `p` is outside `(0, 1]`.
     pub fn certain(token: TokenId, p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "probability must be in (0, 1]");
-        TokenLogits {
-            candidates: vec![Candidate {
-                token,
-                probability: p,
-            }],
-        }
+        let mut logits = TokenLogits::default();
+        logits.candidates.push(Candidate {
+            token,
+            probability: p,
+        });
+        logits
     }
 
     /// The number of retained candidates.
     pub fn len(&self) -> usize {
-        self.candidates.len()
+        self.candidates.as_slice().len()
     }
 
     /// Returns `true` if no candidate was retained.
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.candidates.as_slice().is_empty()
     }
 
     /// The highest-probability candidate.
     pub fn top1(&self) -> Option<Candidate> {
-        self.candidates.first().copied()
+        self.candidates.as_slice().first().copied()
     }
 
     /// The greedy (top-1) token, or `fallback` when no candidate was
@@ -127,10 +222,7 @@ impl TokenLogits {
     /// This is the quantity the paper thresholds at 0.4 to detect uncertain
     /// predictions.
     pub fn top1_probability(&self) -> f64 {
-        self.candidates
-            .first()
-            .map(|c| c.probability)
-            .unwrap_or(0.0)
+        self.top1().map_or(0.0, |c| c.probability)
     }
 
     /// The candidate at `rank` (1-based), if any.
@@ -138,26 +230,17 @@ impl TokenLogits {
         if rank == 0 {
             return None;
         }
-        self.candidates.get(rank - 1).copied()
+        self.candidates.as_slice().get(rank - 1).copied()
     }
 
     /// The 1-based rank of `token`, if it appears among the candidates.
     pub fn rank_of(&self, token: TokenId) -> Option<usize> {
-        self.candidates
-            .iter()
-            .position(|c| c.token == token)
-            .map(|i| i + 1)
+        self.iter().position(|c| c.token == token).map(|i| i + 1)
     }
 
     /// Iterates over candidates in descending probability order.
-    pub fn iter(&self) -> impl Iterator<Item = &Candidate> {
-        self.candidates.iter()
-    }
-
-    /// The top-k candidate tokens (at most `k`), in descending probability
-    /// order.
-    pub fn top_k_tokens(&self, k: usize) -> Vec<TokenId> {
-        self.candidates.iter().take(k).map(|c| c.token).collect()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Candidate> {
+        self.candidates.as_slice().iter()
     }
 }
 
@@ -202,10 +285,29 @@ mod tests {
     }
 
     #[test]
-    fn top_k_tokens_truncates() {
-        let logits = TokenLogits::from_candidates(vec![(t(1), 0.5), (t(2), 0.3), (t(3), 0.1)]);
-        assert_eq!(logits.top_k_tokens(2), vec![t(1), t(2)]);
-        assert_eq!(logits.top_k_tokens(10).len(), 3);
+    fn distributions_past_the_inline_capacity_spill_to_the_heap() {
+        let pairs: Vec<(TokenId, f64)> = (1..=6).map(|i| (t(i), 0.02 * f64::from(i))).collect();
+        let logits = TokenLogits::from_candidates(&pairs);
+        assert_eq!(logits.len(), 6);
+        assert!(matches!(logits.candidates, Candidates::Spilled(_)));
+        let order: Vec<u32> = logits.iter().map(|c| c.token.value()).collect();
+        assert_eq!(order, vec![6, 5, 4, 3, 2, 1]);
+        assert_eq!(logits.rank_of(t(1)), Some(6));
+        assert_eq!(logits.clone(), logits);
+        // Equality reads the candidates, whichever storage holds them.
+        let mut inline = TokenLogits::from_candidates(&pairs[..INLINE_CANDIDATES]);
+        assert!(matches!(inline.candidates, Candidates::Inline { .. }));
+        assert_ne!(inline, logits);
+        inline.candidates = Candidates::Spilled(inline.iter().copied().collect());
+        assert_eq!(
+            inline,
+            TokenLogits::from_candidates(&pairs[..INLINE_CANDIDATES])
+        );
+    }
+
+    #[test]
+    fn a_distribution_stays_small() {
+        assert!(std::mem::size_of::<TokenLogits>() <= 72);
     }
 
     #[test]

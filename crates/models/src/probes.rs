@@ -2,14 +2,16 @@
 
 use specasr_tokenizer::TokenId;
 
-/// The probe extensions one [`crate::ForwardRequest`] scores, stored flat:
-/// every probe's tokens back to back in one buffer, and the end offset of
-/// each probe in another.
+/// The probe extensions of one verify pass, stored flat: every probe's
+/// tokens back to back in one buffer, and the end offset of each probe in
+/// another.
 ///
 /// Probe `i` spans `tokens[ends[i - 1]..ends[i]]` (probe 0 starts at 0), so
 /// a probe set of any size is two allocations, and a probe that extends an
 /// earlier one by a token ([`Probes::push_extension`]) copies its parent
-/// from inside the same buffer.
+/// from inside the same buffer.  [`Probes::as_slice`] borrows the set as the
+/// [`ProbeSlice`] a [`crate::ForwardRequest`] carries, and a
+/// [`crate::BackendBatch`] copies the two buffers as they are.
 ///
 /// # Example
 ///
@@ -26,10 +28,8 @@ use specasr_tokenizer::TokenId;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Probes {
-    // Crate-visible so the wire decoder can read a probe straight into the
-    // buffer, one token at a time.
-    pub(crate) tokens: Vec<TokenId>,
-    pub(crate) ends: Vec<usize>,
+    tokens: Vec<TokenId>,
+    ends: Vec<usize>,
 }
 
 impl Probes {
@@ -48,7 +48,7 @@ impl Probes {
     }
 
     /// The set holding only the empty probe: the position directly after the
-    /// prefix, which is all a draft step scores.
+    /// prefix, which is all an autoregressive round's verify pass scores.
     pub fn empty_probe() -> Self {
         Probes {
             tokens: Vec::new(),
@@ -68,7 +68,7 @@ impl Probes {
     ///
     /// Panics if `parent` is not a probe of this set.
     pub fn push_extension(&mut self, parent: usize, token: TokenId) -> usize {
-        let span = self.span(parent);
+        let span = self.as_slice().span(parent);
         self.tokens.extend_from_within(span);
         self.tokens.push(token);
         self.seal()
@@ -90,18 +90,73 @@ impl Probes {
     ///
     /// Panics if `index` is not a probe of this set.
     pub fn get(&self, index: usize) -> &[TokenId] {
-        &self.tokens[self.span(index)]
+        self.as_slice().get(index)
     }
 
     /// The probes in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TokenId]> + '_ {
-        (0..self.len()).map(|index| self.get(index))
+        self.as_slice().iter()
+    }
+
+    /// The set, borrowed.
+    pub fn as_slice(&self) -> ProbeSlice<'_> {
+        ProbeSlice::new(&self.tokens, &self.ends)
     }
 
     /// Closes the probe whose tokens end the buffer, returning its index.
-    pub(crate) fn seal(&mut self) -> usize {
+    fn seal(&mut self) -> usize {
         self.ends.push(self.tokens.len());
         self.ends.len() - 1
+    }
+}
+
+/// A borrowed probe set: a [`Probes`], or the probes of one request in a
+/// [`crate::BackendBatch`], laid out the same way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeSlice<'a> {
+    tokens: &'a [TokenId],
+    /// Where each probe ends in `tokens`.
+    ends: &'a [usize],
+}
+
+impl<'a> ProbeSlice<'a> {
+    pub(crate) fn new(tokens: &'a [TokenId], ends: &'a [usize]) -> Self {
+        ProbeSlice { tokens, ends }
+    }
+
+    /// Number of probes.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the set holds no probe.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The tokens of probe `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a probe of this set.
+    pub fn get(&self, index: usize) -> &'a [TokenId] {
+        &self.tokens[self.span(index)]
+    }
+
+    /// The probes in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [TokenId]> + 'a {
+        let probes = *self;
+        (0..self.len()).map(move |index| probes.get(index))
+    }
+
+    /// Every probe's tokens, back to back.
+    pub(crate) fn tokens(&self) -> &'a [TokenId] {
+        self.tokens
+    }
+
+    /// Where each probe ends in [`ProbeSlice::tokens`].
+    pub(crate) fn ends(&self) -> &'a [usize] {
+        self.ends
     }
 
     fn span(&self, index: usize) -> std::ops::Range<usize> {

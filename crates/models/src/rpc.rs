@@ -1,8 +1,8 @@
 //! A process-boundary [`AsrBackend`]: a worker thread owning the device,
 //! driven over the binary wire protocol of [`crate::wire`].
 //!
-//! [`RpcBackend`] proves the ticketed `submit/poll/complete` boundary is
-//! real: the client half holds *no* model.  Every call it makes encodes one
+//! [`RpcBackend`] proves the ticketed `submit/poll` boundary is real: the
+//! client half holds *no* model.  Every call it makes encodes one
 //! [`WireCall`] frame and blocks on the matching [`WireReply`] frame.  The
 //! worker half owns an [`InFlightSimBackend`] and answers in lock step, so a
 //! scheduler driven through the wire sees the exact timing, tickets, and
@@ -10,7 +10,7 @@
 //! stats stay byte-identical, which is what makes the backend a drop-in
 //! `--rpc` choice in the bench bins.
 //!
-//! Three things keep the boundary cheap:
+//! Four things keep the boundary cheap:
 //!
 //! * **One recycled frame buffer.**  The client encodes each call into a
 //!   single `Vec<u8>` and moves it to the worker over a `sync_channel(1)`;
@@ -18,6 +18,12 @@
 //!   and moves it back.  The buffer grows to the largest frame once and
 //!   then stops allocating, and a bounded channel allocates nothing per
 //!   message.
+//! * **A reused batch and completions on both sides.**  The client encodes
+//!   the caller's [`BackendBatch`] where it lies and decodes each poll reply
+//!   into the caller's [`Completions`].  The worker decodes every submit
+//!   into one batch it keeps and polls into one completions buffer it
+//!   keeps.  Like the frame, each stops growing once it has held the
+//!   largest round, so a warm round trip allocates nothing.
 //! * **Each audio context sent once.**  The client registers a context with
 //!   the worker the first time a request uses it and forgets it once no
 //!   session holds it any more (the register/forget rule of
@@ -45,7 +51,7 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use crate::backend::{
-    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, ForwardResult, Ticket,
+    AsrBackend, BackendBatch, BackendCounters, Completions, DeviceEvent, TicketRange,
 };
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
@@ -63,7 +69,7 @@ use crate::InFlightSimBackend;
 ///
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{
-///     AsrBackend, BackendBatch, ForwardRequest, ModelProfile, Probes, RpcBackend,
+///     AsrBackend, BackendBatch, Completions, ForwardRequest, ModelProfile, Probes, RpcBackend,
 ///     SimulatedAsrModel, TokenizerBinding,
 /// };
 ///
@@ -73,10 +79,20 @@ use crate::InFlightSimBackend;
 /// let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 ///
 /// let mut backend = RpcBackend::spawn(target);
-/// let request = ForwardRequest::verify(audio, Vec::new(), Probes::empty_probe(), 1);
-/// let tickets = backend.submit(BackendBatch::of(request), 0.0);
-/// let result = backend.complete(tickets[0]).expect("worker answered");
-/// assert_eq!(result.logits.len(), 1);
+/// let probes = Probes::empty_probe();
+/// let mut batch = BackendBatch::new();
+/// batch.push(ForwardRequest {
+///     audio: &audio,
+///     prefix: &[],
+///     probes: probes.as_slice(),
+///     charge_tokens: 1,
+/// });
+/// let tickets = backend.submit(&batch, 0.0);
+/// let mut completions = Completions::new();
+/// backend.poll(&mut completions);
+/// let (result, logits) = completions.iter().next().expect("worker answered");
+/// assert_eq!(Some(result.ticket), tickets.iter().next());
+/// assert_eq!(logits.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct RpcBackend {
@@ -134,7 +150,9 @@ impl RpcBackend {
         }
     }
 
-    fn call(&mut self, call: &WireCall) -> WireReply {
+    /// Sends `call` and decodes the worker's reply, reading any results
+    /// into `completions`.
+    fn call<'c>(&mut self, call: &WireCall<'_>, completions: &'c mut Completions) -> WireReply<'c> {
         let mut frame = std::mem::take(&mut self.frame);
         self.encoder.encode(call, &mut frame);
         self.calls
@@ -144,7 +162,7 @@ impl RpcBackend {
             .replies
             .recv()
             .expect("rpc worker answers every call in lock step");
-        decode_reply(&self.frame)
+        decode_reply(&self.frame, completions)
             .unwrap_or_else(|error| panic!("rpc worker sent a malformed reply: {error}"))
     }
 }
@@ -154,8 +172,8 @@ impl AsrBackend for RpcBackend {
         &self.profile
     }
 
-    fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        match self.call(&WireCall::Submit(now_ms, batch)) {
+    fn submit(&mut self, batch: &BackendBatch, now_ms: f64) -> TicketRange {
+        match self.call(&WireCall::Submit(now_ms, batch), &mut Completions::new()) {
             WireReply::Submitted {
                 tickets,
                 device_free_ms,
@@ -169,17 +187,10 @@ impl AsrBackend for RpcBackend {
         }
     }
 
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        match self.call(&WireCall::Poll) {
-            WireReply::Results(results) => results,
+    fn poll(&mut self, into: &mut Completions) {
+        match self.call(&WireCall::Poll, into) {
+            WireReply::Results(_) => {}
             other => unreachable!("poll answered with {other:?}"),
-        }
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        match self.call(&WireCall::Complete(ticket)) {
-            WireReply::Completed(result) => result,
-            other => unreachable!("complete answered with {other:?}"),
         }
     }
 
@@ -201,7 +212,7 @@ impl AsrBackend for RpcBackend {
     /// Propagates the trace context to the worker: enables (or disables)
     /// the device-side batch log behind the wire.
     fn set_device_tracing(&mut self, enabled: bool) {
-        match self.call(&WireCall::SetTracing(enabled)) {
+        match self.call(&WireCall::SetTracing(enabled), &mut Completions::new()) {
             WireReply::TracingSet(state) => debug_assert_eq!(state, enabled),
             other => unreachable!("set tracing answered with {other:?}"),
         }
@@ -209,7 +220,7 @@ impl AsrBackend for RpcBackend {
 
     /// Drains the worker's device batch log across the wire.
     fn take_device_events(&mut self) -> Vec<DeviceEvent> {
-        match self.call(&WireCall::TakeDeviceEvents) {
+        match self.call(&WireCall::TakeDeviceEvents, &mut Completions::new()) {
             WireReply::DeviceEvents(events) => events,
             other => unreachable!("take device events answered with {other:?}"),
         }
@@ -238,28 +249,30 @@ impl Drop for RpcBackend {
 }
 
 /// The worker loop: decode a call, apply it to the owned backend, encode the
-/// reply into the same frame buffer and hand it back.
+/// reply into the same frame buffer and hand it back.  One batch and one
+/// completions buffer serve every call.
 fn worker_loop<M: AsrDecoderModel>(
     mut backend: InFlightSimBackend<M>,
     calls: Receiver<Vec<u8>>,
     replies: SyncSender<Vec<u8>>,
 ) {
     let mut decoder = CallDecoder::new();
+    let mut batch = BackendBatch::new();
+    let mut completions = Completions::new();
     while let Ok(mut frame) = calls.recv() {
         let call = decoder
-            .decode(&frame)
+            .decode(&frame, &mut batch)
             .unwrap_or_else(|error| panic!("rpc client sent a malformed call: {error}"));
         let reply = match call {
-            WireCall::Submit(now_ms, batch) => {
-                let tickets = backend.submit(batch, now_ms);
-                WireReply::Submitted {
-                    tickets,
-                    device_free_ms: backend.device_free_ms(),
-                    counters: backend.counters(),
-                }
+            WireCall::Submit(now_ms, batch) => WireReply::Submitted {
+                tickets: backend.submit(batch, now_ms),
+                device_free_ms: backend.device_free_ms(),
+                counters: backend.counters(),
+            },
+            WireCall::Poll => {
+                backend.poll(&mut completions);
+                WireReply::Results(&completions)
             }
-            WireCall::Poll => WireReply::Results(backend.poll()),
-            WireCall::Complete(ticket) => WireReply::Completed(backend.complete(ticket)),
             WireCall::SetTracing(enabled) => {
                 backend.set_device_tracing(enabled);
                 WireReply::TracingSet(enabled)
@@ -299,6 +312,28 @@ mod tests {
         (target, audio)
     }
 
+    /// A batch of one request scoring `probes` after an empty prefix.
+    fn one_request(
+        audio: &Arc<UtteranceTokens>,
+        probes: &Probes,
+        charge_tokens: usize,
+    ) -> BackendBatch {
+        let mut batch = BackendBatch::new();
+        batch.push(ForwardRequest {
+            audio,
+            prefix: &[],
+            probes: probes.as_slice(),
+            charge_tokens,
+        });
+        batch
+    }
+
+    fn polled(backend: &mut impl AsrBackend) -> Completions {
+        let mut completions = Completions::new();
+        backend.poll(&mut completions);
+        completions
+    }
+
     #[test]
     fn the_rpc_backend_matches_the_in_process_backend_exactly() {
         let (target, audio) = setup();
@@ -308,18 +343,17 @@ mod tests {
         assert_eq!(remote.counters(), local.counters());
         assert!((remote.dispatch_overhead_ms() - 2.0).abs() < 1e-12);
 
+        let probes = Probes::empty_probe();
         for (i, context) in audio.iter().enumerate() {
-            let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), Probes::empty_probe(), 4 + i);
-            let batch = BackendBatch::of(request);
-            let a = local.submit(batch.clone(), i as f64);
-            let b = remote.submit(batch, i as f64);
+            let batch = one_request(context, &probes, 4 + i);
+            let a = local.submit(&batch, i as f64);
+            let b = remote.submit(&batch, i as f64);
             assert_eq!(a, b);
             assert!((remote.device_free_ms() - local.device_free_ms()).abs() < 1e-12);
             assert_eq!(remote.counters(), local.counters());
         }
-        let local_results = local.poll();
-        let remote_results = remote.poll();
+        let local_results = polled(&mut local);
+        let remote_results = polled(&mut remote);
         assert_eq!(local_results, remote_results);
         assert!(!remote_results.is_empty());
         assert_eq!(remote.counters(), local.counters());
@@ -332,11 +366,11 @@ mod tests {
         let mut remote = RpcBackend::spawn_with_overhead(target, 1.5);
         local.set_device_tracing(true);
         remote.set_device_tracing(true);
+        let probes = Probes::empty_probe();
         for (i, context) in audio.iter().enumerate() {
-            let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), Probes::empty_probe(), 3 + i);
-            local.submit(BackendBatch::of(request.clone()), i as f64);
-            remote.submit(BackendBatch::of(request), i as f64);
+            let batch = one_request(context, &probes, 3 + i);
+            local.submit(&batch, i as f64);
+            remote.submit(&batch, i as f64);
         }
         let local_events = local.take_device_events();
         let remote_events = remote.take_device_events();
@@ -348,10 +382,9 @@ mod tests {
         // Disabling clears the buffered log on both sides.
         local.set_device_tracing(true);
         remote.set_device_tracing(true);
-        let request =
-            ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 2);
-        local.submit(BackendBatch::of(request.clone()), 99.0);
-        remote.submit(BackendBatch::of(request), 99.0);
+        let batch = one_request(&audio[0], &probes, 2);
+        local.submit(&batch, 99.0);
+        remote.submit(&batch, 99.0);
         local.set_device_tracing(false);
         remote.set_device_tracing(false);
         assert!(local.take_device_events().is_empty());
@@ -359,16 +392,61 @@ mod tests {
     }
 
     #[test]
-    fn complete_drains_one_ticket_across_the_wire() {
+    fn poll_drains_completions_across_the_wire() {
         let (target, audio) = setup();
         let mut remote = RpcBackend::spawn(target);
-        let request =
-            ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
-        let tickets = remote.submit(BackendBatch::of(request), 5.0);
-        assert!(remote.complete(Ticket::new(999)).is_none());
-        let result = remote.complete(tickets[0]).expect("completed");
-        assert_eq!(result.ticket, tickets[0]);
-        assert!(remote.complete(tickets[0]).is_none(), "already drained");
+        let tickets = remote.submit(&one_request(&audio[0], &Probes::empty_probe(), 1), 5.0);
+        let mut completions = polled(&mut remote);
+        assert_eq!(completions.len(), 1);
+        assert_eq!(Some(completions.results()[0].ticket), tickets.iter().next());
+        remote.poll(&mut completions);
+        assert!(completions.is_empty(), "the first poll drained the queue");
+    }
+
+    /// A model that spreads every distribution over six candidates, past
+    /// the inline capacity of a [`TokenLogits`].
+    #[derive(Debug, Clone)]
+    struct SpreadModel(ModelProfile);
+
+    impl AsrDecoderModel for SpreadModel {
+        fn profile(&self) -> &ModelProfile {
+            &self.0
+        }
+
+        fn next_logits(&self, _: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
+            let base = prefix.len() as u32;
+            TokenLogits::from_candidates(
+                [0.3, 0.25, 0.2, 0.1, 0.08, 0.07]
+                    .map(|p| (TokenId::new(base + (p * 100.0) as u32), p)),
+            )
+        }
+    }
+
+    #[test]
+    fn six_candidate_distributions_cross_the_wire_identically() {
+        let (_, audio) = setup();
+        let model = SpreadModel(ModelProfile::whisper_medium_en());
+        let mut local = InFlightSimBackend::new(model.clone());
+        let mut remote = RpcBackend::spawn(model);
+        let probes: Probes = [
+            &[][..],
+            &[TokenId::new(9)],
+            &[TokenId::new(9), TokenId::new(4)],
+        ]
+        .into_iter()
+        .collect();
+        for (i, context) in audio.iter().enumerate() {
+            let batch = one_request(context, &probes, 3);
+            assert_eq!(
+                local.submit(&batch, i as f64),
+                remote.submit(&batch, i as f64)
+            );
+        }
+        let local_results = polled(&mut local);
+        let remote_results = polled(&mut remote);
+        assert_eq!(local_results, remote_results);
+        let (_, logits) = remote_results.iter().next().expect("results");
+        assert!(logits.iter().all(|logits| logits.len() == 6));
     }
 
     /// A model whose every forward pass panics: the worker dies on the first
@@ -390,9 +468,7 @@ mod tests {
         let (_, audio) = setup();
         let caught = std::panic::catch_unwind(|| {
             let mut remote = RpcBackend::spawn(FailingModel(ModelProfile::whisper_medium_en()));
-            let request =
-                ForwardRequest::verify(audio[0].clone(), Vec::new(), Probes::empty_probe(), 1);
-            remote.submit(BackendBatch::of(request), 0.0)
+            remote.submit(&one_request(&audio[0], &Probes::empty_probe(), 1), 0.0)
         });
         let panic = caught.expect_err("the failed call panics the caller");
         let message = panic

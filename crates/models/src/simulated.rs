@@ -249,7 +249,7 @@ impl AsrDecoderModel for SimulatedAsrModel {
             );
             let confidence = 0.82 + 0.17 * confidence_draw;
             let runner_up = self.wrong_token(audio, position, context, anchor, Purpose::Filler);
-            return TokenLogits::from_candidates(vec![
+            return TokenLogits::from_candidates([
                 (anchor, confidence),
                 (runner_up, (1.0 - confidence) * 0.6),
             ]);
@@ -281,7 +281,7 @@ impl AsrDecoderModel for SimulatedAsrModel {
             // region so aggressive truncation has a real cost (Fig. 13a).
             let confidence = 0.30 + 0.69 * confidence_draw.powf(0.6);
             let runner_up = self.wrong_token(audio, position, context, anchor, Purpose::Filler);
-            TokenLogits::from_candidates(vec![
+            TokenLogits::from_candidates([
                 (anchor, confidence),
                 (runner_up, (1.0 - confidence) * 0.5),
             ])
@@ -312,25 +312,17 @@ impl AsrDecoderModel for SimulatedAsrModel {
             if runner_up_draw < accuracy.runner_up_probability {
                 // Anchor at rank 2.
                 let filler = self.wrong_token(audio, position, context, top1, Purpose::Filler);
-                TokenLogits::from_candidates(vec![
-                    (top1, confidence),
-                    (anchor, rank2),
-                    (filler, rank3),
-                ])
+                TokenLogits::from_candidates([(top1, confidence), (anchor, rank2), (filler, rank3)])
             } else if runner_up_draw < accuracy.runner_up_probability + 0.18 {
                 // Anchor at rank 3.
                 let filler = self.wrong_token(audio, position, context, top1, Purpose::Filler);
-                TokenLogits::from_candidates(vec![
-                    (top1, confidence),
-                    (filler, rank2),
-                    (anchor, rank3),
-                ])
+                TokenLogits::from_candidates([(top1, confidence), (filler, rank2), (anchor, rank3)])
             } else {
                 // Anchor absent from the top-k entirely.
                 let filler = self.wrong_token(audio, position, context, top1, Purpose::Filler);
                 let filler2 =
                     self.wrong_token(audio, position, context, filler, Purpose::RunnerUpRank);
-                TokenLogits::from_candidates(vec![
+                TokenLogits::from_candidates([
                     (top1, confidence),
                     (filler, rank2),
                     (filler2, rank3),

@@ -17,7 +17,6 @@
 //!
 //! call  0x01 Submit            now_ms:f64  forget:seq<u64>  requests:seq<request>
 //!       0x02 Poll
-//!       0x03 Complete          ticket:u64
 //!       0x04 SetTracing        enabled:u8
 //!       0x05 TakeDeviceEvents
 //!       0x06 Shutdown
@@ -29,7 +28,6 @@
 //!
 //! reply 0x81 Submitted         tickets:seq<u64>  device_free_ms:f64  counters
 //!       0x82 Results           seq<result>
-//!       0x83 Completed         0x00 | 0x01 result
 //!       0x84 TracingSet        enabled:u8
 //!       0x85 DeviceEvents      seq<device_event>
 //!       0x86 Bye
@@ -43,14 +41,25 @@
 //! ```
 //!
 //! Call tags and reply tags are disjoint, so a frame sent the wrong way is an
-//! unknown tag rather than a misread.
+//! unknown tag rather than a misread.  A submit's tickets are consecutive,
+//! one per request; the reply still lists each of them.
+//!
+//! # Frames decode into buffers the caller keeps
+//!
+//! A call or reply that carries a batch or completions borrows it rather
+//! than owning it.  [`CallEncoder::encode`] reads the caller's
+//! [`BackendBatch`] in place, [`CallDecoder::decode`] reads a submit's
+//! requests into a batch the worker keeps, and [`decode_reply`] reads a
+//! poll's results into the caller's [`Completions`].  Each buffer is
+//! cleared first and keeps its capacity, so once the buffers and the frame
+//! have held the largest round, encoding and decoding allocate nothing.
 //!
 //! # Each audio context is sent once
 //!
-//! A [`ForwardRequest`] holds its audio context behind an `Arc`, and every
-//! request of a session shares the same one.  [`CallEncoder`], the client
-//! half, keys a table by `Arc` address and keeps a strong clone in it, so an
-//! address cannot be reused while it is registered.  A submit inlines a
+//! A [`BackendBatch`] holds each request's audio context behind an `Arc`,
+//! and every request of a session shares the same one.  [`CallEncoder`], the
+//! client half, keys a table by `Arc` address and keeps a strong clone in
+//! it, so an address cannot be reused while it is registered.  A submit inlines a
 //! context only the first time a request uses it, under a fresh id; later
 //! requests name the id.  Before each submit the encoder drops every entry
 //! whose strong count has fallen to 1: only the table holds it, so no caller
@@ -72,9 +81,9 @@
 //!
 //! Every decoder returns a [`WireError`] for a truncated frame, an unknown
 //! tag, a length prefix past the end of the frame, an unregistered context
-//! id or trailing bytes.  Each length prefix is checked against the bytes
-//! left before anything is allocated for it, so a corrupt frame cannot ask
-//! for more memory than its own size implies.
+//! id, a gap in a submit's tickets or trailing bytes.  Each length prefix is
+//! checked against the bytes left before anything is read for it, so a
+//! corrupt frame cannot ask for more memory than its own size implies.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -84,21 +93,19 @@ use specasr_audio::UtteranceId;
 use specasr_tokenizer::TokenId;
 
 use crate::backend::{
-    BackendBatch, BackendCounters, DeviceEvent, ForwardRequest, ForwardResult, Ticket,
+    BackendBatch, BackendCounters, Completions, DeviceEvent, ForwardResult, RequestSlot, Ticket,
+    TicketRange,
 };
 use crate::binding::UtteranceTokens;
 use crate::logits::{Candidate, TokenLogits};
-use crate::probes::Probes;
 
 /// One call from the client half of [`crate::RpcBackend`] to its worker.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireCall {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WireCall<'a> {
     /// [`crate::AsrBackend::submit`]: a batch stamped at a wall time.
-    Submit(f64, BackendBatch),
+    Submit(f64, &'a BackendBatch),
     /// [`crate::AsrBackend::poll`].
     Poll,
-    /// [`crate::AsrBackend::complete`] for one ticket.
-    Complete(Ticket),
     /// Propagates the client's trace context: enables (or disables) the
     /// worker-side device batch log so `+rpc` runs stitch the same device
     /// timeline as in-process runs.
@@ -112,22 +119,20 @@ pub enum WireCall {
 
 /// The worker's answer to one [`WireCall`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireReply {
+pub enum WireReply<'a> {
     /// The answer to [`WireCall::Submit`].  The device backlog and the
     /// lifetime counters change only when a batch is submitted, so the
     /// client mirrors both and reads them without a round trip.
     Submitted {
         /// One ticket per submitted request, in request order.
-        tickets: Vec<Ticket>,
+        tickets: TicketRange,
         /// The worker's device backlog after the submit.
         device_free_ms: f64,
         /// The worker's lifetime counters after the submit.
         counters: BackendCounters,
     },
     /// Every completed result, in completion order.
-    Results(Vec<ForwardResult>),
-    /// The result of one completed ticket (or `None`).
-    Completed(Option<ForwardResult>),
+    Results(&'a Completions),
     /// Acknowledges [`WireCall::SetTracing`], echoing the new state.
     TracingSet(bool),
     /// The worker's device batch log since the last drain, in submit order.
@@ -178,6 +183,12 @@ pub enum WireError {
         /// Offset of the count.
         at: usize,
     },
+    /// The ticket at `at` does not follow the one before it: a batch's
+    /// tickets are consecutive.
+    TicketGap {
+        /// Offset of the ticket.
+        at: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -201,6 +212,9 @@ impl fmt::Display for WireError {
                 write!(f, "frame continues past its last field, from byte {at}")
             }
             WireError::Overflow { at } => write!(f, "count at byte {at} overflows usize"),
+            WireError::TicketGap { at } => {
+                write!(f, "ticket at byte {at} does not follow the one before it")
+            }
         }
     }
 }
@@ -209,14 +223,12 @@ impl std::error::Error for WireError {}
 
 const CALL_SUBMIT: u8 = 0x01;
 const CALL_POLL: u8 = 0x02;
-const CALL_COMPLETE: u8 = 0x03;
 const CALL_SET_TRACING: u8 = 0x04;
 const CALL_TAKE_DEVICE_EVENTS: u8 = 0x05;
 const CALL_SHUTDOWN: u8 = 0x06;
 
 const REPLY_SUBMITTED: u8 = 0x81;
 const REPLY_RESULTS: u8 = 0x82;
-const REPLY_COMPLETED: u8 = 0x83;
 const REPLY_TRACING_SET: u8 = 0x84;
 const REPLY_DEVICE_EVENTS: u8 = 0x85;
 const REPLY_BYE: u8 = 0x86;
@@ -258,17 +270,13 @@ impl CallEncoder {
     /// Encodes `call` into `frame`, replacing its contents.  The capacity is
     /// kept, so a buffer reused across calls stops allocating once it has
     /// grown to the largest frame.
-    pub fn encode(&mut self, call: &WireCall, frame: &mut Vec<u8>) {
-        match call {
-            WireCall::Submit(now_ms, batch) => self.encode_submit(*now_ms, batch, frame),
+    pub fn encode(&mut self, call: &WireCall<'_>, frame: &mut Vec<u8>) {
+        match *call {
+            WireCall::Submit(now_ms, batch) => self.encode_submit(now_ms, batch, frame),
             WireCall::Poll => begin(frame, CALL_POLL),
-            WireCall::Complete(ticket) => {
-                begin(frame, CALL_COMPLETE);
-                frame.put_u64(ticket.value());
-            }
             WireCall::SetTracing(enabled) => {
                 begin(frame, CALL_SET_TRACING);
-                frame.put_u8(u8::from(*enabled));
+                frame.put_u8(u8::from(enabled));
             }
             WireCall::TakeDeviceEvents => begin(frame, CALL_TAKE_DEVICE_EVENTS),
             WireCall::Shutdown => begin(frame, CALL_SHUTDOWN),
@@ -293,15 +301,16 @@ impl CallEncoder {
         begin(frame, CALL_SUBMIT);
         frame.put_f64(now_ms);
         frame.put_seq(forget, |frame, &id| frame.put_u64(id));
-        frame.put_seq(batch.requests(), |frame, request| {
-            self.put_context(&request.audio, frame);
-            frame.put_tokens(&request.prefix);
+        frame.put_len(batch.len());
+        for request in batch.requests() {
+            self.put_context(request.audio, frame);
+            frame.put_tokens(request.prefix);
             frame.put_len(request.probes.len());
             for probe in request.probes.iter() {
                 frame.put_tokens(probe);
             }
             frame.put_u64(request.charge_tokens as u64);
-        });
+        }
     }
 
     fn put_context(&mut self, context: &Arc<UtteranceTokens>, frame: &mut Vec<u8>) {
@@ -333,18 +342,26 @@ impl CallDecoder {
         CallDecoder::default()
     }
 
-    /// Decodes one call frame.
+    /// Decodes one call frame.  A submit's requests are read into `batch`,
+    /// which is cleared first and keeps its capacity; the decoded call
+    /// borrows it.
     ///
     /// The registrations and forgets a submit carries take effect as they
     /// are read, so after an error the table may hold part of the failed
     /// frame's changes.  The protocol is lock-step with no resynchronisation:
     /// a decode error ends the connection.
-    pub fn decode(&mut self, frame: &[u8]) -> Result<WireCall, WireError> {
+    pub fn decode<'b>(
+        &mut self,
+        frame: &[u8],
+        batch: &'b mut BackendBatch,
+    ) -> Result<WireCall<'b>, WireError> {
         let (mut reader, tag) = Reader::open(frame)?;
         let call = match tag {
-            CALL_SUBMIT => self.read_submit(&mut reader)?,
+            CALL_SUBMIT => {
+                let now_ms = self.read_submit(&mut reader, batch)?;
+                WireCall::Submit(now_ms, batch)
+            }
             CALL_POLL => WireCall::Poll,
-            CALL_COMPLETE => WireCall::Complete(Ticket::new(reader.u64()?)),
             CALL_SET_TRACING => WireCall::SetTracing(reader.flag("bool")?),
             CALL_TAKE_DEVICE_EVENTS => WireCall::TakeDeviceEvents,
             CALL_SHUTDOWN => WireCall::Shutdown,
@@ -360,7 +377,13 @@ impl CallDecoder {
         Ok(call)
     }
 
-    fn read_submit(&mut self, reader: &mut Reader<'_>) -> Result<WireCall, WireError> {
+    /// Reads a submit's fields after its tag, its requests into `batch`,
+    /// and returns its wall time.
+    fn read_submit(
+        &mut self,
+        reader: &mut Reader<'_>,
+        batch: &mut BackendBatch,
+    ) -> Result<f64, WireError> {
         let now_ms = reader.f64()?;
         for _ in 0..reader.len(ID_BYTES)? {
             let id = reader.u64()?;
@@ -368,15 +391,28 @@ impl CallDecoder {
                 .remove(&id)
                 .ok_or(WireError::UnknownContext(id))?;
         }
-        let requests = reader.seq(REQUEST_MIN_BYTES, |reader| {
-            Ok(ForwardRequest {
-                audio: self.read_context(reader)?,
-                prefix: reader.tokens()?,
-                probes: reader.probes()?,
+        batch.clear();
+        for _ in 0..reader.len(REQUEST_MIN_BYTES)? {
+            let audio = self.read_context(reader)?;
+            // The prefix, then each probe, straight into the batch's
+            // buffers, laid out as `BackendBatch::push` lays them.
+            let start = batch.tokens.len();
+            reader.tokens_into(&mut batch.tokens)?;
+            let prefix = start..batch.tokens.len();
+            let ends_at = batch.probe_ends.len();
+            for _ in 0..reader.len(SEQ_BYTES)? {
+                reader.tokens_into(&mut batch.tokens)?;
+                batch.probe_ends.push(batch.tokens.len() - prefix.end);
+            }
+            batch.requests.push(RequestSlot {
+                audio,
+                prefix,
+                tokens_end: batch.tokens.len(),
+                probes: ends_at..batch.probe_ends.len(),
                 charge_tokens: reader.usize()?,
-            })
-        })?;
-        Ok(WireCall::Submit(now_ms, BackendBatch { requests }))
+            });
+        }
+        Ok(now_ms)
     }
 
     fn read_context(&mut self, reader: &mut Reader<'_>) -> Result<Arc<UtteranceTokens>, WireError> {
@@ -406,7 +442,7 @@ impl CallDecoder {
 
 /// Encodes a reply into `frame`, replacing its contents (the capacity is
 /// kept, as in [`CallEncoder::encode`]).
-pub fn encode_reply(reply: &WireReply, frame: &mut Vec<u8>) {
+pub fn encode_reply(reply: &WireReply<'_>, frame: &mut Vec<u8>) {
     match reply {
         WireReply::Submitted {
             tickets,
@@ -414,19 +450,18 @@ pub fn encode_reply(reply: &WireReply, frame: &mut Vec<u8>) {
             counters,
         } => {
             begin(frame, REPLY_SUBMITTED);
-            frame.put_seq(tickets, |frame, ticket| frame.put_u64(ticket.value()));
+            frame.put_len(tickets.len());
+            for ticket in tickets.iter() {
+                frame.put_u64(ticket.value());
+            }
             frame.put_f64(*device_free_ms);
             put_counters(frame, counters);
         }
-        WireReply::Results(results) => {
+        WireReply::Results(completions) => {
             begin(frame, REPLY_RESULTS);
-            frame.put_seq(results, put_result);
-        }
-        WireReply::Completed(result) => {
-            begin(frame, REPLY_COMPLETED);
-            frame.put_u8(u8::from(result.is_some()));
-            if let Some(result) = result {
-                put_result(frame, result);
+            frame.put_len(completions.len());
+            for (result, logits) in completions.iter() {
+                put_result(frame, result, logits);
             }
         }
         WireReply::TracingSet(enabled) => {
@@ -442,21 +477,24 @@ pub fn encode_reply(reply: &WireReply, frame: &mut Vec<u8>) {
     seal(frame);
 }
 
-/// Decodes one reply frame.
-pub fn decode_reply(frame: &[u8]) -> Result<WireReply, WireError> {
+/// Decodes one reply frame.  A poll's results are read into `completions`,
+/// which is cleared first and keeps its capacity; the decoded reply borrows
+/// it.
+pub fn decode_reply<'b>(
+    frame: &[u8],
+    completions: &'b mut Completions,
+) -> Result<WireReply<'b>, WireError> {
     let (mut reader, tag) = Reader::open(frame)?;
     let reply = match tag {
         REPLY_SUBMITTED => WireReply::Submitted {
-            tickets: reader.seq(ID_BYTES, |reader| reader.u64().map(Ticket::new))?,
+            tickets: reader.tickets()?,
             device_free_ms: reader.f64()?,
             counters: read_counters(&mut reader)?,
         },
-        REPLY_RESULTS => WireReply::Results(reader.seq(RESULT_MIN_BYTES, read_result)?),
-        REPLY_COMPLETED => WireReply::Completed(if reader.flag("option")? {
-            Some(read_result(&mut reader)?)
-        } else {
-            None
-        }),
+        REPLY_RESULTS => {
+            read_results(&mut reader, completions)?;
+            WireReply::Results(completions)
+        }
         REPLY_TRACING_SET => WireReply::TracingSet(reader.flag("bool")?),
         REPLY_DEVICE_EVENTS => {
             WireReply::DeviceEvents(reader.seq(DEVICE_EVENT_BYTES, read_device_event)?)
@@ -549,13 +587,14 @@ fn put_utterance(frame: &mut Vec<u8>, utterance: &UtteranceTokens) {
     }
 }
 
-fn put_result(frame: &mut Vec<u8>, result: &ForwardResult) {
+fn put_result(frame: &mut Vec<u8>, result: &ForwardResult, logits: &[TokenLogits]) {
     frame.put_u64(result.ticket.value());
-    frame.put_seq(&result.logits, |frame, logits| {
-        frame.put_seq(&logits.candidates, |frame, candidate| {
+    frame.put_seq(logits, |frame, logits| {
+        frame.put_len(logits.len());
+        for candidate in logits.iter() {
             frame.put_u32(candidate.token.value());
             frame.put_f64(candidate.probability);
-        });
+        }
     });
     frame.put_f64(result.submitted_ms);
     frame.put_f64(result.started_ms);
@@ -697,21 +736,28 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
-    fn tokens(&mut self) -> Result<Vec<TokenId>, WireError> {
-        self.seq(TOKEN_BYTES, |reader| reader.u32().map(TokenId::new))
+    /// A `seq<u32>` of tokens, appended to `tokens`.
+    fn tokens_into(&mut self, tokens: &mut Vec<TokenId>) -> Result<(), WireError> {
+        for _ in 0..self.len(TOKEN_BYTES)? {
+            tokens.push(TokenId::new(self.u32()?));
+        }
+        Ok(())
     }
 
-    /// A `seq<seq<u32>>` probe set, read straight into one flat buffer.
-    fn probes(&mut self) -> Result<Probes, WireError> {
-        let count = self.len(SEQ_BYTES)?;
-        let mut probes = Probes::with_capacity(count, 0);
-        for _ in 0..count {
-            for _ in 0..self.len(TOKEN_BYTES)? {
-                probes.tokens.push(TokenId::new(self.u32()?));
+    /// A submit's `seq<u64>` of tickets, which must be consecutive.
+    fn tickets(&mut self) -> Result<TicketRange, WireError> {
+        let len = self.len(ID_BYTES)?;
+        let mut first = 0;
+        for index in 0..len as u64 {
+            let at = self.at;
+            let ticket = self.u64()?;
+            if index == 0 {
+                first = ticket;
+            } else if first.checked_add(index) != Some(ticket) {
+                return Err(WireError::TicketGap { at });
             }
-            probes.seal();
         }
-        Ok(probes)
+        Ok(TicketRange::new(Ticket::new(first), len))
     }
 }
 
@@ -743,25 +789,33 @@ fn read_utterance(reader: &mut Reader<'_>) -> Result<UtteranceTokens, WireError>
     })
 }
 
-fn read_result(reader: &mut Reader<'_>) -> Result<ForwardResult, WireError> {
-    let ticket = Ticket::new(reader.u64()?);
-    let logits = reader.seq(SEQ_BYTES, |reader| {
-        let candidates = reader.seq(CANDIDATE_BYTES, |reader| {
-            Ok(Candidate {
-                token: TokenId::new(reader.u32()?),
-                probability: reader.f64()?,
-            })
-        })?;
-        Ok(TokenLogits { candidates })
-    })?;
-    Ok(ForwardResult {
-        ticket,
-        logits,
-        submitted_ms: reader.f64()?,
-        started_ms: reader.f64()?,
-        completed_ms: reader.f64()?,
-        batch_requests: reader.usize()?,
-    })
+/// Reads a `seq<result>` into `into`, each distribution's candidates
+/// straight into its storage.
+fn read_results(reader: &mut Reader<'_>, into: &mut Completions) -> Result<(), WireError> {
+    into.clear();
+    for _ in 0..reader.len(RESULT_MIN_BYTES)? {
+        let ticket = Ticket::new(reader.u64()?);
+        let start = into.logits.len();
+        for _ in 0..reader.len(SEQ_BYTES)? {
+            let mut logits = TokenLogits::default();
+            for _ in 0..reader.len(CANDIDATE_BYTES)? {
+                logits.candidates.push(Candidate {
+                    token: TokenId::new(reader.u32()?),
+                    probability: reader.f64()?,
+                });
+            }
+            into.logits.push(logits);
+        }
+        into.results.push(ForwardResult {
+            ticket,
+            logits: start..into.logits.len(),
+            submitted_ms: reader.f64()?,
+            started_ms: reader.f64()?,
+            completed_ms: reader.f64()?,
+            batch_requests: reader.usize()?,
+        });
+    }
+    Ok(())
 }
 
 fn read_counters(reader: &mut Reader<'_>) -> Result<BackendCounters, WireError> {
@@ -792,8 +846,10 @@ fn read_device_event(reader: &mut Reader<'_>) -> Result<DeviceEvent, WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ForwardRequest;
     use crate::binding::TokenizerBinding;
     use crate::hashing::splitmix64;
+    use crate::probes::Probes;
     use proptest::prelude::*;
     use specasr_audio::{Corpus, Split};
 
@@ -849,36 +905,49 @@ mod tests {
             }
         }
 
-        fn request(&mut self, contexts: &[Arc<UtteranceTokens>]) -> ForwardRequest {
-            let audio = Arc::clone(&contexts[self.below(contexts.len() as u64) as usize]);
-            let probes = (0..self.below(4)).map(|_| self.tokens(3)).collect();
-            ForwardRequest {
+        fn push_request(&mut self, contexts: &[Arc<UtteranceTokens>], batch: &mut BackendBatch) {
+            let audio = &contexts[self.below(contexts.len() as u64) as usize];
+            let probes: Probes = (0..self.below(4)).map(|_| self.tokens(3)).collect();
+            let prefix = self.tokens(6);
+            batch.push(ForwardRequest {
                 audio,
-                prefix: self.tokens(6),
-                probes,
+                prefix: &prefix,
+                probes: probes.as_slice(),
                 charge_tokens: self.next() as usize,
-            }
+            });
         }
 
-        fn result(&mut self) -> ForwardResult {
-            let logits = (0..self.below(4))
-                .map(|_| TokenLogits {
-                    candidates: (0..self.below(4))
-                        .map(|_| Candidate {
-                            token: TokenId::new(self.next() as u32),
-                            probability: self.float(),
-                        })
-                        .collect(),
-                })
-                .collect();
-            ForwardResult {
-                ticket: Ticket::new(self.next()),
-                logits,
-                submitted_ms: self.float(),
-                started_ms: self.float(),
-                completed_ms: self.float(),
-                batch_requests: self.next() as usize,
+        /// A distribution of up to six candidates, past the inline capacity
+        /// as often as not, with any bits at all in its probabilities.
+        fn logits(&mut self) -> TokenLogits {
+            let mut logits = TokenLogits::default();
+            for _ in 0..self.below(7) {
+                logits.candidates.push(Candidate {
+                    token: TokenId::new(self.next() as u32),
+                    probability: self.float(),
+                });
             }
+            logits
+        }
+
+        fn completions(&mut self) -> Completions {
+            let mut completions = Completions::new();
+            for _ in 0..self.below(4) {
+                let start = completions.logits.len();
+                for _ in 0..self.below(4) {
+                    let logits = self.logits();
+                    completions.logits.push(logits);
+                }
+                completions.results.push(ForwardResult {
+                    ticket: Ticket::new(self.next()),
+                    logits: start..completions.logits.len(),
+                    submitted_ms: self.float(),
+                    started_ms: self.float(),
+                    completed_ms: self.float(),
+                    batch_requests: self.next() as usize,
+                });
+            }
+            completions
         }
 
         fn counters(&mut self) -> BackendCounters {
@@ -906,19 +975,18 @@ mod tests {
             }
         }
 
-        /// One reply of every variant.
-        fn replies(&mut self) -> Vec<WireReply> {
+        /// One reply of every variant; the results reply reads `completions`.
+        fn replies<'a>(&mut self, completions: &'a Completions) -> Vec<WireReply<'a>> {
             vec![
                 WireReply::Submitted {
-                    tickets: (0..self.below(5))
-                        .map(|_| Ticket::new(self.next()))
-                        .collect(),
+                    tickets: TicketRange::new(
+                        Ticket::new(self.next() >> 1),
+                        self.below(5) as usize,
+                    ),
                     device_free_ms: self.float(),
                     counters: self.counters(),
                 },
-                WireReply::Results((0..self.below(4)).map(|_| self.result()).collect()),
-                WireReply::Completed(Some(self.result())),
-                WireReply::Completed(None),
+                WireReply::Results(completions),
                 WireReply::TracingSet(self.coin()),
                 WireReply::DeviceEvents((0..self.below(4)).map(|_| self.device_event()).collect()),
                 WireReply::Bye,
@@ -926,31 +994,61 @@ mod tests {
         }
     }
 
-    fn encoded_call(call: &WireCall) -> Vec<u8> {
+    fn encoded_call(call: &WireCall<'_>) -> Vec<u8> {
         let mut frame = Vec::new();
         CallEncoder::new().encode(call, &mut frame);
         frame
     }
 
-    fn encoded_reply(reply: &WireReply) -> Vec<u8> {
+    fn encoded_reply(reply: &WireReply<'_>) -> Vec<u8> {
         let mut frame = Vec::new();
         encode_reply(reply, &mut frame);
         frame
     }
 
+    /// Decodes a reply into a fresh buffer and checks it against `reply` bit
+    /// for bit.
+    fn round_trips(reply: &WireReply<'_>) -> bool {
+        let mut completions = Completions::new();
+        let decoded =
+            decode_reply(&encoded_reply(reply), &mut completions).expect("a valid reply decodes");
+        same_reply(&decoded, reply)
+    }
+
     /// Bit-for-bit equality.  `Debug` compares every field and tells −0.0
     /// from 0.0, but prints every NaN alike; the encodings compare the raw
     /// bits of every float.
-    fn same_call(a: &WireCall, b: &WireCall) -> bool {
+    fn same_call(a: &WireCall<'_>, b: &WireCall<'_>) -> bool {
         format!("{a:?}") == format!("{b:?}") && encoded_call(a) == encoded_call(b)
     }
 
-    fn same_reply(a: &WireReply, b: &WireReply) -> bool {
+    fn same_reply(a: &WireReply<'_>, b: &WireReply<'_>) -> bool {
         format!("{a:?}") == format!("{b:?}") && encoded_reply(a) == encoded_reply(b)
     }
 
-    fn submit(now_ms: f64, requests: Vec<ForwardRequest>) -> WireCall {
-        WireCall::Submit(now_ms, BackendBatch { requests })
+    /// A verify request of `probes` after `prefix`.
+    fn push(
+        batch: &mut BackendBatch,
+        audio: &Arc<UtteranceTokens>,
+        prefix: &[TokenId],
+        probes: &Probes,
+        charge_tokens: usize,
+    ) {
+        batch.push(ForwardRequest {
+            audio,
+            prefix,
+            probes: probes.as_slice(),
+            charge_tokens,
+        });
+    }
+
+    /// A batch of one empty-probe request per context.
+    fn batch_over(contexts: &[&Arc<UtteranceTokens>]) -> BackendBatch {
+        let mut batch = BackendBatch::new();
+        for context in contexts {
+            push(&mut batch, context, &[], &Probes::empty_probe(), 1);
+        }
+        batch
     }
 
     fn corpus_contexts() -> Vec<Arc<UtteranceTokens>> {
@@ -969,40 +1067,35 @@ mod tests {
         let contexts = corpus_contexts();
         let mut encoder = CallEncoder::new();
         let mut decoder = CallDecoder::new();
+        let mut sink = BackendBatch::new();
         let mut calls = Vec::new();
-        let batches = [
-            vec![
-                ForwardRequest::verify(
-                    Arc::clone(&contexts[0]),
-                    vec![TokenId::new(3)],
-                    Probes::empty_probe(),
-                    1,
-                ),
-                ForwardRequest::verify(
-                    Arc::clone(&contexts[0]),
-                    vec![TokenId::new(1), TokenId::new(4)],
-                    Probes::from_iter([vec![], vec![TokenId::new(9), TokenId::new(2)]]),
-                    6,
-                ),
-            ],
-            // Registered on the previous submit.
-            vec![ForwardRequest::verify(
-                Arc::clone(&contexts[0]),
-                Vec::new(),
-                Probes::empty_probe(),
-                1,
-            )],
-        ];
-        for requests in batches {
-            let call = submit(-0.0, requests);
+        let mut first = BackendBatch::new();
+        push(
+            &mut first,
+            &contexts[0],
+            &[TokenId::new(3)],
+            &Probes::empty_probe(),
+            1,
+        );
+        push(
+            &mut first,
+            &contexts[0],
+            &[TokenId::new(1), TokenId::new(4)],
+            &Probes::from_iter([vec![], vec![TokenId::new(9), TokenId::new(2)]]),
+            6,
+        );
+        // Registered on the previous submit.
+        let second = batch_over(&[&contexts[0]]);
+        for batch in [&first, &second] {
             let mut frame = Vec::new();
-            encoder.encode(&call, &mut frame);
+            encoder.encode(&WireCall::Submit(-0.0, batch), &mut frame);
             calls.push((decoder.clone(), frame.clone()));
-            decoder.decode(&frame).expect("a valid submit decodes");
+            decoder
+                .decode(&frame, &mut sink)
+                .expect("a valid submit decodes");
         }
         for call in [
             WireCall::Poll,
-            WireCall::Complete(Ticket::new(42)),
             WireCall::SetTracing(true),
             WireCall::TakeDeviceEvents,
             WireCall::Shutdown,
@@ -1015,34 +1108,27 @@ mod tests {
     #[test]
     fn every_call_variant_round_trips_identically() {
         let contexts = corpus_contexts();
+        let mut two = batch_over(&[&contexts[1]]);
+        push(
+            &mut two,
+            &contexts[2],
+            &[TokenId::new(8)],
+            &Probes::from_iter([vec![TokenId::new(1)], vec![]]),
+            4,
+        );
+        let empty = BackendBatch::new();
+        let mut sink = BackendBatch::new();
         for call in [
-            submit(
-                f64::from_bits(1),
-                vec![
-                    ForwardRequest::verify(
-                        Arc::clone(&contexts[1]),
-                        Vec::new(),
-                        Probes::empty_probe(),
-                        1,
-                    ),
-                    ForwardRequest::verify(
-                        Arc::clone(&contexts[2]),
-                        vec![TokenId::new(8)],
-                        Probes::from_iter([vec![TokenId::new(1)], vec![]]),
-                        4,
-                    ),
-                ],
-            ),
-            submit(f64::NAN, Vec::new()),
+            WireCall::Submit(f64::from_bits(1), &two),
+            WireCall::Submit(f64::NAN, &empty),
             WireCall::Poll,
-            WireCall::Complete(Ticket::new(u64::MAX)),
             WireCall::SetTracing(true),
             WireCall::SetTracing(false),
             WireCall::TakeDeviceEvents,
             WireCall::Shutdown,
         ] {
             let decoded = CallDecoder::new()
-                .decode(&encoded_call(&call))
+                .decode(&encoded_call(&call), &mut sink)
                 .expect("a valid call decodes");
             assert!(same_call(&decoded, &call), "{call:?}");
         }
@@ -1050,50 +1136,117 @@ mod tests {
 
     #[test]
     fn every_reply_variant_round_trips_identically() {
-        for reply in Draw(11).replies() {
-            let decoded = decode_reply(&encoded_reply(&reply)).expect("a valid reply decodes");
-            assert!(same_reply(&decoded, &reply), "{reply:?}");
+        let mut draw = Draw(11);
+        let completions = draw.completions();
+        for reply in draw.replies(&completions) {
+            assert!(round_trips(&reply), "{reply:?}");
         }
+    }
+
+    #[test]
+    fn a_six_candidate_distribution_round_trips_bit_for_bit() {
+        let mut logits = TokenLogits::default();
+        for (token, probability) in (0..6).zip([0.5, -0.0, f64::NAN, 1e-310, f64::INFINITY, 0.1]) {
+            logits.candidates.push(Candidate {
+                token: TokenId::new(token),
+                probability,
+            });
+        }
+        let mut completions = Completions::new();
+        completions
+            .logits
+            .extend([logits.clone(), TokenLogits::default()]);
+        completions.results.push(ForwardResult {
+            ticket: Ticket::new(3),
+            logits: 0..2,
+            submitted_ms: 1.0,
+            started_ms: 2.0,
+            completed_ms: 3.0,
+            batch_requests: 1,
+        });
+        let reply = WireReply::Results(&completions);
+        let mut sink = Completions::new();
+        let decoded = decode_reply(&encoded_reply(&reply), &mut sink).expect("decodes");
+        assert!(same_reply(&decoded, &reply));
+        let (_, decoded) = sink.iter().next().expect("one result");
+        assert_eq!(decoded[0].len(), 6);
+        assert!(
+            decoded[0]
+                .iter()
+                .zip(logits.iter())
+                .all(|(a, b)| a.token == b.token
+                    && a.probability.to_bits() == b.probability.to_bits())
+        );
+    }
+
+    #[test]
+    fn decoding_refills_the_callers_buffers() {
+        let contexts = corpus_contexts();
+        let mut encoder = CallEncoder::new();
+        let mut decoder = CallDecoder::new();
+        let mut frame = Vec::new();
+        let mut batch = BackendBatch::new();
+        let wide = batch_over(&[&contexts[0], &contexts[1], &contexts[2]]);
+        let narrow = batch_over(&[&contexts[1]]);
+        for sent in [&wide, &narrow] {
+            encoder.encode(&WireCall::Submit(0.0, sent), &mut frame);
+            let call = decoder.decode(&frame, &mut batch).expect("decodes");
+            assert_eq!(call, WireCall::Submit(0.0, sent));
+        }
+        assert_eq!(batch, narrow, "a submit replaces the batch");
+
+        let mut draw = Draw(5);
+        let (first, second) = (draw.completions(), Completions::new());
+        let mut sink = Completions::new();
+        for sent in [&first, &second] {
+            let reply = encoded_reply(&WireReply::Results(sent));
+            decode_reply(&reply, &mut sink).expect("decodes");
+        }
+        assert!(sink.is_empty(), "a results reply replaces the completions");
     }
 
     #[test]
     fn wire_requests_rebuild_the_exact_in_process_request() {
         let contexts = corpus_contexts();
-        let shared = || {
-            ForwardRequest::verify(
-                Arc::clone(&contexts[0]),
-                vec![TokenId::new(8)],
-                Probes::from_iter([vec![TokenId::new(1)], vec![]]),
-                4,
-            )
+        let probes = Probes::from_iter([vec![TokenId::new(1)], vec![]]);
+        let mut batch = BackendBatch::new();
+        let shared = |batch: &mut BackendBatch| {
+            push(batch, &contexts[0], &[TokenId::new(8)], &probes, 4);
         };
-        let other = ForwardRequest::verify(
-            Arc::clone(&contexts[1]),
-            vec![TokenId::new(2)],
-            Probes::empty_probe(),
-            1,
-        );
         let mut encoder = CallEncoder::new();
         let mut decoder = CallDecoder::new();
         let mut frame = Vec::new();
-        let mut exchange = |requests: Vec<ForwardRequest>| {
-            let call = submit(3.0, requests);
+        let mut exchange = |batch: &BackendBatch| {
+            let call = WireCall::Submit(3.0, batch);
             encoder.encode(&call, &mut frame);
-            match decoder.decode(&frame).expect("decodes") {
-                WireCall::Submit(now_ms, batch) => {
-                    assert_eq!(WireCall::Submit(now_ms, batch.clone()), call);
-                    batch.requests
-                }
-                other => panic!("a submit decoded as {other:?}"),
-            }
+            let mut decoded = BackendBatch::new();
+            assert_eq!(decoder.decode(&frame, &mut decoded).expect("decodes"), call);
+            decoded
         };
-        let first = exchange(vec![shared(), other, shared()]);
+        shared(&mut batch);
+        push(
+            &mut batch,
+            &contexts[1],
+            &[TokenId::new(2)],
+            &Probes::empty_probe(),
+            1,
+        );
+        shared(&mut batch);
+        let contexts_of = |batch: &BackendBatch| -> Vec<Arc<UtteranceTokens>> {
+            batch
+                .requests()
+                .map(|request| Arc::clone(request.audio))
+                .collect()
+        };
+        let first = contexts_of(&exchange(&batch));
         // Requests that share a context on the client share one on the
         // worker, and later submits resolve to that same registration.
-        assert!(Arc::ptr_eq(&first[0].audio, &first[2].audio));
-        assert!(!Arc::ptr_eq(&first[0].audio, &first[1].audio));
-        let second = exchange(vec![shared()]);
-        assert!(Arc::ptr_eq(&first[0].audio, &second[0].audio));
+        assert!(Arc::ptr_eq(&first[0], &first[2]));
+        assert!(!Arc::ptr_eq(&first[0], &first[1]));
+        batch.clear();
+        shared(&mut batch);
+        let second = contexts_of(&exchange(&batch));
+        assert!(Arc::ptr_eq(&first[0], &second[0]));
     }
 
     proptest! {
@@ -1103,6 +1256,8 @@ mod tests {
             let mut encoder = CallEncoder::new();
             let mut decoder = CallDecoder::new();
             let mut frame = Vec::new();
+            let mut batch = BackendBatch::new();
+            let mut sink = BackendBatch::new();
             let mut live: Vec<Arc<UtteranceTokens>> =
                 (0..3).map(|_| Arc::new(draw.context())).collect();
             for _ in 0..5 {
@@ -1112,20 +1267,20 @@ mod tests {
                     live.remove(0);
                     live.push(Arc::new(draw.context()));
                 }
-                let requests = (0..draw.below(5)).map(|_| draw.request(&live)).collect();
-                let call = submit(draw.float(), requests);
+                batch.clear();
+                for _ in 0..draw.below(5) {
+                    draw.push_request(&live, &mut batch);
+                }
+                let call = WireCall::Submit(draw.float(), &batch);
                 encoder.encode(&call, &mut frame);
-                let decoded = decoder.decode(&frame).expect("a valid submit decodes");
+                let decoded = decoder.decode(&frame, &mut sink).expect("a valid submit decodes");
                 prop_assert!(same_call(&decoded, &call), "{call:?}");
                 prop_assert_eq!(encoder.contexts.len(), decoder.contexts.len());
                 prop_assert!(encoder.contexts.len() <= live.len());
             }
-            let ticket = WireCall::Complete(Ticket::new(draw.next()));
-            let decoded = decoder.decode(&encoded_call(&ticket)).expect("decodes");
-            prop_assert_eq!(decoded, ticket);
-            for reply in draw.replies() {
-                let decoded = decode_reply(&encoded_reply(&reply)).expect("a valid reply decodes");
-                prop_assert!(same_reply(&decoded, &reply), "{reply:?}");
+            let completions = draw.completions();
+            for reply in draw.replies(&completions) {
+                prop_assert!(round_trips(&reply), "{reply:?}");
             }
         }
 
@@ -1134,8 +1289,10 @@ mod tests {
             bytes in proptest::collection::vec(any::<u8>(), 0..96),
             tag in 0u8..8,
         ) {
-            prop_assert!(CallDecoder::new().decode(&bytes).is_err());
-            prop_assert!(decode_reply(&bytes).is_err());
+            let mut batch = BackendBatch::new();
+            let mut completions = Completions::new();
+            prop_assert!(CallDecoder::new().decode(&bytes, &mut batch).is_err());
+            prop_assert!(decode_reply(&bytes, &mut completions).is_err());
             // Behind a well-formed length prefix and a real tag, the same
             // bytes reach every field decoder; a frame may happen to be
             // valid, but no decoder may panic.
@@ -1144,8 +1301,8 @@ mod tests {
                 begin(&mut frame, base + tag);
                 frame.extend_from_slice(&bytes);
                 seal(&mut frame);
-                let _ = CallDecoder::new().decode(&frame);
-                let _ = decode_reply(&frame);
+                let _ = CallDecoder::new().decode(&frame, &mut batch);
+                let _ = decode_reply(&frame, &mut completions);
             }
         }
     }
@@ -1164,16 +1321,23 @@ mod tests {
 
     #[test]
     fn every_strict_prefix_of_a_valid_frame_is_an_error() {
+        let mut batch = BackendBatch::new();
         for (decoder, frame) in &sample_call_frames() {
-            assert!(decoder.clone().decode(frame).is_ok());
+            assert!(decoder.clone().decode(frame, &mut batch).is_ok());
             for prefix in strict_prefixes(frame) {
-                assert!(decoder.clone().decode(&prefix).is_err(), "{prefix:?}");
+                assert!(
+                    decoder.clone().decode(&prefix, &mut batch).is_err(),
+                    "{prefix:?}"
+                );
             }
         }
-        for frame in Draw(7).replies().iter().map(encoded_reply) {
-            assert!(decode_reply(&frame).is_ok());
+        let mut draw = Draw(7);
+        let completions = draw.completions();
+        let mut sink = Completions::new();
+        for frame in draw.replies(&completions).iter().map(encoded_reply) {
+            assert!(decode_reply(&frame, &mut sink).is_ok());
             for prefix in strict_prefixes(&frame) {
-                assert!(decode_reply(&prefix).is_err(), "{prefix:?}");
+                assert!(decode_reply(&prefix, &mut sink).is_err(), "{prefix:?}");
             }
         }
     }
@@ -1182,20 +1346,22 @@ mod tests {
     fn malformed_frames_name_their_fault() {
         let contexts = corpus_contexts();
         let mut encoder = CallEncoder::new();
-        let request =
-            || ForwardRequest::verify(Arc::clone(&contexts[0]), Vec::new(), Probes::new(), 1);
+        let mut batch = BackendBatch::new();
+        push(&mut batch, &contexts[0], &[], &Probes::new(), 1);
         let mut frame = Vec::new();
-        encoder.encode(&submit(0.0, vec![request()]), &mut frame);
-        encoder.encode(&submit(0.0, vec![request()]), &mut frame);
+        encoder.encode(&WireCall::Submit(0.0, &batch), &mut frame);
+        encoder.encode(&WireCall::Submit(0.0, &batch), &mut frame);
         // The second submit names context 0, which a fresh decoder never saw.
+        let mut sink = BackendBatch::new();
         assert_eq!(
-            CallDecoder::new().decode(&frame),
+            CallDecoder::new().decode(&frame, &mut sink),
             Err(WireError::UnknownContext(0))
         );
 
+        let mut completions = Completions::new();
         let poll = encoded_call(&WireCall::Poll);
         assert_eq!(
-            decode_reply(&poll),
+            decode_reply(&poll, &mut completions),
             Err(WireError::UnknownTag {
                 at: TAG_AT,
                 field: "reply",
@@ -1205,11 +1371,11 @@ mod tests {
         let mut long = poll.clone();
         long.push(0);
         assert_eq!(
-            CallDecoder::new().decode(&long),
+            CallDecoder::new().decode(&long, &mut sink),
             Err(WireError::TrailingBytes { at: 5 })
         );
         assert_eq!(
-            CallDecoder::new().decode(&poll[..3]),
+            CallDecoder::new().decode(&poll[..3], &mut sink),
             Err(WireError::Truncated { at: 0, needed: 4 })
         );
 
@@ -1218,12 +1384,24 @@ mod tests {
         let mut events = encoded_reply(&WireReply::DeviceEvents(Vec::new()));
         events[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            decode_reply(&events),
+            decode_reply(&events, &mut completions),
             Err(WireError::LengthPastEnd {
                 at: 5,
                 len: u32::MAX,
                 remaining: 0,
             })
+        );
+
+        // A submit's tickets must be consecutive: bump the second one.
+        let mut submitted = encoded_reply(&WireReply::Submitted {
+            tickets: TicketRange::new(Ticket::new(4), 3),
+            device_free_ms: 0.0,
+            counters: BackendCounters::default(),
+        });
+        submitted[17] += 1;
+        assert_eq!(
+            decode_reply(&submitted, &mut completions),
+            Err(WireError::TicketGap { at: 17 })
         );
         let text = WireError::UnknownContext(3).to_string();
         assert!(text.contains("context id 3"), "{text}");
@@ -1235,26 +1413,25 @@ mod tests {
         let mut encoder = CallEncoder::new();
         let mut decoder = CallDecoder::new();
         let mut frame = Vec::new();
-        let mut exchange = |encoder: &mut CallEncoder, requests: Vec<ForwardRequest>| {
-            encoder.encode(&submit(0.0, requests), &mut frame);
-            decoder.decode(&frame).expect("decodes");
+        let mut sink = BackendBatch::new();
+        let mut exchange = |encoder: &mut CallEncoder, batch: BackendBatch| {
+            encoder.encode(&WireCall::Submit(0.0, &batch), &mut frame);
+            drop(batch);
+            decoder.decode(&frame, &mut sink).expect("decodes");
             decoder.contexts.len()
         };
-        let verify = |context: &Arc<UtteranceTokens>| {
-            ForwardRequest::verify(Arc::clone(context), Vec::new(), Probes::empty_probe(), 1)
-        };
         for _ in 0..3 {
-            let requests = sessions.iter().map(verify).collect();
-            assert_eq!(exchange(&mut encoder, requests), sessions.len());
+            let batch = batch_over(&sessions.iter().collect::<Vec<_>>());
+            assert_eq!(exchange(&mut encoder, batch), sessions.len());
         }
         // A stream chunk swaps a session's context for a new prefix view:
         // the old one is forgotten, the new one registered.
         sessions[0] = Arc::new((*sessions[0]).clone());
-        assert_eq!(exchange(&mut encoder, vec![verify(&sessions[0])]), 3);
+        assert_eq!(exchange(&mut encoder, batch_over(&[&sessions[0]])), 3);
         assert_eq!(encoder.contexts.len(), 3);
 
         sessions.clear();
-        assert_eq!(exchange(&mut encoder, Vec::new()), 0);
+        assert_eq!(exchange(&mut encoder, BackendBatch::new()), 0);
         assert_eq!(encoder.contexts.len(), 0);
     }
 
@@ -1281,15 +1458,9 @@ mod tests {
         let expected = fixed + 4 * prefix.len() + 4 * probes.len() + 4 * 4;
         for len in [2, 40, 400] {
             let context = utterance(len);
-            let call = submit(
-                12.5,
-                vec![ForwardRequest::verify(
-                    Arc::clone(&context),
-                    prefix.clone(),
-                    probes.clone(),
-                    6,
-                )],
-            );
+            let mut batch = BackendBatch::new();
+            push(&mut batch, &context, &prefix, &probes, 6);
+            let call = WireCall::Submit(12.5, &batch);
             let mut encoder = CallEncoder::new();
             let mut frame = Vec::new();
             encoder.encode(&call, &mut frame);

@@ -76,24 +76,76 @@ pub fn grouped_verify_ms(target: &LatencyModel, verify_widths: &[usize]) -> f64 
 /// which sessions verify in which cross-session batch (wave), when each
 /// wave is submitted, and the modeled completion of the last wave.
 ///
-/// Produced by [`plan_verify_waves`]; the scheduler submits each wave as one
-/// [`specasr_models::BackendBatch`] at `submit_offsets_ms[w]` and advances
-/// its wall clock to the last completion.
-#[derive(Debug, Clone, PartialEq)]
+/// Filled by [`plan_verify_waves`]; the scheduler submits each wave as one
+/// [`specasr_models::BackendBatch`] at its submit offset and advances its
+/// wall clock to the last completion.  The waves are contiguous runs of one
+/// session order, so a plan is that order plus each wave's end, and the
+/// planner's tables live in the plan too: a caller that keeps one plan and
+/// re-plans it every tick stops allocating once the plan has covered its
+/// largest tick.
+#[derive(Debug, Clone, Default)]
 pub struct VerifyPlan {
-    /// Session indices per wave, in draft-completion order (ties broken by
-    /// index, so the schedule is deterministic).
-    pub waves: Vec<Vec<usize>>,
-    /// Submission time of each wave — the moment its slowest member
-    /// finished drafting, in the caller's reference frame.
-    pub submit_offsets_ms: Vec<f64>,
-    /// Modeled completion of the last wave, in the caller's reference frame.
-    pub makespan_ms: f64,
+    /// Session indices in draft-completion order (ties broken by index, so
+    /// the schedule is deterministic): every wave's sessions, wave after
+    /// wave.
+    order: Vec<usize>,
+    /// Where each wave ends in `order`.
+    wave_ends: Vec<usize>,
+    submit_offsets_ms: Vec<f64>,
+    makespan_ms: f64,
+    /// Prefix token widths over `order`.
+    width_prefix: Vec<usize>,
+    /// `dp[w * (n + 1) + i]`: earliest completion of the first `i` ordered
+    /// sessions in exactly `w + 1` waves; `cut` at the same index is where
+    /// the last of those waves starts.
+    dp: Vec<f64>,
+    cut: Vec<usize>,
 }
 
-/// Plans up to `max_waves` verification waves over sessions whose draft
-/// phases complete at `draft_done_ms`, against a serialised device with
-/// per-batch `dispatch_overhead_ms` (the
+impl VerifyPlan {
+    /// An empty plan.
+    pub fn new() -> Self {
+        VerifyPlan::default()
+    }
+
+    /// Number of waves.
+    pub fn wave_count(&self) -> usize {
+        self.wave_ends.len()
+    }
+
+    /// The session indices of wave `wave`, in draft-completion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has no wave `wave`.
+    pub fn wave(&self, wave: usize) -> &[usize] {
+        let start = match wave {
+            0 => 0,
+            _ => self.wave_ends[wave - 1],
+        };
+        &self.order[start..self.wave_ends[wave]]
+    }
+
+    /// The waves in submission order.
+    pub fn waves(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        (0..self.wave_count()).map(|wave| self.wave(wave))
+    }
+
+    /// Submission time of each wave — the moment its slowest member
+    /// finished drafting, in the caller's reference frame.
+    pub fn submit_offsets_ms(&self) -> &[f64] {
+        &self.submit_offsets_ms
+    }
+
+    /// Modeled completion of the last wave, in the caller's reference frame.
+    pub fn makespan_ms(&self) -> f64 {
+        self.makespan_ms
+    }
+}
+
+/// Plans up to `max_waves` verification waves into `plan`, over sessions
+/// whose draft phases complete at `draft_done_ms`, against a serialised
+/// device with per-batch `dispatch_overhead_ms` (the
 /// [`specasr_models::InFlightSimBackend`] timeline model) that is busy until
 /// `device_free_ms` with work from previous ticks.  The scheduler passes
 /// absolute wall times; any shared reference frame works.
@@ -112,17 +164,21 @@ pub struct VerifyPlan {
 /// grouped batch — wait for the slowest draft, then verify everyone — is
 /// the plan whenever overlap cannot win, and `max_waves = 1` forces it.
 ///
+/// Whatever `plan` held before is replaced; its buffers keep their
+/// capacity.
+///
 /// # Panics
 ///
 /// Panics if the slice lengths differ or `max_waves` is zero.
 pub fn plan_verify_waves(
+    plan: &mut VerifyPlan,
     draft_done_ms: &[f64],
     verify_widths: &[usize],
     target: &LatencyModel,
     dispatch_overhead_ms: f64,
     max_waves: usize,
     device_free_ms: f64,
-) -> VerifyPlan {
+) {
     assert_eq!(
         draft_done_ms.len(),
         verify_widths.len(),
@@ -130,41 +186,52 @@ pub fn plan_verify_waves(
     );
     assert!(max_waves >= 1, "a plan needs at least one wave");
     let n = draft_done_ms.len();
+    let VerifyPlan {
+        order,
+        wave_ends,
+        submit_offsets_ms,
+        makespan_ms,
+        width_prefix,
+        dp,
+        cut,
+    } = plan;
+    order.clear();
+    wave_ends.clear();
+    submit_offsets_ms.clear();
+    *makespan_ms = 0.0;
     if n == 0 {
-        return VerifyPlan {
-            waves: Vec::new(),
-            submit_offsets_ms: Vec::new(),
-            makespan_ms: 0.0,
-        };
+        return;
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
+    order.extend(0..n);
+    // Indices break every tie, so the order is total and an unstable sort
+    // (which never allocates) gives the one order a stable sort would.
+    order.sort_unstable_by(|&a, &b| {
         draft_done_ms[a]
             .partial_cmp(&draft_done_ms[b])
             .expect("draft times are finite")
             .then(a.cmp(&b))
     });
-    // Prefix token widths over the draft-completion order.
-    let mut width_prefix = Vec::with_capacity(n + 1);
+    width_prefix.clear();
     width_prefix.push(0usize);
-    for &index in &order {
-        width_prefix.push(width_prefix.last().unwrap() + verify_widths[index]);
+    for &index in order.iter() {
+        width_prefix.push(width_prefix[width_prefix.len() - 1] + verify_widths[index]);
     }
     // One wave over the sorted range `j..i`, entering a device free at
     // `free`: submitted when its slowest draft lands, started after dispatch
     // overhead and whatever still occupies the device.
+    let (order, width_prefix) = (&*order, &*width_prefix);
     let wave_done = |free: f64, j: usize, i: usize| -> f64 {
         let submit = draft_done_ms[order[i - 1]];
         let start = (submit + dispatch_overhead_ms).max(free);
         start + target.forward_pass_ms(width_prefix[i] - width_prefix[j])
     };
     let wave_cap = max_waves.min(n);
-    // dp[w * row + i]: earliest completion of the first `i` sorted sessions
-    // in exactly `w + 1` waves; cut[w * row + i] reconstructs the last
-    // cohort.  One flat table each, whatever the wave cap.
+    // One flat table each, whatever the wave cap.
     let row = n + 1;
-    let mut dp = vec![f64::INFINITY; wave_cap * row];
-    let mut cut = vec![0usize; wave_cap * row];
+    dp.clear();
+    dp.resize(wave_cap * row, f64::INFINITY);
+    cut.clear();
+    cut.resize(wave_cap * row, 0);
     for (i, slot) in dp[..row].iter_mut().enumerate().skip(1) {
         *slot = wave_done(device_free_ms, 0, i);
     }
@@ -186,21 +253,19 @@ pub fn plan_verify_waves(
             best_w = w;
         }
     }
-    // Reconstruct the cohorts back to front.
-    let mut waves = vec![Vec::new(); best_w + 1];
-    let mut submit_offsets_ms = vec![0.0; best_w + 1];
+    // Reconstruct the cohorts' ends back to front.  Room for `wave_cap`
+    // waves, so a re-plan at the same cap or lower never grows them.
+    wave_ends.reserve(wave_cap);
+    submit_offsets_ms.reserve(wave_cap);
+    wave_ends.resize(best_w + 1, 0);
+    submit_offsets_ms.resize(best_w + 1, 0.0);
     let mut to = n;
     for w in (0..=best_w).rev() {
-        let from = if w == 0 { 0 } else { cut[w * row + to] };
+        wave_ends[w] = to;
         submit_offsets_ms[w] = draft_done_ms[order[to - 1]];
-        waves[w] = order[from..to].to_vec();
-        to = from;
+        to = if w == 0 { 0 } else { cut[w * row + to] };
     }
-    VerifyPlan {
-        waves,
-        submit_offsets_ms,
-        makespan_ms: dp[best_w * row + n],
-    }
+    *makespan_ms = dp[best_w * row + n];
 }
 
 #[cfg(test)]
@@ -209,6 +274,27 @@ mod tests {
 
     fn target() -> LatencyModel {
         LatencyModel::new(20.0, 0.5, 0.1)
+    }
+
+    /// A fresh plan against `target()`.
+    fn planned(
+        draft_done_ms: &[f64],
+        verify_widths: &[usize],
+        dispatch_overhead_ms: f64,
+        max_waves: usize,
+        device_free_ms: f64,
+    ) -> VerifyPlan {
+        let mut plan = VerifyPlan::new();
+        plan_verify_waves(
+            &mut plan,
+            draft_done_ms,
+            verify_widths,
+            &target(),
+            dispatch_overhead_ms,
+            max_waves,
+            device_free_ms,
+        );
+        plan
     }
 
     #[test]
@@ -253,12 +339,12 @@ mod tests {
     fn uniform_drafts_plan_one_grouped_batch() {
         // With no straggler there is nothing to overlap: splitting would pay
         // the pass base cost twice for no gain.
-        let plan = plan_verify_waves(&[5.0, 5.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
-        assert_eq!(plan.waves.len(), 1);
-        assert_eq!(plan.waves[0].len(), 3);
-        assert!((plan.submit_offsets_ms[0] - 5.0).abs() < 1e-12);
+        let plan = planned(&[5.0, 5.0, 5.0], &[8, 8, 8], 0.0, 2, 0.0);
+        assert_eq!(plan.wave_count(), 1);
+        assert_eq!(plan.wave(0).len(), 3);
+        assert!((plan.submit_offsets_ms()[0] - 5.0).abs() < 1e-12);
         let analytic = TickCost::of_round(&[5.0, 5.0, 5.0], &[8, 8, 8], &target());
-        assert!((plan.makespan_ms - analytic.wall_ms).abs() < 1e-12);
+        assert!((plan.makespan_ms() - analytic.wall_ms).abs() < 1e-12);
     }
 
     #[test]
@@ -269,17 +355,17 @@ mod tests {
         // path.
         let draft_ms = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves(&draft_ms, &widths, &target(), 0.0, 2, 0.0);
-        assert_eq!(plan.waves.len(), 2);
-        assert_eq!(plan.waves[0], vec![0, 1, 3]);
-        assert_eq!(plan.waves[1], vec![2]);
-        assert!((plan.submit_offsets_ms[0] - 3.0).abs() < 1e-12);
-        assert!((plan.submit_offsets_ms[1] - 100.0).abs() < 1e-12);
+        let plan = planned(&draft_ms, &widths, 0.0, 2, 0.0);
+        assert_eq!(plan.wave_count(), 2);
+        assert_eq!(plan.wave(0), [0, 1, 3]);
+        assert_eq!(plan.wave(1), [2]);
+        assert!((plan.submit_offsets_ms()[0] - 3.0).abs() < 1e-12);
+        assert!((plan.submit_offsets_ms()[1] - 100.0).abs() < 1e-12);
         // Makespan: straggler draft + its own verification pass.
-        assert!((plan.makespan_ms - (100.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
+        assert!((plan.makespan_ms() - (100.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
         let analytic = TickCost::of_round(&draft_ms, &widths, &target());
         assert!(
-            plan.makespan_ms < analytic.wall_ms,
+            plan.makespan_ms() < analytic.wall_ms,
             "overlap must beat the wait-for-all schedule"
         );
     }
@@ -294,12 +380,12 @@ mod tests {
         ];
         for (draft_ms, widths) in cases {
             for overhead in [0.0, 2.5] {
-                let plan = plan_verify_waves(draft_ms, widths, &target(), overhead, 2, 0.0);
+                let plan = planned(draft_ms, widths, overhead, 2, 0.0);
                 let d_max = draft_ms.iter().copied().fold(0.0f64, f64::max);
                 let single = d_max + overhead + grouped_verify_ms(&target(), widths);
-                assert!(plan.makespan_ms <= single + 1e-9);
-                assert!(plan.makespan_ms >= d_max, "verification follows drafting");
-                let scheduled: usize = plan.waves.iter().map(Vec::len).sum();
+                assert!(plan.makespan_ms() <= single + 1e-9);
+                assert!(plan.makespan_ms() >= d_max, "verification follows drafting");
+                let scheduled: usize = plan.waves().map(<[usize]>::len).sum();
                 assert_eq!(scheduled, draft_ms.len(), "every session is verified");
             }
         }
@@ -311,16 +397,16 @@ mod tests {
         // far smaller than an extra pass base cost (20 ms): splitting would
         // push the early wave's completion past the straggler and pay the
         // base twice, so the plan must keep one grouped batch.
-        let plan = plan_verify_waves(&[1.0, 1.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
-        assert_eq!(plan.waves.len(), 1);
-        assert!((plan.makespan_ms - (5.0 + 20.0 + 0.5 * 24.0)).abs() < 1e-12);
+        let plan = planned(&[1.0, 1.0, 5.0], &[8, 8, 8], 0.0, 2, 0.0);
+        assert_eq!(plan.wave_count(), 1);
+        assert!((plan.makespan_ms() - (5.0 + 20.0 + 0.5 * 24.0)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_ticks_plan_nothing() {
-        let plan = plan_verify_waves(&[], &[], &target(), 0.0, 2, 0.0);
-        assert!(plan.waves.is_empty());
-        assert_eq!(plan.makespan_ms, 0.0);
+        let plan = planned(&[], &[], 0.0, 2, 0.0);
+        assert_eq!(plan.wave_count(), 0);
+        assert_eq!(plan.makespan_ms(), 0.0);
     }
 
     #[test]
@@ -331,25 +417,25 @@ mod tests {
         // to group the first two cohorts.
         let done = [3.0, 3.0, 100.0, 140.0];
         let widths = [40usize, 40, 40, 8];
-        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 0.0);
-        assert_eq!(plan.waves.len(), 3);
-        assert_eq!(plan.waves[0], vec![0, 1]);
-        assert_eq!(plan.waves[1], vec![2]);
-        assert_eq!(plan.waves[2], vec![3]);
-        assert_eq!(plan.submit_offsets_ms, vec![3.0, 100.0, 140.0]);
+        let plan = planned(&done, &widths, 0.0, 4, 0.0);
+        assert_eq!(plan.wave_count(), 3);
+        assert_eq!(plan.wave(0), [0, 1]);
+        assert_eq!(plan.wave(1), [2]);
+        assert_eq!(plan.wave(2), [3]);
+        assert_eq!(plan.submit_offsets_ms(), [3.0, 100.0, 140.0]);
         // Only the last straggler's own pass remains on the critical path.
-        assert!((plan.makespan_ms - (140.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
-        let two = plan_verify_waves(&done, &widths, &target(), 0.0, 2, 0.0);
-        assert!(plan.makespan_ms < two.makespan_ms - 1.0);
+        assert!((plan.makespan_ms() - (140.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
+        let two = planned(&done, &widths, 0.0, 2, 0.0);
+        assert!(plan.makespan_ms() < two.makespan_ms() - 1.0);
     }
 
     #[test]
     fn a_single_wave_cap_forces_the_grouped_batch() {
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 1, 0.0);
-        assert_eq!(plan.waves.len(), 1);
-        assert!((plan.makespan_ms - (100.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
+        let plan = planned(&done, &widths, 0.0, 1, 0.0);
+        assert_eq!(plan.wave_count(), 1);
+        assert!((plan.makespan_ms() - (100.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -359,9 +445,9 @@ mod tests {
         // makespan is backlog + one grouped pass.
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 500.0);
-        assert_eq!(plan.waves.len(), 1);
-        assert!((plan.makespan_ms - (500.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
+        let plan = planned(&done, &widths, 0.0, 4, 500.0);
+        assert_eq!(plan.wave_count(), 1);
+        assert!((plan.makespan_ms() - (500.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -369,13 +455,15 @@ mod tests {
         let done = [1.0, 2.0, 3.0, 50.0, 120.0, 121.0];
         let widths = [8usize, 4, 8, 2, 8, 1];
         let mut previous = f64::INFINITY;
+        // One plan, re-planned at every cap.
+        let mut plan = VerifyPlan::new();
         for cap in 1..=6 {
-            let plan = plan_verify_waves(&done, &widths, &target(), 1.5, cap, 10.0);
-            assert!(plan.makespan_ms <= previous + 1e-9);
-            assert!(plan.waves.len() <= cap);
-            let scheduled: usize = plan.waves.iter().map(Vec::len).sum();
+            plan_verify_waves(&mut plan, &done, &widths, &target(), 1.5, cap, 10.0);
+            assert!(plan.makespan_ms() <= previous + 1e-9);
+            assert!(plan.wave_count() <= cap);
+            let scheduled: usize = plan.waves().map(<[usize]>::len).sum();
             assert_eq!(scheduled, done.len());
-            previous = plan.makespan_ms;
+            previous = plan.makespan_ms();
         }
     }
 }

@@ -7,19 +7,19 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
+use specasr::{DecodeOutcome, DraftedRound, Drafter, DrafterKind, Policy};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
-    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, DeviceTimeline,
-    ForwardResult, InFlightSimBackend, ModelProfile, RpcBackend, TokenLogits, TokenizerBinding,
-    UtteranceTokens,
+    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, Completions,
+    DeviceTimeline, InFlightSimBackend, ModelProfile, RpcBackend, Ticket, TicketRange, TokenLogits,
+    TokenizerBinding, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
 use specasr_stream::{StreamConfig, StreamingSession};
 use specasr_tokenizer::TokenId;
 use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer};
 
-use crate::batch::{plan_verify_waves, TickCost};
+use crate::batch::{plan_verify_waves, TickCost, VerifyPlan};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
     PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError,
@@ -101,6 +101,54 @@ enum Removal {
     Preempted,
     /// Its KV demand can never be met; dropped with a memory rejection.
     Rejected,
+}
+
+/// The buffers one tick fills, kept from tick to tick so a warm tick
+/// allocates nothing: every buffer is cleared and refilled in place.
+///
+/// Grouped by the tick phase that fills each buffer; the per-session
+/// buffers are indexed by position in the active batch.
+#[derive(Debug, Default)]
+struct TickScratch {
+    // Draft.
+    /// Session indices in draft-readiness order.
+    order: Vec<usize>,
+    drafted: Vec<Option<DraftedRound>>,
+    /// Draft-lane milliseconds each round spent.
+    spent_ms: Vec<f64>,
+    /// When each round's draft phase finished.
+    draft_done: Vec<f64>,
+    verify_widths: Vec<usize>,
+    // Plan and submit.
+    plan: VerifyPlan,
+    /// One wave's verify requests at a time.
+    batch: BackendBatch,
+    /// Each wave's tickets, in wave order.
+    wave_tickets: Vec<TicketRange>,
+    // Drain.
+    completions: Completions,
+    /// Where each session's result sits in `completions`.
+    results: Vec<Option<usize>>,
+    /// The wave each session verified in.
+    wave_of: Vec<usize>,
+    /// When each wave completed.
+    wave_completed: Vec<f64>,
+    // Commit.
+    /// Billed token width of each wave.
+    wave_charges: Vec<u64>,
+    removal: Vec<Removal>,
+    // Retire.
+    /// The active sessions, while retirement sorts them into kept, retired
+    /// and requeued ones.
+    retiring: Vec<ServerSession>,
+    requeued: Vec<QueuedRequest>,
+}
+
+/// Empties `buffer` and fills it with `len` copies of `value`, keeping its
+/// capacity.
+fn refill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
+    buffer.clear();
+    buffer.resize(len, value);
 }
 
 /// A continuous-batching serving scheduler over a draft/target model pair.
@@ -200,6 +248,8 @@ pub struct Scheduler<D, T> {
     /// The committing session's policy name, one buffer reused every round
     /// so the speculation ledger is fed without allocating.
     policy_name: String,
+    /// The tick's working buffers, kept across ticks.
+    scratch: TickScratch,
 }
 
 impl<D, T> Scheduler<D, T>
@@ -288,6 +338,7 @@ where
             ticks_seen: 0,
             cow_reported: 0,
             policy_name: String::new(),
+            scratch: TickScratch::default(),
         }
     }
 
@@ -726,6 +777,37 @@ where
         if self.active.is_empty() {
             return Vec::new();
         }
+        // The scratch leaves `self` for the rest of the tick, so the tick
+        // can fill it while preemption borrows the whole scheduler.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcomes = self.decode_tick(&mut scratch);
+        self.scratch = scratch;
+        outcomes
+    }
+
+    /// The decode half of a tick over the admitted batch: draft, plan and
+    /// submit the verify waves, drain them, commit, sync the gauges and
+    /// retire.  Every per-session and per-wave buffer comes from `scratch`,
+    /// cleared and refilled in place.
+    fn decode_tick(&mut self, scratch: &mut TickScratch) -> Vec<RequestOutcome> {
+        let TickScratch {
+            order,
+            drafted,
+            spent_ms,
+            draft_done,
+            verify_widths,
+            plan,
+            batch,
+            wave_tickets,
+            completions,
+            results,
+            wave_of,
+            wave_completed,
+            wave_charges,
+            removal,
+            retiring,
+            requeued,
+        } = scratch;
 
         // Draft phase: every active session speculates its next round.
         // Model-draft sessions query the draft model in place, each query
@@ -754,20 +836,22 @@ where
         let sessions = self.active.len();
         // Draft rounds reserve modeled draft-device time in readiness order
         // (ties by batch index), so lane contention under a bounded
-        // `draft_lanes` budget is deterministic.
-        let mut order: Vec<usize> = (0..sessions).collect();
-        order.sort_by(|&a, &b| {
+        // `draft_lanes` budget is deterministic.  The index makes the order
+        // total, so an unstable sort, which never allocates, gives it.
+        order.clear();
+        order.extend(0..sessions);
+        order.sort_unstable_by(|&a, &b| {
             self.active[a]
                 .ready_ms
                 .partial_cmp(&self.active[b].ready_ms)
                 .expect("wall clocks are finite")
                 .then(a.cmp(&b))
         });
-        let mut drafted: Vec<Option<specasr::DraftedRound>> = (0..sessions).map(|_| None).collect();
-        let mut spent_ms = vec![0.0; sessions];
-        let mut draft_done = vec![0.0; sessions];
-        let mut verify_widths = vec![0usize; sessions];
-        for &index in &order {
+        refill(drafted, sessions, None);
+        refill(spent_ms, sessions, 0.0);
+        refill(draft_done, sessions, 0.0);
+        refill(verify_widths, sessions, 0);
+        for &index in order.iter() {
             let session = &mut self.active[index];
             let ready = session.ready_ms;
             let before = session.decode.clock().breakdown().draft_ms;
@@ -826,32 +910,31 @@ where
         // never costs more than waiting for every draft and then verifying
         // everyone at once.
         let target_latency = self.target.backend().profile().latency().clone();
-        let plan = plan_verify_waves(
-            &draft_done,
-            &verify_widths,
+        plan_verify_waves(
+            plan,
+            draft_done,
+            verify_widths,
             &target_latency,
             self.target.backend().dispatch_overhead_ms(),
             pipeline_depth,
             self.target.backend().device_free_ms(),
         );
-        let mut ticket_owner = Vec::with_capacity(self.active.len());
-        let mut wave_of = vec![0usize; sessions];
-        for (wave_index, (wave, offset)) in
-            plan.waves.iter().zip(&plan.submit_offsets_ms).enumerate()
+        refill(wave_of, sessions, 0);
+        wave_tickets.clear();
+        for (wave_index, (wave, &offset)) in plan.waves().zip(plan.submit_offsets_ms()).enumerate()
         {
-            let mut batch = BackendBatch::new();
             for &index in wave {
                 let round = drafted[index]
                     .as_ref()
                     .expect("every planned session drafted this tick");
-                batch.push(self.active[index].decode.verify_request(round));
+                self.active[index].decode.verify_request(round, batch);
                 wave_of[index] = wave_index;
             }
             // The in-flight window: with `max_in_flight_waves` batches
             // already outstanding, the next submission stalls until the
             // oldest one completes — bounded speculation ahead of the
             // device, not an unbounded queue.
-            let mut submit_at = *offset;
+            let mut submit_at = offset;
             while self.outstanding_waves.len() >= pipeline_depth {
                 let oldest = self
                     .outstanding_waves
@@ -861,10 +944,14 @@ where
             }
             let target = self.target.backend_mut();
             let tickets = target.submit(batch, submit_at);
+            // The backend copied what it scores; the next wave refills the
+            // batch, and no audio context outlives its wave in it.
+            batch.clear();
             self.outstanding_waves.push_back(target.device_free_ms());
+            wave_tickets.push(tickets);
             if self.tracer.is_enabled() {
                 let ts_ms = submit_at;
-                let ticket_ids: Vec<u64> = tickets.iter().map(|t| t.value()).collect();
+                let ticket_ids: Vec<u64> = tickets.iter().map(Ticket::value).collect();
                 let requests: Vec<u64> = wave
                     .iter()
                     .map(|&index| self.active[index].id.value())
@@ -877,49 +964,45 @@ where
                     requests,
                 });
             }
-            ticket_owner.extend(
-                tickets
-                    .into_iter()
-                    .zip(wave.iter().copied())
-                    .map(|(ticket, owner)| (ticket, owner, wave_index)),
-            );
         }
-        let mut results: Vec<Option<ForwardResult>> = self.active.iter().map(|_| None).collect();
+        self.target.backend_mut().poll(completions);
+        refill(results, sessions, None);
+        refill(wave_completed, plan.wave_count(), tick_start);
         let mut tick_end = tick_start;
-        let mut wave_completed = vec![tick_start; plan.waves.len()];
         // Per-wave device spans for the recorder: every request of a wave
         // shares its batch's (submitted, started, completed) triple.
         let mut wave_spans: Vec<Option<(f64, f64, f64)>> = if self.tracer.is_enabled() {
-            vec![None; plan.waves.len()]
+            vec![None; plan.wave_count()]
         } else {
             Vec::new()
         };
-        // Every submit hands out increasing tickets, so `ticket_owner` is
-        // sorted by ticket, and each wave's entries sit side by side.
-        debug_assert!(ticket_owner.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        for result in self.target.backend_mut().poll() {
+        for (at, result) in completions.results().iter().enumerate() {
             tick_end = tick_end.max(result.completed_ms);
-            let at = ticket_owner
-                .binary_search_by_key(&result.ticket, |&(ticket, _, _)| ticket)
+            // A wave's tickets are consecutive in wave order, so the wave
+            // whose range holds the ticket, and the ticket's place in that
+            // range, name the session the completion answers.
+            let (wave_index, position) = wave_tickets
+                .iter()
+                .enumerate()
+                .find_map(|(wave, tickets)| Some((wave, tickets.position(result.ticket)?)))
                 .expect("every completion answers a ticket submitted this tick");
-            let (_, owner, wave_index) = ticket_owner[at];
+            let owner = plan.wave(wave_index)[position];
             wave_completed[wave_index] = wave_completed[wave_index].max(result.completed_ms);
             if let Some(span) = wave_spans.get_mut(wave_index) {
                 *span = Some((result.submitted_ms, result.started_ms, result.completed_ms));
             }
-            results[owner] = Some(result);
+            results[owner] = Some(at);
         }
         if self.tracer.is_enabled() {
-            for wave in ticket_owner.chunk_by(|a, b| a.2 == b.2) {
-                let wave_index = wave[0].2;
+            for (wave_index, wave) in plan.waves().enumerate() {
                 let Some((submitted_ms, started_ms, completed_ms)) = wave_spans[wave_index] else {
                     continue;
                 };
                 let ticket_ids: Vec<u64> =
-                    wave.iter().map(|&(ticket, _, _)| ticket.value()).collect();
+                    wave_tickets[wave_index].iter().map(Ticket::value).collect();
                 let requests: Vec<u64> = wave
                     .iter()
-                    .map(|&(_, owner, _)| self.active[owner].id.value())
+                    .map(|&owner| self.active[owner].id.value())
                     .collect();
                 self.tracer.record_with(|| TraceEvent::VerifyWaveCompleted {
                     tick,
@@ -939,7 +1022,7 @@ where
         // paid for its draft and its share of the verification pass —
         // evicted speculation is wasted device time, exactly as on real
         // hardware.)
-        let analytic = TickCost::of_round(&spent_ms, &verify_widths, &target_latency);
+        let analytic = TickCost::of_round(spent_ms, verify_widths, &target_latency);
         let cost = TickCost {
             wall_ms: (tick_end - tick_start).max(0.0),
             sequential_ms: analytic.sequential_ms,
@@ -955,29 +1038,29 @@ where
         // preemption policy evicts sessions until the round fits — or, when
         // nothing is left to evict, the triggering request itself is dropped
         // with a memory rejection.
-        let target_profile = self.target.backend().profile().clone();
-        let mut removal = vec![Removal::Keep; self.active.len()];
+        refill(removal, sessions, Removal::Keep);
         // Billed width of each wave (= its backend batch's `charge_tokens`):
         // the denominator of the per-token device-time share that both the
         // serving stats and the trace-analysis ledger charge speculation
         // outcomes at, so the two layers agree digit for digit.
-        let wave_charges: Vec<u64> = plan
-            .waves
-            .iter()
-            .map(|wave| wave.iter().map(|&i| verify_widths[i] as u64).sum())
-            .collect();
-        for (index, round) in drafted.into_iter().enumerate() {
-            let round = round.expect("every active session drafted this tick");
+        wave_charges.clear();
+        wave_charges.extend(
+            plan.waves()
+                .map(|wave| wave.iter().map(|&i| verify_widths[i] as u64).sum::<u64>()),
+        );
+        for index in 0..sessions {
+            let round = drafted[index]
+                .take()
+                .expect("every active session drafted this tick");
             if removal[index] != Removal::Keep {
                 continue; // evicted by an earlier session's memory pressure
             }
-            self.ensure_round_headroom(index, &round, &mut removal);
+            self.ensure_round_headroom(index, &round, removal);
             if removal[index] != Removal::Keep {
                 continue;
             }
-            let result = results[index]
-                .take()
-                .expect("every drafted session was scored by a verification wave");
+            let result = &completions.results()
+                [results[index].expect("every drafted session was scored by a verification wave")];
             // Commit stamps: each session's round lands the moment its own
             // wave completes (first tokens and KV frees carry per-wave
             // timestamps).
@@ -987,7 +1070,12 @@ where
             let rounds_before = session.decode.stats().rounds_detail.len();
             session
                 .decode
-                .verify_round_from(&mut self.kv, &target_profile, &result, round)
+                .verify_round_from(
+                    &mut self.kv,
+                    &target_latency,
+                    completions.logits(result),
+                    round,
+                )
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
             // (everything the verify pass just recorded) and its share of
@@ -1106,12 +1194,12 @@ where
         // Retire finished sessions (their batch slots refill next tick;
         // streaming sessions whose *view* finished emit a partial and either
         // retire or park for their next chunk) and re-queue preempted ones
-        // at the front, preserving admission order among them.
-        let drained: Vec<(ServerSession, Removal)> = self.active.drain(..).zip(removal).collect();
+        // at the front, preserving admission order among them.  The active
+        // sessions trade places with the empty `retiring` buffer, and the
+        // ones that stay move back in order.
+        std::mem::swap(&mut self.active, retiring);
         let mut outcomes = Vec::new();
-        let mut kept = Vec::with_capacity(drained.len());
-        let mut requeued = Vec::new();
-        for (session, removal) in drained {
+        for (session, removal) in retiring.drain(..).zip(removal.drain(..)) {
             match removal {
                 Removal::Keep if session.decode.is_finished() => {
                     if session.stream.is_some() {
@@ -1120,13 +1208,12 @@ where
                         outcomes.push(self.retire(session));
                     }
                 }
-                Removal::Keep => kept.push(session),
+                Removal::Keep => self.active.push(session),
                 Removal::Preempted => requeued.push(session.into_requeued(true)),
                 Removal::Rejected => {}
             }
         }
-        self.active = kept;
-        for request in requeued.into_iter().rev() {
+        for request in requeued.drain(..).rev() {
             self.queue.push_front(request);
         }
         let completed = outcomes.len() as u64;
@@ -1321,7 +1408,7 @@ where
     fn ensure_round_headroom(
         &mut self,
         index: usize,
-        round: &specasr::DraftedRound,
+        round: &DraftedRound,
         removal: &mut [Removal],
     ) {
         loop {

@@ -1,5 +1,5 @@
 //! Backend-API equivalence tests: decoding through the batched
-//! submit/complete [`AsrBackend`] path — with cross-session batches,
+//! submit/poll [`AsrBackend`] path — with cross-session batches,
 //! arbitrary interleavings, and out-of-order completion draining — must
 //! produce byte-identical outcomes to direct [`AsrDecoderModel`] decoding.
 //!
@@ -15,8 +15,8 @@ use specasr::{
 };
 use specasr_audio::Split;
 use specasr_models::{
-    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, ForwardResult, InFlightSimBackend,
-    Ticket, UtteranceTokens,
+    splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, Completions, ForwardResult,
+    InFlightSimBackend, Ticket, TokenLogits, UtteranceTokens,
 };
 use specasr_runtime::KvPool;
 use specasr_suite::StandardSetup;
@@ -46,9 +46,10 @@ fn start(policy: Policy, audio: UtteranceTokens, pool: &mut KvPool) -> DecodeSes
 
 /// Drives every session to completion through a shared target backend:
 /// drafts from the draft model in a rotated per-round order, verification
-/// submitted as cross-session batches of `group_size`, completions drained
-/// with `poll` and committed in a shuffled order.  Finished sessions release their blocks into `pool`.
-/// Returns the transcripts by session index.
+/// submitted as cross-session batches of `group_size` through one reused
+/// batch, completions drained with `poll` into one reused buffer and
+/// committed in a shuffled order.  Finished sessions release their blocks
+/// into `pool`.  Returns the transcripts by session index.
 fn decode_all_via_backend(
     setup: &StandardSetup,
     sessions: &mut Vec<(usize, DecodeSession)>,
@@ -57,7 +58,9 @@ fn decode_all_via_backend(
     order_seed: u64,
 ) -> Vec<(usize, Vec<specasr_tokenizer::TokenId>)> {
     let mut target_backend = InFlightSimBackend::new(setup.target.clone()).with_lanes(0);
-    let target_profile = setup.target.profile().clone();
+    let target_latency = setup.target.profile().latency().clone();
+    let mut batch = BackendBatch::new();
+    let mut completions = Completions::new();
     let mut transcripts = Vec::new();
     let mut round = 0u64;
     while !sessions.is_empty() {
@@ -73,29 +76,32 @@ fn decode_all_via_backend(
         // order, drained in one poll, committed in a shuffled order.
         let mut tickets: Vec<Ticket> = Vec::with_capacity(sessions.len());
         for chunk_start in (0..sessions.len()).step_by(group_size) {
-            let mut batch = BackendBatch::new();
+            batch.clear();
             for index in chunk_start..(chunk_start + group_size).min(sessions.len()) {
-                batch.push(sessions[index].1.verify_request(&drafted[index]));
+                sessions[index]
+                    .1
+                    .verify_request(&drafted[index], &mut batch);
             }
-            tickets.extend(target_backend.submit(batch, round as f64));
+            tickets.extend(target_backend.submit(&batch, round as f64).iter());
         }
-        let mut results: Vec<ForwardResult> = target_backend.poll();
+        target_backend.poll(&mut completions);
+        let mut results: Vec<(&ForwardResult, &[TokenLogits])> = completions.iter().collect();
         shuffle(&mut results, splitmix64(order_seed) ^ round);
         let mut commit_order: Vec<usize> = (0..sessions.len()).collect();
         shuffle(&mut commit_order, order_seed ^ (round << 7));
-        let mut scored: Vec<Option<ForwardResult>> = (0..sessions.len()).map(|_| None).collect();
-        for result in results {
+        let mut scored: Vec<Option<&[TokenLogits]>> = vec![None; sessions.len()];
+        for (result, logits) in results {
             let position = tickets
                 .iter()
                 .position(|&t| t == result.ticket)
                 .expect("every completion answers a submitted ticket");
-            scored[position] = Some(result);
+            scored[position] = Some(logits);
         }
         for index in commit_order {
-            let result = scored[index].take().expect("scored above");
+            let logits = scored[index].take().expect("scored above");
             let (_, session) = &mut sessions[index];
             session
-                .verify_round_from(pool, &target_profile, &result, drafted[index].clone())
+                .verify_round_from(pool, &target_latency, logits, drafted[index].clone())
                 .expect("pool has room");
         }
         let mut index = 0;
