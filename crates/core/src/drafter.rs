@@ -37,10 +37,10 @@ use specasr_models::{AsrDecoderModel, CtcDrafter, DecodeClock, UtteranceTokens};
 use specasr_runtime::{NodeId, NodeOrigin, TokenTree};
 use specasr_tokenizer::{TokenId, TokenMapIndex};
 
-use crate::config::SparseTreeConfig;
+use crate::config::{SparseTreeConfig, SpeculativeConfig};
 use crate::policy::Policy;
-use crate::recycle::{draft_context, merge_position, run_draft_phase, DraftPhase, RecycleBuffer};
-use crate::session::{DraftedRound, RoundPlan};
+use crate::recycle::{merge_position, run_draft_phase, DraftToken, PhaseRule, RecycleBuffer};
+use crate::session::{DraftedRound, RoundKind, RoundPlan};
 
 /// Names a draft-token source, carried per session through queues, bench
 /// rows, and serialized records.
@@ -107,9 +107,12 @@ pub struct DraftRequest<'a> {
 /// A source of draft tokens for one speculative round.
 ///
 /// Implementations must be pure with respect to the request: proposing from
-/// the same `(audio, committed, policy, recycle)` state twice yields the same
-/// [`DraftedRound`], which is what makes preemption/restore and resumed
-/// streaming sessions deterministic.
+/// the same `(audio, committed, policy, recycle)` state twice refills the
+/// round with the same plan, which is what makes preemption/restore and
+/// resumed streaming sessions deterministic.  The refilled round depends
+/// only on the request, never on what the buffer held: a round that served
+/// another session, policy or drafter before must come out equal to one
+/// drafted into [`DraftedRound::new`].
 ///
 /// The KV-demand hook [`Drafter::uses_draft_kv`] tells sessions whether to
 /// prefill (and appends-per-round size) a draft KV table at all; the
@@ -119,15 +122,36 @@ pub trait Drafter: fmt::Debug {
     /// Which named source this drafter implements.
     fn kind(&self) -> DrafterKind;
 
-    /// Produces this round's draft material from the committed prefix and
-    /// the audio view.
-    fn propose(&self, request: DraftRequest<'_>) -> DraftedRound;
+    /// Refills `round` with this round's draft material, drafted from the
+    /// committed prefix and the audio view.  External implementations fill
+    /// it through [`DraftedRound::refill_external`] or
+    /// [`DraftedRound::refill_autoregressive`].
+    fn propose(&self, request: DraftRequest<'_>, round: &mut DraftedRound);
 
     /// KV-demand hook: whether sessions using this drafter hold a draft KV
     /// cache.  Defaults to the kind's static answer.
     fn uses_draft_kv(&self) -> bool {
         self.kind().uses_draft_kv()
     }
+}
+
+/// The drafters' working space, kept in a [`DraftedRound`] so every round
+/// reuses it.  Each loop empties what it uses before writing to it, so no
+/// round reads what an earlier one left here.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DraftScratch {
+    /// The draft-model query context: the committed prefix, then the draft
+    /// path being extended.
+    context: Vec<TokenId>,
+    /// The draft-side detail of each token of an adaptive draft or a
+    /// sparse-tree trunk.
+    detail: Vec<DraftToken>,
+    /// The sparse tree's trunk chain, one node per trunk token.
+    trunk_nodes: Vec<NodeId>,
+    /// The branch tokens opened at one uncertain trunk position.
+    alternatives: Vec<(TokenId, f64)>,
+    /// Each beam's tip node, and whether the beam is done.
+    tips: Vec<(NodeId, bool)>,
 }
 
 /// The draft budget a policy grants one round (how many tokens the draft
@@ -175,7 +199,7 @@ where
         DrafterKind::ModelDraft
     }
 
-    fn propose(&self, request: DraftRequest<'_>) -> DraftedRound {
+    fn propose(&self, request: DraftRequest<'_>, round: &mut DraftedRound) {
         let DraftRequest {
             audio,
             committed,
@@ -184,108 +208,98 @@ where
             clock,
         } = request;
         let draft = self.model;
-        let plan = match *policy {
-            Policy::Autoregressive => RoundPlan::Autoregressive,
+        match *policy {
+            Policy::Autoregressive => round.refill_autoregressive(),
             Policy::Speculative(config) if config.beams <= 1 => {
-                let mut tokens = Vec::with_capacity(config.prediction_length);
-                let mut context = draft_context(committed, config.prediction_length);
-                let mut steps = 0usize;
-                while tokens.len() < config.prediction_length {
-                    let next = draft.greedy_token(audio, &context);
-                    clock.charge_draft(draft.profile().latency(), 1);
-                    steps += 1;
-                    tokens.push(next);
-                    context.push(next);
-                    if next == audio.eos() {
-                        break;
+                round.refill(RoundKind::Sequence, |plan, scratch| {
+                    let context = &mut scratch.context;
+                    context.clear();
+                    context.extend_from_slice(committed);
+                    while plan.tokens.len() < config.prediction_length {
+                        let next = draft.greedy_token(audio, context);
+                        clock.charge_draft(draft.profile().latency(), 1);
+                        plan.steps += 1;
+                        plan.tokens.push(next);
+                        context.push(next);
+                        if next == audio.eos() {
+                            break;
+                        }
                     }
-                }
-                RoundPlan::Sequence {
-                    tokens,
-                    steps,
-                    recycled: 0,
-                    truncated: false,
-                }
+                });
             }
-            Policy::Speculative(config) => {
-                let (tree, steps) = draft_beam_tree(
+            Policy::Speculative(config) => round.refill(RoundKind::BeamTree, |plan, scratch| {
+                plan.steps = draft_beam_tree(
+                    &config,
                     draft,
                     audio,
                     committed,
-                    config.beams,
-                    config.prediction_length,
                     clock,
+                    &mut plan.tree,
+                    scratch,
                 );
-                RoundPlan::Tree {
-                    tree,
-                    trunk_tokens: None,
-                    steps,
-                    recycled: 0,
-                }
-            }
+            }),
             Policy::AdaptiveSingleSequence(config) => {
                 let retained: &[TokenId] = if config.recycling {
                     recycle.tokens()
                 } else {
                     &[]
                 };
-                let phase = run_draft_phase(
-                    draft,
-                    audio,
-                    committed,
-                    retained,
-                    config.max_prediction_length,
-                    config.truncation_threshold,
-                    true,
-                    config.merge_offset,
-                    clock,
-                );
-                RoundPlan::Sequence {
-                    tokens: phase.token_ids(),
-                    steps: phase.steps,
-                    recycled: phase.recycled,
-                    truncated: phase.truncated,
-                }
+                round.refill(RoundKind::Sequence, |plan, scratch| {
+                    let phase = run_draft_phase(
+                        draft,
+                        audio,
+                        committed,
+                        retained,
+                        PhaseRule {
+                            max_len: config.max_prediction_length,
+                            threshold: config.truncation_threshold,
+                            truncate_on_threshold: true,
+                            merge_offset: config.merge_offset,
+                        },
+                        clock,
+                        &mut plan.tokens,
+                        &mut scratch.detail,
+                        &mut scratch.context,
+                    );
+                    plan.steps = phase.steps;
+                    plan.recycled = phase.recycled;
+                    plan.truncated = phase.truncated;
+                });
             }
             Policy::TwoPassSparseTree(config) => {
-                // Pass 1: greedy trunk, recording uncertainty but never
-                // truncating.
                 let retained: &[TokenId] = if config.recycling {
                     recycle.tokens()
                 } else {
                     &[]
                 };
-                let trunk = run_draft_phase(
-                    draft,
-                    audio,
-                    committed,
-                    retained,
-                    config.max_prediction_length,
-                    config.uncertainty_threshold,
-                    false,
-                    config.merge_offset,
-                    clock,
-                );
-                // Pass 2: sparse branch expansion at the uncertain positions.
-                let trunk_tokens = trunk.token_ids();
-                let (tree, branch_steps, branch_recycled) = grow_sparse_tree(
-                    &config,
-                    draft,
-                    audio,
-                    committed,
-                    &trunk,
-                    &trunk_tokens,
-                    clock,
-                );
-                RoundPlan::Tree {
-                    trunk_tokens: Some(trunk_tokens),
-                    tree,
-                    steps: trunk.steps + branch_steps,
-                    recycled: trunk.recycled + branch_recycled,
-                }
+                round.refill(RoundKind::SparseTree, |plan, scratch| {
+                    // Pass 1: greedy trunk, straight into the plan's tokens,
+                    // recording uncertainty but never truncating.
+                    let trunk = run_draft_phase(
+                        draft,
+                        audio,
+                        committed,
+                        retained,
+                        PhaseRule {
+                            max_len: config.max_prediction_length,
+                            threshold: config.uncertainty_threshold,
+                            truncate_on_threshold: false,
+                            merge_offset: config.merge_offset,
+                        },
+                        clock,
+                        &mut plan.tokens,
+                        &mut scratch.detail,
+                        &mut scratch.context,
+                    );
+                    // Pass 2: sparse branch expansion at the uncertain
+                    // positions.
+                    let (branch_steps, branch_recycled) =
+                        grow_sparse_tree(&config, draft, audio, committed, clock, plan, scratch);
+                    plan.steps = trunk.steps + branch_steps;
+                    plan.recycled = trunk.recycled + branch_recycled;
+                });
             }
-        };
-        DraftedRound::new(plan)
+        }
     }
 }
 
@@ -329,22 +343,32 @@ impl TokenMapDrafter {
         &self.index
     }
 
-    /// Walks the index from `committed`, proposing up to `budget` tokens.
-    fn walk(&self, audio: &UtteranceTokens, committed: &[TokenId], budget: usize) -> Vec<TokenId> {
+    /// Walks the index from `committed`, appending up to `budget` tokens to
+    /// `draft`.  The walk's context starts as the last
+    /// [`TokenMapIndex::max_context`] committed tokens, all a prediction
+    /// reads, in the reused `context` buffer.
+    fn walk(
+        &self,
+        audio: &UtteranceTokens,
+        committed: &[TokenId],
+        budget: usize,
+        context: &mut Vec<TokenId>,
+        draft: &mut Vec<TokenId>,
+    ) {
         let cap = budget.min(self.max_draft_len);
-        let mut context = committed.to_vec();
-        let mut tokens = Vec::new();
-        while tokens.len() < cap {
-            let Some(next) = self.index.predict(&context) else {
+        let tail = committed.len().saturating_sub(self.index.max_context());
+        context.clear();
+        context.extend_from_slice(&committed[tail..]);
+        for _ in 0..cap {
+            let Some(next) = self.index.predict(context) else {
                 break;
             };
-            tokens.push(next);
+            draft.push(next);
             if next == audio.eos() {
                 break;
             }
             context.push(next);
         }
-        tokens
     }
 }
 
@@ -353,12 +377,22 @@ impl Drafter for TokenMapDrafter {
         DrafterKind::TokenMap
     }
 
-    fn propose(&self, request: DraftRequest<'_>) -> DraftedRound {
-        if matches!(request.policy, Policy::Autoregressive) {
-            return DraftedRound::autoregressive();
+    fn propose(&self, request: DraftRequest<'_>, round: &mut DraftedRound) {
+        match request.policy {
+            Policy::Autoregressive => round.refill_autoregressive(),
+            policy => {
+                let budget = policy_draft_budget(policy);
+                round.refill(RoundKind::External, |plan, scratch| {
+                    self.walk(
+                        request.audio,
+                        request.committed,
+                        budget,
+                        &mut scratch.context,
+                        &mut plan.tokens,
+                    );
+                });
+            }
         }
-        let budget = policy_draft_budget(request.policy);
-        DraftedRound::external(self.walk(request.audio, request.committed, budget))
     }
 }
 
@@ -367,62 +401,73 @@ impl Drafter for CtcDrafter {
         DrafterKind::CtcEncoder
     }
 
-    fn propose(&self, request: DraftRequest<'_>) -> DraftedRound {
-        if matches!(request.policy, Policy::Autoregressive) {
-            return DraftedRound::autoregressive();
+    fn propose(&self, request: DraftRequest<'_>, round: &mut DraftedRound) {
+        match request.policy {
+            Policy::Autoregressive => round.refill_autoregressive(),
+            policy => {
+                let budget = policy_draft_budget(policy);
+                round.refill_external(|draft| {
+                    self.collapse(request.audio, request.committed.len(), budget, draft);
+                });
+            }
         }
-        let budget = policy_draft_budget(request.policy);
-        DraftedRound::external(self.collapse(request.audio, request.committed.len(), budget))
     }
 }
 
 /// The SpecInfer-style beam baseline draft: top-`beams` first-step
-/// candidates extended greedily in parallel into a fixed token tree.
+/// candidates extended greedily in parallel into `tree` (emptied by the
+/// caller).  Returns the draft steps taken.
 fn draft_beam_tree<D>(
+    config: &SpeculativeConfig,
     draft: &D,
     audio: &UtteranceTokens,
     committed: &[TokenId],
-    beams: usize,
-    prediction_length: usize,
     clock: &mut DecodeClock,
-) -> (TokenTree, usize)
+    tree: &mut TokenTree,
+    scratch: &mut DraftScratch,
+) -> usize
 where
     D: AsrDecoderModel + ?Sized,
 {
-    let mut tree = TokenTree::new();
+    let SpeculativeConfig {
+        prediction_length,
+        beams,
+    } = *config;
+    let DraftScratch { context, tips, .. } = scratch;
     let mut steps = 0usize;
 
     // First step: the top-`beams` candidates become branch roots.
     let first_logits = draft.next_logits(audio, committed);
     clock.charge_draft(draft.profile().latency(), beams);
     steps += 1;
-    let mut branch_tips = Vec::with_capacity(beams);
+    tips.clear();
     for candidate in first_logits.iter().take(beams) {
-        let origin = if branch_tips.is_empty() {
+        let origin = if tips.is_empty() {
             NodeOrigin::Trunk
         } else {
             NodeOrigin::Branch
         };
         let node = tree.push_root(candidate.token, candidate.probability, origin);
-        branch_tips.push((node, candidate.token == audio.eos()));
+        tips.push((node, candidate.token == audio.eos()));
     }
 
     // Subsequent steps: extend every live branch greedily in parallel, each
     // query's context rebuilt in one buffer as the prefix plus the branch.
-    let mut context = draft_context(committed, prediction_length);
+    context.clear();
+    context.extend_from_slice(committed);
     for _ in 1..prediction_length {
-        let live = branch_tips.iter().filter(|(_, done)| !done).count();
+        let live = tips.iter().filter(|(_, done)| !done).count();
         if live == 0 {
             break;
         }
         clock.charge_draft(draft.profile().latency(), live);
         steps += 1;
-        for (branch, (tip, done)) in branch_tips.iter_mut().enumerate() {
+        for (branch, (tip, done)) in tips.iter_mut().enumerate() {
             if *done {
                 continue;
             }
-            set_branch_path(&mut context, committed.len(), &tree, *tip);
-            let logits = draft.next_logits(audio, &context);
+            set_branch_path(context, committed.len(), tree, *tip);
+            let logits = draft.next_logits(audio, context);
             let Some(top1) = logits.top1() else {
                 *done = true;
                 continue;
@@ -436,7 +481,7 @@ where
             *done = top1.token == audio.eos();
         }
     }
-    (tree, steps)
+    steps
 }
 
 /// Replaces everything in `context` after its first `base` tokens with the
@@ -452,37 +497,48 @@ fn set_branch_path(context: &mut Vec<TokenId>, base: usize, tree: &TokenTree, ti
     context[base..].reverse();
 }
 
-/// Builds the sparse token tree from the trunk draft: the trunk chain plus
-/// one side branch per uncertain position (up to `max_branches`).
-/// `trunk_tokens` are the trunk's token ids.
+/// Builds the sparse token tree into `plan.tree` from the trunk draft in
+/// `plan.tokens` (with its detail in `scratch`): the trunk chain plus one
+/// side branch per uncertain position (up to `max_branches`).
 ///
-/// Returns `(tree, branch_draft_steps, branch_recycled_tokens)`.
+/// Returns `(branch_draft_steps, branch_recycled_tokens)`.
 fn grow_sparse_tree<D>(
     config: &SparseTreeConfig,
     draft: &D,
     audio: &UtteranceTokens,
     prefix: &[TokenId],
-    trunk: &DraftPhase,
-    trunk_tokens: &[TokenId],
     clock: &mut DecodeClock,
-) -> (TokenTree, usize, usize)
+    plan: &mut RoundPlan,
+    scratch: &mut DraftScratch,
+) -> (usize, usize)
 where
     D: AsrDecoderModel + ?Sized,
 {
-    let mut tree = TokenTree::new();
+    let RoundPlan {
+        tokens: trunk_tokens,
+        tree,
+        ..
+    } = plan;
+    let DraftScratch {
+        context,
+        detail: trunk,
+        trunk_nodes,
+        alternatives,
+        ..
+    } = scratch;
 
     // Trunk chain.
-    let mut trunk_nodes: Vec<NodeId> = Vec::with_capacity(trunk.tokens.len());
+    trunk_nodes.clear();
     let mut previous: Option<NodeId> = None;
-    for drafted in &trunk.tokens {
+    for (&token, drafted) in trunk_tokens.iter().zip(trunk.iter()) {
         let origin = if drafted.recycled {
             NodeOrigin::Recycled
         } else {
             NodeOrigin::Trunk
         };
         let node = match previous {
-            None => tree.push_root(drafted.token, drafted.probability, origin),
-            Some(parent) => tree.push_child(parent, drafted.token, drafted.probability, origin),
+            None => tree.push_root(token, drafted.probability, origin),
+            Some(parent) => tree.push_child(parent, token, drafted.probability, origin),
         };
         trunk_nodes.push(node);
         previous = Some(node);
@@ -490,14 +546,14 @@ where
 
     // Uncertain positions: low-confidence, freshly generated, non-EOS trunk
     // tokens with a recorded runner-up candidate.
-    let uncertain = trunk
-        .tokens
+    let uncertain = trunk_tokens
         .iter()
+        .zip(trunk.iter())
         .enumerate()
-        .filter(|(_, d)| {
-            !d.recycled && d.probability < config.uncertainty_threshold && d.token != audio.eos()
+        .filter(|(_, (&token, d))| {
+            !d.recycled && d.probability < config.uncertainty_threshold && token != audio.eos()
         })
-        .filter_map(|(i, d)| d.runner_up.map(|(alt, p)| (i, alt, p)))
+        .filter_map(|(i, (_, d))| d.runner_up.map(|(alt, p)| (i, alt, p)))
         .take(config.max_branches);
 
     let mut branch_steps = 0usize;
@@ -505,8 +561,8 @@ where
     let branch_width = config.branch_top_k.saturating_sub(1).max(1);
     // One query context per round: the prefix, the trunk up to the branch
     // point, then the branch drafted so far.
-    let mut context = draft_context(prefix, trunk_tokens.len() + 1 + config.branch_extension);
-    let mut alternatives: Vec<(TokenId, f64)> = Vec::with_capacity(branch_width);
+    context.clear();
+    context.extend_from_slice(prefix);
 
     for (position, alt_token, alt_probability) in uncertain {
         context.truncate(prefix.len());
@@ -519,7 +575,7 @@ where
         alternatives.clear();
         alternatives.push((alt_token, alt_probability));
         if branch_width > 1 {
-            let logits = draft.next_logits(audio, &context);
+            let logits = draft.next_logits(audio, context);
             clock.charge_draft(draft.profile().latency(), 1);
             branch_steps += 1;
             for candidate in logits.iter().skip(2).take(branch_width - 1) {
@@ -527,7 +583,7 @@ where
             }
         }
 
-        for &(token, probability) in &alternatives {
+        for &(token, probability) in alternatives.iter() {
             let parent = if position == 0 {
                 None
             } else {
@@ -544,7 +600,7 @@ where
             // as a generated token matches it at the corresponding or an
             // adjacent position.
             for _ in 0..config.branch_extension {
-                let logits = draft.next_logits(audio, &context);
+                let logits = draft.next_logits(audio, context);
                 clock.charge_draft(draft.profile().latency(), 1);
                 branch_steps += 1;
                 let Some(top1) = logits.top1() else { break };
@@ -579,13 +635,13 @@ where
         }
     }
 
-    (tree, branch_steps, branch_recycled)
+    (branch_steps, branch_recycled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdaptiveConfig, SpeculativeConfig};
+    use crate::config::AdaptiveConfig;
     use crate::session::DecodeSession;
     use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
@@ -632,13 +688,26 @@ mod tests {
     ) -> DecodeSession {
         let mut pool = KvPool::unbounded(16);
         let mut session = start(policy, drafter.kind(), audio, &mut pool);
+        let mut round = DraftedRound::new();
         while !session.is_finished() {
-            let drafted = session.draft_round_with(drafter);
+            session.draft_round_with(drafter, &mut round);
             session
-                .verify_round(&mut pool, target, drafted)
+                .verify_round(&mut pool, target, &round)
                 .expect("unbounded");
         }
         session
+    }
+
+    /// The token-map walk from `committed`, as a fresh draft.
+    fn walked(
+        map: &TokenMapDrafter,
+        audio: &UtteranceTokens,
+        committed: &[TokenId],
+        budget: usize,
+    ) -> Vec<TokenId> {
+        let mut draft = Vec::new();
+        map.walk(audio, committed, budget, &mut Vec::new(), &mut draft);
+        draft
     }
 
     fn all_policies() -> Vec<Policy> {
@@ -670,8 +739,9 @@ mod tests {
         for policy in all_policies() {
             let mut a = start(policy, DrafterKind::ModelDraft, &audio[0], &mut pool);
             let mut b = start(policy, DrafterKind::ModelDraft, &audio[0], &mut pool);
-            let via_session = a.draft_round(&draft);
-            let via_drafter = b.draft_round_with(&ModelDrafter::new(&draft));
+            let (mut via_session, mut via_drafter) = (DraftedRound::new(), DraftedRound::new());
+            a.draft_round(&draft, &mut via_session);
+            b.draft_round_with(&ModelDrafter::new(&draft), &mut via_drafter);
             assert_eq!(
                 via_session,
                 via_drafter,
@@ -736,7 +806,7 @@ mod tests {
         // Walking from a mid-transcript prefix should reproduce a chunk of
         // the reference, since the domain corpus contains this utterance.
         let start = reference.len() / 2;
-        let drafted = map.walk(utt, &reference[..start], 8);
+        let drafted = walked(&map, utt, &reference[..start], 8);
         assert!(
             !drafted.is_empty(),
             "in-domain contexts should stay on-map at least one step"
@@ -759,8 +829,38 @@ mod tests {
         let utt = &audio[0];
         // A garbage context no domain sequence contains.
         let garbage: Vec<TokenId> = (9000..9004).map(TokenId::new).collect();
-        let drafted = map.walk(utt, &garbage, 8);
+        let drafted = walked(&map, utt, &garbage, 8);
         assert!(drafted.len() <= 1, "off-map walks must stop immediately");
+    }
+
+    #[test]
+    fn the_token_map_walk_matches_predicting_over_the_whole_prefix() {
+        let (_, _, audio) = setup();
+        let map = token_map_for(&audio);
+        for utt in &audio {
+            let reference = utt.reference_tokens();
+            for end in 0..=reference.len() {
+                // The walk as the index defines it: every prediction over
+                // the whole committed prefix plus the tokens walked so far.
+                let mut context = reference[..end].to_vec();
+                let mut expected = Vec::new();
+                while expected.len() < 24 {
+                    let Some(next) = map.index().predict(&context) else {
+                        break;
+                    };
+                    expected.push(next);
+                    if next == utt.eos() {
+                        break;
+                    }
+                    context.push(next);
+                }
+                assert_eq!(
+                    walked(&map, utt, &reference[..end], 24),
+                    expected,
+                    "prefix of {end} tokens"
+                );
+            }
+        }
     }
 
     #[test]
@@ -775,7 +875,8 @@ mod tests {
             &audio[0],
             &mut pool,
         );
-        let drafted = session.draft_round_with(&ctc);
+        let mut drafted = DraftedRound::new();
+        session.draft_round_with(&ctc, &mut drafted);
         assert_eq!(drafted.predicted_tokens(), 0);
         assert_eq!(drafted.verify_tokens(), 1);
         let mut session = start(
@@ -784,7 +885,8 @@ mod tests {
             &audio[0],
             &mut pool,
         );
-        let drafted = session.draft_round_with(&map);
+        session.draft_round_with(&map, &mut drafted);
         assert_eq!(drafted.predicted_tokens(), 0);
+        assert_eq!(drafted, DraftedRound::autoregressive());
     }
 }

@@ -33,7 +33,7 @@ use specasr_runtime::KvPool;
 use crate::config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
 use crate::drafter::DrafterKind;
 use crate::outcome::DecodeOutcome;
-use crate::session::DecodeSession;
+use crate::session::{DecodeSession, DraftedRound};
 
 /// A fully specified decoding policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,7 +62,8 @@ impl Policy {
     /// private unbounded [`KvPool`], so blocking decodes and
     /// round-interleaved (scheduled) decodes share one code path.  Position
     /// bookkeeping does not depend on the paging granularity, so the block
-    /// size (16, the serving default) never changes an outcome.
+    /// size (16, the serving default) never changes an outcome.  Every
+    /// round is drafted into one [`DraftedRound`] kept for the whole decode.
     pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
     where
         D: AsrDecoderModel + ?Sized,
@@ -77,8 +78,9 @@ impl Policy {
             &mut pool,
         )
         .expect("an unbounded pool always admits");
+        let mut round = DraftedRound::new();
         while !session
-            .step(&mut pool, draft, target)
+            .step(&mut pool, draft, target, &mut round)
             .expect("an unbounded pool never exhausts")
         {}
         session.into_outcome()

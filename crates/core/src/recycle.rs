@@ -11,7 +11,10 @@
 //! [`run_draft_phase`] implements the draft side of one round for both the
 //! adaptive single-sequence policy and the trunk of the two-pass sparse-tree
 //! policy: greedy drafting with optional threshold truncation, optional
-//! retained-suffix merging, and full latency accounting.
+//! retained-suffix merging, and full latency accounting.  It writes the
+//! drafted tokens straight into the round's token buffer, and each token's
+//! draft-side detail and the query context into the round's working space,
+//! all emptied and refilled in place, so a warm phase allocates nothing.
 
 use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
@@ -78,11 +81,10 @@ impl RecycleBuffer {
     }
 }
 
-/// One token produced by the draft phase.
+/// The draft side of one token a draft phase produced.  The token itself
+/// sits at the same index of the phase's token buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DraftToken {
-    /// The drafted token.
-    pub token: TokenId,
     /// The draft model's normalised top-1 probability (1.0 for recycled
     /// tokens, whose probability was paid for in an earlier round).
     pub probability: f64,
@@ -94,11 +96,9 @@ pub(crate) struct DraftToken {
     pub recycled: bool,
 }
 
-/// The outcome of one draft phase.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The counters of one draft phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct DraftPhase {
-    /// Drafted tokens in order.
-    pub tokens: Vec<DraftToken>,
     /// Draft forward passes issued.
     pub steps: usize,
     /// Tokens adopted through a recycling merge.
@@ -107,22 +107,30 @@ pub(crate) struct DraftPhase {
     pub truncated: bool,
 }
 
-impl DraftPhase {
-    /// The plain token sequence of this draft.
-    pub fn token_ids(&self) -> Vec<TokenId> {
-        self.tokens.iter().map(|t| t.token).collect()
-    }
+/// How one draft phase drafts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PhaseRule {
+    /// Maximum draft length.
+    pub max_len: usize,
+    /// The normalised top-1 probability below which a token is uncertain.
+    pub threshold: f64,
+    /// Whether an uncertain token ends the phase (the adaptive rule), or is
+    /// only recorded (the sparse-tree trunk keeps drafting).
+    pub truncate_on_threshold: bool,
+    /// How far apart a regenerated and a retained token may be and still
+    /// merge ("corresponding or adjacent positions" = 1).
+    pub merge_offset: usize,
 }
 
 /// Runs the draft side of one speculative round.
 ///
 /// * `retained` — the recycled suffix from the previous round (empty slice if
 ///   recycling is disabled or nothing was rejected);
-/// * `max_len` — maximum draft length;
-/// * `threshold` / `truncate_on_threshold` — the adaptive truncation rule
-///   (the sparse-tree trunk records uncertainty but keeps drafting);
-/// * `merge_offset` — how far apart a regenerated and a retained token may be
-///   and still merge ("corresponding or adjacent positions" = 1).
+/// * `tokens` — emptied, then filled with the drafted tokens;
+/// * `detail` — emptied, then filled with each drafted token's
+///   [`DraftToken`], index-aligned with `tokens`;
+/// * `context` — the draft-model query context, rebuilt as `prefix` plus
+///   the tokens drafted so far.
 ///
 /// Latency: each regeneration step charges one draft forward pass; while a
 /// retained suffix is being tracked the pass processes two tokens (the masked
@@ -134,24 +142,29 @@ pub(crate) fn run_draft_phase<M>(
     audio: &UtteranceTokens,
     prefix: &[TokenId],
     retained: &[TokenId],
-    max_len: usize,
-    threshold: f64,
-    truncate_on_threshold: bool,
-    merge_offset: usize,
+    rule: PhaseRule,
     clock: &mut DecodeClock,
+    tokens: &mut Vec<TokenId>,
+    detail: &mut Vec<DraftToken>,
+    context: &mut Vec<TokenId>,
 ) -> DraftPhase
 where
     M: AsrDecoderModel + ?Sized,
 {
-    let mut phase = DraftPhase {
-        tokens: Vec::with_capacity(max_len),
-        ..DraftPhase::default()
-    };
-    let mut context = draft_context(prefix, max_len);
+    let mut phase = DraftPhase::default();
+    // Room for a full-length draft: one allocation per buffer when the
+    // buffers are new, nothing once they have held as much.
+    tokens.clear();
+    tokens.reserve(rule.max_len);
+    detail.clear();
+    detail.reserve(rule.max_len);
+    context.clear();
+    context.reserve(prefix.len() + rule.max_len);
+    context.extend_from_slice(prefix);
     let parallel_width = if retained.is_empty() { 1 } else { 2 };
 
-    while phase.tokens.len() < max_len {
-        let logits = draft.next_logits(audio, &context);
+    while tokens.len() < rule.max_len {
+        let logits = draft.next_logits(audio, context);
         clock.charge_draft(draft.profile().latency(), parallel_width);
         phase.steps += 1;
 
@@ -159,8 +172,8 @@ where
             break;
         };
         let runner_up = logits.at_rank(2).map(|c| (c.token, c.probability));
-        phase.tokens.push(DraftToken {
-            token: top1.token,
+        tokens.push(top1.token);
+        detail.push(DraftToken {
             probability: top1.probability,
             runner_up,
             recycled: false,
@@ -174,15 +187,16 @@ where
         // Recycling merge: if the regenerated token matches a retained token
         // at the corresponding or an adjacent position, adopt the rest of the
         // retained suffix for free.
-        let position = phase.tokens.len() - 1;
+        let position = tokens.len() - 1;
         if !retained.is_empty() {
-            if let Some(matched) = merge_position(retained, position, top1.token, merge_offset) {
+            if let Some(matched) = merge_position(retained, position, top1.token, rule.merge_offset)
+            {
                 for &token in retained.iter().skip(matched + 1) {
-                    if phase.tokens.len() >= max_len || token == audio.eos() {
+                    if tokens.len() >= rule.max_len || token == audio.eos() {
                         break;
                     }
-                    phase.tokens.push(DraftToken {
-                        token,
+                    tokens.push(token);
+                    detail.push(DraftToken {
                         probability: 1.0,
                         runner_up: None,
                         recycled: true,
@@ -194,25 +208,18 @@ where
             }
         }
 
-        if truncate_on_threshold && top1.probability < threshold {
+        if rule.truncate_on_threshold && top1.probability < rule.threshold {
             // Truncate *before* the uncertain token: it is more likely than
             // not to fail verification, so the round is sent for verification
             // without it and the target's correction resolves the position.
-            phase.tokens.pop();
+            tokens.pop();
+            detail.pop();
             context.pop();
             phase.truncated = true;
             break;
         }
     }
     phase
-}
-
-/// A draft-query context: `prefix`, with room for the `room` tokens a draft
-/// round may append to it.
-pub(crate) fn draft_context(prefix: &[TokenId], room: usize) -> Vec<TokenId> {
-    let mut context = Vec::with_capacity(prefix.len() + room);
-    context.extend_from_slice(prefix);
-    context
 }
 
 /// Finds the index of `retained` that `token` (drafted at `position`) may
@@ -325,14 +332,53 @@ mod tests {
         (draft, target, audio)
     }
 
+    /// A phase's drafted tokens, their detail and its counters.
+    type Phase = (Vec<TokenId>, Vec<DraftToken>, DraftPhase);
+
+    /// Runs one draft phase into fresh buffers.
+    fn phase(
+        draft: &SimulatedAsrModel,
+        audio: &UtteranceTokens,
+        prefix: &[TokenId],
+        retained: &[TokenId],
+        rule: PhaseRule,
+        clock: &mut DecodeClock,
+    ) -> Phase {
+        let (mut tokens, mut detail, mut context) = (Vec::new(), Vec::new(), Vec::new());
+        let counters = run_draft_phase(
+            draft,
+            audio,
+            prefix,
+            retained,
+            rule,
+            clock,
+            &mut tokens,
+            &mut detail,
+            &mut context,
+        );
+        assert_eq!(tokens.len(), detail.len(), "one detail per drafted token");
+        (tokens, detail, counters)
+    }
+
+    /// A rule drafting up to `max_len` tokens with merge offset 1.
+    fn rule(max_len: usize, threshold: f64, truncate_on_threshold: bool) -> PhaseRule {
+        PhaseRule {
+            max_len,
+            threshold,
+            truncate_on_threshold,
+            merge_offset: 1,
+        }
+    }
+
     #[test]
     fn draft_phase_respects_the_length_cap() {
         let (draft, _, audio) = setup();
         let mut clock = DecodeClock::new();
-        let phase = run_draft_phase(&draft, &audio[0], &[], &[], 5, 0.0, false, 1, &mut clock);
-        assert!(phase.tokens.len() <= 5);
-        assert_eq!(phase.steps as u64, clock.draft_passes());
-        assert_eq!(phase.recycled, 0);
+        let (tokens, _, counters) =
+            phase(&draft, &audio[0], &[], &[], rule(5, 0.0, false), &mut clock);
+        assert!(tokens.len() <= 5);
+        assert_eq!(counters.steps as u64, clock.draft_passes());
+        assert_eq!(counters.recycled, 0);
     }
 
     #[test]
@@ -341,17 +387,25 @@ mod tests {
         // With an extreme threshold every round truncates immediately and the
         // uncertain token itself is withheld from verification.
         let mut clock = DecodeClock::new();
-        let phase = run_draft_phase(&draft, &audio[0], &[], &[], 24, 1.0, true, 1, &mut clock);
-        assert!(phase.truncated);
-        assert!(phase.tokens.is_empty());
+        let (tokens, _, counters) =
+            phase(&draft, &audio[0], &[], &[], rule(24, 1.0, true), &mut clock);
+        assert!(counters.truncated);
+        assert!(tokens.is_empty());
         assert_eq!(
-            phase.steps, 1,
+            counters.steps, 1,
             "the pass that produced the withheld token is still paid for"
         );
         // With threshold 0 no truncation ever happens.
         let mut clock2 = DecodeClock::new();
-        let phase2 = run_draft_phase(&draft, &audio[0], &[], &[], 24, 0.0, true, 1, &mut clock2);
-        assert!(!phase2.truncated);
+        let (_, _, counters2) = phase(
+            &draft,
+            &audio[0],
+            &[],
+            &[],
+            rule(24, 0.0, true),
+            &mut clock2,
+        );
+        assert!(!counters2.truncated);
     }
 
     #[test]
@@ -363,25 +417,22 @@ mod tests {
         let trajectory = target.greedy_transcript(utt);
         let retained: Vec<TokenId> = trajectory.iter().copied().skip(1).take(8).collect();
         let mut clock = DecodeClock::new();
-        let phase = run_draft_phase(
+        let (tokens, detail, counters) = phase(
             &draft,
             utt,
             &trajectory[..1],
             &retained,
-            24,
-            0.0,
-            false,
-            1,
+            rule(24, 0.0, false),
             &mut clock,
         );
-        if phase.recycled > 0 {
+        if counters.recycled > 0 {
             // Adopted tokens must not have cost draft passes.
-            assert!(phase.steps < phase.tokens.len());
-            assert!(phase.tokens.iter().any(|t| t.recycled));
+            assert!(counters.steps < tokens.len());
+            assert!(detail.iter().any(|d| d.recycled));
         }
         // Every recycled token appears in the retained suffix.
-        for token in phase.tokens.iter().filter(|t| t.recycled) {
-            assert!(retained.contains(&token.token));
+        for (token, _) in tokens.iter().zip(&detail).filter(|(_, d)| d.recycled) {
+            assert!(retained.contains(token));
         }
     }
 
@@ -390,15 +441,12 @@ mod tests {
         let (draft, _, audio) = setup();
         let retained = vec![t(999); 4];
         let mut clock = DecodeClock::new();
-        run_draft_phase(
+        phase(
             &draft,
             &audio[0],
             &[],
             &retained,
-            4,
-            0.0,
-            false,
-            1,
+            rule(4, 0.0, false),
             &mut clock,
         );
         // Each pass processed two tokens (regeneration + retained tracking).
@@ -413,8 +461,53 @@ mod tests {
         // Starting right at the end of the reference, the first drafted token
         // is EOS and drafting stops immediately.
         let mut clock = DecodeClock::new();
-        let phase = run_draft_phase(&draft, utt, &trajectory, &[], 24, 0.0, false, 1, &mut clock);
-        assert_eq!(phase.tokens.len(), 1);
-        assert_eq!(phase.tokens[0].token, utt.eos());
+        let (tokens, _, _) = phase(
+            &draft,
+            utt,
+            &trajectory,
+            &[],
+            rule(24, 0.0, false),
+            &mut clock,
+        );
+        assert_eq!(tokens, vec![utt.eos()]);
+    }
+
+    #[test]
+    fn a_phase_refills_its_buffers_whatever_they_held() {
+        let (draft, target, audio) = setup();
+        let trajectory = target.greedy_transcript(&audio[0]);
+        let retained: Vec<TokenId> = trajectory.iter().copied().skip(1).take(8).collect();
+        let (mut tokens, mut detail, mut context) = (vec![t(5); 30], Vec::new(), vec![t(6); 40]);
+        detail.resize(
+            30,
+            DraftToken {
+                probability: 0.5,
+                runner_up: None,
+                recycled: true,
+            },
+        );
+        let mut clock = DecodeClock::new();
+        let counters = run_draft_phase(
+            &draft,
+            &audio[0],
+            &trajectory[..1],
+            &retained,
+            rule(24, 0.4, true),
+            &mut clock,
+            &mut tokens,
+            &mut detail,
+            &mut context,
+        );
+        let mut fresh_clock = DecodeClock::new();
+        let fresh = phase(
+            &draft,
+            &audio[0],
+            &trajectory[..1],
+            &retained,
+            rule(24, 0.4, true),
+            &mut fresh_clock,
+        );
+        assert_eq!((tokens, detail, counters), fresh);
+        assert_eq!(clock, fresh_clock);
     }
 }

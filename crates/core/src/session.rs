@@ -5,9 +5,10 @@
 //!
 //! 1. [`DecodeSession::draft_round_with`] — the session's draft source
 //!    speculates this round's material (a token sequence or a sparse token
-//!    tree, depending on the policy) and the session records the draft-side
-//!    latency.  The source is any [`crate::Drafter`]: the classic draft
-//!    *model* ([`crate::ModelDrafter`], or [`DecodeSession::draft_round`] for
+//!    tree, depending on the policy) into a caller-kept [`DraftedRound`],
+//!    and the session records the draft-side latency.  The source is any
+//!    [`crate::Drafter`]: the classic draft *model*
+//!    ([`crate::ModelDrafter`], or [`DecodeSession::draft_round`] for
 //!    short), or a draft-free source (CTC collapse, token-map walk);
 //! 2. [`DecodeSession::verify_round`] (scoring by querying the target model)
 //!    or [`DecodeSession::verify_round_from`] (scoring from a backend
@@ -24,7 +25,11 @@
 //! transcripts to sequential decoding (the lossless invariant serving relies
 //! on).
 //!
-//! The drafted material is returned as an opaque [`DraftedRound`]; its
+//! The caller owns the [`DraftedRound`] the material lands in: a drafter
+//! empties and refills it in place, both verify calls borrow it, and the
+//! caller keeps it for the next round — one per batch slot in a serving
+//! scheduler, one per blocking decode — so once warm, a round's draft phase
+//! allocates nothing.  The round is opaque: its
 //! [`DraftedRound::verify_tokens`] exposes how many tokens the target pass
 //! must process, which is what a continuous-batching scheduler needs to cost
 //! a grouped verification step before running it.  A drafted round also
@@ -45,7 +50,7 @@ use specasr_models::{
 use specasr_runtime::{BlockTable, KvPool, PoolError, TokenTree};
 use specasr_tokenizer::TokenId;
 
-use crate::drafter::{DraftRequest, Drafter, DrafterKind, ModelDrafter};
+use crate::drafter::{DraftRequest, DraftScratch, Drafter, DrafterKind, ModelDrafter};
 use crate::outcome::DecodeOutcome;
 use crate::policy::Policy;
 use crate::recycle::RecycleBuffer;
@@ -53,92 +58,162 @@ use crate::round::commit_round;
 use crate::stats::{DecodeStats, RoundRecord};
 use crate::walk::{ProbeLayout, Walk};
 
-/// The material one draft phase produced, waiting to be verified, with the
-/// probe layout its verification pass scores.
+/// One round's draft material, waiting to be verified, with the probe layout
+/// its verification pass scores.
 ///
-/// Opaque by design: schedulers only need the verification width; the
-/// policy-specific payload goes straight back into
-/// [`DecodeSession::verify_round`].
-#[derive(Debug, Clone, PartialEq)]
+/// The caller keeps the round: a drafter empties and refills it in place
+/// ([`DecodeSession::draft_round_with`]), and both verify calls borrow it.
+/// A round therefore lives as long as its caller wants — one per batch slot
+/// in a serving scheduler, one per blocking decode — and once its buffers
+/// have held their largest round, drafting and laying out the next one
+/// allocates nothing.  The buffers hold a token sequence (a draft, or a
+/// sparse tree's trunk), a token tree, the probe layout and the drafters'
+/// working space; whatever the previous round was, a refill leaves nothing
+/// of it behind.
+///
+/// Opaque by design: schedulers only need the verification width, and the
+/// policy-specific plan goes straight back into
+/// [`DecodeSession::verify_round`] or [`DecodeSession::verify_round_from`].
+/// Two rounds are equal when their plans and probe layouts are; the
+/// drafters' working space never counts.
+#[derive(Debug, Clone, Default)]
 pub struct DraftedRound {
     plan: RoundPlan,
     layout: ProbeLayout,
+    scratch: DraftScratch,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RoundPlan {
+impl PartialEq for DraftedRound {
+    fn eq(&self, other: &Self) -> bool {
+        self.plan == other.plan && self.layout == other.layout
+    }
+}
+
+/// What a round drafted, which decides how it is verified and committed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum RoundKind {
     /// Autoregressive decoding drafts nothing; verification emits one token.
+    #[default]
     Autoregressive,
-    /// A single draft sequence (speculative baseline or adaptive prediction).
-    Sequence {
-        tokens: Vec<TokenId>,
-        steps: usize,
-        recycled: usize,
-        truncated: bool,
-    },
-    /// A single draft sequence produced *without* the draft model (CTC
-    /// collapse, token-map walk): verified exactly like
-    /// [`RoundPlan::Sequence`] but appending zero draft-KV positions and
-    /// charging zero draft forward passes.
-    ExternalSequence { tokens: Vec<TokenId> },
-    /// A draft token tree (beam baseline or two-pass sparse tree).  For the
-    /// sparse tree the trunk is kept for the recycle-buffer update.
-    Tree {
-        tree: TokenTree,
-        trunk_tokens: Option<Vec<TokenId>>,
-        steps: usize,
-        recycled: usize,
-    },
+    /// A draft-model sequence (speculative baseline or adaptive prediction).
+    Sequence,
+    /// A sequence produced *without* the draft model (CTC collapse,
+    /// token-map walk): verified exactly like [`RoundKind::Sequence`] but
+    /// appending zero draft-KV positions and charging zero draft forward
+    /// passes.
+    External,
+    /// The beam baseline's token tree.
+    BeamTree,
+    /// The two-pass sparse tree, with its trunk kept for the recycle-buffer
+    /// update.
+    SparseTree,
+}
+
+/// The plan of one round: its kind and what it drafted.  The two buffers
+/// stay allocated whatever the kind, so a slot that served a tree round and
+/// then a sequence round reuses both.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RoundPlan {
+    /// What the round drafted.
+    pub kind: RoundKind,
+    /// The drafted sequence, or the sparse tree's trunk (empty otherwise).
+    pub tokens: Vec<TokenId>,
+    /// The drafted token tree (empty unless the round drafted a tree).
+    pub tree: TokenTree,
+    /// Draft forward passes issued.
+    pub steps: usize,
+    /// Tokens adopted through recycling merges.
+    pub recycled: usize,
+    /// Whether the adaptive threshold truncated the draft.
+    pub truncated: bool,
+}
+
+impl RoundPlan {
+    /// Empties the plan for a new round of `kind`, keeping its buffers.
+    fn reset(&mut self, kind: RoundKind) {
+        self.kind = kind;
+        self.tokens.clear();
+        self.tree.clear();
+        self.steps = 0;
+        self.recycled = 0;
+        self.truncated = false;
+    }
+
+    /// The sparse tree's trunk, the one plan whose rejected suffix is read
+    /// off a chain other than the accepted path.
+    pub(crate) fn trunk(&self) -> Option<&[TokenId]> {
+        (self.kind == RoundKind::SparseTree).then_some(self.tokens.as_slice())
+    }
 }
 
 impl DraftedRound {
-    /// Wraps `plan`, laying out its probes once.
-    pub(crate) fn new(plan: RoundPlan) -> Self {
-        let layout = ProbeLayout::of(&plan);
-        DraftedRound { plan, layout }
+    /// An empty round, holding no plan until a drafter fills it.  Verifying
+    /// a round that was never filled panics.
+    pub fn new() -> Self {
+        DraftedRound::default()
     }
 
-    /// An autoregressive round: draft nothing, verify one token.  The plan
-    /// every [`crate::Drafter`] must return under
-    /// [`Policy::Autoregressive`].
+    /// A new autoregressive round: draft nothing, verify one token.  The
+    /// plan every [`crate::Drafter`] must fill under
+    /// [`Policy::Autoregressive`] (see [`DraftedRound::refill_autoregressive`]).
     pub fn autoregressive() -> Self {
-        DraftedRound::new(RoundPlan::Autoregressive)
+        let mut round = DraftedRound::new();
+        round.refill_autoregressive();
+        round
     }
 
-    /// A draft-free sequence round: `tokens` were produced outside the draft
-    /// model (e.g. CTC collapse or a token-map walk), so verification prices
-    /// a target pass over them but appends zero draft-KV positions and
-    /// charges zero draft latency.  An empty draft is valid and degrades the
-    /// round to a single correction token — losslessness is unaffected
+    /// A new draft-free sequence round over `tokens` (see
+    /// [`DraftedRound::refill_external`]).
+    pub fn external(tokens: Vec<TokenId>) -> Self {
+        let mut round = DraftedRound::new();
+        round.refill_external(|draft| draft.extend(tokens));
+        round
+    }
+
+    /// Refills this round as an autoregressive one.
+    pub fn refill_autoregressive(&mut self) {
+        self.refill(RoundKind::Autoregressive, |_, _| {});
+    }
+
+    /// Refills this round as a draft-free sequence: `draft` appends the
+    /// tokens, produced outside the draft model (e.g. CTC collapse or a
+    /// token-map walk), to the round's emptied token buffer.  Verification
+    /// prices a target pass over them but appends zero draft-KV positions
+    /// and charges zero draft latency.  An empty draft is valid and degrades
+    /// the round to a single correction token — losslessness is unaffected
     /// either way, since verification only commits target-matching tokens.
     ///
-    /// This is the constructor external [`crate::Drafter`] implementations
-    /// build their rounds with.
-    pub fn external(tokens: Vec<TokenId>) -> Self {
-        DraftedRound::new(RoundPlan::ExternalSequence { tokens })
+    /// This is the fill external [`crate::Drafter`] implementations refill
+    /// their rounds with.
+    pub fn refill_external(&mut self, draft: impl FnOnce(&mut Vec<TokenId>)) {
+        self.refill(RoundKind::External, |plan, _| draft(&mut plan.tokens));
+    }
+
+    /// Empties the plan for a round of `kind`, lets `fill` draft it (with the
+    /// drafters' working space at hand), and lays out its probes.
+    pub(crate) fn refill(
+        &mut self,
+        kind: RoundKind,
+        fill: impl FnOnce(&mut RoundPlan, &mut DraftScratch),
+    ) {
+        self.plan.reset(kind);
+        fill(&mut self.plan, &mut self.scratch);
+        self.layout.lay_out(&self.plan);
     }
 
     /// Number of tokens the target model will process when verifying this
     /// round (the width of the verification forward pass).
     pub fn verify_tokens(&self) -> usize {
-        match &self.plan {
-            RoundPlan::Autoregressive => 1,
-            RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                tokens.len().max(1)
-            }
-            RoundPlan::Tree { tree, .. } => tree.len().max(1),
-        }
+        self.predicted_tokens().max(1)
     }
 
     /// Number of draft tokens submitted for verification (0 for
     /// autoregressive rounds, which draft nothing).
     pub fn predicted_tokens(&self) -> usize {
-        match &self.plan {
-            RoundPlan::Autoregressive => 0,
-            RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                tokens.len()
-            }
-            RoundPlan::Tree { tree, .. } => tree.len(),
+        match self.plan.kind {
+            RoundKind::Autoregressive => 0,
+            RoundKind::Sequence | RoundKind::External => self.plan.tokens.len(),
+            RoundKind::BeamTree | RoundKind::SparseTree => self.plan.tree.len(),
         }
     }
 
@@ -160,42 +235,33 @@ impl DraftedRound {
 
     /// Runs the acceptance walk of this round; `greedy(i)` is the target's
     /// greedy token after the committed prefix plus probe `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no drafter has filled the round.
     fn walk(&self, greedy: impl FnMut(usize) -> TokenId) -> Walk {
-        let trunk = match &self.plan {
-            RoundPlan::Tree {
-                trunk_tokens: Some(trunk),
-                ..
-            } => Some(trunk.as_slice()),
-            _ => None,
-        };
-        self.layout.walk(trunk, greedy)
+        assert!(
+            !self.layout.probes().is_empty(),
+            "a round must be drafted before it is verified"
+        );
+        self.layout.walk(self.plan.trunk(), greedy)
     }
 
     /// KV positions this round appends to the (draft, target) caches before
     /// the post-commit rollback — the widths the paged pool must have room
     /// for.
     fn kv_widths(&self) -> (usize, usize) {
-        match &self.plan {
-            RoundPlan::Autoregressive => (0, 1),
-            RoundPlan::Sequence { tokens, .. } => (tokens.len(), tokens.len()),
+        let plan = &self.plan;
+        match plan.kind {
+            RoundKind::Autoregressive => (0, 1),
+            RoundKind::Sequence => (plan.tokens.len(), plan.tokens.len()),
             // Draft-free material never entered a draft model, so no draft
             // KV positions exist to append — only the target cache grows.
-            RoundPlan::ExternalSequence { tokens } => (0, tokens.len()),
-            RoundPlan::Tree {
-                tree,
-                trunk_tokens,
-                steps,
-                ..
-            } => {
-                // The beam baseline counted its draft appends as
-                // max(tree, steps); the sparse tree appends the tree size.
-                let draft = if trunk_tokens.is_some() {
-                    tree.len()
-                } else {
-                    tree.len().max(*steps)
-                };
-                (draft, tree.len())
-            }
+            RoundKind::External => (0, plan.tokens.len()),
+            // The beam baseline counted its draft appends as
+            // max(tree, steps); the sparse tree appends the tree size.
+            RoundKind::BeamTree => (plan.tree.len().max(plan.steps), plan.tree.len()),
+            RoundKind::SparseTree => (plan.tree.len(), plan.tree.len()),
         }
     }
 }
@@ -219,7 +285,7 @@ pub struct KvDemand {
 /// # Example
 ///
 /// ```
-/// use specasr::{AdaptiveConfig, DecodeSession, DrafterKind, Policy};
+/// use specasr::{AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy};
 /// use specasr_audio::{Corpus, Split};
 /// use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
 /// use specasr_runtime::KvPool;
@@ -234,9 +300,10 @@ pub struct KvDemand {
 /// let mut pool = KvPool::bounded(256, 16);
 /// let mut session =
 ///     DecodeSession::new(policy, DrafterKind::ModelDraft, audio.clone(), &[], &mut pool)?;
+/// let mut round = DraftedRound::new(); // refilled every round
 /// while !session.is_finished() {
-///     let drafted = session.draft_round(&draft);
-///     session.verify_round(&mut pool, &target, drafted)?;
+///     session.draft_round(&draft, &mut round);
+///     session.verify_round(&mut pool, &target, &round)?;
 /// }
 /// session.release_kv(&mut pool);
 /// assert_eq!(pool.used_blocks(), 0);
@@ -375,8 +442,8 @@ impl DecodeSession {
         self.finished
     }
 
-    /// Runs the draft phase of the next round against a draft *model* —
-    /// equivalent to [`DecodeSession::draft_round_with`] over
+    /// Runs the draft phase of the next round against a draft *model*, into
+    /// `round` — equivalent to [`DecodeSession::draft_round_with`] over
     /// [`ModelDrafter::new`]`(draft)`.
     ///
     /// # Panics
@@ -384,14 +451,16 @@ impl DecodeSession {
     /// Panics if the session is already finished, or if it was configured
     /// for a draft-free source (step those with
     /// [`DecodeSession::draft_round_with`]).
-    pub fn draft_round<D>(&mut self, draft: &D) -> DraftedRound
+    pub fn draft_round<D>(&mut self, draft: &D, round: &mut DraftedRound)
     where
         D: AsrDecoderModel + ?Sized,
     {
-        self.draft_round_with(&ModelDrafter::new(draft))
+        self.draft_round_with(&ModelDrafter::new(draft), round);
     }
 
-    /// Runs the draft phase of the next round against any [`Drafter`].
+    /// Runs the draft phase of the next round against any [`Drafter`],
+    /// refilling `round` in place: whatever the round held before, it now
+    /// holds this session's next round and nothing else.
     ///
     /// The drafter's kind must match the kind the session was constructed
     /// with: the draft-KV prefill, per-round append widths, and scheduler
@@ -402,7 +471,7 @@ impl DecodeSession {
     ///
     /// Panics if the session is already finished, or if `drafter.kind()`
     /// differs from [`DecodeSession::drafter`].
-    pub fn draft_round_with<Dr>(&mut self, drafter: &Dr) -> DraftedRound
+    pub fn draft_round_with<Dr>(&mut self, drafter: &Dr, round: &mut DraftedRound)
     where
         Dr: Drafter + ?Sized,
     {
@@ -412,21 +481,25 @@ impl DecodeSession {
             self.drafter,
             "a session must be drafted by the drafter kind it was built for"
         );
-        drafter.propose(DraftRequest {
-            audio: &self.audio,
-            committed: &self.tokens,
-            policy: &self.policy,
-            recycle: &self.recycle,
-            clock: &mut self.clock,
-        })
+        drafter.propose(
+            DraftRequest {
+                audio: &self.audio,
+                committed: &self.tokens,
+                policy: &self.policy,
+                recycle: &self.recycle,
+                clock: &mut self.clock,
+            },
+            round,
+        );
     }
 
     /// Verifies and commits one drafted round by querying `target`,
     /// returning `true` when the session finished.
     ///
-    /// The acceptance walk asks the model only for the probes it visits,
-    /// building each query context (committed prefix plus probe) in one
-    /// reused buffer.
+    /// The acceptance walk asks the model only for the probes it visits.
+    /// Each query context (committed prefix plus probe) is spelled on the
+    /// end of the session's own transcript buffer and cut back after the
+    /// query, so the walk copies no prefix.
     ///
     /// KV appends allocate from `pool`, and an exhausted pool surfaces as
     /// [`PoolError::OutOfBlocks`] *before* any state was mutated — the
@@ -437,7 +510,7 @@ impl DecodeSession {
         &mut self,
         pool: &mut KvPool,
         target: &T,
-        drafted: DraftedRound,
+        drafted: &DraftedRound,
     ) -> Result<bool, PoolError>
     where
         T: AsrDecoderModel + ?Sized,
@@ -450,13 +523,13 @@ impl DecodeSession {
         let (draft_width, target_width) = drafted.kv_widths();
         self.kv_append(pool, draft_width, target_width)?;
         let probes = drafted.probe_extensions();
-        let mut context = Vec::with_capacity(self.tokens.len() + drafted.predicted_tokens());
+        let committed = self.tokens.len();
         let walk = drafted.walk(|probe| {
-            context.clear();
-            context.extend_from_slice(&self.tokens);
-            context.extend_from_slice(probes.get(probe));
-            target.greedy_token(&self.audio, &context)
+            self.tokens.truncate(committed);
+            self.tokens.extend_from_slice(probes.get(probe));
+            target.greedy_token(&self.audio, &self.tokens)
         });
+        self.tokens.truncate(committed);
         Ok(self.commit(pool, target.profile().latency(), drafted, walk))
     }
 
@@ -500,7 +573,7 @@ impl DecodeSession {
         pool: &mut KvPool,
         target: &LatencyModel,
         logits: &[TokenLogits],
-        drafted: DraftedRound,
+        drafted: &DraftedRound,
     ) -> Result<bool, PoolError> {
         assert_eq!(
             drafted.probe_extensions().len(),
@@ -522,83 +595,69 @@ impl DecodeSession {
         &mut self,
         pool: &mut KvPool,
         latency: &LatencyModel,
-        drafted: DraftedRound,
+        drafted: &DraftedRound,
         walk: Walk,
     ) -> bool {
         // One target pass over the whole draft: the sequence or every tree
         // node (the sparse-tree trunk's outputs come from the same pass).
         self.clock.charge_target(latency, drafted.verify_tokens());
         let predicted = drafted.predicted_tokens();
-        let DraftedRound { plan, layout } = drafted;
+        let plan = &drafted.plan;
         let eos = self.audio.eos();
-        let (draft_steps, recycled, truncated) = match &plan {
-            RoundPlan::Sequence {
-                steps,
-                recycled,
-                truncated,
-                ..
-            } => (*steps, *recycled, *truncated),
-            RoundPlan::Tree {
-                steps, recycled, ..
-            } => (*steps, *recycled, false),
-            // Draft-free material ran no draft forward passes.
-            RoundPlan::Autoregressive | RoundPlan::ExternalSequence { .. } => (0, 0, false),
-        };
-        let accepted = layout.probes().get(walk.accepted_probe);
-        match &plan {
-            RoundPlan::Autoregressive => {
-                // One target token per round; the length cap applies before
-                // it is appended, and nothing was appended to roll back.
-                self.stats.record_round(RoundRecord {
-                    predicted: 0,
-                    accepted: 0,
-                    draft_steps: 0,
-                    tree_size: 1,
-                    recycled: 0,
-                    truncated: false,
-                });
-                self.stats.record_correction();
-                if walk.correction == eos || self.tokens.len() >= self.cap {
-                    self.finished = true;
-                } else {
-                    self.tokens.push(walk.correction);
-                }
+        let accepted = drafted.probe_extensions().get(walk.accepted_probe);
+        if plan.kind == RoundKind::Autoregressive {
+            // One target token per round; the length cap applies before it
+            // is appended, and nothing was appended to roll back.
+            self.stats.record_round(RoundRecord {
+                predicted: 0,
+                accepted: 0,
+                draft_steps: 0,
+                tree_size: 1,
+                recycled: 0,
+                truncated: false,
+            });
+            self.stats.record_correction();
+            if walk.correction == eos || self.tokens.len() >= self.cap {
+                self.finished = true;
+            } else {
+                self.tokens.push(walk.correction);
             }
-            plan => {
-                // Retain the rejected suffix of the sequence, or of the
-                // sparse tree's trunk, for the next round (only the adaptive
-                // and sparse-tree policies read it back); the beam tree
-                // leaves the buffer as it is.
-                match plan {
-                    RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                        self.recycle.retain_rejected(tokens, accepted.len());
-                    }
-                    RoundPlan::Tree {
-                        trunk_tokens: Some(trunk),
-                        ..
-                    } => self.recycle.retain_rejected(trunk, walk.trunk_accepted),
-                    RoundPlan::Tree { .. } | RoundPlan::Autoregressive => {}
+        } else {
+            // Retain the rejected suffix of the sequence, or of the sparse
+            // tree's trunk, for the next round (only the adaptive and
+            // sparse-tree policies read it back); the beam tree leaves the
+            // buffer as it is.
+            match plan.kind {
+                RoundKind::Sequence | RoundKind::External => {
+                    self.recycle.retain_rejected(&plan.tokens, accepted.len());
                 }
-                // Commit, then roll the caches back to the committed length
-                // (the appends were sized by `DraftedRound::kv_widths`).
-                self.finished = commit_round(
-                    &mut self.tokens,
-                    accepted,
-                    walk.correction,
-                    eos,
-                    self.cap,
-                    &mut self.stats,
-                );
-                self.kv_rollback_to_committed(pool);
-                self.stats.record_round(RoundRecord {
-                    predicted,
-                    accepted: accepted.len(),
-                    draft_steps,
-                    tree_size: predicted,
-                    recycled,
-                    truncated,
-                });
+                RoundKind::SparseTree => {
+                    self.recycle
+                        .retain_rejected(&plan.tokens, walk.trunk_accepted);
+                }
+                RoundKind::BeamTree | RoundKind::Autoregressive => {}
             }
+            // Commit, then roll the caches back to the committed length
+            // (the appends were sized by `DraftedRound::kv_widths`).
+            self.finished = commit_round(
+                &mut self.tokens,
+                accepted,
+                walk.correction,
+                eos,
+                self.cap,
+                &mut self.stats,
+            );
+            self.kv_rollback_to_committed(pool);
+            // Draft-free material ran no draft forward passes, and only an
+            // adaptive sequence truncates: the plan's counters say so.
+            self.stats.record_round(RoundRecord {
+                predicted,
+                accepted: accepted.len(),
+                draft_steps: plan.steps,
+                tree_size: predicted,
+                recycled: plan.recycled,
+                truncated: plan.truncated,
+            });
         }
         // Safety cap on speculative rounds (autoregressive decoding caps on
         // the committed length above, one round per token).
@@ -608,20 +667,23 @@ impl DecodeSession {
         self.finished
     }
 
-    /// One complete round: draft from `draft`, then verify against `target`.
-    /// Returns `Ok(true)` when the session finished.
+    /// One complete round: draft from `draft` into `round`, then verify
+    /// against `target`.  Returns `Ok(true)` when the session finished.  A
+    /// caller that passes the same `round` every time drafts a whole decode
+    /// in one round buffer.
     pub fn step<D, T>(
         &mut self,
         pool: &mut KvPool,
         draft: &D,
         target: &T,
+        round: &mut DraftedRound,
     ) -> Result<bool, PoolError>
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        let drafted = self.draft_round(draft);
-        self.verify_round(pool, target, drafted)
+        self.draft_round(draft, round);
+        self.verify_round(pool, target, round)
     }
 
     /// Consumes the session into a [`DecodeOutcome`].
@@ -767,6 +829,28 @@ mod tests {
             .expect("pool has room")
     }
 
+    /// `session`'s next round, drafted by `draft` into a fresh round.
+    fn drafted(session: &mut DecodeSession, draft: &SimulatedAsrModel) -> DraftedRound {
+        let mut round = DraftedRound::new();
+        session.draft_round(draft, &mut round);
+        round
+    }
+
+    /// Steps `session` to its end on `pool`, every round drafted into one
+    /// buffer.
+    fn finish(
+        session: &mut DecodeSession,
+        pool: &mut KvPool,
+        draft: &SimulatedAsrModel,
+        target: &SimulatedAsrModel,
+    ) {
+        let mut round = DraftedRound::new();
+        while !session
+            .step(pool, draft, target, &mut round)
+            .expect("pool has room")
+        {}
+    }
+
     #[test]
     fn stepping_matches_blocking_decode_exactly() {
         let (draft, target, audio) = setup(Split::TestOther);
@@ -775,7 +859,7 @@ mod tests {
                 let blocking = policy.decode(&draft, &target, utt);
                 let mut pool = KvPool::unbounded(16);
                 let mut session = start(policy, utt, &mut pool);
-                while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
+                finish(&mut session, &mut pool, &draft, &target);
                 let stepped = session.into_outcome();
                 assert_eq!(stepped, blocking, "policy {}", policy.name());
             }
@@ -793,11 +877,14 @@ mod tests {
             .iter()
             .map(|utt| start(policy, utt, &mut pool))
             .collect();
+        // One round buffer serves every session in turn, as a scheduler's
+        // batch slot does.
+        let mut round = DraftedRound::new();
         while sessions.iter().any(|s| !s.is_finished()) {
             for session in sessions.iter_mut().filter(|s| !s.is_finished()) {
-                let drafted = session.draft_round(&draft);
+                session.draft_round(&draft, &mut round);
                 session
-                    .verify_round(&mut pool, &target, drafted)
+                    .verify_round(&mut pool, &target, &round)
                     .expect("unbounded");
             }
         }
@@ -812,15 +899,15 @@ mod tests {
         let (draft, _target, audio) = setup(Split::DevClean);
         let mut pool = KvPool::unbounded(16);
         let mut ar = start(Policy::Autoregressive, &audio[0], &mut pool);
-        assert_eq!(ar.draft_round(&draft).verify_tokens(), 1);
+        assert_eq!(drafted(&mut ar, &draft).verify_tokens(), 1);
         let mut spec = start(
             Policy::Speculative(SpeculativeConfig::short_single()),
             &audio[0],
             &mut pool,
         );
-        let drafted = spec.draft_round(&draft);
-        assert_eq!(drafted.verify_tokens(), drafted.predicted_tokens().max(1));
-        assert!(drafted.predicted_tokens() <= 8);
+        let round = drafted(&mut spec, &draft);
+        assert_eq!(round.verify_tokens(), round.predicted_tokens().max(1));
+        assert!(round.predicted_tokens() <= 8);
     }
 
     #[test]
@@ -830,7 +917,9 @@ mod tests {
         let reference = target.greedy_transcript(&audio[0]);
         let mut pool = KvPool::unbounded(16);
         let mut session = start(policy, &audio[0], &mut pool);
-        session.step(&mut pool, &draft, &target).expect("unbounded");
+        session
+            .step(&mut pool, &draft, &target, &mut DraftedRound::new())
+            .expect("unbounded");
         let partial = session.into_outcome();
         assert!(partial.tokens.len() <= reference.len());
         assert_eq!(partial.tokens[..], reference[..partial.tokens.len()]);
@@ -846,12 +935,7 @@ mod tests {
             for utt in &audio {
                 let private = policy.decode(&draft, &target, utt);
                 let mut session = start(policy, utt, &mut pool);
-                while !session.is_finished() {
-                    let drafted = session.draft_round(&draft);
-                    session
-                        .verify_round(&mut pool, &target, drafted)
-                        .expect("pool has room");
-                }
+                finish(&mut session, &mut pool, &draft, &target);
                 session.release_kv(&mut pool);
                 assert_eq!(session.into_outcome(), private, "policy {}", policy.name());
             }
@@ -907,11 +991,11 @@ mod tests {
         let mut pool = KvPool::bounded(512, 16);
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
         let mut session = start(policy, &audio[0], &mut pool);
-        let drafted = session.draft_round(&draft);
-        let demand = session.round_kv_demand(&pool, &drafted);
+        let round = drafted(&mut session, &draft);
+        let demand = session.round_kv_demand(&pool, &round);
         let before = pool.used_blocks();
         session
-            .verify_round(&mut pool, &target, drafted)
+            .verify_round(&mut pool, &target, &round)
             .expect("room");
         // The round's net growth is bounded by the predicted demand (the
         // post-commit rollback may return some of it).
@@ -940,7 +1024,7 @@ mod tests {
                     )
                     .expect("unbounded");
                     assert_eq!(session.tokens(), committed);
-                    while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
+                    finish(&mut session, &mut pool, &draft, &target);
                     assert_eq!(
                         session.into_outcome().tokens,
                         reference.tokens,
@@ -967,12 +1051,7 @@ mod tests {
             &mut pool,
         )
         .expect("pool has room");
-        while !session.is_finished() {
-            let drafted = session.draft_round(&draft);
-            session
-                .verify_round(&mut pool, &target, drafted)
-                .expect("pool has room");
-        }
+        finish(&mut session, &mut pool, &draft, &target);
         session.release_kv(&mut pool);
         assert_eq!(session.into_outcome().tokens, reference.tokens);
         assert_eq!(pool.used_blocks(), 0);
@@ -1014,21 +1093,22 @@ mod tests {
         let mut pool = KvPool::bounded(2048, 16);
         let mut batch = BackendBatch::new();
         let mut completions = Completions::new();
+        let mut round = DraftedRound::new();
         for policy in all_policies() {
             for utt in &audio {
                 let blocking = policy.decode(&draft, &target, utt);
                 let mut session = start(policy, utt, &mut pool);
                 let mut now = 0.0;
                 while !session.is_finished() {
-                    let drafted = session.draft_round(&draft);
+                    session.draft_round(&draft, &mut round);
                     batch.clear();
-                    session.verify_request(&drafted, &mut batch);
+                    session.verify_request(&round, &mut batch);
                     target_backend.submit(&batch, now);
                     target_backend.poll(&mut completions);
                     let (result, logits) = completions.iter().next().expect("computed at submit");
                     now = result.completed_ms;
                     session
-                        .verify_round_from(&mut pool, target.profile().latency(), logits, drafted)
+                        .verify_round_from(&mut pool, target.profile().latency(), logits, &round)
                         .expect("pool has room");
                 }
                 session.release_kv(&mut pool);
@@ -1046,17 +1126,17 @@ mod tests {
         let (draft, _target, audio) = setup(Split::DevClean);
         let mut pool = KvPool::unbounded(16);
         let mut ar = start(Policy::Autoregressive, &audio[0], &mut pool);
-        let drafted = ar.draft_round(&draft);
-        assert_eq!(drafted.probe_extensions(), &Probes::empty_probe());
+        let round = drafted(&mut ar, &draft);
+        assert_eq!(round.probe_extensions(), &Probes::empty_probe());
 
         let mut spec = start(
             Policy::Speculative(SpeculativeConfig::short_single()),
             &audio[0],
             &mut pool,
         );
-        let drafted = spec.draft_round(&draft);
-        let probes = drafted.probe_extensions();
-        assert_eq!(probes.len(), drafted.predicted_tokens() + 1);
+        let round = drafted(&mut spec, &draft);
+        let probes = round.probe_extensions();
+        assert_eq!(probes.len(), round.predicted_tokens() + 1);
         assert_eq!(probes.get(0), &[]);
         for index in 1..probes.len() {
             let (shorter, longer) = (probes.get(index - 1), probes.get(index));
@@ -1069,8 +1149,8 @@ mod tests {
             &audio[0],
             &mut pool,
         );
-        let drafted = tree.draft_round(&draft);
-        let probes = drafted.probe_extensions();
+        let round = drafted(&mut tree, &draft);
+        let probes = round.probe_extensions();
         assert!(probes.len() > 1);
         let mut seen: Vec<&[TokenId]> = probes.iter().collect();
         seen.sort();
@@ -1078,24 +1158,32 @@ mod tests {
         assert_eq!(seen.len(), probes.len(), "probes are unique");
     }
 
-    /// A hand-built sparse-tree round: node `i` is `nodes[i].1`, under node
-    /// `nodes[i].0` (a root when `None`).
+    /// A hand-built tree round: node `i` is `nodes[i].1`, under node
+    /// `nodes[i].0` (a root when `None`); a sparse tree over `trunk` when
+    /// there is one, a beam tree otherwise.
     fn tree_round(nodes: &[(Option<usize>, TokenId)], trunk: Option<Vec<TokenId>>) -> DraftedRound {
-        let mut tree = TokenTree::new();
-        for &(parent, token) in nodes {
-            match parent {
-                None => tree.push_root(token, 0.5, NodeOrigin::Branch),
-                Some(parent) => {
-                    tree.push_child(NodeId::from_index(parent), token, 0.5, NodeOrigin::Branch)
-                }
-            };
-        }
-        DraftedRound::new(RoundPlan::Tree {
-            tree,
-            trunk_tokens: trunk,
-            steps: 3,
-            recycled: 1,
-        })
+        let kind = match trunk {
+            Some(_) => RoundKind::SparseTree,
+            None => RoundKind::BeamTree,
+        };
+        let mut round = DraftedRound::new();
+        round.refill(kind, |plan, _| {
+            for &(parent, token) in nodes {
+                match parent {
+                    None => plan.tree.push_root(token, 0.5, NodeOrigin::Branch),
+                    Some(parent) => plan.tree.push_child(
+                        NodeId::from_index(parent),
+                        token,
+                        0.5,
+                        NodeOrigin::Branch,
+                    ),
+                };
+            }
+            plan.tokens = trunk.unwrap_or_default();
+            plan.steps = 3;
+            plan.recycled = 1;
+        });
+        round
     }
 
     #[test]
@@ -1148,15 +1236,10 @@ mod tests {
         let mut batch = BackendBatch::new();
         let mut completions = Completions::new();
         for drafted in rounds {
-            let RoundPlan::Tree {
-                tree, trunk_tokens, ..
-            } = &drafted.plan
-            else {
-                unreachable!("built as a tree")
-            };
+            let tree = &drafted.plan.tree;
             // Each distinct path once, in first-seen order: the node paths
             // in insertion order, then the trunk's prefixes.
-            let trunk = trunk_tokens.as_deref().unwrap_or_default();
+            let trunk = drafted.plan.trunk().unwrap_or_default();
             let mut expected: Vec<Vec<TokenId>> = vec![Vec::new()];
             let node_paths = tree.node_ids().into_iter().map(|id| tree.path_tokens(id));
             let trunk_prefixes = (1..=trunk.len()).map(|end| trunk[..end].to_vec());
@@ -1181,7 +1264,7 @@ mod tests {
             };
             let (mut by_model, mut by_result) = (resume(), resume());
             by_model
-                .verify_round(&mut pool, &target, drafted.clone())
+                .verify_round(&mut pool, &target, &drafted)
                 .expect("unbounded");
             batch.clear();
             by_result.verify_request(&drafted, &mut batch);
@@ -1189,12 +1272,7 @@ mod tests {
             backend.poll(&mut completions);
             let (_, logits) = completions.iter().next().expect("computed at submit");
             by_result
-                .verify_round_from(
-                    &mut pool,
-                    target.profile().latency(),
-                    logits,
-                    drafted.clone(),
-                )
+                .verify_round_from(&mut pool, target.profile().latency(), logits, &drafted)
                 .expect("unbounded");
             assert_eq!(by_model.tokens(), by_result.tokens());
             assert_eq!(by_model.stats(), by_result.stats());
@@ -1223,8 +1301,8 @@ mod tests {
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
         let mut pool = KvPool::unbounded(16);
         let mut session = start(policy, &audio[0], &mut pool);
-        let drafted = session.draft_round(&draft);
-        let _ = session.verify_round_from(&mut pool, target.profile().latency(), &[], drafted);
+        let round = drafted(&mut session, &draft);
+        let _ = session.verify_round_from(&mut pool, target.profile().latency(), &[], &round);
     }
 
     #[test]
@@ -1233,7 +1311,184 @@ mod tests {
         let (draft, target, audio) = setup(Split::DevOther);
         let mut pool = KvPool::unbounded(16);
         let mut session = start(Policy::Autoregressive, &audio[0], &mut pool);
-        while !session.step(&mut pool, &draft, &target).expect("unbounded") {}
-        let _ = session.draft_round(&draft);
+        finish(&mut session, &mut pool, &draft, &target);
+        let _ = drafted(&mut session, &draft);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use std::sync::Arc;
+
+    use crate::config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+    use crate::drafter::TokenMapDrafter;
+    use proptest::prelude::*;
+    use specasr_audio::{Corpus, Split};
+    use specasr_models::{
+        AsrBackend, Completions, CtcDrafter, InFlightSimBackend, ModelProfile, SimulatedAsrModel,
+        TokenizerBinding,
+    };
+    use specasr_tokenizer::TokenMapIndex;
+
+    /// A draft-free drafter that always proposes nothing.
+    #[derive(Debug)]
+    struct Silent;
+
+    impl Drafter for Silent {
+        fn kind(&self) -> DrafterKind {
+            DrafterKind::TokenMap
+        }
+
+        fn propose(&self, _: DraftRequest<'_>, round: &mut DraftedRound) {
+            round.refill_external(|_| {});
+        }
+    }
+
+    struct Fixture {
+        draft: SimulatedAsrModel,
+        target: SimulatedAsrModel,
+        audio: Vec<UtteranceTokens>,
+        token_map: TokenMapDrafter,
+        ctc: CtcDrafter,
+    }
+
+    fn fixture() -> Fixture {
+        let corpus = Corpus::librispeech_like(61, 6);
+        let binding = TokenizerBinding::for_corpus(&corpus);
+        let audio = binding.bind_all(corpus.split(Split::TestOther));
+        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
+        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
+        let sequences: Vec<Vec<TokenId>> = audio
+            .iter()
+            .map(|utt| {
+                let mut sequence = utt.reference_tokens().to_vec();
+                sequence.push(utt.eos());
+                sequence
+            })
+            .collect();
+        let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
+        Fixture {
+            token_map: TokenMapDrafter::new(Arc::new(index)),
+            ctc: CtcDrafter::paired(&target),
+            draft,
+            target,
+            audio,
+        }
+    }
+
+    /// The rounds the property mixes: TSP with recycling, ASP, the beam
+    /// baseline and autoregressive decoding from the draft model, then
+    /// token-map, CTC and zero-length draft-free rounds under ASP.
+    const CASES: usize = 7;
+
+    fn case_policy(case: usize) -> (Policy, DrafterKind) {
+        let adaptive = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        match case {
+            0 => (
+                Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+                DrafterKind::ModelDraft,
+            ),
+            1 => (adaptive, DrafterKind::ModelDraft),
+            2 => (
+                Policy::Speculative(SpeculativeConfig::short_double_beam()),
+                DrafterKind::ModelDraft,
+            ),
+            3 => (Policy::Autoregressive, DrafterKind::ModelDraft),
+            4 | 6 => (adaptive, DrafterKind::TokenMap),
+            _ => (adaptive, DrafterKind::CtcEncoder),
+        }
+    }
+
+    /// Drafts `session`'s next round of `case` into `round`.
+    fn draft(
+        fixture: &Fixture,
+        case: usize,
+        session: &mut DecodeSession,
+        round: &mut DraftedRound,
+    ) {
+        match case {
+            0..=3 => session.draft_round(&fixture.draft, round),
+            4 => session.draft_round_with(&fixture.token_map, round),
+            5 => session.draft_round_with(&fixture.ctc, round),
+            _ => session.draft_round_with(&Silent, round),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Drafting into a round that served other sessions, policies and
+        /// drafters before gives the round drafting into a new buffer gives:
+        /// the same plan and probes, and through either verify call the
+        /// same committed tokens, statistics, clock and recycle buffer.
+        #[test]
+        fn a_reused_round_equals_a_fresh_one(
+            steps in proptest::collection::vec((0usize..CASES, 0usize..6, 0usize..4), 1..12)
+        ) {
+            let fixture = fixture();
+            let mut backend = InFlightSimBackend::new(&fixture.target).with_lanes(0);
+            let mut batch = BackendBatch::new();
+            let mut completions = Completions::new();
+            // One kept round per verify call, each carrying whatever the
+            // previous step left in it.
+            let (mut kept_by_model, mut kept_by_result) = (DraftedRound::new(), DraftedRound::new());
+            for (case, utterance, warm) in steps {
+                let (policy, kind) = case_policy(case);
+                let mut pool = KvPool::unbounded(16);
+                // Four sessions in one state, `warm` rounds in, so the
+                // recycle buffer holds what those rounds rejected.
+                let mut sessions: Vec<DecodeSession> = (0..4)
+                    .map(|_| {
+                        let audio = fixture.audio[utterance].clone();
+                        DecodeSession::new(policy, kind, audio, &[], &mut pool).expect("unbounded")
+                    })
+                    .collect();
+                for _ in 0..warm {
+                    for session in sessions.iter_mut().filter(|s| !s.is_finished()) {
+                        let mut round = DraftedRound::new();
+                        draft(&fixture, case, session, &mut round);
+                        session.verify_round(&mut pool, &fixture.target, &round).expect("unbounded");
+                    }
+                }
+                if sessions[0].is_finished() {
+                    continue;
+                }
+                let (mut fresh_by_model, mut fresh_by_result) = (DraftedRound::new(), DraftedRound::new());
+                let latency = fixture.target.profile().latency();
+                for (session, round, by_model) in [
+                    (0, &mut kept_by_model, true),
+                    (1, &mut fresh_by_model, true),
+                    (2, &mut kept_by_result, false),
+                    (3, &mut fresh_by_result, false),
+                ] {
+                    let session = &mut sessions[session];
+                    draft(&fixture, case, session, round);
+                    if by_model {
+                        session.verify_round(&mut pool, &fixture.target, round).expect("unbounded");
+                    } else {
+                        batch.clear();
+                        session.verify_request(round, &mut batch);
+                        backend.submit(&batch, 0.0);
+                        backend.poll(&mut completions);
+                        let (_, logits) = completions.iter().next().expect("scored at submit");
+                        session.verify_round_from(&mut pool, latency, logits, round).expect("unbounded");
+                    }
+                }
+                for (kept, fresh) in [(&kept_by_model, &fresh_by_model), (&kept_by_result, &fresh_by_result)] {
+                    prop_assert_eq!(kept, fresh, "case {}", case);
+                    prop_assert_eq!(kept.probe_extensions(), fresh.probe_extensions());
+                }
+                if case == 6 {
+                    prop_assert_eq!(&fresh_by_model, &DraftedRound::external(Vec::new()));
+                }
+                for other in &sessions[1..] {
+                    prop_assert_eq!(sessions[0].tokens(), other.tokens(), "case {}", case);
+                    prop_assert_eq!(sessions[0].stats(), other.stats());
+                    prop_assert_eq!(sessions[0].clock(), other.clock());
+                    prop_assert_eq!(&sessions[0].recycle, &other.recycle);
+                }
+            }
+        }
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! A drafted round is verified by one target pass that scores a set of
 //! *probes*: token extensions of the committed prefix, each asking for the
-//! target's next-token distribution after it.  [`ProbeLayout::of`] is the
-//! one function that decides that set.  The request a scheduler submits
+//! target's next-token distribution after it.  [`ProbeLayout::lay_out`] is
+//! the one function that decides that set.  The request a scheduler submits
 //! carries it as is, and the walk that commits from the completion reads the
-//! answers back by probe index, so the two cannot disagree.
+//! answers back by probe index, so the two cannot disagree.  A layout is
+//! re-laid in place every round, so once its buffers have held a round's
+//! largest probe set it allocates nothing.
 //!
 //! The layout is built as a trie keyed by (parent probe, token): probe 0 is
 //! the empty probe, and every later probe is an earlier one plus one token.
@@ -27,11 +29,13 @@
 use specasr_models::Probes;
 use specasr_tokenizer::TokenId;
 
-use crate::session::RoundPlan;
+use crate::session::{RoundKind, RoundPlan};
 
 /// The probe set of one round's verification pass, with the trie that
 /// places each drafted position in it.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`ProbeLayout::default`] lays out nothing, not even the empty probe.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ProbeLayout {
     probes: Probes,
     /// The probe one token shorter than each probe (probe 0 names itself).
@@ -39,6 +43,9 @@ pub(crate) struct ProbeLayout {
     /// Probes `1..=drafted` spell drafted positions; later probes are trunk
     /// prefixes the drafted tree does not contain.
     drafted: usize,
+    /// The probe of each tree node, in insertion order (empty unless the
+    /// round drafted a tree).
+    node_probes: Vec<usize>,
 }
 
 /// Where one round's acceptance walk ended.
@@ -55,51 +62,50 @@ pub(crate) struct Walk {
 }
 
 impl ProbeLayout {
-    /// The layout of `plan`'s verification pass: the empty probe, every
-    /// distinct drafted path in first-seen order, then the trunk prefixes
-    /// the tree does not spell.
-    pub(crate) fn of(plan: &RoundPlan) -> Self {
-        let mut layout = match plan {
-            RoundPlan::Autoregressive => ProbeLayout::with_capacity(0, 0),
-            RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                let n = tokens.len();
-                let mut layout = ProbeLayout::with_capacity(n, n * (n + 1) / 2);
-                layout.push_chain(tokens);
-                layout
+    /// Re-lays this layout as `plan`'s verification pass: the empty probe,
+    /// every distinct drafted path in first-seen order, then the trunk
+    /// prefixes the tree does not spell.  Every buffer is emptied and
+    /// refilled, so nothing of the previous round survives.
+    pub(crate) fn lay_out(&mut self, plan: &RoundPlan) {
+        // Room for the drafted probes and their tokens: one allocation per
+        // buffer when the layout is new, nothing once it has held as much.
+        let (drafted, path_tokens) = match plan.kind {
+            RoundKind::Autoregressive => (0, 0),
+            RoundKind::Sequence | RoundKind::External => {
+                let n = plan.tokens.len();
+                (n, n * (n + 1) / 2)
             }
-            RoundPlan::Tree { tree, .. } => {
-                let path_tokens = tree.iter().map(|(_, node)| node.depth).sum();
-                let mut layout = ProbeLayout::with_capacity(tree.len(), path_tokens);
+            RoundKind::BeamTree | RoundKind::SparseTree => (
+                plan.tree.len(),
+                plan.tree.iter().map(|(_, node)| node.depth).sum(),
+            ),
+        };
+        self.probes.clear();
+        self.probes.reserve(drafted + 1, path_tokens);
+        self.probes.push(&[]);
+        self.parents.clear();
+        self.parents.reserve(drafted + 1);
+        self.parents.push(0);
+        self.node_probes.clear();
+        match plan.kind {
+            RoundKind::Autoregressive => {}
+            RoundKind::Sequence | RoundKind::External => self.push_chain(&plan.tokens),
+            RoundKind::BeamTree | RoundKind::SparseTree => {
                 // Insertion order is topological, so a node's parent
                 // already has its probe.
-                let mut node_probes = Vec::with_capacity(tree.len());
-                for (_, node) in tree.iter() {
-                    let parent = node.parent.map_or(0, |parent| node_probes[parent.index()]);
-                    node_probes.push(layout.extend(parent, node.token));
+                self.node_probes.reserve(plan.tree.len());
+                for (_, node) in plan.tree.iter() {
+                    let parent = node
+                        .parent
+                        .map_or(0, |parent| self.node_probes[parent.index()]);
+                    let probe = self.extend(parent, node.token);
+                    self.node_probes.push(probe);
                 }
-                layout
             }
-        };
-        layout.drafted = layout.probes.len() - 1;
-        if let RoundPlan::Tree {
-            trunk_tokens: Some(trunk),
-            ..
-        } = plan
-        {
-            layout.push_chain(trunk);
         }
-        layout
-    }
-
-    fn with_capacity(drafted: usize, tokens: usize) -> Self {
-        let mut probes = Probes::with_capacity(drafted + 1, tokens);
-        probes.push(&[]);
-        let mut parents = Vec::with_capacity(drafted + 1);
-        parents.push(0);
-        ProbeLayout {
-            probes,
-            parents,
-            drafted: 0,
+        self.drafted = self.probes.len() - 1;
+        if let Some(trunk) = plan.trunk() {
+            self.push_chain(trunk);
         }
     }
 
@@ -192,6 +198,23 @@ mod tests {
         TokenId::new(raw)
     }
 
+    /// `plan`'s layout, laid out into a fresh buffer.
+    fn laid_out(plan: &RoundPlan) -> ProbeLayout {
+        let mut layout = ProbeLayout::default();
+        layout.lay_out(plan);
+        layout
+    }
+
+    /// A plan of `kind` over `tokens` and `tree`.
+    fn plan(kind: RoundKind, tokens: &[TokenId], tree: TokenTree) -> RoundPlan {
+        RoundPlan {
+            kind,
+            tokens: tokens.to_vec(),
+            tree,
+            ..RoundPlan::default()
+        }
+    }
+
     fn probes_of(layout: &ProbeLayout) -> Vec<Vec<TokenId>> {
         layout.probes().iter().map(<[TokenId]>::to_vec).collect()
     }
@@ -217,10 +240,8 @@ mod tests {
 
     #[test]
     fn sequences_lay_out_every_prefix_and_accept_the_matching_one() {
-        let plan = RoundPlan::ExternalSequence {
-            tokens: vec![t(1), t(2), t(9)],
-        };
-        let layout = ProbeLayout::of(&plan);
+        let plan = plan(RoundKind::External, &[t(1), t(2), t(9)], TokenTree::new());
+        let layout = laid_out(&plan);
         assert_eq!(
             probes_of(&layout),
             vec![vec![], vec![t(1)], vec![t(1), t(2)], vec![t(1), t(2), t(9)]]
@@ -244,13 +265,8 @@ mod tests {
         let c = tree.push_child(b, t(5), 0.5, NodeOrigin::Branch);
         tree.push_child(c, t(6), 0.5, NodeOrigin::Branch);
         let trunk = [t(1), t(2), t(3)];
-        let plan = RoundPlan::Tree {
-            tree,
-            trunk_tokens: Some(trunk.to_vec()),
-            steps: 3,
-            recycled: 0,
-        };
-        let layout = ProbeLayout::of(&plan);
+        let plan = plan(RoundKind::SparseTree, &trunk, tree);
+        let layout = laid_out(&plan);
         assert_eq!(
             probes_of(&layout),
             vec![
@@ -287,20 +303,34 @@ mod tests {
 
     #[test]
     fn autoregressive_and_empty_rounds_score_only_the_empty_probe() {
-        let empty_tree = RoundPlan::Tree {
-            tree: TokenTree::new(),
-            trunk_tokens: None,
-            steps: 0,
-            recycled: 0,
-        };
-        for plan in [RoundPlan::Autoregressive, empty_tree] {
-            let layout = ProbeLayout::of(&plan);
+        for kind in [RoundKind::Autoregressive, RoundKind::BeamTree] {
+            let layout = laid_out(&plan(kind, &[], TokenTree::new()));
             assert_eq!(probes_of(&layout), vec![Vec::<TokenId>::new()]);
             let mut asked = Vec::new();
             let walk = layout.walk(None, oracle(&layout, &[t(4)], t(0), &mut asked));
             assert_eq!(walk.accepted_probe, 0);
             assert_eq!(walk.correction, t(4));
             assert_eq!(asked, vec![0]);
+        }
+    }
+
+    #[test]
+    fn a_re_laid_layout_equals_a_fresh_one() {
+        let mut tree = TokenTree::new();
+        let a = tree.push_root(t(1), 0.9, NodeOrigin::Trunk);
+        tree.push_child(a, t(2), 0.8, NodeOrigin::Trunk);
+        tree.push_root(t(1), 0.5, NodeOrigin::Branch);
+        let plans = [
+            plan(RoundKind::SparseTree, &[t(1), t(2), t(3)], tree.clone()),
+            plan(RoundKind::Sequence, &[t(4)], TokenTree::new()),
+            plan(RoundKind::BeamTree, &[], tree),
+            plan(RoundKind::Autoregressive, &[], TokenTree::new()),
+            plan(RoundKind::External, &[t(5), t(6)], TokenTree::new()),
+        ];
+        let mut reused = ProbeLayout::default();
+        for plan in plans.iter().chain(plans.iter().rev()) {
+            reused.lay_out(plan);
+            assert_eq!(reused, laid_out(plan));
         }
     }
 }

@@ -66,7 +66,8 @@ const CTC_AGREEMENT_FLOOR: f64 = 0.05;
 /// let ctc = CtcDrafter::paired(&target);
 ///
 /// // The collapse proposes a prefix-independent continuation from position 0.
-/// let draft = ctc.collapse(&audio, 0, 16);
+/// let mut draft = Vec::new();
+/// ctc.collapse(&audio, 0, 16, &mut draft);
 /// let transcript = target.greedy_transcript(&audio);
 /// let agree = draft.iter().zip(&transcript).filter(|(a, b)| a == b).count();
 /// assert!(!draft.is_empty() && agree * 2 > draft.len()); // mostly aligned
@@ -156,30 +157,33 @@ impl CtcDrafter {
 
     /// Greedily collapses the CTC posterior from output position `from` into
     /// at most `budget` draft tokens (further capped by
-    /// [`CtcDrafter::max_draft_len`]).
+    /// [`CtcDrafter::max_draft_len`]), appended to `draft`.  A caller that
+    /// empties and refills one buffer every round allocates nothing once
+    /// the buffer has held its longest draft.
     ///
     /// The walk stops at the first frame whose [`CtcDrafter::frame_confidence`]
     /// falls below the gate, and always stops after emitting EOS (which the
     /// collapse produces past the end of the audio).  Like every simulated
     /// model stream the result is a pure function of `(utterance, position)`,
     /// so the same audio always collapses to the same draft.
-    pub fn collapse(&self, audio: &UtteranceTokens, from: usize, budget: usize) -> Vec<TokenId> {
+    pub fn collapse(
+        &self,
+        audio: &UtteranceTokens,
+        from: usize,
+        budget: usize,
+        draft: &mut Vec<TokenId>,
+    ) {
         let cap = budget.min(self.max_draft_len);
-        let mut tokens = Vec::with_capacity(cap);
-        for position in from.. {
-            if tokens.len() >= cap {
-                break;
-            }
+        for position in from..from + cap {
             if self.frame_confidence(audio, position) < self.confidence_gate {
                 break;
             }
             let token = self.frame_token(audio, position);
-            tokens.push(token);
+            draft.push(token);
             if token == audio.eos() {
                 break;
             }
         }
-        tokens
     }
 
     /// The collapsed CTC label at output position `position`: the paired
@@ -225,14 +229,35 @@ mod tests {
         (target, ctc, audio)
     }
 
+    /// The collapse of `audio` from `from`, as a fresh draft.
+    fn collapsed(
+        ctc: &CtcDrafter,
+        audio: &UtteranceTokens,
+        from: usize,
+        budget: usize,
+    ) -> Vec<TokenId> {
+        let mut draft = Vec::new();
+        ctc.collapse(audio, from, budget, &mut draft);
+        draft
+    }
+
     #[test]
     fn collapse_is_deterministic_and_bounded() {
         let (_, ctc, audio) = setup();
-        let a = ctc.collapse(&audio[0], 0, 16);
-        let b = ctc.collapse(&audio[0], 0, 16);
+        let a = collapsed(&ctc, &audio[0], 0, 16);
+        let b = collapsed(&ctc, &audio[0], 0, 16);
         assert_eq!(a, b);
         assert!(a.len() <= 16);
-        assert!(ctc.collapse(&audio[0], 0, 100).len() <= ctc.max_draft_len());
+        assert!(collapsed(&ctc, &audio[0], 0, 100).len() <= ctc.max_draft_len());
+    }
+
+    #[test]
+    fn collapse_appends_after_what_the_buffer_holds() {
+        let (_, ctc, audio) = setup();
+        let mut draft = vec![audio[0].eos()];
+        ctc.collapse(&audio[0], 0, 16, &mut draft);
+        assert_eq!(draft[0], audio[0].eos());
+        assert_eq!(draft[1..], collapsed(&ctc, &audio[0], 0, 16));
     }
 
     #[test]
@@ -244,7 +269,7 @@ mod tests {
             let transcript = target.greedy_transcript(utt);
             let mut position = 0usize;
             while position < transcript.len() {
-                let draft = ctc.collapse(utt, position, 24);
+                let draft = collapsed(&ctc, utt, position, 24);
                 if draft.is_empty() {
                     position += 1;
                     continue;
@@ -303,8 +328,8 @@ mod tests {
         let mut strict_total = 0usize;
         let mut lenient_total = 0usize;
         for utt in &audio {
-            strict_total += strict.collapse(utt, 0, 24).len();
-            lenient_total += lenient.collapse(utt, 0, 24).len();
+            strict_total += collapsed(&strict, utt, 0, 24).len();
+            lenient_total += collapsed(&lenient, utt, 0, 24).len();
         }
         assert!(strict_total < lenient_total);
     }
@@ -313,7 +338,7 @@ mod tests {
     fn collapse_emits_eos_past_the_audio_end() {
         let (_, ctc, audio) = setup();
         let utt = &audio[0];
-        let draft = ctc.collapse(utt, utt.len(), 8);
+        let draft = collapsed(&ctc, utt, utt.len(), 8);
         assert_eq!(draft, vec![utt.eos()]);
         assert_eq!(ctc.frame_confidence(utt, utt.len() + 3), 1.0);
     }

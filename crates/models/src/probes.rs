@@ -38,15 +38,6 @@ impl Probes {
         Probes::default()
     }
 
-    /// An empty probe set with room for `probes` probes of `tokens` tokens
-    /// in total.
-    pub fn with_capacity(probes: usize, tokens: usize) -> Self {
-        Probes {
-            tokens: Vec::with_capacity(tokens),
-            ends: Vec::with_capacity(probes),
-        }
-    }
-
     /// The set holding only the empty probe: the position directly after the
     /// prefix, which is all an autoregressive round's verify pass scores.
     pub fn empty_probe() -> Self {
@@ -54,6 +45,21 @@ impl Probes {
             tokens: Vec::new(),
             ends: vec![0],
         }
+    }
+
+    /// Removes every probe, keeping both buffers' capacity, so a set
+    /// refilled round after round stops allocating once it has held its
+    /// largest round.
+    pub fn clear(&mut self) {
+        self.tokens.clear();
+        self.ends.clear();
+    }
+
+    /// Makes room for `probes` more probes of `tokens` more tokens in
+    /// total; free when the buffers already have it.
+    pub fn reserve(&mut self, probes: usize, tokens: usize) {
+        self.tokens.reserve(tokens);
+        self.ends.reserve(probes);
     }
 
     /// Appends `probe` and returns its index.
@@ -221,6 +227,18 @@ mod tests {
         assert!(probes.is_empty());
         assert_eq!(probes.iter().count(), 0);
         assert_eq!(Probes::empty_probe().get(0), &[]);
+    }
+
+    #[test]
+    fn a_cleared_set_refills_like_a_new_one() {
+        let mut probes = Probes::empty_probe();
+        probes.push_extension(0, t(3));
+        probes.clear();
+        assert!(probes.is_empty());
+        probes.reserve(2, 1);
+        probes.push(&[]);
+        probes.push_extension(0, t(4));
+        assert_eq!(probes, [&[][..], &[t(4)]].into_iter().collect());
     }
 
     #[test]

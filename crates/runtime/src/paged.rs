@@ -337,32 +337,49 @@ impl BlockPool {
             }));
         }
         let needed = self.blocks_for(tokens);
-        // Pass 1 (read-only): which blocks can be shared?
-        let plan: Vec<(Option<BlockId>, Option<u64>)> = match prefix_key {
+        // Pass 1 (read-only): how many blocks miss the prefix index?
+        let fresh = match prefix_key {
             Some(key) => prefix_chain(key, self.block_size, needed)
-                .map(|hash| (self.prefix_index.get(&hash).copied(), Some(hash)))
-                .collect(),
-            None => vec![(None, None); needed],
+                .filter(|hash| !self.prefix_index.contains_key(hash))
+                .count(),
+            None => needed,
         };
-        let fresh = plan.iter().filter(|(hit, _)| hit.is_none()).count();
         self.ensure_available(fresh)?;
-        // Pass 2: commit.
-        if prefix_key.is_some() {
-            self.counters.prefix_lookups += needed;
+        // Pass 2: commit, walking the same chain again: it shares where
+        // pass 1 hit and allocates where pass 1 missed.  The table is sized
+        // in one allocation to the capacity pushing block by block would
+        // reach, so the first appends past the prefill still fit.
+        if needed > 0 {
+            table.blocks.reserve(needed.next_power_of_two());
         }
-        for (hit, hash) in plan {
-            match hit {
-                Some(id) => {
-                    self.blocks[id.index()].ref_count += 1;
-                    self.counters.shared_hits += 1;
+        let allocated_before = self.counters.allocated;
+        match prefix_key {
+            Some(key) => {
+                self.counters.prefix_lookups += needed;
+                for hash in prefix_chain(key, self.block_size, needed) {
+                    let id = match self.prefix_index.get(&hash).copied() {
+                        Some(id) => {
+                            self.blocks[id.index()].ref_count += 1;
+                            self.counters.shared_hits += 1;
+                            id
+                        }
+                        None => self.allocate(Some(hash)),
+                    };
                     table.blocks.push(id);
                 }
-                None => {
-                    let id = self.allocate(hash);
+            }
+            None => {
+                for _ in 0..needed {
+                    let id = self.allocate(None);
                     table.blocks.push(id);
                 }
             }
         }
+        debug_assert_eq!(
+            self.counters.allocated - allocated_before,
+            fresh,
+            "the commit allocates exactly the blocks the check counted"
+        );
         table.positions.try_prefill(tokens)?;
         Ok(())
     }

@@ -104,6 +104,13 @@ impl TokenTree {
         tree
     }
 
+    /// Removes every node, keeping the node buffer's capacity, so a tree
+    /// refilled round after round stops allocating once it has held its
+    /// largest round.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
     /// Adds a node attached directly to the committed prefix.
     pub fn push_root(&mut self, token: TokenId, probability: f64, origin: NodeOrigin) -> NodeId {
         self.push_node(None, token, probability, origin)
@@ -359,6 +366,16 @@ mod tests {
         assert_eq!(tree.max_depth(), 0);
         assert!(tree.leaves().is_empty());
         assert_eq!(tree.get(NodeId(0)), None);
+    }
+
+    #[test]
+    fn a_cleared_tree_is_empty_and_refills_like_a_new_one() {
+        let (mut tree, _) = sample_tree();
+        tree.clear();
+        assert_eq!(tree, TokenTree::new());
+        let root = tree.push_root(t(9), 0.5, NodeOrigin::Branch);
+        assert_eq!(root, NodeId(0));
+        assert_eq!(tree.depth(root), 1);
     }
 
     #[test]

@@ -113,7 +113,9 @@ struct TickScratch {
     // Draft.
     /// Session indices in draft-readiness order.
     order: Vec<usize>,
-    drafted: Vec<Option<DraftedRound>>,
+    /// One round per batch slot, refilled by whichever session holds the
+    /// slot this tick.  Grown on demand and never shrunk.
+    drafted: Vec<DraftedRound>,
     /// Draft-lane milliseconds each round spent.
     spent_ms: Vec<f64>,
     /// When each round's draft phase finished.
@@ -847,7 +849,9 @@ where
                 .expect("wall clocks are finite")
                 .then(a.cmp(&b))
         });
-        refill(drafted, sessions, None);
+        if drafted.len() < sessions {
+            drafted.resize_with(sessions, DraftedRound::new);
+        }
         refill(spent_ms, sessions, 0.0);
         refill(draft_done, sessions, 0.0);
         refill(verify_widths, sessions, 0);
@@ -859,15 +863,15 @@ where
             // dispatch to the installed drafter (no draft-lane queries, no
             // draft latency charged — their `spent` stays 0.0 and the verify
             // planner sorts them first).
-            let round = match session.decode.drafter() {
+            let round = &mut drafted[index];
+            match session.decode.drafter() {
                 DrafterKind::ModelDraft => {
                     let draft = CountedDraft {
                         model: &self.draft,
                         queries: AtomicUsize::new(0),
                     };
-                    let round = session.decode.draft_round(&draft);
+                    session.decode.draft_round(&draft, round);
                     draft.count_into(&mut self.draft_counters);
-                    round
                 }
                 kind => {
                     let drafter = self
@@ -876,9 +880,9 @@ where
                         .find(|(k, _)| *k == kind)
                         .map(|(_, drafter)| drafter)
                         .expect("draft-free sessions are only admitted with an installed drafter");
-                    session.decode.draft_round_with(drafter.as_ref())
+                    session.decode.draft_round_with(drafter.as_ref(), round);
                 }
-            };
+            }
             let spent = session.decode.clock().breakdown().draft_ms - before;
             // Draft rounds occupy the modeled draft device; with bounded
             // lanes a round queues behind earlier rounds, pushing its
@@ -898,7 +902,6 @@ where
             spent_ms[index] = spent;
             draft_done[index] = done;
             verify_widths[index] = round.verify_tokens();
-            drafted[index] = Some(round);
         }
 
         // Verification schedule: collect every session's verify request into
@@ -924,10 +927,9 @@ where
         for (wave_index, (wave, &offset)) in plan.waves().zip(plan.submit_offsets_ms()).enumerate()
         {
             for &index in wave {
-                let round = drafted[index]
-                    .as_ref()
-                    .expect("every planned session drafted this tick");
-                self.active[index].decode.verify_request(round, batch);
+                self.active[index]
+                    .decode
+                    .verify_request(&drafted[index], batch);
                 wave_of[index] = wave_index;
             }
             // The in-flight window: with `max_in_flight_waves` batches
@@ -1048,14 +1050,11 @@ where
             plan.waves()
                 .map(|wave| wave.iter().map(|&i| verify_widths[i] as u64).sum::<u64>()),
         );
-        for index in 0..sessions {
-            let round = drafted[index]
-                .take()
-                .expect("every active session drafted this tick");
+        for (index, round) in drafted[..sessions].iter().enumerate() {
             if removal[index] != Removal::Keep {
                 continue; // evicted by an earlier session's memory pressure
             }
-            self.ensure_round_headroom(index, &round, removal);
+            self.ensure_round_headroom(index, round, removal);
             if removal[index] != Removal::Keep {
                 continue;
             }

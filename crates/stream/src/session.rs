@@ -2,7 +2,7 @@
 //! the committed prefix, and the lossless partial-commit rule.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeSession, DecodeStats, DrafterKind, Policy};
+use specasr::{DecodeSession, DecodeStats, DraftedRound, DrafterKind, Policy};
 use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
 use specasr_runtime::{KvPool, PoolError};
 use specasr_tokenizer::TokenId;
@@ -291,8 +291,9 @@ impl StreamingSession {
     }
 
     /// One complete streaming step against a private unbounded pool:
-    /// re-decode the current view to its end and absorb the result.  Returns
-    /// `None` while no token is audible yet.
+    /// re-decode the current view to its end, every round drafted into one
+    /// kept [`DraftedRound`], and absorb the result.  Returns `None` while no
+    /// token is audible yet.
     pub fn redecode<D, T>(&mut self, draft: &D, target: &T) -> Option<PartialTranscript>
     where
         D: AsrDecoderModel + ?Sized,
@@ -302,8 +303,9 @@ impl StreamingSession {
         let mut session = self
             .resume_decode(&mut pool)?
             .expect("an unbounded pool always admits");
+        let mut round = DraftedRound::new();
         while !session
-            .step(&mut pool, draft, target)
+            .step(&mut pool, draft, target, &mut round)
             .expect("an unbounded pool never exhausts")
         {}
         Some(self.absorb(&session))
@@ -520,7 +522,11 @@ mod tests {
             .resume_decode(&mut pool)
             .expect("audible")
             .expect("unbounded");
-        while !stale.step(&mut pool, &draft, &target).expect("unbounded") {}
+        let mut round = DraftedRound::new();
+        while !stale
+            .step(&mut pool, &draft, &target, &mut round)
+            .expect("unbounded")
+        {}
         session.absorb(&stale);
     }
 
@@ -540,10 +546,11 @@ mod tests {
                 continue;
             };
             let mut session = result.expect("pool has room");
+            let mut round = DraftedRound::new();
             while !session.is_finished() {
-                let drafted = session.draft_round(&draft);
+                session.draft_round(&draft, &mut round);
                 session
-                    .verify_round(&mut pool, &target, drafted)
+                    .verify_round(&mut pool, &target, &round)
                     .expect("pool has room");
             }
             session.release_kv(&mut pool);

@@ -213,13 +213,26 @@ impl Tokenizer {
     /// Decodes token ids back into text.
     ///
     /// Special tokens are skipped; word-boundary markers become single spaces.
+    /// The text's exact length is added up first, so decoding allocates one
+    /// `String` of that size and never regrows it.
     ///
     /// # Errors
     ///
     /// Returns [`TokenizeError::UnknownTokenId`] if any id is outside the
     /// vocabulary.
     pub fn decode(&self, ids: &[TokenId]) -> Result<String, TokenizeError> {
-        let mut text = String::new();
+        let mut len = 0;
+        self.spell(ids, |ch| len += ch.len_utf8())?;
+        let mut text = String::with_capacity(len);
+        self.spell(ids, |ch| text.push(ch))?;
+        Ok(text)
+    }
+
+    /// Passes the decoded text of `ids` to `emit` character by character:
+    /// special tokens are skipped, and a word-boundary marker becomes a
+    /// single space unless nothing was emitted yet.
+    fn spell(&self, ids: &[TokenId], mut emit: impl FnMut(char)) -> Result<(), TokenizeError> {
+        let mut started = false;
         for &id in ids {
             let piece = self
                 .vocab
@@ -229,16 +242,15 @@ impl Tokenizer {
                 continue;
             }
             for ch in piece.chars() {
-                if ch == WORD_BOUNDARY {
-                    if !text.is_empty() {
-                        text.push(' ');
-                    }
-                } else {
-                    text.push(ch);
+                if ch != WORD_BOUNDARY {
+                    emit(ch);
+                    started = true;
+                } else if started {
+                    emit(' ');
                 }
             }
         }
-        Ok(text)
+        Ok(())
     }
 
     /// Decodes token ids into whitespace-separated words.

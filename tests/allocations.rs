@@ -1,24 +1,34 @@
-//! Heap allocations of the serving path's draft and verify rounds.
+//! Heap allocations of the serving path: its rounds, its ticks and its
+//! admissions.
 //!
-//! A verify round is what the scheduler runs for every session in every
-//! round: `DecodeSession::verify_request` appends the round's request to a
-//! batch, the backend's `submit` scores it, `poll` drains the completion into
-//! a buffer the caller keeps, and `DecodeSession::verify_round_from` commits
-//! from it.  The caller reuses one batch, one `Completions` and one backend,
-//! every buffer on the way is refilled in place, and a distribution keeps
-//! its few candidates inline, so a warm verify round allocates nothing.
-//! What still allocates now and then is doubling growth: a session's round
-//! log and KV block tables, and the shared buffers while the committed
-//! prefix lengthens.  A counting global allocator checks that the median
-//! round allocates nothing and that no round exceeds a small constant,
-//! whatever the draft's width, for adaptive and sparse-tree rounds and for
-//! short and long draft-free sequences over a corpus split.  It counts per
-//! thread, so tests running in parallel do not see each other's
+//! A round is what the scheduler runs for every session in every tick: a
+//! drafter refills the `DraftedRound` the caller keeps for the session's
+//! batch slot, `DecodeSession::verify_request` appends the round's request
+//! to a batch, the backend's `submit` scores it, `poll` drains the
+//! completion into a buffer the caller keeps, and
+//! `DecodeSession::verify_round_from` commits from it.  The caller reuses one
+//! round, one batch, one `Completions` and one backend, every buffer on the
+//! way is emptied and refilled in place, and a distribution keeps its few
+//! candidates inline, so a warm round allocates nothing from draft to
+//! commit.  What still allocates now and then is doubling growth: a
+//! session's transcript, round log and KV block tables, and the shared
+//! buffers while the committed prefix lengthens.  A counting global
+//! allocator checks that the median round allocates nothing and that no
+//! round exceeds a small constant, whatever the draft's width: for the draft
+//! model's adaptive and sparse-tree rounds, for the token-map and CTC
+//! drafters, and for short and long external sequences over a corpus split.
+//! A scheduler tick that admits and retires nothing is the same rounds over
+//! its batch, so the median such tick allocates nothing too.  The allocator
+//! counts per thread, so tests running in parallel do not see each other's
 //! allocations.
 //!
-//! Drafting queries the draft model step after step.  A scheduler's draft
-//! loop sizes its buffers once per round, so between two consecutive
-//! draft-model queries it typically allocates nothing.
+//! Drafting queries the draft model step after step.  The draft loops write
+//! into the buffers the round kept from earlier rounds, so between two
+//! consecutive draft-model queries they typically allocate nothing.
+//!
+//! Admission and retirement allocate what they keep: a KV prefill allocates
+//! at most the block table it fills, and decoding a transcript allocates its
+//! text once.
 //!
 //! The allocator also tracks this thread's live bytes and bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
@@ -29,29 +39,29 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use specasr::{
     AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig,
-    SpeculativeConfig,
+    SpeculativeConfig, TokenMapDrafter,
 };
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{
-    AsrBackend, AsrDecoderModel, BackendBatch, Completions, InFlightSimBackend, ModelProfile,
-    SimulatedAsrModel, TokenLogits, UtteranceTokens,
+    AsrBackend, AsrDecoderModel, BackendBatch, Completions, CtcDrafter, InFlightSimBackend,
+    ModelProfile, SimulatedAsrModel, TokenLogits, UtteranceTokens,
 };
-use specasr_runtime::KvPool;
+use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
     plan_verify_waves, Router, RouterConfig, Scheduler, ServerConfig, SloClass, VerifyPlan,
 };
 use specasr_suite::StandardSetup;
-use specasr_tokenizer::TokenId;
+use specasr_tokenizer::{TokenId, TokenMapIndex};
 
-/// Most heap allocations one warm verify round may make.  The shared
-/// buffers are warm, so only a session's own buffers can still grow, each
-/// by doubling and at most once in a round: its round log, its draft and
-/// target KV block tables, and its recycle buffer.
+/// Most heap allocations one warm round may make.  The shared buffers are
+/// warm, so only a session's own buffers can still grow, each by doubling
+/// and at most once in a round: its round log, its draft and target KV
+/// block tables, and its recycle buffer.
 const ROUND_BUDGET: u64 = 4;
 
 /// Sessions allocate their KV blocks from a bounded pool, as when serving.
@@ -159,78 +169,106 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// What one caller keeps from round to round: the target's backend, one
-/// batch and one completions buffer.
-struct VerifyLoop<'a> {
+/// round, one batch and one completions buffer.
+struct RoundLoop<'a> {
     target: &'a SimulatedAsrModel,
     backend: InFlightSimBackend<&'a SimulatedAsrModel>,
+    round: DraftedRound,
     batch: BackendBatch,
     completions: Completions,
 }
 
-impl<'a> VerifyLoop<'a> {
+/// What one round allocated: its draft call, and its verify calls
+/// (`verify_request`, `submit`, `poll` and `verify_round_from`) together.
+#[derive(Debug, Clone, Copy)]
+struct RoundCost {
+    draft: u64,
+    verify: u64,
+}
+
+impl<'a> RoundLoop<'a> {
     fn new(target: &'a SimulatedAsrModel) -> Self {
-        VerifyLoop {
+        RoundLoop {
             target,
             backend: InFlightSimBackend::new(target).with_lanes(0),
+            round: DraftedRound::new(),
             batch: BackendBatch::new(),
             completions: Completions::new(),
         }
     }
 
-    /// Drives `session` to completion, drafting each round with `draft`,
-    /// and returns what `verify_request`, `submit`, `poll` and
-    /// `verify_round_from` allocated together in each round.
+    /// Drives `session` to completion, `draft` refilling the kept round
+    /// each round, and returns what each round allocated.
     fn run(
         &mut self,
         session: &mut DecodeSession,
         pool: &mut KvPool,
-        mut draft: impl FnMut(&mut DecodeSession) -> DraftedRound,
-    ) -> Vec<u64> {
+        mut draft: impl FnMut(&mut DecodeSession, &mut DraftedRound),
+    ) -> Vec<RoundCost> {
         let mut rounds = Vec::new();
         while !session.is_finished() {
-            let drafted = draft(session);
-            let ((), allocated) = counted(|| {
+            let ((), drafting) = counted(|| draft(session, &mut self.round));
+            let ((), verifying) = counted(|| {
                 self.batch.clear();
-                session.verify_request(&drafted, &mut self.batch);
+                session.verify_request(&self.round, &mut self.batch);
                 self.backend.submit(&self.batch, 0.0);
                 self.backend.poll(&mut self.completions);
                 let (_, logits) = self.completions.iter().next().expect("scored at submit");
                 let latency = self.target.profile().latency();
                 session
-                    .verify_round_from(pool, latency, logits, drafted)
+                    .verify_round_from(pool, latency, logits, &self.round)
                     .expect("the pool has room");
             });
-            rounds.push(allocated);
+            rounds.push(RoundCost {
+                draft: drafting,
+                verify: verifying,
+            });
         }
         rounds
     }
 }
 
-/// A draft continuing `greedy` from where `session` stands, `len` tokens
-/// long, with every seventh position wrong, so rounds both accept and
-/// recycle.
+/// Refills `round` with a draft continuing `greedy` from where `session`
+/// stands, `len` tokens long, with every seventh position wrong, so rounds
+/// both accept and recycle.
 fn external_draft(
     session: &DecodeSession,
     greedy: &[TokenId],
     eos: TokenId,
     len: usize,
-) -> DraftedRound {
+    round: &mut DraftedRound,
+) {
     let at = session.tokens().len();
-    DraftedRound::external(
-        (at..at + len)
-            .map(|i| {
-                let right = greedy.get(i).copied().unwrap_or(eos);
-                if i % 7 == 6 {
-                    TokenId::new(right.value() + 1)
-                } else {
-                    right
-                }
-            })
-            .collect(),
-    )
+    round.refill_external(|draft| {
+        draft.extend((at..at + len).map(|i| {
+            let right = greedy.get(i).copied().unwrap_or(eos);
+            if i % 7 == 6 {
+                TokenId::new(right.value() + 1)
+            } else {
+                right
+            }
+        }));
+    });
 }
 
-/// Which draft a verify-round case verifies.
+/// The token-map drafter over the corpus' reference transcripts,
+/// EOS-terminated, the way a deployment builds it.
+fn token_map_for(setup: &StandardSetup) -> TokenMapDrafter {
+    let sequences: Vec<Vec<TokenId>> = Split::ALL
+        .iter()
+        .flat_map(|&split| setup.binding.bind_all(setup.corpus.split(split)))
+        .map(|audio| {
+            let mut sequence = audio.reference_tokens().to_vec();
+            sequence.push(audio.eos());
+            sequence
+        })
+        .collect();
+    TokenMapDrafter::new(Arc::new(TokenMapIndex::build_default(
+        sequences.iter().map(Vec::as_slice),
+    )))
+}
+
+/// Which draft a round case verifies.
 #[derive(Debug, Clone, Copy)]
 enum Drafted {
     /// The session's policy, drafted by the draft model.
@@ -238,27 +276,32 @@ enum Drafted {
     /// A draft-free sequence of this many tokens, under the adaptive
     /// policy.
     External(usize),
+    /// The token-map drafter, under the adaptive policy.
+    TokenMap,
+    /// The CTC drafter, under the adaptive policy.
+    Ctc,
 }
 
-/// The warm verify rounds of `case` over a corpus split, and the widest
-/// round's verify width.
+/// The warm rounds of `case` over a corpus split, and the widest round's
+/// verify width.
 ///
 /// One loop serves every session.  A first pass over the split warms it:
-/// the batch, the completions and the backend's pending buffers grow to the
-/// widest round and the longest prefix the split holds.  The second pass
-/// replays the same sessions afresh and returns what each of its rounds
-/// allocated, so all that can still allocate is a session's own buffers
-/// growing.
-fn warm_rounds(setup: &StandardSetup, case: Drafted) -> (Vec<u64>, usize) {
+/// the round, the batch, the completions and the backend's pending buffers
+/// grow to the widest round and the longest prefix the split holds.  The
+/// second pass replays the same sessions afresh and returns what each of
+/// its rounds allocated, so all that can still allocate is a session's own
+/// buffers growing.
+fn warm_rounds(setup: &StandardSetup, case: Drafted) -> (Vec<RoundCost>, usize) {
     let split = setup.corpus.split(Split::TestOther);
+    let adaptive = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     let (policy, drafter) = match case {
         Drafted::Model(policy) => (policy, DrafterKind::ModelDraft),
-        Drafted::External(_) => (
-            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
-            DrafterKind::TokenMap,
-        ),
+        Drafted::External(_) | Drafted::TokenMap => (adaptive, DrafterKind::TokenMap),
+        Drafted::Ctc => (adaptive, DrafterKind::CtcEncoder),
     };
-    let mut verify = VerifyLoop::new(&setup.target);
+    let token_map = token_map_for(setup);
+    let ctc = CtcDrafter::paired(&setup.target);
+    let mut rounds = RoundLoop::new(&setup.target);
     let mut costs = Vec::new();
     let mut widest = 0;
     for (pass, utterance) in split.iter().chain(split).enumerate() {
@@ -268,19 +311,25 @@ fn warm_rounds(setup: &StandardSetup, case: Drafted) -> (Vec<u64>, usize) {
         let mut pool = serving_pool();
         let mut session =
             DecodeSession::new(policy, drafter, audio, &[], &mut pool).expect("the pool has room");
-        let rounds = verify.run(&mut session, &mut pool, |session| {
-            let drafted = match case {
-                Drafted::Model(_) => session.draft_round(&setup.draft),
-                Drafted::External(len) => external_draft(session, &greedy, eos, len),
-            };
-            widest = widest.max(drafted.verify_tokens());
-            drafted
+        let session_rounds = rounds.run(&mut session, &mut pool, |session, round| {
+            match case {
+                Drafted::Model(_) => session.draft_round(&setup.draft, round),
+                Drafted::External(len) => external_draft(session, &greedy, eos, len, round),
+                Drafted::TokenMap => session.draft_round_with(&token_map, round),
+                Drafted::Ctc => session.draft_round_with(&ctc, round),
+            }
+            widest = widest.max(round.verify_tokens());
         });
         if pass >= split.len() {
-            costs.extend(rounds);
+            costs.extend(session_rounds);
         }
     }
     (costs, widest)
+}
+
+/// The verify half of each round.
+fn verify_costs(costs: &[RoundCost]) -> Vec<u64> {
+    costs.iter().map(|cost| cost.verify).collect()
 }
 
 #[test]
@@ -288,6 +337,7 @@ fn external_rounds_allocate_the_same_for_2_and_24_draft_tokens() {
     let setup = StandardSetup::new(31, 6);
     for draft_len in [2, 24] {
         let (costs, _) = warm_rounds(&setup, Drafted::External(draft_len));
+        let costs = verify_costs(&costs);
         let worst = costs.iter().max().copied().unwrap_or(0);
         assert!(
             worst <= ROUND_BUDGET,
@@ -306,6 +356,7 @@ fn sparse_tree_rounds_allocate_the_same_whatever_the_tree() {
     let setup = StandardSetup::new(31, 6);
     let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
     let (costs, widest) = warm_rounds(&setup, Drafted::Model(policy));
+    let costs = verify_costs(&costs);
     let worst = costs.iter().max().copied().unwrap_or(0);
     assert!(
         worst <= ROUND_BUDGET,
@@ -315,6 +366,22 @@ fn sparse_tree_rounds_allocate_the_same_whatever_the_tree() {
         widest >= 16,
         "the split drafts wide trees (widest {widest})"
     );
+}
+
+/// Asserts that the median of `costs`, over more than 20 samples, is 0,
+/// and returns the worst.
+fn assert_median_zero(label: &str, mut costs: Vec<u64>) -> u64 {
+    assert!(costs.len() > 20, "{label}: {} samples", costs.len());
+    costs.sort_unstable();
+    let median = costs[costs.len() / 2];
+    assert_eq!(
+        median,
+        0,
+        "{label}: the median allocated {median} times (quartiles {} and {})",
+        costs[costs.len() / 4],
+        costs[costs.len() * 3 / 4]
+    );
+    costs[costs.len() - 1]
 }
 
 /// Once the shared buffers are warm, the median verify round allocates
@@ -329,18 +396,31 @@ fn a_warm_verify_round_allocates_nothing() {
         Drafted::Model(Policy::TwoPassSparseTree(SparseTreeConfig::paper())),
         Drafted::External(24),
     ] {
-        let (mut costs, _) = warm_rounds(&setup, case);
-        assert!(costs.len() > 20, "{case:?}: {} rounds", costs.len());
-        costs.sort_unstable();
-        let median = costs[costs.len() / 2];
-        assert_eq!(
-            median,
-            0,
-            "{case:?}: the median round allocated {median} times (quartiles {} and {})",
-            costs[costs.len() / 4],
-            costs[costs.len() * 3 / 4]
+        let (costs, _) = warm_rounds(&setup, case);
+        let worst = assert_median_zero(&format!("{case:?}"), verify_costs(&costs));
+        assert!(
+            worst <= ROUND_BUDGET,
+            "{case:?}: the worst round allocated {worst} times"
         );
-        let worst = costs[costs.len() - 1];
+    }
+}
+
+/// The draft call counts too: a drafter refills the kept round in place,
+/// so once it is warm the median round allocates nothing from draft to
+/// commit, for the draft model's adaptive and sparse-tree rounds and for
+/// the token-map and CTC drafters.
+#[test]
+fn a_warm_round_allocates_nothing_from_draft_to_commit() {
+    let setup = StandardSetup::new(31, 6);
+    for case in [
+        Drafted::Model(Policy::AdaptiveSingleSequence(AdaptiveConfig::paper())),
+        Drafted::Model(Policy::TwoPassSparseTree(SparseTreeConfig::paper())),
+        Drafted::TokenMap,
+        Drafted::Ctc,
+    ] {
+        let (costs, _) = warm_rounds(&setup, case);
+        let whole = costs.iter().map(|cost| cost.draft + cost.verify).collect();
+        let worst = assert_median_zero(&format!("{case:?}"), whole);
         assert!(
             worst <= ROUND_BUDGET,
             "{case:?}: the worst round allocated {worst} times"
@@ -418,6 +498,113 @@ fn draft_loops_allocate_nothing_between_most_draft_queries() {
             gaps[gaps.len() * 3 / 4]
         );
     }
+}
+
+/// A scheduler tick that admits and retires nothing runs one round for each
+/// session in flight over the tick's kept scratch, one kept round per batch
+/// slot.  Once a first batch has warmed the scheduler, the median such tick
+/// allocates nothing, and the worst stays within a round's budget per
+/// session: adaptive and sparse-tree sessions of the draft model batched
+/// with token-map and CTC sessions, four at a time.
+#[test]
+fn a_warm_tick_without_admission_or_retirement_allocates_nothing() {
+    let setup = StandardSetup::new(31, 12);
+    let mix = [
+        (
+            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+            DrafterKind::ModelDraft,
+        ),
+        (
+            Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+            DrafterKind::ModelDraft,
+        ),
+        (
+            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+            DrafterKind::TokenMap,
+        ),
+        (
+            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+            DrafterKind::CtcEncoder,
+        ),
+    ];
+    let mut scheduler = Scheduler::new(
+        setup.draft.clone(),
+        setup.target.clone(),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        ServerConfig::default().with_max_batch(mix.len()),
+    );
+    scheduler.install_drafter(Arc::new(token_map_for(&setup)));
+    scheduler.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
+    let mut steady = Vec::new();
+    for (batch, group) in corpus_pool(&setup).chunks(mix.len()).enumerate() {
+        for (&(policy, drafter), utterance) in mix.iter().zip(group) {
+            scheduler
+                .submit_with_drafter(policy, drafter, utterance)
+                .expect("queue has room");
+        }
+        while !scheduler.is_idle() {
+            let queued = scheduler.queued();
+            let in_flight = scheduler.in_flight();
+            let (outcomes, allocated) = counted(|| scheduler.tick());
+            // The first batch only warms the scheduler.
+            if batch > 0 && queued == 0 && scheduler.in_flight() == in_flight && outcomes.is_empty()
+            {
+                assert!(
+                    allocated <= ROUND_BUDGET * in_flight as u64,
+                    "a tick over {in_flight} sessions allocated {allocated} times"
+                );
+                steady.push(allocated);
+            }
+        }
+    }
+    assert_median_zero("steady ticks", steady);
+}
+
+/// A KV prefill plans its blocks without a buffer: on a warm pool it
+/// allocates at most the block table it fills, shared prefix or not.
+#[test]
+fn a_prefill_allocates_at_most_its_table() {
+    let mut pool = KvPool::bounded(256, 16);
+    let target = pool.target_mut();
+    let tokens = 40 * 16 + 3;
+    // Warm the pool's block states, free list and prefix index.
+    let mut warm = BlockTable::new();
+    target.prefill(&mut warm, tokens, Some(1)).expect("room");
+    target.release(&mut warm);
+    for key in [Some(2), Some(2), None] {
+        let mut table = BlockTable::new();
+        let (result, allocated) = counted(|| target.prefill(&mut table, tokens, key));
+        result.expect("room");
+        assert!(
+            allocated <= 1,
+            "a {key:?} prefill allocated {allocated} times"
+        );
+        assert_eq!(table.block_count(), target.blocks_for(tokens));
+    }
+    assert!(
+        target.counters().shared_hits > 0,
+        "the second key-2 prefill shared"
+    );
+}
+
+/// Decoding a transcript sizes its text before filling it: one allocation,
+/// however long the transcript.
+#[test]
+fn decoding_a_transcript_allocates_once() {
+    let setup = StandardSetup::new(31, 6);
+    let tokenizer = setup.binding.tokenizer();
+    let longest = setup
+        .binding
+        .bind_all(setup.corpus.split(Split::TestOther))
+        .into_iter()
+        .map(|audio| setup.target.greedy_transcript(&audio))
+        .max_by_key(Vec::len)
+        .expect("a non-empty split");
+    assert!(longest.len() > 30, "{} tokens", longest.len());
+    let (text, allocated) = counted(|| tokenizer.decode(&longest).expect("known ids"));
+    assert_eq!(allocated, 1, "decoding {} bytes", text.len());
+    assert_eq!(text.capacity(), text.len(), "sized exactly");
 }
 
 /// Every split of the corpus, in order: the request mix the serving tests

@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use specasr::{
-    AdaptiveConfig, DecodeSession, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig,
+    AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, SparseTreeConfig,
+    SpeculativeConfig,
 };
 use specasr_audio::Split;
 use specasr_models::{
@@ -62,14 +63,19 @@ fn decode_all_via_backend(
     let mut batch = BackendBatch::new();
     let mut completions = Completions::new();
     let mut transcripts = Vec::new();
+    // One round buffer per position, kept across rounds: the rotation hands
+    // each position to a different session from round to round.
+    let mut drafted: Vec<DraftedRound> = Vec::new();
     let mut round = 0u64;
     while !sessions.is_empty() {
         // Draft phase in a per-round rotated order.
         let rotation = (splitmix64(order_seed ^ round) % sessions.len() as u64) as usize;
         sessions.rotate_left(rotation);
-        let mut drafted = Vec::with_capacity(sessions.len());
-        for (_, session) in sessions.iter_mut() {
-            drafted.push(session.draft_round(&setup.draft));
+        if drafted.len() < sessions.len() {
+            drafted.resize_with(sessions.len(), DraftedRound::new);
+        }
+        for ((_, session), slot) in sessions.iter_mut().zip(drafted.iter_mut()) {
+            session.draft_round(&setup.draft, slot);
         }
 
         // Verification: cross-session batches of `group_size`, submitted in
@@ -101,7 +107,7 @@ fn decode_all_via_backend(
             let logits = scored[index].take().expect("scored above");
             let (_, session) = &mut sessions[index];
             session
-                .verify_round_from(pool, &target_latency, logits, drafted[index].clone())
+                .verify_round_from(pool, &target_latency, logits, &drafted[index])
                 .expect("pool has room");
         }
         let mut index = 0;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use specasr::{
-    AdaptiveConfig, DecodeSession, Drafter, DrafterKind, Policy, SparseTreeConfig,
+    AdaptiveConfig, DecodeSession, DraftedRound, Drafter, DrafterKind, Policy, SparseTreeConfig,
     SpeculativeConfig, TokenMapDrafter,
 };
 use specasr_audio::{EncoderProfile, Split};
@@ -69,15 +69,16 @@ fn decode_pooled(
         0,
         "a draft-free session must not prefill the draft sub-pool"
     );
+    let mut drafted = DraftedRound::new();
     loop {
-        let drafted = session.draft_round_with(drafter);
+        session.draft_round_with(drafter, &mut drafted);
         assert_eq!(
             session.round_kv_demand(pool, &drafted).draft_blocks,
             0,
             "a draft-free round must demand no draft sub-pool blocks"
         );
         let finished = session
-            .verify_round(pool, &setup.target, drafted)
+            .verify_round(pool, &setup.target, &drafted)
             .expect("the test pool covers the whole decode");
         assert_eq!(pool.sub_pool_used_blocks().0, 0);
         if finished {
