@@ -322,14 +322,6 @@ impl Corpus {
         Split::ALL.iter().map(|s| self.split(*s).len()).sum()
     }
 
-    /// Total audio duration of `split` in seconds.
-    pub fn total_duration_seconds(&self, split: Split) -> f64 {
-        self.split(split)
-            .iter()
-            .map(Utterance::duration_seconds)
-            .sum()
-    }
-
     /// Mean per-word acoustic difficulty of `split`.
     pub fn mean_difficulty(&self, split: Split) -> f64 {
         let utterances = self.split(split);

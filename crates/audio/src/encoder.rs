@@ -1,17 +1,16 @@
-//! The audio encoder: frame stacking + projection into the LLM hidden space,
-//! plus the encoder cost profiles used by the Fig. 1 reproduction.
+//! The audio encoder's cost model, used by the Fig. 1 reproduction and
+//! charged by the serving scheduler.
 //!
 //! In an LLM-based ASR system the audio encoder (Conformer / Whisper encoder)
-//! compresses the acoustic frame sequence and projects it into the decoder's
-//! hidden dimension so it can be prefix-filled alongside the text prompt.  The
-//! encoder here performs the same two stages — temporal stacking/downsampling
-//! and a deterministic linear projection — and carries a parameter/latency
-//! profile so the paper's encoder-vs-decoder comparison (Fig. 1) can be
-//! regenerated.
+//! turns the utterance into embeddings that are prefilled ahead of the text
+//! prompt.  SpecASR accelerates the decoder and treats the encoder as a cost
+//! that grows with audio length, so that is all this module models: an
+//! [`EncoderProfile`] gives the encoder's latency for a whole utterance or
+//! for one streamed chunk.  How many embedding positions the encoder hands
+//! the decoder is fixed by the decoder side
+//! (`specasr_models::AUDIO_EMBEDDINGS_PER_SECOND`).
 
 use serde::{Deserialize, Serialize};
-
-use crate::features::LogMelSpectrogram;
 
 /// Cost profile of an audio encoder: parameter count and per-second-of-audio
 /// compute latency.
@@ -101,325 +100,9 @@ impl EncoderProfile {
     }
 }
 
-/// Audio embeddings produced by the encoder: `frames × hidden_dim` vectors in
-/// the LLM hidden space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AudioEmbedding {
-    vectors: Vec<Vec<f64>>,
-    hidden_dim: usize,
-}
-
-impl AudioEmbedding {
-    /// Number of embedded (downsampled) frames.
-    pub fn frame_count(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Hidden dimension of each embedding vector.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Returns embedded frame `index`, if in range.
-    pub fn frame(&self, index: usize) -> Option<&[f64]> {
-        self.vectors.get(index).map(Vec::as_slice)
-    }
-
-    /// Iterates over embedding vectors in time order.
-    pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.vectors.iter().map(Vec::as_slice)
-    }
-}
-
-/// The audio encoder: stacks `stack_factor` consecutive mel frames and
-/// projects them into `hidden_dim` dimensions with a fixed deterministic
-/// projection.
-///
-/// # Example
-///
-/// ```
-/// use specasr_audio::{AudioEncoder, Corpus, FeatureConfig, FeatureExtractor, Split, Waveform};
-///
-/// let corpus = Corpus::librispeech_like(5, 1);
-/// let wave = Waveform::synthesize(&corpus.split(Split::TestClean)[0]);
-/// let mel = FeatureExtractor::new(FeatureConfig::tiny()).extract(&wave);
-/// let encoder = AudioEncoder::new(4, 32);
-/// let embedding = encoder.encode(&mel);
-/// assert_eq!(embedding.hidden_dim(), 32);
-/// assert!(embedding.frame_count() <= mel.frame_count() / 4 + 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AudioEncoder {
-    stack_factor: usize,
-    hidden_dim: usize,
-    profile: EncoderProfile,
-}
-
-impl AudioEncoder {
-    /// Creates an encoder with the given temporal stacking factor and hidden
-    /// dimension, using the Whisper-medium encoder cost profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stack_factor` or `hidden_dim` is zero.
-    pub fn new(stack_factor: usize, hidden_dim: usize) -> Self {
-        AudioEncoder::with_profile(
-            stack_factor,
-            hidden_dim,
-            EncoderProfile::whisper_medium_encoder(),
-        )
-    }
-
-    /// Creates an encoder with an explicit cost profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stack_factor` or `hidden_dim` is zero.
-    pub fn with_profile(stack_factor: usize, hidden_dim: usize, profile: EncoderProfile) -> Self {
-        assert!(stack_factor > 0, "stack factor must be positive");
-        assert!(hidden_dim > 0, "hidden dimension must be positive");
-        AudioEncoder {
-            stack_factor,
-            hidden_dim,
-            profile,
-        }
-    }
-
-    /// The temporal stacking (downsampling) factor.
-    pub fn stack_factor(&self) -> usize {
-        self.stack_factor
-    }
-
-    /// The output hidden dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// The encoder cost profile.
-    pub fn profile(&self) -> &EncoderProfile {
-        &self.profile
-    }
-
-    /// Number of embedded frames produced for `mel_frames` input frames.
-    pub fn output_frames(&self, mel_frames: usize) -> usize {
-        mel_frames / self.stack_factor
-    }
-
-    /// Encodes a log-mel spectrogram into audio embeddings.
-    ///
-    /// Stage 1 stacks `stack_factor` consecutive frames; stage 2 applies a
-    /// fixed sinusoidal projection into the hidden dimension (a stand-in for
-    /// the learned projection layer; the downstream simulation only requires
-    /// determinism and dimensional correctness).
-    pub fn encode(&self, mel: &LogMelSpectrogram) -> AudioEmbedding {
-        let frames = self.output_frames(mel.frame_count());
-        let mut vectors = Vec::with_capacity(frames);
-        for out_frame in 0..frames {
-            let group: Vec<&[f64]> = (0..self.stack_factor)
-                .map(|k| {
-                    mel.frame(out_frame * self.stack_factor + k)
-                        .expect("frame index is within the downsampled range")
-                })
-                .collect();
-            vectors.push(self.encode_group(&group));
-        }
-        AudioEmbedding {
-            vectors,
-            hidden_dim: self.hidden_dim,
-        }
-    }
-
-    /// Encodes one group of exactly `stack_factor` consecutive mel frames
-    /// into a single embedding vector (stacking + fixed projection).  This is
-    /// the per-output-frame kernel shared by [`AudioEncoder::encode`] and the
-    /// chunk-extending [`IncrementalEncoder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group does not hold exactly `stack_factor` frames.
-    fn encode_group(&self, group: &[&[f64]]) -> Vec<f64> {
-        assert_eq!(
-            group.len(),
-            self.stack_factor,
-            "an embedding group holds exactly stack_factor frames"
-        );
-        // Stage 1: stack consecutive frames.
-        let stacked_dim: usize = group.iter().map(|frame| frame.len()).sum();
-        let mut stacked = Vec::with_capacity(stacked_dim);
-        for frame in group {
-            stacked.extend_from_slice(frame);
-        }
-        // Stage 2: fixed projection into the hidden dimension.
-        let mut projected = vec![0.0f64; self.hidden_dim];
-        for (j, value) in stacked.iter().enumerate() {
-            for (h, out) in projected.iter_mut().enumerate() {
-                *out += value * projection_weight(j, h, stacked_dim, self.hidden_dim);
-            }
-        }
-        let norm = (stacked_dim as f64).sqrt();
-        for out in &mut projected {
-            *out /= norm;
-        }
-        projected
-    }
-
-    /// Encoder latency (ms) for processing `audio_seconds` of audio.
-    pub fn latency_ms(&self, audio_seconds: f64) -> f64 {
-        self.profile.latency_ms_for_audio(audio_seconds)
-    }
-}
-
-/// An audio encoder that extends its output as mel chunks land, instead of
-/// re-encoding the growing spectrogram from scratch.
-///
-/// The offline [`AudioEncoder`] is frame-local (each embedding depends on one
-/// group of `stack_factor` consecutive mel frames), so the incremental state
-/// is just the tail of mel frames that does not yet fill a group.  Feeding
-/// the same spectrogram through in arbitrary chunkings produces exactly the
-/// frames of [`AudioEncoder::encode`], in order.
-///
-/// # Example
-///
-/// ```
-/// use specasr_audio::{AudioEncoder, Corpus, FeatureConfig, FeatureExtractor, IncrementalEncoder,
-///                     Split, Waveform};
-///
-/// let corpus = Corpus::librispeech_like(5, 1);
-/// let wave = Waveform::synthesize(&corpus.split(Split::TestClean)[0]);
-/// let mel = FeatureExtractor::new(FeatureConfig::tiny()).extract(&wave);
-/// let encoder = AudioEncoder::new(4, 32);
-/// let offline = encoder.encode(&mel);
-///
-/// let mut incremental = IncrementalEncoder::new(encoder);
-/// let mut frames = 0;
-/// for chunk_start in (0..mel.frame_count()).step_by(7) {
-///     let chunk: Vec<Vec<f64>> = (chunk_start..(chunk_start + 7).min(mel.frame_count()))
-///         .map(|i| mel.frame(i).unwrap().to_vec())
-///         .collect();
-///     frames += incremental.push_frames(&chunk).frame_count();
-/// }
-/// assert_eq!(frames, offline.frame_count());
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalEncoder {
-    encoder: AudioEncoder,
-    pending: Vec<Vec<f64>>,
-    emitted_frames: usize,
-}
-
-impl IncrementalEncoder {
-    /// Wraps an encoder for chunk-extending use.
-    pub fn new(encoder: AudioEncoder) -> Self {
-        IncrementalEncoder {
-            encoder,
-            pending: Vec::new(),
-            emitted_frames: 0,
-        }
-    }
-
-    /// The wrapped encoder.
-    pub fn encoder(&self) -> &AudioEncoder {
-        &self.encoder
-    }
-
-    /// Embedding frames emitted so far.
-    pub fn emitted_frames(&self) -> usize {
-        self.emitted_frames
-    }
-
-    /// Buffered mel frames that do not yet fill a stacking group.
-    pub fn pending_frames(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Feeds one chunk of mel frames and returns the *new* embedding frames
-    /// it completes (possibly none, when the chunk only part-fills a group).
-    pub fn push(&mut self, mel: &LogMelSpectrogram) -> AudioEmbedding {
-        let frames: Vec<Vec<f64>> = mel.iter().map(<[f64]>::to_vec).collect();
-        self.push_frames(&frames)
-    }
-
-    /// Feeds one chunk of raw mel frames (see [`IncrementalEncoder::push`]).
-    pub fn push_frames(&mut self, frames: &[Vec<f64>]) -> AudioEmbedding {
-        self.pending.extend(frames.iter().cloned());
-        let stack = self.encoder.stack_factor();
-        let groups = self.pending.len() / stack;
-        let mut vectors = Vec::with_capacity(groups);
-        for group_index in 0..groups {
-            let group: Vec<&[f64]> = self.pending[group_index * stack..(group_index + 1) * stack]
-                .iter()
-                .map(Vec::as_slice)
-                .collect();
-            vectors.push(self.encoder.encode_group(&group));
-        }
-        self.pending.drain(..groups * stack);
-        self.emitted_frames += vectors.len();
-        AudioEmbedding {
-            hidden_dim: self.encoder.hidden_dim(),
-            vectors,
-        }
-    }
-}
-
-/// Deterministic pseudo-random projection weight for input index `j` and
-/// output index `h`.
-fn projection_weight(j: usize, h: usize, in_dim: usize, out_dim: usize) -> f64 {
-    let phase = (j as f64 + 1.0) * (h as f64 + 1.0) / (in_dim as f64 + out_dim as f64);
-    (std::f64::consts::TAU * phase).sin()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{Corpus, Split};
-    use crate::features::{FeatureConfig, FeatureExtractor};
-    use crate::waveform::Waveform;
-
-    fn sample_mel() -> LogMelSpectrogram {
-        let corpus = Corpus::librispeech_like(13, 1);
-        let wave = Waveform::synthesize(&corpus.split(Split::TestClean)[0]);
-        FeatureExtractor::new(FeatureConfig::tiny()).extract(&wave)
-    }
-
-    #[test]
-    fn downsampling_matches_stack_factor() {
-        let mel = sample_mel();
-        for factor in [1usize, 2, 4, 8] {
-            let encoder = AudioEncoder::new(factor, 16);
-            let embedding = encoder.encode(&mel);
-            assert_eq!(embedding.frame_count(), mel.frame_count() / factor);
-            assert_eq!(
-                encoder.output_frames(mel.frame_count()),
-                embedding.frame_count()
-            );
-        }
-    }
-
-    #[test]
-    fn embeddings_have_hidden_dim_and_are_finite() {
-        let mel = sample_mel();
-        let encoder = AudioEncoder::new(4, 24);
-        let embedding = encoder.encode(&mel);
-        for frame in embedding.iter() {
-            assert_eq!(frame.len(), 24);
-            assert!(frame.iter().all(|v| v.is_finite()));
-        }
-        assert_eq!(embedding.frame(embedding.frame_count()), None);
-    }
-
-    #[test]
-    fn encoding_is_deterministic() {
-        let mel = sample_mel();
-        let encoder = AudioEncoder::new(2, 8);
-        assert_eq!(encoder.encode(&mel), encoder.encode(&mel));
-    }
-
-    #[test]
-    fn encoder_latency_scales_with_audio_length() {
-        let encoder = AudioEncoder::new(4, 32);
-        assert!(encoder.latency_ms(10.0) > encoder.latency_ms(1.0));
-        assert!(encoder.latency_ms(0.0) >= 0.0);
-    }
 
     #[test]
     fn encoder_profiles_are_ordered_by_size() {
@@ -429,33 +112,6 @@ mod tests {
         assert!(tiny.parameters() < conformer.parameters());
         assert!(conformer.parameters() < medium.parameters());
         assert!(tiny.latency_ms_for_audio(10.0) < medium.latency_ms_for_audio(10.0));
-    }
-
-    #[test]
-    fn incremental_encoding_matches_offline_for_any_chunking() {
-        let mel = sample_mel();
-        let encoder = AudioEncoder::new(4, 24);
-        let offline = encoder.encode(&mel);
-        for chunk_len in [1usize, 3, 4, 5, 11, mel.frame_count()] {
-            let mut incremental = IncrementalEncoder::new(encoder.clone());
-            let mut vectors: Vec<Vec<f64>> = Vec::new();
-            let mut start = 0;
-            while start < mel.frame_count() {
-                let end = (start + chunk_len).min(mel.frame_count());
-                let chunk: Vec<Vec<f64>> = (start..end)
-                    .map(|i| mel.frame(i).expect("in range").to_vec())
-                    .collect();
-                let emitted = incremental.push_frames(&chunk);
-                vectors.extend(emitted.iter().map(<[f64]>::to_vec));
-                start = end;
-            }
-            assert_eq!(vectors.len(), offline.frame_count(), "chunk {chunk_len}");
-            for (incrementally, offline_frame) in vectors.iter().zip(offline.iter()) {
-                assert_eq!(incrementally.as_slice(), offline_frame);
-            }
-            assert_eq!(incremental.emitted_frames(), offline.frame_count());
-            assert!(incremental.pending_frames() < encoder.stack_factor());
-        }
     }
 
     #[test]
@@ -472,17 +128,5 @@ mod tests {
         assert!(
             profile.incremental_latency_ms(0.5, true) > profile.incremental_latency_ms(0.5, false)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "stack factor")]
-    fn zero_stack_factor_panics() {
-        AudioEncoder::new(0, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "hidden dimension")]
-    fn zero_hidden_dim_panics() {
-        AudioEncoder::new(2, 0);
     }
 }

@@ -1,4 +1,5 @@
-//! Synthetic LibriSpeech-like audio corpus and audio-encoder substrate.
+//! Synthetic LibriSpeech-like corpus, audio-encoder cost model and chunked
+//! audio arrival.
 //!
 //! The SpecASR paper evaluates on the LibriSpeech `test-clean`, `test-other`,
 //! `dev-clean`, and `dev-other` splits, recorded speech that this offline
@@ -12,13 +13,10 @@
 //!   acoustic quality across specific speech segments"),
 //! * [`corpus`] — utterance and split generation ([`Corpus::librispeech_like`]
 //!   reproduces the four evaluation splits with a clean/other noise contrast),
-//! * [`waveform`] — a small formant-style waveform synthesiser so the feature
-//!   pipeline operates on real samples,
-//! * [`features`] — framing, Hann windowing, a naive DFT and a log-mel style
-//!   filterbank (the Whisper-style front end),
-//! * [`encoder`] — the audio encoder: frame stacking, projection into the LLM
-//!   hidden dimension, and an encoder latency/parameter profile used by the
-//!   Fig. 1 reproduction.
+//! * [`encoder`] — [`EncoderProfile`], the encoder latency model behind the
+//!   Fig. 1 reproduction and the serving scheduler's encoder charge,
+//! * [`stream`] — [`chunk_schedule`], the timed chunk plan of a streamed
+//!   utterance.
 //!
 //! # Example
 //!
@@ -37,17 +35,11 @@
 pub mod corpus;
 pub mod difficulty;
 pub mod encoder;
-pub mod features;
 pub mod stream;
 pub mod text;
-pub mod waveform;
 
 pub use corpus::{Corpus, Split, Utterance, UtteranceId};
 pub use difficulty::DifficultyModel;
-pub use encoder::{AudioEncoder, EncoderProfile, IncrementalEncoder};
-pub use features::{
-    FeatureConfig, FeatureExtractor, IncrementalFeatureExtractor, LogMelSpectrogram,
-};
-pub use stream::{chunk_schedule, AudioStream, ChunkConfig, StreamChunk};
+pub use encoder::EncoderProfile;
+pub use stream::{chunk_schedule, ChunkConfig, StreamChunk};
 pub use text::TextGenerator;
-pub use waveform::Waveform;

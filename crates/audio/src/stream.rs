@@ -1,29 +1,19 @@
-//! Chunked audio ingestion: the streaming front end.
+//! Chunked audio arrival: the timing side of streaming ASR.
 //!
 //! Streaming ASR receives audio while the speaker is still talking.  This
 //! module models that arrival process deterministically:
 //!
 //! * [`ChunkConfig`] — chunk duration plus a seeded arrival jitter (network
 //!   and capture pipelines never deliver chunks exactly on the beat),
-//! * [`chunk_schedule`] — the timed chunk plan of one utterance,
-//! * [`AudioStream`] — yields each chunk's *feature* payload by pushing the
-//!   chunk's samples through an [`IncrementalFeatureExtractor`], so the mel
-//!   frames accumulated over a stream are byte-identical to the offline
-//!   extraction of the whole waveform.
+//! * [`chunk_schedule`] — the timed chunk plan of one utterance.
 //!
-//! The serving layers consume only the chunk *timing* (arrival offsets) and
-//! the audio horizon (seconds received); the feature payload is what a real
-//! encoder backend would consume, and the incremental encoder path
-//! ([`crate::IncrementalEncoder`]) extends embeddings from exactly these
-//! chunks.
+//! The serving layers consume each chunk's arrival offset and audio horizon:
+//! the scheduler charges [`crate::EncoderProfile::incremental_latency_ms`]
+//! per chunk and re-decodes the audio heard so far.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::corpus::Utterance;
-use crate::features::{FeatureConfig, IncrementalFeatureExtractor, LogMelSpectrogram};
-use crate::waveform::Waveform;
 
 /// How an utterance's audio is cut into streamed chunks.
 ///
@@ -45,9 +35,9 @@ pub struct ChunkConfig {
     /// up to `arrival_jitter × chunk_seconds` late, drawn from a seeded
     /// generator.  `0.0` delivers every chunk exactly when its audio ends.
     pub arrival_jitter: f64,
-    /// Seed of the jitter stream (combined with the utterance id by
-    /// [`AudioStream::new`], so two streams of the same utterance jitter
-    /// identically for the same seed).
+    /// Seed of the jitter stream: equal seeds give equal arrival times.  The
+    /// serving scheduler mixes each request's utterance and request ids into
+    /// it, so concurrent streams jitter independently.
     pub seed: u64,
 }
 
@@ -121,9 +111,9 @@ impl StreamChunk {
 }
 
 /// Builds the timed chunk plan for `duration_seconds` of audio: chunks of
-/// `config.chunk_seconds` (the last one truncated to the utterance end), each
-/// arriving when its audio has been spoken plus a seeded jitter, with arrival
-/// times forced non-decreasing.
+/// `config.chunk_seconds`, the last one ending exactly at `duration_seconds`,
+/// each arriving when its audio has been spoken plus a seeded jitter, with
+/// arrival times forced non-decreasing.
 ///
 /// # Panics
 ///
@@ -135,13 +125,25 @@ pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig) -> Vec<Stream
         duration_seconds.is_finite() && duration_seconds > 0.0,
         "duration_seconds must be finite and positive"
     );
-    let count = (duration_seconds / config.chunk_seconds).ceil().max(1.0) as usize;
+    let mut count = (duration_seconds / config.chunk_seconds).ceil().max(1.0) as usize;
+    // A last chunk this short is rounding error, not audio: `4.9 / 0.7` is
+    // 7.000000000000001, and its eighth chunk would carry 8.9e-16 s.
+    if count > 1
+        && duration_seconds - (count - 1) as f64 * config.chunk_seconds
+            < MIN_CHUNK_FRACTION * config.chunk_seconds
+    {
+        count -= 1;
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ STREAM_JITTER_SEED);
     let mut chunks = Vec::with_capacity(count);
     let mut previous_arrival = 0.0f64;
     for index in 0..count {
         let start_seconds = index as f64 * config.chunk_seconds;
-        let end_seconds = ((index + 1) as f64 * config.chunk_seconds).min(duration_seconds);
+        let end_seconds = if index + 1 == count {
+            duration_seconds
+        } else {
+            (index + 1) as f64 * config.chunk_seconds
+        };
         let jitter_ms: f64 =
             rng.gen::<f64>() * config.arrival_jitter * config.chunk_seconds * 1_000.0;
         let arrival_offset_ms = (end_seconds * 1_000.0 + jitter_ms).max(previous_arrival);
@@ -156,113 +158,42 @@ pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig) -> Vec<Stream
     chunks
 }
 
+/// The shortest chunk [`chunk_schedule`] emits, as a fraction of
+/// `chunk_seconds`.
+const MIN_CHUNK_FRACTION: f64 = 1e-9;
+
 /// Seed offset that decorrelates chunk-arrival jitter from the other seeded
-/// streams (waveform noise, corpus difficulty).
+/// streams (corpus text and difficulty).
 const STREAM_JITTER_SEED: u64 = 0x57ea_4dc4_a2b0_0137;
-
-/// A chunked audio stream over one utterance: the timed chunk plan plus the
-/// incremental feature pipeline that turns each chunk's samples into new mel
-/// frames.
-///
-/// # Example
-///
-/// ```
-/// use specasr_audio::{AudioStream, ChunkConfig, Corpus, FeatureConfig, Split};
-///
-/// let corpus = Corpus::librispeech_like(3, 1);
-/// let utterance = &corpus.split(Split::TestClean)[0];
-/// let mut stream = AudioStream::new(utterance, FeatureConfig::tiny(), &ChunkConfig::default());
-/// let mut heard = 0.0;
-/// while let Some((chunk, mel)) = stream.next_chunk() {
-///     heard = chunk.end_seconds;
-///     let _ = mel.frame_count(); // new frames only — nothing re-extracted
-/// }
-/// assert!((heard - utterance.duration_seconds()).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AudioStream {
-    waveform: Waveform,
-    extractor: IncrementalFeatureExtractor,
-    schedule: Vec<StreamChunk>,
-    next: usize,
-}
-
-impl AudioStream {
-    /// Opens a stream over `utterance`: synthesises its waveform, plans the
-    /// chunk schedule (jitter seeded by `config.seed` xor the utterance id),
-    /// and prepares the incremental feature extractor.
-    pub fn new(utterance: &Utterance, features: FeatureConfig, config: &ChunkConfig) -> Self {
-        let seeded = config.with_seed(config.seed ^ utterance.id().value());
-        let waveform = Waveform::synthesize(utterance);
-        AudioStream {
-            schedule: chunk_schedule(utterance.duration_seconds(), &seeded),
-            extractor: IncrementalFeatureExtractor::new(features),
-            waveform,
-            next: 0,
-        }
-    }
-
-    /// The full timed chunk plan.
-    pub fn schedule(&self) -> &[StreamChunk] {
-        &self.schedule
-    }
-
-    /// Chunks not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.schedule.len() - self.next
-    }
-
-    /// `true` once every chunk has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.next >= self.schedule.len()
-    }
-
-    /// Consumes the next chunk: slices its samples off the waveform, pushes
-    /// them through the incremental extractor, and returns the chunk timing
-    /// together with the *new* mel frames it completed.
-    pub fn next_chunk(&mut self) -> Option<(StreamChunk, LogMelSpectrogram)> {
-        let chunk = *self.schedule.get(self.next)?;
-        self.next += 1;
-        let rate = self.waveform.sample_rate();
-        let start = (chunk.start_seconds * f64::from(rate)).round() as usize;
-        let end = if self.next == self.schedule.len() {
-            self.waveform.len()
-        } else {
-            ((chunk.end_seconds * f64::from(rate)).round() as usize).min(self.waveform.len())
-        };
-        let samples = &self.waveform.samples()[start.min(end)..end];
-        let mel = self.extractor.push(samples, rate);
-        Some((chunk, mel))
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{Corpus, Split};
-    use crate::features::FeatureExtractor;
-
-    fn sample_utterance() -> Utterance {
-        Corpus::librispeech_like(19, 2).split(Split::TestOther)[0].clone()
-    }
 
     #[test]
     fn schedules_partition_the_audio_exactly() {
-        for (duration, chunk_s) in [(2.0, 0.5), (2.3, 0.5), (0.3, 0.5), (7.7, 1.0)] {
+        for (duration, chunk_s, count) in [
+            (2.0, 0.5, 4),
+            (2.3, 0.5, 5),
+            (0.3, 0.5, 1),
+            (7.7, 1.0, 8),
+            (4.9, 0.7, 7),
+            (3.87, 0.03, 129),
+        ] {
             let chunks = chunk_schedule(
                 duration,
                 &ChunkConfig::default().with_chunk_seconds(chunk_s),
             );
-            assert!(!chunks.is_empty());
+            assert_eq!(chunks.len(), count, "{duration} s in {chunk_s} s chunks");
             assert_eq!(chunks[0].start_seconds, 0.0);
-            assert!((chunks.last().expect("non-empty").end_seconds - duration).abs() < 1e-12);
+            assert_eq!(chunks[count - 1].end_seconds, duration);
             for pair in chunks.windows(2) {
                 assert!((pair[0].end_seconds - pair[1].start_seconds).abs() < 1e-12);
                 assert!(pair[1].arrival_offset_ms >= pair[0].arrival_offset_ms);
             }
             for chunk in &chunks {
                 assert!(chunk.arrival_offset_ms >= chunk.end_seconds * 1_000.0);
-                assert!(chunk.duration_seconds() > 0.0);
+                assert!(chunk.duration_seconds() >= MIN_CHUNK_FRACTION * chunk_s);
             }
         }
     }
@@ -287,39 +218,6 @@ mod tests {
             let late_ms = chunk.arrival_offset_ms - chunk.end_seconds * 1_000.0;
             assert!((0.0..=0.5 * config.chunk_seconds * 1_000.0 + 1e-9).contains(&late_ms));
         }
-    }
-
-    #[test]
-    fn streamed_features_match_the_offline_extraction() {
-        let utterance = sample_utterance();
-        let offline =
-            FeatureExtractor::new(FeatureConfig::tiny()).extract(&Waveform::synthesize(&utterance));
-        let mut stream =
-            AudioStream::new(&utterance, FeatureConfig::tiny(), &ChunkConfig::default());
-        let expected_chunks = stream.schedule().len();
-        let mut frames: Vec<Vec<f64>> = Vec::new();
-        let mut consumed = 0;
-        while let Some((chunk, mel)) = stream.next_chunk() {
-            assert_eq!(chunk.index, consumed);
-            consumed += 1;
-            frames.extend(mel.iter().map(<[f64]>::to_vec));
-        }
-        assert_eq!(consumed, expected_chunks);
-        assert!(stream.is_exhausted());
-        assert_eq!(stream.remaining(), 0);
-        assert_eq!(frames.len(), offline.frame_count());
-        for (streamed, reference) in frames.iter().zip(offline.iter()) {
-            assert_eq!(streamed.as_slice(), reference);
-        }
-    }
-
-    #[test]
-    fn streams_of_the_same_utterance_are_deterministic() {
-        let utterance = sample_utterance();
-        let config = ChunkConfig::default();
-        let a = AudioStream::new(&utterance, FeatureConfig::tiny(), &config);
-        let b = AudioStream::new(&utterance, FeatureConfig::tiny(), &config);
-        assert_eq!(a.schedule(), b.schedule());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! round's probe layout by index, and the tests hold it to these functions.
 
 use specasr_models::{AsrDecoderModel, UtteranceTokens};
-use specasr_runtime::{TokenTree, TreeAttentionMask, VerificationBatch};
+use specasr_runtime::{TokenTree, TreeAttentionMask};
 use specasr_tokenizer::TokenId;
 
 /// Result of verifying a single draft sequence.
@@ -135,12 +135,11 @@ pub fn verify_tree<M: AsrDecoderModel + ?Sized>(
     prefix: &[TokenId],
     tree: &TokenTree,
 ) -> TreeVerification {
-    let batch = VerificationBatch::from_tree(tree);
     debug_assert!(
         TreeAttentionMask::from_tree(tree).is_consistent_with(tree),
         "tree attention mask must match tree ancestry"
     );
-    if batch.is_empty() {
+    if tree.is_empty() {
         let correction = target.greedy_token(audio, prefix);
         return TreeVerification {
             accepted: Vec::new(),
@@ -172,7 +171,7 @@ pub fn verify_tree<M: AsrDecoderModel + ?Sized>(
     TreeVerification {
         accepted,
         correction,
-        nodes_processed: batch.len(),
+        nodes_processed: tree.len(),
         best_branch_fully_accepted: fully_accepted,
     }
 }

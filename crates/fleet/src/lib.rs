@@ -95,8 +95,6 @@ pub struct FleetConfig {
     /// (Interactive and Standard); `None` disables the latency signal and
     /// scales on queue pressure alone.
     pub e2e_p99_target_ms: Option<f64>,
-    /// The capacity profile given to workers added by scale-up.
-    pub scale_profile: WorkerProfile,
 }
 
 impl FleetConfig {
@@ -132,20 +130,14 @@ impl FleetConfig {
         self
     }
 
-    /// Returns this configuration with a different scale-up profile.
-    pub fn with_scale_profile(mut self, profile: WorkerProfile) -> Self {
-        self.scale_profile = profile;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
     ///
     /// Panics when the bounds are empty or inverted, the cadence is not
     /// finite and positive, a hysteresis depth is zero, the queue target is
-    /// not finite and positive, a set P99 target is not finite and
-    /// positive, or the scale profile is invalid.
+    /// not finite and positive, or a set P99 target is not finite and
+    /// positive.
     pub fn validate(&self) {
         assert!(self.min_workers > 0, "min_workers must be positive");
         assert!(
@@ -171,7 +163,6 @@ impl FleetConfig {
                 "e2e_p99_target_ms must be finite and positive when set"
             );
         }
-        self.scale_profile.validate();
     }
 }
 
@@ -185,7 +176,6 @@ impl Default for FleetConfig {
             scale_down_after: 8,
             queue_target: 4.0,
             e2e_p99_target_ms: None,
-            scale_profile: WorkerProfile::default(),
         }
     }
 }
@@ -365,8 +355,8 @@ where
         }
 
         if self.breach_streak >= self.config.scale_up_after && active < self.config.max_workers {
-            let profile = self.config.scale_profile;
-            self.router.add_worker(profile, &mut self.make_models);
+            self.router
+                .add_worker(WorkerProfile::default(), &mut self.make_models);
             self.counters.scale_ups += 1;
             self.breach_streak = 0;
         } else if self.headroom_streak >= self.config.scale_down_after

@@ -760,11 +760,6 @@ impl<M: AsrDecoderModel> InFlightSimBackend<M> {
     pub fn model(&self) -> &M {
         &self.model
     }
-
-    /// Unwraps the backend back into its model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {

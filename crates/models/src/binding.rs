@@ -57,13 +57,6 @@ impl TokenizerBinding {
         }
     }
 
-    /// Wraps an existing tokenizer.
-    pub fn from_tokenizer(tokenizer: Tokenizer) -> Self {
-        TokenizerBinding {
-            tokenizer: Arc::new(tokenizer),
-        }
-    }
-
     /// The shared tokenizer.
     pub fn tokenizer(&self) -> &Tokenizer {
         &self.tokenizer

@@ -13,9 +13,7 @@
 //!   plus sparse side branches (two-pass sparse-tree prediction) and recycled
 //!   branches (draft sequence recycling),
 //! * [`TreeAttentionMask`] — the 2-D attention mask that lets the target
-//!   model verify every branch of a token tree in a single forward pass, and
-//! * [`VerificationBatch`] — the flattened view of a tree (node order, root
-//!   paths, and mask) handed to the target model.
+//!   model verify every branch of a token tree in a single forward pass.
 //!
 //! # Example
 //!
@@ -34,13 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod kv_cache;
 mod mask;
 mod paged;
 mod tree;
 
-pub use batch::VerificationBatch;
 pub use kv_cache::{KvCache, PrefillError};
 pub use mask::TreeAttentionMask;
 pub use paged::{BlockId, BlockPool, BlockTable, KvPool, PoolCounters, PoolError};

@@ -838,13 +838,6 @@ impl ServerStats {
         &self.speculation
     }
 
-    /// One group's acceptance ratio, if the combination ran.
-    pub fn acceptance_for(&self, policy: &str, drafter: &str) -> Option<f64> {
-        self.speculation
-            .get(&(policy.to_string(), drafter.to_string()))
-            .map(SpeculationGroupStats::acceptance)
-    }
-
     /// Total device milliseconds wasted on rejected draft tokens across all
     /// groups — the bench-gated speculation-waste scalar.
     pub fn rejected_draft_device_ms(&self) -> f64 {
@@ -1130,15 +1123,6 @@ impl ServerStats {
         }
         self.memory.publish_metrics(registry);
         self.backend.publish_metrics(registry);
-    }
-
-    /// Renders this worker's metrics as a Prometheus-style text snapshot —
-    /// [`Self::publish_metrics`] into a fresh registry, then
-    /// [`MetricsRegistry::render`].
-    pub fn metrics_text(&self) -> String {
-        let mut registry = MetricsRegistry::new();
-        self.publish_metrics(&mut registry);
-        registry.render()
     }
 }
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use specasr::{AdaptiveConfig, AsrPipeline, Policy, SparseTreeConfig, SpeculativeConfig};
-use specasr_audio::{EncoderProfile, Split};
+use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_server::{Scheduler, ServerConfig, StreamConfig};
 use specasr_suite::StandardSetup;
 
@@ -113,6 +113,14 @@ fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
             let last = outcome.partials.last().expect("streams emit partials");
             assert!(last.is_final);
             assert_eq!(last.committed_tokens, reference.outcome.tokens.len());
+            // Each chunk's encoder time is charged to exactly one partial.
+            let charged: f64 = outcome.partials.iter().map(|span| span.encoder_ms).sum();
+            let offline = EncoderProfile::whisper_medium_encoder()
+                .latency_ms_for_audio(outcome.audio_seconds);
+            assert!(
+                (charged - offline).abs() <= 1e-9 * offline,
+                "partials charged {charged} ms of encoder time for {offline} ms"
+            );
         }
     }
 }
@@ -143,6 +151,51 @@ fn first_partials_arrive_before_the_speaker_finishes() {
             "first partial at {:.0} ms must precede the end of {:.1} s of audio",
             outcome.latency.time_to_first_token_ms,
             outcome.audio_seconds
+        );
+    }
+}
+
+/// Streams whose chunk arithmetic rounds at the end still finish, with one
+/// partial at most per chunk: 129 × 0.03 s evaluates one ulp short of 3.87 s,
+/// and 4.9 / 0.7 evaluates to 7.000000000000001.
+#[test]
+fn streams_finish_when_the_chunk_arithmetic_rounds() {
+    let setup = StandardSetup::new(411, 8);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let base = &setup.corpus.split(Split::TestClean)[0];
+    for (duration, chunk_seconds, chunks) in [(3.87, 0.03, 129), (4.9, 0.7, 7)] {
+        let utterance = Utterance::new(
+            base.id(),
+            base.split(),
+            base.transcript().to_string(),
+            base.word_difficulties().to_vec(),
+            duration,
+        );
+        let mut scheduler = scheduler_for(&setup, ServerConfig::default());
+        scheduler
+            .submit_streaming(
+                policy,
+                &utterance,
+                StreamConfig::default()
+                    .with_chunk_seconds(chunk_seconds)
+                    .with_arrival_jitter(0.0),
+            )
+            .expect("queue has room");
+        let mut outcomes = Vec::new();
+        for _ in 0..20 * chunks {
+            if scheduler.is_idle() {
+                break;
+            }
+            outcomes.extend(scheduler.tick());
+        }
+        assert!(scheduler.is_idle(), "{duration} s stream never finished");
+        assert_eq!(outcomes.len(), 1);
+        let partials = &outcomes[0].partials;
+        assert!(partials.last().expect("streams emit partials").is_final);
+        assert!(
+            partials.len() <= chunks,
+            "{} partials for {chunks} chunks",
+            partials.len()
         );
     }
 }
