@@ -9,7 +9,11 @@
 use specasr::{Policy, SpeculativeConfig};
 use specasr_audio::Split;
 use specasr_bench::{emit, ExperimentContext};
-use specasr_metrics::{ExperimentRecord, Histogram, ReportRow};
+use specasr_metrics::{ExperimentRecord, ReportRow};
+
+/// Acceptance-ratio bins, equally wide over `[0, 1]`; a ratio of exactly 1.0
+/// lands in the last.
+const BINS: usize = 5;
 
 fn main() {
     let context = ExperimentContext::standard();
@@ -21,23 +25,27 @@ fn main() {
 
     for prediction_length in [4usize, 8, 16, 24] {
         let policy = Policy::Speculative(SpeculativeConfig::new(prediction_length, 1));
-        let mut histogram = Histogram::new(0.0, 1.0, 5);
+        let mut counts = [0u64; BINS];
+        let mut ratio_sum = 0.0;
         for utterance in context.corpus.split(Split::TestClean) {
             let audio = context.binding.bind(utterance);
             let outcome = policy.decode(&draft, &target, &audio);
             for round in &outcome.stats.rounds_detail {
                 if round.predicted > 0 {
-                    histogram.record(round.accepted as f64 / round.predicted as f64);
+                    let ratio = round.accepted as f64 / round.predicted as f64;
+                    counts[((ratio * BINS as f64) as usize).min(BINS - 1)] += 1;
+                    ratio_sum += ratio;
                 }
             }
         }
-        let fractions = histogram.bin_fractions();
+        let rounds = counts.iter().sum::<u64>() as f64;
+        let share = |value: f64| if rounds == 0.0 { 0.0 } else { value / rounds };
         let mut row = ReportRow::new(format!("length {prediction_length}"))
-            .with("rounds", histogram.count() as f64)
-            .with("mean_ratio", histogram.mean());
-        for (bin, fraction) in fractions.iter().enumerate() {
-            let (lo, hi) = histogram.bin_range(bin);
-            row = row.with(format!("ratio_{lo:.1}-{hi:.1}"), *fraction);
+            .with("rounds", rounds)
+            .with("mean_ratio", share(ratio_sum));
+        for (bin, &count) in counts.iter().enumerate() {
+            let (lo, hi) = (bin as f64 / BINS as f64, (bin + 1) as f64 / BINS as f64);
+            row = row.with(format!("ratio_{lo:.1}-{hi:.1}"), share(count as f64));
         }
         record.push_row(row);
     }

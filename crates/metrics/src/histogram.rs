@@ -1,107 +1,115 @@
-//! Fixed-bin histograms for acceptance-ratio and rank distributions.
+//! The one latency histogram: fixed log-spaced buckets, merged by adding
+//! counts.
 
-use serde::{Deserialize, Serialize};
+/// Ratio between consecutive bucket bounds: every bucket spans at most 1%
+/// relative width.
+const GAMMA: f64 = 1.01;
 
-/// A histogram over `[lo, hi]` with equally sized bins.
+/// `GAMMA.ln()` (`f64::ln` is not `const`).
+const LN_GAMMA: f64 = 0.009_950_330_853_168_092;
+
+/// A latency histogram with fixed, log-spaced buckets.
 ///
-/// Values outside the range are clamped into the first/last bin, so the
-/// histogram always accounts for every observation (acceptance ratios of
-/// exactly 1.0 land in the last bin).
+/// Bucket `i` holds the values in `(GAMMA^(i-1), GAMMA^i]` with
+/// `GAMMA = 1.01`, and one more bucket holds every value `≤ 0` (a queue wait
+/// of exactly 0 is common).  The bounds are a fixed function of the value, as
+/// in DDSketch and HdrHistogram, so:
+///
+/// * [`Histogram::record`] is O(1) and [`Histogram::merge`] adds counts bucket
+///   by bucket — merging is exact, associative and order-independent;
+/// * storage spans the buckets between the smallest and the largest value
+///   seen (about 231 buckets per decade of range), whatever the count;
+/// * [`Histogram::percentile`] reads within [`Histogram::RELATIVE_ERROR`]
+///   (0.4975%) of the exact nearest-rank percentile of the recorded values.
 ///
 /// # Example
 ///
 /// ```
 /// use specasr_metrics::Histogram;
 ///
-/// let mut h = Histogram::new(0.0, 1.0, 4);
-/// for v in [0.1, 0.3, 0.9, 1.0] {
-///     h.record(v);
+/// let mut fast = Histogram::new();
+/// let mut slow = Histogram::new();
+/// for v in [10.0, 20.0, 30.0] {
+///     fast.record(v);
 /// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.bin_counts()[3], 2);
-/// assert!((h.mean() - 0.575).abs() < 1e-12);
+/// slow.record(500.0);
+/// fast.merge(&slow);
+/// assert_eq!(fast.count(), 4);
+/// assert_eq!(fast.sum(), 560.0);
+/// let p50 = fast.percentile(0.50);
+/// assert!((p50 - 20.0).abs() <= 20.0 * Histogram::RELATIVE_ERROR);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
+    /// Count of values `≤ 0`.
+    zero: u64,
+    /// Bucket index of `counts[0]`.
+    offset: i32,
+    /// Counts of buckets `offset..offset + counts.len()`; empty until a
+    /// positive value arrives.
     counts: Vec<u64>,
     total: u64,
     sum: f64,
 }
 
 impl Histogram {
-    /// Creates a histogram over `[lo, hi]` with `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "at least one bin is required");
-        assert!(hi > lo, "the histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            sum: 0.0,
-        }
+    /// Largest relative error of [`Histogram::percentile`] against the exact
+    /// nearest-rank percentile, for positive values: `(GAMMA - 1) /
+    /// (GAMMA + 1)`.  Values `≤ 0` read as exactly 0.
+    pub const RELATIVE_ERROR: f64 = (GAMMA - 1.0) / (GAMMA + 1.0);
+
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Histogram::default()
     }
 
-    /// Records one observation.
+    /// Records one observation.  NaN counts as `≤ 0`; `+∞` lands in the
+    /// bucket of `f64::MAX`.
     pub fn record(&mut self, value: f64) {
-        let bins = self.counts.len();
-        let span = self.hi - self.lo;
-        let normalised = ((value - self.lo) / span).clamp(0.0, 1.0);
-        let mut bin = (normalised * bins as f64).floor() as usize;
-        if bin >= bins {
-            bin = bins - 1;
-        }
-        self.counts[bin] += 1;
         self.total += 1;
         self.sum += value;
-    }
-
-    /// Records many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
+        if value > 0.0 {
+            let index = (value.min(f64::MAX).ln() / LN_GAMMA).ceil() as i32;
+            self.cover(index, index);
+            self.counts[(index - self.offset) as usize] += 1;
+        } else {
+            self.zero += 1;
         }
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Raw per-bin counts.
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Per-bin fractions of the total (all zeros if nothing was recorded).
-    pub fn bin_fractions(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
+    /// Adds `other`'s counts into this histogram, bucket by bucket.  The
+    /// counts, and so every percentile, do not depend on the order of the
+    /// merges: they equal those of one histogram that recorded every value.
+    /// Only [`Histogram::sum`] is a float sum, exact up to rounding.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use specasr_metrics::Histogram;
+    ///
+    /// let mut pooled = Histogram::new();
+    /// let mut worker = Histogram::new();
+    /// for v in [10.0, 20.0, 500.0] {
+    ///     pooled.record(v);
+    /// }
+    /// worker.record(500.0);
+    /// let mut fleet = Histogram::new();
+    /// fleet.record(20.0);
+    /// fleet.record(10.0);
+    /// fleet.merge(&worker);
+    /// assert_eq!(fleet, pooled);
+    /// ```
+    pub fn merge(&mut self, other: &Histogram) {
+        self.zero += other.zero;
+        self.total += other.total;
+        self.sum += other.sum;
+        if let Some(last) = other.last_index() {
+            self.cover(other.offset, last);
+            let start = (other.offset - self.offset) as usize;
+            for (count, add) in self.counts[start..].iter_mut().zip(&other.counts) {
+                *count += add;
+            }
         }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// The `(lower, upper)` bounds of bin `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn bin_range(&self, index: usize) -> (f64, f64) {
-        assert!(index < self.counts.len(), "bin index out of range");
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        (
-            self.lo + width * index as f64,
-            self.lo + width * (index + 1) as f64,
-        )
     }
 
     /// Total number of recorded observations.
@@ -109,341 +117,301 @@ impl Histogram {
         self.total
     }
 
-    /// Exact sum of the recorded observations (0 if none).
-    ///
-    /// Kept alongside the bin counts so exports that need `sum`/`count`
-    /// pairs (e.g. Prometheus histogram exposition) do not round-trip
-    /// through the mean.
+    /// Sum of the recorded observations (0 if none), for the `_sum` series
+    /// of a Prometheus histogram.
     pub fn sum(&self) -> f64 {
         self.sum
     }
 
-    /// Mean of the recorded observations (0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
+    /// The non-empty buckets in ascending order, as `(upper bound, count)`:
+    /// the `≤ 0` bucket first (bound 0), then each log-spaced bucket.  A
+    /// bucket's bound depends only on its index.
+    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let zero = (self.zero > 0).then_some((0.0, self.zero));
+        let positive = (self.offset..)
+            .zip(&self.counts)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(index, &count)| (upper_bound(index), count));
+        zero.into_iter().chain(positive)
     }
 
-    /// Builds a histogram sized to cover `samples` exactly and records them
-    /// all.  The range spans `[0, max]` (padded slightly so the maximum does
-    /// not sit on the clamping edge), which is the shape latency samples
-    /// need.  The one-slice case of [`Histogram::of_sample_sets`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero.
-    pub fn of_samples(bins: usize, samples: &[f64]) -> Self {
-        Histogram::of_sample_sets(bins, [samples])
-    }
-
-    /// Builds the histogram [`Histogram::of_samples`] would build over the
-    /// concatenation of `sets`, without concatenating them: one pass finds
-    /// the maximum, a second records every sample.
-    ///
-    /// Neither the range nor the bin counts depend on the order of the
-    /// samples, so [`Histogram::percentile`] reads the same as over the
-    /// pooled samples, bit for bit.  (The sum is added in `sets` order.)
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use specasr_metrics::Histogram;
-    ///
-    /// let pooled = Histogram::of_samples(64, &[10.0, 20.0, 500.0]);
-    /// let sets = Histogram::of_sample_sets(64, [&[500.0][..], &[10.0, 20.0]]);
-    /// assert_eq!(sets.bin_counts(), pooled.bin_counts());
-    /// assert_eq!(sets.percentile(0.99), pooled.percentile(0.99));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero.
-    pub fn of_sample_sets<'a, I>(bins: usize, sets: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-        I::IntoIter: Clone,
-    {
-        let sets = sets.into_iter();
-        let max = sets.clone().flatten().copied().fold(0.0f64, f64::max);
-        let hi = if max > 0.0 { max * 1.0001 } else { 1.0 };
-        let mut histogram = Histogram::new(0.0, hi, bins);
-        histogram.record_all(sets.flatten().copied());
-        histogram
-    }
-
-    /// Merges two histograms into one covering the union of their ranges.
-    ///
-    /// The result spans `[min(lo), max(hi)]` with the larger of the two bin
-    /// counts; each source bin's observations are re-recorded at the source
-    /// bin's centre.  The total count and sum (hence [`Histogram::mean`]) are
-    /// preserved exactly; bin placement is approximate to within one source
-    /// bin width, which is the usual trade of mergeable fixed-bin histograms.
-    /// Merging with an empty histogram widens the range but adds no counts,
-    /// and works for mismatched ranges (per-worker latency histograms whose
-    /// maxima differ are the motivating case).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use specasr_metrics::Histogram;
-    ///
-    /// let a = Histogram::of_samples(64, &[10.0, 20.0]);
-    /// let b = Histogram::of_samples(128, &[500.0]);
-    /// let merged = a.merge(&b);
-    /// assert_eq!(merged.count(), 3);
-    /// assert!((merged.mean() - 530.0 / 3.0).abs() < 1e-9);
-    /// ```
-    pub fn merge(&self, other: &Histogram) -> Histogram {
-        let lo = self.lo.min(other.lo);
-        let hi = self.hi.max(other.hi);
-        let bins = self.bins().max(other.bins());
-        let mut merged = Histogram::new(lo, hi, bins);
-        for source in [self, other] {
-            for (index, &count) in source.counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let (bin_lo, bin_hi) = source.bin_range(index);
-                let centre = 0.5 * (bin_lo + bin_hi);
-                let normalised = ((centre - merged.lo) / (merged.hi - merged.lo)).clamp(0.0, 1.0);
-                let target = ((normalised * bins as f64).floor() as usize).min(bins - 1);
-                merged.counts[target] += count;
-                merged.total += count;
-            }
-        }
-        // Bin placement used bin centres; carry the exact sum over so the
-        // merged mean matches the pooled observations.
-        merged.sum = self.sum + other.sum;
-        merged
-    }
-
-    /// The `quantile` (in `[0, 1]`) of the recorded distribution, estimated
-    /// by linear interpolation inside the containing bin (0 if nothing was
-    /// recorded).
-    ///
-    /// Serving reports read P50/P99 latency through this method.
+    /// The `quantile` (in `[0, 1]`) of the recorded values: the estimate of
+    /// the nearest-rank value, the `⌈quantile · count⌉`-th smallest (at least
+    /// the first), within [`Histogram::RELATIVE_ERROR`] of it.  0 when
+    /// nothing was recorded.
     ///
     /// # Panics
     ///
     /// Panics if `quantile` is outside `[0, 1]`.
     pub fn percentile(&self, quantile: f64) -> f64 {
+        Histogram::percentile_of([self], quantile)
+    }
+
+    /// [`Histogram::percentile`] of `parts` merged, read in place: equal, bit
+    /// for bit, to merging them into one histogram first.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use specasr_metrics::Histogram;
+    ///
+    /// let mut a = Histogram::new();
+    /// let mut b = Histogram::new();
+    /// a.record(10.0);
+    /// b.record(20.0);
+    /// b.record(500.0);
+    /// let p99 = Histogram::percentile_of([&a, &b], 0.99);
+    /// a.merge(&b);
+    /// assert_eq!(p99.to_bits(), a.percentile(0.99).to_bits());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantile` is outside `[0, 1]`.
+    pub fn percentile_of<'a, I>(parts: I, quantile: f64) -> f64
+    where
+        I: IntoIterator<Item = &'a Histogram>,
+        I::IntoIter: Clone,
+    {
         assert!(
             (0.0..=1.0).contains(&quantile),
             "quantile must lie in [0, 1]"
         );
-        if self.total == 0 {
+        let parts = parts.into_iter();
+        let total: u64 = parts.clone().map(|part| part.total).sum();
+        if total == 0 {
             return 0.0;
         }
-        let target = quantile * self.total as f64;
-        let mut cumulative = 0.0f64;
-        for (index, &count) in self.counts.iter().enumerate() {
-            let next = cumulative + count as f64;
-            if next >= target && count > 0 {
-                let (lower, upper) = self.bin_range(index);
-                let within = ((target - cumulative) / count as f64).clamp(0.0, 1.0);
-                return lower + (upper - lower) * within;
-            }
-            cumulative = next;
+        let rank = ((quantile * total as f64).ceil() as u64).max(1);
+        let mut cumulative: u64 = parts.clone().map(|part| part.zero).sum();
+        if cumulative >= rank {
+            return 0.0;
         }
-        self.hi
+        let first = parts.clone().filter_map(Histogram::first_index).min();
+        let last = parts.clone().filter_map(Histogram::last_index).max();
+        let (Some(first), Some(last)) = (first, last) else {
+            return 0.0;
+        };
+        for index in first..=last {
+            cumulative += parts.clone().map(|part| part.count_at(index)).sum::<u64>();
+            if cumulative >= rank {
+                return estimate(index);
+            }
+        }
+        estimate(last)
     }
+
+    fn first_index(&self) -> Option<i32> {
+        (!self.counts.is_empty()).then_some(self.offset)
+    }
+
+    fn last_index(&self) -> Option<i32> {
+        (!self.counts.is_empty()).then(|| self.offset + self.counts.len() as i32 - 1)
+    }
+
+    fn count_at(&self, index: i32) -> u64 {
+        usize::try_from(index - self.offset)
+            .ok()
+            .and_then(|slot| self.counts.get(slot))
+            .map_or(0, |&count| count)
+    }
+
+    /// Grows the store to span buckets `first..=last` too.
+    fn cover(&mut self, first: i32, last: i32) {
+        let Some(own_last) = self.last_index() else {
+            self.offset = first;
+            self.counts.resize((last - first + 1) as usize, 0);
+            return;
+        };
+        if last > own_last {
+            self.counts.resize((last - self.offset + 1) as usize, 0);
+        }
+        if first < self.offset {
+            let grow = (self.offset - first) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.offset = first;
+        }
+    }
+}
+
+/// The upper bound of bucket `index`: `GAMMA^index`.
+fn upper_bound(index: i32) -> f64 {
+    (f64::from(index) * LN_GAMMA).exp()
+}
+
+/// The value bucket `index` reads as: the point of `(GAMMA^(index-1),
+/// GAMMA^index]` with the least worst-case relative error, which is
+/// [`Histogram::RELATIVE_ERROR`].
+fn estimate(index: i32) -> f64 {
+    upper_bound(index) * (2.0 / (GAMMA + 1.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn of(values: &[f64]) -> Histogram {
+        let mut histogram = Histogram::new();
+        for &value in values {
+            histogram.record(value);
+        }
+        histogram
+    }
+
+    /// `read` is within the documented bound of `exact`.
+    fn close(read: f64, exact: f64) -> bool {
+        (read - exact).abs() <= exact * Histogram::RELATIVE_ERROR
+    }
+
     #[test]
     fn values_land_in_the_right_bins() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        h.record(0.05);
-        h.record(0.55);
-        h.record(0.95);
-        assert_eq!(h.bin_counts()[0], 1);
-        assert_eq!(h.bin_counts()[5], 1);
-        assert_eq!(h.bin_counts()[9], 1);
-        assert_eq!(h.count(), 3);
+        for value in [1e-6, 0.37, 1.0, 1.005, 17.5, 999.25, 61_234.5] {
+            let h = of(&[value]);
+            let (upper, count) = h.buckets().next().expect("one bucket");
+            assert_eq!(count, 1);
+            assert!(value <= upper * (1.0 + 1e-12), "{value} above {upper}");
+            assert!(
+                value > upper / GAMMA * (1.0 - 1e-12),
+                "{value} below {upper}"
+            );
+        }
+        // Zeros and negatives share the one bucket below every other.
+        let h = of(&[0.0, -3.0, 0.0, 40.0]);
+        let buckets: Vec<(f64, u64)> = h.buckets().collect();
+        assert_eq!(buckets.len(), 2);
+        assert_eq!(buckets[0], (0.0, 3));
+        assert!(buckets[1].0 >= 40.0 && buckets[1].0 <= 40.0 * GAMMA);
     }
 
     #[test]
     fn out_of_range_values_are_clamped() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-3.0);
-        h.record(7.0);
-        h.record(1.0);
-        assert_eq!(h.bin_counts()[0], 1);
-        assert_eq!(h.bin_counts()[3], 2);
+        let h = of(&[f64::INFINITY, f64::NAN, -1e300, 5e-324]);
+        assert_eq!(h.count(), 4);
+        // NaN and the negative read as 0; the subnormal and +∞ land in the
+        // buckets of the smallest and the largest positive `f64`.
+        assert_eq!(h.percentile(0.5), 0.0);
+        assert!(h.percentile(0.75) < 1e-320);
+        assert!(h.percentile(1.0) > 1e307);
+        assert!(h.counts.len() < 150_000);
     }
 
     #[test]
     fn fractions_sum_to_one_when_nonempty() {
-        let mut h = Histogram::new(0.0, 24.0, 6);
-        h.record_all([1.0, 5.0, 9.0, 13.0, 20.0, 23.9]);
-        let total: f64 = h.bin_fractions().iter().sum();
+        let h = of(&[1.0, 5.0, 9.0, 13.0, 20.0, 23.9, 0.0]);
+        let total: f64 = h
+            .buckets()
+            .map(|(_, count)| count as f64 / h.count() as f64)
+            .sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_histogram_reports_zeroes() {
-        let h = Histogram::new(0.0, 1.0, 3);
+        let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert!(h.bin_fractions().iter().all(|&f| f == 0.0));
+        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.buckets().count(), 0);
     }
 
     #[test]
     fn bin_ranges_partition_the_interval() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.bin_range(0), (0.0, 0.25));
-        assert_eq!(h.bin_range(3), (0.75, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn inverted_range_panics() {
-        Histogram::new(1.0, 0.0, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin index out of range")]
-    fn bad_bin_index_panics() {
-        Histogram::new(0.0, 1.0, 3).bin_range(3);
+        assert!((LN_GAMMA - GAMMA.ln()).abs() <= f64::EPSILON * LN_GAMMA);
+        assert_eq!(upper_bound(0), 1.0);
+        // Each bucket starts where the one below ends and is 1% wide.
+        for index in [-700, -1, 0, 1, 463, 1388] {
+            let ratio = upper_bound(index) / upper_bound(index - 1);
+            assert!((ratio - GAMMA).abs() < 1e-12, "bucket {index}: {ratio}");
+        }
     }
 
     #[test]
     fn percentiles_bracket_the_distribution() {
         let samples: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let h = Histogram::of_samples(200, &samples);
-        let p50 = h.percentile(0.50);
-        let p90 = h.percentile(0.90);
-        let p99 = h.percentile(0.99);
-        assert!((p50 - 50.0).abs() < 2.0, "p50 ≈ 50, got {p50}");
-        assert!((p90 - 90.0).abs() < 2.0, "p90 ≈ 90, got {p90}");
-        assert!((p99 - 99.0).abs() < 2.0, "p99 ≈ 99, got {p99}");
-        assert!(p50 <= p90 && p90 <= p99);
-        // Quantile 0 lands at the lower edge of the minimum's bin; quantile 1
-        // at the upper edge of the maximum's.
-        assert!(h.percentile(0.0) <= 1.0);
-        assert!(h.percentile(1.0) >= 100.0);
-    }
-
-    #[test]
-    fn sample_sets_bin_like_their_pooled_samples_in_any_order() {
-        let a = [3.0, 250.0, 17.5];
-        let b = [0.0, 999.25];
-        let c = [42.0, 42.0, 610.0, 1.0];
-        let pooled: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let reference = Histogram::of_samples(512, &pooled);
-        let orders: [[&[f64]; 4]; 3] = [[&a, &b, &c, &[]], [&c, &[], &a, &b], [&[], &b, &c, &a]];
-        for sets in orders {
-            let binned = Histogram::of_sample_sets(512, sets);
-            assert_eq!(binned.bin_counts(), reference.bin_counts());
-            assert_eq!(binned.bin_range(511), reference.bin_range(511));
-            for quantile in [0.0, 0.5, 0.99, 1.0] {
-                assert_eq!(
-                    binned.percentile(quantile).to_bits(),
-                    reference.percentile(quantile).to_bits()
-                );
-            }
-        }
-        let empty = Histogram::of_sample_sets(8, [&[][..], &[]]);
-        assert_eq!(empty, Histogram::of_samples(8, &[]));
+        let h = of(&samples);
+        assert!(close(h.percentile(0.50), 50.0));
+        assert!(close(h.percentile(0.90), 90.0));
+        assert!(close(h.percentile(0.99), 99.0));
+        assert!(close(h.percentile(0.0), 1.0));
+        assert!(close(h.percentile(1.0), 100.0));
     }
 
     #[test]
     fn percentile_of_empty_histogram_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.percentile(0.5), 0.0);
+        assert_eq!(Histogram::new().percentile(0.5), 0.0);
+        assert_eq!(Histogram::percentile_of([], 0.99), 0.0);
     }
 
     #[test]
     fn skewed_tails_separate_p50_from_p99() {
-        // 99 fast requests and one straggler: P50 stays near the fast mode
-        // while P99 reaches into the tail.
+        // 99 fast requests and one straggler: P50 stays at the fast mode
+        // while P99.5 reaches the tail.
         let mut samples = vec![10.0; 99];
         samples.push(1000.0);
-        let h = Histogram::of_samples(500, &samples);
-        assert!(h.percentile(0.50) < 20.0);
-        assert!(h.percentile(0.995) > 500.0);
+        let h = of(&samples);
+        assert!(close(h.percentile(0.50), 10.0));
+        assert!(close(h.percentile(0.995), 1000.0));
     }
 
     #[test]
     #[should_panic(expected = "quantile")]
     fn out_of_range_quantile_panics() {
-        Histogram::new(0.0, 1.0, 4).percentile(1.5);
+        Histogram::new().percentile(1.5);
     }
 
     #[test]
     fn merging_two_empty_histograms_stays_empty() {
-        let a = Histogram::new(0.0, 1.0, 4);
-        let b = Histogram::new(0.0, 2.0, 8);
-        let merged = a.merge(&b);
-        assert_eq!(merged.count(), 0);
-        assert_eq!(merged.mean(), 0.0);
-        assert_eq!(merged.bins(), 8);
+        let mut merged = Histogram::new();
+        merged.merge(&Histogram::new());
+        assert_eq!(merged, Histogram::new());
         assert_eq!(merged.percentile(0.99), 0.0);
     }
 
     #[test]
     fn merging_with_an_empty_histogram_preserves_the_distribution() {
-        let mut a = Histogram::new(0.0, 100.0, 10);
-        a.record_all([10.0, 50.0, 90.0]);
-        let empty = Histogram::new(0.0, 100.0, 10);
-        for merged in [a.merge(&empty), empty.merge(&a)] {
-            assert_eq!(merged.count(), 3);
-            assert!((merged.mean() - 50.0).abs() < 1e-12);
-            assert_eq!(merged.bin_counts(), a.bin_counts());
-        }
+        let a = of(&[10.0, 50.0, 90.0]);
+        let mut left = a.clone();
+        left.merge(&Histogram::new());
+        let mut right = Histogram::new();
+        right.merge(&a);
+        assert_eq!(left, a);
+        assert_eq!(right, a);
     }
 
     #[test]
     fn single_sample_merge_lands_in_the_right_bin() {
-        let mut a = Histogram::new(0.0, 100.0, 10);
-        a.record(95.0);
-        let mut b = Histogram::new(0.0, 100.0, 10);
-        b.record(5.0);
-        let merged = a.merge(&b);
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.bin_counts()[0], 1);
-        assert_eq!(merged.bin_counts()[9], 1);
-        assert!((merged.mean() - 50.0).abs() < 1e-12);
+        let mut merged = of(&[95.0]);
+        merged.merge(&of(&[5.0]));
+        assert_eq!(merged, of(&[5.0, 95.0]));
+        assert_eq!(merged.buckets().count(), 2);
     }
 
     #[test]
     fn mismatched_ranges_merge_over_the_union() {
         // Per-worker latency histograms: one fast worker, one straggler.
-        let fast = Histogram::of_samples(64, &[10.0, 12.0, 14.0]);
-        let slow = Histogram::of_samples(64, &[900.0, 1000.0]);
-        let merged = fast.merge(&slow);
-        assert_eq!(merged.count(), 5);
-        assert!((merged.mean() - (10.0 + 12.0 + 14.0 + 900.0 + 1000.0) / 5.0).abs() < 1e-9);
-        // The fast samples stay in the low tail, the stragglers in the high
-        // tail, so the percentiles separate.
-        assert!(merged.percentile(0.50) < 100.0);
-        assert!(merged.percentile(0.99) > 800.0);
-        // Union range covers both sources.
-        assert_eq!(merged.bin_range(0).0, 0.0);
-        assert!(merged.bin_range(merged.bins() - 1).1 >= 1000.0);
+        let fast = of(&[10.0, 12.0, 14.0]);
+        let slow = of(&[900.0, 1000.0]);
+        let mut merged = fast.clone();
+        merged.merge(&slow);
+        assert_eq!(merged, of(&[10.0, 12.0, 14.0, 900.0, 1000.0]));
+        assert_eq!(merged.offset, fast.offset);
+        assert_eq!(
+            merged.last_index(),
+            slow.last_index(),
+            "the store spans both sources"
+        );
+        assert!(close(merged.percentile(0.50), 14.0));
+        assert!(close(merged.percentile(0.99), 1000.0));
     }
 
     #[test]
     fn merge_is_commutative_in_count_and_mean() {
-        let a = Histogram::of_samples(32, &[1.0, 2.0, 3.0]);
-        let b = Histogram::of_samples(16, &[100.0, 200.0]);
-        let ab = a.merge(&b);
-        let ba = b.merge(&a);
-        assert_eq!(ab.count(), ba.count());
-        assert!((ab.mean() - ba.mean()).abs() < 1e-12);
-        assert_eq!(ab.bins(), ba.bins());
+        let a = of(&[1.0, 2.0, 3.0, 0.0]);
+        let b = of(&[100.0, 200.0]);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b;
+        ba.merge(&a);
+        assert_eq!(ab, ba);
     }
 }
 
@@ -452,13 +420,96 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Values spanning six decades, `[10⁻², 10⁴)`, one in eight exactly 0.
+    fn samples(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0u32..8, -2.0f64..4.0), len).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(zero, exponent)| if zero == 0 { 0.0 } else { 10f64.powf(exponent) })
+                .collect()
+        })
+    }
+
+    fn of(values: &[f64]) -> Histogram {
+        let mut histogram = Histogram::new();
+        for &value in values {
+            histogram.record(value);
+        }
+        histogram
+    }
+
     proptest! {
         #[test]
         fn every_observation_is_counted(values in proptest::collection::vec(-2.0f64..3.0, 0..200)) {
-            let mut h = Histogram::new(0.0, 1.0, 8);
-            h.record_all(values.iter().copied());
+            let h = of(&values);
             prop_assert_eq!(h.count(), values.len() as u64);
-            prop_assert_eq!(h.bin_counts().iter().sum::<u64>(), values.len() as u64);
+            prop_assert_eq!(h.buckets().map(|(_, count)| count).sum::<u64>(), values.len() as u64);
         }
+
+        #[test]
+        fn percentiles_read_within_half_a_percent_of_nearest_rank(values in samples(1..400)) {
+            let histogram = of(&values);
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            for quantile in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                let rank = ((quantile * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                let read = histogram.percentile(quantile);
+                prop_assert!(
+                    (read - exact).abs() <= 0.005 * exact,
+                    "q{quantile}: read {read}, nearest rank {exact}"
+                );
+            }
+            prop_assert!(Histogram::RELATIVE_ERROR <= 0.005);
+        }
+
+        #[test]
+        fn merging_any_partition_in_any_order_equals_recording_it_all(
+            values in samples(0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+            rotate in 0usize..7,
+        ) {
+            let whole = of(&values);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|cut| cut.min(values.len())).collect();
+            cuts.sort_unstable();
+            let mut parts: Vec<Histogram> = std::iter::once(0)
+                .chain(cuts.iter().copied())
+                .zip(cuts.iter().copied().chain(std::iter::once(values.len())))
+                .map(|(start, end)| of(&values[start..end]))
+                .collect();
+            let shift = rotate % parts.len();
+            parts.rotate_left(shift);
+            let mut merged = Histogram::new();
+            for part in parts.iter().rev() {
+                merged.merge(part);
+            }
+            prop_assert_eq!(merged.count(), whole.count());
+            prop_assert_eq!(merged.zero, whole.zero);
+            prop_assert_eq!(merged.offset, whole.offset);
+            prop_assert_eq!(&merged.counts, &whole.counts);
+            for quantile in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                let bits = whole.percentile(quantile).to_bits();
+                prop_assert_eq!(merged.percentile(quantile).to_bits(), bits);
+                prop_assert_eq!(Histogram::percentile_of(&parts, quantile).to_bits(), bits);
+            }
+        }
+    }
+
+    #[test]
+    fn storage_depends_on_the_range_not_the_count() {
+        let mut rng = proptest::test_runner::TestRng::for_test("storage");
+        let storage = |count: usize, rng: &mut proptest::test_runner::TestRng| {
+            // Both runs see the range's ends first, then `count` draws inside.
+            let mut histogram = of(&[0.5, 20_000.0]);
+            for _ in 0..count {
+                histogram.record(0.5 + rng.unit_f64() * 19_999.5);
+            }
+            assert_eq!(histogram.count(), count as u64 + 2);
+            (histogram.counts.len(), histogram.counts.capacity())
+        };
+        let small = storage(1_000, &mut rng);
+        let large = storage(1_000_000, &mut rng);
+        assert_eq!(small, large);
+        assert!(small.0 < 1_100, "{} buckets over 4.6 decades", small.0);
     }
 }

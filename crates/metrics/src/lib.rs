@@ -2,8 +2,9 @@
 //!
 //! * [`wer`] — word-error-rate and edit-distance computation (Fig. 5a and the
 //!   iso-accuracy checks behind every speedup claim),
-//! * [`histogram`] — fixed-bin histograms (Fig. 6a acceptance-ratio
-//!   distributions, Fig. 13b rank histograms),
+//! * [`histogram`] — the latency histogram every serving percentile and the
+//!   metrics exposition read: fixed log-spaced buckets, merged by adding
+//!   counts,
 //! * [`report`] — experiment records: labelled rows of named values that can
 //!   be rendered as a text table (what the harness prints) and serialised as
 //!   JSON (what `EXPERIMENTS.md` is regenerated from).
@@ -28,5 +29,5 @@ pub mod report;
 pub mod wer;
 
 pub use histogram::Histogram;
-pub use report::{latency_row, ExperimentRecord, ReportRow};
+pub use report::{ExperimentRecord, ReportRow};
 pub use wer::{wer_between, WerMeasurement};

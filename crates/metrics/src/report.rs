@@ -157,28 +157,6 @@ impl ExperimentRecord {
     }
 }
 
-/// Builds a row of latency summary columns (mean, P50, P90, P99) from a
-/// histogram of millisecond samples — the shape every serving report uses.
-///
-/// # Example
-///
-/// ```
-/// use specasr_metrics::{latency_row, Histogram};
-///
-/// let histogram = Histogram::of_samples(64, &[10.0, 12.0, 14.0, 200.0]);
-/// let row = latency_row("e2e", &histogram);
-/// assert!(row.value("e2e_p99_ms").unwrap() > row.value("e2e_p50_ms").unwrap());
-/// ```
-pub fn latency_row(label: impl Into<String>, histogram: &crate::Histogram) -> ReportRow {
-    let label = label.into();
-    let column = |suffix: &str| format!("{label}_{suffix}");
-    ReportRow::new(label.clone())
-        .with(column("mean_ms"), histogram.mean())
-        .with(column("p50_ms"), histogram.percentile(0.50))
-        .with(column("p90_ms"), histogram.percentile(0.90))
-        .with(column("p99_ms"), histogram.percentile(0.99))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -120,7 +120,8 @@ pub use specasr_trace::{
     RequestSpans, RoundSpan, ShedReason, TraceConfig, TraceEvent, TraceSummary, Tracer,
 };
 
-// The latency percentiles above and the registry's histogram exposition are
-// both built on the metrics crate's `Histogram`; re-export it so callers
-// consume either without a direct metrics dependency.
+// `ServerStats` records every latency into the metrics crate's `Histogram`
+// (fixed log-spaced buckets), and the registry's exposition renders those
+// buckets; re-export it so callers read either without a direct metrics
+// dependency.
 pub use specasr_metrics::Histogram;

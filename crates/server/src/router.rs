@@ -32,7 +32,7 @@ use crate::config::{RouterConfig, WorkerProfile};
 use crate::request::{RequestId, RequestOutcome, SloClass, SubmitError};
 use crate::scheduler::Scheduler;
 use crate::session::QueuedRequest;
-use crate::stats::{ServerStats, SloClassStats};
+use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
 
@@ -91,9 +91,6 @@ pub struct Router<D, T> {
     fleet_tracer: Tracer,
     /// Merged statistics of workers that drained and left the fleet.
     retired_stats: ServerStats,
-    /// Per-worker e2e histograms of removed workers (the mergeable-sketch
-    /// aggregation path keeps one sketch per worker that ever served).
-    retired_histograms: Vec<Histogram>,
     /// Flight recordings of removed workers, kept until taken.
     retired_recordings: Vec<(String, FlightRecording)>,
     retired_stolen_in: usize,
@@ -215,7 +212,6 @@ where
             trace: TraceConfig::disabled(),
             fleet_tracer: Tracer::disabled(),
             retired_stats: ServerStats::new(),
-            retired_histograms: Vec::new(),
             retired_recordings: Vec::new(),
             retired_stolen_in: 0,
             retired_stolen_out: 0,
@@ -627,8 +623,8 @@ where
     }
 
     /// Removes every draining worker that has gone fully idle, preserving
-    /// its statistics, latency sketch, and flight recording in the fleet
-    /// aggregates.  Returns the removed ids (in fleet order).
+    /// its statistics and flight recording in the fleet aggregates.
+    /// Returns the removed ids (in fleet order).
     pub fn reap_drained(&mut self) -> Vec<WorkerId> {
         let mut removed = Vec::new();
         let mut slot = 0;
@@ -636,7 +632,6 @@ where
             if self.workers[slot].is_draining() && self.workers[slot].is_idle() {
                 let mut worker = self.workers.remove(slot);
                 self.retired_stats.merge(worker.stats());
-                self.retired_histograms.push(worker.stats().e2e_histogram());
                 self.retired_stolen_in += worker.stolen_in();
                 self.retired_stolen_out += worker.stolen_out();
                 if let Some(recording) = worker.scheduler.take_trace_recording() {
@@ -688,35 +683,15 @@ where
     }
 
     /// P99 of one SLO class's end-to-end latency across the fleet, reaped
-    /// workers included.  Every worker's samples are binned in place into
-    /// one histogram, so this reads
+    /// workers included.  The workers' histograms are read in place
+    /// ([`Histogram::percentile_of`]), so this reads
     /// `self.fleet_stats().slo_class(class).e2e_p99_ms()` bit for bit
     /// without merging the fleet's statistics.
     pub fn slo_e2e_p99_ms(&self, class: SloClass) -> f64 {
         let parts = std::iter::once(&self.retired_stats)
             .chain(self.workers.iter().map(Worker::stats))
-            .map(|stats| stats.slo_class(class));
-        SloClassStats::pooled_e2e_histogram(parts).percentile(0.99)
-    }
-
-    /// Fleet-wide end-to-end latency histogram, built by merging the
-    /// per-worker histograms (mismatched per-worker ranges re-bin over the
-    /// union range — see [`Histogram::merge`]).
-    ///
-    /// This is the *mergeable-sketch* aggregation path: what a distributed
-    /// fleet would do when workers ship fixed-size histograms instead of raw
-    /// samples.  Re-binning at bin centres makes its percentiles approximate
-    /// (off by up to one source bin width from
-    /// `self.fleet_stats().e2e_histogram()`, which pools the exact samples);
-    /// prefer the exact path when raw samples are at hand, and this one to
-    /// model bounded-memory aggregation.
-    pub fn fleet_e2e_histogram(&self) -> Histogram {
-        self.workers
-            .iter()
-            .map(|worker| worker.stats().e2e_histogram())
-            .chain(self.retired_histograms.iter().cloned())
-            .reduce(|a, b| a.merge(&b))
-            .expect("a router always has at least one worker")
+            .map(|stats| stats.slo_class(class).e2e_histogram());
+        Histogram::percentile_of(parts, 0.99)
     }
 
     /// Installs a draft-free draft source on every worker (workers share the
@@ -995,8 +970,7 @@ mod tests {
         let per_worker: usize = router.workers().iter().map(|w| w.stats().completed()).sum();
         assert_eq!(fleet.completed(), per_worker);
         assert_eq!(fleet.completed(), 12);
-        let merged = router.fleet_e2e_histogram();
-        assert_eq!(merged.count(), 12);
+        assert_eq!(fleet.e2e_histogram().count(), 12);
         assert!(fleet.e2e_p99_ms() >= fleet.e2e_p50_ms());
         assert!(fleet.ttft_p99_ms() >= fleet.ttft_p50_ms());
     }

@@ -2389,7 +2389,6 @@ mod tests {
         assert!(best_effort.e2e_p99_ms() > 0.0);
         let relaxed = stats.slo_class(SloClass::Relaxed);
         assert_eq!(relaxed.completed(), 1);
-        assert!(relaxed.ttft_p99_ms() > 0.0);
         assert_eq!(relaxed.rejected_deadline(), 0);
         // The per-class counters reconcile with the aggregate gauges.
         let class_completed: usize = SloClass::ALL

@@ -10,9 +10,6 @@ use specasr_trace::MetricsRegistry;
 use crate::batch::TickCost;
 use crate::request::{RequestOutcome, SloClass};
 
-/// Number of histogram bins used when summarising latency samples.
-const LATENCY_BINS: usize = 512;
-
 /// Paged KV-pool memory statistics of one scheduler (or, after
 /// [`ServerStats::merge`], of a fleet).
 ///
@@ -385,14 +382,13 @@ impl SpeculationGroupStats {
 }
 
 /// Latency statistics of one SLO class (see [`SloClass`]): completions,
-/// deadline shedding, and the class's own latency histograms, merged
-/// fleet-wide like every other gauge.
+/// deadline shedding, and the class's own end-to-end latency histogram,
+/// merged fleet-wide like every other gauge.
 #[derive(Debug, Clone, Default)]
 pub struct SloClassStats {
     completed: usize,
     rejected_deadline: usize,
-    e2e_samples: Vec<f64>,
-    ttft_samples: Vec<f64>,
+    e2e: Histogram,
 }
 
 impl SloClassStats {
@@ -408,21 +404,8 @@ impl SloClassStats {
     }
 
     /// Histogram of this class's end-to-end latency (ms).
-    pub fn e2e_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.e2e_samples)
-    }
-
-    /// The end-to-end histogram of `parts` merged (see
-    /// [`ServerStats::merge`]), binned from each part's samples in place.
-    pub(crate) fn pooled_e2e_histogram<'a>(
-        parts: impl Iterator<Item = &'a SloClassStats> + Clone,
-    ) -> Histogram {
-        Histogram::of_sample_sets(LATENCY_BINS, parts.map(|part| part.e2e_samples.as_slice()))
-    }
-
-    /// Histogram of this class's time-to-first-token latency (ms).
-    pub fn ttft_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.ttft_samples)
+    pub fn e2e_histogram(&self) -> &Histogram {
+        &self.e2e
     }
 
     /// P50 of this class's end-to-end latency in milliseconds.
@@ -435,29 +418,23 @@ impl SloClassStats {
         self.e2e_histogram().percentile(0.99)
     }
 
-    /// P99 of this class's time-to-first-token latency in milliseconds.
-    pub fn ttft_p99_ms(&self) -> f64 {
-        self.ttft_histogram().percentile(0.99)
-    }
-
     fn merge(&mut self, other: &SloClassStats) {
         self.completed += other.completed;
         self.rejected_deadline += other.rejected_deadline;
-        self.e2e_samples.extend_from_slice(&other.e2e_samples);
-        self.ttft_samples.extend_from_slice(&other.ttft_samples);
+        self.e2e.merge(&other.e2e);
     }
 }
 
 /// Aggregate statistics of one scheduler's lifetime.
 ///
-/// Populated incrementally by the scheduler; latency percentiles are read
-/// through [`specasr_metrics::Histogram`] built over the recorded samples.
+/// Populated incrementally by the scheduler; every latency is recorded at
+/// completion into a [`specasr_metrics::Histogram`], and the percentiles
+/// read from it.
 ///
-/// Memory: everything is a counter, except the latency samples.  A
-/// completed request adds five `f64` samples (end-to-end, time to first
-/// token and queue wait, plus its SLO class's end-to-end and time to first
-/// token), a completed stream one more (its first-partial latency), and
-/// each streaming partial one (its span).  No per-round history is kept:
+/// Memory: everything is a counter or a fixed-bucket histogram, so nothing
+/// grows with the number of requests served.  A histogram spans the
+/// log-spaced buckets between the smallest and the largest latency it has
+/// seen, about 231 `u64` counts per decade.  No per-round history is kept:
 /// the draft-token acceptance is two counters, and the per-`(policy,
 /// drafter)` speculation groups are one entry per combination that ran.
 #[derive(Debug, Clone, Default)]
@@ -484,11 +461,11 @@ pub struct ServerStats {
     predicted_tokens: usize,
     accepted_tokens: usize,
     speculation: BTreeMap<(String, String), SpeculationGroupStats>,
-    e2e_samples: Vec<f64>,
-    ttft_samples: Vec<f64>,
-    queue_samples: Vec<f64>,
-    first_partial_samples: Vec<f64>,
-    partial_span_samples: Vec<f64>,
+    e2e: Histogram,
+    ttft: Histogram,
+    queue: Histogram,
+    first_partial: Histogram,
+    partial_span: Histogram,
 }
 
 impl ServerStats {
@@ -513,23 +490,20 @@ impl ServerStats {
         self.total_audio_seconds += outcome.audio_seconds;
         self.predicted_tokens += outcome.outcome.stats.predicted_tokens;
         self.accepted_tokens += outcome.outcome.stats.accepted_tokens;
-        self.e2e_samples.push(outcome.latency.e2e_ms());
-        self.ttft_samples
-            .push(outcome.latency.time_to_first_token_ms);
-        self.queue_samples.push(outcome.latency.queue_ms);
+        self.e2e.record(outcome.latency.e2e_ms());
+        self.ttft.record(outcome.latency.time_to_first_token_ms);
+        self.queue.record(outcome.latency.queue_ms);
         let slo = &mut self.slo[outcome.slo.index()];
         slo.completed += 1;
-        slo.e2e_samples.push(outcome.latency.e2e_ms());
-        slo.ttft_samples
-            .push(outcome.latency.time_to_first_token_ms);
+        slo.e2e.record(outcome.latency.e2e_ms());
         if outcome.is_streaming() {
             self.streaming_completed += 1;
             // Streaming TTFT *is* the first-partial latency from arrival.
-            self.first_partial_samples
-                .push(outcome.latency.time_to_first_token_ms);
+            self.first_partial
+                .record(outcome.latency.time_to_first_token_ms);
             for partial in &outcome.partials {
                 self.partials_emitted += 1;
-                self.partial_span_samples.push(partial.span_ms());
+                self.partial_span.record(partial.span_ms());
                 self.retracted_tokens += partial.retracted_tokens;
                 self.shown_hypothesis_tokens +=
                     partial.hypothesis_tokens - partial.committed_tokens;
@@ -645,7 +619,7 @@ impl ServerStats {
     }
 
     /// Merges another worker's statistics into this one, with
-    /// parallel-fleet semantics: counters, samples, and device time sum,
+    /// parallel-fleet semantics: counters, histograms, and device time sum,
     /// while wall time takes the maximum (workers run concurrently, so the
     /// fleet finishes when its slowest worker does) and peak concurrency
     /// adds (each worker contributes its own in-flight sessions).
@@ -684,13 +658,11 @@ impl ServerStats {
                 .or_default()
                 .merge(group);
         }
-        self.e2e_samples.extend_from_slice(&other.e2e_samples);
-        self.ttft_samples.extend_from_slice(&other.ttft_samples);
-        self.queue_samples.extend_from_slice(&other.queue_samples);
-        self.first_partial_samples
-            .extend_from_slice(&other.first_partial_samples);
-        self.partial_span_samples
-            .extend_from_slice(&other.partial_span_samples);
+        self.e2e.merge(&other.e2e);
+        self.ttft.merge(&other.ttft);
+        self.queue.merge(&other.queue);
+        self.first_partial.merge(&other.first_partial);
+        self.partial_span.merge(&other.partial_span);
     }
 
     /// Number of completed requests.
@@ -857,18 +829,18 @@ impl ServerStats {
     }
 
     /// Histogram of end-to-end request latency (ms).
-    pub fn e2e_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.e2e_samples)
+    pub fn e2e_histogram(&self) -> &Histogram {
+        &self.e2e
     }
 
     /// Histogram of time-to-first-token latency (ms).
-    pub fn ttft_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.ttft_samples)
+    pub fn ttft_histogram(&self) -> &Histogram {
+        &self.ttft
     }
 
     /// Histogram of queueing latency (ms).
-    pub fn queue_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.queue_samples)
+    pub fn queue_histogram(&self) -> &Histogram {
+        &self.queue
     }
 
     /// P50 of end-to-end latency in milliseconds.
@@ -893,14 +865,14 @@ impl ServerStats {
 
     /// Histogram of first-partial latency (request arrival → first partial
     /// emission) across streaming requests.
-    pub fn first_partial_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.first_partial_samples)
+    pub fn first_partial_histogram(&self) -> &Histogram {
+        &self.first_partial
     }
 
     /// Histogram of per-partial latency spans (chunk arrival → partial
     /// emission) across streaming requests.
-    pub fn partial_span_histogram(&self) -> Histogram {
-        Histogram::of_samples(LATENCY_BINS, &self.partial_span_samples)
+    pub fn partial_span_histogram(&self) -> &Histogram {
+        &self.partial_span
     }
 
     /// P50 of streaming first-partial latency in milliseconds.
@@ -923,10 +895,8 @@ impl ServerStats {
     /// (`specasr_*`).  Includes the [`MemoryStats`] and [`BackendStats`]
     /// families and a per-[`SloClass`] breakdown under a `class` label.
     ///
-    /// Publishing the *merged* fleet stats and merging per-worker
-    /// registries with [`MetricsRegistry::merge`] land on the same scalars;
-    /// histograms published from merged stats re-bin over the pooled
-    /// samples and are the exact path.
+    /// Histograms publish their fixed buckets as they are, so every `le`
+    /// bound is a constant of its bucket from one scrape to the next.
     pub fn publish_metrics(&self, registry: &mut MetricsRegistry) {
         registry.set_counter(
             "specasr_requests_completed_total",
@@ -1073,31 +1043,31 @@ impl ServerStats {
             "specasr_e2e_latency_ms",
             "End-to-end request latency in milliseconds.",
             &[],
-            self.e2e_histogram(),
+            &self.e2e,
         );
         registry.set_histogram(
             "specasr_ttft_latency_ms",
             "Time-to-first-token latency in milliseconds.",
             &[],
-            self.ttft_histogram(),
+            &self.ttft,
         );
         registry.set_histogram(
             "specasr_queue_latency_ms",
             "Admission-queue wait in milliseconds.",
             &[],
-            self.queue_histogram(),
+            &self.queue,
         );
         registry.set_histogram(
             "specasr_first_partial_latency_ms",
             "Streaming arrival-to-first-partial latency in milliseconds.",
             &[],
-            self.first_partial_histogram(),
+            &self.first_partial,
         );
         registry.set_histogram(
             "specasr_partial_span_latency_ms",
             "Streaming chunk-arrival-to-partial latency in milliseconds.",
             &[],
-            self.partial_span_histogram(),
+            &self.partial_span,
         );
         for class in SloClass::ALL {
             let stats = self.slo_class(class);
@@ -1118,7 +1088,7 @@ impl ServerStats {
                 "specasr_slo_e2e_latency_ms",
                 "End-to-end latency per SLO class in milliseconds.",
                 &labels,
-                stats.e2e_histogram(),
+                &stats.e2e,
             );
         }
         self.memory.publish_metrics(registry);
@@ -1223,7 +1193,8 @@ mod tests {
             2,
         );
         a.record_rejection();
-        a.e2e_samples.extend([10.0, 20.0]);
+        a.e2e.record(10.0);
+        a.e2e.record(20.0);
         a.completed = 2;
         let mut b = ServerStats::new();
         b.record_tick(
@@ -1233,7 +1204,7 @@ mod tests {
             },
             3,
         );
-        b.e2e_samples.push(500.0);
+        b.e2e.record(500.0);
         b.completed = 1;
 
         a.merge(&b);
@@ -1368,13 +1339,12 @@ mod tests {
         use crate::request::SloClass;
         let mut a = ServerStats::new();
         a.slo[SloClass::Interactive.index()].completed = 2;
-        a.slo[SloClass::Interactive.index()]
-            .e2e_samples
-            .extend([10.0, 20.0]);
+        a.slo[SloClass::Interactive.index()].e2e.record(10.0);
+        a.slo[SloClass::Interactive.index()].e2e.record(20.0);
         a.record_deadline_rejection(SloClass::Interactive);
         let mut b = ServerStats::new();
         b.slo[SloClass::Interactive.index()].completed = 1;
-        b.slo[SloClass::Interactive.index()].e2e_samples.push(400.0);
+        b.slo[SloClass::Interactive.index()].e2e.record(400.0);
         b.record_deadline_rejection(SloClass::Standard);
 
         a.merge(&b);
@@ -1392,10 +1362,5 @@ mod tests {
             .map(|&class| a.slo_class(class).rejected_deadline())
             .sum();
         assert_eq!(per_class, a.rejected_deadline());
-        assert_eq!(
-            a.slo_class(SloClass::Relaxed).ttft_p99_ms(),
-            0.0,
-            "empty class histograms read as zero"
-        );
     }
 }

@@ -27,8 +27,9 @@
 //!   plus a per-sub-pool KV occupancy counter track.  Load the output in
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`.
 //! * [`MetricsRegistry`] — a Prometheus-style counter/gauge/histogram
-//!   registry (histograms are [`specasr_metrics::Histogram`]) with a
-//!   deterministic text exposition and fleet-wide [`MetricsRegistry::merge`].
+//!   registry with a deterministic text exposition.  Its histograms are
+//!   [`specasr_metrics::Histogram`]s, whose fixed log-spaced buckets keep
+//!   every `le` bound constant across scrapes.
 //!
 //! [`ServerStats`]: ../specasr_server/struct.ServerStats.html
 

@@ -4,10 +4,10 @@
 //! `BackendStats`) publish into a [`MetricsRegistry`]; the registry renders
 //! the standard text exposition format (`# HELP` / `# TYPE` headers,
 //! `name{labels} value` samples, cumulative `_bucket`/`_sum`/`_count`
-//! histogram series) and merges fleet-wide like every other stats type in
-//! the workspace.  Histograms are [`specasr_metrics::Histogram`] — the same
-//! percentile plumbing the stats layer already uses, not a parallel
-//! implementation.
+//! histogram series).  Histograms are [`specasr_metrics::Histogram`] — the
+//! same fixed log-spaced buckets the stats layer reads its percentiles from,
+//! so a bucket's `le` bound depends only on the bucket and stays put from one
+//! scrape to the next.
 //!
 //! Rendering is deterministic: families sort by name, samples by label set,
 //! and values print through the shared JSON float formatter.
@@ -76,9 +76,7 @@ fn format_value(value: f64) -> String {
 ///
 /// Publishers use the `set_*` methods to write snapshot values (the
 /// registry is a *snapshot* of end-of-run stats, not a live atomically
-/// updated store); [`MetricsRegistry::merge`] folds per-worker registries
-/// into a fleet view with the same semantics the stats types use — counters
-/// and gauges sum, histograms merge bin-wise.
+/// updated store).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<String, MetricFamily>,
@@ -155,7 +153,7 @@ impl MetricsRegistry {
         );
     }
 
-    /// Publishes a histogram sample.
+    /// Publishes a histogram sample (a copy of `histogram`).
     ///
     /// # Panics
     ///
@@ -165,66 +163,22 @@ impl MetricsRegistry {
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        histogram: Histogram,
+        histogram: &Histogram,
     ) {
         self.set(
             name,
             help,
             labels,
             MetricKind::Histogram,
-            MetricValue::Distribution(histogram),
+            MetricValue::Distribution(histogram.clone()),
         );
-    }
-
-    /// Folds another registry into this one with fleet semantics: counters
-    /// and gauges sum, histograms merge bin-wise
-    /// ([`specasr_metrics::Histogram::merge`]); families or label sets only
-    /// present on one side carry over unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the same family name has different kinds on each side.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, family) in &other.families {
-            let target = self
-                .families
-                .entry(name.clone())
-                .or_insert_with(|| MetricFamily {
-                    kind: family.kind,
-                    help: family.help.clone(),
-                    samples: BTreeMap::new(),
-                });
-            assert!(
-                target.kind == family.kind,
-                "metric {name} merged as {} and {}",
-                target.kind.label(),
-                family.kind.label()
-            );
-            for (labels, value) in &family.samples {
-                match target.samples.get_mut(labels) {
-                    None => {
-                        target.samples.insert(labels.clone(), value.clone());
-                    }
-                    Some(MetricValue::Scalar(existing)) => {
-                        if let MetricValue::Scalar(incoming) = value {
-                            *existing += incoming;
-                        }
-                    }
-                    Some(MetricValue::Distribution(existing)) => {
-                        if let MetricValue::Distribution(incoming) = value {
-                            *existing = existing.merge(incoming);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Renders the registry in the Prometheus text exposition format.
     ///
     /// Families appear in name order with `# HELP` / `# TYPE` headers;
     /// histograms expand into cumulative `_bucket{le="..."}` series (one per
-    /// non-empty prefix boundary plus `+Inf`), `_sum`, and `_count`.
+    /// non-empty bucket plus `+Inf`), `_sum`, and `_count`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, family) in &self.families {
@@ -253,14 +207,10 @@ impl MetricsRegistry {
 fn render_histogram(out: &mut String, name: &str, labels: &str, histogram: &Histogram) {
     let sep = if labels.is_empty() { "" } else { "," };
     let mut cumulative = 0u64;
-    for (index, &count) in histogram.bin_counts().iter().enumerate() {
+    // Keep the exposition compact: only buckets that change the cumulative
+    // count get a line (plus the mandatory +Inf terminator).
+    for (upper, count) in histogram.buckets() {
         cumulative += count;
-        // Keep the exposition compact: only bins that change the cumulative
-        // count get a bucket line (plus the mandatory +Inf terminator).
-        if count == 0 {
-            continue;
-        }
-        let (_, upper) = histogram.bin_range(index);
         let _ = writeln!(
             out,
             "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}"
@@ -310,36 +260,22 @@ mod tests {
 
     #[test]
     fn histogram_renders_cumulative_buckets() {
-        let mut histogram = Histogram::new(0.0, 10.0, 5);
-        histogram.record(1.0);
-        histogram.record(1.5);
-        histogram.record(9.0);
+        let mut histogram = Histogram::new();
+        for value in [0.0, 1.0, 1.0, 100.0] {
+            histogram.record(value);
+        }
         let mut registry = MetricsRegistry::new();
-        registry.set_histogram("lat_ms", "latency", &[], histogram);
+        registry.set_histogram("lat_ms", "latency", &[], &histogram);
         let text = registry.render();
         assert!(text.contains("# TYPE lat_ms histogram"), "{text}");
-        assert!(text.contains("lat_ms_bucket{le=\"2\"} 2\n"), "{text}");
-        assert!(text.contains("lat_ms_bucket{le=\"10\"} 3\n"), "{text}");
-        assert!(text.contains("lat_ms_bucket{le=\"+Inf\"} 3\n"), "{text}");
-        assert!(text.contains("lat_ms_count 3\n"), "{text}");
-        assert!(text.contains("lat_ms_sum 11.5\n"), "{text}");
-    }
-
-    #[test]
-    fn merge_sums_scalars_and_merges_histograms() {
-        let mut left = MetricsRegistry::new();
-        left.set_counter("done_total", "d", &[], 4.0);
-        left.set_histogram("lat_ms", "l", &[], Histogram::of_samples(8, &[1.0, 2.0]));
-        let mut right = MetricsRegistry::new();
-        right.set_counter("done_total", "d", &[], 6.0);
-        right.set_counter("only_right_total", "o", &[], 1.0);
-        right.set_histogram("lat_ms", "l", &[], Histogram::of_samples(8, &[3.0]));
-        left.merge(&right);
-        let text = left.render();
-        assert!(text.contains("done_total 10\n"), "{text}");
-        assert!(text.contains("only_right_total 1\n"), "{text}");
-        assert!(text.contains("lat_ms_count 3\n"), "{text}");
-        assert!(text.contains("lat_ms_sum 6\n"), "{text}");
+        assert!(text.contains("lat_ms_bucket{le=\"0\"} 1\n"), "{text}");
+        assert!(text.contains("lat_ms_bucket{le=\"1\"} 3\n"), "{text}");
+        // 100 ms lands in the bucket just above it: 1.01^463 ≈ 100.18.
+        assert!(text.contains("lat_ms_bucket{le=\"100.18"), "{text}");
+        assert!(text.contains("lat_ms_bucket{le=\"+Inf\"} 4\n"), "{text}");
+        assert_eq!(text.matches("lat_ms_bucket").count(), 4, "{text}");
+        assert!(text.contains("lat_ms_count 4\n"), "{text}");
+        assert!(text.contains("lat_ms_sum 102\n"), "{text}");
     }
 
     #[test]

@@ -616,9 +616,10 @@ fn corpus_pool(setup: &StandardSetup) -> Vec<&Utterance> {
         .collect()
 }
 
-/// Most bytes a scheduler may keep per extra request served: five `f64`
-/// latency samples and the slack of the vectors holding them.
-const RETAINED_BYTES_PER_REQUEST: f64 = 64.0;
+/// Most bytes a scheduler may keep per extra request served.  Nothing is
+/// kept per request: a latency histogram grows only when a latency lands
+/// outside the range it has already seen.
+const RETAINED_BYTES_PER_REQUEST: f64 = 8.0;
 
 #[test]
 fn a_scheduler_retains_no_per_round_history() {

@@ -425,7 +425,7 @@ fn late_joining_worker_merges_clean_latency_spans() {
     // The merged fleet histograms carry exactly the completed requests —
     // no clamping artifacts inflating or dropping samples.
     assert_eq!(
-        elastic.fleet_e2e_histogram().count(),
+        elastic.fleet_stats().e2e_histogram().count(),
         elastic_outcomes.len() as u64
     );
 }

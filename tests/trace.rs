@@ -5,7 +5,8 @@
 //! deterministic.
 
 use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
-use specasr_audio::{EncoderProfile, Split};
+use specasr_audio::{EncoderProfile, Split, Utterance};
+use specasr_models::SimulatedAsrModel;
 use specasr_server::{
     assemble_spans, chrome_trace, validate_chrome_trace, FlightRecording, RequestOutcome, Router,
     RouterConfig, Scheduler, ServerConfig, TraceConfig, TraceEvent,
@@ -343,6 +344,73 @@ fn fleet_metrics_exposition_is_deterministic_and_complete() {
     let lane_summary = validate_chrome_trace(&json).expect("fleet trace validates");
     assert!(lane_summary.events > 0);
     let _ = second.take_recordings();
+}
+
+/// A latency bucket's `le` bound is a constant of the bucket: a later scrape
+/// shows every bucket an earlier scrape did, with a cumulative count at
+/// least as large, however far the latency maximum moved in between.
+#[test]
+fn exposition_buckets_keep_their_bounds_across_scrapes() {
+    fn e2e_buckets(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) -> Vec<(String, u64)> {
+        router
+            .fleet_metrics()
+            .render()
+            .lines()
+            .filter_map(|line| line.strip_prefix("specasr_e2e_latency_ms_bucket{le=\""))
+            .map(|rest| {
+                let (le, count) = rest.split_once("\"} ").expect("a bucket sample");
+                (le.to_string(), count.parse().expect("an integral count"))
+            })
+            .collect()
+    }
+
+    let setup = StandardSetup::new(903, 8);
+    let policy = Policy::Speculative(SpeculativeConfig::short_single());
+    let mut router = Router::new(
+        RouterConfig::default().with_workers(2),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        |_| (setup.draft.clone(), setup.target.clone()),
+    );
+    // The first half arrives one request at a time and never queues; the
+    // second half arrives at once, longest audio included, and raises the
+    // latency maximum.
+    let mut pool: Vec<&Utterance> = Split::ALL
+        .iter()
+        .flat_map(|&split| setup.corpus.split(split))
+        .collect();
+    pool.sort_by(|a, b| a.duration_seconds().total_cmp(&b.duration_seconds()));
+    let (first_half, second_half) = pool.split_at(pool.len() / 2);
+
+    for utterance in first_half {
+        router.submit(policy, utterance).expect("queues have room");
+        router.run_until_idle();
+    }
+    let early = e2e_buckets(&router);
+    let early_max = router.fleet_stats().e2e_histogram().percentile(1.0);
+    for utterance in second_half {
+        router.submit(policy, utterance).expect("queues have room");
+    }
+    router.run_until_idle();
+    let late = e2e_buckets(&router);
+    assert!(
+        router.fleet_stats().e2e_histogram().percentile(1.0) > early_max,
+        "the second half must raise the maximum"
+    );
+
+    assert!(early.len() > 2, "{early:?}");
+    assert_eq!(early.last().map(|(le, _)| le.as_str()), Some("+Inf"));
+    for (le, count) in &early {
+        let later = late
+            .iter()
+            .find(|(bound, _)| bound == le)
+            .unwrap_or_else(|| panic!("bucket le=\"{le}\" of the first scrape is gone: {late:?}"));
+        assert!(
+            later.1 >= *count,
+            "bucket le=\"{le}\" counted {count}, then {}",
+            later.1
+        );
+    }
 }
 
 #[test]
