@@ -382,9 +382,11 @@ where
     /// Publishes the fleet-control gauges and counters into `registry`
     /// under the `specasr_fleet_*` namespace, alongside the router's
     /// serving metrics (`specasr_migrations_total` among them).  The values
-    /// reconcile exactly with [`FleetController::counters`].
+    /// reconcile exactly with [`FleetController::counters`].  The serving
+    /// metrics come from [`Router::publish_metrics`], which merges the fleet
+    /// aggregate in place.
     pub fn publish_metrics(&self, registry: &mut MetricsRegistry) {
-        self.router.fleet_stats().publish_metrics(registry);
+        self.router.publish_metrics(registry);
         registry.set_gauge(
             "specasr_fleet_workers",
             "Workers currently in the fleet, by lifecycle state.",

@@ -1,6 +1,8 @@
 //! The one latency histogram: fixed log-spaced buckets, merged by adding
 //! counts.
 
+use std::fmt::Write as _;
+
 /// Ratio between consecutive bucket bounds: every bucket spans at most 1%
 /// relative width.
 const GAMMA: f64 = 1.01;
@@ -39,7 +41,7 @@ const LN_GAMMA: f64 = 0.009_950_330_853_168_092;
 /// let p50 = fast.percentile(0.50);
 /// assert!((p50 - 20.0).abs() <= 20.0 * Histogram::RELATIVE_ERROR);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Histogram {
     /// Count of values `≤ 0`.
     zero: u64,
@@ -61,6 +63,17 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram::default()
+    }
+
+    /// Empties the histogram, keeping its bucket buffer for the values to
+    /// come: refilled over the same range, it allocates nothing.
+    pub fn reset(&mut self) {
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.clear();
+        *self = Histogram {
+            counts,
+            ..Histogram::default()
+        };
     }
 
     /// Records one observation.  NaN counts as `≤ 0`; `+∞` lands in the
@@ -127,11 +140,17 @@ impl Histogram {
     /// the `≤ 0` bucket first (bound 0), then each log-spaced bucket.  A
     /// bucket's bound depends only on its index.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let zero = (self.zero > 0).then_some((0.0, self.zero));
+        self.indexed_buckets()
+            .map(|(index, count)| (index.map_or(0.0, upper_bound), count))
+    }
+
+    /// [`Histogram::buckets`] by bucket index: `None` is the `≤ 0` bucket.
+    fn indexed_buckets(&self) -> impl Iterator<Item = (Option<i32>, u64)> + '_ {
+        let zero = (self.zero > 0).then_some((None, self.zero));
         let positive = (self.offset..)
             .zip(&self.counts)
             .filter(|&(_, &count)| count > 0)
-            .map(|(index, &count)| (upper_bound(index), count));
+            .map(|(index, &count)| (Some(index), count));
         zero.into_iter().chain(positive)
     }
 
@@ -232,6 +251,88 @@ impl Histogram {
             self.offset = first;
         }
     }
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this histogram, reusing the bucket buffer: once
+    /// the buffer spans as many buckets, the copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+        self.zero = source.zero;
+        self.offset = source.offset;
+        self.total = source.total;
+        self.sum = source.sum;
+    }
+}
+
+/// The bound texts of the buckets histograms span, each formatted once.
+///
+/// A bucket's upper bound depends only on its index, so an exposition
+/// rendered again and again (a Prometheus `le` label per bucket) can copy
+/// each bound's text instead of formatting the float on every line.
+/// [`BoundTexts::cover`] formats the texts a histogram needs that are not
+/// there yet; [`BoundTexts::buckets`] then reads its buckets with them.
+#[derive(Debug, Clone, Default)]
+pub struct BoundTexts {
+    /// Bucket index of `spans[0]`.
+    first: i32,
+    /// Where each bucket's text sits in `text`, from bucket `first` on.
+    spans: Vec<(usize, usize)>,
+    text: String,
+}
+
+impl BoundTexts {
+    /// Formats the texts of the buckets `histogram` spans that are not
+    /// there yet.
+    pub fn cover(&mut self, histogram: &Histogram) {
+        let (Some(first), Some(last)) = (histogram.first_index(), histogram.last_index()) else {
+            return;
+        };
+        if self.spans.is_empty() {
+            self.first = first;
+        }
+        let own_last = self.first + self.spans.len() as i32 - 1;
+        if last > own_last {
+            let added = (own_last + 1..=last).map(|index| push_bound(&mut self.text, index));
+            self.spans.extend(added);
+        }
+        if first < self.first {
+            let added = (first..self.first).map(|index| push_bound(&mut self.text, index));
+            self.spans.splice(0..0, added);
+            self.first = first;
+        }
+    }
+
+    /// What [`Histogram::buckets`] yields, with each bound as its text
+    /// (`{}` of the `f64`).  Panics on a bucket that
+    /// [`BoundTexts::cover`] has not covered.
+    pub fn buckets<'a>(
+        &'a self,
+        histogram: &'a Histogram,
+    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
+        histogram.indexed_buckets().map(|(index, count)| {
+            let text = index.map_or("0", |index| {
+                let (start, end) = self.spans[(index - self.first) as usize];
+                &self.text[start..end]
+            });
+            (text, count)
+        })
+    }
+}
+
+/// Appends the text of bucket `index`'s bound to `text`, returning where
+/// it sits.
+fn push_bound(text: &mut String, index: i32) -> (usize, usize) {
+    let start = text.len();
+    let _ = write!(text, "{}", upper_bound(index));
+    (start, text.len())
 }
 
 /// The upper bound of bucket `index`: `GAMMA^index`.
@@ -401,6 +502,56 @@ mod tests {
         );
         assert!(close(merged.percentile(0.50), 14.0));
         assert!(close(merged.percentile(0.99), 1000.0));
+    }
+
+    #[test]
+    fn reset_and_clone_from_keep_the_bucket_buffer() {
+        let wide = of(&[0.0, 0.5, 20.0, 9_000.0]);
+        let mut kept = wide.clone();
+        let capacity = kept.counts.capacity();
+        kept.reset();
+        assert_eq!(kept, Histogram::new());
+        assert_eq!(kept.counts.capacity(), capacity);
+        // Refilled by a merge or a copy over no wider a range, the buffer
+        // stays the one it was.
+        let narrow = of(&[3.0, 40.0]);
+        kept.merge(&narrow);
+        assert_eq!(kept, narrow);
+        kept.clone_from(&wide);
+        assert_eq!(kept, wide);
+        assert_eq!(kept.counts.capacity(), capacity);
+    }
+
+    #[test]
+    fn bound_texts_read_like_the_formatted_bounds() {
+        let formatted = |h: &Histogram| -> Vec<(String, u64)> {
+            h.buckets()
+                .map(|(bound, count)| (format!("{bound}"), count))
+                .collect()
+        };
+        let mut texts = BoundTexts::default();
+        // Ranges that extend the covered one above, then below, then both.
+        for values in [
+            &[0.0, 1.0, 1.0, 100.0][..],
+            &[250.0, 4_000.0],
+            &[0.003, 0.2],
+            &[0.0, 1e-5, 3.0, 9e6],
+        ] {
+            let h = of(values);
+            texts.cover(&h);
+            let read: Vec<(String, u64)> = texts
+                .buckets(&h)
+                .map(|(text, count)| (text.to_owned(), count))
+                .collect();
+            assert_eq!(read, formatted(&h), "{values:?}");
+        }
+        // Every covered bucket keeps its text.
+        let all = of(&[1e-5, 0.003, 0.2, 1.0, 100.0, 250.0, 4_000.0, 9e6]);
+        let read: Vec<(String, u64)> = texts
+            .buckets(&all)
+            .map(|(text, count)| (text.to_owned(), count))
+            .collect();
+        assert_eq!(read, formatted(&all));
     }
 
     #[test]

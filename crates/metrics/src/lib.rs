@@ -28,6 +28,6 @@ pub mod histogram;
 pub mod report;
 pub mod wer;
 
-pub use histogram::Histogram;
+pub use histogram::{BoundTexts, Histogram};
 pub use report::{ExperimentRecord, ReportRow};
 pub use wer::{wer_between, WerMeasurement};

@@ -21,6 +21,7 @@
 //! idle workers when time passes them by ([`Router::advance_to`], the
 //! open-loop load-generation entry point).
 
+use std::cell::{Ref, RefCell};
 use std::sync::Arc;
 
 use specasr::{Drafter, DrafterKind, Policy};
@@ -95,6 +96,11 @@ pub struct Router<D, T> {
     retired_recordings: Vec<(String, FlightRecording)>,
     retired_stolen_in: usize,
     retired_stolen_out: usize,
+    /// The fleet aggregate a scrape refills in place (a scrape takes
+    /// `&self`).  Borrowed only inside [`Router::publish_metrics`].
+    fleet_aggregate: RefCell<ServerStats>,
+    /// The registry [`Router::fleet_metrics`] refreshes and lends out.
+    exposition: RefCell<MetricsRegistry>,
 }
 
 /// Mutably borrows two distinct workers at once (the migration fast path
@@ -215,6 +221,8 @@ where
             retired_recordings: Vec::new(),
             retired_stolen_in: 0,
             retired_stolen_out: 0,
+            fleet_aggregate: RefCell::default(),
+            exposition: RefCell::default(),
         };
         router.rebuild_ring();
         router
@@ -746,12 +754,32 @@ where
         recordings
     }
 
-    /// Fleet-wide metrics registry: [`Self::fleet_stats`] published into a
-    /// fresh [`MetricsRegistry`] (the Prometheus-style exposition source).
-    pub fn fleet_metrics(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        self.fleet_stats().publish_metrics(&mut registry);
-        registry
+    /// Fleet-wide metrics registry (the Prometheus-style exposition
+    /// source): what [`Self::fleet_stats`] published into a fresh
+    /// [`MetricsRegistry`] holds.
+    ///
+    /// The router keeps one registry and refreshes it in place through
+    /// [`Self::publish_metrics`], so once warm a scrape allocates nothing
+    /// but the text `render` returns.
+    pub fn fleet_metrics(&self) -> Ref<'_, MetricsRegistry> {
+        // The refresh is skipped only while an earlier result is held.  That
+        // result borrows the router, so nothing has been served since it
+        // was refreshed, and the kept registry is already current.
+        if let Ok(mut kept) = self.exposition.try_borrow_mut() {
+            self.publish_metrics(&mut kept);
+        }
+        self.exposition.borrow()
+    }
+
+    /// Publishes the fleet aggregate [`Self::fleet_stats`] returns into
+    /// `registry`.  The aggregate is merged into statistics the router
+    /// keeps, reusing their buffers, instead of a fresh clone.
+    pub fn publish_metrics(&self, registry: &mut MetricsRegistry) {
+        let mut aggregate = self.fleet_aggregate.borrow_mut();
+        let parts =
+            std::iter::once(&self.retired_stats).chain(self.workers.iter().map(Worker::stats));
+        aggregate.refill(parts);
+        aggregate.publish_metrics(registry);
     }
 
     /// The busy worker furthest behind in wall time.

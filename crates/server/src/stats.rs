@@ -524,8 +524,26 @@ impl ServerStats {
         charged: usize,
         per_token_ms: f64,
     ) {
-        // Found by comparing borrowed labels: the key is allocated only the
-        // first time a (policy, drafter) pair commits a round.
+        self.update_group(policy, drafter, |group| {
+            group.rounds += 1;
+            group.drafted_tokens += drafted;
+            group.accepted_tokens += accepted;
+            group.charged_tokens += charged;
+            group.accepted_work_ms += per_token_ms * accepted as f64;
+            group.probe_overhead_ms += per_token_ms * charged.saturating_sub(drafted) as f64;
+            group.rejected_draft_ms += per_token_ms * drafted.saturating_sub(accepted) as f64;
+        });
+    }
+
+    /// Applies `update` to the `(policy, drafter)` group.  The group is
+    /// found by comparing borrowed labels, so its key is allocated only the
+    /// first time the pair appears.
+    fn update_group(
+        &mut self,
+        policy: &str,
+        drafter: &str,
+        update: impl FnOnce(&mut SpeculationGroupStats),
+    ) {
         let found = self
             .speculation
             .iter_mut()
@@ -537,13 +555,7 @@ impl ServerStats {
                 .entry((policy.to_owned(), drafter.to_owned()))
                 .or_default(),
         };
-        group.rounds += 1;
-        group.drafted_tokens += drafted;
-        group.accepted_tokens += accepted;
-        group.charged_tokens += charged;
-        group.accepted_work_ms += per_token_ms * accepted as f64;
-        group.probe_overhead_ms += per_token_ms * charged.saturating_sub(drafted) as f64;
-        group.rejected_draft_ms += per_token_ms * drafted.saturating_sub(accepted) as f64;
+        update(group);
     }
 
     /// Records one rejected submission (queue full).
@@ -652,17 +664,51 @@ impl ServerStats {
         self.total_audio_seconds += other.total_audio_seconds;
         self.predicted_tokens += other.predicted_tokens;
         self.accepted_tokens += other.accepted_tokens;
-        for (key, group) in &other.speculation {
-            self.speculation
-                .entry(key.clone())
-                .or_default()
-                .merge(group);
+        for ((policy, drafter), group) in &other.speculation {
+            self.update_group(policy, drafter, |own| own.merge(group));
         }
         self.e2e.merge(&other.e2e);
         self.ttft.merge(&other.ttft);
         self.queue.merge(&other.queue);
         self.first_partial.merge(&other.first_partial);
         self.partial_span.merge(&other.partial_span);
+    }
+
+    /// Overwrites these statistics with `parts` merged in order (what
+    /// [`ServerStats::merge`] of each part into fresh statistics gives),
+    /// keeping the buffers: every histogram keeps its buckets and the
+    /// speculation map its groups.  Once the buffers span the parts'
+    /// buckets and groups, a refill allocates nothing.
+    pub(crate) fn refill<'a>(&mut self, parts: impl IntoIterator<Item = &'a ServerStats>) {
+        let mut kept = std::mem::take(self);
+        self.speculation = std::mem::take(&mut kept.speculation);
+        for group in self.speculation.values_mut() {
+            *group = SpeculationGroupStats::default();
+        }
+        for (histogram, buffer) in self.histograms_mut().zip(kept.histograms_mut()) {
+            std::mem::swap(histogram, buffer);
+            histogram.reset();
+        }
+        for part in parts {
+            self.merge(part);
+        }
+        // Every group a part holds has committed a round; a kept group none
+        // of them holds would not be in a fresh merge.
+        self.speculation.retain(|_, group| group.rounds > 0);
+    }
+
+    /// Every latency histogram, the per-class ones last.
+    fn histograms_mut(&mut self) -> impl Iterator<Item = &mut Histogram> {
+        let classes = self.slo.iter_mut().map(|class| &mut class.e2e);
+        [
+            &mut self.e2e,
+            &mut self.ttft,
+            &mut self.queue,
+            &mut self.first_partial,
+            &mut self.partial_span,
+        ]
+        .into_iter()
+        .chain(classes)
     }
 
     /// Number of completed requests.
@@ -1157,6 +1203,36 @@ mod tests {
         assert!((asp.accepted_work_ms() - 1.0).abs() < 1e-12);
         assert!((asp.probe_overhead_ms() - (0.25 + 2.0)).abs() < 1e-12);
         assert!((asp.rejected_draft_ms() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_refill_equals_a_fresh_merge_of_its_parts() {
+        let mut a = ServerStats::new();
+        a.record_verify_outcome("specasr-asp", "ctc", 4, 3, 5, 0.5);
+        a.e2e.record(12.0);
+        a.slo[SloClass::Interactive.index()].e2e.record(12.0);
+        a.completed = 1;
+        let mut b = ServerStats::new();
+        b.record_verify_outcome("specasr-tsp", "model", 8, 5, 9, 0.25);
+        b.e2e.record(0.0);
+        b.e2e.record(900.0);
+        b.completed = 2;
+        let mut kept = ServerStats::new();
+        kept.refill([&a, &b]);
+        let mut fresh = a.clone();
+        fresh.merge(&b);
+        let render = |stats: &ServerStats| {
+            let mut registry = MetricsRegistry::new();
+            stats.publish_metrics(&mut registry);
+            registry.render()
+        };
+        assert_eq!(render(&kept), render(&fresh));
+        // Refilled from fewer parts, the kept statistics drop the group and
+        // the counts only the missing part held.
+        kept.refill([&b]);
+        assert_eq!(render(&kept), render(&b));
+        let groups: Vec<&(String, String)> = kept.speculation_groups().keys().collect();
+        assert_eq!(groups, [&("specasr-tsp".to_owned(), "model".to_owned())]);
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //! so a bucket's `le` bound depends only on the bucket and stays put from one
 //! scrape to the next.
 //!
+//! A registry is kept and published into again and again: every `set_*`
+//! overwrites its sample in place, and rendering writes into one buffer.
+//! Once every family, sample and bucket has been seen, publishing and
+//! rendering allocate nothing but the returned text.
+//!
 //! Rendering is deterministic: families sort by name, samples by label set,
 //! and values print through the shared JSON float formatter.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use specasr_metrics::Histogram;
+use specasr_metrics::{BoundTexts, Histogram};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetricKind {
@@ -40,6 +46,29 @@ enum MetricValue {
     Distribution(Histogram),
 }
 
+impl MetricValue {
+    /// Overwrites the value with `published`, copying a histogram into the
+    /// buckets this value already holds.
+    fn assign(&mut self, published: Published<'_>) {
+        match (self, published) {
+            (MetricValue::Distribution(kept), Published::Histogram(histogram)) => {
+                kept.clone_from(histogram);
+            }
+            (slot, Published::Histogram(histogram)) => {
+                *slot = MetricValue::Distribution(histogram.clone());
+            }
+            (slot, Published::Scalar(value)) => *slot = MetricValue::Scalar(value),
+        }
+    }
+}
+
+/// A value a `set_*` call publishes.
+#[derive(Clone, Copy)]
+enum Published<'a> {
+    Scalar(f64),
+    Histogram(&'a Histogram),
+}
+
 #[derive(Debug, Clone)]
 struct MetricFamily {
     kind: MetricKind,
@@ -49,37 +78,80 @@ struct MetricFamily {
     samples: BTreeMap<String, MetricValue>,
 }
 
-/// Renders a label set as it appears inside `{...}`.
-fn label_set(labels: &[(&str, &str)]) -> String {
-    let mut out = String::new();
+/// Writes a label set into `out` as it appears inside `{...}`, replacing
+/// what `out` held.
+fn write_label_set(out: &mut String, labels: &[(&str, &str)]) {
+    out.clear();
     for (index, (key, value)) in labels.iter().enumerate() {
         if index > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{key}=\"{value}\"");
+        out.push_str(key);
+        out.push_str("=\"");
+        out.push_str(value);
+        out.push('"');
     }
-    out
 }
 
-/// Formats a sample value the way the workspace formats floats in JSON:
+/// Appends `value` in decimal.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Appends a sample value the way the workspace formats floats in JSON:
 /// integral values print without a fraction, everything else shortest
 /// round-trip.
-fn format_value(value: f64) -> String {
+fn push_value(out: &mut String, value: f64) {
     if value.is_finite() && value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 {
-        format!("{}", value as i64)
+        let integral = value as i64;
+        if integral < 0 {
+            out.push('-');
+        }
+        push_u64(out, integral.unsigned_abs());
     } else {
-        format!("{value}")
+        let _ = write!(out, "{value}");
+    }
+}
+
+/// Appends `{labels}`, or nothing for an empty label set.
+fn push_braced(out: &mut String, labels: &str) {
+    if !labels.is_empty() {
+        out.push('{');
+        out.push_str(labels);
+        out.push('}');
     }
 }
 
 /// A counter/gauge/histogram registry with Prometheus text exposition.
 ///
-/// Publishers use the `set_*` methods to write snapshot values (the
-/// registry is a *snapshot* of end-of-run stats, not a live atomically
-/// updated store).
+/// Publishers use the `set_*` methods to write the current value of each
+/// sample.  A registry can be kept and published into again: a `set_*` call
+/// finds its family and sample by the borrowed name and labels and
+/// overwrites the value in place, copying a histogram into the buckets the
+/// sample already holds.  A sample stays until the registry is dropped, so
+/// a kept registry renders what a fresh one given the same samples renders.
+///
+/// `render` remembers the length of the text it returned, to size the next
+/// one, in a `Cell`: a registry is `Send` but not `Sync`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<String, MetricFamily>,
+    /// The label set of the sample being published, rendered for lookup.
+    labels: String,
+    /// The `le` text of every bucket a published histogram has spanned.
+    bounds: BoundTexts,
+    /// Length of the last text [`MetricsRegistry::render`] returned.
+    rendered_len: Cell<usize>,
 }
 
 impl MetricsRegistry {
@@ -104,23 +176,34 @@ impl MetricsRegistry {
         help: &str,
         labels: &[(&str, &str)],
         kind: MetricKind,
-        value: MetricValue,
+        value: Published<'_>,
     ) {
-        let family = self
-            .families
-            .entry(name.to_string())
-            .or_insert_with(|| MetricFamily {
-                kind,
-                help: help.to_string(),
-                samples: BTreeMap::new(),
-            });
+        let family = match self.families.get_mut(name) {
+            Some(family) => family,
+            None => self
+                .families
+                .entry(name.to_owned())
+                .or_insert_with(|| MetricFamily {
+                    kind,
+                    help: help.to_owned(),
+                    samples: BTreeMap::new(),
+                }),
+        };
         assert!(
             family.kind == kind,
             "metric {name} registered as {} and {}",
             family.kind.label(),
             kind.label()
         );
-        family.samples.insert(label_set(labels), value);
+        write_label_set(&mut self.labels, labels);
+        let sample = match family.samples.get_mut(self.labels.as_str()) {
+            Some(sample) => sample,
+            None => family
+                .samples
+                .entry(self.labels.clone())
+                .or_insert(MetricValue::Scalar(0.0)),
+        };
+        sample.assign(value);
     }
 
     /// Publishes a counter sample (a monotonically accumulated total).
@@ -134,7 +217,7 @@ impl MetricsRegistry {
             help,
             labels,
             MetricKind::Counter,
-            MetricValue::Scalar(value),
+            Published::Scalar(value),
         );
     }
 
@@ -149,7 +232,7 @@ impl MetricsRegistry {
             help,
             labels,
             MetricKind::Gauge,
-            MetricValue::Scalar(value),
+            Published::Scalar(value),
         );
     }
 
@@ -165,12 +248,13 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         histogram: &Histogram,
     ) {
+        self.bounds.cover(histogram);
         self.set(
             name,
             help,
             labels,
             MetricKind::Histogram,
-            MetricValue::Distribution(histogram.clone()),
+            Published::Histogram(histogram),
         );
     }
 
@@ -178,56 +262,82 @@ impl MetricsRegistry {
     ///
     /// Families appear in name order with `# HELP` / `# TYPE` headers;
     /// histograms expand into cumulative `_bucket{le="..."}` series (one per
-    /// non-empty bucket plus `+Inf`), `_sum`, and `_count`.
+    /// non-empty bucket plus `+Inf`), `_sum`, and `_count`.  The text is
+    /// sized from the previous render, so rendering a kept registry
+    /// allocates only the returned `String`.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let previous = self.rendered_len.get();
+        let mut out = String::with_capacity(previous + previous / 8);
+        self.render_into(&mut out);
+        self.rendered_len.set(out.len());
+        out
+    }
+
+    /// [`MetricsRegistry::render`] appended to `out`: allocates nothing
+    /// while `out` has room.
+    fn render_into(&self, out: &mut String) {
         for (name, family) in &self.families {
-            let _ = writeln!(out, "# HELP {name} {}", family.help);
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.label());
+            for (header, text) in [
+                ("# HELP ", family.help.as_str()),
+                ("# TYPE ", family.kind.label()),
+            ] {
+                out.push_str(header);
+                out.push_str(name);
+                out.push(' ');
+                out.push_str(text);
+                out.push('\n');
+            }
             for (labels, value) in &family.samples {
                 match value {
                     MetricValue::Scalar(scalar) => {
-                        let braces = if labels.is_empty() {
-                            String::new()
-                        } else {
-                            format!("{{{labels}}}")
-                        };
-                        let _ = writeln!(out, "{name}{braces} {}", format_value(*scalar));
+                        out.push_str(name);
+                        push_braced(out, labels);
+                        out.push(' ');
+                        push_value(out, *scalar);
+                        out.push('\n');
                     }
                     MetricValue::Distribution(histogram) => {
-                        render_histogram(&mut out, name, labels, histogram);
+                        self.render_histogram(out, name, labels, histogram);
                     }
                 }
             }
         }
-        out
     }
-}
 
-fn render_histogram(out: &mut String, name: &str, labels: &str, histogram: &Histogram) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    let mut cumulative = 0u64;
-    // Keep the exposition compact: only buckets that change the cumulative
-    // count get a line (plus the mandatory +Inf terminator).
-    for (upper, count) in histogram.buckets() {
-        cumulative += count;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}"
-        );
+    fn render_histogram(&self, out: &mut String, name: &str, labels: &str, histogram: &Histogram) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut bucket_line = |le: &str, cumulative: u64| {
+            out.push_str(name);
+            out.push_str("_bucket{");
+            out.push_str(labels);
+            out.push_str(sep);
+            out.push_str("le=\"");
+            out.push_str(le);
+            out.push_str("\"} ");
+            push_u64(out, cumulative);
+            out.push('\n');
+        };
+        let mut cumulative = 0u64;
+        // Keep the exposition compact: only buckets that change the cumulative
+        // count get a line (plus the mandatory +Inf terminator).
+        for (le, count) in self.bounds.buckets(histogram) {
+            cumulative += count;
+            bucket_line(le, cumulative);
+        }
+        bucket_line("+Inf", histogram.count());
+        out.push_str(name);
+        out.push_str("_sum");
+        push_braced(out, labels);
+        out.push(' ');
+        push_value(out, histogram.sum());
+        out.push('\n');
+        out.push_str(name);
+        out.push_str("_count");
+        push_braced(out, labels);
+        out.push(' ');
+        push_u64(out, histogram.count());
+        out.push('\n');
     }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-        histogram.count()
-    );
-    let braces = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let _ = writeln!(out, "{name}_sum{braces} {}", format_value(histogram.sum()));
-    let _ = writeln!(out, "{name}_count{braces} {}", histogram.count());
 }
 
 #[cfg(test)]
@@ -295,5 +405,149 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         registry.set_counter("x", "x", &[], 1.0);
         registry.set_gauge("x", "x", &[], 1.0);
+    }
+
+    #[test]
+    fn values_print_like_the_json_float_formatter() {
+        let values = [
+            (-3.0, "-3"),
+            (-0.0, "0"),
+            (0.5, "0.5"),
+            (-2.25, "-2.25"),
+            (123_456_789.0, "123456789"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (1e20, "100000000000000000000"),
+            (f64::INFINITY, "inf"),
+            (f64::NAN, "NaN"),
+        ];
+        let mut registry = MetricsRegistry::new();
+        for (index, (value, _)) in values.iter().enumerate() {
+            let label = index.to_string();
+            registry.set_gauge("v", "values", &[("i", &label)], *value);
+        }
+        let text = registry.render();
+        for (index, (value, printed)) in values.iter().enumerate() {
+            let line = format!("v{{i=\"{index}\"}} {printed}\n");
+            assert!(text.contains(&line), "{value} as `{line}`:\n{text}");
+        }
+    }
+
+    #[test]
+    fn republishing_a_kept_registry_overwrites_in_place() {
+        let mut wide = Histogram::new();
+        for value in [0.0, 0.002, 3.0, 40_000.0] {
+            wide.record(value);
+        }
+        let mut narrow = Histogram::new();
+        narrow.record(7.0);
+        let mut kept = MetricsRegistry::new();
+        kept.set_counter("req_total", "requests", &[("class", "a")], 1.0);
+        kept.set_histogram("lat_ms", "latency", &[], &wide);
+        kept.set_histogram("lat_ms", "latency", &[], &narrow);
+        kept.set_counter("req_total", "requests", &[("class", "a")], 2.0);
+        let mut fresh = MetricsRegistry::new();
+        fresh.set_histogram("lat_ms", "latency", &[], &narrow);
+        fresh.set_counter("req_total", "requests", &[("class", "a")], 2.0);
+        assert_eq!(kept.render(), fresh.render());
+        assert_eq!(kept.len(), 2);
+        // The kept texts of the wide range's buckets serve a later copy.
+        kept.set_histogram("lat_ms", "latency", &[], &wide);
+        fresh.set_histogram("lat_ms", "latency", &[], &wide);
+        assert_eq!(kept.render(), fresh.render());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One family of each kind, and a second counter.
+    const FAMILIES: [(&str, MetricKind); 4] = [
+        ("a_total", MetricKind::Counter),
+        ("b_level", MetricKind::Gauge),
+        ("c_latency_ms", MetricKind::Histogram),
+        ("d_total", MetricKind::Counter),
+    ];
+
+    /// Label sets, listed in an order their rendered texts do not sort in.
+    const LABELS: [&[(&str, &str)]; 4] = [
+        &[("w", "1")],
+        &[],
+        &[("w", "0"), ("x", "y")],
+        &[("class", "best-effort")],
+    ];
+
+    /// A well-mixed draw from `seed` and `salt` (splitmix64's finaliser).
+    fn mix(seed: u64, salt: u64) -> u64 {
+        let mut z = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Publishes sample `(family, labels)` with a value drawn from `seed`:
+    /// an integral counter, a signed fractional gauge, or a histogram of up
+    /// to five latencies between 10⁻³ and 10⁵ ms (one in five exactly 0),
+    /// so bucket ranges move both ways from round to round.
+    fn publish(registry: &mut MetricsRegistry, (family, labels): (usize, usize), seed: u64) {
+        let draw = mix(seed, (family * LABELS.len() + labels) as u64);
+        let (name, kind) = FAMILIES[family];
+        let labels = LABELS[labels];
+        let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64;
+        match kind {
+            MetricKind::Counter => {
+                registry.set_counter(name, "a total", labels, (draw % 100_000) as f64)
+            }
+            MetricKind::Gauge => {
+                registry.set_gauge(name, "a level", labels, (unit(draw) - 0.5) * 1e3)
+            }
+            MetricKind::Histogram => {
+                let mut histogram = Histogram::new();
+                for k in 0..draw % 6 {
+                    let bits = mix(draw, k);
+                    histogram.record(if bits.is_multiple_of(5) {
+                        0.0
+                    } else {
+                        10f64.powf(8.0 * unit(bits) - 3.0)
+                    });
+                }
+                registry.set_histogram(name, "a latency", labels, &histogram);
+            }
+        }
+    }
+
+    proptest! {
+        /// Rounds of publishing into one kept registry: each round re-sets
+        /// every earlier sample with a new value, adds new samples, and
+        /// publishes in a random order.  After every round the kept
+        /// registry renders what a fresh registry given only that round
+        /// renders.
+        #[test]
+        fn a_kept_registry_renders_like_a_fresh_one_given_the_last_round(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0usize..4, 0usize..4), 0..6), any::<u64>()),
+                1..6,
+            ),
+        ) {
+            let mut kept = MetricsRegistry::new();
+            let mut samples: Vec<(usize, usize)> = Vec::new();
+            for (added, seed) in rounds {
+                for sample in added {
+                    if !samples.contains(&sample) {
+                        samples.push(sample);
+                    }
+                }
+                samples.sort_by_key(|&(family, labels)| mix(!seed, (family * 8 + labels) as u64));
+                let mut fresh = MetricsRegistry::new();
+                for &sample in &samples {
+                    publish(&mut kept, sample, seed);
+                }
+                for &sample in samples.iter().rev() {
+                    publish(&mut fresh, sample, seed);
+                }
+                prop_assert_eq!(kept.render(), fresh.render());
+            }
+        }
     }
 }

@@ -30,6 +30,10 @@
 //! at most the block table it fills, and decoding a transcript allocates its
 //! text once.
 //!
+//! A metrics scrape refreshes the exposition the router keeps in place, so
+//! a scrape with nothing new to show allocates only the text it returns,
+//! and so does the median scrape of an open-loop run.
+//!
 //! The allocator also tracks this thread's live bytes and bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
 //! no per-round history; an idle fleet-controller evaluation allocates the
@@ -53,7 +57,8 @@ use specasr_models::{
 };
 use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
-    plan_verify_waves, Router, RouterConfig, Scheduler, ServerConfig, SloClass, VerifyPlan,
+    plan_verify_waves, LoadGen, Router, RouterConfig, Scheduler, ServerConfig, SloClass,
+    VerifyPlan, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -793,4 +798,112 @@ fn re_planning_a_kept_plan_allocates_nothing() {
         }
     }
     assert!(waves_seen.iter().any(|&waves| waves > 2), "{waves_seen:?}");
+}
+
+/// Scrapes `router` as a metrics endpoint does, returning what the scrape
+/// allocated.
+fn scrape_allocations<D: AsrDecoderModel, T: AsrDecoderModel>(router: &Router<D, T>) -> u64 {
+    let (len, allocated) = counted(|| router.fleet_metrics().render().len());
+    assert!(len > 0);
+    allocated
+}
+
+/// The policies the scrape tests alternate: two `(policy, drafter)` groups.
+fn scrape_policies() -> [Policy; 2] {
+    [
+        Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+        Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+    ]
+}
+
+/// A scrape repeated with no traffic in between allocates only its text,
+/// whatever the fleet has served and however its membership changed: the
+/// kept aggregate and registry already hold every bucket, group and sample.
+#[test]
+fn a_repeated_scrape_allocates_only_its_text() {
+    let setup = StandardSetup::new(31, 6);
+    let pool = corpus_pool(&setup);
+    let policies = scrape_policies();
+    let make = |_| (setup.draft.clone(), setup.target.clone());
+    let mut router = Router::new(
+        RouterConfig::default().with_workers(2),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        make,
+    );
+    let mut repeated = Vec::new();
+    let mut served = 0;
+    for milestone in [64, 512] {
+        while served < milestone {
+            for index in served..served + 16 {
+                router
+                    .submit(policies[index % 2], pool[index % pool.len()])
+                    .expect("queues have room");
+            }
+            assert_eq!(router.run_until_idle().len(), 16);
+            served += 16;
+        }
+        scrape_allocations(&router);
+        repeated.push((
+            format!("after {milestone} requests"),
+            scrape_allocations(&router),
+        ));
+    }
+
+    let newest = router.workers()[1].id();
+    router.drain_worker(newest);
+    router.run_until_idle();
+    assert_eq!(router.reap_drained(), [newest]);
+    scrape_allocations(&router);
+    repeated.push(("after a drain and reap".into(), scrape_allocations(&router)));
+
+    router.add_worker(WorkerProfile::default(), make);
+    scrape_allocations(&router);
+    repeated.push(("after a worker joined".into(), scrape_allocations(&router)));
+
+    for (point, allocated) in repeated {
+        assert!(
+            allocated <= 1,
+            "a repeated scrape {point} allocated {allocated} times"
+        );
+    }
+}
+
+/// Scraped once per modeled second through an open-loop run, the median
+/// scrape allocates only its text: new buckets, and a text longer than the
+/// last one had room for, allocate now and then.
+#[test]
+fn the_median_open_loop_scrape_allocates_only_its_text() {
+    let setup = StandardSetup::new(31, 6);
+    let pool = corpus_pool(&setup);
+    let policies = scrape_policies();
+    let mut router = Router::new(
+        RouterConfig::default().with_workers(2),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        |_| (setup.draft.clone(), setup.target.clone()),
+    );
+    let mut load = LoadGen::new(7, 20.0);
+    let mut per_scrape = Vec::new();
+    let mut next_scrape_ms = 1_000.0;
+    for index in 0..2_000 {
+        let due_ms = load.next_arrival_ms();
+        router.advance_to(due_ms);
+        if due_ms >= next_scrape_ms {
+            per_scrape.push(scrape_allocations(&router));
+            next_scrape_ms = (due_ms / 1_000.0).floor() * 1_000.0 + 1_000.0;
+        }
+        router
+            .submit(policies[index % 2], pool[index % pool.len()])
+            .expect("queues have room");
+    }
+    router.run_until_idle();
+    assert_eq!(router.fleet_stats().completed(), 2_000);
+    per_scrape.sort_unstable();
+    let median = per_scrape[per_scrape.len() / 2];
+    assert!(
+        per_scrape.len() >= 90 && median <= 1,
+        "median {median} allocations over {} scrapes: {per_scrape:?}",
+        per_scrape.len()
+    );
 }

@@ -8,8 +8,9 @@ use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_models::SimulatedAsrModel;
 use specasr_server::{
-    assemble_spans, chrome_trace, validate_chrome_trace, FlightRecording, RequestOutcome, Router,
-    RouterConfig, Scheduler, ServerConfig, TraceConfig, TraceEvent,
+    assemble_spans, chrome_trace, validate_chrome_trace, FlightRecording, MetricsRegistry,
+    RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig, TraceConfig, TraceEvent,
+    WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 
@@ -411,6 +412,104 @@ fn exposition_buckets_keep_their_bounds_across_scrapes() {
             later.1
         );
     }
+}
+
+/// The exposition a scrape refreshes in place renders, byte for byte, what
+/// the reference path renders — the fleet aggregate merged afresh and
+/// published into a fresh registry — through every change a kept
+/// exposition must follow: the first scrape, a new `(policy, drafter)`
+/// group, latencies below and above the range seen so far, a worker
+/// drained and reaped, and a worker joining.
+#[test]
+fn a_scrape_refreshed_in_place_renders_the_reference_exposition() {
+    type Fleet = Router<SimulatedAsrModel, SimulatedAsrModel>;
+    fn reference(router: &Fleet) -> String {
+        let mut registry = MetricsRegistry::new();
+        router.fleet_stats().publish_metrics(&mut registry);
+        registry.render()
+    }
+    fn check(router: &Fleet, phase: &str) {
+        assert_eq!(
+            router.fleet_metrics().render(),
+            reference(router),
+            "{phase}"
+        );
+    }
+
+    let setup = StandardSetup::new(904, 8);
+    let first = Policy::Speculative(SpeculativeConfig::short_single());
+    let second = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let make = |_| (setup.draft.clone(), setup.target.clone());
+    let mut router = Router::new(
+        RouterConfig::default().with_workers(2),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        make,
+    );
+    let mut pool: Vec<&Utterance> = Split::ALL
+        .iter()
+        .flat_map(|&split| setup.corpus.split(split))
+        .collect();
+    pool.sort_by(|a, b| a.duration_seconds().total_cmp(&b.duration_seconds()));
+    let middle = &pool[pool.len() / 4..pool.len() * 3 / 4];
+
+    for utterance in &middle[..8] {
+        router.submit(first, utterance).expect("queues have room");
+        router.run_until_idle();
+    }
+    check(&router, "the first scrape");
+
+    for utterance in &middle[8..12] {
+        router.submit(second, utterance).expect("queues have room");
+        router.run_until_idle();
+    }
+    assert_eq!(router.fleet_stats().speculation_groups().len(), 2);
+    check(&router, "a new (policy, drafter) group");
+
+    // The lowest and the highest non-empty e2e bucket bound.
+    let e2e_range = |router: &Fleet| {
+        let stats = router.fleet_stats();
+        let mut bounds = stats.e2e_histogram().buckets().map(|(bound, _)| bound);
+        let low = bounds.next().expect("latencies recorded");
+        (low, bounds.last().unwrap_or(low))
+    };
+    let (low, high) = e2e_range(&router);
+    router.submit(first, pool[0]).expect("queues have room");
+    router.run_until_idle();
+    for utterance in &pool[pool.len() - 16..] {
+        router.submit(second, utterance).expect("queues have room");
+    }
+    router.run_until_idle();
+    let (new_low, new_high) = e2e_range(&router);
+    assert!(
+        new_low < low && new_high > high,
+        "{low}..={high} to {new_low}..={new_high}"
+    );
+    check(&router, "latencies below and above the range seen");
+
+    let newest = router.workers()[1].id();
+    router.drain_worker(newest);
+    router.run_until_idle();
+    assert_eq!(router.reap_drained(), [newest]);
+    check(&router, "a worker drained and reaped");
+
+    router.add_worker(WorkerProfile::default(), make);
+    check(&router, "a worker joined");
+    for utterance in &middle[12..] {
+        router.submit(first, utterance).expect("queues have room");
+    }
+    router.run_until_idle();
+    check(&router, "the joined worker served");
+
+    // A result still held leaves the kept registry borrowed: a second
+    // scrape lends the same registry, which nothing could have changed.
+    let held = router.fleet_metrics();
+    let again = router.fleet_metrics();
+    let mut published = MetricsRegistry::new();
+    router.publish_metrics(&mut published);
+    assert_eq!(held.render(), again.render());
+    assert_eq!(held.render(), published.render());
+    assert_eq!(held.render(), reference(&router));
 }
 
 #[test]
