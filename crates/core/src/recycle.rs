@@ -65,6 +65,11 @@ impl RecycleBuffer {
         self.tokens.extend_from_slice(&draft_tokens[start..]);
     }
 
+    /// Empties the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.tokens.clear();
+    }
+
     /// The retained tokens.
     pub fn tokens(&self) -> &[TokenId] {
         &self.tokens

@@ -16,14 +16,16 @@
 //!    plus correction token are committed, and KV caches, statistics, and
 //!    the recycle buffer are updated.
 //!
-//! [`DecodeSession::new`] is the one way to start a session, fresh or resumed
-//! after a committed prefix, and every session allocates its KV blocks from
-//! a caller-owned [`KvPool`]: the serving scheduler's bounded pool, or the
-//! unbounded pool [`Policy::decode`] creates per utterance.  Blocking and
-//! scheduled decodes therefore run one code path, and a scheduler that
-//! interleaves rounds across many sessions produces byte-identical
-//! transcripts to sequential decoding (the lossless invariant serving relies
-//! on).
+//! Every session starts, fresh or resumed after a committed prefix, through
+//! one start routine: [`DecodeSession::new`] runs it on a new session, and
+//! [`DecodeSession::restart`] runs it again in the buffers of a released
+//! one, building exactly what `new` builds.  Every session allocates its KV
+//! blocks from a caller-owned [`KvPool`]: the serving scheduler's bounded
+//! pool, or the unbounded pool [`Policy::decode`] creates per utterance.
+//! Blocking and scheduled decodes therefore run one code path, and a
+//! scheduler that interleaves rounds across many sessions produces
+//! byte-identical transcripts to sequential decoding (the lossless invariant
+//! serving relies on).
 //!
 //! The caller owns the [`DraftedRound`] the material lands in: a drafter
 //! empties and refills it in place, both verify calls borrow it, and the
@@ -329,7 +331,9 @@ pub struct DecodeSession {
 impl DecodeSession {
     /// Starts a session for `audio` under `policy`, drafting from `drafter`,
     /// with its KV blocks allocated from `pool`.  A caller that keeps the
-    /// audio context behind an `Arc` shares it instead of copying it.
+    /// audio context behind an `Arc` shares it instead of copying it.  This
+    /// is [`DecodeSession::idle`] followed by the start routine
+    /// [`DecodeSession::restart`] runs.
     ///
     /// An empty `committed` starts a fresh decode.  A non-empty one resumes
     /// after those transcript tokens (a streaming re-decode, or a restore
@@ -361,47 +365,127 @@ impl DecodeSession {
         committed: &[TokenId],
         pool: &mut KvPool,
     ) -> Result<Self, PoolError> {
-        let audio = audio.into();
+        let mut session = DecodeSession::idle(policy, drafter, audio);
+        session.start(committed, pool)?;
+        Ok(session)
+    }
+
+    /// A session for `audio` that holds no KV blocks and has decoded
+    /// nothing; [`DecodeSession::restart`] starts it.  Its buffers stay
+    /// empty until then, so a server builds one per request at submit and
+    /// the request carries it through the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy carries an invalid configuration.
+    pub fn idle(
+        policy: Policy,
+        drafter: DrafterKind,
+        audio: impl Into<Arc<UtteranceTokens>>,
+    ) -> Self {
         match &policy {
             Policy::AdaptiveSingleSequence(config) => config.validate(),
             Policy::TwoPassSparseTree(config) => config.validate(),
             Policy::Autoregressive | Policy::Speculative(_) => {}
         }
-        let holds_draft_kv = !matches!(policy, Policy::Autoregressive) && drafter.uses_draft_kv();
-        let key = Some(audio.prefix_key());
-        let mut draft_kv = BlockTable::new();
-        let mut target_kv = BlockTable::new();
-        if holds_draft_kv {
-            pool.draft_mut()
-                .prefill(&mut draft_kv, audio.prefill_tokens(), key)?;
-        }
-        if let Err(error) = pool
-            .target_mut()
-            .prefill(&mut target_kv, audio.prefill_tokens(), key)
-        {
-            pool.draft_mut().release(&mut draft_kv);
-            return Err(error);
-        }
-        let mut session = DecodeSession {
+        DecodeSession {
             policy,
             drafter,
-            cap: audio.len() * 2 + 16,
-            tokens: Vec::with_capacity(audio.len() + 1),
-            audio,
+            audio: audio.into(),
+            tokens: Vec::new(),
             stats: DecodeStats::new(),
             clock: DecodeClock::new(),
-            draft_kv,
-            target_kv,
+            draft_kv: BlockTable::new(),
+            target_kv: BlockTable::new(),
             recycle: RecycleBuffer::new(),
             finished: false,
-        };
-        let draft_width = if holds_draft_kv { committed.len() } else { 0 };
-        if let Err(error) = session.kv_append(pool, draft_width, committed.len()) {
-            session.release_kv(pool);
+            cap: 0,
+        }
+    }
+
+    /// Starts this released session again, on `audio` after `committed`,
+    /// building in its kept buffers exactly what [`DecodeSession::new`]
+    /// builds: the same transcript, KV positions and blocks, zeroed
+    /// statistics (the round log keeps its buffer), a zeroed clock and an
+    /// empty recycle buffer.  Every buffer keeps its capacity, so a restart
+    /// allocates only where the new decode needs more room than earlier
+    /// ones left ([`DecodeSession::reserve`] sizes them up front).
+    ///
+    /// On [`PoolError::OutOfBlocks`] nothing stays allocated, the session
+    /// keeps `audio`, and a later restart can try again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session still holds KV blocks: release them first
+    /// ([`DecodeSession::release_kv`]).
+    pub fn restart(
+        &mut self,
+        audio: impl Into<Arc<UtteranceTokens>>,
+        committed: &[TokenId],
+        pool: &mut KvPool,
+    ) -> Result<(), PoolError> {
+        self.audio = audio.into();
+        self.start(committed, pool)
+    }
+
+    /// The start routine of [`DecodeSession::new`] and
+    /// [`DecodeSession::restart`]: empties every buffer, prefills both KV
+    /// tables and seeds them and the transcript with `committed`.
+    fn start(&mut self, committed: &[TokenId], pool: &mut KvPool) -> Result<(), PoolError> {
+        self.draft_kv.reset();
+        self.target_kv.reset();
+        self.tokens.clear();
+        self.tokens.reserve(self.audio.len() + 1);
+        self.stats.clear();
+        self.clock = DecodeClock::new();
+        // A kept buffer would make the first round recycle the previous
+        // decode's rejected tokens and so move round boundaries.
+        self.recycle.clear();
+        self.finished = false;
+        self.cap = self.audio.len() * 2 + 16;
+        let holds_draft_kv = self.holds_draft_kv();
+        let key = Some(self.audio.prefix_key());
+        let prefill = self.audio.prefill_tokens();
+        if holds_draft_kv {
+            pool.draft_mut().prefill(&mut self.draft_kv, prefill, key)?;
+        }
+        if let Err(error) = pool.target_mut().prefill(&mut self.target_kv, prefill, key) {
+            pool.draft_mut().release(&mut self.draft_kv);
             return Err(error);
         }
-        session.tokens.extend_from_slice(committed);
-        Ok(session)
+        let draft_width = if holds_draft_kv { committed.len() } else { 0 };
+        if let Err(error) = self.kv_append(pool, draft_width, committed.len()) {
+            self.release_kv(pool);
+            return Err(error);
+        }
+        self.tokens.extend_from_slice(committed);
+        Ok(())
+    }
+
+    /// Whether the session prefills and grows the draft sub-pool: only a
+    /// draft-model session of a speculative policy queries a draft model.
+    fn holds_draft_kv(&self) -> bool {
+        !matches!(self.policy, Policy::Autoregressive) && self.drafter.uses_draft_kv()
+    }
+
+    /// Sizes the transcript buffer and both block tables for a whole decode
+    /// of the session's audio on `pool`, so restarting on that audio, or on
+    /// any shorter view of it, regrows neither.  A stream calls this once,
+    /// over its full utterance, before its first chunk.
+    pub fn reserve(&mut self, pool: &KvPool) {
+        let transcript = self.audio.len() + 1;
+        self.tokens
+            .reserve(transcript.saturating_sub(self.tokens.len()));
+        // Prefill plus transcript, rounded up as a prefill sizes its table,
+        // which leaves room for a round's draft positions.
+        let blocks = pool
+            .target()
+            .blocks_for(self.audio.prefill_tokens() + transcript)
+            .next_power_of_two();
+        if self.holds_draft_kv() {
+            self.draft_kv.reserve(blocks);
+        }
+        self.target_kv.reserve(blocks);
     }
 
     /// The policy this session decodes under.
@@ -420,6 +504,23 @@ impl DecodeSession {
     /// The bound utterance being decoded, shared.
     pub fn audio(&self) -> &Arc<UtteranceTokens> {
         &self.audio
+    }
+
+    /// The bound utterance, to replace or to refill in place (through
+    /// `Arc::get_mut`) before the next [`DecodeSession::restart`]: a parked
+    /// stream refills its next view here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session holds KV blocks, whose prefill the audio
+    /// decided.
+    pub fn audio_mut(&mut self) -> &mut Arc<UtteranceTokens> {
+        assert_eq!(
+            self.kv_blocks_held(),
+            0,
+            "a session's audio changes only while it holds no blocks"
+        );
+        &mut self.audio
     }
 
     /// The committed transcript so far.
@@ -1489,6 +1590,93 @@ mod proptests {
                     prop_assert_eq!(&sessions[0].recycle, &other.recycle);
                 }
             }
+        }
+
+        /// A session that decoded one view, was released, and restarts on
+        /// another decodes exactly what a new session decodes, on a pool
+        /// with the same history: the same tokens, statistics with their
+        /// round log, clock, recycle buffer, KV positions, block ids and
+        /// pool counters, right after the start and at the end.  The views
+        /// are of another utterance or of the same one, shorter or longer,
+        /// and the committed prefix is a random cut of the second view's
+        /// transcript.  A restart on a pool too small for it first fails
+        /// and leaves nothing allocated.
+        #[test]
+        fn a_restarted_session_decodes_what_a_new_one_decodes(
+            case in 0usize..CASES,
+            first in (0usize..6, 0u32..1_200),
+            second in (0usize..6, 0u32..1_200),
+            cut in 0usize..1_001,
+            tight in 1usize..64,
+        ) {
+            let fixture = fixture();
+            let (policy, kind) = case_policy(case);
+            let view = |(utterance, permille): (usize, u32)| {
+                let audio = &fixture.audio[utterance];
+                let seconds = audio.duration_seconds() * f64::from(permille) / 1_000.0;
+                audio.prefix_view(seconds, 2, 0.3).unwrap_or_else(|| audio.clone())
+            };
+            let (first, second) = (view(first), view(second));
+            let greedy = fixture.target.greedy_transcript(&second);
+            let committed = &greedy[..greedy.len() * cut / 1_000];
+            let decode = |session: &mut DecodeSession, pool: &mut KvPool| {
+                let mut round = DraftedRound::new();
+                while !session.is_finished() {
+                    draft(&fixture, case, session, &mut round);
+                    session.verify_round(pool, &fixture.target, &round).expect("room");
+                }
+            };
+
+            // Both pools run the first decode, so their histories match.
+            let (mut kept_pool, mut fresh_pool) =
+                (KvPool::bounded(4_096, 16), KvPool::bounded(4_096, 16));
+            let mut kept = DecodeSession::new(policy, kind, first.clone(), &[], &mut kept_pool)
+                .expect("room");
+            let mut other = DecodeSession::new(policy, kind, first, &[], &mut fresh_pool)
+                .expect("room");
+            decode(&mut kept, &mut kept_pool);
+            decode(&mut other, &mut fresh_pool);
+            kept.release_kv(&mut kept_pool);
+            other.release_kv(&mut fresh_pool);
+
+            let second = Arc::new(second);
+            let needed = KvPool::unbounded(16).target().blocks_for(
+                second.prefill_tokens() + committed.len(),
+            );
+            if tight < needed {
+                let mut full = KvPool::bounded(tight, 16);
+                let failed = kept.restart(Arc::clone(&second), committed, &mut full);
+                prop_assert!(
+                    matches!(failed, Err(PoolError::OutOfBlocks { .. })),
+                    "{} blocks for {}", tight, needed
+                );
+                prop_assert_eq!(full.used_blocks(), 0);
+                prop_assert_eq!(kept.kv_blocks_held(), 0);
+            }
+            kept.restart(Arc::clone(&second), committed, &mut kept_pool).expect("room");
+            let mut fresh = DecodeSession::new(policy, kind, second, committed, &mut fresh_pool)
+                .expect("room");
+            for finished in [false, true] {
+                if finished {
+                    decode(&mut kept, &mut kept_pool);
+                    decode(&mut fresh, &mut fresh_pool);
+                }
+                prop_assert_eq!(kept.tokens(), fresh.tokens(), "case {}", case);
+                prop_assert_eq!(kept.stats(), fresh.stats());
+                prop_assert_eq!(kept.clock(), fresh.clock());
+                prop_assert_eq!(&kept.recycle, &fresh.recycle);
+                for (table, other) in [
+                    (&kept.draft_kv, &fresh.draft_kv),
+                    (&kept.target_kv, &fresh.target_kv),
+                ] {
+                    prop_assert_eq!(table.positions(), other.positions());
+                    prop_assert_eq!(table.block_ids(), other.block_ids());
+                }
+                prop_assert_eq!(kept_pool.counters(), fresh_pool.counters());
+                prop_assert_eq!(kept_pool.used_blocks(), fresh_pool.used_blocks());
+            }
+            prop_assert_eq!(kept.cap, fresh.cap);
+            prop_assert_eq!(kept.finished, fresh.finished);
         }
     }
 }

@@ -56,6 +56,18 @@ impl DecodeStats {
         DecodeStats::default()
     }
 
+    /// Zeroes every counter and empties the round log, keeping its buffer:
+    /// equal to [`DecodeStats::new`], and a decode recorded into it again
+    /// allocates nothing until it runs more rounds than the log has held.
+    pub(crate) fn clear(&mut self) {
+        let mut rounds_detail = std::mem::take(&mut self.rounds_detail);
+        rounds_detail.clear();
+        *self = DecodeStats {
+            rounds_detail,
+            ..DecodeStats::default()
+        };
+    }
+
     /// Records one completed round.
     pub fn record_round(&mut self, round: RoundRecord) {
         self.rounds += 1;
@@ -170,6 +182,19 @@ mod tests {
         assert_eq!(stats.acceptance_ratio(), 0.0);
         assert_eq!(stats.predicted_per_round(), 0.0);
         assert_eq!(stats.draft_steps_per_round(), 0.0);
+    }
+
+    #[test]
+    fn cleared_stats_equal_new_ones_and_keep_the_round_log() {
+        let mut stats = DecodeStats::new();
+        stats.record_round(round(8, 6, 8));
+        stats.record_round(round(4, 4, 4));
+        stats.record_correction();
+        let log = stats.rounds_detail.as_ptr();
+        stats.clear();
+        assert_eq!(stats, DecodeStats::new());
+        stats.record_round(round(2, 1, 2));
+        assert_eq!(stats.rounds_detail.as_ptr(), log);
     }
 
     #[test]

@@ -273,36 +273,69 @@ impl UtteranceTokens {
         boundary_tokens: usize,
         boundary_boost: f64,
     ) -> Option<UtteranceTokens> {
+        let mut view = UtteranceTokens {
+            reference_tokens: Vec::new(),
+            token_difficulties: Vec::new(),
+            ..*self
+        };
+        self.fill_prefix_view(&mut view, audio_seconds, boundary_tokens, boundary_boost)
+            .then_some(view)
+    }
+
+    /// Refills `view` in place with [`UtteranceTokens::prefix_view`]'s view
+    /// and returns `true`, or returns `false` and leaves `view` as it was
+    /// while no token is fully heard yet.  Whatever `view` held before, a
+    /// view of another utterance too, it now equals the new view; its
+    /// buffers keep their capacity, so a buffer that has held the full
+    /// utterance refills every view of it without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundary_boost` is negative or not finite.
+    pub fn fill_prefix_view(
+        &self,
+        view: &mut UtteranceTokens,
+        audio_seconds: f64,
+        boundary_tokens: usize,
+        boundary_boost: f64,
+    ) -> bool {
         assert!(
             boundary_boost.is_finite() && boundary_boost >= 0.0,
             "boundary_boost must be finite and non-negative"
         );
-        if audio_seconds >= self.duration_seconds {
-            return Some(self.clone());
-        }
+        let complete = audio_seconds >= self.duration_seconds;
         let heard = self.tokens_heard(audio_seconds);
-        if heard == 0 {
-            return None;
+        if !complete && heard == 0 {
+            return false;
         }
-        let mut difficulties: Vec<f64> = self.token_difficulties[..heard].to_vec();
+        view.reference_tokens.clear();
+        view.reference_tokens
+            .extend_from_slice(&self.reference_tokens[..heard]);
+        view.token_difficulties.clear();
+        view.token_difficulties
+            .extend_from_slice(&self.token_difficulties[..heard]);
+        view.id = self.id;
+        view.eos = self.eos;
+        view.bos = self.bos;
+        view.vocab_size = self.vocab_size;
+        if complete {
+            view.duration_seconds = self.duration_seconds;
+            view.prefill_tokens = self.prefill_tokens;
+            return true;
+        }
         let window = boundary_tokens.min(heard);
-        for (offset, difficulty) in difficulties[heard - window..].iter_mut().enumerate() {
+        for (offset, difficulty) in view.token_difficulties[heard - window..]
+            .iter_mut()
+            .enumerate()
+        {
             // The closest-to-horizon token is boosted the most; the boost
             // fades linearly with distance from the chunk boundary.
             let proximity = (offset + 1) as f64 / window as f64;
             *difficulty = (*difficulty + boundary_boost * proximity).min(1.0);
         }
-        let prefill_tokens = prefill_token_count(audio_seconds);
-        Some(UtteranceTokens {
-            id: self.id,
-            reference_tokens: self.reference_tokens[..heard].to_vec(),
-            token_difficulties: difficulties,
-            eos: self.eos,
-            bos: self.bos,
-            vocab_size: self.vocab_size,
-            duration_seconds: audio_seconds,
-            prefill_tokens,
-        })
+        view.duration_seconds = audio_seconds;
+        view.prefill_tokens = prefill_token_count(audio_seconds);
+        true
     }
 
     /// Content hash of this utterance's decoder prefix (audio-feature
@@ -514,5 +547,75 @@ mod tests {
             100,
             1.0,
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use specasr_audio::Split;
+
+    /// A horizon of `kind` into `audio`: inaudible (a fraction of one
+    /// token's share of the duration), partial, the full duration, or past
+    /// it.
+    fn horizon(audio: &UtteranceTokens, kind: u32, permille: u32) -> f64 {
+        let fraction = f64::from(permille) / 1_000.0;
+        let duration = audio.duration_seconds();
+        match kind {
+            0 => duration / audio.len() as f64 * fraction,
+            1 => duration * fraction,
+            2 => duration,
+            _ => duration * 1.2,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Refilling a kept buffer gives the view `prefix_view` builds, in
+        /// value and in prefix key, whatever the buffer last held: a longer
+        /// or a shorter view of the same utterance, or a view of another
+        /// one.  An inaudible horizon refills nothing and leaves the buffer
+        /// as it was.
+        #[test]
+        fn a_refilled_view_equals_a_new_one(
+            utterances in (0usize..4, 0usize..4),
+            first in (0u32..4, 0u32..1_000),
+            second in (0u32..4, 0u32..1_000),
+            boundary in 0usize..5,
+            boost in 0u32..80,
+        ) {
+            let corpus = Corpus::librispeech_like(29, 1);
+            let binding = TokenizerBinding::for_corpus(&corpus);
+            let bound: Vec<UtteranceTokens> = Split::ALL
+                .iter()
+                .map(|&split| binding.bind(&corpus.split(split)[0]))
+                .collect();
+            let boost = f64::from(boost) / 100.0;
+            let (before, after) = (&bound[utterances.0], &bound[utterances.1]);
+            let mut buffer = before.clone();
+            let at = horizon(before, first.0, first.1);
+            let held = before.fill_prefix_view(&mut buffer, at, boundary, boost);
+            prop_assert_eq!(held, before.prefix_view(at, boundary, boost).is_some());
+            let kept = buffer.clone();
+
+            let at = horizon(after, second.0, second.1);
+            let refilled = after.fill_prefix_view(&mut buffer, at, boundary, boost);
+            match after.prefix_view(at, boundary, boost) {
+                Some(view) => {
+                    prop_assert!(refilled);
+                    prop_assert_eq!(buffer.prefix_key(), view.prefix_key());
+                    prop_assert_eq!(&buffer, &view);
+                }
+                None => {
+                    prop_assert!(!refilled);
+                    prop_assert_eq!(&buffer, &kept);
+                }
+            }
+            if second.0 >= 2 {
+                prop_assert_eq!(&buffer, after, "a complete view is the utterance");
+            }
+        }
     }
 }

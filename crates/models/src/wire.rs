@@ -66,8 +66,11 @@
 //! can send it again.  The submit frame carries those ids as `forget`, and
 //! [`CallDecoder`], the worker half, removes them before it reads the
 //! requests.  Neither table ever holds more contexts than the client has
-//! live sessions.  A stream chunk's new `prefix_view` is a new `Arc`, and so
-//! simply a new context.
+//! live sessions.  A registered context must never change under its id, so
+//! a stream refills its view in place only through `Arc::get_mut`, which
+//! fails while this table holds a clone.  A parked stream's view stays
+//! registered (the stream still holds it too), so over the wire every
+//! chunk's view is a new `Arc`, and so simply a new context.
 //!
 //! # Floats travel as raw bits
 //!

@@ -157,6 +157,28 @@ impl BlockTable {
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
+
+    /// Forgets the positions of a released table, so a pool can prefill it
+    /// again.  The block buffer keeps its capacity: a session restarted on
+    /// its old tables allocates no new ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table still holds blocks; release it first.
+    pub fn reset(&mut self) {
+        assert!(
+            self.blocks.is_empty(),
+            "a table must be released before it is reset"
+        );
+        self.positions = KvCache::new();
+    }
+
+    /// Makes room for `blocks` blocks in all, so the table grows to that
+    /// many without reallocating.
+    pub fn reserve(&mut self, blocks: usize) {
+        self.blocks
+            .reserve(blocks.saturating_sub(self.blocks.len()));
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -720,6 +742,40 @@ mod tests {
         assert_eq!(pool.free_blocks(), 10);
         // Position bookkeeping survives the release for outcome reporting.
         assert_eq!(table.len(), 7);
+    }
+
+    #[test]
+    fn a_reset_table_prefills_like_a_new_one_in_its_old_buffer() {
+        let mut pool = BlockPool::bounded(10, 4);
+        let mut table = BlockTable::new();
+        pool.prefill(&mut table, 6, Some(3)).unwrap();
+        pool.append(&mut table, 10).unwrap();
+        let buffer = table.blocks.as_ptr();
+        assert!(matches!(
+            pool.prefill(&mut table, 6, Some(3)),
+            Err(PoolError::AlreadyPrefilled(_))
+        ));
+        pool.release(&mut table);
+        table.reset();
+        let mut fresh = BlockTable::new();
+        pool.prefill(&mut table, 5, Some(4)).unwrap();
+        pool.prefill(&mut fresh, 5, Some(4)).unwrap();
+        assert_eq!(table.positions(), fresh.positions());
+        assert_eq!(
+            table.block_ids(),
+            fresh.block_ids(),
+            "the same blocks, shared"
+        );
+        assert_eq!(table.blocks.as_ptr(), buffer, "the old buffer is kept");
+    }
+
+    #[test]
+    #[should_panic(expected = "released before it is reset")]
+    fn resetting_a_table_that_holds_blocks_panics() {
+        let mut pool = BlockPool::bounded(4, 4);
+        let mut table = BlockTable::new();
+        pool.prefill(&mut table, 6, None).unwrap();
+        table.reset();
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::cell::{Ref, RefCell};
 use std::sync::Arc;
 
-use specasr::{Drafter, DrafterKind, Policy};
+use specasr::{DecodeSession, Drafter, DrafterKind, Policy};
 use specasr_audio::{EncoderProfile, Utterance};
 use specasr_metrics::Histogram;
 use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
@@ -381,9 +381,7 @@ where
         }
         let request = QueuedRequest {
             id,
-            policy,
-            drafter,
-            audio: Arc::new(self.binding.bind(utterance)),
+            decode: DecodeSession::idle(policy, drafter, self.binding.bind(utterance)),
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: self

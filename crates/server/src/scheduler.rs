@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, DraftedRound, Drafter, DrafterKind, Policy};
+use specasr::{DecodeOutcome, DecodeSession, DraftedRound, Drafter, DrafterKind, Policy};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, Completions,
@@ -521,12 +521,10 @@ where
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
-        let audio = Arc::new(self.binding.bind(utterance));
+        let audio = self.binding.bind(utterance);
         self.enqueue(QueuedRequest {
             id,
-            policy,
-            drafter,
-            audio,
+            decode: DecodeSession::idle(policy, drafter, audio),
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: self
@@ -550,6 +548,14 @@ where
     /// admission queue for every chunk and competes with offline requests
     /// under the configured admission policy; the final transcript is
     /// byte-identical to an offline decode of the full utterance.
+    ///
+    /// The stream keeps one decode session for its whole life.  Between
+    /// chunks it is parked: its KV blocks are released, and it keeps its
+    /// buffers and its audio context, the last view.  A chunk refills that
+    /// view in place and admission restarts the session in its buffers.
+    /// The session, the view and the stream's transcript buffers are sized
+    /// here, once, from the full utterance, so a warm chunk allocates
+    /// nothing.
     ///
     /// Backpressure counts parked streams against the queue depth, so an
     /// accepted stream is never shed by *queue* pressure mid-utterance.  A
@@ -583,6 +589,12 @@ where
         }
         let id = RequestId::new(self.next_id);
         let audio = self.binding.bind(utterance);
+        // The stream's decode session lives as long as the stream.  Its
+        // context starts as a copy of the full utterance: every view is a
+        // prefix of it, so refilling views never regrows the copy, and the
+        // session's buffers are sized from it once.
+        let mut decode = DecodeSession::idle(policy, DrafterKind::ModelDraft, audio.clone());
+        decode.reserve(&self.kv);
         // Per-utterance jitter: the same utterance streams identically for a
         // given seed, and distinct requests decorrelate through their id.
         let seeded = stream.with_seed(splitmix64(
@@ -597,7 +609,9 @@ where
             })
             .collect();
         let state = StreamState {
-            session: StreamingSession::new(policy, audio.clone(), seeded),
+            session: StreamingSession::new(policy, audio, seeded),
+            // Each partial answers at least one new chunk.
+            partials: Vec::with_capacity(chunks.len()),
             chunks,
             chunk_encoder_ms,
             submitted_ms: self.wall_ms,
@@ -605,7 +619,6 @@ where
             newest_chunk_arrival_ms: self.wall_ms,
             pending_encoder_ms: 0.0,
             first_admitted_ms: None,
-            partials: Vec::new(),
         };
         let encoder_ms = self
             .encoder
@@ -623,9 +636,7 @@ where
         });
         self.waiting.push(QueuedRequest {
             id,
-            policy,
-            drafter: DrafterKind::ModelDraft,
-            audio: Arc::new(audio),
+            decode,
             utterance_id: utterance.id(),
             audio_seconds,
             encoder_ms,
@@ -653,8 +664,8 @@ where
             encoder_ms: request.encoder_ms,
             audio_seconds: request.audio_seconds,
             streaming: request.stream.is_some(),
-            policy: request.policy.name(),
-            drafter: request.drafter.label().to_string(),
+            policy: request.decode.policy().name(),
+            drafter: request.decode.drafter().label().to_string(),
         });
         self.queue.push_back(request);
         Ok(())
@@ -1089,7 +1100,8 @@ where
             let per_token_ms = wave_service_ms / wave_charges[wave_index].max(1) as f64;
             let policy_name = &mut self.policy_name;
             policy_name.clear();
-            write!(policy_name, "{}", session.policy).expect("writing to a String cannot fail");
+            write!(policy_name, "{}", session.decode.policy())
+                .expect("writing to a String cannot fail");
             let drafter_label = session.decode.drafter().label();
             self.stats.record_verify_outcome(
                 policy_name,
@@ -1225,35 +1237,23 @@ where
     }
 
     /// Delivers every due chunk into the parked streams and moves the ones
-    /// that gained decodable audio back into the admission queue, carrying
-    /// the new audio-horizon view as their decode context.  The view is
-    /// built and wrapped once here: chunks reach parked streams only, so it
-    /// cannot change before the request is admitted, and admission and
-    /// preemption share it instead of copying it.
+    /// that gained decodable audio back into the admission queue, in one
+    /// pass that keeps both lists in order.  Each released stream carries
+    /// the new audio-horizon view as its decode context, refilled once here
+    /// in the buffer of its last view: chunks reach parked streams only, so
+    /// the view cannot change before the request is admitted, and admission
+    /// and preemption share it instead of copying it.
     fn release_due_streams(&mut self) {
         let wall = self.wall_ms;
-        let mut index = 0;
-        while index < self.waiting.len() {
-            let request = &mut self.waiting[index];
-            let id = request.id;
+        let tracer = &mut self.tracer;
+        let released = self.waiting.extract_if(.., |request| {
             let stream = request
                 .stream
                 .as_mut()
                 .expect("only streaming requests park between chunks");
-            let view = if stream.deliver_due(wall, id, &mut self.tracer) {
-                stream.session.view()
-            } else {
-                None
-            };
-            match view {
-                Some(view) => {
-                    let mut request = self.waiting.remove(index);
-                    request.audio = Arc::new(view);
-                    self.queue.push_back(request);
-                }
-                None => index += 1,
-            }
-        }
+            stream.deliver_due(wall, request.id, tracer) && request.refill_stream_view()
+        });
+        self.queue.extend(released);
     }
 
     /// Wall time of the earliest undelivered chunk across parked streams.
@@ -1344,11 +1344,13 @@ where
             time_to_first_token_ms: (first_partial.emitted_ms - arrival_ms).max(0.0)
                 + first_partial.encoder_ms,
         };
+        let policy = *session.decode.policy();
         let last_view = session.decode.into_outcome();
+        let (tokens, stats, clock) = stream.session.into_transcript();
         let outcome = DecodeOutcome {
-            tokens: stream.session.final_tokens().to_vec(),
-            stats: stream.session.decode_stats().clone(),
-            clock: stream.session.clock().clone(),
+            tokens,
+            stats,
+            clock,
             draft_cache: last_view.draft_cache,
             target_cache: last_view.target_cache,
         };
@@ -1359,7 +1361,7 @@ where
             .expect("decoded tokens always come from the shared vocabulary");
         let outcome = RequestOutcome {
             id: session.id,
-            policy: session.policy,
+            policy,
             utterance_id: session.utterance_id,
             text,
             outcome,
@@ -1581,7 +1583,7 @@ where
                     }
                 },
             };
-            let request = self.queue.remove(index).expect("index is in range");
+            let mut request = self.queue.remove(index).expect("index is in range");
             // Latency-SLO shedding: a request whose queue wait already blew
             // its TTFT budget is served uselessly late — drop it (per-class
             // `rejected_deadline` accounting) and admit the next one.  Only
@@ -1602,8 +1604,9 @@ where
                 }
             }
             let restored = request.preemptions > 0;
-            match request.try_admit(self.wall_ms, &mut self.kv) {
-                Ok(session) => {
+            match request.restart(&mut self.kv) {
+                Ok(()) => {
+                    let session = request.into_session(self.wall_ms);
                     if self.tracer.is_enabled() {
                         let ts_ms = self.wall_ms;
                         let admitted = session.id.value();
@@ -1628,8 +1631,7 @@ where
                     }
                     self.active.push(session);
                 }
-                Err(returned) => {
-                    let (request, _error) = *returned;
+                Err(_) => {
                     if self.prefill_can_ever_fit(&request) {
                         // Not enough headroom right now: put the request
                         // back where it was and wait for blocks to free up.
@@ -1658,7 +1660,7 @@ where
     /// resume, which grows chunk by chunk, so a stream can become
     /// unfittable mid-utterance on a pool that admitted its first chunks.
     fn prefill_can_ever_fit(&self, request: &QueuedRequest) -> bool {
-        let mut admission_tokens = request.audio.prefill_tokens();
+        let mut admission_tokens = request.decode.audio().prefill_tokens();
         if let Some(stream) = &request.stream {
             admission_tokens += stream.session.committed().len();
         }
@@ -1686,6 +1688,7 @@ where
             time_to_first_token_ms: (first_token_ms - session.arrival_ms).max(0.0)
                 + session.encoder_ms,
         };
+        let policy = *session.decode.policy();
         let outcome = session.decode.into_outcome();
         let text = self
             .binding
@@ -1694,7 +1697,7 @@ where
             .expect("decoded tokens always come from the shared vocabulary");
         let outcome = RequestOutcome {
             id: session.id,
-            policy: session.policy,
+            policy,
             utterance_id: session.utterance_id,
             text,
             outcome,
@@ -2288,11 +2291,13 @@ mod tests {
     fn preempted_requests_with_committed_output_stay_exempt_from_deadline_shedding() {
         let (scheduler, corpus) = scheduler(ServerConfig::default());
         let utterance = &corpus.split(Split::DevClean)[0];
-        let request = crate::session::QueuedRequest {
+        let mut request = crate::session::QueuedRequest {
             id: RequestId::new(0),
-            policy: Policy::Autoregressive,
-            drafter: DrafterKind::ModelDraft,
-            audio: Arc::new(scheduler.binding.bind(utterance)),
+            decode: DecodeSession::idle(
+                Policy::Autoregressive,
+                DrafterKind::ModelDraft,
+                scheduler.binding.bind(utterance),
+            ),
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: 1.0,
@@ -2304,17 +2309,19 @@ mod tests {
         };
         assert!(!request.first_output_emitted());
         let mut pool = KvPool::bounded(4096, 16);
-        let mut session = request.try_admit(1.0, &mut pool).expect("pool has room");
+        request.restart(&mut pool).expect("pool has room");
+        let mut session = request.into_session(1.0);
         session.first_token_ms = Some(2.0); // the first token was committed
         session.decode.release_kv(&mut pool);
-        let requeued = session.into_requeued(true);
+        let mut requeued = session.into_requeued(true);
         assert_eq!(requeued.preemptions, 1);
         assert!(
             requeued.first_output_emitted(),
             "a preempted request that already committed output must never be deadline-shed"
         );
         // The exemption survives further admission / park cycles.
-        let mut session = requeued.try_admit(3.0, &mut pool).expect("pool has room");
+        requeued.restart(&mut pool).expect("pool has room");
+        let mut session = requeued.into_session(3.0);
         assert!(session.first_output_emitted);
         session.decode.release_kv(&mut pool);
         let parked = session.into_requeued(false);

@@ -3,9 +3,8 @@
 
 use std::sync::Arc;
 
-use specasr::{DecodeSession, DrafterKind, Policy};
+use specasr::DecodeSession;
 use specasr_audio::{StreamChunk, UtteranceId};
-use specasr_models::UtteranceTokens;
 use specasr_runtime::{KvPool, PoolError};
 use specasr_stream::StreamingSession;
 use specasr_trace::{TraceEvent, Tracer};
@@ -15,7 +14,7 @@ use crate::request::{PartialSpan, RequestId};
 /// Serving-side state of one streaming request: the stream session (horizon,
 /// committed tokens, commit rule) plus the chunk timetable and the partial
 /// spans already emitted.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StreamState {
     /// The streaming decode session (commit rule, committed prefix, stats).
     pub session: StreamingSession,
@@ -75,18 +74,18 @@ impl StreamState {
 
 /// A request waiting in the admission queue (fresh, re-queued after a
 /// preemption, or a streaming request re-entering with a new chunk).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct QueuedRequest {
     pub id: RequestId,
-    pub policy: Policy,
-    /// Which draft source the decode session will speculate from.
-    /// Draft-free kinds admit with a target-only KV footprint.
-    pub drafter: DrafterKind,
-    /// The decode context: the full utterance for offline requests, the
-    /// current audio-horizon view for streaming requests (rebuilt once per
-    /// chunk delivery, when the stream re-enters the queue).  Shared with
-    /// the decode session while the request is admitted.
-    pub audio: Arc<UtteranceTokens>,
+    /// The request's decode session, holding no KV blocks while queued:
+    /// idle until the first admission, then released and kept across
+    /// preemptions and, for a stream, across chunks.  Admission restarts it
+    /// in place.  Its audio is the decode context: the full utterance for
+    /// offline requests, the current audio-horizon view for streams
+    /// (refilled once per chunk delivery, when the stream re-enters the
+    /// queue).  Its drafter decides the KV footprint: draft-free kinds admit
+    /// with a target-only one.
+    pub decode: DecodeSession,
     pub utterance_id: UtteranceId,
     pub audio_seconds: f64,
     pub encoder_ms: f64,
@@ -117,54 +116,69 @@ impl QueuedRequest {
                 .is_some_and(|stream| !stream.partials.is_empty())
     }
 
-    /// Admits this request at wall time `admitted_ms`, starting (or, for
-    /// streaming requests, resuming from the committed prefix) its decode
-    /// session against `pool` (prefix blocks shared where possible).
+    /// Refills a parked stream's decode context with the view of the audio
+    /// received so far and returns `true`, or returns `false`, building
+    /// nothing, while no token is audible yet.
     ///
-    /// On allocation failure the request is handed back untouched so the
-    /// caller can re-queue or reject it — a memory-starved admission must
-    /// not lose the request or leak blocks.  (Boxed so the common `Ok` path
-    /// does not carry the full request across the stack.)
-    pub fn try_admit(
-        mut self,
-        admitted_ms: f64,
-        pool: &mut KvPool,
-    ) -> Result<ServerSession, Box<(QueuedRequest, PoolError)>> {
+    /// The view is refilled in place while the session holds the only
+    /// handle on it.  Any other holder must never see it change: an RPC
+    /// encoder keeps each context it registered, keyed by its address.  A
+    /// shared view is therefore left as it is, and the new one is built in
+    /// a new `Arc`.
+    pub fn refill_stream_view(&mut self) -> bool {
+        let stream = self
+            .stream
+            .as_ref()
+            .expect("only streaming requests refill a view");
+        let context = self.decode.audio_mut();
+        match Arc::get_mut(context) {
+            Some(view) => stream.session.fill_view(view),
+            None => match stream.session.view() {
+                Some(view) => {
+                    *context = Arc::new(view);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
+    /// Restarts this request's decode session against `pool`: from the
+    /// committed prefix for a stream, from the start otherwise, with prefix
+    /// blocks shared where possible.
+    ///
+    /// On allocation failure nothing stays allocated and the request is
+    /// left as it was, so the caller can re-queue or reject it: a
+    /// memory-starved admission must not lose the request or leak blocks.
+    pub fn restart(&mut self, pool: &mut KvPool) -> Result<(), PoolError> {
         let committed = match &self.stream {
             Some(stream) => stream.session.committed(),
             None => &[],
         };
-        let started = DecodeSession::new(
-            self.policy,
-            self.drafter,
-            Arc::clone(&self.audio),
-            committed,
-            pool,
-        );
-        match started {
-            Ok(decode) => {
-                if let Some(stream) = self.stream.as_mut() {
-                    stream.first_admitted_ms.get_or_insert(admitted_ms);
-                }
-                Ok(ServerSession {
-                    id: self.id,
-                    policy: self.policy,
-                    drafter: self.drafter,
-                    utterance_id: self.utterance_id,
-                    audio_seconds: self.audio_seconds,
-                    encoder_ms: self.encoder_ms,
-                    arrival_ms: self.arrival_ms,
-                    admitted_ms,
-                    ready_ms: admitted_ms,
-                    first_token_ms: None,
-                    preemptions: self.preemptions,
-                    ttft_budget_ms: self.ttft_budget_ms,
-                    first_output_emitted: self.first_output_emitted,
-                    stream: self.stream,
-                    decode,
-                })
-            }
-            Err(error) => Err(Box::new((self, error))),
+        let audio = Arc::clone(self.decode.audio());
+        self.decode.restart(audio, committed, pool)
+    }
+
+    /// Admits this request at wall time `admitted_ms`; its decode session
+    /// was just restarted ([`QueuedRequest::restart`]).
+    pub fn into_session(mut self, admitted_ms: f64) -> ServerSession {
+        if let Some(stream) = self.stream.as_mut() {
+            stream.first_admitted_ms.get_or_insert(admitted_ms);
+        }
+        ServerSession {
+            id: self.id,
+            utterance_id: self.utterance_id,
+            audio_seconds: self.audio_seconds,
+            encoder_ms: self.encoder_ms,
+            arrival_ms: self.arrival_ms,
+            admitted_ms,
+            ready_ms: admitted_ms,
+            first_token_ms: None,
+            preemptions: self.preemptions,
+            ttft_budget_ms: self.ttft_budget_ms,
+            first_output_emitted: self.first_output_emitted,
+            stream: self.stream,
+            decode: self.decode,
         }
     }
 }
@@ -177,10 +191,6 @@ impl QueuedRequest {
 #[derive(Debug)]
 pub(crate) struct ServerSession {
     pub id: RequestId,
-    pub policy: Policy,
-    /// The draft source the decode session speculates from (mirrors
-    /// [`DecodeSession::drafter`]; kept here for re-queueing).
-    pub drafter: DrafterKind,
     pub utterance_id: UtteranceId,
     pub audio_seconds: f64,
     pub encoder_ms: f64,
@@ -208,7 +218,8 @@ impl ServerSession {
     /// discarded and restore is a deterministic re-prefill + re-decode, for
     /// streaming requests a resume from the committed prefix) or when a
     /// streaming view finished and the stream parks for its next chunk.
-    /// The original arrival timestamp is kept so aging credit keeps
+    /// The decode session goes along, to be restarted in place.  The
+    /// original arrival timestamp is kept so aging credit keeps
     /// accumulating, and output already produced (a committed first token,
     /// an emitted partial) keeps the request exempt from deadline shedding.
     ///
@@ -216,9 +227,7 @@ impl ServerSession {
     pub fn into_requeued(self, preempted: bool) -> QueuedRequest {
         QueuedRequest {
             id: self.id,
-            policy: self.policy,
-            drafter: self.drafter,
-            audio: Arc::clone(self.decode.audio()),
+            decode: self.decode,
             utterance_id: self.utterance_id,
             audio_seconds: self.audio_seconds,
             encoder_ms: self.encoder_ms,

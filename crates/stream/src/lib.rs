@@ -12,7 +12,8 @@
 //!                                      │   truncated reference, boundary-boosted
 //!                                      ▼   difficulty near the chunk horizon)
 //!                              re-decode from the committed prefix
-//!                              (DecodeSession::new(.., committed, pool))
+//!                              (DecodeSession::new(.., committed, pool), or
+//!                               a served stream's DecodeSession::restart)
 //!                                      │
 //!                                      ▼
 //!                          partial hypothesis ──► commit rule ──► committed tokens

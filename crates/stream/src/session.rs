@@ -69,26 +69,35 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Opens a streaming session for `audio` under `policy`.
+    /// Opens a streaming session for `audio` under `policy`.  The
+    /// transcript buffers are sized once, from the full utterance, so
+    /// absorbing a re-decode refills them in place.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid.
     pub fn new(policy: Policy, audio: UtteranceTokens, config: StreamConfig) -> Self {
         config.validate();
+        let transcript = audio.len() + 1;
         StreamingSession {
             policy,
             audio,
             config,
             received_seconds: 0.0,
             complete: false,
-            committed: Vec::new(),
-            last_hypothesis: Vec::new(),
-            survival: Vec::new(),
+            committed: Vec::with_capacity(transcript),
+            last_hypothesis: Vec::with_capacity(transcript),
+            survival: Vec::with_capacity(transcript),
             partials: 0,
             retracted_tokens: 0,
             emitted_tokens: 0,
-            decode_stats: DecodeStats::new(),
+            // A decode commits at least one token per round, so the pooled
+            // log holds the offline decode's rounds without regrowing; the
+            // re-decoded tails can outgrow it.
+            decode_stats: DecodeStats {
+                rounds_detail: Vec::with_capacity(transcript),
+                ..DecodeStats::new()
+            },
             clock: DecodeClock::new(),
             finished: false,
         }
@@ -202,6 +211,19 @@ impl StreamingSession {
         )
     }
 
+    /// Refills `view` in place with [`StreamingSession::view`]'s view and
+    /// returns `true`, or returns `false` and leaves `view` as it was while
+    /// no token is fully audible yet (see
+    /// [`UtteranceTokens::fill_prefix_view`]).
+    pub fn fill_view(&self, view: &mut UtteranceTokens) -> bool {
+        self.audio.fill_prefix_view(
+            view,
+            self.received_seconds,
+            self.config.boundary_tokens,
+            self.config.boundary_boost,
+        )
+    }
+
     /// Starts the re-decode of the current view from the committed prefix,
     /// with its KV blocks allocated from `pool` (see
     /// [`specasr::DecodeSession::new`] for sharing and error semantics).
@@ -263,7 +285,8 @@ impl StreamingSession {
         // Commit rule: everything on the final re-decode (it *is* the
         // offline decode); otherwise horizon margin AND K-stability.
         if self.complete {
-            self.committed = hypothesis.to_vec();
+            self.committed.clear();
+            self.committed.extend_from_slice(hypothesis);
             self.finished = true;
         } else {
             let stable_limit = hypothesis.len().saturating_sub(self.config.boundary_tokens);
@@ -286,8 +309,17 @@ impl StreamingSession {
         self.partials += 1;
         self.retracted_tokens += retracted;
         self.emitted_tokens += hypothesis.len() - self.committed.len().min(hypothesis.len());
-        self.last_hypothesis = hypothesis.to_vec();
+        self.last_hypothesis.clear();
+        self.last_hypothesis.extend_from_slice(hypothesis);
         partial
+    }
+
+    /// Consumes the stream into its final transcript and the decode
+    /// statistics and clock pooled across every re-decode, moving them out
+    /// rather than copying them.  Meaningful once
+    /// [`StreamingSession::is_finished`] returns `true`.
+    pub fn into_transcript(self) -> (Vec<TokenId>, DecodeStats, DecodeClock) {
+        (self.committed, self.decode_stats, self.clock)
     }
 
     /// One complete streaming step against a private unbounded pool:

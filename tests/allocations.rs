@@ -30,6 +30,14 @@
 //! at most the block table it fills, and decoding a transcript allocates its
 //! text once.
 //!
+//! A stream keeps its decode session between chunks, and its view and
+//! transcript buffers are sized from the full utterance at submit.  Each
+//! chunk refills the view in place, admission restarts the session in its
+//! kept buffers, and absorbing the re-decode refills the hypothesis in
+//! place.  So once every stream has been admitted and parked once, the
+//! median step that cycles a stream allocates nothing, and the run
+//! allocates less than once per partial.
+//!
 //! A metrics scrape refreshes the exposition the router keeps in place, so
 //! a scrape with nothing new to show allocates only the text it returns,
 //! and so does the median scrape of an open-loop run.
@@ -57,8 +65,8 @@ use specasr_models::{
 };
 use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
-    plan_verify_waves, LoadGen, Router, RouterConfig, Scheduler, ServerConfig, SloClass,
-    VerifyPlan, WorkerProfile,
+    plan_verify_waves, LoadGen, RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig,
+    SloClass, StreamConfig, VerifyPlan, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -564,6 +572,98 @@ fn a_warm_tick_without_admission_or_retirement_allocates_nothing() {
         }
     }
     assert_median_zero("steady ticks", steady);
+}
+
+/// One step of a stream drive: the wall-clock span `advance_to` covered,
+/// what it allocated, and whether the scheduler took in a released stream.
+struct StreamStep {
+    start_ms: f64,
+    end_ms: f64,
+    allocated: u64,
+    released: bool,
+}
+
+/// A stream's chunk cycle (release → admit → decode → absorb → park) keeps
+/// the stream's decode session, its view and its transcript buffers, so
+/// once every stream has been admitted and parked once, the median step
+/// that releases, re-admits, decodes or parks a stream allocates nothing.
+/// The rest of the run, retirements included, allocates less than once per
+/// partial, and each partial answers at least one delivered chunk.  What
+/// still allocates is doubling growth of a stream's round logs and recycle
+/// buffer, and one transcript text per retirement.
+#[test]
+fn a_warm_stream_chunk_allocates_nothing() {
+    let setup = StandardSetup::new(31, 12);
+    let mut scheduler = Scheduler::new(
+        setup.draft.clone(),
+        setup.target.clone(),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        ServerConfig::default().with_max_batch(16),
+    );
+    let policies = [
+        Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+        Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+    ];
+    // The longest utterances stream the most chunks.
+    let mut utterances = corpus_pool(&setup);
+    utterances.sort_by(|a, b| b.duration_seconds().total_cmp(&a.duration_seconds()));
+    utterances.truncate(12);
+    const STEP_MS: f64 = 20.0;
+    let mut steps = Vec::new();
+    let mut outcomes: Vec<RequestOutcome> = Vec::new();
+    // A first wave of streams warms the scheduler's own buffers (its tick
+    // scratch, its batch slots, its statistics); the second is measured.
+    for wave in 0..2 {
+        for (index, utterance) in utterances.iter().enumerate() {
+            let policy = policies[(index + wave) % policies.len()];
+            scheduler
+                .submit_streaming(policy, utterance, StreamConfig::default())
+                .expect("queue has room");
+        }
+        while !scheduler.is_idle() {
+            let start_ms = scheduler.wall_ms();
+            let holding = scheduler.queued() + scheduler.in_flight();
+            let (done, allocated) = counted(|| scheduler.advance_to(start_ms + STEP_MS));
+            if wave == 1 {
+                steps.push(StreamStep {
+                    start_ms,
+                    end_ms: scheduler.wall_ms(),
+                    allocated,
+                    released: scheduler.queued() + scheduler.in_flight() + done.len() > holding,
+                });
+                outcomes.extend(done);
+            }
+        }
+    }
+    assert_eq!(outcomes.len(), utterances.len());
+
+    // Warm once every stream has parked: each emitted its first partial.
+    let warm_ms = outcomes
+        .iter()
+        .map(|outcome| outcome.partials[0].emitted_ms)
+        .fold(0.0, f64::max);
+    let partials = || outcomes.iter().flat_map(|outcome| &outcome.partials);
+    let within = |step: &StreamStep, ms: f64| step.start_ms < ms && ms <= step.end_ms;
+    let window: Vec<&StreamStep> = steps.iter().filter(|s| s.start_ms >= warm_ms).collect();
+    let cycling: Vec<u64> = window
+        .iter()
+        .filter(|step| {
+            let parks = partials().any(|p| !p.is_final && within(step, p.emitted_ms));
+            let retires = partials().any(|p| p.is_final && within(step, p.emitted_ms));
+            (parks || step.released) && !retires
+        })
+        .map(|step| step.allocated)
+        .collect();
+    assert_median_zero("warm steps that cycle a stream", cycling);
+
+    let allocated: u64 = window.iter().map(|step| step.allocated).sum();
+    let emitted = partials().filter(|p| p.emitted_ms > warm_ms).count();
+    assert!(emitted > 100, "{emitted} partials after warm-up");
+    assert!(
+        allocated <= emitted as u64,
+        "{allocated} allocations for {emitted} partials after warm-up"
+    );
 }
 
 /// A KV prefill plans its blocks without a buffer: on a warm pool it

@@ -45,22 +45,17 @@ fn pipeline_for(
     )
 }
 
-/// The headline acceptance test: mixed streaming + offline traffic on a
-/// constrained pool.  Preemptions must occur, streaming partials must only
-/// ever extend, and every final transcript — streamed or offline — must be
-/// byte-identical to sequential pipeline transcription.
-#[test]
-fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
-    let setup = StandardSetup::new(411, 8);
+/// The mixed workload of the acceptance tests below: the TestOther split,
+/// every second utterance streamed in 0.4 s chunks, the policies in turn, on
+/// a 12-block pool at max batch 8.  Returns each submission's id, policy,
+/// utterance and whether it streamed.
+fn submit_mixed_workload<'a>(
+    setup: &'a StandardSetup,
+    scheduler: &mut Scheduler<specasr_models::SimulatedAsrModel, specasr_models::SimulatedAsrModel>,
+) -> Vec<(specasr_server::RequestId, Policy, &'a Utterance, bool)> {
     let policies = serving_policies();
-    let split = setup.corpus.split(Split::TestOther);
-
-    let mut scheduler = scheduler_for(
-        &setup,
-        ServerConfig::default().with_max_batch(8).with_kv_blocks(12),
-    );
     let mut expectations = Vec::new();
-    for (index, utterance) in split.iter().enumerate() {
+    for (index, utterance) in setup.corpus.split(Split::TestOther).iter().enumerate() {
         let policy = policies[index % policies.len()];
         let streamed = index % 2 == 0;
         let id = if streamed {
@@ -76,6 +71,24 @@ fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
         };
         expectations.push((id, policy, utterance, streamed));
     }
+    expectations
+}
+
+fn mixed_workload_config() -> ServerConfig {
+    ServerConfig::default().with_max_batch(8).with_kv_blocks(12)
+}
+
+/// The headline acceptance test: mixed streaming + offline traffic on a
+/// constrained pool.  Preemptions must occur, streaming partials must only
+/// ever extend, and every final transcript — streamed or offline — must be
+/// byte-identical to sequential pipeline transcription.
+#[test]
+fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
+    let setup = StandardSetup::new(411, 8);
+    let split = setup.corpus.split(Split::TestOther);
+
+    let mut scheduler = scheduler_for(&setup, mixed_workload_config());
+    let expectations = submit_mixed_workload(&setup, &mut scheduler);
 
     let outcomes = scheduler.run_until_idle();
     assert_eq!(outcomes.len(), split.len());
@@ -122,6 +135,50 @@ fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
                 "partials charged {charged} ms of encoder time for {offline} ms"
             );
         }
+    }
+}
+
+/// The same workload with the target behind the RPC wire: the client's
+/// encoder keeps each context it registered, so a stream's view must never
+/// change under it, and a parked stream that still shares its view builds
+/// the next one in a new `Arc`.  Every outcome — text, tokens, partial
+/// spans, latencies — equals the in-process run's bit for bit.
+#[test]
+fn mixed_traffic_over_rpc_equals_the_in_process_run() {
+    let setup = StandardSetup::new(411, 8);
+    let mut in_process = scheduler_for(&setup, mixed_workload_config());
+    let mut rpc = Scheduler::with_rpc_target(
+        setup.draft.clone(),
+        setup.target.clone(),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        mixed_workload_config(),
+    );
+    let submitted = submit_mixed_workload(&setup, &mut in_process);
+    assert_eq!(submit_mixed_workload(&setup, &mut rpc), submitted);
+
+    let expected = in_process.run_until_idle();
+    let outcomes = rpc.run_until_idle();
+    assert!(
+        rpc.stats().memory().preemptions() > 0,
+        "the 12-block pool must preempt over RPC too"
+    );
+    assert_eq!(
+        rpc.stats().memory().preemptions(),
+        in_process.stats().memory().preemptions()
+    );
+    assert!(outcomes.iter().any(|outcome| outcome.partials.len() > 2));
+    assert_eq!(outcomes.len(), expected.len());
+    for (outcome, expected) in outcomes.iter().zip(&expected) {
+        assert_eq!(outcome.text, expected.text);
+        assert_eq!(outcome.outcome.tokens, expected.outcome.tokens);
+        assert_eq!(
+            outcome.partials, expected.partials,
+            "request {:?}",
+            outcome.id
+        );
+        assert_eq!(outcome.latency, expected.latency);
+        assert_eq!(outcome, expected);
     }
 }
 
