@@ -6,10 +6,11 @@
 //! difficulty), which is exactly what motivates adaptive truncation and
 //! recycling.
 
-use specasr::{Policy, SpeculativeConfig};
+use specasr::{DecodeSession, DraftedRound, DrafterKind, Policy, SpeculativeConfig};
 use specasr_audio::Split;
 use specasr_bench::{emit, ExperimentContext};
 use specasr_metrics::{ExperimentRecord, ReportRow};
+use specasr_runtime::KvPool;
 
 /// Acceptance-ratio bins, equally wide over `[0, 1]`; a ratio of exactly 1.0
 /// lands in the last.
@@ -27,12 +28,24 @@ fn main() {
         let policy = Policy::Speculative(SpeculativeConfig::new(prediction_length, 1));
         let mut counts = [0u64; BINS];
         let mut ratio_sum = 0.0;
+        let mut round = DraftedRound::new();
         for utterance in context.corpus.split(Split::TestClean) {
+            // The loop `Policy::decode` runs, stepped here so each round's
+            // counts are the session's counters taken across it.
+            let mut pool = KvPool::unbounded(16);
             let audio = context.binding.bind(utterance);
-            let outcome = policy.decode(&draft, &target, &audio);
-            for round in &outcome.stats.rounds_detail {
-                if round.predicted > 0 {
-                    let ratio = round.accepted as f64 / round.predicted as f64;
+            let mut session =
+                DecodeSession::new(policy, DrafterKind::ModelDraft, audio, &[], &mut pool)
+                    .expect("an unbounded pool always admits");
+            while !session.is_finished() {
+                let before = *session.stats();
+                session
+                    .step(&mut pool, &draft, &target, &mut round)
+                    .expect("an unbounded pool never exhausts");
+                let predicted = session.stats().predicted_tokens - before.predicted_tokens;
+                let accepted = session.stats().accepted_tokens - before.accepted_tokens;
+                if predicted > 0 {
+                    let ratio = accepted as f64 / predicted as f64;
                     counts[((ratio * BINS as f64) as usize).min(BINS - 1)] += 1;
                     ratio_sum += ratio;
                 }

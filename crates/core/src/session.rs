@@ -406,10 +406,10 @@ impl DecodeSession {
     /// Starts this released session again, on `audio` after `committed`,
     /// building in its kept buffers exactly what [`DecodeSession::new`]
     /// builds: the same transcript, KV positions and blocks, zeroed
-    /// statistics (the round log keeps its buffer), a zeroed clock and an
-    /// empty recycle buffer.  Every buffer keeps its capacity, so a restart
-    /// allocates only where the new decode needs more room than earlier
-    /// ones left ([`DecodeSession::reserve`] sizes them up front).
+    /// statistics, a zeroed clock and an empty recycle buffer.  Every
+    /// buffer keeps its capacity, so a restart allocates only where the new
+    /// decode needs more room than earlier ones left
+    /// ([`DecodeSession::reserve`] sizes them up front).
     ///
     /// On [`PoolError::OutOfBlocks`] nothing stays allocated, the session
     /// keeps `audio`, and a later restart can try again.
@@ -436,7 +436,7 @@ impl DecodeSession {
         self.target_kv.reset();
         self.tokens.clear();
         self.tokens.reserve(self.audio.len() + 1);
-        self.stats.clear();
+        self.stats = DecodeStats::new();
         self.clock = DecodeClock::new();
         // A kept buffer would make the first round recycle the previous
         // decode's rejected tokens and so move round boundaries.
@@ -713,7 +713,6 @@ impl DecodeSession {
                 predicted: 0,
                 accepted: 0,
                 draft_steps: 0,
-                tree_size: 1,
                 recycled: 0,
                 truncated: false,
             });
@@ -755,7 +754,6 @@ impl DecodeSession {
                 predicted,
                 accepted: accepted.len(),
                 draft_steps: plan.steps,
-                tree_size: predicted,
                 recycled: plan.recycled,
                 truncated: plan.truncated,
             });
@@ -1594,11 +1592,11 @@ mod proptests {
 
         /// A session that decoded one view, was released, and restarts on
         /// another decodes exactly what a new session decodes, on a pool
-        /// with the same history: the same tokens, statistics with their
-        /// round log, clock, recycle buffer, KV positions, block ids and
-        /// pool counters, right after the start and at the end.  The views
-        /// are of another utterance or of the same one, shorter or longer,
-        /// and the committed prefix is a random cut of the second view's
+        /// with the same history: the same tokens, statistics, clock,
+        /// recycle buffer, KV positions, block ids and pool counters, right
+        /// after the start and at the end.  The views are of another
+        /// utterance or of the same one, shorter or longer, and the
+        /// committed prefix is a random cut of the second view's
         /// transcript.  A restart on a pool too small for it first fails
         /// and leaves nothing allocated.
         #[test]

@@ -4,12 +4,17 @@
 //! draft-prediction and target-verification rounds and (b) the average number
 //! of draft decoding steps, predicted tokens per round, and accepted tokens
 //! per round.  [`DecodeStats`] collects exactly those quantities while a
-//! policy runs.
+//! policy runs, as totals: it keeps counters, not a log of every round, so
+//! it is `Copy` and a decode of any length holds it in the same few words.
+//! A caller that wants one round's numbers steps the
+//! [`crate::DecodeSession`] itself and takes the difference of the
+//! counters across the round.
 
 use serde::{Deserialize, Serialize};
 
-/// Statistics of a single draft-predict / target-verify round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Statistics of a single draft-predict / target-verify round: what
+/// [`DecodeStats::record_round`] adds to the counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundRecord {
     /// Draft tokens submitted for verification this round.
     pub predicted: usize,
@@ -17,9 +22,6 @@ pub struct RoundRecord {
     pub accepted: usize,
     /// Draft forward passes issued this round.
     pub draft_steps: usize,
-    /// Size of the verified token tree (equals `predicted` for single
-    /// sequences).
-    pub tree_size: usize,
     /// Tokens adopted through recycling merges this round (no draft pass was
     /// spent on them).
     pub recycled: usize,
@@ -28,7 +30,7 @@ pub struct RoundRecord {
 }
 
 /// Aggregated statistics of one decode.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DecodeStats {
     /// Number of draft-predict / target-verify rounds (1 round per target
     /// verification pass; autoregressive decoding has one "round" per token).
@@ -46,26 +48,12 @@ pub struct DecodeStats {
     pub recycled_tokens: usize,
     /// Rounds that were truncated early by the logit threshold.
     pub truncations: usize,
-    /// Per-round detail in execution order.
-    pub rounds_detail: Vec<RoundRecord>,
 }
 
 impl DecodeStats {
     /// Creates empty statistics.
     pub fn new() -> Self {
         DecodeStats::default()
-    }
-
-    /// Zeroes every counter and empties the round log, keeping its buffer:
-    /// equal to [`DecodeStats::new`], and a decode recorded into it again
-    /// allocates nothing until it runs more rounds than the log has held.
-    pub(crate) fn clear(&mut self) {
-        let mut rounds_detail = std::mem::take(&mut self.rounds_detail);
-        rounds_detail.clear();
-        *self = DecodeStats {
-            rounds_detail,
-            ..DecodeStats::default()
-        };
     }
 
     /// Records one completed round.
@@ -78,7 +66,6 @@ impl DecodeStats {
         if round.truncated {
             self.truncations += 1;
         }
-        self.rounds_detail.push(round);
     }
 
     /// Records a token contributed directly by the target model.
@@ -116,8 +103,6 @@ impl DecodeStats {
         self.correction_tokens += other.correction_tokens;
         self.recycled_tokens += other.recycled_tokens;
         self.truncations += other.truncations;
-        self.rounds_detail
-            .extend(other.rounds_detail.iter().copied());
     }
 }
 
@@ -138,7 +123,6 @@ mod tests {
             predicted,
             accepted,
             draft_steps: steps,
-            tree_size: predicted,
             recycled: 0,
             truncated: false,
         }
@@ -167,13 +151,13 @@ mod tests {
             predicted: 12,
             accepted: 10,
             draft_steps: 7,
-            tree_size: 12,
             recycled: 5,
             truncated: true,
         });
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.draft_steps, 7);
         assert_eq!(stats.truncations, 1);
         assert_eq!(stats.recycled_tokens, 5);
-        assert_eq!(stats.rounds_detail.len(), 1);
     }
 
     #[test]
@@ -182,19 +166,6 @@ mod tests {
         assert_eq!(stats.acceptance_ratio(), 0.0);
         assert_eq!(stats.predicted_per_round(), 0.0);
         assert_eq!(stats.draft_steps_per_round(), 0.0);
-    }
-
-    #[test]
-    fn cleared_stats_equal_new_ones_and_keep_the_round_log() {
-        let mut stats = DecodeStats::new();
-        stats.record_round(round(8, 6, 8));
-        stats.record_round(round(4, 4, 4));
-        stats.record_correction();
-        let log = stats.rounds_detail.as_ptr();
-        stats.clear();
-        assert_eq!(stats, DecodeStats::new());
-        stats.record_round(round(2, 1, 2));
-        assert_eq!(stats.rounds_detail.as_ptr(), log);
     }
 
     #[test]
@@ -209,6 +180,5 @@ mod tests {
         assert_eq!(a.predicted_tokens, 12);
         assert_eq!(a.accepted_tokens, 10);
         assert_eq!(a.correction_tokens, 1);
-        assert_eq!(a.rounds_detail.len(), 2);
     }
 }

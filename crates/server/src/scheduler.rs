@@ -601,19 +601,11 @@ where
             stream.chunk.seed ^ utterance.id().value() ^ (id.value() << 17),
         ));
         let chunks = chunk_schedule(utterance.duration_seconds(), &seeded.chunk);
-        let chunk_encoder_ms = chunks
-            .iter()
-            .map(|chunk| {
-                self.encoder
-                    .incremental_latency_ms(chunk.duration_seconds(), chunk.index == 0)
-            })
-            .collect();
         let state = StreamState {
             session: StreamingSession::new(policy, audio, seeded),
             // Each partial answers at least one new chunk.
             partials: Vec::with_capacity(chunks.len()),
             chunks,
-            chunk_encoder_ms,
             submitted_ms: self.wall_ms,
             delivered: 0,
             newest_chunk_arrival_ms: self.wall_ms,
@@ -1077,7 +1069,7 @@ where
             let commit_ms = wave_completed[wave_of[index]].max(tick_start);
             let wave_service_ms = (result.completed_ms - result.started_ms).max(0.0);
             let session = &mut self.active[index];
-            let rounds_before = session.decode.stats().rounds_detail.len();
+            let before = *session.decode.stats();
             session
                 .decode
                 .verify_round_from(
@@ -1088,14 +1080,12 @@ where
                 )
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
-            // (everything the verify pass just recorded) and its share of
-            // the wave's device service time, priced per billed token.
-            let (round_drafted, round_accepted) = session.decode.stats().rounds_detail
-                [rounds_before..]
-                .iter()
-                .fold((0usize, 0usize), |(d, a), r| {
-                    (d + r.predicted, a + r.accepted)
-                });
+            // (what the verify pass just added to the session's counters)
+            // and its share of the wave's device service time, priced per
+            // billed token.
+            let after = session.decode.stats();
+            let round_drafted = after.predicted_tokens - before.predicted_tokens;
+            let round_accepted = after.accepted_tokens - before.accepted_tokens;
             let wave_index = wave_of[index];
             let per_token_ms = wave_service_ms / wave_charges[wave_index].max(1) as f64;
             let policy_name = &mut self.policy_name;
@@ -1245,13 +1235,14 @@ where
     /// and preemption share it instead of copying it.
     fn release_due_streams(&mut self) {
         let wall = self.wall_ms;
+        let encoder = &self.encoder;
         let tracer = &mut self.tracer;
         let released = self.waiting.extract_if(.., |request| {
             let stream = request
                 .stream
                 .as_mut()
                 .expect("only streaming requests park between chunks");
-            stream.deliver_due(wall, request.id, tracer) && request.refill_stream_view()
+            stream.deliver_due(wall, encoder, request.id, tracer) && request.refill_stream_view()
         });
         self.queue.extend(released);
     }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use specasr::DecodeSession;
-use specasr_audio::{StreamChunk, UtteranceId};
+use specasr_audio::{EncoderProfile, StreamChunk, UtteranceId};
 use specasr_runtime::{KvPool, PoolError};
 use specasr_stream::StreamingSession;
 use specasr_trace::{TraceEvent, Tracer};
@@ -20,8 +20,6 @@ pub(crate) struct StreamState {
     pub session: StreamingSession,
     /// The timed chunk plan (offsets relative to `submitted_ms`).
     pub chunks: Vec<StreamChunk>,
-    /// Per-chunk incremental encoder latency (fixed overhead on chunk 0).
-    pub chunk_encoder_ms: Vec<f64>,
     /// Wall time the stream was submitted (chunk offsets anchor here).
     pub submitted_ms: f64,
     /// Chunks already delivered into the session.
@@ -46,10 +44,18 @@ impl StreamState {
     }
 
     /// Delivers every chunk that has arrived by `wall_ms` into the stream
-    /// session (extending the audio horizon) and returns whether anything
-    /// was delivered.  Each delivery is recorded as a `ChunkArrived` event
-    /// on `request`'s behalf, stamped at the chunk's true arrival time.
-    pub fn deliver_due(&mut self, wall_ms: f64, request: RequestId, tracer: &mut Tracer) -> bool {
+    /// session (extending the audio horizon), charges each one's
+    /// incremental latency on `encoder` (the fixed overhead on chunk 0) to
+    /// the next partial, and returns whether anything was delivered.  Each
+    /// delivery is recorded as a `ChunkArrived` event on `request`'s
+    /// behalf, stamped at the chunk's true arrival time.
+    pub fn deliver_due(
+        &mut self,
+        wall_ms: f64,
+        encoder: &EncoderProfile,
+        request: RequestId,
+        tracer: &mut Tracer,
+    ) -> bool {
         let mut delivered_any = false;
         while let Some(chunk) = self.chunks.get(self.delivered) {
             let arrival = self.submitted_ms + chunk.arrival_offset_ms;
@@ -58,7 +64,8 @@ impl StreamState {
             }
             self.session.push_audio(chunk.end_seconds);
             self.newest_chunk_arrival_ms = arrival;
-            self.pending_encoder_ms += self.chunk_encoder_ms[self.delivered];
+            self.pending_encoder_ms +=
+                encoder.incremental_latency_ms(chunk.duration_seconds(), chunk.index == 0);
             let chunk_index = self.delivered as u64;
             tracer.record_with(|| TraceEvent::ChunkArrived {
                 ts_ms: arrival,

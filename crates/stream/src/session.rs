@@ -91,13 +91,7 @@ impl StreamingSession {
             partials: 0,
             retracted_tokens: 0,
             emitted_tokens: 0,
-            // A decode commits at least one token per round, so the pooled
-            // log holds the offline decode's rounds without regrowing; the
-            // re-decoded tails can outgrow it.
-            decode_stats: DecodeStats {
-                rounds_detail: Vec::with_capacity(transcript),
-                ..DecodeStats::new()
-            },
+            decode_stats: DecodeStats::new(),
             clock: DecodeClock::new(),
             finished: false,
         }
@@ -177,7 +171,7 @@ impl StreamingSession {
     }
 
     /// Decode statistics pooled across all re-decodes (speculation rounds,
-    /// acceptance, recycling).
+    /// acceptance, recycling): the counters of every re-decode, added up.
     pub fn decode_stats(&self) -> &DecodeStats {
         &self.decode_stats
     }
@@ -239,8 +233,9 @@ impl StreamingSession {
         ))
     }
 
-    /// Absorbs a finished re-decode of the current view: pools its
-    /// statistics, applies the commit rule, and emits the partial.
+    /// Absorbs a finished re-decode of the current view: adds its
+    /// statistics' counters and its clock to the stream's, applies the
+    /// commit rule, and emits the partial.
     ///
     /// The caller must pass a session started by
     /// [`StreamingSession::resume_decode`] *after the last

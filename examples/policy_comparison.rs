@@ -4,8 +4,12 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
+use specasr::{
+    AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy, RoundRecord,
+    SparseTreeConfig, SpeculativeConfig,
+};
 use specasr_audio::Split;
+use specasr_runtime::KvPool;
 use specasr_suite::StandardSetup;
 
 fn main() {
@@ -39,8 +43,35 @@ fn main() {
         Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
     ];
 
+    let mut round = DraftedRound::new();
     for policy in policies {
-        let outcome = policy.decode(&setup.draft, &setup.target, &audio);
+        // The loop `Policy::decode` runs, stepped here so each round's
+        // numbers are the session's counters taken across it.
+        let mut pool = KvPool::unbounded(16);
+        let mut session = DecodeSession::new(
+            policy,
+            DrafterKind::ModelDraft,
+            audio.clone(),
+            &[],
+            &mut pool,
+        )
+        .expect("an unbounded pool always admits");
+        let mut rounds = Vec::new();
+        while !session.is_finished() {
+            let before = *session.stats();
+            session
+                .step(&mut pool, &setup.draft, &setup.target, &mut round)
+                .expect("an unbounded pool never exhausts");
+            let after = session.stats();
+            rounds.push(RoundRecord {
+                predicted: after.predicted_tokens - before.predicted_tokens,
+                accepted: after.accepted_tokens - before.accepted_tokens,
+                draft_steps: after.draft_steps - before.draft_steps,
+                recycled: after.recycled_tokens - before.recycled_tokens,
+                truncated: after.truncations > before.truncations,
+            });
+        }
+        let outcome = session.into_outcome();
         let stats = &outcome.stats;
         println!(
             "{:<26} rounds {:>2}  draft-steps {:>3}  predicted/round {:>5.1}  accepted/round {:>5.1}  acceptance {:>5.1} %  recycled {:>2}  draft {:>6.1} ms  target {:>6.1} ms",
@@ -54,13 +85,14 @@ fn main() {
             outcome.latency().draft_ms,
             outcome.latency().target_ms,
         );
-        for (i, round) in stats.rounds_detail.iter().enumerate() {
+        // A speculative round verifies a tree of every token it predicted.
+        for (i, round) in rounds.iter().enumerate() {
             println!(
                 "    round {:>2}: predicted {:>2}  accepted {:>2}  tree {:>2}  recycled {:>2}{}",
                 i + 1,
                 round.predicted,
                 round.accepted,
-                round.tree_size,
+                round.predicted,
                 round.recycled,
                 if round.truncated { "  (truncated)" } else { "" }
             );

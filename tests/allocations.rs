@@ -11,7 +11,7 @@
 //! way is emptied and refilled in place, and a distribution keeps its few
 //! candidates inline, so a warm round allocates nothing from draft to
 //! commit.  What still allocates now and then is doubling growth: a
-//! session's transcript, round log and KV block tables, and the shared
+//! session's transcript, KV block tables and recycle buffer, and the shared
 //! buffers while the committed prefix lengthens.  A counting global
 //! allocator checks that the median round allocates nothing and that no
 //! round exceeds a small constant, whatever the draft's width: for the draft
@@ -44,10 +44,12 @@
 //!
 //! The allocator also tracks this thread's live bytes and bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
-//! no per-round history; an idle fleet-controller evaluation allocates the
-//! same whatever the fleet has served.  A verify-wave plan allocates the same
-//! whatever its wave cap, and nothing when a kept plan is planned again over
-//! as many sessions or fewer.
+//! no per-round history; a served request's outcome holds only its
+//! transcript tokens, its text and its partial spans; an idle
+//! fleet-controller evaluation allocates the same whatever the fleet has
+//! served.  A verify-wave plan allocates the same whatever its wave cap, and
+//! nothing when a kept plan is planned again over as many sessions or
+//! fewer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,17 +67,17 @@ use specasr_models::{
 };
 use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
-    plan_verify_waves, LoadGen, RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig,
-    SloClass, StreamConfig, VerifyPlan, WorkerProfile,
+    plan_verify_waves, LoadGen, PartialSpan, RequestOutcome, Router, RouterConfig, Scheduler,
+    ServerConfig, SloClass, StreamConfig, VerifyPlan, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
 
 /// Most heap allocations one warm round may make.  The shared buffers are
 /// warm, so only a session's own buffers can still grow, each by doubling
-/// and at most once in a round: its round log, its draft and target KV
-/// block tables, and its recycle buffer.
-const ROUND_BUDGET: u64 = 4;
+/// and at most once in a round: its draft and target KV block tables, and
+/// its recycle buffer.
+const ROUND_BUDGET: u64 = 3;
 
 /// Sessions allocate their KV blocks from a bounded pool, as when serving.
 fn serving_pool() -> KvPool {
@@ -399,8 +401,8 @@ fn assert_median_zero(label: &str, mut costs: Vec<u64>) -> u64 {
 
 /// Once the shared buffers are warm, the median verify round allocates
 /// nothing, for adaptive and sparse-tree rounds and for long draft-free
-/// sequences; what allocates at all is a session's round log, KV block
-/// tables or recycle buffer doubling.
+/// sequences; what allocates at all is a session's KV block tables or
+/// recycle buffer doubling.
 #[test]
 fn a_warm_verify_round_allocates_nothing() {
     let setup = StandardSetup::new(31, 6);
@@ -589,8 +591,8 @@ struct StreamStep {
 /// that releases, re-admits, decodes or parks a stream allocates nothing.
 /// The rest of the run, retirements included, allocates less than once per
 /// partial, and each partial answers at least one delivered chunk.  What
-/// still allocates is doubling growth of a stream's round logs and recycle
-/// buffer, and one transcript text per retirement.
+/// still allocates is doubling growth of a stream's recycle buffer, and one
+/// transcript text per retirement.
 #[test]
 fn a_warm_stream_chunk_allocates_nothing() {
     let setup = StandardSetup::new(31, 12);
@@ -774,6 +776,48 @@ fn a_scheduler_retains_no_per_round_history() {
             policy.name()
         );
     }
+}
+
+/// A served request's outcome holds its transcript tokens, its text and, for
+/// a stream, its partial spans, and nothing else: dropping the outcomes of
+/// a scheduler that served streams and offline requests frees exactly
+/// those buffers and the list that held them.
+#[test]
+fn a_held_outcome_holds_only_its_tokens_text_and_partials() {
+    let setup = StandardSetup::new(31, 6);
+    let mut scheduler = Scheduler::new(
+        setup.draft.clone(),
+        setup.target.clone(),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        ServerConfig::default(),
+    );
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+    for (index, utterance) in corpus_pool(&setup).into_iter().take(24).enumerate() {
+        if index % 2 == 0 {
+            scheduler.submit_streaming(asp, utterance, StreamConfig::default())
+        } else {
+            scheduler.submit(tsp, utterance)
+        }
+        .expect("queue has room");
+    }
+    let outcomes = scheduler.run_until_idle();
+    assert_eq!(outcomes.len(), 24);
+    assert_eq!(outcomes.iter().filter(|o| o.is_streaming()).count(), 12);
+    let held = outcomes.capacity() * size_of::<RequestOutcome>()
+        + outcomes
+            .iter()
+            .map(|outcome| {
+                outcome.outcome.tokens.capacity() * size_of::<TokenId>()
+                    + outcome.text.capacity()
+                    + outcome.partials.capacity() * size_of::<PartialSpan>()
+            })
+            .sum::<usize>();
+    let before = live_bytes();
+    drop(outcomes);
+    let freed = before - live_bytes();
+    assert_eq!(freed, held as i64, "bytes freed by dropping the outcomes");
 }
 
 #[test]
