@@ -383,11 +383,7 @@ impl DecodeSession {
         drafter: DrafterKind,
         audio: impl Into<Arc<UtteranceTokens>>,
     ) -> Self {
-        match &policy {
-            Policy::AdaptiveSingleSequence(config) => config.validate(),
-            Policy::TwoPassSparseTree(config) => config.validate(),
-            Policy::Autoregressive | Policy::Speculative(_) => {}
-        }
+        validate(&policy);
         DecodeSession {
             policy,
             drafter,
@@ -401,6 +397,22 @@ impl DecodeSession {
             finished: false,
             cap: 0,
         }
+    }
+
+    /// Hands this released session to a new request: `policy` and `drafter`
+    /// replace its own, and every buffer it has grown is kept, its audio
+    /// context's included.  Refill that context for the new request through
+    /// [`DecodeSession::audio_mut`]; [`DecodeSession::restart`] then starts
+    /// the new decode in the kept buffers, with nothing left of the one
+    /// before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy carries an invalid configuration.
+    pub fn reassign(&mut self, policy: Policy, drafter: DrafterKind) {
+        validate(&policy);
+        self.policy = policy;
+        self.drafter = drafter;
     }
 
     /// Starts this released session again, on `audio` after `committed`,
@@ -785,6 +797,19 @@ impl DecodeSession {
         self.verify_round(pool, target, round)
     }
 
+    /// The session's [`DecodeOutcome`] so far, the transcript copied out:
+    /// what [`DecodeSession::into_outcome`] returns, leaving the session and
+    /// its buffers to serve another request ([`DecodeSession::reassign`]).
+    pub fn outcome(&self) -> DecodeOutcome {
+        DecodeOutcome {
+            tokens: self.tokens.clone(),
+            stats: self.stats,
+            clock: self.clock.clone(),
+            draft_cache: *self.draft_kv.positions(),
+            target_cache: *self.target_kv.positions(),
+        }
+    }
+
     /// Consumes the session into a [`DecodeOutcome`].
     ///
     /// Normally called once [`DecodeSession::is_finished`] is `true`; calling
@@ -891,6 +916,15 @@ impl DecodeSession {
         let target_len = committed.min(self.target_kv.len());
         pool.draft_mut().rollback(&mut self.draft_kv, draft_len);
         pool.target_mut().rollback(&mut self.target_kv, target_len);
+    }
+}
+
+/// Checks a policy's configuration before a session decodes under it.
+fn validate(policy: &Policy) {
+    match policy {
+        Policy::AdaptiveSingleSequence(config) => config.validate(),
+        Policy::TwoPassSparseTree(config) => config.validate(),
+        Policy::Autoregressive | Policy::Speculative(_) => {}
     }
 }
 
@@ -1597,11 +1631,14 @@ mod proptests {
         /// after the start and at the end.  The views are of another
         /// utterance or of the same one, shorter or longer, and the
         /// committed prefix is a random cut of the second view's
-        /// transcript.  A restart on a pool too small for it first fails
-        /// and leaves nothing allocated.
+        /// transcript.  A recycled session, reassigned to another case's
+        /// policy and drafter and refilled in its own audio context, does
+        /// too.  A restart on a pool too small for it first fails and
+        /// leaves nothing allocated.
         #[test]
         fn a_restarted_session_decodes_what_a_new_one_decodes(
             case in 0usize..CASES,
+            recycled in (0usize..2, 0usize..CASES),
             first in (0usize..6, 0u32..1_200),
             second in (0usize..6, 0u32..1_200),
             cut in 0usize..1_001,
@@ -1609,6 +1646,8 @@ mod proptests {
         ) {
             let fixture = fixture();
             let (policy, kind) = case_policy(case);
+            let next = if recycled.0 == 1 { recycled.1 } else { case };
+            let (next_policy, next_kind) = case_policy(next);
             let view = |(utterance, permille): (usize, u32)| {
                 let audio = &fixture.audio[utterance];
                 let seconds = audio.duration_seconds() * f64::from(permille) / 1_000.0;
@@ -1617,7 +1656,7 @@ mod proptests {
             let (first, second) = (view(first), view(second));
             let greedy = fixture.target.greedy_transcript(&second);
             let committed = &greedy[..greedy.len() * cut / 1_000];
-            let decode = |session: &mut DecodeSession, pool: &mut KvPool| {
+            let decode = |session: &mut DecodeSession, pool: &mut KvPool, case: usize| {
                 let mut round = DraftedRound::new();
                 while !session.is_finished() {
                     draft(&fixture, case, session, &mut round);
@@ -1632,18 +1671,27 @@ mod proptests {
                 .expect("room");
             let mut other = DecodeSession::new(policy, kind, first, &[], &mut fresh_pool)
                 .expect("room");
-            decode(&mut kept, &mut kept_pool);
-            decode(&mut other, &mut fresh_pool);
+            decode(&mut kept, &mut kept_pool, case);
+            decode(&mut other, &mut fresh_pool, case);
             kept.release_kv(&mut kept_pool);
             other.release_kv(&mut fresh_pool);
 
-            let second = Arc::new(second);
+            // A recycled session keeps its context and refills it in place.
+            let audio = if recycled.0 == 1 {
+                kept.reassign(next_policy, next_kind);
+                Arc::get_mut(kept.audio_mut())
+                    .expect("the session holds its context alone")
+                    .clone_from(&second);
+                Arc::clone(kept.audio())
+            } else {
+                Arc::new(second.clone())
+            };
             let needed = KvPool::unbounded(16).target().blocks_for(
                 second.prefill_tokens() + committed.len(),
             );
             if tight < needed {
                 let mut full = KvPool::bounded(tight, 16);
-                let failed = kept.restart(Arc::clone(&second), committed, &mut full);
+                let failed = kept.restart(Arc::clone(&audio), committed, &mut full);
                 prop_assert!(
                     matches!(failed, Err(PoolError::OutOfBlocks { .. })),
                     "{} blocks for {}", tight, needed
@@ -1651,13 +1699,16 @@ mod proptests {
                 prop_assert_eq!(full.used_blocks(), 0);
                 prop_assert_eq!(kept.kv_blocks_held(), 0);
             }
-            kept.restart(Arc::clone(&second), committed, &mut kept_pool).expect("room");
-            let mut fresh = DecodeSession::new(policy, kind, second, committed, &mut fresh_pool)
-                .expect("room");
+            kept.restart(audio, committed, &mut kept_pool).expect("room");
+            let mut fresh =
+                DecodeSession::new(next_policy, next_kind, second, committed, &mut fresh_pool)
+                    .expect("room");
+            prop_assert_eq!(kept.policy(), fresh.policy());
+            prop_assert_eq!(kept.drafter(), fresh.drafter());
             for finished in [false, true] {
                 if finished {
-                    decode(&mut kept, &mut kept_pool);
-                    decode(&mut fresh, &mut fresh_pool);
+                    decode(&mut kept, &mut kept_pool, next);
+                    decode(&mut fresh, &mut fresh_pool, next);
                 }
                 prop_assert_eq!(kept.tokens(), fresh.tokens(), "case {}", case);
                 prop_assert_eq!(kept.stats(), fresh.stats());

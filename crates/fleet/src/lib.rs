@@ -299,11 +299,11 @@ where
         let mut outcomes = Vec::new();
         while self.next_eval_ms <= deadline_ms {
             let boundary = self.next_eval_ms;
-            outcomes.extend(self.router.advance_to(boundary));
+            self.router.advance_into(boundary, &mut outcomes);
             self.evaluate();
             self.next_eval_ms = boundary + self.config.evaluate_every_ms;
         }
-        outcomes.extend(self.router.advance_to(deadline_ms));
+        self.router.advance_into(deadline_ms, &mut outcomes);
         outcomes
     }
 
@@ -313,7 +313,7 @@ where
         let mut outcomes = Vec::new();
         while !self.router.is_idle() {
             let boundary = self.next_eval_ms;
-            outcomes.extend(self.router.advance_to(boundary));
+            self.router.advance_into(boundary, &mut outcomes);
             self.evaluate();
             self.next_eval_ms = boundary + self.config.evaluate_every_ms;
         }

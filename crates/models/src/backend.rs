@@ -441,6 +441,21 @@ pub trait AsrBackend {
 
     /// Drains the device-side batch log recorded since the last drain.
     fn take_device_events(&mut self) -> Vec<DeviceEvent>;
+
+    /// Tells the backend that no request submitted from now on reads
+    /// `context` as it is: the session that owns it has retired, or is
+    /// about to refill it in place.  A backend that keeps a handle on
+    /// contexts it has seen drops it here, so the owner's `Arc::get_mut`
+    /// succeeds.  A context submitted again afterwards is new to the
+    /// backend.
+    ///
+    /// The default does nothing: an in-process backend keeps no context
+    /// past the submit that scored it.  Over the wire,
+    /// [`crate::RpcBackend`] drops the handle its encoder keeps and
+    /// forgets the context on the worker with the next submit.
+    fn release_context(&mut self, context: &Arc<UtteranceTokens>) {
+        let _ = context;
+    }
 }
 
 /// Bookkeeping of the simulated backend: ticket allocation, the completion

@@ -63,38 +63,58 @@ impl TokenizerBinding {
     }
 
     /// Binds one utterance: tokenises the reference transcript and spreads
-    /// each word's acoustic difficulty over its subword tokens.
+    /// each word's acoustic difficulty over its subword tokens.  This is
+    /// [`TokenizerBinding::bind_into`] into a new context.
     ///
     /// # Panics
     ///
     /// Panics if the utterance transcript tokenises to an empty sequence,
     /// which cannot happen for corpora generated by [`specasr_audio`].
     pub fn bind(&self, utterance: &Utterance) -> UtteranceTokens {
-        let words = utterance.transcript().split_whitespace();
+        let mut bound = UtteranceTokens::default();
+        self.bind_into(utterance, &mut String::new(), &mut bound);
+        bound
+    }
+
+    /// Binds one utterance into `bound`, which equals
+    /// [`TokenizerBinding::bind`]'s context afterwards whatever it held
+    /// before.  Each word's marked form is built in `scratch`.  Every buffer
+    /// keeps its capacity, so a server that binds each request into a
+    /// retired request's context, through one kept scratch, stops
+    /// allocating once the buffers have held its longest utterance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the utterance transcript tokenises to an empty sequence,
+    /// which cannot happen for corpora generated by [`specasr_audio`].
+    pub fn bind_into(
+        &self,
+        utterance: &Utterance,
+        scratch: &mut String,
+        bound: &mut UtteranceTokens,
+    ) {
+        let tokens = &mut bound.reference_tokens;
+        let token_difficulties = &mut bound.token_difficulties;
+        tokens.clear();
+        token_difficulties.clear();
         // Every word encodes to at least one token.
-        let mut tokens: Vec<TokenId> = Vec::with_capacity(utterance.word_count());
-        let mut token_difficulties: Vec<f64> = Vec::with_capacity(utterance.word_count());
-        // One marked-word buffer serves every word of the transcript.
-        let mut scratch = String::new();
+        tokens.reserve(utterance.word_count());
+        token_difficulties.reserve(utterance.word_count());
+        let words = utterance.transcript().split_whitespace();
         for (word, &difficulty) in words.zip(utterance.word_difficulties()) {
-            self.tokenizer.encode_into(word, &mut scratch, &mut tokens);
+            self.tokenizer.encode_into(word, scratch, tokens);
             token_difficulties.resize(tokens.len(), difficulty);
         }
         assert!(
             !tokens.is_empty(),
             "utterance tokenised to an empty sequence"
         );
-        let prefill_tokens = prefill_token_count(utterance.duration_seconds());
-        UtteranceTokens {
-            id: utterance.id(),
-            reference_tokens: tokens,
-            token_difficulties,
-            eos: self.tokenizer.eos(),
-            bos: self.tokenizer.bos(),
-            vocab_size: self.tokenizer.vocab_size() as u32,
-            duration_seconds: utterance.duration_seconds(),
-            prefill_tokens,
-        }
+        bound.id = utterance.id();
+        bound.eos = self.tokenizer.eos();
+        bound.bos = self.tokenizer.bos();
+        bound.vocab_size = self.tokenizer.vocab_size() as u32;
+        bound.duration_seconds = utterance.duration_seconds();
+        bound.prefill_tokens = prefill_token_count(utterance.duration_seconds());
     }
 
     /// Binds every utterance of a corpus split, preserving order.
@@ -119,6 +139,24 @@ pub struct UtteranceTokens {
     pub(crate) vocab_size: u32,
     pub(crate) duration_seconds: f64,
     pub(crate) prefill_tokens: usize,
+}
+
+/// An empty context: no reference tokens, a zero duration and zero ids.  It
+/// is a buffer to bind into ([`TokenizerBinding::bind_into`]), not an
+/// utterance to decode.
+impl Default for UtteranceTokens {
+    fn default() -> Self {
+        UtteranceTokens {
+            id: UtteranceId::new(0),
+            reference_tokens: Vec::new(),
+            token_difficulties: Vec::new(),
+            eos: TokenId::new(0),
+            bos: TokenId::new(0),
+            vocab_size: 0,
+            duration_seconds: 0.0,
+            prefill_tokens: 0,
+        }
+    }
 }
 
 impl UtteranceTokens {
@@ -567,6 +605,78 @@ mod proptests {
             1 => duration * fraction,
             2 => duration,
             _ => duration * 1.2,
+        }
+    }
+
+    /// A binding whose vocabulary was trained on multi-byte lowercase text.
+    fn multilingual_binding() -> TokenizerBinding {
+        let vocab = VocabularyBuilder::new()
+            .target_size(300)
+            .min_pair_frequency(1)
+            .build_from_corpus([
+                "straße café naïve σοφία οδος σας ελληνικά zoë привет mañana",
+                "a b c é ß σ ς ø и ǆ ǉ i\u{307} ab ba aσ σa",
+            ]);
+        TokenizerBinding {
+            tokenizer: Arc::new(Tokenizer::new(vocab)),
+        }
+    }
+
+    /// Characters the vocabulary covers as they are, covers only once
+    /// lowercased (capital sigma, titlecase digraphs, a capital that
+    /// lowercases to two characters), or cannot cover.
+    const MIXED_CHARS: &str = "abcéßσςøиοABÉΣΟØИǅǈİẞ'\u{301}·.模😀";
+
+    /// An utterance of one to six words drawn from [`MIXED_CHARS`], one
+    /// difficulty per word.
+    fn mixed_utterance() -> impl Strategy<Value = Utterance> {
+        let word = proptest::collection::vec(
+            prop::sample::select(MIXED_CHARS.chars().collect::<Vec<char>>()),
+            1..7,
+        )
+        .prop_map(|chars| chars.into_iter().collect::<String>());
+        (
+            proptest::collection::vec((word, 0u32..1_000), 1..7),
+            0u64..1_000,
+            1u32..400,
+        )
+            .prop_map(|(words, id, tenths)| {
+                let transcript = words
+                    .iter()
+                    .map(|(word, _)| word.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                let difficulties = words
+                    .iter()
+                    .map(|&(_, permille)| f64::from(permille) / 1_000.0)
+                    .collect();
+                Utterance::new(
+                    UtteranceId::new(id),
+                    Split::TestOther,
+                    transcript,
+                    difficulties,
+                    f64::from(tenths) / 10.0,
+                )
+            })
+    }
+
+    proptest! {
+        /// Binding into a context and a scratch that hold an earlier
+        /// utterance, longer or shorter, gives what `bind` gives, over
+        /// multi-byte, uppercase, capital-sigma and uncoverable characters.
+        #[test]
+        fn binding_into_a_dirty_buffer_equals_bind(
+            earlier in mixed_utterance(),
+            utterance in mixed_utterance(),
+        ) {
+            let binding = multilingual_binding();
+            let mut scratch = String::new();
+            let mut bound = UtteranceTokens::default();
+            binding.bind_into(&earlier, &mut scratch, &mut bound);
+            prop_assert_eq!(&bound, &binding.bind(&earlier));
+            binding.bind_into(&utterance, &mut scratch, &mut bound);
+            prop_assert_eq!(&bound, &binding.bind(&utterance));
+            prop_assert_eq!(bound.prefix_key(), binding.bind(&utterance).prefix_key());
         }
     }
 

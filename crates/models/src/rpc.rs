@@ -25,10 +25,15 @@
 //!   keeps.  Like the frame, each stops growing once it has held the
 //!   largest round, so a warm round trip allocates nothing.
 //! * **Each audio context sent once.**  The client registers a context with
-//!   the worker the first time a request uses it and forgets it once no
-//!   session holds it any more (the register/forget rule of
-//!   [`crate::wire`]), so a verify request carries only its prefix and
-//!   probe tokens.
+//!   the worker the first time a request uses it, so a verify request
+//!   carries only its prefix and probe tokens.  A scheduler releases a
+//!   context when its session retires or refills it
+//!   ([`AsrBackend::release_context`]): the client drops its handle at once,
+//!   so the session refills its buffers in place, and the next submit tells
+//!   the worker to forget it, which reads the next new context into the
+//!   forgotten one's buffers.  A context released without a call is
+//!   forgotten once no session holds it (the register/forget rule of
+//!   [`crate::wire`]).
 //! * **A local counters mirror.**  The worker's lifetime counters and device
 //!   backlog change only when a batch is submitted, so the submit reply
 //!   carries both.  The client answers [`AsrBackend::counters`] and
@@ -48,11 +53,13 @@
 //! completions; nothing in the trait contract changes.
 
 use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::backend::{
     AsrBackend, BackendBatch, BackendCounters, Completions, DeviceEvent, TicketRange,
 };
+use crate::binding::UtteranceTokens;
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 use crate::wire::{decode_reply, encode_reply, CallDecoder, CallEncoder, WireCall, WireReply};
@@ -224,6 +231,12 @@ impl AsrBackend for RpcBackend {
             WireReply::DeviceEvents(events) => events,
             other => unreachable!("take device events answered with {other:?}"),
         }
+    }
+
+    /// Drops the encoder's handle on `context` without a round trip; the
+    /// next submit tells the worker to forget it.
+    fn release_context(&mut self, context: &Arc<UtteranceTokens>) {
+        self.encoder.release(context);
     }
 }
 

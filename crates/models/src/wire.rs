@@ -59,18 +59,31 @@
 //! A [`BackendBatch`] holds each request's audio context behind an `Arc`,
 //! and every request of a session shares the same one.  [`CallEncoder`], the
 //! client half, keys a table by `Arc` address and keeps a strong clone in
-//! it, so an address cannot be reused while it is registered.  A submit inlines a
-//! context only the first time a request uses it, under a fresh id; later
-//! requests name the id.  Before each submit the encoder drops every entry
-//! whose strong count has fallen to 1: only the table holds it, so no caller
-//! can send it again.  The submit frame carries those ids as `forget`, and
-//! [`CallDecoder`], the worker half, removes them before it reads the
-//! requests.  Neither table ever holds more contexts than the client has
-//! live sessions.  A registered context must never change under its id, so
-//! a stream refills its view in place only through `Arc::get_mut`, which
-//! fails while this table holds a clone.  A parked stream's view stays
-//! registered (the stream still holds it too), so over the wire every
-//! chunk's view is a new `Arc`, and so simply a new context.
+//! it, so an address cannot be reused while it is registered.  A submit
+//! inlines a context only the first time a request uses it, under a fresh
+//! id; later requests name the id.  The submit frame carries the ids the
+//! worker may forget as `forget`, and [`CallDecoder`], the worker half,
+//! removes them before it reads the requests.  An id is forgotten in one of
+//! two ways:
+//!
+//! - **Released.**  [`CallEncoder::release`] drops the table's clone at
+//!   once, and the next submit carries the id.  The client calls it when a
+//!   session retires or before a parked stream refills its view
+//!   ([`crate::AsrBackend::release_context`]).
+//! - **Swept.**  Before each submit the encoder drops every entry whose
+//!   strong count has fallen to 1: only the table holds it, so no caller can
+//!   send it again.  This catches a context released without a call, such
+//!   as one whose session migrated to another worker's backend.
+//!
+//! A registered context must never change under its id, and it cannot:
+//! its owner's `Arc::get_mut` fails while the table holds a clone.  Once
+//! released, the owner refills it in place (the next request's bound
+//! utterance, or a stream's next view), and its next submit registers it
+//! anew, under a new id.  The decoder keeps each forgotten context as a
+//! spare and reads the next new context into a spare's buffers, so a warm
+//! worker allocates nothing for the contexts it receives.  Neither side
+//! holds more contexts, registered and spare together, than the client
+//! once had registered at the same time.
 //!
 //! # Floats travel as raw bits
 //!
@@ -260,7 +273,8 @@ pub struct CallEncoder {
     /// that keeps the address from being reused while it is registered.
     contexts: HashMap<usize, (u64, Arc<UtteranceTokens>)>,
     next_id: u64,
-    /// Ids released by the current submit (scratch, reused).
+    /// Ids the next submit forgets: those [`CallEncoder::release`]d since
+    /// the last submit, then the ones its sweep finds (reused buffer).
     forget: Vec<u64>,
 }
 
@@ -287,12 +301,23 @@ impl CallEncoder {
         seal(frame);
     }
 
+    /// Unregisters `context`, if it is registered: the table drops its
+    /// clone at once, so the caller's `Arc::get_mut` can succeed, and the
+    /// next submit tells the worker to forget the id.  Sent again, the
+    /// context registers anew, under a new id.
+    pub fn release(&mut self, context: &Arc<UtteranceTokens>) {
+        let address = Arc::as_ptr(context) as usize;
+        if let Some((id, _)) = self.contexts.remove(&address) {
+            self.forget.push(id);
+        }
+    }
+
     fn encode_submit(&mut self, now_ms: f64, batch: &BackendBatch, frame: &mut Vec<u8>) {
-        // An entry with strong count 1 is held by the table alone.  Every
-        // request of `batch` holds its own clone, so no context this submit
-        // sends can be among the forgotten ones.
+        // The sweep: an entry with strong count 1 is held by the table
+        // alone, a context released without a call (after a migration, say).
+        // Every request of `batch` holds its own clone, so no context this
+        // submit sends can be among the forgotten ones.
         let forget = &mut self.forget;
-        forget.clear();
         self.contexts.retain(|_, (id, context)| {
             let live = Arc::strong_count(context) > 1;
             if !live {
@@ -304,6 +329,7 @@ impl CallEncoder {
         begin(frame, CALL_SUBMIT);
         frame.put_f64(now_ms);
         frame.put_seq(forget, |frame, &id| frame.put_u64(id));
+        forget.clear();
         frame.put_len(batch.len());
         for request in batch.requests() {
             self.put_context(request.audio, frame);
@@ -337,6 +363,10 @@ impl CallEncoder {
 #[derive(Debug, Clone, Default)]
 pub struct CallDecoder {
     contexts: HashMap<u64, Arc<UtteranceTokens>>,
+    /// Forgotten contexts, whose buffers the next new contexts are read
+    /// into.  The table and this list together never hold more contexts
+    /// than the client once had registered at the same time.
+    spare: Vec<Arc<UtteranceTokens>>,
 }
 
 impl CallDecoder {
@@ -388,13 +418,17 @@ impl CallDecoder {
         batch: &mut BackendBatch,
     ) -> Result<f64, WireError> {
         let now_ms = reader.f64()?;
+        // The batch lets go of the last submit's contexts first, so a
+        // forgotten context is held by the table alone when it turns spare.
+        batch.clear();
         for _ in 0..reader.len(ID_BYTES)? {
             let id = reader.u64()?;
-            self.contexts
+            let context = self
+                .contexts
                 .remove(&id)
                 .ok_or(WireError::UnknownContext(id))?;
+            self.spare.push(context);
         }
-        batch.clear();
         for _ in 0..reader.len(REQUEST_MIN_BYTES)? {
             let audio = self.read_context(reader)?;
             // The prefix, then each probe, straight into the batch's
@@ -430,7 +464,10 @@ impl CallDecoder {
             }
             CONTEXT_NEW => {
                 let id = reader.u64()?;
-                let context = Arc::new(read_utterance(reader)?);
+                // A spare is refilled in place (copied first if something
+                // else still shares it).
+                let mut context = self.spare.pop().unwrap_or_default();
+                read_utterance_into(reader, Arc::make_mut(&mut context))?;
                 self.contexts.insert(id, Arc::clone(&context));
                 Ok(context)
             }
@@ -764,32 +801,30 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_utterance(reader: &mut Reader<'_>) -> Result<UtteranceTokens, WireError> {
-    let id = UtteranceId::new(reader.u64()?);
-    let eos = TokenId::new(reader.u32()?);
-    let bos = TokenId::new(reader.u32()?);
-    let vocab_size = reader.u32()?;
-    let duration_seconds = reader.f64()?;
-    let prefill_tokens = reader.usize()?;
+/// Reads an `utterance` into `into`, whatever it held before; its buffers
+/// keep their capacity.  On an error `into` may hold part of the frame.
+fn read_utterance_into(
+    reader: &mut Reader<'_>,
+    into: &mut UtteranceTokens,
+) -> Result<(), WireError> {
+    into.id = UtteranceId::new(reader.u64()?);
+    into.eos = TokenId::new(reader.u32()?);
+    into.bos = TokenId::new(reader.u32()?);
+    into.vocab_size = reader.u32()?;
+    into.duration_seconds = reader.f64()?;
+    into.prefill_tokens = reader.usize()?;
     let len = reader.len(TOKEN_BYTES + 8)?;
-    let mut reference_tokens = Vec::with_capacity(len);
+    into.reference_tokens.clear();
+    into.reference_tokens.reserve(len);
     for _ in 0..len {
-        reference_tokens.push(TokenId::new(reader.u32()?));
+        into.reference_tokens.push(TokenId::new(reader.u32()?));
     }
-    let mut token_difficulties = Vec::with_capacity(len);
+    into.token_difficulties.clear();
+    into.token_difficulties.reserve(len);
     for _ in 0..len {
-        token_difficulties.push(reader.f64()?);
+        into.token_difficulties.push(reader.f64()?);
     }
-    Ok(UtteranceTokens {
-        id,
-        reference_tokens,
-        token_difficulties,
-        eos,
-        bos,
-        vocab_size,
-        duration_seconds,
-        prefill_tokens,
-    })
+    Ok(())
 }
 
 /// Reads a `seq<result>` into `into`, each distribution's candidates
@@ -1436,6 +1471,58 @@ mod tests {
         sessions.clear();
         assert_eq!(exchange(&mut encoder, BackendBatch::new()), 0);
         assert_eq!(encoder.contexts.len(), 0);
+    }
+
+    #[test]
+    fn a_released_context_refills_in_place_under_a_new_id() {
+        let mut sessions = corpus_contexts();
+        let live = sessions.len();
+        let sources = corpus_contexts();
+        let mut encoder = CallEncoder::new();
+        let mut decoder = CallDecoder::new();
+        let mut frame = Vec::new();
+        let mut sink = BackendBatch::new();
+        let id_of = |encoder: &CallEncoder, context: &Arc<UtteranceTokens>| {
+            encoder.contexts[&(Arc::as_ptr(context) as usize)].0
+        };
+        encoder.encode(
+            &WireCall::Submit(0.0, &batch_over(&sessions.iter().collect::<Vec<_>>())),
+            &mut frame,
+        );
+        decoder.decode(&frame, &mut sink).expect("decodes");
+
+        for step in 0..24 {
+            let session = step % live;
+            let old_id = id_of(&encoder, &sessions[session]);
+            let worker_copy = Arc::as_ptr(&decoder.contexts[&old_id]);
+            encoder.release(&sessions[session]);
+            // The encoder dropped its clone: the session's context is its
+            // own again, and refills in place with another utterance's view.
+            let context = Arc::get_mut(&mut sessions[session]).expect("released");
+            let source = &sources[(step + 1) % live];
+            let seconds = source.duration_seconds() * (step % 4 + 1) as f64 / 4.0;
+            assert!(source.fill_prefix_view(context, seconds, 2, 0.3));
+
+            let batch = batch_over(&[&sessions[session]]);
+            encoder.encode(&WireCall::Submit(0.0, &batch), &mut frame);
+            drop(batch);
+            decoder.decode(&frame, &mut sink).expect("decodes");
+            let new_id = id_of(&encoder, &sessions[session]);
+            assert_ne!(new_id, old_id, "a refilled context registers anew");
+            assert!(
+                !decoder.contexts.contains_key(&old_id),
+                "the old id is forgotten"
+            );
+            let decoded = &decoder.contexts[&new_id];
+            assert_eq!(**decoded, *sessions[session], "the worker reads the refill");
+            assert_eq!(
+                Arc::as_ptr(decoded),
+                worker_copy,
+                "the worker refills the forgotten context's buffers"
+            );
+            assert!(decoder.contexts.len() + decoder.spare.len() <= live);
+            assert_eq!(encoder.contexts.len(), live);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::cell::{Ref, RefCell};
 use std::sync::Arc;
 
-use specasr::{DecodeSession, Drafter, DrafterKind, Policy};
+use specasr::{Drafter, DrafterKind, Policy};
 use specasr_audio::{EncoderProfile, Utterance};
 use specasr_metrics::Histogram;
 use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
@@ -32,7 +32,6 @@ use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
 use crate::config::{RouterConfig, WorkerProfile};
 use crate::request::{RequestId, RequestOutcome, SloClass, SubmitError};
 use crate::scheduler::Scheduler;
-use crate::session::QueuedRequest;
 use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
@@ -379,27 +378,28 @@ where
             // lands on the hash-placed worker, whose overload caused it).
             return Err(self.workers[primary].scheduler.reject());
         }
-        let request = QueuedRequest {
-            id,
-            decode: DecodeSession::idle(policy, drafter, self.binding.bind(utterance)),
-            utterance_id: utterance.id(),
-            audio_seconds: utterance.duration_seconds(),
-            encoder_ms: self
-                .encoder
-                .latency_ms_for_audio(utterance.duration_seconds()),
-            arrival_ms: self.now_ms,
-            preemptions: 0,
-            ttft_budget_ms,
-            first_output_emitted: false,
-            stream: None,
-        };
+        // A spare session from any worker before a new one: the worker that
+        // retires a request is often not the one its next arrival lands on.
+        let spare = self.workers[candidate].scheduler.take_spare().or_else(|| {
+            self.workers
+                .iter_mut()
+                .find_map(|worker| worker.scheduler.take_spare())
+        });
         let worker = &mut self.workers[candidate];
         if worker.is_idle() {
             // An idle worker's clock lags the timeline; wake it at the
             // arrival instant so its queueing delay starts from zero.
             worker.scheduler.sync_wall_to(self.now_ms);
         }
-        worker.scheduler.enqueue(request)?;
+        worker.scheduler.enqueue_offline(
+            id,
+            self.now_ms,
+            spare,
+            policy,
+            drafter,
+            utterance,
+            ttft_budget_ms,
+        )?;
         self.next_id += 1;
         Ok(id)
     }
@@ -410,13 +410,19 @@ where
     ///
     /// Returns the requests that finished this tick.
     pub fn tick(&mut self) -> Vec<RequestOutcome> {
+        let mut outcomes = Vec::new();
+        self.tick_into(&mut outcomes);
+        outcomes
+    }
+
+    /// [`Router::tick`], appending what finished to `outcomes`.
+    fn tick_into(&mut self, outcomes: &mut Vec<RequestOutcome>) {
         self.rebalance();
         let Some(index) = self.laggard() else {
-            return Vec::new();
+            return;
         };
-        let outcomes = self.workers[index].scheduler.tick();
+        self.workers[index].scheduler.tick(outcomes);
         self.now_ms = self.now_ms.max(self.workers[index].wall_ms());
-        outcomes
     }
 
     /// Ticks until every queued and in-flight request has completed across
@@ -424,7 +430,7 @@ where
     pub fn run_until_idle(&mut self) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
         while !self.is_idle() {
-            outcomes.extend(self.tick());
+            self.tick_into(&mut outcomes);
         }
         outcomes
     }
@@ -436,6 +442,13 @@ where
     /// fleet keeps serving, and whatever completes is returned.
     pub fn advance_to(&mut self, deadline_ms: f64) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
+        self.advance_into(deadline_ms, &mut outcomes);
+        outcomes
+    }
+
+    /// [`Router::advance_to`], appending what completes to `outcomes`: a
+    /// caller that advances in steps fills one list.
+    pub fn advance_into(&mut self, deadline_ms: f64, outcomes: &mut Vec<RequestOutcome>) {
         loop {
             self.rebalance();
             let behind = self
@@ -450,7 +463,7 @@ where
                 })
                 .map(|(index, _)| index);
             let Some(index) = behind else { break };
-            outcomes.extend(self.workers[index].scheduler.tick());
+            self.workers[index].scheduler.tick(outcomes);
         }
         for worker in &mut self.workers {
             if worker.is_idle() {
@@ -458,7 +471,6 @@ where
             }
         }
         self.now_ms = self.now_ms.max(deadline_ms);
-        outcomes
     }
 
     /// Adds a worker to the fleet at the current timeline instant, with
@@ -843,20 +855,18 @@ where
             if transfer == 0 {
                 return;
             }
-            let stolen = self.workers[deep].scheduler.steal_back(transfer);
-            self.workers[deep].stolen_out += stolen.len();
-            let thief_wall = self.workers[shallow].wall_ms();
-            for request in stolen {
-                if self.workers[shallow].is_idle() && thief_wall < request.arrival_ms {
-                    self.workers[shallow]
-                        .scheduler
-                        .sync_wall_to(request.arrival_ms);
+            let (victim, thief) = two_mut(&mut self.workers, deep, shallow);
+            let thief_wall = thief.wall_ms();
+            for request in victim.scheduler.steal_back(transfer) {
+                victim.stolen_out += 1;
+                if thief.is_idle() && thief_wall < request.arrival_ms {
+                    thief.scheduler.sync_wall_to(request.arrival_ms);
                 }
-                self.workers[shallow]
+                thief
                     .scheduler
                     .enqueue(request)
                     .expect("transfer size was capped to the thief's free room");
-                self.workers[shallow].stolen_in += 1;
+                thief.stolen_in += 1;
             }
         }
     }

@@ -252,6 +252,12 @@ pub struct Scheduler<D, T> {
     policy_name: String,
     /// The tick's working buffers, kept across ticks.
     scratch: TickScratch,
+    /// Decode sessions of retired offline requests, at most `max_batch`,
+    /// each with its grown buffers and its audio context: the next offline
+    /// submits are built in them.
+    spares: Vec<DecodeSession>,
+    /// The marked-word buffer every submit binds its utterance through.
+    bind_scratch: String,
 }
 
 impl<D, T> Scheduler<D, T>
@@ -341,6 +347,8 @@ where
             cow_reported: 0,
             policy_name: String::new(),
             scratch: TickScratch::default(),
+            spares: Vec::new(),
+            bind_scratch: String::new(),
         }
     }
 
@@ -456,6 +464,12 @@ where
         self.queue.is_empty() && self.active.is_empty() && self.waiting.is_empty()
     }
 
+    /// Decode sessions of retired offline requests kept for the next
+    /// submits, at most [`ServerConfig::max_batch`].
+    pub fn spare_sessions(&self) -> usize {
+        self.spares.len()
+    }
+
     /// Submits one utterance for transcription under `policy`.
     ///
     /// The request is timestamped at the current wall time and queued;
@@ -521,23 +535,77 @@ where
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
-        let audio = self.binding.bind(utterance);
+        let spare = self.take_spare();
+        self.enqueue_offline(
+            id,
+            self.wall_ms,
+            spare,
+            policy,
+            drafter,
+            utterance,
+            ttft_budget_ms,
+        )?;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// Builds an offline request and queues it: the one construction behind
+    /// [`Scheduler::submit`] and [`crate::Router::submit`], each of which
+    /// assigns the id and the arrival time and checked the queue depth.
+    ///
+    /// The request is built in `spare`, a retired request's decode session,
+    /// or in a new, empty one: the session is reassigned, the utterance is
+    /// bound into its audio context, and every buffer it grew serving
+    /// earlier requests is kept.  A context some other holder still shares
+    /// is replaced, never changed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn enqueue_offline(
+        &mut self,
+        id: RequestId,
+        arrival_ms: f64,
+        spare: Option<DecodeSession>,
+        policy: Policy,
+        drafter: DrafterKind,
+        utterance: &Utterance,
+        ttft_budget_ms: Option<f64>,
+    ) -> Result<(), SubmitError> {
+        let mut decode = spare
+            .unwrap_or_else(|| DecodeSession::idle(policy, drafter, UtteranceTokens::default()));
+        decode.reassign(policy, drafter);
+        // Copied first if something else still shares it (`make_mut`).
+        let audio = Arc::make_mut(decode.audio_mut());
+        self.binding
+            .bind_into(utterance, &mut self.bind_scratch, audio);
         self.enqueue(QueuedRequest {
             id,
-            decode: DecodeSession::idle(policy, drafter, audio),
+            decode,
             utterance_id: utterance.id(),
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: self
                 .encoder
                 .latency_ms_for_audio(utterance.duration_seconds()),
-            arrival_ms: self.wall_ms,
+            arrival_ms,
             preemptions: 0,
             ttft_budget_ms,
             first_output_emitted: false,
             stream: None,
-        })?;
-        self.next_id += 1;
-        Ok(id)
+        })
+    }
+
+    /// One of this worker's spare decode sessions, if it keeps any.
+    pub(crate) fn take_spare(&mut self) -> Option<DecodeSession> {
+        self.spares.pop()
+    }
+
+    /// Takes back the decode session of a request that left — retired, or
+    /// shed — holding no KV blocks.  Its context is released on the
+    /// backend, and an offline request's session is kept as a spare while
+    /// this worker keeps fewer than `max_batch`; a stream's is dropped.
+    fn recycle(&mut self, decode: DecodeSession, offline: bool) {
+        self.target.backend_mut().release_context(decode.audio());
+        if offline && self.spares.len() < self.config.max_batch {
+            self.spares.push(decode);
+        }
     }
 
     /// Submits one utterance as a *streaming* request: its audio arrives in
@@ -680,14 +748,11 @@ where
 
     /// Removes up to `max` requests from the *back* of the wait queue, for
     /// work stealing: the most recently arrived requests move, so the
-    /// victims' oldest (most aged) requests keep their position.
-    pub(crate) fn steal_back(&mut self, max: usize) -> Vec<QueuedRequest> {
-        let take = max.min(self.queue.len());
-        let mut stolen: Vec<QueuedRequest> =
-            (0..take).filter_map(|_| self.queue.pop_back()).collect();
-        // Preserve arrival order among the moved requests.
-        stolen.reverse();
-        stolen
+    /// victims' oldest (most aged) requests keep their position.  They are
+    /// yielded in queue order, which preserves arrival order among them.
+    pub(crate) fn steal_back(&mut self, max: usize) -> impl Iterator<Item = QueuedRequest> + '_ {
+        let keep = self.queue.len().saturating_sub(max);
+        self.queue.drain(keep..)
     }
 
     /// Advances the wall clock to at least `ms` without doing work — the
@@ -766,8 +831,9 @@ where
     /// draft → grouped verify (with KV-pool preemption when memory runs
     /// out) → retire / emit partials.
     ///
-    /// Returns the requests that finished this tick, in retirement order.
-    pub fn tick(&mut self) -> Vec<RequestOutcome> {
+    /// Appends the requests that finished this tick to `outcomes`, in
+    /// retirement order, so a caller that ticks many times fills one list.
+    pub fn tick(&mut self, outcomes: &mut Vec<RequestOutcome>) {
         self.release_due_streams();
         // With nothing decodable but streams parked between chunks, the only
         // next event is a chunk arrival: fast-forward the wall clock to it
@@ -780,21 +846,20 @@ where
         }
         self.admit();
         if self.active.is_empty() {
-            return Vec::new();
+            return;
         }
         // The scratch leaves `self` for the rest of the tick, so the tick
         // can fill it while preemption borrows the whole scheduler.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let outcomes = self.decode_tick(&mut scratch);
+        self.decode_tick(&mut scratch, outcomes);
         self.scratch = scratch;
-        outcomes
     }
 
     /// The decode half of a tick over the admitted batch: draft, plan and
     /// submit the verify waves, drain them, commit, sync the gauges and
-    /// retire.  Every per-session and per-wave buffer comes from `scratch`,
-    /// cleared and refilled in place.
-    fn decode_tick(&mut self, scratch: &mut TickScratch) -> Vec<RequestOutcome> {
+    /// retire into `outcomes`.  Every per-session and per-wave buffer comes
+    /// from `scratch`, cleared and refilled in place.
+    fn decode_tick(&mut self, scratch: &mut TickScratch, outcomes: &mut Vec<RequestOutcome>) {
         let TickScratch {
             order,
             drafted,
@@ -1199,7 +1264,7 @@ where
         // sessions trade places with the empty `retiring` buffer, and the
         // ones that stay move back in order.
         std::mem::swap(&mut self.active, retiring);
-        let mut outcomes = Vec::new();
+        let before = outcomes.len();
         for (session, removal) in retiring.drain(..).zip(removal.drain(..)) {
             match removal {
                 Removal::Keep if session.decode.is_finished() => {
@@ -1211,19 +1276,18 @@ where
                 }
                 Removal::Keep => self.active.push(session),
                 Removal::Preempted => requeued.push(session.into_requeued(true)),
-                Removal::Rejected => {}
+                Removal::Rejected => self.recycle(session.decode, session.stream.is_none()),
             }
         }
         for request in requeued.drain(..).rev() {
             self.queue.push_front(request);
         }
-        let completed = outcomes.len() as u64;
+        let completed = (outcomes.len() - before) as u64;
         self.tracer.record_with(|| TraceEvent::TickEnd {
             ts_ms: tick_end,
             tick,
             completed,
         });
-        outcomes
     }
 
     /// Delivers every due chunk into the parked streams and moves the ones
@@ -1237,12 +1301,19 @@ where
         let wall = self.wall_ms;
         let encoder = &self.encoder;
         let tracer = &mut self.tracer;
+        let target = self.target.backend_mut();
         let released = self.waiting.extract_if(.., |request| {
             let stream = request
                 .stream
                 .as_mut()
                 .expect("only streaming requests park between chunks");
-            stream.deliver_due(wall, encoder, request.id, tracer) && request.refill_stream_view()
+            if !stream.deliver_due(wall, encoder, request.id, tracer) {
+                return false;
+            }
+            // The backend lets go of the last view first, so the view is
+            // the session's alone and refills in place.
+            target.release_context(request.decode.audio());
+            request.refill_stream_view()
         });
         self.queue.extend(released);
     }
@@ -1336,6 +1407,9 @@ where
                 + first_partial.encoder_ms,
         };
         let policy = *session.decode.policy();
+        self.target
+            .backend_mut()
+            .release_context(session.decode.audio());
         let last_view = session.decode.into_outcome();
         let (tokens, stats, clock) = stream.session.into_transcript();
         let outcome = DecodeOutcome {
@@ -1388,7 +1462,7 @@ where
                     _ => break,
                 }
             }
-            outcomes.extend(self.tick());
+            self.tick(&mut outcomes);
         }
         self.sync_wall_to(ms);
         outcomes
@@ -1503,7 +1577,7 @@ where
     pub fn run_until_idle(&mut self) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
         while !self.is_idle() {
-            outcomes.extend(self.tick());
+            self.tick(&mut outcomes);
         }
         outcomes
     }
@@ -1591,6 +1665,7 @@ where
                         request: Some(shed),
                         reason: ShedReason::Deadline,
                     });
+                    self.recycle(request.decode, request.stream.is_none());
                     continue;
                 }
             }
@@ -1636,6 +1711,7 @@ where
                             request: Some(shed),
                             reason: ShedReason::Memory,
                         });
+                        self.recycle(request.decode, request.stream.is_none());
                     }
                     break;
                 }
@@ -1660,6 +1736,8 @@ where
     }
 
     /// Converts a finished session into its outcome and records statistics.
+    /// The outcome copies the transcript out; the session itself, with its
+    /// buffers, is recycled for the next submit.
     ///
     /// Time-to-first-token falls back to completion time for transcripts that
     /// turned out empty (EOS on the very first verification).
@@ -1680,7 +1758,8 @@ where
                 + session.encoder_ms,
         };
         let policy = *session.decode.policy();
-        let outcome = session.decode.into_outcome();
+        let outcome = session.decode.outcome();
+        self.recycle(session.decode, true);
         let text = self
             .binding
             .tokenizer()
@@ -1746,7 +1825,8 @@ mod tests {
             scheduler.submit(policy, utterance).expect("queue has room");
         }
         assert_eq!(scheduler.queued(), 12);
-        let first = scheduler.tick();
+        let mut first = Vec::new();
+        scheduler.tick(&mut first);
         assert!(
             first.is_empty() || first.len() < 4,
             "nothing should drain the whole batch at once"
@@ -1758,7 +1838,8 @@ mod tests {
         let mut refilled = false;
         while !scheduler.is_idle() {
             let before_queue = scheduler.queued();
-            let outcomes = scheduler.tick();
+            let mut outcomes = Vec::new();
+            scheduler.tick(&mut outcomes);
             completed += outcomes.len();
             if !outcomes.is_empty() && before_queue > 0 {
                 refilled = true;
@@ -1847,7 +1928,8 @@ mod tests {
             scheduler.submit(policy, short).expect("queue has room");
         }
         for tick in 0..budget {
-            let outcomes = scheduler.tick();
+            let mut outcomes = Vec::new();
+            scheduler.tick(&mut outcomes);
             if outcomes.iter().any(|o| o.id == long_id) {
                 return Some(tick + 1);
             }
@@ -2063,7 +2145,7 @@ mod tests {
         for _ in 0..8 {
             scheduler.submit(policy, utterance).expect("queue has room");
         }
-        scheduler.tick();
+        scheduler.tick(&mut Vec::new());
         let memory = scheduler.stats().memory();
         assert!(
             memory.prefix_hits() > 0,

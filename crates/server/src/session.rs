@@ -127,27 +127,19 @@ impl QueuedRequest {
     /// received so far and returns `true`, or returns `false`, building
     /// nothing, while no token is audible yet.
     ///
-    /// The view is refilled in place while the session holds the only
-    /// handle on it.  Any other holder must never see it change: an RPC
-    /// encoder keeps each context it registered, keyed by its address.  A
-    /// shared view is therefore left as it is, and the new one is built in
-    /// a new `Arc`.
+    /// The view is refilled in place: once the scheduler has released it
+    /// on the backend ([`specasr_models::AsrBackend::release_context`]), no
+    /// RPC encoder holds it, and the session's handle is the only one.  Any
+    /// other holder must never see it change, so a view still shared is
+    /// copied first (`Arc::make_mut`) and the copy is refilled.
     pub fn refill_stream_view(&mut self) -> bool {
         let stream = self
             .stream
             .as_ref()
             .expect("only streaming requests refill a view");
-        let context = self.decode.audio_mut();
-        match Arc::get_mut(context) {
-            Some(view) => stream.session.fill_view(view),
-            None => match stream.session.view() {
-                Some(view) => {
-                    *context = Arc::new(view);
-                    true
-                }
-                None => false,
-            },
-        }
+        stream
+            .session
+            .fill_view(Arc::make_mut(self.decode.audio_mut()))
     }
 
     /// Restarts this request's decode session against `pool`: from the

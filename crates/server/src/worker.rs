@@ -118,6 +118,12 @@ where
         self.scheduler.in_flight()
     }
 
+    /// Decode sessions this worker keeps for the fleet's next submits (see
+    /// [`Scheduler::spare_sessions`]).
+    pub fn spare_sessions(&self) -> usize {
+        self.scheduler.spare_sessions()
+    }
+
     /// Queued plus in-flight requests — the router's load signal.
     pub fn load(&self) -> usize {
         self.queue_depth() + self.in_flight()

@@ -67,19 +67,39 @@ pub const MAX_DEPTH_BUCKET: u64 = 8;
 /// A single `total - partial_sum` correction is almost always exact, but the
 /// final addition can re-round; the bounded fix-up loop nudges the residual
 /// until the fold lands on `total` exactly.
+///
+/// When the head's sum sits exactly half a step of the residual's grid off
+/// `total`, every candidate sum is a tie, which rounds half to even: an odd
+/// `total` is then out of reach whatever the residual.  The largest head
+/// part is then nudged up by one ulp, which soon moves the head's sum off
+/// the tie, and the residual is closed again.
 fn close_residual(total: f64, parts: &mut [f64]) {
     let Some((last, head)) = parts.split_last_mut() else {
         return;
     };
-    let base = head.iter().fold(0.0_f64, |acc, part| acc + part);
+    for _ in 0..64 {
+        if close_last(total, fold(head), last) {
+            return;
+        }
+        match head.iter_mut().max_by(|a, b| a.abs().total_cmp(&b.abs())) {
+            Some(largest) => *largest = largest.next_up(),
+            None => return,
+        }
+    }
+}
+
+/// Sets `last` so `base + last` is bitwise `total`, if the bounded fix-up
+/// loop finds such a value; returns whether it did.
+fn close_last(total: f64, base: f64, last: &mut f64) -> bool {
     *last = total - base;
     for _ in 0..64 {
         let sum = base + *last;
         if sum == total {
-            return;
+            return true;
         }
         *last += total - sum;
     }
+    false
 }
 
 /// Flat left-fold of a component list — *the* reconciliation sum.
@@ -156,8 +176,9 @@ impl RequestAttribution {
     /// Flat left-fold of the components — bitwise equal to
     /// [`RequestAttribution::e2e_ms`] by construction.
     pub fn attributed_ms(&self) -> f64 {
-        let values: Vec<f64> = self.components().iter().map(|(_, v)| *v).collect();
-        fold(&values)
+        self.components()
+            .iter()
+            .fold(0.0_f64, |acc, (_, part)| acc + part)
     }
 }
 
@@ -242,7 +263,14 @@ impl DeviceLedger {
             self.rejected_draft_ms,
         ];
         close_residual(self.busy_ms, &mut busy_parts);
-        self.rejected_draft_ms = busy_parts[2];
+        // A tie may have nudged a head part: keep every part closed.
+        [
+            self.accepted_work_ms,
+            self.probe_overhead_ms,
+            self.rejected_draft_ms,
+        ] = busy_parts;
+        // The three parts fold to `busy_ms`, so `idle_ms` closes the total
+        // exactly and the head is never nudged here.
         let mut all_parts = [
             self.accepted_work_ms,
             self.probe_overhead_ms,
@@ -1249,6 +1277,57 @@ mod tests {
         assert_eq!(fold(&parts).to_bits(), total.to_bits());
         let mut empty: [f64; 0] = [];
         close_residual(1.0, &mut empty); // must not panic
+    }
+
+    #[test]
+    fn close_residual_breaks_a_half_ulp_tie() {
+        // The head sums to half an ulp of the residual's grid near 1, so
+        // `2^-53 + last` is a tie for every `last` in [1, 2), and ties
+        // round to an even mantissa: the odd total 1 + 2^-52 is out of
+        // reach until the head moves.
+        let total = 1.0 + f64::EPSILON;
+        let head = [2f64.powi(-53), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        let base = fold(&head);
+        for last in [1.0, 1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON] {
+            assert_ne!((base + last).to_bits(), total.to_bits(), "{last} closes it");
+        }
+        let mut parts = [head[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        close_residual(total, &mut parts);
+        assert_eq!(fold(&parts).to_bits(), total.to_bits());
+        assert_eq!(
+            parts[0],
+            head[0].next_up(),
+            "one ulp on the largest head part"
+        );
+        assert_eq!(&parts[1..7], &head[1..]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2_000))]
+
+        /// Seven head parts of any magnitudes close on any total at or
+        /// above their sum, as an attribution's do: the fold of the closed
+        /// parts is bitwise the total, and a head part moves by at most a
+        /// few ulps.  The total is the head's sum plus a residual, moved a
+        /// few ulps more, so it is not always a sum the head can reach.
+        #[test]
+        fn close_residual_lands_on_every_total(
+            head in proptest::collection::vec((0u64..1 << 52, -12i32..12), 7..8),
+            residual in (0u64..1 << 52, -12i32..14),
+            ulps in 0u32..4,
+        ) {
+            let value = |(mantissa, exponent): (u64, i32)| {
+                (1.0 + mantissa as f64 / (1u64 << 52) as f64) * 2f64.powi(exponent)
+            };
+            let head: Vec<f64> = head.into_iter().map(value).collect();
+            let total = (0..ulps).fold(fold(&head) + value(residual), |total, _| total.next_up());
+            let mut parts: Vec<f64> = head.iter().copied().chain([0.0]).collect();
+            close_residual(total, &mut parts);
+            proptest::prop_assert_eq!(fold(&parts).to_bits(), total.to_bits());
+            for (closed, part) in parts.iter().zip(&head) {
+                proptest::prop_assert!(closed.to_bits() - part.to_bits() < 64);
+            }
+        }
     }
 
     #[test]

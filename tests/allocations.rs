@@ -38,6 +38,16 @@
 //! median step that cycles a stream allocates nothing, and the run
 //! allocates less than once per partial.
 //!
+//! An offline submit is built in a retired request's decode session: its
+//! bound audio context, transcript, KV block tables and recycle buffer are
+//! refilled in place, and retirement copies the transcript out.  So once
+//! warm, a scheduler or a router serving offline requests allocates only
+//! each outcome's tokens and text and the list it returns, in process and,
+//! on the serving thread, over the RPC boundary, where a retired context is
+//! released on the backend first.  A worker keeps at most `max_batch` such
+//! spare sessions.  Over RPC a parked stream's view is released before each
+//! chunk too, so the stream test holds there as well.
+//!
 //! A metrics scrape refreshes the exposition the router keeps in place, so
 //! a scrape with nothing new to show allocates only the text it returns,
 //! and so does the median scrape of an open-loop run.
@@ -561,7 +571,8 @@ fn a_warm_tick_without_admission_or_retirement_allocates_nothing() {
         while !scheduler.is_idle() {
             let queued = scheduler.queued();
             let in_flight = scheduler.in_flight();
-            let (outcomes, allocated) = counted(|| scheduler.tick());
+            let mut outcomes = Vec::new();
+            let ((), allocated) = counted(|| scheduler.tick(&mut outcomes));
             // The first batch only warms the scheduler.
             if batch > 0 && queued == 0 && scheduler.in_flight() == in_flight && outcomes.is_empty()
             {
@@ -585,6 +596,26 @@ struct StreamStep {
     released: bool,
 }
 
+/// A scheduler over the standard setup's models, its target in process or
+/// behind the RPC boundary.
+fn scheduler_for(
+    setup: &StandardSetup,
+    config: ServerConfig,
+    rpc: bool,
+) -> Scheduler<SimulatedAsrModel, SimulatedAsrModel> {
+    let (draft, target, binding) = (
+        setup.draft.clone(),
+        setup.target.clone(),
+        setup.binding.clone(),
+    );
+    let encoder = EncoderProfile::whisper_medium_encoder();
+    if rpc {
+        Scheduler::with_rpc_target(draft, target, binding, encoder, config)
+    } else {
+        Scheduler::new(draft, target, binding, encoder, config)
+    }
+}
+
 /// A stream's chunk cycle (release → admit → decode → absorb → park) keeps
 /// the stream's decode session, its view and its transcript buffers, so
 /// once every stream has been admitted and parked once, the median step
@@ -595,14 +626,21 @@ struct StreamStep {
 /// transcript text per retirement.
 #[test]
 fn a_warm_stream_chunk_allocates_nothing() {
+    warm_stream_chunks_allocate_nothing(false);
+}
+
+/// [`a_warm_stream_chunk_allocates_nothing`] with the target behind the
+/// RPC boundary, counted on the serving thread: the scheduler releases a
+/// parked stream's view on the backend before each chunk, so the view
+/// refills in place there too, and the wire's buffers are kept.
+#[test]
+fn a_warm_stream_chunk_allocates_nothing_over_rpc() {
+    warm_stream_chunks_allocate_nothing(true);
+}
+
+fn warm_stream_chunks_allocate_nothing(rpc: bool) {
     let setup = StandardSetup::new(31, 12);
-    let mut scheduler = Scheduler::new(
-        setup.draft.clone(),
-        setup.target.clone(),
-        setup.binding.clone(),
-        EncoderProfile::whisper_medium_encoder(),
-        ServerConfig::default().with_max_batch(16),
-    );
+    let mut scheduler = scheduler_for(&setup, ServerConfig::default().with_max_batch(16), rpc);
     let policies = [
         Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
         Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
@@ -666,6 +704,191 @@ fn a_warm_stream_chunk_allocates_nothing() {
         allocated <= emitted as u64,
         "{allocated} allocations for {emitted} partials after warm-up"
     );
+}
+
+/// The offline request mix of the refill tests: ASP and TSP requests of the
+/// draft model, and ASP requests of the token-map and CTC drafters.
+fn offline_mix() -> [(Policy, DrafterKind); 4] {
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+    [
+        (asp, DrafterKind::ModelDraft),
+        (tsp, DrafterKind::ModelDraft),
+        (asp, DrafterKind::TokenMap),
+        (asp, DrafterKind::CtcEncoder),
+    ]
+}
+
+/// What serving `requests` more offline requests may allocate once warm:
+/// each outcome's token `Vec` and text `String`, and the list they are
+/// returned in, grown push by push.
+fn offline_budget(requests: usize) -> u64 {
+    let ((), list) = counted(|| {
+        let mut list: Vec<std::mem::MaybeUninit<RequestOutcome>> = Vec::new();
+        for _ in 0..requests {
+            list.push(std::mem::MaybeUninit::uninit());
+        }
+    });
+    2 * requests as u64 + list
+}
+
+/// The warm rounds of a run: its last quarter, which serves every utterance
+/// of the corpus pool twice over, after six passes over it have grown every
+/// kept buffer to the longest utterance and every histogram to the range
+/// the requests land in.
+fn warm(costs: &[u64]) -> &[u64] {
+    &costs[costs.len() * 3 / 4..]
+}
+
+/// Serves 96 rounds of `per_round` offline requests of the mix on
+/// `server`, cycling through the corpus: each round submits its requests,
+/// then runs until idle.  Returns what each round allocated.
+fn offline_rounds<S>(
+    setup: &StandardSetup,
+    server: &mut S,
+    per_round: usize,
+    submit: impl Fn(&mut S, Policy, DrafterKind, &Utterance),
+    run_until_idle: impl Fn(&mut S) -> Vec<RequestOutcome>,
+) -> Vec<u64> {
+    let pool = corpus_pool(setup);
+    let mix = offline_mix();
+    (0..96)
+        .map(|round| {
+            let (outcomes, allocated) = counted(|| {
+                for index in 0..per_round {
+                    let (policy, drafter) = mix[index % mix.len()];
+                    let utterance = pool[(round * per_round + index) % pool.len()];
+                    submit(server, policy, drafter, utterance);
+                }
+                run_until_idle(server)
+            });
+            assert_eq!(outcomes.len(), per_round);
+            allocated
+        })
+        .collect()
+}
+
+/// Once warm, an offline request allocates only its outcome: each submit
+/// binds the utterance into a retired request's decode session, whose
+/// transcript, KV block tables, recycle buffer and audio context keep what
+/// they grew, and retirement copies the transcript out instead of taking
+/// the session.  So a round of as many requests as the scheduler keeps
+/// spares allocates only their tokens, their texts and the returned list,
+/// in process and, on the serving thread, over the RPC boundary: there the
+/// scheduler releases each retired context on the backend, so its buffers
+/// are the session's alone again.
+#[test]
+fn a_warm_offline_request_allocates_only_its_outcome() {
+    let setup = StandardSetup::new(31, 12);
+    for rpc in [false, true] {
+        let config = ServerConfig::default().with_max_batch(4);
+        let mut scheduler = scheduler_for(&setup, config, rpc);
+        scheduler.install_drafter(Arc::new(token_map_for(&setup)));
+        scheduler.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
+        let costs = offline_rounds(
+            &setup,
+            &mut scheduler,
+            config.max_batch,
+            |scheduler, policy, drafter, utterance| {
+                scheduler
+                    .submit_with_drafter(policy, drafter, utterance)
+                    .expect("queue has room");
+            },
+            Scheduler::run_until_idle,
+        );
+        let budget = offline_budget(config.max_batch);
+        assert!(
+            warm(&costs).iter().all(|&cost| cost <= budget),
+            "rpc {rpc}: rounds of {} requests allocated {costs:?}, budget {budget}",
+            config.max_batch
+        );
+    }
+}
+
+/// [`a_warm_offline_request_allocates_only_its_outcome`] through a
+/// two-worker router: a submit takes a spare session from any worker, so a
+/// round of as many requests as one worker keeps spares allocates only
+/// their outcomes, however placement splits the round.
+#[test]
+fn a_warm_routed_offline_request_allocates_only_its_outcome() {
+    let setup = StandardSetup::new(31, 12);
+    for rpc in [false, true] {
+        let worker = ServerConfig::default().with_max_batch(4);
+        let mut router = Router::new(
+            RouterConfig::default()
+                .with_workers(2)
+                .with_rpc_backend(rpc)
+                .with_worker_config(worker),
+            setup.binding.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            |_| (setup.draft.clone(), setup.target.clone()),
+        );
+        router.install_drafter(Arc::new(token_map_for(&setup)));
+        router.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
+        let costs = offline_rounds(
+            &setup,
+            &mut router,
+            worker.max_batch,
+            |router, policy, drafter, utterance| {
+                router
+                    .submit_with_drafter(policy, drafter, utterance)
+                    .expect("queues have room");
+            },
+            Router::run_until_idle,
+        );
+        let budget = offline_budget(worker.max_batch);
+        assert!(
+            warm(&costs).iter().all(|&cost| cost <= budget),
+            "rpc {rpc}: rounds of {} requests allocated {costs:?}, budget {budget}",
+            worker.max_batch
+        );
+    }
+}
+
+/// A worker keeps at most `max_batch` spare sessions, however many
+/// requests it retires between submits: a burst through a three-worker
+/// router, a drain that migrates sessions, and a scheduler on its own.
+#[test]
+fn a_worker_keeps_at_most_max_batch_spare_sessions() {
+    let setup = StandardSetup::new(31, 6);
+    let pool = corpus_pool(&setup);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let worker = ServerConfig::default().with_max_batch(3);
+    let mut router = Router::new(
+        RouterConfig::default()
+            .with_workers(3)
+            .with_worker_config(worker),
+        setup.binding.clone(),
+        EncoderProfile::whisper_medium_encoder(),
+        |_| (setup.draft.clone(), setup.target.clone()),
+    );
+    for utterance in pool.iter().cycle().take(48) {
+        router.submit(policy, utterance).expect("queues have room");
+    }
+    let mut served = router.advance_to(1_000.0).len();
+    let draining = router.workers()[2].id();
+    assert!(
+        router.drain_worker(draining) > 0,
+        "the drain migrates sessions"
+    );
+    served += router.run_until_idle().len();
+    assert_eq!(served, 48);
+    let spares: Vec<usize> = router
+        .workers()
+        .iter()
+        .map(|w| w.spare_sessions())
+        .collect();
+    assert!(
+        spares.iter().all(|&held| held <= worker.max_batch) && spares.iter().sum::<usize>() > 0,
+        "spare sessions per worker: {spares:?}"
+    );
+
+    let mut scheduler = scheduler_for(&setup, worker, false);
+    for utterance in pool.iter().take(24) {
+        scheduler.submit(policy, utterance).expect("queue has room");
+    }
+    assert_eq!(scheduler.run_until_idle().len(), 24);
+    assert_eq!(scheduler.spare_sessions(), worker.max_batch);
 }
 
 /// A KV prefill plans its blocks without a buffer: on a warm pool it

@@ -142,7 +142,7 @@ fn scheduler_sustains_at_least_eight_concurrent_sessions() {
         scheduler.submit(policy, utterance).expect("queue has room");
     }
     // After the first tick the batch must be full.
-    scheduler.tick();
+    scheduler.tick(&mut Vec::new());
     assert!(
         scheduler.in_flight() >= 8 || scheduler.stats().peak_in_flight() >= 8,
         "batch should fill to 8 concurrent sessions"

@@ -243,7 +243,7 @@ fn streams_finish_when_the_chunk_arithmetic_rounds() {
             if scheduler.is_idle() {
                 break;
             }
-            outcomes.extend(scheduler.tick());
+            scheduler.tick(&mut outcomes);
         }
         assert!(scheduler.is_idle(), "{duration} s stream never finished");
         assert_eq!(outcomes.len(), 1);
