@@ -16,9 +16,9 @@
 //! a process-boundary comparison (`w2-fifo+rpc@q50`, also reachable with
 //! the `--rpc` flag) that re-serves it with every worker's target model
 //! behind the `RpcBackend` worker thread, and an admission-ordering study
-//! (`w1-{fifo,saf,edf}-b@q*-shallow4`) that re-serves the overload cells
-//! with mixed TTFT budgets under FIFO, aged shortest-audio-first, and
-//! earliest-deadline-first order, recording the in-budget goodput each
+//! (`w1-{fifo,saf,edf}-b@q*-depth64`) that re-serves one worker under
+//! overload with mixed TTFT budgets under FIFO, aged shortest-audio-first,
+//! and earliest-deadline-first order, recording the in-budget goodput each
 //! achieves.  All cells run under a depth-4 in-flight window
 //! (`max_in_flight_waves`).
 //!
@@ -88,6 +88,17 @@ const SHED_QPS_LEVELS: [f64; 3] = [25.0, 50.0, 200.0];
 /// Interactive, one Standard, one Relaxed request per cycle, so every
 /// overload cell carries a deadline mix the admission order can exploit.
 const TTFT_BUDGETS_MS: [f64; 3] = [500.0, 2_000.0, 8_000.0];
+
+/// Queue depth of the ordering study: deep enough that requests wait past
+/// their budgets and FIFO sheds them by deadline, which is what
+/// deadline-aware admission exists to avoid.  (A depth-4 queue refuses the
+/// overflow before any budget expires, and leaves the orders nothing to
+/// differ on.)
+const ORDERING_QUEUE_DEPTH: usize = 64;
+
+/// Offered rates of the ordering study: every cell overloads the worker
+/// far enough that FIFO sheds by deadline.
+const ORDERING_QPS_LEVELS: [f64; 3] = [50.0, 100.0, 200.0];
 
 /// The budget a completed request was submitted with, recovered from its
 /// SLO class (the classes are keyed exactly on the budget boundaries the
@@ -312,14 +323,14 @@ fn run_shed_cell(context: &ExperimentContext, pool: &[&Utterance], qps: f64) -> 
         .with("rejected", report.rejected as f64)
 }
 
-/// One ordering cell: the shedding study's single shallow-queue worker
-/// under overload, re-served with mixed TTFT budgets under one admission
-/// order (FIFO arrival, aged shortest-audio-first, or earliest-deadline-
-/// first).  The row's product metric is `goodput_utps` — completions that
-/// arrived *within their budget*, per second of the drain window — next to
-/// the raw rejection rate; EDF trades a little raw throughput for serving
-/// urgent work while its deadline is still alive.
-fn run_ordering_shed_cell(
+/// One ordering cell: a single worker with a depth-64 queue under
+/// overload, serving mixed TTFT budgets under one admission order (FIFO
+/// arrival, aged shortest-audio-first, or earliest-deadline-first).  The
+/// row's product metric is `goodput_utps` — completions that arrived
+/// *within their budget*, per second of the drain window — next to the
+/// deadline sheds and the raw rejection rate; EDF trades a little raw
+/// throughput for serving urgent work while its deadline is still alive.
+fn run_ordering_cell(
     context: &ExperimentContext,
     pool: &[&Utterance],
     name: &str,
@@ -334,7 +345,7 @@ fn run_ordering_shed_cell(
                 .with_admission(admission)
                 .with_ordering(ordering)
                 .with_max_in_flight_waves(PIPELINE_DEPTH)
-                .with_queue_depth(SHALLOW_QUEUE_DEPTH),
+                .with_queue_depth(ORDERING_QUEUE_DEPTH),
         ),
         context.binding.clone(),
         EncoderProfile::whisper_medium_encoder(),
@@ -361,27 +372,30 @@ fn run_ordering_shed_cell(
     } else {
         0.0
     };
-    ReportRow::new(format!(
-        "w1-{name}-b@q{qps:.0}-shallow{SHALLOW_QUEUE_DEPTH}"
-    ))
-    .with("target_qps", qps)
-    .with("offered_qps", report.offered_qps())
-    .with("queue_depth", SHALLOW_QUEUE_DEPTH as f64)
-    .with("rejection_rate", report.rejected as f64 / offered as f64)
-    .with("goodput_utps", goodput_utps)
-    .with("throughput_utps", report.completed_qps())
-    .with("e2e_p50_ms", fleet.e2e_p50_ms())
-    .with("e2e_p99_ms", fleet.e2e_p99_ms())
-    .with("completed", report.outcomes.len() as f64)
-    .with("in_budget", in_budget as f64)
-    .with("rejected", report.rejected as f64)
-    .with(
-        "rejected_deadline",
-        SloClass::ALL
-            .iter()
-            .map(|&class| fleet.slo_class(class).rejected_deadline())
-            .sum::<usize>() as f64,
-    )
+    ReportRow::new(ordering_label(name, qps))
+        .with("target_qps", qps)
+        .with("offered_qps", report.offered_qps())
+        .with("queue_depth", ORDERING_QUEUE_DEPTH as f64)
+        .with("rejection_rate", report.rejected as f64 / offered as f64)
+        .with("goodput_utps", goodput_utps)
+        .with("throughput_utps", report.completed_qps())
+        .with("e2e_p50_ms", fleet.e2e_p50_ms())
+        .with("e2e_p99_ms", fleet.e2e_p99_ms())
+        .with("completed", report.outcomes.len() as f64)
+        .with("in_budget", in_budget as f64)
+        .with("rejected", report.rejected as f64)
+        .with(
+            "rejected_deadline",
+            SloClass::ALL
+                .iter()
+                .map(|&class| fleet.slo_class(class).rejected_deadline())
+                .sum::<usize>() as f64,
+        )
+}
+
+/// The row label of one ordering cell.
+fn ordering_label(name: &str, qps: f64) -> String {
+    format!("w1-{name}-b@q{qps:.0}-depth{ORDERING_QUEUE_DEPTH}")
 }
 
 fn main() {
@@ -480,7 +494,7 @@ fn main() {
     for qps in SHED_QPS_LEVELS {
         record.push_row(run_shed_cell(&context, &pool, qps));
     }
-    // Ordering study: the same overload cells with mixed TTFT budgets under
+    // Ordering study: one overloaded worker with mixed TTFT budgets under
     // three admission orders.  FIFO serves arrival order, aged SAF the
     // shortest audio, EDF the most urgent deadline — goodput (in-budget
     // completions per second) is what moves.
@@ -497,26 +511,34 @@ fn main() {
             AdmissionOrdering::EarliestDeadlineFirst,
         ),
     ] {
-        for qps in SHED_QPS_LEVELS {
-            record.push_row(run_ordering_shed_cell(
+        for qps in ORDERING_QPS_LEVELS {
+            record.push_row(run_ordering_cell(
                 &context, &pool, name, admission, ordering, qps,
             ));
         }
     }
     // The ordering study's headline claim is structural, not a tolerance
-    // band: deadline-aware admission must win on goodput at every overload
-    // level, or the sweep stopped measuring what it exists to show.
-    for qps in SHED_QPS_LEVELS {
-        let goodput = |name: &str| {
+    // band: at every overload level FIFO must shed by deadline, and
+    // deadline-aware admission must then serve more requests within budget
+    // and more goodput, or the sweep stopped measuring what it exists to
+    // show.
+    for qps in ORDERING_QPS_LEVELS {
+        let value = |name: &str, column: &str| {
             record
-                .row(&format!(
-                    "w1-{name}-b@q{qps:.0}-shallow{SHALLOW_QUEUE_DEPTH}"
-                ))
-                .and_then(|row| row.value("goodput_utps"))
-                .expect("ordering rows carry goodput")
+                .row(&ordering_label(name, qps))
+                .and_then(|row| row.value(column))
+                .expect("ordering rows carry every column")
         };
         assert!(
-            goodput("edf") > goodput("fifo"),
+            value("fifo", "rejected_deadline") > 0.0,
+            "FIFO must shed by deadline at {qps} QPS"
+        );
+        assert!(
+            value("edf", "in_budget") > value("fifo", "in_budget"),
+            "EDF must serve more requests within budget than FIFO at {qps} QPS"
+        );
+        assert!(
+            value("edf", "goodput_utps") > value("fifo", "goodput_utps"),
             "EDF must beat FIFO on in-budget goodput at {qps} QPS"
         );
     }
@@ -534,9 +556,9 @@ fn main() {
          grows) while the prefix hit rate stays put — sharing depends on the workload, \
          not the budget.  In the shallow-queue shedding rows, overload converts the \
          deep-queue P99 blow-up into a rising rejection rate while goodput plateaus \
-         at the worker's service capacity.  In the ordering study, EDF beats FIFO \
-         and aged-SAF on in-budget goodput at every overload level: serving the \
-         most urgent deadline first converts the same completions into more \
-         within-budget ones."
+         at the worker's service capacity.  In the ordering study, FIFO sheds by \
+         deadline at every overload level and EDF serves more requests within \
+         budget and more in-budget goodput: serving the most urgent deadline \
+         first converts the same completions into more within-budget ones."
     );
 }

@@ -31,7 +31,7 @@ use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
 use crate::request::{RequestId, RequestOutcome, SloClass, SubmitError};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{GrownBuffers, Scheduler};
 use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
@@ -95,6 +95,9 @@ pub struct Router<D, T> {
     retired_recordings: Vec<(String, FlightRecording)>,
     retired_stolen_in: usize,
     retired_stolen_out: usize,
+    /// Buffers of reaped workers, one set per worker reaped and not yet
+    /// replaced: the next joiner serves from them.
+    grown: Vec<GrownBuffers>,
     /// The fleet aggregate a scrape refills in place (a scrape takes
     /// `&self`).  Borrowed only inside [`Router::publish_metrics`].
     fleet_aggregate: RefCell<ServerStats>,
@@ -220,6 +223,7 @@ where
             retired_recordings: Vec::new(),
             retired_stolen_in: 0,
             retired_stolen_out: 0,
+            grown: Vec::new(),
             fleet_aggregate: RefCell::default(),
             exposition: RefCell::default(),
         };
@@ -479,7 +483,9 @@ where
     /// The joiner starts on the fleet's *current* clock — not at zero — so
     /// the first requests it serves see correct queueing spans; it inherits
     /// the fleet's trace configuration and every drafter installed so far,
-    /// and immediately takes its share of the placement ring.
+    /// and immediately takes its share of the placement ring.  It serves
+    /// from the tick scratch and spare sessions of a reaped worker, when one
+    /// left some, instead of growing its own from empty.
     ///
     /// # Panics
     ///
@@ -523,6 +529,9 @@ where
         scheduler.set_trace(self.trace);
         for drafter in &self.installed {
             scheduler.install_drafter(Arc::clone(drafter));
+        }
+        if let Some(buffers) = self.grown.pop() {
+            scheduler.adopt_buffers(buffers);
         }
         self.workers.push(Worker::new(id, profile, scheduler));
         self.rebuild_ring();
@@ -622,7 +631,7 @@ where
                 session
                     .decode
                     .release_kv(self.workers[slot].scheduler.kv_pool_mut());
-                let requeued = session.into_requeued(true);
+                let requeued = session.into_requeued(true, self.workers[dest].wall_ms());
                 self.workers[dest].scheduler.enqueue_migrated(requeued);
             }
             self.workers[dest].scheduler.record_migration_in(handoff);
@@ -641,7 +650,8 @@ where
     }
 
     /// Removes every draining worker that has gone fully idle, preserving
-    /// its statistics and flight recording in the fleet aggregates.
+    /// its statistics and flight recording in the fleet aggregates and
+    /// keeping its tick scratch and spare sessions for the next joiner.
     /// Returns the removed ids (in fleet order).
     pub fn reap_drained(&mut self) -> Vec<WorkerId> {
         let mut removed = Vec::new();
@@ -656,6 +666,7 @@ where
                     self.retired_recordings
                         .push((worker.id().to_string(), recording));
                 }
+                self.grown.push(worker.scheduler.take_buffers());
                 let ts_ms = self.now_ms;
                 let ordinal = worker.id().index() as u64;
                 self.fleet_tracer.record_with(|| TraceEvent::WorkerRemoved {
@@ -857,11 +868,13 @@ where
             }
             let (victim, thief) = two_mut(&mut self.workers, deep, shallow);
             let thief_wall = thief.wall_ms();
-            for request in victim.scheduler.steal_back(transfer) {
+            for mut request in victim.scheduler.steal_back(transfer) {
                 victim.stolen_out += 1;
                 if thief.is_idle() && thief_wall < request.arrival_ms {
                     thief.scheduler.sync_wall_to(request.arrival_ms);
                 }
+                // The thief could not admit it before the move.
+                request.queued_ms = request.queued_ms.max(thief.wall_ms());
                 thief
                     .scheduler
                     .enqueue(request)
@@ -881,16 +894,21 @@ mod tests {
 
     use crate::config::ServerConfig;
 
+    /// A worker's draft/target model pair.
+    fn models() -> (SimulatedAsrModel, SimulatedAsrModel) {
+        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
+        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
+        (draft, target)
+    }
+
     fn router(config: RouterConfig) -> (Router<SimulatedAsrModel, SimulatedAsrModel>, Corpus) {
         let corpus = Corpus::librispeech_like(88, 12);
         let binding = TokenizerBinding::for_corpus(&corpus);
-        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
         let router = Router::new(
             config,
             binding,
             EncoderProfile::whisper_medium_encoder(),
-            |_| (draft.clone(), target.clone()),
+            |_| models(),
         );
         (router, corpus)
     }
@@ -1068,6 +1086,49 @@ mod tests {
             );
             assert!(outcome.e2e_ms() > 0.0);
         }
+    }
+
+    #[test]
+    fn a_joiner_serves_from_the_buffers_of_a_reaped_worker() {
+        let (mut router, corpus) = router(
+            RouterConfig::default()
+                .with_workers(2)
+                .with_worker_config(ServerConfig::default().with_max_batch(4)),
+        );
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        for split in Split::ALL {
+            for utterance in corpus.split(split) {
+                router.submit(policy, utterance).expect("queues have room");
+            }
+        }
+        router.run_until_idle();
+        let leaver = router.workers()[1].id();
+        let rounds = router.workers()[1].scheduler.scratch_rounds();
+        let spares = router.workers()[1].scheduler.spare_sessions();
+        assert!(rounds > 0 && spares > 0, "the leaver served requests");
+        router.drain_worker(leaver);
+        assert_eq!(router.reap_drained(), vec![leaver]);
+        let joiner = router.add_worker(WorkerProfile::default(), |_| models());
+        let joined = router
+            .workers()
+            .iter()
+            .find(|worker| worker.id() == joiner)
+            .expect("the joiner is in the fleet");
+        assert_eq!(joined.scheduler.scratch_rounds(), rounds);
+        assert_eq!(joined.scheduler.spare_sessions(), spares);
+        // A second joiner has nothing left to inherit.
+        let second = router.add_worker(WorkerProfile::default(), |_| models());
+        let fresh = router
+            .workers()
+            .iter()
+            .find(|worker| worker.id() == second)
+            .expect("the joiner is in the fleet");
+        assert_eq!(fresh.scheduler.scratch_rounds(), 0);
+        // The inherited buffers serve the next requests losslessly.
+        for utterance in corpus.split(Split::TestClean) {
+            router.submit(policy, utterance).expect("queues have room");
+        }
+        assert_eq!(router.run_until_idle().len(), 12);
     }
 
     #[test]

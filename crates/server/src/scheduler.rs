@@ -144,6 +144,21 @@ struct TickScratch {
     /// and requeued ones.
     retiring: Vec<ServerSession>,
     requeued: Vec<QueuedRequest>,
+    // Admit.
+    /// When each free batch slot became free, at most `max_batch` of them:
+    /// the tick's start for a slot idle all tick, the commit stamp of the
+    /// session that left it otherwise.  Admission fills slots in this order
+    /// and uses each stamp once.
+    free_slots: Vec<f64>,
+}
+
+/// The buffers a worker grows serving requests and leaves behind when the
+/// router reaps it, for the next worker that joins: its tick scratch and its
+/// spare decode sessions.
+#[derive(Debug)]
+pub(crate) struct GrownBuffers {
+    scratch: TickScratch,
+    spares: Vec<DecodeSession>,
 }
 
 /// Empties `buffer` and fills it with `len` copies of `value`, keeping its
@@ -151,6 +166,22 @@ struct TickScratch {
 fn refill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
     buffer.clear();
     buffer.resize(len, value);
+}
+
+/// When `request` became admissible on a worker whose clock reads `now_ms`:
+/// its queued instant, clamped to the clock (a router can stamp an arrival
+/// on the fleet timeline ahead of a lagging worker).
+fn queued_by(request: &QueuedRequest, now_ms: f64) -> f64 {
+    request.queued_ms.min(now_ms)
+}
+
+/// Whether admitting `request` at `at_ms` would blow its time-to-first-token
+/// budget.  Only applies before the first output: a stream that already
+/// emitted a partial is never shed mid-utterance.
+fn past_budget(request: &QueuedRequest, at_ms: f64) -> bool {
+    request.ttft_budget_ms.is_some_and(|budget| {
+        !request.first_output_emitted() && at_ms - request.arrival_ms > budget
+    })
 }
 
 /// A continuous-batching serving scheduler over a draft/target model pair.
@@ -252,6 +283,11 @@ pub struct Scheduler<D, T> {
     policy_name: String,
     /// The tick's working buffers, kept across ticks.
     scratch: TickScratch,
+    /// Blocks the draft and target sub-pools had freed, in total, when the
+    /// last decode tick started.  What they freed since then is subtracted
+    /// from the free blocks admission sees, a lower bound on what was free
+    /// at every instant since.
+    freed_at_tick: (usize, usize),
     /// Decode sessions of retired offline requests, at most `max_batch`,
     /// each with its grown buffers and its audio context: the next offline
     /// submits are built in them.
@@ -347,6 +383,7 @@ where
             cow_reported: 0,
             policy_name: String::new(),
             scratch: TickScratch::default(),
+            freed_at_tick: (0, 0),
             spares: Vec::new(),
             bind_scratch: String::new(),
         }
@@ -585,6 +622,7 @@ where
                 .encoder
                 .latency_ms_for_audio(utterance.duration_seconds()),
             arrival_ms,
+            queued_ms: arrival_ms,
             preemptions: 0,
             ttft_budget_ms,
             first_output_emitted: false,
@@ -595,6 +633,30 @@ where
     /// One of this worker's spare decode sessions, if it keeps any.
     pub(crate) fn take_spare(&mut self) -> Option<DecodeSession> {
         self.spares.pop()
+    }
+
+    /// Takes the tick scratch and spare sessions of this worker, which
+    /// serves nothing more (the router reaps it).
+    pub(crate) fn take_buffers(&mut self) -> GrownBuffers {
+        GrownBuffers {
+            scratch: std::mem::take(&mut self.scratch),
+            spares: std::mem::take(&mut self.spares),
+        }
+    }
+
+    /// Serves from `buffers`, which a reaped worker grew, instead of
+    /// regrowing them from empty.  Its free-slot stamps read another
+    /// worker's clock and are dropped, and it keeps at most `max_batch`
+    /// spares.
+    pub(crate) fn adopt_buffers(&mut self, buffers: GrownBuffers) {
+        let GrownBuffers {
+            mut scratch,
+            mut spares,
+        } = buffers;
+        scratch.free_slots.clear();
+        spares.truncate(self.config.max_batch);
+        self.scratch = scratch;
+        self.spares = spares;
     }
 
     /// Takes back the decode session of a request that left — retired, or
@@ -701,6 +763,7 @@ where
             audio_seconds,
             encoder_ms,
             arrival_ms,
+            queued_ms: arrival_ms,
             preemptions: 0,
             ttft_budget_ms,
             first_output_emitted: false,
@@ -804,8 +867,10 @@ where
     /// check: a migration must never drop a request, so a destination under
     /// backpressure absorbs the transient overflow instead of shedding it.
     /// No submission event is recorded — the request already was submitted
-    /// once, on the worker it is leaving.
-    pub(crate) fn enqueue_migrated(&mut self, request: QueuedRequest) {
+    /// once, on the worker it is leaving.  It is queued from this worker's
+    /// clock at the latest: it was not here before.
+    pub(crate) fn enqueue_migrated(&mut self, mut request: QueuedRequest) {
+        request.queued_ms = request.queued_ms.max(self.wall_ms);
         self.queue.push_back(request);
     }
 
@@ -877,6 +942,7 @@ where
             removal,
             retiring,
             requeued,
+            free_slots,
         } = scratch;
 
         // Draft phase: every active session speculates its next round.
@@ -887,6 +953,17 @@ where
         let tick_start = self.wall_ms;
         self.ticks_seen += 1;
         let tick = self.ticks_seen;
+        // The slots nobody holds this tick are free from its start, and the
+        // blocks freed from here on are what admission cannot count on.
+        refill(
+            free_slots,
+            self.config.max_batch.saturating_sub(self.active.len()),
+            tick_start,
+        );
+        self.freed_at_tick = (
+            self.kv.draft().counters().freed,
+            self.kv.target().counters().freed,
+        );
         {
             let active = self.active.len() as u64;
             let queued = self.queue.len() as u64;
@@ -1257,17 +1334,37 @@ where
             self.cow_reported = cow_copies;
         }
 
-        // Retire finished sessions (their batch slots refill next tick;
-        // streaming sessions whose *view* finished emit a partial and either
-        // retire or park for their next chunk) and re-queue preempted ones
-        // at the front, preserving admission order among them.  The active
-        // sessions trade places with the empty `retiring` buffer, and the
-        // ones that stay move back in order.
+        // Retire finished sessions at their own commit stamps (streaming
+        // sessions whose *view* finished emit a partial and either retire or
+        // park for their next chunk) and re-queue preempted ones at the
+        // front, preserving admission order among them.  Each leaver's slot
+        // is free from the instant it left: a finished session's commit, an
+        // evicted one's eviction now.  The active sessions trade places with
+        // the empty `retiring` buffer, and the ones that stay move back in
+        // order.
         std::mem::swap(&mut self.active, retiring);
+        // The tick's completions land in `outcomes` in one reservation,
+        // not grown one push at a time: a stream completes with its final
+        // view, once its whole audio has arrived.
+        let completing = retiring
+            .iter()
+            .zip(removal.iter())
+            .filter(|&(session, &removal)| {
+                removal == Removal::Keep
+                    && session.decode.is_finished()
+                    && session
+                        .stream
+                        .as_ref()
+                        .is_none_or(|stream| stream.session.is_complete())
+            })
+            .count();
+        outcomes.reserve(completing);
         let before = outcomes.len();
+        let evicted_ms = self.wall_ms;
         for (session, removal) in retiring.drain(..).zip(removal.drain(..)) {
             match removal {
                 Removal::Keep if session.decode.is_finished() => {
+                    free_slots.push(session.ready_ms);
                     if session.stream.is_some() {
                         outcomes.extend(self.finish_stream_view(session));
                     } else {
@@ -1275,8 +1372,14 @@ where
                     }
                 }
                 Removal::Keep => self.active.push(session),
-                Removal::Preempted => requeued.push(session.into_requeued(true)),
-                Removal::Rejected => self.recycle(session.decode, session.stream.is_none()),
+                Removal::Preempted => {
+                    free_slots.push(evicted_ms);
+                    requeued.push(session.into_requeued(true, evicted_ms));
+                }
+                Removal::Rejected => {
+                    free_slots.push(evicted_ms);
+                    self.recycle(session.decode, session.stream.is_none());
+                }
             }
         }
         for request in requeued.drain(..).rev() {
@@ -1332,16 +1435,18 @@ where
     }
 
     /// Absorbs a streaming session whose current-view decode completed:
-    /// applies the commit rule, records the partial span, and either retires
-    /// the request (final partial) or parks it for the next chunk.
+    /// applies the commit rule, records the partial span at the view's
+    /// commit stamp, and either retires the request (final partial) or
+    /// parks it for the next chunk.
     fn finish_stream_view(&mut self, mut session: ServerSession) -> Option<RequestOutcome> {
         let mut stream = session.stream.take().expect("caller checked the stream");
         let partial = stream.session.absorb(&session.decode);
+        let emitted_ms = session.ready_ms;
         let span = PartialSpan {
             partial_index: partial.partial_index,
             chunk_index: stream.delivered.saturating_sub(1),
             chunk_arrival_ms: stream.newest_chunk_arrival_ms,
-            emitted_ms: self.wall_ms,
+            emitted_ms,
             encoder_ms: stream.pending_encoder_ms,
             committed_tokens: partial.committed_tokens,
             newly_committed: partial.newly_committed,
@@ -1351,7 +1456,7 @@ where
         };
         stream.pending_encoder_ms = 0.0;
         if self.tracer.is_enabled() {
-            let ts_ms = self.wall_ms;
+            let ts_ms = emitted_ms;
             let request = session.id.value();
             let partial_index = span.partial_index as u64;
             let committed = span.committed_tokens as u64;
@@ -1378,22 +1483,24 @@ where
         if partial.is_final {
             return Some(self.retire_stream(session, *stream));
         }
-        // Park for the next chunk; the original arrival keeps accumulating
-        // aging credit across re-entries, and the emitted partial keeps the
+        // Park for the next chunk, which re-queues the stream no earlier
+        // than this partial; the original arrival keeps accumulating aging
+        // credit across re-entries, and the emitted partial keeps the
         // request exempt from deadline shedding.
         session.stream = Some(stream);
-        self.waiting.push(session.into_requeued(false));
+        self.waiting.push(session.into_requeued(false, emitted_ms));
         None
     }
 
-    /// Builds the final outcome of a completed stream: the committed
-    /// transcript (byte-identical to the offline decode), the decode
-    /// statistics pooled across every per-chunk re-decode, and the full
-    /// partial-span history.  Time-to-first-token is the first partial's
-    /// arrival-to-emission latency, and the reported KV caches are the final
-    /// view's.
+    /// Builds the final outcome of a completed stream, complete at its
+    /// final view's commit stamp: the committed transcript (byte-identical
+    /// to the offline decode), the decode statistics pooled across every
+    /// per-chunk re-decode, and the full partial-span history.
+    /// Time-to-first-token is the first partial's arrival-to-emission
+    /// latency, and the reported KV caches are the final view's.
     fn retire_stream(&mut self, session: ServerSession, stream: StreamState) -> RequestOutcome {
         let arrival_ms = session.arrival_ms;
+        let completed_ms = session.ready_ms;
         let first_admitted = stream.first_admitted_ms.unwrap_or(arrival_ms);
         let first_partial = stream
             .partials
@@ -1402,7 +1509,7 @@ where
         let latency = RequestLatency {
             queue_ms: (first_admitted - arrival_ms).max(0.0),
             encoder_ms: session.encoder_ms,
-            decode_wall_ms: self.wall_ms - first_admitted,
+            decode_wall_ms: completed_ms - first_admitted,
             time_to_first_token_ms: (first_partial.emitted_ms - arrival_ms).max(0.0)
                 + first_partial.encoder_ms,
         };
@@ -1437,11 +1544,10 @@ where
             partials: stream.partials,
         };
         self.stats.record_completion(&outcome);
-        let ts_ms = self.wall_ms;
         let request = outcome.id.value();
         let tokens = outcome.token_count() as u64;
         self.tracer.record_with(|| TraceEvent::RequestCompleted {
-            ts_ms,
+            ts_ms: completed_ms,
             request,
             tokens,
         });
@@ -1583,140 +1689,198 @@ where
     }
 
     /// Fills free batch slots from the wait queue (iteration-level,
-    /// memory-aware admission).
+    /// memory-aware admission), in the order the slots became free.
+    ///
+    /// A slot freed during the last tick is free from the commit stamp of
+    /// the session that left it, or from the tick's start if it sat idle all
+    /// tick.  It goes to the best request under the configured ordering
+    /// that was queued ([`QueuedRequest::queued_ms`]) by then, or to the
+    /// earliest-queued one if none was, and admits it at the later of the
+    /// two instants: its first draft starts there, before this tick's start,
+    /// and enters the next wave plan already drafted.  Each stamp serves
+    /// one admission; past them (a fresh worker, an adopted session) a slot
+    /// is free from now.
     ///
     /// Under shortest-audio-first, a request's effective priority is its
-    /// audio length minus an aging credit (`age × aging_rate`), so long
-    /// utterances cannot be starved by a sustained stream of short arrivals:
-    /// their credit grows while fresh arrivals start from zero.
+    /// audio length minus an aging credit (`age × aging_rate`, aged to the
+    /// slot's instant), so long utterances cannot be starved by a sustained
+    /// stream of short arrivals: their credit grows while fresh arrivals
+    /// start from zero.
     ///
     /// Admission is additionally gated on KV-pool headroom: a request is
     /// only admitted if its prefill blocks (after prefix sharing with
-    /// resident sessions) fit the pool right now.  When the head request
-    /// does not fit, admission stops until blocks free up — unless the
-    /// request could never fit even an empty pool, in which case it is
-    /// dropped with a memory rejection instead of deadlocking the queue.
+    /// resident sessions) fit the pool right now.  It moves before now only
+    /// if they also fit without the blocks freed since the last tick
+    /// started, a lower bound on what was free at every instant since;
+    /// otherwise it is admitted now.  When the chosen request does not fit,
+    /// admission stops until blocks free up — unless the request could
+    /// never fit even an empty pool, in which case it is dropped with a
+    /// memory rejection instead of deadlocking the queue.
     fn admit(&mut self) {
+        let now = self.wall_ms;
+        let freed_since_tick = (
+            self.kv.draft().counters().freed - self.freed_at_tick.0,
+            self.kv.target().counters().freed - self.freed_at_tick.1,
+        );
+        self.scratch.free_slots.sort_unstable_by(f64::total_cmp);
+        let mut slots_used = 0;
         while self.active.len() < self.config.max_batch && !self.queue.is_empty() {
-            let index = match self.config.ordering {
-                // Budget-aware ordering overrides the queue discipline:
-                // admit the request closest to its absolute deadline, so
-                // urgent requests stop expiring behind patient ones (the
-                // deadline *shedding* in the loop below then fires far less
-                // often — that gap is the goodput gain under overload).
-                AdmissionOrdering::EarliestDeadlineFirst => self
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let deadline = |request: &QueuedRequest| {
-                            request
-                                .ttft_budget_ms
-                                .map_or(f64::INFINITY, |budget| request.arrival_ms + budget)
-                        };
-                        deadline(a)
-                            .partial_cmp(&deadline(b))
-                            .expect("deadlines are finite or +inf")
-                            .then(
-                                a.arrival_ms
-                                    .partial_cmp(&b.arrival_ms)
-                                    .expect("arrivals are finite"),
-                            )
-                            .then(a.id.value().cmp(&b.id.value()))
-                    })
-                    .map(|(index, _)| index)
-                    .expect("queue is non-empty"),
-                AdmissionOrdering::Queue => match self.config.admission {
-                    AdmissionPolicy::Fifo => 0,
-                    AdmissionPolicy::ShortestAudioFirst => {
-                        let wall_ms = self.wall_ms;
-                        let aging_rate = self.config.aging_rate;
-                        self.queue
-                            .iter()
-                            .enumerate()
-                            .min_by(|(_, a), (_, b)| {
-                                let priority = |request: &QueuedRequest| {
-                                    let age_ms = (wall_ms - request.arrival_ms).max(0.0);
-                                    request.audio_seconds - age_ms * aging_rate
-                                };
-                                priority(a)
-                                    .partial_cmp(&priority(b))
-                                    .expect("durations and ages are finite")
-                            })
-                            .map(|(index, _)| index)
-                            .expect("queue is non-empty")
-                    }
-                },
-            };
+            let slot_ms = self
+                .scratch
+                .free_slots
+                .get(slots_used)
+                .copied()
+                .unwrap_or(now);
+            let index = self.pick(slot_ms);
             let mut request = self.queue.remove(index).expect("index is in range");
-            // Latency-SLO shedding: a request whose queue wait already blew
-            // its TTFT budget is served uselessly late — drop it (per-class
-            // `rejected_deadline` accounting) and admit the next one.  Only
-            // applies before the first output; a stream that already emitted
-            // a partial is never shed mid-utterance.
-            if let Some(budget) = request.ttft_budget_ms {
-                if !request.first_output_emitted() && self.wall_ms - request.arrival_ms > budget {
-                    self.stats
-                        .record_deadline_rejection(SloClass::of_budget(request.ttft_budget_ms));
-                    let ts_ms = self.wall_ms;
+            let early_ms = slot_ms.max(queued_by(&request, now));
+            // Latency-SLO shedding: a request whose queue wait blew its
+            // TTFT budget by its admission instant is served uselessly late
+            // — drop it (per-class `rejected_deadline` accounting) and offer
+            // the slot to the next one.
+            if past_budget(&request, early_ms) {
+                self.shed_late(request, early_ms);
+                continue;
+            }
+            let free = (
+                self.kv.draft().free_blocks(),
+                self.kv.target().free_blocks(),
+            );
+            let restored = request.preemptions > 0;
+            if request.restart(&mut self.kv).is_err() {
+                if self.prefill_can_ever_fit(&request) {
+                    // Not enough headroom right now: put the request back
+                    // where it was and wait for blocks to free up.
+                    self.queue.insert(index.min(self.queue.len()), request);
+                } else {
+                    self.stats.record_memory_rejection();
                     let shed = request.id.value();
                     self.tracer.record_with(|| TraceEvent::RequestShed {
-                        ts_ms,
+                        ts_ms: now,
                         request: Some(shed),
-                        reason: ShedReason::Deadline,
+                        reason: ShedReason::Memory,
                     });
                     self.recycle(request.decode, request.stream.is_none());
-                    continue;
                 }
+                break;
             }
-            let restored = request.preemptions > 0;
-            match request.restart(&mut self.kv) {
-                Ok(()) => {
-                    let session = request.into_session(self.wall_ms);
-                    if self.tracer.is_enabled() {
-                        let ts_ms = self.wall_ms;
-                        let admitted = session.id.value();
-                        let kv_blocks = session.decode.kv_blocks_held() as u64;
-                        self.tracer.record_with(|| TraceEvent::RequestAdmitted {
-                            ts_ms,
-                            request: admitted,
-                            kv_blocks,
-                            restored,
-                        });
-                        if restored {
-                            self.tracer.record_with(|| TraceEvent::KvRestore {
-                                ts_ms,
-                                request: admitted,
-                            });
-                        }
-                        self.tracer.record_with(|| TraceEvent::KvAlloc {
-                            ts_ms,
-                            request: admitted,
-                            blocks: kv_blocks,
-                        });
-                    }
-                    self.active.push(session);
-                }
-                Err(_) => {
-                    if self.prefill_can_ever_fit(&request) {
-                        // Not enough headroom right now: put the request
-                        // back where it was and wait for blocks to free up.
-                        self.queue.insert(index.min(self.queue.len()), request);
-                    } else {
-                        self.stats.record_memory_rejection();
-                        let ts_ms = self.wall_ms;
-                        let shed = request.id.value();
-                        self.tracer.record_with(|| TraceEvent::RequestShed {
-                            ts_ms,
-                            request: Some(shed),
-                            reason: ShedReason::Memory,
-                        });
-                        self.recycle(request.decode, request.stream.is_none());
-                    }
-                    break;
-                }
+            // The blocks freed since the last tick started may be the ones
+            // this prefill just took: an admission moves before now only if
+            // it fits without them.
+            let taken = (
+                free.0 - self.kv.draft().free_blocks(),
+                free.1 - self.kv.target().free_blocks(),
+            );
+            let fit_all_tick =
+                taken.0 + freed_since_tick.0 <= free.0 && taken.1 + freed_since_tick.1 <= free.1;
+            let admitted_ms = if fit_all_tick { early_ms } else { now };
+            if past_budget(&request, admitted_ms) {
+                request.decode.release_kv(&mut self.kv);
+                self.shed_late(request, admitted_ms);
+                continue;
             }
+            slots_used += 1;
+            let session = request.into_session(admitted_ms);
+            if self.tracer.is_enabled() {
+                let admitted = session.id.value();
+                let kv_blocks = session.decode.kv_blocks_held() as u64;
+                self.tracer.record_with(|| TraceEvent::RequestAdmitted {
+                    ts_ms: admitted_ms,
+                    request: admitted,
+                    kv_blocks,
+                    restored,
+                });
+                if restored {
+                    self.tracer.record_with(|| TraceEvent::KvRestore {
+                        ts_ms: admitted_ms,
+                        request: admitted,
+                    });
+                }
+                self.tracer.record_with(|| TraceEvent::KvAlloc {
+                    ts_ms: admitted_ms,
+                    request: admitted,
+                    blocks: kv_blocks,
+                });
+            }
+            self.active.push(session);
         }
+        // Each stamp serves one admission.
+        let stamped = slots_used.min(self.scratch.free_slots.len());
+        self.scratch.free_slots.drain(..stamped);
+    }
+
+    /// The queue index of the request a slot free from `slot_ms` goes to:
+    /// the best under the configured ordering among the requests queued by
+    /// then, or the earliest-queued one if none was.
+    fn pick(&self, slot_ms: f64) -> usize {
+        let now = self.wall_ms;
+        let waiting = || {
+            self.queue
+                .iter()
+                .enumerate()
+                .filter(move |(_, request)| queued_by(request, now) <= slot_ms)
+        };
+        let best = match self.config.ordering {
+            // Budget-aware ordering overrides the queue discipline: admit
+            // the request closest to its absolute deadline, so urgent
+            // requests stop expiring behind patient ones (deadline shedding
+            // then fires far less often — that gap is the goodput gain
+            // under overload).
+            AdmissionOrdering::EarliestDeadlineFirst => waiting().min_by(|(_, a), (_, b)| {
+                let deadline = |request: &QueuedRequest| {
+                    request
+                        .ttft_budget_ms
+                        .map_or(f64::INFINITY, |budget| request.arrival_ms + budget)
+                };
+                deadline(a)
+                    .partial_cmp(&deadline(b))
+                    .expect("deadlines are finite or +inf")
+                    .then(
+                        a.arrival_ms
+                            .partial_cmp(&b.arrival_ms)
+                            .expect("arrivals are finite"),
+                    )
+                    .then(a.id.value().cmp(&b.id.value()))
+            }),
+            AdmissionOrdering::Queue => match self.config.admission {
+                AdmissionPolicy::Fifo => waiting().next(),
+                AdmissionPolicy::ShortestAudioFirst => {
+                    let aging_rate = self.config.aging_rate;
+                    waiting().min_by(|(_, a), (_, b)| {
+                        let priority = |request: &QueuedRequest| {
+                            let age_ms = (slot_ms - request.arrival_ms).max(0.0);
+                            request.audio_seconds - age_ms * aging_rate
+                        };
+                        priority(a)
+                            .partial_cmp(&priority(b))
+                            .expect("durations and ages are finite")
+                    })
+                }
+            },
+        };
+        best.or_else(|| {
+            self.queue.iter().enumerate().min_by(|(_, a), (_, b)| {
+                queued_by(a, now)
+                    .partial_cmp(&queued_by(b, now))
+                    .expect("wall clocks are finite")
+            })
+        })
+        .map(|(index, _)| index)
+        .expect("queue is non-empty")
+    }
+
+    /// Sheds `request` for a queue wait that blew its TTFT budget at
+    /// `at_ms`, with per-class `rejected_deadline` accounting.
+    fn shed_late(&mut self, request: QueuedRequest, at_ms: f64) {
+        self.stats
+            .record_deadline_rejection(SloClass::of_budget(request.ttft_budget_ms));
+        let shed = request.id.value();
+        self.tracer.record_with(|| TraceEvent::RequestShed {
+            ts_ms: at_ms,
+            request: Some(shed),
+            reason: ShedReason::Deadline,
+        });
+        self.recycle(request.decode, request.stream.is_none());
     }
 
     /// Whether the request's admission footprint could fit an otherwise
@@ -1736,8 +1900,10 @@ where
     }
 
     /// Converts a finished session into its outcome and records statistics.
-    /// The outcome copies the transcript out; the session itself, with its
-    /// buffers, is recycled for the next submit.
+    /// The request completes at its commit stamp, the completion of the
+    /// wave that verified its last round.  The outcome copies the
+    /// transcript out; the session itself, with its buffers, is recycled
+    /// for the next submit.
     ///
     /// Time-to-first-token falls back to completion time for transcripts that
     /// turned out empty (EOS on the very first verification).
@@ -1749,11 +1915,12 @@ where
     /// negative sample that corrupts the latency histograms.
     fn retire(&mut self, mut session: ServerSession) -> RequestOutcome {
         session.decode.release_kv(&mut self.kv);
-        let first_token_ms = session.first_token_ms.unwrap_or(self.wall_ms);
+        let completed_ms = session.ready_ms;
+        let first_token_ms = session.first_token_ms.unwrap_or(completed_ms);
         let latency = RequestLatency {
             queue_ms: (session.admitted_ms - session.arrival_ms).max(0.0),
             encoder_ms: session.encoder_ms,
-            decode_wall_ms: self.wall_ms - session.admitted_ms,
+            decode_wall_ms: completed_ms - session.admitted_ms,
             time_to_first_token_ms: (first_token_ms - session.arrival_ms).max(0.0)
                 + session.encoder_ms,
         };
@@ -1778,11 +1945,10 @@ where
             partials: Vec::new(),
         };
         self.stats.record_completion(&outcome);
-        let ts_ms = self.wall_ms;
         let request = outcome.id.value();
         let tokens = outcome.token_count() as u64;
         self.tracer.record_with(|| TraceEvent::RequestCompleted {
-            ts_ms,
+            ts_ms: completed_ms,
             request,
             tokens,
         });
@@ -1797,6 +1963,14 @@ mod tests {
     use specasr_audio::Corpus;
     use specasr_audio::Split;
     use specasr_models::{CtcDrafter, ModelProfile, SimulatedAsrModel};
+
+    impl<D, T> Scheduler<D, T> {
+        /// Draft rounds the tick scratch holds, one per batch slot ever
+        /// used.
+        pub(crate) fn scratch_rounds(&self) -> usize {
+            self.scratch.drafted.len()
+        }
+    }
 
     fn scheduler(
         config: ServerConfig,
@@ -2375,6 +2549,7 @@ mod tests {
             audio_seconds: utterance.duration_seconds(),
             encoder_ms: 1.0,
             arrival_ms: 0.0,
+            queued_ms: 0.0,
             preemptions: 0,
             ttft_budget_ms: Some(5.0),
             first_output_emitted: false,
@@ -2386,7 +2561,7 @@ mod tests {
         let mut session = request.into_session(1.0);
         session.first_token_ms = Some(2.0); // the first token was committed
         session.decode.release_kv(&mut pool);
-        let mut requeued = session.into_requeued(true);
+        let mut requeued = session.into_requeued(true, 2.0);
         assert_eq!(requeued.preemptions, 1);
         assert!(
             requeued.first_output_emitted(),
@@ -2397,7 +2572,7 @@ mod tests {
         let mut session = requeued.into_session(3.0);
         assert!(session.first_output_emitted);
         session.decode.release_kv(&mut pool);
-        let parked = session.into_requeued(false);
+        let parked = session.into_requeued(false, 3.0);
         assert_eq!(parked.preemptions, 1, "parking counts no preemption");
         assert!(parked.first_output_emitted());
     }
@@ -2618,6 +2793,306 @@ mod tests {
             serialized_wall >= unbounded_wall,
             "a single draft lane cannot beat an unbounded pool \
              ({serialized_wall:.3} vs {unbounded_wall:.3})"
+        );
+    }
+
+    /// The recorded events of a traced scheduler.
+    fn events(scheduler: &Scheduler<SimulatedAsrModel, SimulatedAsrModel>) -> Vec<TraceEvent> {
+        scheduler
+            .trace_recording()
+            .expect("tracing is on")
+            .events()
+            .cloned()
+            .collect()
+    }
+
+    /// When each request was admitted, in order.
+    fn admissions(events: &[TraceEvent]) -> Vec<(u64, f64)> {
+        events
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::RequestAdmitted { ts_ms, request, .. } => Some((*request, *ts_ms)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// How many admissions were stamped before the start of the tick that
+    /// followed them (an admission's tick records its start after it).
+    fn admissions_before_their_tick(events: &[TraceEvent]) -> usize {
+        let mut pending = Vec::new();
+        let mut early = 0;
+        for event in events {
+            match event {
+                TraceEvent::RequestAdmitted { ts_ms, .. } => pending.push(*ts_ms),
+                TraceEvent::TickStart { ts_ms, .. } => {
+                    early += pending.iter().filter(|&&at| at < *ts_ms).count();
+                    pending.clear();
+                }
+                _ => {}
+            }
+        }
+        early
+    }
+
+    #[test]
+    fn a_session_finishing_in_an_early_wave_completes_at_that_wave() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(8));
+        scheduler.set_trace(TraceConfig::enabled());
+        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
+        scheduler.install_drafter(Arc::new(CtcDrafter::paired(&target)));
+        // Draft-free sessions finish drafting at once, so the wave planner
+        // sends them first while the model-drafted ones still draft.
+        let mut draft_free = Vec::new();
+        for (index, utterance) in corpus.split(Split::TestClean).iter().enumerate() {
+            let (policy, drafter) = if index % 2 == 0 {
+                (
+                    Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+                    DrafterKind::CtcEncoder,
+                )
+            } else {
+                (
+                    Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+                    DrafterKind::ModelDraft,
+                )
+            };
+            let id = scheduler
+                .submit_with_drafter(policy, drafter, utterance)
+                .expect("queue has room");
+            if drafter == DrafterKind::CtcEncoder {
+                draft_free.push(id.value());
+            }
+        }
+        scheduler.run_until_idle();
+        let events = events(&scheduler);
+        let mut tick_end = std::collections::HashMap::new();
+        let mut waves = std::collections::HashMap::new();
+        let mut wave_done = std::collections::HashMap::new();
+        let mut last_round = std::collections::HashMap::new();
+        let mut completed = std::collections::HashMap::new();
+        for event in &events {
+            match *event {
+                TraceEvent::TickEnd { ts_ms, tick, .. } => {
+                    tick_end.insert(tick, ts_ms);
+                }
+                TraceEvent::VerifyWaveCompleted {
+                    tick,
+                    wave,
+                    completed_ms,
+                    ..
+                } => {
+                    *waves.entry(tick).or_insert(0) += 1;
+                    wave_done.insert((tick, wave), completed_ms);
+                }
+                TraceEvent::VerifyOutcome {
+                    tick,
+                    wave,
+                    request,
+                    ..
+                } => {
+                    last_round.insert(request, (tick, wave));
+                }
+                TraceEvent::RequestCompleted { ts_ms, request, .. } => {
+                    completed.insert(request, ts_ms);
+                }
+                _ => {}
+            }
+        }
+        let mut before_tick_end = 0;
+        for request in draft_free {
+            let (tick, wave) = last_round[&request];
+            let done = wave_done[&(tick, wave)];
+            assert_eq!(
+                completed[&request], done,
+                "request {request} completes when its last wave lands"
+            );
+            if wave + 1 < waves[&tick] {
+                assert!(done < tick_end[&tick]);
+                before_tick_end += 1;
+            }
+        }
+        assert!(
+            before_tick_end > 0,
+            "some draft-free session finished in an early wave of a split tick"
+        );
+    }
+
+    #[test]
+    fn a_request_arriving_while_a_slot_idles_is_admitted_on_arrival() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(2));
+        scheduler.set_trace(TraceConfig::enabled());
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let split = corpus.split(Split::TestClean);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
+        let mut outcomes = Vec::new();
+        scheduler.tick(&mut outcomes);
+        assert!(outcomes.is_empty() && scheduler.in_flight() == 1);
+        // The second slot idled all tick.  A request stamped mid-tick (as a
+        // router stamps an arrival behind a worker that ran ahead) takes it
+        // from its arrival.
+        let arrival_ms = scheduler.wall_ms() / 2.0;
+        let id = RequestId::new(1);
+        scheduler
+            .enqueue_offline(
+                id,
+                arrival_ms,
+                None,
+                policy,
+                DrafterKind::ModelDraft,
+                &split[1],
+                None,
+            )
+            .expect("queue has room");
+        outcomes.extend(scheduler.run_until_idle());
+        let events = events(&scheduler);
+        assert!(admissions(&events).contains(&(1, arrival_ms)));
+        let first_draft = events.iter().find_map(|event| match event {
+            TraceEvent::DraftPhase {
+                start_ms,
+                request: 1,
+                ..
+            } => Some(*start_ms),
+            _ => None,
+        });
+        assert_eq!(first_draft, Some(arrival_ms));
+        let outcome = outcomes.iter().find(|o| o.id == id).expect("served");
+        assert_eq!(outcome.latency.queue_ms, 0.0);
+    }
+
+    /// Serves one autoregressive request on a pool of `kv_blocks` until it
+    /// finishes, then a second one stamped in the middle of that last tick.
+    /// Returns the second's admission instant and its arrival.
+    fn admission_after_a_release(kv_blocks: usize) -> (f64, f64) {
+        let (mut scheduler, corpus) = scheduler(
+            ServerConfig::default()
+                .with_max_batch(2)
+                .with_kv_blocks(kv_blocks),
+        );
+        scheduler.set_trace(TraceConfig::enabled());
+        let policy = Policy::Autoregressive;
+        let utterance = &corpus.split(Split::TestClean)[0];
+        scheduler.submit(policy, utterance).expect("queue has room");
+        let mut outcomes = Vec::new();
+        let mut tick_start = 0.0;
+        while outcomes.is_empty() {
+            assert!(!scheduler.is_idle(), "the first request completes");
+            tick_start = scheduler.wall_ms();
+            scheduler.tick(&mut outcomes);
+        }
+        let arrival_ms = (tick_start + scheduler.wall_ms()) / 2.0;
+        scheduler
+            .enqueue_offline(
+                RequestId::new(1),
+                arrival_ms,
+                None,
+                policy,
+                DrafterKind::ModelDraft,
+                utterance,
+                None,
+            )
+            .expect("queue has room");
+        scheduler.run_until_idle();
+        let admitted = admissions(&events(&scheduler))
+            .into_iter()
+            .find_map(|(request, at)| (request == 1).then_some(at))
+            .expect("the second request was admitted");
+        (admitted, arrival_ms)
+    }
+
+    #[test]
+    fn an_admission_moves_early_only_into_blocks_free_all_tick() {
+        let (reference, corpus) = scheduler(ServerConfig::default());
+        let utterance = &corpus.split(Split::TestClean)[0];
+        let prefill = reference
+            .kv_pool()
+            .target()
+            .blocks_for(reference.binding.bind(utterance).prefill_tokens());
+        // The first request's whole footprint, all of it released in the
+        // tick the second request arrives in.
+        let (mut solo, _) = scheduler(ServerConfig::default());
+        solo.submit(Policy::Autoregressive, utterance)
+            .expect("queue has room");
+        solo.run_until_idle();
+        let footprint = solo.stats().memory().peak_kv_blocks();
+        // Free now, less what was released during the tick, holds the
+        // prefill exactly: the admission moves back to the arrival.
+        let (admitted, arrival) = admission_after_a_release(footprint + prefill);
+        assert_eq!(admitted, arrival);
+        // One block short: the blocks may have been taken mid-tick, so the
+        // request is admitted now, after its arrival.
+        let (admitted, arrival) = admission_after_a_release(footprint + prefill - 1);
+        assert!(admitted > arrival, "{admitted} must follow {arrival}");
+    }
+
+    #[test]
+    fn stream_chunks_are_admitted_no_earlier_than_their_audio_and_last_partial() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(2));
+        scheduler.set_trace(TraceConfig::enabled());
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        for utterance in corpus.split(Split::TestClean).iter().take(6) {
+            scheduler
+                .submit_streaming(policy, utterance, StreamConfig::default())
+                .expect("queue has room");
+        }
+        assert_eq!(scheduler.run_until_idle().len(), 6);
+        let events = events(&scheduler);
+        let mut heard = std::collections::HashMap::new();
+        let mut emitted = std::collections::HashMap::new();
+        for event in &events {
+            match *event {
+                TraceEvent::ChunkArrived { ts_ms, request, .. } => {
+                    heard.insert(request, ts_ms);
+                }
+                TraceEvent::PartialEmitted { ts_ms, request, .. } => {
+                    emitted.insert(request, ts_ms);
+                }
+                TraceEvent::RequestAdmitted { ts_ms, request, .. } => {
+                    assert!(ts_ms >= heard[&request], "admitted before its chunk");
+                    let partial = emitted.get(&request).copied().unwrap_or(0.0);
+                    assert!(ts_ms >= partial, "admitted before its last partial");
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            admissions_before_their_tick(&events) > 0,
+            "some chunk was admitted between ticks, on its arrival"
+        );
+    }
+
+    #[test]
+    fn a_preempted_request_is_never_readmitted_before_its_eviction() {
+        let (mut scheduler, corpus) =
+            scheduler(ServerConfig::default().with_max_batch(8).with_kv_blocks(28));
+        scheduler.set_trace(TraceConfig::enabled());
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        for utterance in corpus.split(Split::TestClean) {
+            scheduler.submit(policy, utterance).expect("queue has room");
+        }
+        scheduler.run_until_idle();
+        let events = events(&scheduler);
+        let mut evicted = std::collections::HashMap::new();
+        let mut restores = 0;
+        for event in &events {
+            match *event {
+                TraceEvent::KvPreempt { ts_ms, request, .. } => {
+                    evicted.insert(request, ts_ms);
+                }
+                TraceEvent::RequestAdmitted {
+                    ts_ms,
+                    request,
+                    restored: true,
+                    ..
+                } => {
+                    assert!(ts_ms >= evicted[&request], "restored before its eviction");
+                    restores += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            restores > 0,
+            "a 28-block pool must preempt under a batch of 8"
         );
     }
 

@@ -97,6 +97,12 @@ pub(crate) struct QueuedRequest {
     pub audio_seconds: f64,
     pub encoder_ms: f64,
     pub arrival_ms: f64,
+    /// The earliest instant this request could be admitted on its worker:
+    /// its arrival for a fresh submit, the later of the newest chunk's
+    /// arrival and the previous partial for a stream, the eviction for a
+    /// preempted request, and the destination's clock at the move for a
+    /// stolen or migrated one.  Admission never stamps a request before it.
+    pub queued_ms: f64,
     /// Times this request was evicted mid-decode to free KV blocks.
     pub preemptions: usize,
     /// Optional time-to-first-token budget: requests whose queue wait has
@@ -125,7 +131,8 @@ impl QueuedRequest {
 
     /// Refills a parked stream's decode context with the view of the audio
     /// received so far and returns `true`, or returns `false`, building
-    /// nothing, while no token is audible yet.
+    /// nothing, while no token is audible yet.  A refilled view is queued
+    /// from its newest chunk's arrival at the earliest.
     ///
     /// The view is refilled in place: once the scheduler has released it
     /// on the backend ([`specasr_models::AsrBackend::release_context`]), no
@@ -137,9 +144,14 @@ impl QueuedRequest {
             .stream
             .as_ref()
             .expect("only streaming requests refill a view");
-        stream
+        if !stream
             .session
             .fill_view(Arc::make_mut(self.decode.audio_mut()))
+        {
+            return false;
+        }
+        self.queued_ms = self.queued_ms.max(stream.newest_chunk_arrival_ms);
+        true
     }
 
     /// Restarts this request's decode session against `pool`: from the
@@ -198,7 +210,8 @@ pub(crate) struct ServerSession {
     /// Wall time this session's next round may start: its own verification
     /// wave's completion, which can precede the tick's end — that head start
     /// is the cross-tick overlap.  Reset to the admission time on every
-    /// (re-)admission.
+    /// (re-)admission.  Once the session finishes, this commit stamp is when
+    /// it leaves the batch: its completion, or its partial for a stream.
     pub ready_ms: f64,
     /// Wall time at which the first transcript token was committed.
     pub first_token_ms: Option<f64>,
@@ -221,9 +234,11 @@ impl ServerSession {
     /// original arrival timestamp is kept so aging credit keeps
     /// accumulating, and output already produced (a committed first token,
     /// an emitted partial) keeps the request exempt from deadline shedding.
+    /// The request is queued from `queued_ms` (see
+    /// [`QueuedRequest::queued_ms`]).
     ///
     /// The caller must have released the session's KV blocks already.
-    pub fn into_requeued(self, preempted: bool) -> QueuedRequest {
+    pub fn into_requeued(self, preempted: bool, queued_ms: f64) -> QueuedRequest {
         QueuedRequest {
             id: self.id,
             decode: self.decode,
@@ -231,6 +246,7 @@ impl ServerSession {
             audio_seconds: self.audio_seconds,
             encoder_ms: self.encoder_ms,
             arrival_ms: self.arrival_ms,
+            queued_ms,
             preemptions: self.preemptions + usize::from(preempted),
             ttft_budget_ms: self.ttft_budget_ms,
             first_output_emitted: self.first_output_emitted

@@ -120,12 +120,15 @@ fn fold(parts: &[f64]) -> f64 {
 /// 4. `draft_ms` — time inside draft phases.
 /// 5. `draft_lane_wait_ms` — gaps between a round becoming ready and its
 ///    draft phase starting (queueing behind the modeled draft-lane budget).
+///    A round is ready from the later of its tick's start and the
+///    session's latest admission.
 /// 6. `device_backlog_ms` — verify waves waiting for the device to start
 ///    them (submitted → started).
 /// 7. `device_service_ms` — verify waves executing (started → completed).
-/// 8. `pipeline_bubble_ms` — everything else on the decode wall: commit
-///    barriers, wave-batching gaps, retire tails.  Residual-closed so the
-///    full fold is bitwise equal to [`RequestAttribution::e2e_ms`].
+/// 8. `pipeline_bubble_ms` — everything else on the decode wall: tick
+///    barriers (a stream parked awaiting its next chunk included) and
+///    wave-batching gaps.  Residual-closed so the full fold is bitwise
+///    equal to [`RequestAttribution::e2e_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestAttribution {
     /// Request id.
@@ -154,7 +157,7 @@ pub struct RequestAttribution {
     pub device_backlog_ms: f64,
     /// Verify started → completed (device execution).
     pub device_service_ms: f64,
-    /// Residual decode wall time (barriers, batching gaps, retire tails).
+    /// Residual decode wall time (tick barriers, wave-batching gaps).
     pub pipeline_bubble_ms: f64,
 }
 
@@ -808,19 +811,33 @@ pub fn analyze_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> T
         let mut service_ms = 0.0;
         let mut bubble_ms = 0.0;
         let mut rounds = 0_u64;
+        // Admissions and rounds both run in time order, so one pass over
+        // the admissions finds each round's latest admission.
+        let mut admissions = span.admissions.iter().copied().peekable();
+        let mut admitted = f64::NEG_INFINITY;
         for round in &span.rounds {
             let draft_start = clip(round.draft_start_ms);
             let draft_end = clip(round.draft_end_ms);
+            while let Some(at) = admissions.next_if(|&at| at <= round.draft_start_ms) {
+                admitted = at;
+            }
             if draft_end <= anchor && round.verify_completed_ms.is_none() {
                 continue; // pre-preemption round, fully inside the penalty
             }
             rounds += 1;
-            // The gap before the draft starts splits at the round's tick
-            // start: up to it is a commit barrier (bubble), after it is
-            // draft-lane queueing.  Pipelined rounds draft from their own
-            // readiness (cursor), so the barrier leg vanishes.
+            // The gap before the draft starts splits at the later of the
+            // round's tick start and the session's latest admission: up to
+            // it is a barrier (bubble: the tick's, or a stream's park
+            // awaiting its chunk), after it is draft-lane queueing.  A round
+            // that drafts before its tick starts (pipelined from its own
+            // readiness, or admitted mid-tick) waits on no tick barrier,
+            // only on its admission.
             if let Some(&tick_start) = tick_starts.get(&round.tick) {
-                let barrier = clip(tick_start);
+                let barrier = clip(if tick_start <= round.draft_start_ms {
+                    tick_start.max(admitted)
+                } else {
+                    admitted
+                });
                 if barrier > cursor && barrier <= draft_start {
                     bubble_ms += barrier - cursor;
                     cursor = barrier;
@@ -857,7 +874,7 @@ pub fn analyze_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> T
             }
         }
         if completed > cursor {
-            bubble_ms += completed - cursor; // commit barrier / retire tail
+            bubble_ms += completed - cursor; // a retire tail, if one is left
         }
 
         let mut components = [
@@ -1140,6 +1157,108 @@ mod tests {
         assert_eq!(a.pipeline_bubble_ms, 2.0);
         assert_eq!(a.attributed_ms().to_bits(), a.e2e_ms.to_bits());
         analysis.reconcile().expect("reconciles");
+    }
+
+    /// A stream that emits a partial, parks, and is re-admitted at its
+    /// next chunk's arrival, before the tick that drafts it starts.
+    fn readmitted_stream() -> Vec<TraceEvent> {
+        let wave = |tick: u64, submitted_ms: f64, completed_ms: f64| {
+            [
+                TraceEvent::VerifyWaveSubmitted {
+                    ts_ms: submitted_ms,
+                    tick,
+                    wave: 0,
+                    tickets: vec![tick],
+                    requests: vec![4],
+                },
+                TraceEvent::VerifyWaveCompleted {
+                    tick,
+                    wave: 0,
+                    submitted_ms,
+                    started_ms: submitted_ms,
+                    completed_ms,
+                    tickets: vec![tick],
+                    requests: vec![4],
+                },
+            ]
+        };
+        let mut events = vec![
+            TraceEvent::RequestSubmitted {
+                ts_ms: 0.0,
+                request: 4,
+                encoder_ms: 40.0,
+                audio_seconds: 4.0,
+                streaming: true,
+                policy: "specasr-asp".to_string(),
+                drafter: "model".to_string(),
+            },
+            TraceEvent::TickStart {
+                ts_ms: 10.0,
+                tick: 1,
+                active: 1,
+                queued: 0,
+            },
+            TraceEvent::RequestAdmitted {
+                ts_ms: 10.0,
+                request: 4,
+                kv_blocks: 4,
+                restored: false,
+            },
+            TraceEvent::DraftPhase {
+                start_ms: 10.0,
+                end_ms: 12.0,
+                tick: 1,
+                request: 4,
+            },
+        ];
+        events.extend(wave(1, 12.0, 20.0));
+        events.extend([
+            // Parked from its partial at 20 until its chunk arrives at 50;
+            // the worker's next tick starts at 60.
+            TraceEvent::TickStart {
+                ts_ms: 60.0,
+                tick: 2,
+                active: 1,
+                queued: 0,
+            },
+            TraceEvent::RequestAdmitted {
+                ts_ms: 50.0,
+                request: 4,
+                kv_blocks: 4,
+                restored: false,
+            },
+            TraceEvent::DraftPhase {
+                start_ms: 50.0,
+                end_ms: 53.0,
+                tick: 2,
+                request: 4,
+            },
+        ]);
+        events.extend(wave(2, 61.0, 70.0));
+        events.push(TraceEvent::RequestCompleted {
+            ts_ms: 70.0,
+            request: 4,
+            tokens: 6,
+        });
+        events
+    }
+
+    #[test]
+    fn a_stream_readmitted_before_its_tick_waits_in_the_bubble_not_the_lane() {
+        let analysis = analyze_events(&readmitted_stream());
+        let a = &analysis.requests[0];
+        // queue 10, encoder 40, decode wall 60 → e2e 110.
+        assert_eq!(a.e2e_ms, 110.0);
+        assert_eq!(a.queue_wait_ms, 10.0);
+        assert_eq!(a.draft_ms, 5.0);
+        assert_eq!(
+            a.draft_lane_wait_ms, 0.0,
+            "the park from the partial at 20 to the admission at 50 is no lane wait"
+        );
+        assert_eq!(a.device_service_ms, 17.0);
+        // 20 → 50 parked, 53 → 61 a wave-batching gap.
+        assert_eq!(a.pipeline_bubble_ms, 38.0);
+        assert_eq!(a.attributed_ms().to_bits(), a.e2e_ms.to_bits());
     }
 
     #[test]

@@ -4,15 +4,22 @@
 //! constrained KV pool forces preemption), respect FIFO admission, and
 //! actually sustain concurrent in-flight sessions.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use specasr::{AdaptiveConfig, AsrPipeline, Policy, SparseTreeConfig, SpeculativeConfig};
+use proptest::test_runner::TestCaseError;
+use specasr::{
+    AdaptiveConfig, AsrPipeline, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig,
+};
 use specasr_audio::{EncoderProfile, Split};
 use specasr_models::{
     AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenLogits, UtteranceTokens,
 };
-use specasr_server::{AdmissionPolicy, PreemptPolicy, Scheduler, ServerConfig};
+use specasr_server::{
+    AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RequestOutcome, Scheduler, ServerConfig,
+    StreamConfig, TraceConfig, TraceEvent,
+};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
 
@@ -203,71 +210,249 @@ fn constrained_pool_preemption_is_invisible_in_the_transcripts() {
     );
 }
 
+/// Checks the causal lifecycle invariants of one traced serve: arrival ≤
+/// every admission ≤ first token ≤ completion, every partial no earlier
+/// than its chunk's arrival, every stream admission no earlier than its
+/// newest chunk and its last partial, every restore no earlier than its
+/// eviction, and never more than `max_batch` requests admitted and not yet
+/// left the batch at any instant.
+fn check_causal_lifecycles(
+    events: &[TraceEvent],
+    outcomes: &[RequestOutcome],
+    max_batch: usize,
+) -> Result<(), TestCaseError> {
+    let mut arrived = HashMap::new();
+    let mut heard = HashMap::new();
+    let mut emitted = HashMap::new();
+    let mut evicted = HashMap::new();
+    let mut admitted = HashMap::new();
+    let mut completed = HashMap::new();
+    // (instant, +1 joins the batch / -1 leaves it)
+    let mut occupancy: Vec<(f64, i32)> = Vec::new();
+    let mut held = HashSet::new();
+    for event in events {
+        let left = match *event {
+            TraceEvent::RequestSubmitted { ts_ms, request, .. } => {
+                arrived.entry(request).or_insert(ts_ms);
+                None
+            }
+            TraceEvent::ChunkArrived { ts_ms, request, .. } => {
+                heard.insert(request, ts_ms);
+                None
+            }
+            TraceEvent::RequestAdmitted {
+                ts_ms,
+                request,
+                restored,
+                ..
+            } => {
+                prop_assert!(
+                    ts_ms >= arrived[&request],
+                    "{request} admitted before it arrived"
+                );
+                prop_assert!(
+                    ts_ms >= heard.get(&request).copied().unwrap_or(0.0),
+                    "{request} admitted before its chunk arrived"
+                );
+                prop_assert!(
+                    ts_ms >= emitted.get(&request).copied().unwrap_or(0.0),
+                    "{request} admitted before its last partial"
+                );
+                if restored {
+                    prop_assert!(
+                        ts_ms >= evicted[&request],
+                        "{request} restored before its eviction"
+                    );
+                }
+                admitted.entry(request).or_insert_with(Vec::new).push(ts_ms);
+                held.insert(request);
+                occupancy.push((ts_ms, 1));
+                None
+            }
+            TraceEvent::PartialEmitted { ts_ms, request, .. } => {
+                emitted.insert(request, ts_ms);
+                Some((request, ts_ms))
+            }
+            TraceEvent::KvPreempt { ts_ms, request, .. } => {
+                evicted.insert(request, ts_ms);
+                Some((request, ts_ms))
+            }
+            TraceEvent::RequestShed {
+                ts_ms,
+                request: Some(request),
+                ..
+            } => Some((request, ts_ms)),
+            TraceEvent::RequestCompleted { ts_ms, request, .. } => {
+                completed.insert(request, ts_ms);
+                Some((request, ts_ms))
+            }
+            _ => None,
+        };
+        // A request leaves the batch at the first of these after its
+        // admission: a partial, an eviction, a shed or its completion.
+        if let Some((request, at)) = left {
+            if held.remove(&request) {
+                occupancy.push((at, -1));
+            }
+        }
+    }
+    prop_assert!(held.is_empty(), "requests left in the batch: {held:?}");
+    // A slot handed over at one instant is left before it is taken.
+    occupancy.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut in_batch = 0;
+    for (at, change) in occupancy {
+        in_batch += change;
+        prop_assert!(
+            in_batch <= max_batch as i32,
+            "{in_batch} requests in a batch of {max_batch} at {at} ms"
+        );
+    }
+    for outcome in outcomes {
+        let request = outcome.id.value();
+        let admissions = &admitted[&request];
+        // Latency spans anchor on a stream's first admission and on an
+        // offline request's last (a preempted one restarts).
+        let anchor = if outcome.is_streaming() {
+            admissions[0]
+        } else {
+            *admissions.last().expect("a served request was admitted")
+        };
+        let first_token = match outcome.partials.first() {
+            Some(partial) => partial.emitted_ms,
+            None => {
+                arrived[&request] + outcome.latency.time_to_first_token_ms
+                    - outcome.latency.encoder_ms
+            }
+        };
+        prop_assert!(
+            anchor <= first_token + 1e-9,
+            "{request}: first token before admission"
+        );
+        prop_assert!(
+            first_token <= completed[&request] + 1e-9,
+            "{request}: first token after completion"
+        );
+        for partial in &outcome.partials {
+            prop_assert!(
+                partial.emitted_ms >= partial.chunk_arrival_ms,
+                "{request}: partial {} before its chunk",
+                partial.partial_index
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random session lifecycles — random pool budgets (hitting admit,
-    /// preempt, restore, and finish paths), both preemption policies, both
-    /// admission policies, and mixed decode policies — never leak blocks
-    /// (the drained pool ends at zero use) and never diverge from
-    /// unconstrained serving of the same workload.
+    /// preempt, restore, and finish paths), both preemption policies, all
+    /// three admission orders over mixed TTFT budgets, mixed decode
+    /// policies and drafters, in-flight windows of one to six waves, streams
+    /// among offline requests, and staggered arrivals — never leak blocks
+    /// (the drained pool ends at zero use), never lose a request, never
+    /// diverge from a blocking decode, and keep every admission and
+    /// retirement causal (see `check_causal_lifecycles`).
     #[test]
     fn random_lifecycles_never_leak_blocks_or_diverge(
         seed in 0u64..200,
-        kv_blocks in 20usize..120,
+        kv_blocks in 16usize..80,
         requests in 1usize..16,
         newest_first in any::<bool>(),
-        saf in any::<bool>(),
-        policy_salt in 0u64..1_000,
+        order in 0usize..3,
+        depth in 1usize..7,
+        stream_every in 0usize..4,
+        gap_ms in 0u64..200,
+        salt in 0u64..1_000,
     ) {
         let setup = StandardSetup::new(seed, 4);
         let policies = serving_policies();
+        let kinds = [
+            DrafterKind::ModelDraft,
+            DrafterKind::ModelDraft,
+            DrafterKind::CtcEncoder,
+            DrafterKind::TokenMap,
+        ];
+        let budgets = [None, Some(300.0), Some(2_000.0), None];
         let pool: Vec<&specasr_audio::Utterance> = Split::ALL
             .iter()
             .flat_map(|&split| setup.corpus.split(split))
             .collect();
+        let audio: Vec<UtteranceTokens> =
+            pool.iter().map(|utterance| setup.binding.bind(utterance)).collect();
         let config = ServerConfig::default()
             .with_max_batch(4)
             .with_queue_depth(requests.max(1))
             .with_kv_blocks(kv_blocks)
+            .with_max_in_flight_waves(depth)
             .with_preempt_policy(if newest_first {
                 PreemptPolicy::NewestAdmitted
             } else {
                 PreemptPolicy::LargestKv
             })
-            .with_admission(if saf {
+            .with_admission(if order == 1 {
                 AdmissionPolicy::ShortestAudioFirst
             } else {
                 AdmissionPolicy::Fifo
+            })
+            .with_ordering(if order == 2 {
+                AdmissionOrdering::EarliestDeadlineFirst
+            } else {
+                AdmissionOrdering::Queue
             });
-        let mut constrained = scheduler_for(&setup, config);
-        let mut unconstrained = scheduler_for(&setup, config.with_kv_blocks(4096));
+        let mut scheduler = scheduler_for(&setup, config);
+        scheduler.install_drafter(std::sync::Arc::new(
+            specasr_models::CtcDrafter::paired(&setup.target),
+        ));
+        scheduler.install_drafter(std::sync::Arc::new(token_map_for(&audio)));
+        scheduler.set_trace(TraceConfig::enabled());
+        let mut served = Vec::new();
+        let mut expected = HashMap::new();
         for index in 0..requests {
-            let policy = policies[(policy_salt as usize + index) % policies.len()];
-            let utterance = pool[(index * 5 + policy_salt as usize) % pool.len()];
-            constrained.submit(policy, utterance).expect("queue has room");
-            unconstrained.submit(policy, utterance).expect("queue has room");
+            served.extend(scheduler.advance_to((index as u64 * gap_ms) as f64));
+            let policy = policies[(salt as usize + index) % policies.len()];
+            let at = (index * 5 + salt as usize) % pool.len();
+            let budget = budgets[(salt as usize / 3 + index) % budgets.len()];
+            let id = if stream_every > 0 && index % stream_every == 0 {
+                scheduler.submit_streaming_with_budget(
+                    policy,
+                    pool[at],
+                    StreamConfig::default(),
+                    budget,
+                )
+            } else {
+                match kinds[(salt as usize / 7 + index) % kinds.len()] {
+                    DrafterKind::ModelDraft => scheduler.submit_with_budget(policy, pool[at], budget),
+                    kind => scheduler.submit_with_drafter(policy, kind, pool[at]),
+                }
+            }
+            .expect("queue has room");
+            expected.insert(id, policy.decode(&setup.draft, &setup.target, &audio[at]).tokens);
         }
-        let mut served = constrained.run_until_idle();
-        let mut reference = unconstrained.run_until_idle();
-        served.sort_by_key(|o| o.id);
-        reference.sort_by_key(|o| o.id);
+        served.extend(scheduler.run_until_idle());
 
         // No block leaked or double-freed, whatever the lifecycle mix.
-        prop_assert_eq!(constrained.kv_pool().used_blocks(), 0);
-        prop_assert!(constrained.is_idle());
-        // Small pools may shed requests that can never fit; everything that
-        // completed must match unconstrained serving byte for byte.
-        let shed = constrained.stats().rejected_memory();
-        prop_assert_eq!(served.len() + shed, reference.len());
-        let mut reference_by_id = reference.iter();
+        prop_assert_eq!(scheduler.kv_pool().used_blocks(), 0);
+        prop_assert!(scheduler.is_idle());
+        // Small pools may shed requests that can never fit, and budgets
+        // shed requests that waited too long; everything else completes,
+        // byte for byte what a blocking decode produces.
+        let stats = scheduler.stats();
+        prop_assert_eq!(
+            served.len() + stats.rejected_memory() + stats.rejected_deadline(),
+            requests
+        );
         for outcome in &served {
-            let matching = reference_by_id
-                .find(|o| o.id == outcome.id)
-                .expect("completed requests exist in the reference run");
-            prop_assert_eq!(&outcome.text, &matching.text);
-            prop_assert_eq!(&outcome.outcome.tokens, &matching.outcome.tokens);
+            prop_assert_eq!(&outcome.outcome.tokens, &expected[&outcome.id]);
         }
+        let events: Vec<TraceEvent> = scheduler
+            .trace_recording()
+            .expect("tracing is on")
+            .events()
+            .cloned()
+            .collect();
+        check_causal_lifecycles(&events, &served, config.max_batch)?;
     }
 }
 
