@@ -241,7 +241,7 @@ impl CorpusConfig {
 /// use specasr_audio::{Corpus, Split};
 ///
 /// let corpus = Corpus::librispeech_like(11, 8);
-/// assert_eq!(corpus.total_utterances(), 8 * Split::ALL.len());
+/// assert_eq!(corpus.iter().count(), 8 * Split::ALL.len());
 /// let noisy_mean = corpus.mean_difficulty(Split::TestOther);
 /// let clean_mean = corpus.mean_difficulty(Split::TestClean);
 /// assert!(noisy_mean > clean_mean);
@@ -317,11 +317,6 @@ impl Corpus {
             .flat_map(move |s| self.split(s).iter())
     }
 
-    /// Total number of utterances across all splits.
-    pub fn total_utterances(&self) -> usize {
-        Split::ALL.iter().map(|s| self.split(*s).len()).sum()
-    }
-
     /// Mean per-word acoustic difficulty of `split`.
     pub fn mean_difficulty(&self, split: Split) -> f64 {
         let utterances = self.split(split);
@@ -369,7 +364,7 @@ mod tests {
         for split in Split::ALL {
             assert_eq!(corpus.split(split).len(), 12);
         }
-        assert_eq!(corpus.total_utterances(), 48);
+        assert_eq!(corpus.iter().count(), 48);
     }
 
     #[test]
@@ -451,7 +446,7 @@ mod tests {
         let corpus = Corpus::librispeech_like(9, 5);
         assert_eq!(
             corpus.tokenizer_training_lines().len(),
-            corpus.total_utterances()
+            corpus.iter().count()
         );
     }
 }

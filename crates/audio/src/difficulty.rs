@@ -92,20 +92,6 @@ impl DifficultyModel {
         }
         difficulties
     }
-
-    /// Mean difficulty of a sampled sequence (used to report per-split
-    /// statistics in the corpus summary).
-    pub fn expected_mean(&self) -> f64 {
-        // Stationary probability of the hard state.
-        let p_start = self.burst_start_probability;
-        let p_stop = self.burst_stop_probability;
-        let hard_fraction = if p_start + p_stop > 0.0 {
-            p_start / (p_start + p_stop)
-        } else {
-            0.0
-        };
-        (self.noise_floor + hard_fraction * self.burst_level).clamp(0.0, 1.0)
-    }
 }
 
 impl Default for DifficultyModel {
@@ -168,10 +154,12 @@ mod tests {
 
     #[test]
     fn expected_mean_tracks_profiles() {
-        assert!(
-            DifficultyModel::other().expected_mean() > DifficultyModel::clean().expected_mean()
-        );
-        assert!((DifficultyModel::uniform(0.3).expected_mean() - 0.3).abs() < 1e-9);
+        let mean = |model: DifficultyModel| {
+            let sample = model.sample(11, 4_000);
+            sample.iter().sum::<f64>() / sample.len() as f64
+        };
+        assert!(mean(DifficultyModel::other()) > mean(DifficultyModel::clean()));
+        assert!((mean(DifficultyModel::uniform(0.3)) - 0.3).abs() < 1e-9);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl EncoderProfile {
         }
     }
 
-    /// Whisper tiny.en encoder (≈ 8 M parameters).
-    pub fn whisper_tiny_encoder() -> Self {
-        EncoderProfile::new("whisper-tiny.en-encoder", 8_000_000, 0.9, 1.0)
-    }
-
     /// Whisper medium.en encoder (≈ 300 M parameters).
     pub fn whisper_medium_encoder() -> Self {
         EncoderProfile::new("whisper-medium.en-encoder", 307_000_000, 3.2, 2.5)
@@ -106,12 +101,10 @@ mod tests {
 
     #[test]
     fn encoder_profiles_are_ordered_by_size() {
-        let tiny = EncoderProfile::whisper_tiny_encoder();
         let conformer = EncoderProfile::conformer_large();
         let medium = EncoderProfile::whisper_medium_encoder();
-        assert!(tiny.parameters() < conformer.parameters());
         assert!(conformer.parameters() < medium.parameters());
-        assert!(tiny.latency_ms_for_audio(10.0) < medium.latency_ms_for_audio(10.0));
+        assert!(conformer.latency_ms_for_audio(10.0) < medium.latency_ms_for_audio(10.0));
     }
 
     #[test]

@@ -280,12 +280,6 @@ impl TextGenerator {
         let count = self.rng.gen_range(min_words..=max_words);
         self.sentence(count)
     }
-
-    /// Generates `count` independent training lines, useful for building a
-    /// tokenizer vocabulary over the same lexicon as the evaluation corpus.
-    pub fn corpus_lines(&mut self, count: usize, words_per_line: usize) -> Vec<String> {
-        (0..count).map(|_| self.sentence(words_per_line)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -370,13 +364,5 @@ mod tests {
     fn lexicon_has_no_duplicates() {
         let set: HashSet<&str> = LEXICON.iter().copied().collect();
         assert_eq!(set.len(), LEXICON.len());
-    }
-
-    #[test]
-    fn corpus_lines_count_matches() {
-        let mut gen = TextGenerator::new(3);
-        let lines = gen.corpus_lines(17, 8);
-        assert_eq!(lines.len(), 17);
-        assert!(lines.iter().all(|l| l.split_whitespace().count() == 8));
     }
 }

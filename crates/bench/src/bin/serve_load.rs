@@ -44,7 +44,7 @@ use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
-use specasr_server::{FlightRecording, Scheduler, ServerConfig, ServerStats};
+use specasr_server::{FlightRecording, RequestSpec, Scheduler, ServerConfig, ServerStats};
 use specasr_tokenizer::TokenMapIndex;
 
 /// Utterances per split in the serving corpus (all four splits are served,
@@ -131,7 +131,13 @@ fn run_cell(
     for split in Split::ALL {
         for utterance in context.corpus.split(split) {
             scheduler
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(
+                    RequestSpec {
+                        drafter,
+                        ..policy.into()
+                    },
+                    utterance,
+                )
                 .expect("queue depth covers the whole request set");
         }
     }

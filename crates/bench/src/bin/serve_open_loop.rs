@@ -47,8 +47,8 @@ use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
 use specasr_server::{
-    run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, AdmissionOrdering,
-    AdmissionPolicy, LoadGen, Router, RouterConfig, ServerConfig, SloClass,
+    run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, RequestSpec, Router, RouterConfig,
+    ServerConfig, SloClass,
 };
 use specasr_tokenizer::TokenMapIndex;
 
@@ -251,8 +251,12 @@ fn run_drafter_cell(
         }
     }
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, qps);
-    let workload = (0..REQUESTS_PER_CELL).map(|index| (policy, kind, pool[index % pool.len()]));
-    let report = run_open_loop_drafted(&mut router, &mut loadgen, workload);
+    let spec = RequestSpec {
+        drafter: kind,
+        ..policy.into()
+    };
+    let workload = (0..REQUESTS_PER_CELL).map(|index| (spec, pool[index % pool.len()]));
+    let report = run_open_loop(&mut router, &mut loadgen, workload);
     assert_eq!(report.outcomes.len(), REQUESTS_PER_CELL);
     assert_eq!(report.rejected, 0, "deep queues must never shed");
 
@@ -353,13 +357,13 @@ fn run_ordering_cell(
     );
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, qps);
     let workload = (0..REQUESTS_PER_CELL).map(|index| {
-        (
-            policy,
-            pool[index % pool.len()],
-            Some(TTFT_BUDGETS_MS[index % TTFT_BUDGETS_MS.len()]),
-        )
+        let spec = RequestSpec {
+            ttft_budget_ms: Some(TTFT_BUDGETS_MS[index % TTFT_BUDGETS_MS.len()]),
+            ..policy.into()
+        };
+        (spec, pool[index % pool.len()])
     });
-    let report = run_open_loop_budgeted(&mut router, &mut loadgen, workload);
+    let report = run_open_loop(&mut router, &mut loadgen, workload);
     let fleet = router.fleet_stats();
     let offered = report.submitted + report.rejected;
     let in_budget = report

@@ -124,21 +124,6 @@ where
             audio_seconds: utterance.duration_seconds(),
         }
     }
-
-    /// Transcribes a batch of utterances, preserving order.
-    pub fn transcribe_all<'a, I>(
-        &self,
-        binding: &TokenizerBinding,
-        utterances: I,
-    ) -> Vec<PipelineOutput>
-    where
-        I: IntoIterator<Item = &'a Utterance>,
-    {
-        utterances
-            .into_iter()
-            .map(|u| self.transcribe(binding, u))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -208,16 +193,5 @@ mod tests {
         assert!(output.total_ms() > output.outcome.decode_ms());
         assert!(output.real_time_factor() > 0.0);
         assert!((output.latency().encoder_ms - output.encoder_ms).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transcribe_all_preserves_order() {
-        let (pipeline, corpus, binding) = pipeline(Policy::Autoregressive);
-        let split = corpus.split(Split::DevClean);
-        let outputs = pipeline.transcribe_all(&binding, split);
-        assert_eq!(outputs.len(), split.len());
-        for (output, utt) in outputs.iter().zip(split.iter()) {
-            assert!((output.audio_seconds - utt.duration_seconds()).abs() < 1e-12);
-        }
     }
 }

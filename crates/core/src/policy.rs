@@ -86,25 +86,6 @@ impl Policy {
         session.into_outcome()
     }
 
-    /// The baselines used throughout the paper's evaluation: autoregressive
-    /// decoding plus the three speculative `(length, beams)` configurations.
-    pub fn paper_baselines() -> Vec<Policy> {
-        vec![
-            Policy::Autoregressive,
-            Policy::Speculative(SpeculativeConfig::short_single()),
-            Policy::Speculative(SpeculativeConfig::long_single()),
-            Policy::Speculative(SpeculativeConfig::short_double_beam()),
-        ]
-    }
-
-    /// The two SpecASR policies evaluated in Fig. 11.
-    pub fn specasr_policies() -> Vec<Policy> {
-        vec![
-            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
-            Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
-        ]
-    }
-
     /// The qualitative comparison of Tab. I, one row per speculative-decoding
     /// family.
     pub fn feature_matrix() -> Vec<FeatureRow> {
@@ -206,13 +187,22 @@ mod tests {
     use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
 
+    /// Every policy the paper evaluates: autoregressive decoding, the three
+    /// speculative `(length, beams)` baselines and the two SpecASR policies.
+    fn evaluated_policies() -> Vec<Policy> {
+        vec![
+            Policy::Autoregressive,
+            Policy::Speculative(SpeculativeConfig::short_single()),
+            Policy::Speculative(SpeculativeConfig::long_single()),
+            Policy::Speculative(SpeculativeConfig::short_double_beam()),
+            Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()),
+            Policy::TwoPassSparseTree(SparseTreeConfig::paper()),
+        ]
+    }
+
     #[test]
     fn policy_names_are_distinct() {
-        let mut names: Vec<String> = Policy::paper_baselines()
-            .into_iter()
-            .chain(Policy::specasr_policies())
-            .map(|p| p.name())
-            .collect();
+        let mut names: Vec<String> = evaluated_policies().iter().map(|p| p.name()).collect();
         let before = names.len();
         names.sort();
         names.dedup();
@@ -226,10 +216,7 @@ mod tests {
         let audio = binding.bind_all(corpus.split(Split::DevClean));
         let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
         let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
-        for policy in Policy::paper_baselines()
-            .into_iter()
-            .chain(Policy::specasr_policies())
-        {
+        for policy in evaluated_policies() {
             for utt in &audio {
                 assert_eq!(
                     policy.decode(&draft, &target, utt).tokens,

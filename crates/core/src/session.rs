@@ -164,14 +164,6 @@ impl DraftedRound {
         round
     }
 
-    /// A new draft-free sequence round over `tokens` (see
-    /// [`DraftedRound::refill_external`]).
-    pub fn external(tokens: Vec<TokenId>) -> Self {
-        let mut round = DraftedRound::new();
-        round.refill_external(|draft| draft.extend(tokens));
-        round
-    }
-
     /// Refills this round as an autoregressive one.
     pub fn refill_autoregressive(&mut self) {
         self.refill(RoundKind::Autoregressive, |_, _| {});
@@ -1374,7 +1366,7 @@ mod tests {
             // in insertion order, then the trunk's prefixes.
             let trunk = drafted.plan.trunk().unwrap_or_default();
             let mut expected: Vec<Vec<TokenId>> = vec![Vec::new()];
-            let node_paths = tree.node_ids().into_iter().map(|id| tree.path_tokens(id));
+            let node_paths = tree.iter().map(|(id, _)| tree.path_tokens(id));
             let trunk_prefixes = (1..=trunk.len()).map(|end| trunk[..end].to_vec());
             for path in node_paths.chain(trunk_prefixes) {
                 if !expected.contains(&path) {
@@ -1613,7 +1605,9 @@ mod proptests {
                     prop_assert_eq!(kept.probe_extensions(), fresh.probe_extensions());
                 }
                 if case == 6 {
-                    prop_assert_eq!(&fresh_by_model, &DraftedRound::external(Vec::new()));
+                    let mut empty = DraftedRound::new();
+                    empty.refill_external(|_| {});
+                    prop_assert_eq!(&fresh_by_model, &empty);
                 }
                 for other in &sessions[1..] {
                     prop_assert_eq!(sessions[0].tokens(), other.tokens(), "case {}", case);

@@ -66,7 +66,8 @@ use specasr::Policy;
 use specasr_audio::Utterance;
 use specasr_models::AsrDecoderModel;
 use specasr_server::{
-    RequestId, RequestOutcome, Router, SloClass, SubmitError, Worker, WorkerId, WorkerProfile,
+    RequestId, RequestOutcome, RequestSpec, Router, SloClass, SubmitError, Worker, WorkerId,
+    WorkerProfile,
 };
 use specasr_trace::MetricsRegistry;
 
@@ -260,36 +261,33 @@ where
         self.counters
     }
 
-    /// Consecutive breached evaluations ending at the latest one.
-    pub fn breach_streak(&self) -> usize {
-        self.breach_streak
-    }
-
-    /// Consecutive headroom evaluations ending at the latest one.
-    pub fn headroom_streak(&self) -> usize {
-        self.headroom_streak
-    }
-
-    /// Submits one utterance at the current timeline instant (see
-    /// [`Router::submit`]).
+    /// Submits one utterance under `spec` at the current timeline instant
+    /// (see [`Router::submit`]).
     pub fn submit(
         &mut self,
-        policy: Policy,
+        spec: impl Into<RequestSpec>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.router.submit(policy, utterance)
+        self.router.submit(spec, utterance)
     }
 
-    /// Submits one utterance with a time-to-first-token budget (see
-    /// [`Router::submit_with_budget`]).
+    /// Submits a model-drafted request with a time-to-first-token budget: a
+    /// single call to [`FleetController::submit`] with `RequestSpec {
+    /// ttft_budget_ms, ..policy.into() }`.  The benchmark (`specbench/`)
+    /// calls it by name.
     pub fn submit_with_budget(
         &mut self,
         policy: Policy,
         utterance: &Utterance,
         ttft_budget_ms: Option<f64>,
     ) -> Result<RequestId, SubmitError> {
-        self.router
-            .submit_with_budget(policy, utterance, ttft_budget_ms)
+        self.submit(
+            RequestSpec {
+                ttft_budget_ms,
+                ..policy.into()
+            },
+            utterance,
+        )
     }
 
     /// Advances the fleet to `deadline_ms`, running a control-loop

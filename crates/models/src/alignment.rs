@@ -100,18 +100,6 @@ pub fn trajectory_agreement(a: &[TokenId], b: &[TokenId]) -> f64 {
     matches as f64 / n as f64
 }
 
-/// Per-offset alignment profile: element `k` is the alignment rate when only
-/// offsets up to `k` are allowed.  Used to draw the Fig. 6b style curve.
-pub fn alignment_by_offset(
-    draft_suffix: &[TokenId],
-    target_continuation: &[TokenId],
-    max_offset: usize,
-) -> Vec<f64> {
-    (0..=max_offset)
-        .map(|offset| suffix_alignment(draft_suffix, target_continuation, offset).rate())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,8 +148,9 @@ mod tests {
     fn alignment_by_offset_is_monotone() {
         let draft = toks(&[2, 3, 4, 5, 9]);
         let target = toks(&[1, 2, 3, 4, 5]);
-        let profile = alignment_by_offset(&draft, &target, 3);
-        assert_eq!(profile.len(), 4);
+        let profile: Vec<f64> = (0..=3)
+            .map(|offset| suffix_alignment(&draft, &target, offset).rate())
+            .collect();
         for pair in profile.windows(2) {
             assert!(pair[0] <= pair[1] + 1e-12);
         }

@@ -279,11 +279,6 @@ pub struct ForwardResult {
 }
 
 impl ForwardResult {
-    /// The modeled submit-to-completion latency of this request.
-    pub fn latency_ms(&self) -> f64 {
-        (self.completed_ms - self.submitted_ms).max(0.0)
-    }
-
     /// The modeled device execution time (start-to-completion).
     pub fn service_ms(&self) -> f64 {
         (self.completed_ms - self.started_ms).max(0.0)
@@ -769,11 +764,6 @@ impl<M: AsrDecoderModel> InFlightSimBackend<M> {
         let overhead = self.timeline.dispatch_overhead_ms();
         self.timeline = DeviceTimeline::new(lanes).with_dispatch_overhead_ms(overhead);
         self
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
     }
 }
 

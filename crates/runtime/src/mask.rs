@@ -23,9 +23,9 @@ use crate::tree::{NodeId, TokenTree};
 /// let b = tree.push_child(a, TokenId::new(2), 0.8, NodeOrigin::Trunk);
 /// let c = tree.push_child(a, TokenId::new(3), 0.1, NodeOrigin::Branch);
 /// let mask = TreeAttentionMask::from_tree(&tree);
-/// assert!(mask.attends(b, a));
-/// assert!(!mask.attends(b, c));       // sibling branches do not see each other
-/// assert!(mask.attends(c, c));        // every node attends to itself
+/// assert!(mask.row(b)[a.index()]);
+/// assert!(!mask.row(b)[c.index()]); // sibling branches do not see each other
+/// assert!(mask.row(c)[c.index()]); // every node attends to itself
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreeAttentionMask {
@@ -60,25 +60,9 @@ impl TreeAttentionMask {
         self.size
     }
 
-    /// Returns `true` if `from` may attend to `to` (i.e. `to` is `from` or an
-    /// ancestor of `from`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node index is out of range.
-    pub fn attends(&self, from: NodeId, to: NodeId) -> bool {
-        self.rows[from.index()][to.index()]
-    }
-
     /// The full attention row of a node (which flattened positions it sees).
     pub fn row(&self, from: NodeId) -> &[bool] {
         &self.rows[from.index()]
-    }
-
-    /// Number of `true` entries in the mask — the effective attention volume,
-    /// useful for cost accounting and diagnostics.
-    pub fn active_entries(&self) -> usize {
-        self.rows.iter().flatten().filter(|&&b| b).count()
     }
 
     /// Checks the structural invariants of an ancestor mask: reflexivity,
@@ -117,6 +101,21 @@ mod tests {
         TokenId::new(raw)
     }
 
+    /// Whether `from` attends to `to`: entry `to` of `from`'s row.
+    fn attends(mask: &TreeAttentionMask, from: NodeId, to: NodeId) -> bool {
+        mask.row(from)[to.index()]
+    }
+
+    /// The `true` entries of the mask, its attention volume.
+    pub(super) fn active_entries(mask: &TreeAttentionMask) -> usize {
+        (0..mask.size())
+            .map(|row| {
+                let row = mask.row(NodeId::from_index(row));
+                row.iter().filter(|&&sees| sees).count()
+            })
+            .sum()
+    }
+
     fn sample_tree() -> (TokenTree, Vec<NodeId>) {
         let mut tree = TokenTree::new();
         let n1 = tree.push_root(t(1), 0.9, NodeOrigin::Trunk);
@@ -132,14 +131,14 @@ mod tests {
         let (tree, n) = sample_tree();
         let mask = TreeAttentionMask::from_tree(&tree);
         assert_eq!(mask.size(), 5);
-        assert!(mask.attends(n[2], n[0]));
-        assert!(mask.attends(n[2], n[1]));
-        assert!(mask.attends(n[2], n[2]));
-        assert!(!mask.attends(n[2], n[3]));
-        assert!(!mask.attends(n[2], n[4]));
-        assert!(mask.attends(n[4], n[3]));
-        assert!(mask.attends(n[4], n[0]));
-        assert!(!mask.attends(n[4], n[1]));
+        assert!(attends(&mask, n[2], n[0]));
+        assert!(attends(&mask, n[2], n[1]));
+        assert!(attends(&mask, n[2], n[2]));
+        assert!(!attends(&mask, n[2], n[3]));
+        assert!(!attends(&mask, n[2], n[4]));
+        assert!(attends(&mask, n[4], n[3]));
+        assert!(attends(&mask, n[4], n[0]));
+        assert!(!attends(&mask, n[4], n[1]));
         assert!(mask.is_consistent_with(&tree));
     }
 
@@ -148,7 +147,7 @@ mod tests {
         let (tree, _) = sample_tree();
         let mask = TreeAttentionMask::from_tree(&tree);
         // Sum over nodes of their depth: 1 + 2 + 3 + 2 + 3 = 11.
-        assert_eq!(mask.active_entries(), 11);
+        assert_eq!(active_entries(&mask), 11);
     }
 
     #[test]
@@ -156,7 +155,7 @@ mod tests {
         let tree = TokenTree::new();
         let mask = TreeAttentionMask::from_tree(&tree);
         assert_eq!(mask.size(), 0);
-        assert_eq!(mask.active_entries(), 0);
+        assert_eq!(active_entries(&mask), 0);
         assert!(mask.is_consistent_with(&tree));
     }
 
@@ -167,7 +166,7 @@ mod tests {
         for i in 0..6 {
             for j in 0..6 {
                 assert_eq!(
-                    mask.attends(NodeId::from_index(i), NodeId::from_index(j)),
+                    attends(&mask, NodeId::from_index(i), NodeId::from_index(j)),
                     j <= i,
                     "causal mask mismatch at ({i}, {j})"
                 );
@@ -211,7 +210,7 @@ mod proptests {
             prop_assert!(mask.is_consistent_with(&tree));
             // The number of active entries equals the sum of node depths.
             let depth_sum: usize = tree.iter().map(|(_, n)| n.depth).sum();
-            prop_assert_eq!(mask.active_entries(), depth_sum);
+            prop_assert_eq!(super::tests::active_entries(&mask), depth_sum);
         }
     }
 }

@@ -186,11 +186,6 @@ impl TokenTree {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
-    /// All node ids in insertion order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).map(NodeId).collect()
-    }
-
     /// Depth of node `id` (1 for roots).
     pub fn depth(&self, id: NodeId) -> usize {
         self.node(id).depth
@@ -251,25 +246,6 @@ impl TokenTree {
         }
         false
     }
-
-    /// Maximum node depth (0 for an empty tree).
-    pub fn max_depth(&self) -> usize {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Number of nodes with the given origin.
-    pub fn count_origin(&self, origin: NodeOrigin) -> usize {
-        self.nodes.iter().filter(|n| n.origin == origin).count()
-    }
-
-    /// Finds the deepest node whose root path equals `tokens`, if any.
-    /// Used by recycling to locate re-usable branches.
-    pub fn find_path(&self, tokens: &[TokenId]) -> Option<NodeId> {
-        self.iter()
-            .filter(|(id, _)| self.path_tokens(*id) == tokens)
-            .map(|(id, _)| id)
-            .last()
-    }
 }
 
 #[cfg(test)]
@@ -299,8 +275,7 @@ mod tests {
         assert_eq!(tree.path_tokens(n[4]), vec![t(1), t(4), t(5)]);
         assert_eq!(tree.depth(n[0]), 1);
         assert_eq!(tree.depth(n[2]), 3);
-        assert_eq!(tree.max_depth(), 3);
-        for id in tree.node_ids() {
+        for (id, _) in tree.iter() {
             assert_eq!(tree.path(id).len(), tree.depth(id));
         }
     }
@@ -325,9 +300,17 @@ mod tests {
     #[test]
     fn origin_counts() {
         let (tree, _) = sample_tree();
-        assert_eq!(tree.count_origin(NodeOrigin::Trunk), 3);
-        assert_eq!(tree.count_origin(NodeOrigin::Branch), 1);
-        assert_eq!(tree.count_origin(NodeOrigin::Recycled), 1);
+        let origins: Vec<NodeOrigin> = tree.iter().map(|(_, node)| node.origin).collect();
+        assert_eq!(
+            origins,
+            [
+                NodeOrigin::Trunk,
+                NodeOrigin::Trunk,
+                NodeOrigin::Trunk,
+                NodeOrigin::Branch,
+                NodeOrigin::Recycled,
+            ]
+        );
     }
 
     #[test]
@@ -335,18 +318,9 @@ mod tests {
         let tree =
             TokenTree::from_sequence([(t(5), 0.9), (t(6), 0.8), (t(7), 0.7)], NodeOrigin::Trunk);
         assert_eq!(tree.len(), 3);
-        assert_eq!(tree.max_depth(), 3);
         assert_eq!(tree.leaves().len(), 1);
         let leaf = tree.leaves()[0];
         assert_eq!(tree.path_tokens(leaf), vec![t(5), t(6), t(7)]);
-    }
-
-    #[test]
-    fn find_path_locates_branches() {
-        let (tree, n) = sample_tree();
-        assert_eq!(tree.find_path(&[t(1), t(4)]), Some(n[3]));
-        assert_eq!(tree.find_path(&[t(1), t(9)]), None);
-        assert_eq!(tree.find_path(&[]), None);
     }
 
     #[test]
@@ -363,7 +337,6 @@ mod tests {
     fn empty_tree_behaves() {
         let tree = TokenTree::new();
         assert!(tree.is_empty());
-        assert_eq!(tree.max_depth(), 0);
         assert!(tree.leaves().is_empty());
         assert_eq!(tree.get(NodeId(0)), None);
     }

@@ -56,11 +56,6 @@ impl TickCost {
             sequential_ms,
         }
     }
-
-    /// Device milliseconds saved by batching this tick.
-    pub fn saved_ms(&self) -> f64 {
-        (self.sequential_ms - self.wall_ms).max(0.0)
-    }
 }
 
 /// Cost of verifying all sessions' drafts in one grouped target pass: the
@@ -312,14 +307,12 @@ mod tests {
         let cost = TickCost::of_round(&[3.0, 7.0, 5.0], &[8, 8, 8], &target());
         assert!((cost.wall_ms - (7.0 + 20.0 + 0.5 * 24.0)).abs() < 1e-12);
         assert!(cost.sequential_ms > cost.wall_ms);
-        assert!(cost.saved_ms() > 0.0);
     }
 
     #[test]
     fn single_session_ticks_save_nothing() {
         let cost = TickCost::of_round(&[4.0], &[8], &target());
         assert!((cost.wall_ms - cost.sequential_ms).abs() < 1e-12);
-        assert_eq!(cost.saved_ms(), 0.0);
     }
 
     #[test]

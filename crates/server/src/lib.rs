@@ -9,6 +9,12 @@
 //!
 //! # Request lifecycle
 //!
+//! Every submit takes a [`RequestSpec`] — the decode policy, the draft
+//! source and an optional time-to-first-token budget — or a bare
+//! [`specasr::Policy`], which converts to a model-drafted request with no
+//! budget.  Each layer has one: [`Scheduler::submit`] (with
+//! [`Scheduler::submit_streaming`] for chunked audio) and [`Router::submit`].
+//!
 //! ```text
 //! submit ─► wait queue ─► admission (FIFO / shortest-audio-first)
 //!                              │ iteration-level: a slot frees as soon as
@@ -39,7 +45,9 @@
 //! [`ServerStats`] into fleet-wide throughput and latency percentiles.
 //!
 //! [`LoadGen`] complements the router with an *open-loop* seeded Poisson
-//! arrival process ([`run_open_loop`]): unlike the closed-loop `serve_load`
+//! arrival process ([`run_open_loop`] over `(spec, utterance)` requests;
+//! [`run_open_loop_streaming`] plays streams against one scheduler): unlike
+//! the closed-loop `serve_load`
 //! sweep, arrivals keep coming at the offered rate no matter how far behind
 //! the fleet falls, which is what exposes the queueing knee — latency is
 //! flat below the fleet's saturation QPS and grows without bound above it.
@@ -93,11 +101,10 @@ pub use batch::{grouped_verify_ms, plan_verify_waves, TickCost, VerifyPlan};
 pub use config::{
     AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RouterConfig, ServerConfig, WorkerProfile,
 };
-pub use loadgen::{
-    run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, run_open_loop_streaming, LoadGen,
-    OpenLoopReport,
+pub use loadgen::{run_open_loop, run_open_loop_streaming, LoadGen, OpenLoopReport};
+pub use request::{
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, SloClass, SubmitError,
 };
-pub use request::{PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError};
 pub use router::Router;
 pub use scheduler::Scheduler;
 pub use stats::{BackendStats, MemoryStats, ServerStats, SloClassStats};

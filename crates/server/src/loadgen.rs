@@ -13,12 +13,11 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use specasr::{DrafterKind, Policy};
 use specasr_audio::Utterance;
 use specasr_models::AsrDecoderModel;
 use specasr_stream::StreamConfig;
 
-use crate::request::RequestOutcome;
+use crate::request::{RequestOutcome, RequestSpec};
 use crate::router::Router;
 use crate::scheduler::Scheduler;
 
@@ -63,11 +62,6 @@ impl LoadGen {
             target_qps,
             clock_ms: 0.0,
         }
-    }
-
-    /// The targeted offered rate in requests per second.
-    pub fn target_qps(&self) -> f64 {
-        self.target_qps
     }
 
     /// The timestamp of the latest generated arrival (0 before the first).
@@ -149,87 +143,38 @@ impl OpenLoopReport {
     }
 }
 
-/// Plays an open-loop workload against a router: each `(policy, utterance)`
+/// Plays an open-loop workload against a router: each `(spec, utterance)`
 /// request arrives at its [`LoadGen`] timestamp while the fleet keeps
 /// serving, and after the last arrival the fleet drains.
 ///
+/// A spec is anything that converts into a [`RequestSpec`]: a bare
+/// [`Policy`](specasr::Policy), or a spec naming a draft source (installed
+/// on the router first, [`Router::install_drafter`]) or a
+/// time-to-first-token budget.  A budget classes the request into its
+/// latency SLO, arms deadline shedding and, under
+/// [`crate::AdmissionOrdering::EarliestDeadlineFirst`], orders admission;
+/// completions that blew their budget still count as completed, but not as
+/// goodput.
+///
 /// The run is a pure function of the router construction, the workload
 /// order, and the load generator's seed/rate.
-pub fn run_open_loop<'a, D, T>(
+pub fn run_open_loop<'a, D, T, S>(
     router: &mut Router<D, T>,
     loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, &'a Utterance)>,
+    workload: impl IntoIterator<Item = (S, &'a Utterance)>,
 ) -> OpenLoopReport
 where
     D: AsrDecoderModel,
     T: AsrDecoderModel,
-{
-    run_open_loop_drafted(
-        router,
-        loadgen,
-        workload
-            .into_iter()
-            .map(|(policy, utterance)| (policy, DrafterKind::ModelDraft, utterance)),
-    )
-}
-
-/// [`run_open_loop`] with per-request drafter selection: each workload item
-/// names its draft source alongside its policy, so one run can measure a
-/// model-draft/CTC/token-map mix (or a pure draft-free fleet) under the same
-/// seeded arrival process.  Draft-free kinds must be installed on the router
-/// first ([`Router::install_drafter`]).
-pub fn run_open_loop_drafted<'a, D, T>(
-    router: &mut Router<D, T>,
-    loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, DrafterKind, &'a Utterance)>,
-) -> OpenLoopReport
-where
-    D: AsrDecoderModel,
-    T: AsrDecoderModel,
+    S: Into<RequestSpec>,
 {
     let mut outcomes = Vec::new();
     let mut submitted = 0;
     let mut rejected = 0;
-    for (policy, drafter, utterance) in workload {
+    for (spec, utterance) in workload {
         let arrival_ms = loadgen.next_arrival_ms();
         outcomes.extend(router.advance_to(arrival_ms));
-        match router.submit_with_drafter(policy, drafter, utterance) {
-            Ok(_) => submitted += 1,
-            Err(_) => rejected += 1,
-        }
-    }
-    outcomes.extend(router.run_until_idle());
-    OpenLoopReport {
-        outcomes,
-        submitted,
-        rejected,
-        last_arrival_ms: loadgen.clock_ms(),
-        drained_ms: router.fleet_stats().wall_ms(),
-    }
-}
-
-/// [`run_open_loop`] with a per-request time-to-first-token budget: each
-/// workload item carries an optional TTFT budget that classes the request
-/// into its latency SLO, arms deadline shedding, and — under
-/// [`crate::AdmissionOrdering::EarliestDeadlineFirst`] — orders admission.
-/// This is the goodput-under-overload driver: completions that blew their
-/// budget still count as completed, but not as goodput.
-pub fn run_open_loop_budgeted<'a, D, T>(
-    router: &mut Router<D, T>,
-    loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, &'a Utterance, Option<f64>)>,
-) -> OpenLoopReport
-where
-    D: AsrDecoderModel,
-    T: AsrDecoderModel,
-{
-    let mut outcomes = Vec::new();
-    let mut submitted = 0;
-    let mut rejected = 0;
-    for (policy, utterance, ttft_budget_ms) in workload {
-        let arrival_ms = loadgen.next_arrival_ms();
-        outcomes.extend(router.advance_to(arrival_ms));
-        match router.submit_with_budget(policy, utterance, ttft_budget_ms) {
+        match router.submit(spec, utterance) {
             Ok(_) => submitted += 1,
             Err(_) => rejected += 1,
         }
@@ -245,32 +190,34 @@ where
 }
 
 /// Plays an open-loop *streaming* workload against one scheduler: each
-/// request arrives at its [`LoadGen`] timestamp as a chunked stream with its
-/// own cadence (drawn via [`LoadGen::next_chunk_seconds`]), the scheduler
-/// keeps serving between arrivals, and after the last arrival it drains.
+/// `(spec, utterance)` request arrives at its [`LoadGen`] timestamp as a
+/// chunked stream with its own cadence (drawn via
+/// [`LoadGen::next_chunk_seconds`]), the scheduler keeps serving between
+/// arrivals, and after the last arrival it drains.
 ///
 /// The run is a pure function of the scheduler construction, the workload
 /// order, the stream configuration, and the load generator's seed/rate.
-pub fn run_open_loop_streaming<'a, D, T>(
+pub fn run_open_loop_streaming<'a, D, T, S>(
     scheduler: &mut Scheduler<D, T>,
     loadgen: &mut LoadGen,
     stream: StreamConfig,
     cadence_spread: f64,
-    workload: impl IntoIterator<Item = (Policy, &'a Utterance)>,
+    workload: impl IntoIterator<Item = (S, &'a Utterance)>,
 ) -> OpenLoopReport
 where
     D: AsrDecoderModel,
     T: AsrDecoderModel,
+    S: Into<RequestSpec>,
 {
     let base_chunk_seconds = stream.chunk.chunk_seconds;
     let mut outcomes = Vec::new();
     let mut submitted = 0;
     let mut rejected = 0;
-    for (policy, utterance) in workload {
+    for (spec, utterance) in workload {
         let arrival_ms = loadgen.next_arrival_ms();
         outcomes.extend(scheduler.advance_to(arrival_ms));
         let cadence = loadgen.next_chunk_seconds(base_chunk_seconds, cadence_spread);
-        match scheduler.submit_streaming(policy, utterance, stream.with_chunk_seconds(cadence)) {
+        match scheduler.submit_streaming(spec, utterance, stream.with_chunk_seconds(cadence)) {
             Ok(_) => submitted += 1,
             Err(_) => rejected += 1,
         }
@@ -288,7 +235,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specasr::SpeculativeConfig;
+    use specasr::{Policy, SpeculativeConfig};
     use specasr_audio::{Corpus, EncoderProfile, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
 

@@ -1,9 +1,57 @@
-//! Request identity, admission errors, and the per-request outcome with its
-//! serving-latency breakdown.
+//! Request identity and spec, admission errors, and the per-request outcome
+//! with its serving-latency breakdown.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeOutcome, Policy};
+use specasr::{DecodeOutcome, DrafterKind, Policy};
 use specasr_audio::UtteranceId;
+
+/// What one request asks of the server: how to decode it, where its drafts
+/// come from, and how soon its first output is due.  Every submit takes
+/// one, and a bare [`Policy`] converts to a model-drafted request with no
+/// budget.
+///
+/// # Example
+///
+/// ```
+/// use specasr::{DrafterKind, Policy};
+/// use specasr_server::RequestSpec;
+///
+/// let policy = Policy::Autoregressive;
+/// let plain = RequestSpec::from(policy);
+/// assert_eq!(plain.drafter, DrafterKind::ModelDraft);
+/// assert_eq!(plain.ttft_budget_ms, None);
+///
+/// let live = RequestSpec {
+///     drafter: DrafterKind::CtcEncoder,
+///     ttft_budget_ms: Some(300.0),
+///     ..policy.into()
+/// };
+/// assert_eq!(live.policy, policy);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestSpec {
+    /// The decode policy.
+    pub policy: Policy,
+    /// The draft source.  A draft-free kind must be installed on the
+    /// server before a request names it.
+    pub drafter: DrafterKind,
+    /// Optional time-to-first-token budget: a request still unadmitted once
+    /// its queue wait exceeds it is shed with a `rejected_deadline` count,
+    /// and it is the deadline
+    /// [`crate::AdmissionOrdering::EarliestDeadlineFirst`] orders by.  A
+    /// stream's budget covers its first partial only.
+    pub ttft_budget_ms: Option<f64>,
+}
+
+impl From<Policy> for RequestSpec {
+    fn from(policy: Policy) -> Self {
+        RequestSpec {
+            policy,
+            drafter: DrafterKind::ModelDraft,
+            ttft_budget_ms: None,
+        }
+    }
+}
 
 /// Identity of one transcription request within a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -225,14 +273,6 @@ impl RequestOutcome {
     /// `true` when this request streamed its audio chunk by chunk.
     pub fn is_streaming(&self) -> bool {
         !self.partials.is_empty()
-    }
-
-    /// The first partial's chunk-arrival → emission span (streaming requests
-    /// only).  First-partial latency measured from request *arrival* is the
-    /// streaming time-to-first-token, reported in
-    /// [`RequestLatency::time_to_first_token_ms`].
-    pub fn first_partial_span_ms(&self) -> Option<f64> {
-        self.partials.first().map(PartialSpan::span_ms)
     }
 }
 

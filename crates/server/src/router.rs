@@ -30,7 +30,7 @@ use specasr_metrics::Histogram;
 use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
-use crate::request::{RequestId, RequestOutcome, SloClass, SubmitError};
+use crate::request::{RequestId, RequestOutcome, RequestSpec, SloClass, SubmitError};
 use crate::scheduler::{GrownBuffers, Scheduler};
 use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId, WorkerState};
@@ -315,60 +315,30 @@ where
         slot
     }
 
-    /// Submits one utterance, arriving now on the global timeline.
+    /// Submits one utterance under `spec`, arriving now on the global
+    /// timeline (a bare [`Policy`] is a model-drafted request with no
+    /// budget; see [`RequestSpec`]).
     ///
     /// Placement follows the consistent-hash ring; if the placed worker's
     /// queue is full the request spills to the shallowest queue instead, and
     /// only when that is also full is the request rejected (fleet-wide
     /// backpressure).
-    pub fn submit(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_with_drafter(policy, DrafterKind::ModelDraft, utterance)
-    }
-
-    /// [`Router::submit`] with an explicit draft source for this request.
     ///
     /// # Panics
     ///
-    /// Panics if `drafter` names a draft-free kind that was not installed
+    /// Panics if the spec names a draft-free kind that was not installed
     /// fleet-wide with [`Router::install_drafter`].
-    pub fn submit_with_drafter(
+    pub fn submit(
         &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
+        spec: impl Into<RequestSpec>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, drafter, utterance, None)
-    }
-
-    /// [`Router::submit`] with a time-to-first-token budget: requests whose
-    /// queue wait exceeds the budget are shed at admission time, and the
-    /// budget is the deadline [`crate::AdmissionOrdering::EarliestDeadlineFirst`]
-    /// orders by.
-    pub fn submit_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, DrafterKind::ModelDraft, utterance, ttft_budget_ms)
-    }
-
-    fn submit_request(
-        &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
+        let spec = spec.into();
         assert!(
-            drafter == DrafterKind::ModelDraft
-                || self.installed.iter().any(|d| d.kind() == drafter),
+            spec.drafter == DrafterKind::ModelDraft
+                || self.installed.iter().any(|d| d.kind() == spec.drafter),
             "no {} drafter installed; call install_drafter first",
-            drafter.label()
+            spec.drafter.label()
         );
         let id = RequestId::new(self.next_id);
         let primary = self.placement_slot(id);
@@ -382,6 +352,7 @@ where
             // lands on the hash-placed worker, whose overload caused it).
             return Err(self.workers[primary].scheduler.reject());
         }
+        self.next_id += 1;
         // A spare session from any worker before a new one: the worker that
         // retires a request is often not the one its next arrival lands on.
         let spare = self.workers[candidate].scheduler.take_spare().or_else(|| {
@@ -395,31 +366,34 @@ where
             // arrival instant so its queueing delay starts from zero.
             worker.scheduler.sync_wall_to(self.now_ms);
         }
-        worker.scheduler.enqueue_offline(
-            id,
-            self.now_ms,
-            spare,
-            policy,
-            drafter,
-            utterance,
-            ttft_budget_ms,
-        )?;
-        self.next_id += 1;
+        worker
+            .scheduler
+            .enqueue_offline(id, self.now_ms, spare, spec, utterance);
         Ok(id)
+    }
+
+    /// Submits a request drafted by `drafter`, with no budget: a single
+    /// call to [`Router::submit`] with `RequestSpec { drafter,
+    /// ..policy.into() }`.  The benchmark (`specbench/`) calls it by name.
+    pub fn submit_with_drafter(
+        &mut self,
+        policy: Policy,
+        drafter: DrafterKind,
+        utterance: &Utterance,
+    ) -> Result<RequestId, SubmitError> {
+        self.submit(
+            RequestSpec {
+                drafter,
+                ..policy.into()
+            },
+            utterance,
+        )
     }
 
     /// Runs one fleet iteration: rebalance queues, then tick the busy worker
     /// furthest behind in wall time (event-driven, so worker clocks stay on
-    /// one coherent global timeline).
-    ///
-    /// Returns the requests that finished this tick.
-    pub fn tick(&mut self) -> Vec<RequestOutcome> {
-        let mut outcomes = Vec::new();
-        self.tick_into(&mut outcomes);
-        outcomes
-    }
-
-    /// [`Router::tick`], appending what finished to `outcomes`.
+    /// one coherent global timeline).  Appends the requests that finished
+    /// this tick to `outcomes`.
     fn tick_into(&mut self, outcomes: &mut Vec<RequestOutcome>) {
         self.rebalance();
         let Some(index) = self.laggard() else {
@@ -594,12 +568,7 @@ where
         for request in queued {
             let dest = self.placement_slot(request.id);
             debug_assert_ne!(dest, slot, "a draining worker holds no ring points");
-            if self.workers[dest].is_idle() && self.workers[dest].wall_ms() < request.arrival_ms {
-                self.workers[dest]
-                    .scheduler
-                    .sync_wall_to(request.arrival_ms);
-            }
-            self.workers[dest].scheduler.enqueue_migrated(request);
+            self.workers[dest].scheduler.enqueue_moved(request);
         }
 
         // In-flight offline sessions migrate live.
@@ -632,7 +601,7 @@ where
                     .decode
                     .release_kv(self.workers[slot].scheduler.kv_pool_mut());
                 let requeued = session.into_requeued(true, self.workers[dest].wall_ms());
-                self.workers[dest].scheduler.enqueue_migrated(requeued);
+                self.workers[dest].scheduler.enqueue_moved(requeued);
             }
             self.workers[dest].scheduler.record_migration_in(handoff);
             migrated += 1;
@@ -867,18 +836,9 @@ where
                 return;
             }
             let (victim, thief) = two_mut(&mut self.workers, deep, shallow);
-            let thief_wall = thief.wall_ms();
-            for mut request in victim.scheduler.steal_back(transfer) {
+            for request in victim.scheduler.steal_back(transfer) {
                 victim.stolen_out += 1;
-                if thief.is_idle() && thief_wall < request.arrival_ms {
-                    thief.scheduler.sync_wall_to(request.arrival_ms);
-                }
-                // The thief could not admit it before the move.
-                request.queued_ms = request.queued_ms.max(thief.wall_ms());
-                thief
-                    .scheduler
-                    .enqueue(request)
-                    .expect("transfer size was capped to the thief's free room");
+                thief.scheduler.enqueue_moved(request);
                 thief.stolen_in += 1;
             }
         }
@@ -969,7 +929,7 @@ mod tests {
                 router.submit(policy, utterance).expect("queues have room");
             }
         }
-        router.tick();
+        router.tick_into(&mut Vec::new());
         let depths: Vec<usize> = router.workers().iter().map(Worker::queue_depth).collect();
         let spread = depths.iter().max().unwrap() - depths.iter().min().unwrap();
         assert!(
@@ -1069,7 +1029,7 @@ mod tests {
             router.submit(policy, utterance).expect("queues have room");
             // Uneven tick bursts maximise clock skew between workers.
             for _ in 0..(index % 4) {
-                outcomes.extend(router.tick());
+                router.tick_into(&mut outcomes);
             }
         }
         outcomes.extend(router.run_until_idle());

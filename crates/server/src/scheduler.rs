@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, DecodeSession, DraftedRound, Drafter, DrafterKind, Policy};
+use specasr::{DecodeOutcome, DecodeSession, DraftedRound, Drafter, DrafterKind};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, Completions,
@@ -22,7 +22,7 @@ use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer
 use crate::batch::{plan_verify_waves, TickCost, VerifyPlan};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
-    PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError,
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, SloClass, SubmitError,
 };
 use crate::session::{QueuedRequest, ServerSession, StreamState};
 use crate::stats::ServerStats;
@@ -186,8 +186,9 @@ fn past_budget(request: &QueuedRequest, at_ms: f64) -> bool {
 
 /// A continuous-batching serving scheduler over a draft/target model pair.
 ///
-/// Requests are [`Scheduler::submit`]ted with their own [`Policy`] (different
-/// policies batch together) and decoded round by round: every
+/// Requests are [`Scheduler::submit`]ted with their own [`RequestSpec`]
+/// (different policies and drafters batch together) and decoded round by
+/// round: every
 /// [`Scheduler::tick`] admits queued requests into free batch slots
 /// (iteration-level scheduling — finished sessions free their slots without
 /// waiting for the batch to drain), runs each active session's draft phase,
@@ -429,11 +430,6 @@ where
             .map(|(_, drafter)| drafter)
     }
 
-    /// The flight recording so far, when tracing is enabled.
-    pub fn trace_recording(&self) -> Option<&FlightRecording> {
-        self.tracer.recording()
-    }
-
     /// Takes the recording out, leaving the recorder armed with a fresh
     /// empty ring.  `None` when tracing is disabled.
     pub fn take_trace_recording(&mut self) -> Option<FlightRecording> {
@@ -448,22 +444,6 @@ where
     /// The draft model.
     pub fn draft_model(&self) -> &D {
         &self.draft
-    }
-
-    /// The target model (behind its in-flight backend).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the target runs behind the RPC boundary — the worker
-    /// thread owns the model, and nothing in-process can reference it
-    /// (which is the point of the boundary).
-    pub fn target_model(&self) -> &T {
-        match &self.target {
-            VerifyBackend::Sim(backend) => backend.model(),
-            VerifyBackend::Rpc(_) => {
-                panic!("the RPC worker owns the target model; only its profile crosses the wire")
-            }
-        }
     }
 
     /// The scheduler configuration.
@@ -486,11 +466,6 @@ where
         self.queue.len()
     }
 
-    /// Number of streaming requests parked between chunks.
-    pub fn waiting_streams(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Number of sessions decoding right now.
     pub fn in_flight(&self) -> usize {
         self.active.len()
@@ -507,83 +482,48 @@ where
         self.spares.len()
     }
 
-    /// Submits one utterance for transcription under `policy`.
+    /// Submits one utterance for offline transcription under `spec` (a bare
+    /// [`Policy`](specasr::Policy) is a model-drafted request with no
+    /// budget; see [`RequestSpec`]).  Different policies and drafters batch
+    /// together.
     ///
     /// The request is timestamped at the current wall time and queued;
     /// admission happens on the next [`Scheduler::tick`].  Returns the
     /// request id, or [`SubmitError::QueueFull`] once `queue_depth` requests
     /// are already waiting (backpressure — the caller decides whether to
     /// retry, shed, or block).
-    pub fn submit(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_with_budget(policy, utterance, None)
-    }
-
-    /// Like [`Scheduler::submit`], with an optional time-to-first-token
-    /// budget: if the request is still unadmitted once its queue wait
-    /// exceeds the budget, it is shed with a `rejected_deadline` count
-    /// instead of being served uselessly late (latency-SLO admission
-    /// groundwork; the admission ordering itself stays policy-driven).
-    pub fn submit_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, DrafterKind::ModelDraft, utterance, ttft_budget_ms)
-    }
-
-    /// Like [`Scheduler::submit`], with an explicit draft source for this
-    /// request (per-request drafter selection — different drafters batch
-    /// together just like different policies do).
     ///
     /// # Panics
     ///
-    /// Panics if `drafter` names a draft-free kind without a matching
+    /// Panics if the spec names a draft-free kind without a matching
     /// [`Scheduler::install_drafter`] call — drafter installation is server
     /// configuration, not request payload, exactly like policy validation.
-    pub fn submit_with_drafter(
+    pub fn submit(
         &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
+        spec: impl Into<RequestSpec>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, drafter, utterance, None)
-    }
-
-    fn submit_request(
-        &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        assert!(
-            drafter == DrafterKind::ModelDraft || self.drafter_for(drafter).is_some(),
-            "no {} drafter installed; call install_drafter first",
-            drafter.label()
-        );
+        let spec = spec.into();
+        self.assert_installed(spec.drafter);
         // Reject before tokenizing: under overload, rejected submissions are
         // the common case and must not pay for work that gets dropped.
         if self.queue.len() >= self.config.queue_depth {
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
-        let spare = self.take_spare();
-        self.enqueue_offline(
-            id,
-            self.wall_ms,
-            spare,
-            policy,
-            drafter,
-            utterance,
-            ttft_budget_ms,
-        )?;
         self.next_id += 1;
+        let spare = self.take_spare();
+        self.enqueue_offline(id, self.wall_ms, spare, spec, utterance);
         Ok(id)
+    }
+
+    /// Panics unless `drafter` drafts with the draft model or is installed.
+    fn assert_installed(&self, drafter: DrafterKind) {
+        assert!(
+            drafter == DrafterKind::ModelDraft || self.drafter_for(drafter).is_some(),
+            "no {} drafter installed; call install_drafter first",
+            drafter.label()
+        );
     }
 
     /// Builds an offline request and queues it: the one construction behind
@@ -595,17 +535,19 @@ where
     /// bound into its audio context, and every buffer it grew serving
     /// earlier requests is kept.  A context some other holder still shares
     /// is replaced, never changed.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue_offline(
         &mut self,
         id: RequestId,
         arrival_ms: f64,
         spare: Option<DecodeSession>,
-        policy: Policy,
-        drafter: DrafterKind,
+        spec: RequestSpec,
         utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<(), SubmitError> {
+    ) {
+        let RequestSpec {
+            policy,
+            drafter,
+            ttft_budget_ms,
+        } = spec;
         let mut decode = spare
             .unwrap_or_else(|| DecodeSession::idle(policy, drafter, UtteranceTokens::default()));
         decode.reassign(policy, drafter);
@@ -613,21 +555,54 @@ where
         let audio = Arc::make_mut(decode.audio_mut());
         self.binding
             .bind_into(utterance, &mut self.bind_scratch, audio);
-        self.enqueue(QueuedRequest {
+        self.enqueue(id, arrival_ms, decode, utterance, ttft_budget_ms, None);
+    }
+
+    /// Queues a new request, offline or streaming: the one constructor of a
+    /// submitted request, and where its arrival is recorded.  An offline
+    /// request waits for admission; a stream parks until its first chunk.
+    fn enqueue(
+        &mut self,
+        id: RequestId,
+        arrival_ms: f64,
+        decode: DecodeSession,
+        utterance: &Utterance,
+        ttft_budget_ms: Option<f64>,
+        stream: Option<Box<StreamState>>,
+    ) {
+        let audio_seconds = utterance.duration_seconds();
+        let request = QueuedRequest {
             id,
             decode,
             utterance_id: utterance.id(),
-            audio_seconds: utterance.duration_seconds(),
-            encoder_ms: self
-                .encoder
-                .latency_ms_for_audio(utterance.duration_seconds()),
+            audio_seconds,
+            encoder_ms: self.encoder.latency_ms_for_audio(audio_seconds),
             arrival_ms,
             queued_ms: arrival_ms,
             preemptions: 0,
             ttft_budget_ms,
             first_output_emitted: false,
-            stream: None,
-        })
+            stream,
+        };
+        self.record_submitted(&request);
+        if request.stream.is_some() {
+            self.waiting.push(request);
+        } else {
+            self.queue.push_back(request);
+        }
+    }
+
+    /// Records `request`'s arrival on this worker's lane.
+    fn record_submitted(&mut self, request: &QueuedRequest) {
+        self.tracer.record_with(|| TraceEvent::RequestSubmitted {
+            ts_ms: request.arrival_ms,
+            request: request.id.value(),
+            encoder_ms: request.encoder_ms,
+            audio_seconds: request.audio_seconds,
+            streaming: request.stream.is_some(),
+            policy: request.decode.policy().name(),
+            drafter: request.decode.drafter().label().to_string(),
+        });
     }
 
     /// One of this worker's spare decode sessions, if it keeps any.
@@ -670,14 +645,16 @@ where
         }
     }
 
-    /// Submits one utterance as a *streaming* request: its audio arrives in
-    /// chunks on the timed schedule derived from `stream.chunk` (jitter
-    /// seeded per utterance), each chunk triggers a re-decode of the audio
-    /// heard so far from the committed prefix, and partial transcripts are
-    /// emitted under the stream's commit rule.  The request re-enters the
-    /// admission queue for every chunk and competes with offline requests
-    /// under the configured admission policy; the final transcript is
-    /// byte-identical to an offline decode of the full utterance.
+    /// Submits one utterance as a *streaming* request under `spec`: its
+    /// audio arrives in chunks on the timed schedule derived from
+    /// `stream.chunk` (jitter seeded per utterance), each chunk triggers a
+    /// re-decode of the audio heard so far from the committed prefix, and
+    /// partial transcripts are emitted under the stream's commit rule.  The
+    /// request re-enters the admission queue for every chunk and competes
+    /// with offline requests under the configured admission policy; the
+    /// final transcript is byte-identical to an offline decode of the full
+    /// utterance.  The stream drafts from the spec's draft source, like an
+    /// offline request, and its budget covers its first partial only.
     ///
     /// The stream keeps one decode session for its whole life.  Between
     /// chunks it is parked: its KV blocks are released, and it keeps its
@@ -694,36 +671,31 @@ where
     /// mid-utterance with a `rejected_memory` count — in that case no final
     /// outcome is produced and already-emitted partials stay with the
     /// caller; size `ServerConfig::kv_blocks` so a full utterance fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is invalid, or if the spec names a draft-free kind
+    /// that is not installed (see [`Scheduler::submit`]).
     pub fn submit_streaming(
         &mut self,
-        policy: Policy,
+        spec: impl Into<RequestSpec>,
         utterance: &Utterance,
         stream: StreamConfig,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_streaming_with_budget(policy, utterance, stream, None)
-    }
-
-    /// [`Scheduler::submit_streaming`] with a first-partial deadline budget
-    /// (see [`Scheduler::submit_with_budget`]; the budget only applies until
-    /// the first partial is emitted).
-    pub fn submit_streaming_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        stream: StreamConfig,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
+        let spec = spec.into();
+        self.assert_installed(spec.drafter);
         stream.validate();
         if self.queue.len() + self.waiting.len() >= self.config.queue_depth {
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
+        self.next_id += 1;
         let audio = self.binding.bind(utterance);
         // The stream's decode session lives as long as the stream.  Its
         // context starts as a copy of the full utterance: every view is a
         // prefix of it, so refilling views never regrows the copy, and the
         // session's buffers are sized from it once.
-        let mut decode = DecodeSession::idle(policy, DrafterKind::ModelDraft, audio.clone());
+        let mut decode = DecodeSession::idle(spec.policy, spec.drafter, audio.clone());
         decode.reserve(&self.kv);
         // Per-utterance jitter: the same utterance streams identically for a
         // given seed, and distinct requests decorrelate through their id.
@@ -732,7 +704,7 @@ where
         ));
         let chunks = chunk_schedule(utterance.duration_seconds(), &seeded.chunk);
         let state = StreamState {
-            session: StreamingSession::new(policy, audio, seeded),
+            session: StreamingSession::new(spec.policy, audio, seeded),
             // Each partial answers at least one new chunk.
             partials: Vec::with_capacity(chunks.len()),
             chunks,
@@ -742,56 +714,15 @@ where
             pending_encoder_ms: 0.0,
             first_admitted_ms: None,
         };
-        let encoder_ms = self
-            .encoder
-            .latency_ms_for_audio(utterance.duration_seconds());
-        let arrival_ms = self.wall_ms;
-        let audio_seconds = utterance.duration_seconds();
-        self.tracer.record_with(|| TraceEvent::RequestSubmitted {
-            ts_ms: arrival_ms,
-            request: id.value(),
-            encoder_ms,
-            audio_seconds,
-            streaming: true,
-            policy: policy.name(),
-            drafter: DrafterKind::ModelDraft.label().to_string(),
-        });
-        self.waiting.push(QueuedRequest {
+        self.enqueue(
             id,
+            self.wall_ms,
             decode,
-            utterance_id: utterance.id(),
-            audio_seconds,
-            encoder_ms,
-            arrival_ms,
-            queued_ms: arrival_ms,
-            preemptions: 0,
-            ttft_budget_ms,
-            first_output_emitted: false,
-            stream: Some(Box::new(state)),
-        });
-        self.next_id += 1;
+            utterance,
+            spec.ttft_budget_ms,
+            Some(Box::new(state)),
+        );
         Ok(id)
-    }
-
-    /// Enqueues an externally built request (the router path: the
-    /// [`crate::Router`] assigns fleet-unique ids and arrival timestamps
-    /// itself).  Applies the same queue-depth backpressure as
-    /// [`Scheduler::submit`].
-    pub(crate) fn enqueue(&mut self, request: QueuedRequest) -> Result<(), SubmitError> {
-        if self.queue.len() >= self.config.queue_depth {
-            return Err(self.reject());
-        }
-        self.tracer.record_with(|| TraceEvent::RequestSubmitted {
-            ts_ms: request.arrival_ms,
-            request: request.id.value(),
-            encoder_ms: request.encoder_ms,
-            audio_seconds: request.audio_seconds,
-            streaming: request.stream.is_some(),
-            policy: request.decode.policy().name(),
-            drafter: request.decode.drafter().label().to_string(),
-        });
-        self.queue.push_back(request);
-        Ok(())
     }
 
     /// Records a queue-full rejection on this worker's statistics and builds
@@ -863,14 +794,26 @@ where
         self.active.push(session);
     }
 
-    /// Enqueues a request displaced by a drain, bypassing the queue-depth
-    /// check: a migration must never drop a request, so a destination under
-    /// backpressure absorbs the transient overflow instead of shedding it.
-    /// No submission event is recorded — the request already was submitted
-    /// once, on the worker it is leaving.  It is queued from this worker's
-    /// clock at the latest: it was not here before.
-    pub(crate) fn enqueue_migrated(&mut self, mut request: QueuedRequest) {
+    /// Queues a request another worker held: stolen from its queue,
+    /// re-routed off a draining worker, or a migrating session that could
+    /// not be handed off.  The move bypasses the queue-depth check: a steal
+    /// is capped to this queue's free room, and a drain must never drop a
+    /// request, so a destination under backpressure absorbs the transient
+    /// overflow.  An idle worker wakes at the request's arrival, and the
+    /// request is queued from this worker's clock at the latest: it was not
+    /// here before.
+    ///
+    /// A request never admitted has its arrival recorded on this lane, so
+    /// the lane holds its whole span.  One admitted before has rounds on
+    /// the lane it left, and its span stays split between the two.
+    pub(crate) fn enqueue_moved(&mut self, mut request: QueuedRequest) {
+        if self.is_idle() {
+            self.sync_wall_to(request.arrival_ms);
+        }
         request.queued_ms = request.queued_ms.max(self.wall_ms);
+        if request.preemptions == 0 {
+            self.record_submitted(&request);
+        }
         self.queue.push_back(request);
     }
 
@@ -1910,7 +1853,7 @@ where
     ///
     /// Queueing and first-token spans are clamped at zero: a router can stamp
     /// an arrival on the fleet timeline slightly ahead of a lagging worker's
-    /// clock (interleaved `Router::submit`/`Router::tick`), and a request
+    /// clock (submits interleaved with `Router::advance_to`), and a request
     /// admitted "before" it arrived must report zero queue delay, not a
     /// negative sample that corrupts the latency histograms.
     fn retire(&mut self, mut session: ServerSession) -> RequestOutcome {
@@ -1959,7 +1902,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specasr::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+    use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
     use specasr_audio::Corpus;
     use specasr_audio::Split;
     use specasr_models::{CtcDrafter, ModelProfile, SimulatedAsrModel};
@@ -1972,13 +1915,19 @@ mod tests {
         }
     }
 
+    /// The draft/target pair every test scheduler serves with.
+    fn models() -> (SimulatedAsrModel, SimulatedAsrModel) {
+        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
+        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
+        (draft, target)
+    }
+
     fn scheduler(
         config: ServerConfig,
     ) -> (Scheduler<SimulatedAsrModel, SimulatedAsrModel>, Corpus) {
         let corpus = Corpus::librispeech_like(88, 12);
         let binding = TokenizerBinding::for_corpus(&corpus);
-        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
-        let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
+        let (draft, target) = models();
         (
             Scheduler::new(
                 draft,
@@ -2359,13 +2308,14 @@ mod tests {
 
         // Losslessness: every transcript (streamed or not) is byte-identical
         // to the offline decode of its utterance.
+        let (draft, target) = models();
         for outcome in &outcomes {
             let utterance = split
                 .iter()
                 .find(|u| u.id() == outcome.utterance_id)
                 .expect("known utterance");
             let audio = scheduler.binding.bind(utterance);
-            let offline = policy.decode(scheduler.draft_model(), scheduler.target_model(), &audio);
+            let offline = policy.decode(&draft, &target, &audio);
             assert_eq!(outcome.outcome.tokens, offline.tokens);
             let streamed = streaming_ids.contains(&outcome.id);
             assert_eq!(outcome.is_streaming(), streamed);
@@ -2383,7 +2333,7 @@ mod tests {
                     outcome.latency.time_to_first_token_ms <= outcome.e2e_ms() + 1e-9,
                     "first partial cannot come after completion"
                 );
-                assert!(outcome.first_partial_span_ms().expect("streamed") >= 0.0);
+                assert!(outcome.partials[0].span_ms() >= 0.0);
             }
         }
     }
@@ -2465,6 +2415,58 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_drafts_from_its_spec() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default());
+        let (_, target) = models();
+        scheduler.install_drafter(Arc::new(CtcDrafter::paired(&target)));
+        scheduler.set_trace(TraceConfig::enabled());
+        let spec = RequestSpec {
+            drafter: DrafterKind::CtcEncoder,
+            ttft_budget_ms: Some(2_000.0),
+            ..Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()).into()
+        };
+        let id = scheduler
+            .submit_streaming(
+                spec,
+                &corpus.split(Split::DevClean)[0],
+                StreamConfig::default(),
+            )
+            .expect("queue has room");
+        assert_eq!(
+            scheduler.waiting[0].decode.drafter(),
+            DrafterKind::CtcEncoder
+        );
+        assert_eq!(scheduler.waiting[0].ttft_budget_ms, Some(2_000.0));
+        let submitted = events(&scheduler)
+            .into_iter()
+            .find_map(|event| match event {
+                TraceEvent::RequestSubmitted {
+                    request,
+                    streaming,
+                    drafter,
+                    ..
+                } if request == id.value() => Some((streaming, drafter)),
+                _ => None,
+            });
+        assert_eq!(submitted, Some((true, "ctc".to_string())));
+    }
+
+    #[test]
+    #[should_panic(expected = "no token-map drafter installed")]
+    fn a_stream_naming_an_uninstalled_drafter_panics() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default());
+        let spec = RequestSpec {
+            drafter: DrafterKind::TokenMap,
+            ..Policy::Autoregressive.into()
+        };
+        let _ = scheduler.submit_streaming(
+            spec,
+            &corpus.split(Split::DevClean)[0],
+            StreamConfig::default(),
+        );
+    }
+
+    #[test]
     fn streaming_backpressure_counts_parked_streams() {
         let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_queue_depth(2));
         let policy = Policy::Autoregressive;
@@ -2475,7 +2477,7 @@ mod tests {
         assert!(scheduler
             .submit_streaming(policy, &split[1], StreamConfig::default())
             .is_ok());
-        assert_eq!(scheduler.waiting_streams(), 2);
+        assert_eq!(scheduler.waiting.len(), 2);
         assert!(scheduler
             .submit_streaming(policy, &split[2], StreamConfig::default())
             .is_err());
@@ -2491,24 +2493,29 @@ mod tests {
         let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(1));
         let policy = Policy::Autoregressive;
         let split = corpus.split(Split::TestOther);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
         scheduler
-            .submit_with_budget(policy, &split[0], None)
-            .expect("queue has room");
-        scheduler
-            .submit_with_budget(policy, &split[1], Some(1e9))
+            .submit(
+                RequestSpec {
+                    ttft_budget_ms: Some(1e9),
+                    ..policy.into()
+                },
+                &split[1],
+            )
             .expect("generous budget");
         scheduler
-            .submit_with_budget(policy, &split[2], Some(0.001))
+            .submit(
+                RequestSpec {
+                    ttft_budget_ms: Some(0.001),
+                    ..policy.into()
+                },
+                &split[2],
+            )
             .expect("tight budget");
         let outcomes = scheduler.run_until_idle();
         assert_eq!(outcomes.len(), 2, "the blown-deadline request is shed");
         assert_eq!(scheduler.stats().rejected_deadline(), 1);
         assert_eq!(scheduler.stats().rejected(), 0);
-        assert_eq!(
-            scheduler.stats().rejected_total(),
-            1,
-            "deadline shedding counts toward total rejections"
-        );
         assert!(scheduler.is_idle());
     }
 
@@ -2624,14 +2631,24 @@ mod tests {
         let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(1));
         let policy = Policy::Autoregressive;
         let split = corpus.split(Split::TestOther);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
         scheduler
-            .submit_with_budget(policy, &split[0], None)
-            .expect("queue has room");
-        scheduler
-            .submit_with_budget(policy, &split[1], Some(1e9))
+            .submit(
+                RequestSpec {
+                    ttft_budget_ms: Some(1e9),
+                    ..policy.into()
+                },
+                &split[1],
+            )
             .expect("generous budget: relaxed class");
         scheduler
-            .submit_with_budget(policy, &split[2], Some(0.001))
+            .submit(
+                RequestSpec {
+                    ttft_budget_ms: Some(0.001),
+                    ..policy.into()
+                },
+                &split[2],
+            )
             .expect("tight budget: interactive class, will be shed");
         let outcomes = scheduler.run_until_idle();
         assert_eq!(outcomes.len(), 2);
@@ -2706,7 +2723,13 @@ mod tests {
                     DrafterKind::ModelDraft
                 };
                 scheduler
-                    .submit_with_drafter(policies[index % policies.len()], drafter, utterance)
+                    .submit(
+                        RequestSpec {
+                            drafter,
+                            ..policies[index % policies.len()].into()
+                        },
+                        utterance,
+                    )
                     .expect("queue has room");
             }
         }
@@ -2799,7 +2822,8 @@ mod tests {
     /// The recorded events of a traced scheduler.
     fn events(scheduler: &Scheduler<SimulatedAsrModel, SimulatedAsrModel>) -> Vec<TraceEvent> {
         scheduler
-            .trace_recording()
+            .tracer
+            .recording()
             .expect("tracing is on")
             .events()
             .cloned()
@@ -2857,7 +2881,13 @@ mod tests {
                 )
             };
             let id = scheduler
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(
+                    RequestSpec {
+                        drafter,
+                        ..policy.into()
+                    },
+                    utterance,
+                )
                 .expect("queue has room");
             if drafter == DrafterKind::CtcEncoder {
                 draft_free.push(id.value());
@@ -2932,17 +2962,7 @@ mod tests {
         // from its arrival.
         let arrival_ms = scheduler.wall_ms() / 2.0;
         let id = RequestId::new(1);
-        scheduler
-            .enqueue_offline(
-                id,
-                arrival_ms,
-                None,
-                policy,
-                DrafterKind::ModelDraft,
-                &split[1],
-                None,
-            )
-            .expect("queue has room");
+        scheduler.enqueue_offline(id, arrival_ms, None, policy.into(), &split[1]);
         outcomes.extend(scheduler.run_until_idle());
         let events = events(&scheduler);
         assert!(admissions(&events).contains(&(1, arrival_ms)));
@@ -2980,17 +3000,13 @@ mod tests {
             scheduler.tick(&mut outcomes);
         }
         let arrival_ms = (tick_start + scheduler.wall_ms()) / 2.0;
-        scheduler
-            .enqueue_offline(
-                RequestId::new(1),
-                arrival_ms,
-                None,
-                policy,
-                DrafterKind::ModelDraft,
-                utterance,
-                None,
-            )
-            .expect("queue has room");
+        scheduler.enqueue_offline(
+            RequestId::new(1),
+            arrival_ms,
+            None,
+            policy.into(),
+            utterance,
+        );
         scheduler.run_until_idle();
         let admitted = admissions(&events(&scheduler))
             .into_iter()

@@ -51,15 +51,6 @@ impl MemoryStats {
         self.occupancy_block_ticks / self.occupancy_ticks as f64
     }
 
-    /// Peak occupancy as a fraction of capacity (0.0 when unconstrained
-    /// pools never reported a capacity).
-    pub fn peak_utilization(&self) -> f64 {
-        if self.kv_capacity_blocks == 0 {
-            return 0.0;
-        }
-        self.peak_kv_blocks as f64 / self.kv_capacity_blocks as f64
-    }
-
     /// Sessions evicted mid-decode to free pool blocks.
     pub fn preemptions(&self) -> usize {
         self.preemptions
@@ -735,11 +726,6 @@ impl ServerStats {
         self.rejected_deadline
     }
 
-    /// All rejections, whatever the reason.
-    pub fn rejected_total(&self) -> usize {
-        self.rejected + self.rejected_memory + self.rejected_deadline
-    }
-
     /// Completed requests that streamed their audio chunk by chunk.
     pub fn streaming_completed(&self) -> usize {
         self.streaming_completed
@@ -882,11 +868,6 @@ impl ServerStats {
     /// Histogram of time-to-first-token latency (ms).
     pub fn ttft_histogram(&self) -> &Histogram {
         &self.ttft
-    }
-
-    /// Histogram of queueing latency (ms).
-    pub fn queue_histogram(&self) -> &Histogram {
-        &self.queue
     }
 
     /// P50 of end-to-end latency in milliseconds.
@@ -1323,7 +1304,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.rejected(), 3);
         assert_eq!(a.rejected_memory(), 3);
-        assert_eq!(a.rejected_total(), 6);
     }
 
     #[test]
@@ -1347,7 +1327,6 @@ mod tests {
         // Workers run concurrently: their peaks coexist, so peaks sum.
         assert_eq!(memory.peak_kv_blocks(), 80);
         assert!((memory.avg_kv_blocks() - 40.0).abs() < 1e-12);
-        assert!((memory.peak_utilization() - 0.4).abs() < 1e-12);
         assert_eq!(memory.preemptions(), 3);
         assert_eq!(memory.prefix_lookups(), 16);
         assert_eq!(memory.prefix_hits(), 8);
@@ -1360,7 +1339,6 @@ mod tests {
         let stats = ServerStats::new();
         assert_eq!(stats.memory().avg_kv_blocks(), 0.0);
         assert_eq!(stats.memory().shared_prefix_hit_rate(), 0.0);
-        assert_eq!(stats.memory().peak_utilization(), 0.0);
     }
 
     #[test]

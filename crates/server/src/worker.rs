@@ -124,11 +124,6 @@ where
         self.scheduler.spare_sessions()
     }
 
-    /// Queued plus in-flight requests — the router's load signal.
-    pub fn load(&self) -> usize {
-        self.queue_depth() + self.in_flight()
-    }
-
     /// The worker's queue depth normalized by its relative speed: the load
     /// signal heterogeneous work stealing compares (a queue of 8 on a 4×
     /// worker is as deep as a queue of 2 on a 1× one).

@@ -55,9 +55,12 @@
 //! # Example
 //!
 //! ```
-//! use specasr::Policy;
+//! use specasr::{DecodeSession, DraftedRound, DrafterKind, Policy};
 //! use specasr_audio::{chunk_schedule, Corpus, Split};
-//! use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
+//! use specasr_models::{
+//!     AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
+//! };
+//! use specasr_runtime::KvPool;
 //! use specasr_stream::{StreamConfig, StreamingSession};
 //!
 //! let corpus = Corpus::librispeech_like(5, 1);
@@ -67,15 +70,26 @@
 //! let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 //! let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
 //!
-//! let config = StreamConfig::default();
-//! let mut session = StreamingSession::new(Policy::Autoregressive, audio.clone(), config);
+//! let (policy, config) = (Policy::Autoregressive, StreamConfig::default());
+//! let mut session = StreamingSession::new(policy, audio.clone(), config);
+//! let (mut pool, mut view, mut round) =
+//!     (KvPool::unbounded(16), UtteranceTokens::default(), DraftedRound::new());
 //! for chunk in chunk_schedule(utterance.duration_seconds(), &config.chunk) {
 //!     session.push_audio(chunk.end_seconds);
-//!     let _partial = session.redecode(&draft, &target);
+//!     if !session.fill_view(&mut view) {
+//!         continue; // nothing audible yet
+//!     }
+//!     let committed = session.committed();
+//!     let mut decode =
+//!         DecodeSession::new(policy, DrafterKind::ModelDraft, view.clone(), committed, &mut pool)
+//!             .expect("an unbounded pool always admits");
+//!     while !decode.step(&mut pool, &draft, &target, &mut round).expect("unbounded") {}
+//!     decode.release_kv(&mut pool);
+//!     let _partial = session.absorb(&decode);
 //! }
 //! assert!(session.is_finished());
 //! // Lossless: the streamed transcript equals the offline decode.
-//! assert_eq!(session.final_tokens(), target.greedy_transcript(&audio));
+//! assert_eq!(session.committed(), target.greedy_transcript(&audio));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,9 +2,8 @@
 //! the committed prefix, and the lossless partial-commit rule.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeSession, DecodeStats, DraftedRound, DrafterKind, Policy};
-use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
-use specasr_runtime::{KvPool, PoolError};
+use specasr::{DecodeSession, DecodeStats, Policy};
+use specasr_models::{DecodeClock, UtteranceTokens};
 use specasr_tokenizer::TokenId;
 
 use crate::config::StreamConfig;
@@ -36,12 +35,13 @@ pub struct PartialTranscript {
 /// tokens, and the commit rule turns stable hypothesis tokens into final
 /// transcript tokens that are never retracted.
 ///
-/// The decode itself runs through [`specasr::DecodeSession`] — either the
-/// one-call [`StreamingSession::redecode`] (standalone use, private KV pool)
-/// or the [`StreamingSession::resume_decode`] / [`StreamingSession::absorb`]
-/// pair (serving use: the scheduler steps the session round by round against
-/// its shared paged pool, and may preempt and deterministically restore it
-/// between rounds).
+/// The decode itself runs through a [`specasr::DecodeSession`] the caller
+/// drives: it fills a view of the audio received so far
+/// ([`StreamingSession::fill_view`]), restarts the decode on it from the
+/// committed prefix ([`StreamingSession::committed`]), steps it to its end
+/// and hands it to [`StreamingSession::absorb`].  The serving scheduler
+/// steps it round by round against its shared paged pool, and may preempt
+/// and deterministically restore it between rounds.
 ///
 /// Under a tracing-enabled scheduler, every chunk arrival, emitted partial,
 /// and retraction of a served stream is also stamped into the
@@ -137,12 +137,6 @@ impl StreamingSession {
         &self.last_hypothesis
     }
 
-    /// The final transcript.  Meaningful once
-    /// [`StreamingSession::is_finished`] returns `true`.
-    pub fn final_tokens(&self) -> &[TokenId] {
-        &self.committed
-    }
-
     /// Partials emitted so far.
     pub fn partials_emitted(&self) -> usize {
         self.partials
@@ -195,19 +189,9 @@ impl StreamingSession {
         }
     }
 
-    /// The decodable view of the audio received so far (`None` while no
-    /// token is fully audible yet).
-    pub fn view(&self) -> Option<UtteranceTokens> {
-        self.audio.prefix_view(
-            self.received_seconds,
-            self.config.boundary_tokens,
-            self.config.boundary_boost,
-        )
-    }
-
-    /// Refills `view` in place with [`StreamingSession::view`]'s view and
-    /// returns `true`, or returns `false` and leaves `view` as it was while
-    /// no token is fully audible yet (see
+    /// Refills `view` in place with the decodable view of the audio received
+    /// so far and returns `true`, or returns `false` and leaves `view` as it
+    /// was while no token is fully audible yet (see
     /// [`UtteranceTokens::fill_prefix_view`]).
     pub fn fill_view(&self, view: &mut UtteranceTokens) -> bool {
         self.audio.fill_prefix_view(
@@ -218,29 +202,15 @@ impl StreamingSession {
         )
     }
 
-    /// Starts the re-decode of the current view from the committed prefix,
-    /// with its KV blocks allocated from `pool` (see
-    /// [`specasr::DecodeSession::new`] for sharing and error semantics).
-    /// Returns `None` while the view is empty.
-    pub fn resume_decode(&self, pool: &mut KvPool) -> Option<Result<DecodeSession, PoolError>> {
-        let view = self.view()?;
-        Some(DecodeSession::new(
-            self.policy,
-            DrafterKind::ModelDraft,
-            view,
-            &self.committed,
-            pool,
-        ))
-    }
-
     /// Absorbs a finished re-decode of the current view: adds its
     /// statistics' counters and its clock to the stream's, applies the
     /// commit rule, and emits the partial.
     ///
-    /// The caller must pass a session started by
-    /// [`StreamingSession::resume_decode`] *after the last
-    /// [`StreamingSession::push_audio`] call* — the commit rule trusts that
-    /// the hypothesis extends the committed prefix at the current horizon.
+    /// The caller must pass a session started on the view
+    /// [`StreamingSession::fill_view`] filled *after the last
+    /// [`StreamingSession::push_audio`] call*, from the committed prefix —
+    /// the commit rule trusts that the hypothesis extends the committed
+    /// prefix at the current horizon.
     ///
     /// # Panics
     ///
@@ -316,35 +286,51 @@ impl StreamingSession {
     pub fn into_transcript(self) -> (Vec<TokenId>, DecodeStats, DecodeClock) {
         (self.committed, self.decode_stats, self.clock)
     }
-
-    /// One complete streaming step against a private unbounded pool:
-    /// re-decode the current view to its end, every round drafted into one
-    /// kept [`DraftedRound`], and absorb the result.  Returns `None` while no
-    /// token is audible yet.
-    pub fn redecode<D, T>(&mut self, draft: &D, target: &T) -> Option<PartialTranscript>
-    where
-        D: AsrDecoderModel + ?Sized,
-        T: AsrDecoderModel + ?Sized,
-    {
-        let mut pool = KvPool::unbounded(16);
-        let mut session = self
-            .resume_decode(&mut pool)?
-            .expect("an unbounded pool always admits");
-        let mut round = DraftedRound::new();
-        while !session
-            .step(&mut pool, draft, target, &mut round)
-            .expect("an unbounded pool never exhausts")
-        {}
-        Some(self.absorb(&session))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specasr::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+    use specasr::{AdaptiveConfig, DraftedRound, DrafterKind, SparseTreeConfig, SpeculativeConfig};
     use specasr_audio::{chunk_schedule, Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_runtime::KvPool;
+
+    /// Starts the re-decode of `session`'s current view from its committed
+    /// prefix, with its KV blocks allocated from `pool`, as a serving
+    /// scheduler does on admission.  `None` while no token is audible yet.
+    fn resume(session: &StreamingSession, pool: &mut KvPool) -> Option<DecodeSession> {
+        let mut view = UtteranceTokens::default();
+        if !session.fill_view(&mut view) {
+            return None;
+        }
+        let decode = DecodeSession::new(
+            *session.policy(),
+            DrafterKind::ModelDraft,
+            view,
+            session.committed(),
+            pool,
+        );
+        Some(decode.expect("the pool has room"))
+    }
+
+    /// One complete streaming step against a private unbounded pool:
+    /// re-decodes the current view to its end and absorbs the result.
+    /// `None` while no token is audible yet.
+    pub(super) fn redecode(
+        session: &mut StreamingSession,
+        draft: &impl AsrDecoderModel,
+        target: &impl AsrDecoderModel,
+    ) -> Option<PartialTranscript> {
+        let mut pool = KvPool::unbounded(16);
+        let mut decode = resume(session, &mut pool)?;
+        let mut round = DraftedRound::new();
+        while !decode
+            .step(&mut pool, draft, target, &mut round)
+            .expect("an unbounded pool never exhausts")
+        {}
+        Some(session.absorb(&decode))
+    }
 
     fn setup(split: Split) -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);
@@ -378,7 +364,7 @@ mod tests {
         let mut snapshots = Vec::new();
         for chunk in chunk_schedule(audio.duration_seconds(), &config.chunk) {
             session.push_audio(chunk.end_seconds);
-            if session.redecode(draft, target).is_some() {
+            if redecode(&mut session, draft, target).is_some() {
                 snapshots.push(session.committed().to_vec());
             }
         }
@@ -396,7 +382,7 @@ mod tests {
                 let (session, snapshots) =
                     stream_utterance(policy, utt, StreamConfig::default(), &draft, &target);
                 assert_eq!(
-                    session.final_tokens(),
+                    session.committed(),
                     &offline.tokens[..],
                     "policy {}",
                     policy.name()
@@ -427,7 +413,7 @@ mod tests {
                     .with_boundary_tokens(boundary);
                 let (session, _) = stream_utterance(policy, &audio[0], config, &draft, &target);
                 assert_eq!(
-                    session.final_tokens(),
+                    session.committed(),
                     &offline.tokens[..],
                     "chunk {chunk_seconds}s K={stability} boundary={boundary}"
                 );
@@ -467,7 +453,7 @@ mod tests {
         let mut partials = Vec::new();
         for chunk in chunk_schedule(audio[0].duration_seconds(), &config.chunk) {
             session.push_audio(chunk.end_seconds);
-            if let Some(partial) = session.redecode(&draft, &target) {
+            if let Some(partial) = redecode(&mut session, &draft, &target) {
                 partials.push(partial);
             }
         }
@@ -526,8 +512,8 @@ mod tests {
         let (draft, target, audio) = setup(Split::DevClean);
         let policy = Policy::Autoregressive;
         let mut session = StreamingSession::new(policy, audio[0].clone(), StreamConfig::default());
-        assert!(session.view().is_none());
-        assert!(session.redecode(&draft, &target).is_none());
+        assert!(!session.fill_view(&mut UtteranceTokens::default()));
+        assert!(redecode(&mut session, &draft, &target).is_none());
         assert_eq!(session.partials_emitted(), 0);
     }
 
@@ -538,17 +524,14 @@ mod tests {
         let policy = Policy::Autoregressive;
         let mut session = StreamingSession::new(policy, audio[0].clone(), StreamConfig::default());
         session.push_audio(audio[0].duration_seconds());
-        let first = session.redecode(&draft, &target).expect("audible");
+        let first = redecode(&mut session, &draft, &target).expect("audible");
         assert!(first.is_final);
         // Absorbing an outcome that does not extend the committed transcript
         // must be rejected.
         let mut other = StreamingSession::new(policy, audio[1].clone(), StreamConfig::default());
         other.push_audio(audio[1].duration_seconds());
         let mut pool = KvPool::unbounded(16);
-        let mut stale = other
-            .resume_decode(&mut pool)
-            .expect("audible")
-            .expect("unbounded");
+        let mut stale = resume(&other, &mut pool).expect("audible");
         let mut round = DraftedRound::new();
         while !stale
             .step(&mut pool, &draft, &target, &mut round)
@@ -569,10 +552,9 @@ mod tests {
         let mut pooled = StreamingSession::new(policy, audio[2].clone(), config);
         for chunk in chunk_schedule(audio[2].duration_seconds(), &config.chunk) {
             pooled.push_audio(chunk.end_seconds);
-            let Some(result) = pooled.resume_decode(&mut pool) else {
+            let Some(mut session) = resume(&pooled, &mut pool) else {
                 continue;
             };
-            let mut session = result.expect("pool has room");
             let mut round = DraftedRound::new();
             while !session.is_finished() {
                 session.draft_round(&draft, &mut round);
@@ -583,13 +565,14 @@ mod tests {
             session.release_kv(&mut pool);
             pooled.absorb(&session);
         }
-        assert_eq!(pooled.final_tokens(), private.final_tokens());
+        assert_eq!(pooled.committed(), private.committed());
         assert_eq!(pool.used_blocks(), 0, "released streams leave no blocks");
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::redecode;
     use super::*;
     use proptest::prelude::*;
     use specasr::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
@@ -642,7 +625,7 @@ mod proptests {
             let mut previous_committed: Vec<specasr_tokenizer::TokenId> = Vec::new();
             for chunk in chunk_schedule(audio.duration_seconds(), &config.chunk) {
                 session.push_audio(chunk.end_seconds);
-                if session.redecode(&draft, &target).is_some() {
+                if redecode(&mut session, &draft, &target).is_some() {
                     // Commits only ever extend — never retract.
                     prop_assert!(session.committed().starts_with(&previous_committed));
                     previous_committed = session.committed().to_vec();
@@ -656,7 +639,7 @@ mod proptests {
                 }
             }
             prop_assert!(session.is_finished());
-            prop_assert_eq!(session.final_tokens(), &offline.tokens[..]);
+            prop_assert_eq!(session.committed(), &offline.tokens[..]);
         }
     }
 }

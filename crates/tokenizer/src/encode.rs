@@ -252,22 +252,6 @@ impl Tokenizer {
         }
         Ok(())
     }
-
-    /// Decodes token ids into whitespace-separated words.
-    ///
-    /// Convenience wrapper over [`Tokenizer::decode`] used by the WER metric.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TokenizeError::UnknownTokenId`] if any id is outside the
-    /// vocabulary.
-    pub fn decode_words(&self, ids: &[TokenId]) -> Result<Vec<String>, TokenizeError> {
-        Ok(self
-            .decode(ids)?
-            .split_whitespace()
-            .map(str::to_owned)
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -334,14 +318,6 @@ mod tests {
         ids.extend(tok.encode("lazy dog").expect("encode"));
         ids.push(tok.eos());
         assert_eq!(tok.decode(&ids).expect("decode"), "lazy dog");
-    }
-
-    #[test]
-    fn decode_words_splits_on_boundaries() {
-        let tok = sample_tokenizer();
-        let ids = tok.encode("speech recognition models").expect("encode");
-        let words = tok.decode_words(&ids).expect("decode");
-        assert_eq!(words, vec!["speech", "recognition", "models"]);
     }
 
     #[test]

@@ -323,20 +323,6 @@ impl SpeculationEfficiency {
         }
     }
 
-    /// Acceptance ratio at one round depth, if the depth was observed.
-    pub fn acceptance_at_depth(&self, depth: u64) -> Option<f64> {
-        self.by_depth
-            .iter()
-            .find(|(d, _, _)| *d == depth)
-            .map(|(_, drafted, accepted)| {
-                if *drafted == 0 {
-                    0.0
-                } else {
-                    *accepted as f64 / *drafted as f64
-                }
-            })
-    }
-
     /// Wasted device milliseconds per rejected draft token in this group.
     pub fn wasted_ms_per_rejected_token(&self) -> f64 {
         let rejected = self.drafted_tokens.saturating_sub(self.accepted_tokens);
@@ -1309,8 +1295,9 @@ mod tests {
         assert_eq!(group.drafted_tokens, 8);
         assert_eq!(group.accepted_tokens, 4);
         assert_eq!(group.acceptance(), 0.5);
-        assert_eq!(group.acceptance_at_depth(1), Some(0.75));
-        assert_eq!(group.acceptance_at_depth(2), Some(0.25));
+        // Per depth: (depth, drafted, accepted), so 3/4 at depth 1 and 1/4
+        // at depth 2.
+        assert_eq!(group.by_depth, [(1, 4, 3), (2, 4, 1)]);
     }
 
     #[test]

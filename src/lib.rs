@@ -20,10 +20,10 @@ pub mod prelude {
         InFlightSimBackend, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
     };
     pub use specasr_server::{
-        run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, AdmissionOrdering,
-        AdmissionPolicy, BackendStats, KvPool, LoadGen, MemoryStats, OpenLoopReport, PreemptPolicy,
-        RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig, ServerStats, SloClass,
-        Worker, WorkerId, WorkerProfile,
+        run_open_loop, AdmissionOrdering, AdmissionPolicy, BackendStats, KvPool, LoadGen,
+        MemoryStats, OpenLoopReport, PreemptPolicy, RequestOutcome, RequestSpec, Router,
+        RouterConfig, Scheduler, ServerConfig, ServerStats, SloClass, Worker, WorkerId,
+        WorkerProfile,
     };
     pub use specasr_tokenizer::{TokenId, TokenMapIndex, Tokenizer};
 }

@@ -77,8 +77,8 @@ use specasr_models::{
 };
 use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
-    plan_verify_waves, LoadGen, PartialSpan, RequestOutcome, Router, RouterConfig, Scheduler,
-    ServerConfig, SloClass, StreamConfig, VerifyPlan, WorkerProfile,
+    plan_verify_waves, LoadGen, PartialSpan, RequestOutcome, RequestSpec, Router, RouterConfig,
+    Scheduler, ServerConfig, SloClass, StreamConfig, VerifyPlan, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -565,7 +565,13 @@ fn a_warm_tick_without_admission_or_retirement_allocates_nothing() {
     for (batch, group) in corpus_pool(&setup).chunks(mix.len()).enumerate() {
         for (&(policy, drafter), utterance) in mix.iter().zip(group) {
             scheduler
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(
+                    RequestSpec {
+                        drafter,
+                        ..policy.into()
+                    },
+                    utterance,
+                )
                 .expect("queue has room");
         }
         while !scheduler.is_idle() {
@@ -791,7 +797,13 @@ fn a_warm_offline_request_allocates_only_its_outcome() {
             config.max_batch,
             |scheduler, policy, drafter, utterance| {
                 scheduler
-                    .submit_with_drafter(policy, drafter, utterance)
+                    .submit(
+                        RequestSpec {
+                            drafter,
+                            ..policy.into()
+                        },
+                        utterance,
+                    )
                     .expect("queue has room");
             },
             Scheduler::run_until_idle,
@@ -831,7 +843,13 @@ fn a_warm_routed_offline_request_allocates_only_its_outcome() {
             worker.max_batch,
             |router, policy, drafter, utterance| {
                 router
-                    .submit_with_drafter(policy, drafter, utterance)
+                    .submit(
+                        RequestSpec {
+                            drafter,
+                            ..policy.into()
+                        },
+                        utterance,
+                    )
                     .expect("queues have room");
             },
             Router::run_until_idle,
@@ -1068,7 +1086,13 @@ fn idle_controller_evaluations_allocate_the_same_at_any_history_length() {
             for _ in 0..8 {
                 let budget = if submitted % 2 == 0 { 500.0 } else { 2_000.0 };
                 fleet
-                    .submit_with_budget(policy, pool[submitted % pool.len()], Some(budget))
+                    .submit(
+                        RequestSpec {
+                            ttft_budget_ms: Some(budget),
+                            ..policy.into()
+                        },
+                        pool[submitted % pool.len()],
+                    )
                     .expect("queue has room");
                 submitted += 1;
             }

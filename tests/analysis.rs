@@ -14,7 +14,8 @@ use specasr::{
 use specasr_audio::{EncoderProfile, Split};
 use specasr_models::{CtcDrafter, UtteranceTokens};
 use specasr_server::{
-    FlightRecording, RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig, TraceConfig,
+    FlightRecording, RequestOutcome, RequestSpec, Router, RouterConfig, Scheduler, ServerConfig,
+    TraceConfig,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -87,7 +88,13 @@ fn traced_cell(
     scheduler.set_trace(TraceConfig::enabled().with_capacity(1 << 20));
     for utterance in utterances {
         scheduler
-            .submit_with_drafter(policy, drafter, utterance)
+            .submit(
+                RequestSpec {
+                    drafter,
+                    ..policy.into()
+                },
+                utterance,
+            )
             .expect("queue has room");
     }
     let outcomes = scheduler.run_until_idle();

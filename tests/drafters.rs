@@ -14,7 +14,7 @@ use specasr::{
 use specasr_audio::{EncoderProfile, Split};
 use specasr_models::{AsrDecoderModel, CtcDrafter, UtteranceTokens};
 use specasr_runtime::KvPool;
-use specasr_server::{Scheduler, ServerConfig};
+use specasr_server::{RequestSpec, Scheduler, ServerConfig};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
 
@@ -207,7 +207,13 @@ fn scheduler_serves_mixed_drafter_workloads_losslessly() {
             .greedy_transcript(&setup.binding.bind(utterance));
         for kind in DrafterKind::ALL {
             let id = scheduler
-                .submit_with_drafter(policy, kind, utterance)
+                .submit(
+                    RequestSpec {
+                        drafter: kind,
+                        ..policy.into()
+                    },
+                    utterance,
+                )
                 .expect("queue has room");
             expected.push((id, reference.clone()));
         }
@@ -241,7 +247,13 @@ fn draft_free_workloads_dispatch_no_draft_lane_batches() {
     scheduler.install_drafter(Arc::new(token_map_for(&audio)));
     for utterance in split {
         scheduler
-            .submit_with_drafter(policy, DrafterKind::TokenMap, utterance)
+            .submit(
+                RequestSpec {
+                    drafter: DrafterKind::TokenMap,
+                    ..policy.into()
+                },
+                utterance,
+            )
             .expect("queue has room");
     }
     let outcomes = scheduler.run_until_idle();

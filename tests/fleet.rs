@@ -13,9 +13,9 @@ use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{CtcDrafter, SimulatedAsrModel};
 use specasr_server::{
-    run_open_loop, run_open_loop_budgeted, AdmissionOrdering, AdmissionPolicy, LoadGen,
-    MetricsRegistry, RequestId, RequestOutcome, Router, RouterConfig, ServerConfig, SloClass,
-    WorkerId, WorkerProfile,
+    run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, MetricsRegistry, RequestId,
+    RequestOutcome, RequestSpec, Router, RouterConfig, ServerConfig, SloClass, WorkerId,
+    WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -240,7 +240,7 @@ proptest! {
         let mut migrated = build(&setup);
         for &(policy, drafter, utterance) in &workload {
             migrated
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(RequestSpec { drafter, ..policy.into() }, utterance)
                 .expect("queues are deep");
         }
         let mut churned = migrated.advance_to(drain_ms);
@@ -251,7 +251,7 @@ proptest! {
         let mut staticrun = build(&setup);
         for &(policy, drafter, utterance) in &workload {
             staticrun
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(RequestSpec { drafter, ..policy.into() }, utterance)
                 .expect("queues are deep");
         }
         let still = staticrun.run_until_idle();
@@ -512,15 +512,15 @@ fn edf_ordering_beats_fifo_on_goodput_under_overload() {
             ),
         );
         let mut loadgen = LoadGen::new(77, 60.0);
-        let report = run_open_loop_budgeted(
+        let report = run_open_loop(
             &mut router,
             &mut loadgen,
             (0..96).map(|i| {
-                (
-                    policy,
-                    pool[i % pool.len()],
-                    Some(BUDGETS[i % BUDGETS.len()]),
-                )
+                let spec = RequestSpec {
+                    ttft_budget_ms: Some(BUDGETS[i % BUDGETS.len()]),
+                    ..policy.into()
+                };
+                (spec, pool[i % pool.len()])
             }),
         );
         let in_budget = report
@@ -678,7 +678,13 @@ fn in_place_slo_p99_equals_the_merged_fleet_stats_bit_for_bit() {
     });
     for index in 0..48 {
         fleet
-            .submit_with_budget(policy, pool[index % pool.len()], BUDGETS[index % 4])
+            .submit(
+                RequestSpec {
+                    ttft_budget_ms: BUDGETS[index % 4],
+                    ..policy.into()
+                },
+                pool[index % pool.len()],
+            )
             .expect("queues are deep");
     }
     let mut now_ms = fleet.router().now_ms();

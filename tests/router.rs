@@ -8,9 +8,11 @@ use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_models::SimulatedAsrModel;
 use specasr_server::{
-    run_open_loop, LoadGen, RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig,
+    run_open_loop, FlightRecording, LoadGen, RequestOutcome, Router, RouterConfig, Scheduler,
+    ServerConfig, TraceConfig, TraceEvent, WorkerId,
 };
 use specasr_suite::StandardSetup;
+use specasr_trace::analyze_lanes;
 
 fn serving_policies() -> Vec<Policy> {
     vec![
@@ -235,4 +237,85 @@ fn open_loop_latency_knee_appears_as_offered_load_crosses_capacity() {
         p99_by_qps[1],
         p99_by_qps[0]
     );
+}
+
+/// A drain re-routes the queued requests of the worker it drains.  One that
+/// was never admitted keeps its whole span on its destination lane: the
+/// destination records its submission at the original arrival, so the
+/// fleet's lanes attribute it exactly, like a request served where it
+/// arrived, and the draining lane holds only a hand-off.
+#[test]
+fn a_drained_workers_queued_requests_arrive_on_their_destination_lane() {
+    let setup = StandardSetup::new(907, 8);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let mut router = router_for(
+        &setup,
+        RouterConfig::default()
+            .with_workers(2)
+            .with_steal_threshold(1_000)
+            .with_worker_config(ServerConfig::default().with_max_batch(1)),
+    );
+    router.set_trace(TraceConfig::enabled().with_capacity(1 << 20));
+    // The idle fleet moves to 40 ms first, so every arrival is stamped at
+    // 40 ms, and nothing is admitted before the drain.
+    assert!(router.advance_to(40.0).is_empty());
+    let draining = WorkerId::new(1);
+    let mut moved = Vec::new();
+    for utterance in setup.corpus.split(Split::TestClean) {
+        let id = router.submit(policy, utterance).expect("queues have room");
+        if router.placement(id) == draining {
+            moved.push(id.value());
+        }
+    }
+    assert!(moved.len() >= 2, "the drained worker holds queued requests");
+    assert_eq!(router.drain_worker(draining), 0, "nothing was in flight");
+    let outcomes = router.run_until_idle();
+    assert_eq!(outcomes.len(), setup.corpus.split(Split::TestClean).len());
+    router.reap_drained();
+
+    let recordings = router.take_recordings();
+    let destination = WorkerId::new(0).to_string();
+    let lane = &recordings
+        .iter()
+        .find(|(name, _)| *name == destination)
+        .expect("the destination lane is recorded")
+        .1;
+    for &request in &moved {
+        let arrivals: Vec<f64> = lane
+            .events()
+            .filter_map(|event| match event {
+                TraceEvent::RequestSubmitted {
+                    ts_ms, request: r, ..
+                } if *r == request => Some(*ts_ms),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(arrivals, [40.0], "request {request} arrives once, at 40 ms");
+    }
+
+    let lanes: Vec<(&str, &FlightRecording)> = recordings
+        .iter()
+        .map(|(name, recording)| (name.as_str(), recording))
+        .collect();
+    let analysis = analyze_lanes(&lanes);
+    analysis
+        .reconcile()
+        .unwrap_or_else(|err| panic!("the drained fleet reconciles: {err}"));
+    assert_eq!(analysis.handed_off_requests, moved.len() as u64);
+    assert_eq!(analysis.requests.len(), outcomes.len());
+    for outcome in &outcomes {
+        let attribution = analysis
+            .attribution_for(outcome.id.value())
+            .expect("every outcome is attributed");
+        assert_eq!(
+            attribution.e2e_ms.to_bits(),
+            outcome.latency.e2e_ms().to_bits(),
+            "request {} attributes a different e2e",
+            outcome.id.value()
+        );
+        assert_eq!(
+            attribution.attributed_ms().to_bits(),
+            attribution.e2e_ms.to_bits()
+        );
+    }
 }

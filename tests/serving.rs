@@ -17,8 +17,8 @@ use specasr_models::{
     AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenLogits, UtteranceTokens,
 };
 use specasr_server::{
-    AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RequestOutcome, Scheduler, ServerConfig,
-    StreamConfig, TraceConfig, TraceEvent,
+    AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RequestOutcome, RequestSpec, Scheduler,
+    ServerConfig, StreamConfig, TraceConfig, TraceEvent,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
@@ -349,7 +349,8 @@ proptest! {
     /// Random session lifecycles — random pool budgets (hitting admit,
     /// preempt, restore, and finish paths), both preemption policies, all
     /// three admission orders over mixed TTFT budgets, mixed decode
-    /// policies and drafters, in-flight windows of one to six waves, streams
+    /// policies and drafters (each drafter with and without a budget),
+    /// in-flight windows of one to six waves, streams of every drafter
     /// among offline requests, and staggered arrivals — never leak blocks
     /// (the drained pool ends at zero use), never lose a request, never
     /// diverge from a blocking decode, and keep every admission and
@@ -413,19 +414,17 @@ proptest! {
             served.extend(scheduler.advance_to((index as u64 * gap_ms) as f64));
             let policy = policies[(salt as usize + index) % policies.len()];
             let at = (index * 5 + salt as usize) % pool.len();
-            let budget = budgets[(salt as usize / 3 + index) % budgets.len()];
+            // Drafter, budget and stream kind are drawn independently, so
+            // draft-free budgeted requests and draft-free streams occur.
+            let spec = RequestSpec {
+                drafter: kinds[(salt as usize / 7 + index) % kinds.len()],
+                ttft_budget_ms: budgets[(salt as usize / 3 + index) % budgets.len()],
+                ..policy.into()
+            };
             let id = if stream_every > 0 && index % stream_every == 0 {
-                scheduler.submit_streaming_with_budget(
-                    policy,
-                    pool[at],
-                    StreamConfig::default(),
-                    budget,
-                )
+                scheduler.submit_streaming(spec, pool[at], StreamConfig::default())
             } else {
-                match kinds[(salt as usize / 7 + index) % kinds.len()] {
-                    DrafterKind::ModelDraft => scheduler.submit_with_budget(policy, pool[at], budget),
-                    kind => scheduler.submit_with_drafter(policy, kind, pool[at]),
-                }
+                scheduler.submit(spec, pool[at])
             }
             .expect("queue has room");
             expected.insert(id, policy.decode(&setup.draft, &setup.target, &audio[at]).tokens);
@@ -447,7 +446,7 @@ proptest! {
             prop_assert_eq!(&outcome.outcome.tokens, &expected[&outcome.id]);
         }
         let events: Vec<TraceEvent> = scheduler
-            .trace_recording()
+            .take_trace_recording()
             .expect("tracing is on")
             .events()
             .cloned()
@@ -543,7 +542,7 @@ proptest! {
                 let kind = kinds[(salt as usize / 7 + index) % kinds.len()];
                 let utterance = pool[(index * 3 + salt as usize) % pool.len()];
                 scheduler
-                    .submit_with_drafter(policy, kind, utterance)
+                    .submit(RequestSpec { drafter: kind, ..policy.into() }, utterance)
                     .expect("queue has room");
             }
             let mut outcomes = scheduler.run_until_idle();
@@ -604,7 +603,13 @@ fn a_one_wave_window_submits_one_verify_batch_per_tick() {
                 specasr::DrafterKind::CtcEncoder
             };
             scheduler
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(
+                    RequestSpec {
+                        drafter,
+                        ..policy.into()
+                    },
+                    utterance,
+                )
                 .expect("queue has room");
         }
         scheduler.run_until_idle();

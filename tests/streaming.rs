@@ -5,11 +5,18 @@
 //! including under a constrained KV pool that forces preemptions of
 //! streaming sessions mid-utterance.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use specasr::{AdaptiveConfig, AsrPipeline, Policy, SparseTreeConfig, SpeculativeConfig};
+use specasr::{
+    AdaptiveConfig, AsrPipeline, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig,
+    TokenMapDrafter,
+};
 use specasr_audio::{EncoderProfile, Split, Utterance};
-use specasr_server::{Scheduler, ServerConfig, StreamConfig};
+use specasr_models::CtcDrafter;
+use specasr_server::{RequestSpec, Scheduler, ServerConfig, StreamConfig};
 use specasr_suite::StandardSetup;
+use specasr_tokenizer::TokenMapIndex;
 
 fn serving_policies() -> Vec<Policy> {
     vec![
@@ -135,6 +142,75 @@ fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
                 "partials charged {charged} ms of encoder time for {offline} ms"
             );
         }
+    }
+}
+
+/// A stream drafts from its spec's draft source, like an offline request.
+/// Streams drafted by the CTC encoder or by a token map end with the
+/// blocking transcript, and the draft lane serves none of their drafts.
+#[test]
+fn draft_free_streams_are_lossless_and_never_query_the_draft_model() {
+    let setup = StandardSetup::new(42, 6);
+    let split = setup.corpus.split(Split::TestOther);
+    let policies = serving_policies();
+    for drafter in [DrafterKind::CtcEncoder, DrafterKind::TokenMap] {
+        let mut scheduler = scheduler_for(&setup, ServerConfig::default().with_max_batch(8));
+        if drafter == DrafterKind::CtcEncoder {
+            scheduler.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
+        } else {
+            let sequences: Vec<_> = split
+                .iter()
+                .map(|utterance| {
+                    let audio = setup.binding.bind(utterance);
+                    let mut sequence = audio.reference_tokens().to_vec();
+                    sequence.push(audio.eos());
+                    sequence
+                })
+                .collect();
+            let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
+            scheduler.install_drafter(Arc::new(TokenMapDrafter::new(Arc::new(index))));
+        }
+        let mut expected = Vec::new();
+        for (index, utterance) in split.iter().enumerate() {
+            let policy = policies[index % policies.len()];
+            let spec = RequestSpec {
+                drafter,
+                ..policy.into()
+            };
+            let id = scheduler
+                .submit_streaming(
+                    spec,
+                    utterance,
+                    StreamConfig::default().with_chunk_seconds(0.4),
+                )
+                .expect("queue has room");
+            let reference = pipeline_for(&setup, policy).transcribe(&setup.binding, utterance);
+            expected.push((id, reference));
+        }
+        let outcomes = scheduler.run_until_idle();
+        assert_eq!(outcomes.len(), split.len(), "{}", drafter.label());
+        for (id, reference) in expected {
+            let outcome = outcomes
+                .iter()
+                .find(|outcome| outcome.id == id)
+                .expect("every stream completes");
+            assert!(outcome.is_streaming());
+            assert!(outcome.partials.last().expect("partials").is_final);
+            assert_eq!(
+                outcome.outcome.tokens,
+                reference.outcome.tokens,
+                "{} stream under {}",
+                drafter.label(),
+                outcome.policy.name()
+            );
+            assert_eq!(outcome.text, reference.text);
+        }
+        assert_eq!(
+            scheduler.stats().backend().draft_requests(),
+            0,
+            "{} streams query no draft model",
+            drafter.label()
+        );
     }
 }
 
