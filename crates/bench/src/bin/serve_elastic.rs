@@ -13,9 +13,10 @@
 //!   decisions and migrations next to the serving metrics.
 //! * **`hetero-weighted@q120` / `hetero-unweighted@q120`** — a fixed
 //!   heterogeneous fleet (one big-batch worker declared 4× speed + three
-//!   standard workers) with capacity-aware ring weighting on and off.
-//!   Stealing is disabled (prohibitive threshold), so the difference is
-//!   pure placement; the weighted ring must win on throughput.
+//!   standard workers) with its declared speed normalizing placement load,
+//!   and with it withheld.  Stealing is disabled (prohibitive threshold),
+//!   so the difference is pure placement; speed-normalized load must win
+//!   on throughput.
 //! * **`drain-migrate@q60`** — a four-worker fleet that loses one worker
 //!   mid-burst via [`Router::drain_worker`]: its queue re-routes and its
 //!   live sessions migrate (block-table hand-off where the destination has
@@ -187,8 +188,9 @@ fn run_elastic_cell(
 }
 
 /// One heterogeneous cell: a 1×fast (big-batch, declared 4× speed) + 3×slow
-/// fleet, with the capacity hints feeding the ring (`weighted`) or withheld
-/// (`unweighted`).  Stealing is disabled so placement alone decides.
+/// fleet, with the capacity hints normalizing placement load (`weighted`)
+/// or withheld (`unweighted`).  Stealing is disabled so placement alone
+/// decides.
 fn run_hetero_cell(context: &ExperimentContext, pool: &[&Utterance], weighted: bool) -> ReportRow {
     let fast_speed = if weighted { 4.0 } else { 1.0 };
     let profiles = [
@@ -341,7 +343,7 @@ fn main() {
     assert!(
         throughput(&format!("hetero-weighted@q{BURST_QPS:.0}"))
             > throughput(&format!("hetero-unweighted@q{BURST_QPS:.0}")),
-        "capacity-aware ring weighting must beat the unweighted ring"
+        "speed-normalized load must beat unweighted placement"
     );
 
     emit(&record);
@@ -351,8 +353,9 @@ fn main() {
     println!(
         "shape check: the elastic fleet absorbs the burst the static worker drowns \
          under (higher throughput, bounded P99) and returns to one worker once \
-         traffic quiets; weighting the ring toward the declared-fast big-batch \
-         worker beats the unweighted placement; and the mid-burst drain migrates \
+         traffic quiets; normalizing placement load by the declared-fast \
+         big-batch worker's speed beats the unweighted placement; and the \
+         mid-burst drain migrates \
          every live session (hand-off where the destination has headroom, \
          preempt/restore otherwise) without losing a single request."
     );

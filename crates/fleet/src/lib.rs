@@ -16,11 +16,11 @@
 //!   the fleet), and sustained headroom for
 //!   [`FleetConfig::scale_down_after`] evaluations before one is drained.
 //! * **Live drain and migration** — scale-down never kills work.  The
-//!   drained worker's queue re-routes through the consistent-hash ring and
-//!   its in-flight sessions migrate: same-machine block-table hand-off when
-//!   the destination has headroom (decode state survives, no re-prefill),
-//!   preempt-and-restore otherwise.  Transcripts are byte-identical either
-//!   way.
+//!   drained worker's queue re-routes to the least-loaded active workers
+//!   and its in-flight sessions migrate: same-machine block-table hand-off
+//!   when the destination has headroom (decode state survives, no
+//!   re-prefill), preempt-and-restore otherwise.  Transcripts are
+//!   byte-identical either way.
 //! * **Determinism** — the control loop runs on the fleet's simulated
 //!   clock.  The same configuration and workload produce the same scaling
 //!   decisions, the same migrations, and the same transcripts, run after

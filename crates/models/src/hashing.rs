@@ -59,9 +59,9 @@ impl Purpose {
 /// SplitMix64 finaliser: a fast, well-mixed 64-bit avalanche.
 ///
 /// Exported workspace-wide (see [`crate::splitmix64`]) so every component
-/// that needs a deterministic hash — model decision streams here, the
-/// serving router's consistent-hash ring in `specasr-server` — mixes through
-/// one canonical implementation.
+/// that needs a deterministic hash — model decision streams here, stream
+/// seeds in the `specasr-server` scheduler — mixes through one canonical
+/// implementation.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -47,7 +47,9 @@
 //! assert_eq!(pool.free_blocks(), 8);
 //! ```
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use crate::kv_cache::{KvCache, PrefillError};
 
@@ -225,7 +227,9 @@ pub struct BlockPool {
     capacity: Option<usize>,
     blocks: Vec<BlockState>,
     free: Vec<BlockId>,
-    prefix_index: HashMap<u64, BlockId>,
+    /// Fixed-key hasher: std's per-process random seed would move the
+    /// index's tombstones, and so its reallocations, from run to run.
+    prefix_index: HashMap<u64, BlockId, BuildHasherDefault<DefaultHasher>>,
     used: usize,
     peak_used: usize,
     counters: PoolCounters,
@@ -247,7 +251,7 @@ impl BlockPool {
             blocks: vec![BlockState::default(); capacity],
             // Reversed so blocks are handed out in 0, 1, 2, ... order.
             free: (0..capacity).rev().map(BlockId).collect(),
-            prefix_index: HashMap::new(),
+            prefix_index: HashMap::default(),
             used: 0,
             peak_used: 0,
             counters: PoolCounters::default(),
@@ -267,7 +271,7 @@ impl BlockPool {
             capacity: None,
             blocks: Vec::new(),
             free: Vec::new(),
-            prefix_index: HashMap::new(),
+            prefix_index: HashMap::default(),
             used: 0,
             peak_used: 0,
             counters: PoolCounters::default(),

@@ -234,9 +234,6 @@ impl Default for ServerConfig {
 pub struct RouterConfig {
     /// Number of independent scheduler workers behind the router.
     pub workers: usize,
-    /// Hash-ring points per worker: more virtual nodes smooth the
-    /// consistent-hash placement across workers.
-    pub virtual_nodes: usize,
     /// Work stealing triggers when a worker's queue is deeper than the
     /// shallowest worker's queue by more than this many requests.
     pub steal_threshold: usize,
@@ -254,12 +251,6 @@ impl RouterConfig {
     /// Returns this configuration with a different worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Returns this configuration with a different virtual-node count.
-    pub fn with_virtual_nodes(mut self, virtual_nodes: usize) -> Self {
-        self.virtual_nodes = virtual_nodes;
         self
     }
 
@@ -287,11 +278,10 @@ impl RouterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the worker, virtual-node, or steal-threshold counts are
-    /// zero, or the per-worker configuration is invalid.
+    /// Panics if the worker or steal-threshold counts are zero, or the
+    /// per-worker configuration is invalid.
     pub fn validate(&self) {
         assert!(self.workers > 0, "workers must be positive");
-        assert!(self.virtual_nodes > 0, "virtual_nodes must be positive");
         assert!(self.steal_threshold > 0, "steal_threshold must be positive");
         self.worker.validate();
     }
@@ -301,7 +291,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             workers: 2,
-            virtual_nodes: 16,
             steal_threshold: 4,
             worker: ServerConfig::default(),
             rpc_backend: false,
@@ -314,10 +303,11 @@ impl Default for RouterConfig {
 /// A uniform fleet leaves every field at its default and behaves exactly
 /// like the profile-less router.  A mixed fleet (say one big-batch worker
 /// next to several small ones) sets `speed` to the worker's relative serving
-/// capacity: the consistent-hash ring gives the worker proportionally more
-/// virtual nodes (so placement routes more traffic where it runs fastest)
-/// and work stealing compares *speed-normalized* queue depths (a queue of 8
-/// on a 4× worker is as deep as a queue of 2 on a 1× worker).
+/// capacity: placement compares *speed-normalized* load (requests queued
+/// plus in flight, so a 4× worker takes four requests for every one a 1×
+/// worker takes, routing more traffic where it runs fastest) and work
+/// stealing compares speed-normalized queue depths (a queue of 8 on a 4×
+/// worker is as deep as a queue of 2 on a 1× worker).
 ///
 /// `speed` is a routing hint; the worker's actual capacity comes from its
 /// models and its scheduler overrides (`max_batch`, `kv_blocks`).
@@ -333,9 +323,9 @@ impl Default for RouterConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkerProfile {
-    /// Relative serving speed (`1.0` = a standard worker).  Scales the
-    /// worker's virtual-node count on the ring and normalizes its queue
-    /// depth in the steal comparison.
+    /// Relative serving speed (`1.0` = a standard worker).  Normalizes the
+    /// worker's load in the placement choice and its queue depth in the
+    /// steal comparison.
     pub speed: f64,
     /// Overrides [`ServerConfig::max_batch`] for this worker when set.
     pub max_batch: Option<usize>,
@@ -506,11 +496,9 @@ mod tests {
     fn router_builder_updates_preserve_other_fields() {
         let config = RouterConfig::default()
             .with_workers(8)
-            .with_virtual_nodes(32)
             .with_steal_threshold(2)
             .with_worker_config(ServerConfig::default().with_max_batch(2));
         assert_eq!(config.workers, 8);
-        assert_eq!(config.virtual_nodes, 32);
         assert_eq!(config.steal_threshold, 2);
         assert_eq!(config.worker.max_batch, 2);
         config.validate();
@@ -526,12 +514,6 @@ mod tests {
     #[should_panic(expected = "workers")]
     fn zero_workers_fails_validation() {
         RouterConfig::default().with_workers(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "virtual_nodes")]
-    fn zero_virtual_nodes_fails_validation() {
-        RouterConfig::default().with_virtual_nodes(0).validate();
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! One scheduler models one accelerator.  The [`Router`] scales past that:
 //! it owns N [`Worker`]s (independent schedulers with their own model
-//! pairs), places requests by consistent hashing on the request id, steals
+//! pairs), places each request on the least-loaded active worker, steals
 //! work across queues when they go imbalanced, and aggregates per-worker
 //! [`ServerStats`] into fleet-wide throughput and latency percentiles.
 //!

@@ -119,7 +119,9 @@ pub struct OpenLoopReport {
     pub rejected: usize,
     /// Timestamp of the last arrival — the offered-load window.
     pub last_arrival_ms: f64,
-    /// Fleet wall time when the last request completed.
+    /// The serving clock when the run went idle after its last arrival
+    /// ([`Router::now_ms`] or [`Scheduler::wall_ms`]): the end of the
+    /// window [`OpenLoopReport::completed_qps`] divides by.
     pub drained_ms: f64,
 }
 
@@ -134,7 +136,7 @@ impl OpenLoopReport {
     }
 
     /// The achieved completion rate in requests per second, over the full
-    /// window from first arrival to drain.
+    /// window from time zero to drain on the serving clock.
     pub fn completed_qps(&self) -> f64 {
         if self.drained_ms <= 0.0 {
             return 0.0;
@@ -185,7 +187,7 @@ where
         submitted,
         rejected,
         last_arrival_ms: loadgen.clock_ms(),
-        drained_ms: router.fleet_stats().wall_ms(),
+        drained_ms: router.now_ms(),
     }
 }
 
@@ -228,7 +230,7 @@ where
         submitted,
         rejected,
         last_arrival_ms: loadgen.clock_ms(),
-        drained_ms: scheduler.stats().wall_ms(),
+        drained_ms: scheduler.wall_ms(),
     }
 }
 

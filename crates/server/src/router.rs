@@ -1,19 +1,20 @@
-//! The sharded serving front end: consistent-hash placement over N
+//! The sharded serving front end: least-loaded placement over N
 //! independent scheduler workers, with work stealing on queue imbalance.
 //!
 //! One [`crate::Scheduler`] owns one draft/target model pair — one
 //! accelerator's worth of serving capacity.  A [`Router`] scales past that by
 //! owning a fleet of [`Worker`]s and placing every incoming request:
 //!
-//! 1. **Consistent hashing** — the request id is hashed onto a ring of
-//!    virtual nodes, so placement is deterministic, uniform, and stable as
-//!    the request stream grows (the same id always lands on the same worker
-//!    for a given fleet size).
+//! 1. **Least-loaded placement** — a request joins the active worker that
+//!    holds the fewest requests (queued plus in flight) per unit of
+//!    [`WorkerProfile::speed`], ties going to the lowest slot, so placement
+//!    is deterministic and follows the load the fleet holds at the instant
+//!    of arrival.  A drain re-routes through the same choice.
 //! 2. **Work stealing** — whenever one worker's queue is deeper than the
 //!    shallowest queue by more than the configured threshold, the router
-//!    moves the newest-arrived excess requests over, keeping the fleet
-//!    load-balanced without sacrificing placement determinism for the
-//!    common case.
+//!    moves the newest-arrived excess requests over, repairing skew that
+//!    builds up after placement (one worker's batch drains faster than
+//!    another's).
 //!
 //! Workers run on simulated clocks that only advance while they tick.  The
 //! router keeps those clocks coherent on a single global timeline: it always
@@ -27,13 +28,13 @@ use std::sync::Arc;
 use specasr::{Drafter, DrafterKind, Policy};
 use specasr_audio::{EncoderProfile, Utterance};
 use specasr_metrics::Histogram;
-use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
+use specasr_models::{AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
 use crate::request::{RequestId, RequestOutcome, RequestSpec, SloClass, SubmitError};
 use crate::scheduler::{GrownBuffers, Scheduler};
 use crate::stats::ServerStats;
-use crate::worker::{Worker, WorkerId, WorkerState};
+use crate::worker::{Worker, WorkerId};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
 
 /// A multi-worker sharded serving router.
@@ -71,12 +72,6 @@ pub struct Router<D, T> {
     binding: TokenizerBinding,
     encoder: EncoderProfile,
     workers: Vec<Worker<D, T>>,
-    /// Sorted `(hash point, worker slot)` ring for consistent placement.
-    /// Points derive from each worker's *stable id* (so membership changes
-    /// only remap the departed/arrived worker's arc); slots index the
-    /// current `workers` vector and the ring is rebuilt on every membership
-    /// change.  Draining workers hold no points.
-    ring: Vec<(u64, usize)>,
     /// Drafters installed fleet-wide (submission-time validation, and
     /// replayed onto workers that join later).
     installed: Vec<Arc<dyn Drafter + Send + Sync>>,
@@ -152,11 +147,11 @@ where
     }
 
     /// [`Router::new`] for a heterogeneous fleet: one [`WorkerProfile`] per
-    /// worker.  A profile's `speed` weights the worker's share of the
-    /// consistent-hash ring and normalizes its queue depth in the steal
-    /// comparison; its overrides reshape that worker's scheduler
-    /// configuration.  All-default profiles reproduce [`Router::new`]
-    /// exactly — placement, stealing, and transcripts are unchanged.
+    /// worker.  A profile's `speed` normalizes the worker's load in the
+    /// placement choice and its queue depth in the steal comparison; its
+    /// overrides reshape that worker's scheduler configuration.
+    /// All-default profiles reproduce [`Router::new`] exactly — placement,
+    /// stealing, and transcripts are unchanged.
     ///
     /// # Panics
     ///
@@ -207,12 +202,11 @@ where
                 Worker::new(id, *profile, scheduler)
             })
             .collect();
-        let mut router = Router {
+        Router {
             config,
             binding,
             encoder,
             workers,
-            ring: Vec::new(),
             installed: Vec::new(),
             next_id: 0,
             next_ordinal: config.workers,
@@ -226,36 +220,7 @@ where
             grown: Vec::new(),
             fleet_aggregate: RefCell::default(),
             exposition: RefCell::default(),
-        };
-        router.rebuild_ring();
-        router
-    }
-
-    /// Rebuilds the placement ring from the current membership: every
-    /// *active* worker contributes `virtual_nodes × speed` points (at least
-    /// one), each derived from its stable id.  Because points depend only on
-    /// the id, a membership change remaps only the arcs the departed or
-    /// arrived worker owned — roughly `1/N` of the key space — and every
-    /// other placement stays put.
-    fn rebuild_ring(&mut self) {
-        let virtual_nodes = self.config.virtual_nodes;
-        let mut ring: Vec<(u64, usize)> = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, worker)| worker.state() == WorkerState::Active)
-            .flat_map(|(slot, worker)| {
-                let nodes =
-                    ((virtual_nodes as f64 * worker.profile().speed).round() as usize).max(1);
-                let ordinal = worker.id().index() as u64;
-                (0..nodes as u64).map(move |node| {
-                    let point = splitmix64(splitmix64(ordinal ^ 0xace1_5ba7ed).wrapping_add(node));
-                    (point, slot)
-                })
-            })
-            .collect();
-        ring.sort_unstable();
-        self.ring = ring;
+        }
     }
 
     /// The router configuration.
@@ -295,34 +260,14 @@ where
         self.workers.iter().map(Worker::stolen_in).sum::<usize>() + self.retired_stolen_in
     }
 
-    /// The worker the consistent-hash ring assigns to `id`.
-    pub fn placement(&self, id: RequestId) -> WorkerId {
-        self.workers[self.placement_slot(id)].id()
-    }
-
-    /// The `workers` slot the ring assigns to `id`.
-    fn placement_slot(&self, id: RequestId) -> usize {
-        assert!(
-            !self.ring.is_empty(),
-            "placement requires at least one active worker"
-        );
-        let hash = splitmix64(id.value());
-        let index = match self.ring.binary_search(&(hash, usize::MAX)) {
-            Ok(at) | Err(at) => at,
-        };
-        // Past the last point, wrap to the ring's first node.
-        let (_, slot) = self.ring[index % self.ring.len()];
-        slot
-    }
-
     /// Submits one utterance under `spec`, arriving now on the global
     /// timeline (a bare [`Policy`] is a model-drafted request with no
     /// budget; see [`RequestSpec`]).
     ///
-    /// Placement follows the consistent-hash ring; if the placed worker's
-    /// queue is full the request spills to the shallowest queue instead, and
-    /// only when that is also full is the request rejected (fleet-wide
-    /// backpressure).
+    /// The request is placed on the least-loaded active worker; if that
+    /// worker's queue is full the request spills to the shallowest queue
+    /// instead, and only when that is also full is the request rejected
+    /// (fleet-wide backpressure).
     ///
     /// # Panics
     ///
@@ -341,15 +286,15 @@ where
             spec.drafter.label()
         );
         let id = RequestId::new(self.next_id);
-        let primary = self.placement_slot(id);
+        let primary = self.lightest_active(Worker::load);
         let candidate = if self.workers[primary].queue_depth() < self.config.worker.queue_depth {
             primary
         } else {
-            self.shallowest_active_queue()
+            self.lightest_active(|worker| worker.queue_depth() as f64)
         };
         if self.workers[candidate].queue_depth() >= self.config.worker.queue_depth {
             // Every queue is full: reject before tokenizing (the rejection
-            // lands on the hash-placed worker, whose overload caused it).
+            // lands on the least-loaded worker, the one placement chose).
             return Err(self.workers[primary].scheduler.reject());
         }
         self.next_id += 1;
@@ -457,7 +402,7 @@ where
     /// The joiner starts on the fleet's *current* clock — not at zero — so
     /// the first requests it serves see correct queueing spans; it inherits
     /// the fleet's trace configuration and every drafter installed so far,
-    /// and immediately takes its share of the placement ring.  It serves
+    /// and, holding nothing, takes the next placements.  It serves
     /// from the tick scratch and spare sessions of a reaped worker, when one
     /// left some, instead of growing its own from empty.
     ///
@@ -508,7 +453,6 @@ where
             scheduler.adopt_buffers(buffers);
         }
         self.workers.push(Worker::new(id, profile, scheduler));
-        self.rebuild_ring();
         let ts_ms = self.now_ms;
         self.fleet_tracer.record_with(|| TraceEvent::WorkerAdded {
             ts_ms,
@@ -517,14 +461,14 @@ where
         id
     }
 
-    /// Moves worker `id` from `Active` to `Draining`: it leaves the
-    /// placement ring, its queued requests re-route through the ring, and
-    /// its migratable in-flight sessions move to their new placements —
-    /// via the same-machine block-table hand-off when the destination has
-    /// batch and KV headroom (no re-prefill), via preempt-and-restore
-    /// otherwise.  Streaming sessions finish on the draining worker (their
-    /// chunk timetables are anchored to it); once it has nothing left,
-    /// [`Router::reap_drained`] removes it.
+    /// Moves worker `id` from `Active` to `Draining`: it receives no more
+    /// placements, and its queued requests and migratable in-flight
+    /// sessions move, one at a time, to the least-loaded active worker —
+    /// a session via the same-machine block-table hand-off when the
+    /// destination has batch and KV headroom (no re-prefill), via
+    /// preempt-and-restore otherwise.  Streaming sessions finish on the
+    /// draining worker (their chunk timetables are anchored to it); once it
+    /// has nothing left, [`Router::reap_drained`] removes it.
     ///
     /// Returns the number of in-flight sessions migrated.
     ///
@@ -552,7 +496,6 @@ where
             "draining the last active worker would strand the fleet"
         );
         self.workers[slot].set_draining();
-        self.rebuild_ring();
         let ts_ms = self.now_ms;
         self.fleet_tracer
             .record_with(|| TraceEvent::WorkerDraining {
@@ -560,14 +503,13 @@ where
                 worker: id.index() as u64,
             });
 
-        // Queued requests re-route through the (rebuilt) ring.  Migration
-        // never drops a request, so re-admission bypasses the queue-depth
-        // check — a transiently over-deep destination sheds load through
-        // the ordinary admission path afterwards.
+        // Queued requests re-route as placements do.  Migration never
+        // drops a request, so re-admission bypasses the queue-depth check —
+        // a transiently over-deep destination sheds load through the
+        // ordinary admission path afterwards.
         let queued = self.workers[slot].scheduler.drain_queue();
         for request in queued {
-            let dest = self.placement_slot(request.id);
-            debug_assert_ne!(dest, slot, "a draining worker holds no ring points");
+            let dest = self.lightest_active(Worker::load);
             self.workers[dest].scheduler.enqueue_moved(request);
         }
 
@@ -575,7 +517,7 @@ where
         let sessions = self.workers[slot].scheduler.extract_migratable();
         let mut migrated = 0;
         for mut session in sessions {
-            let dest = self.placement_slot(session.id);
+            let dest = self.lightest_active(Worker::load);
             let request = session.id.value();
             if self.workers[dest].is_idle() && self.workers[dest].wall_ms() < self.now_ms {
                 self.workers[dest].scheduler.sync_wall_to(self.now_ms);
@@ -647,13 +589,10 @@ where
                 slot += 1;
             }
         }
-        if !removed.is_empty() {
-            self.rebuild_ring();
-        }
         removed
     }
 
-    /// Workers currently serving (on the ring).
+    /// Workers currently serving (receiving placements).
     pub fn active_workers(&self) -> usize {
         self.workers
             .iter()
@@ -661,7 +600,7 @@ where
             .count()
     }
 
-    /// Workers winding down (off the ring, finishing local work).
+    /// Workers winding down (no new placements, finishing local work).
     pub fn draining_workers(&self) -> usize {
         self.workers
             .iter()
@@ -786,15 +725,17 @@ where
             .map(|(index, _)| index)
     }
 
-    /// The *active* worker with the shallowest queue (ties break to the
-    /// lowest slot, keeping the fleet deterministic).  Draining workers
-    /// never receive spilled or stolen requests.
-    fn shallowest_active_queue(&self) -> usize {
+    /// The *active* worker with the least `measure`: [`Worker::load`] for
+    /// placement and for moves off a draining worker, the queue depth for
+    /// spills and steals.  Ties break to the lowest slot (`min_by` keeps
+    /// the first of equal minima), keeping the fleet deterministic.
+    /// Draining workers never receive a request.
+    fn lightest_active(&self, measure: impl Fn(&Worker<D, T>) -> f64) -> usize {
         self.workers
             .iter()
             .enumerate()
             .filter(|(_, worker)| !worker.is_draining())
-            .min_by_key(|(index, worker)| (worker.queue_depth(), *index))
+            .min_by(|(_, a), (_, b)| measure(a).total_cmp(&measure(b)))
             .map(|(index, _)| index)
             .expect("a router always has at least one active worker")
     }
@@ -821,7 +762,7 @@ where
                 })
                 .map(|(index, _)| index)
                 .expect("fleet is non-empty");
-            let shallow = self.shallowest_active_queue();
+            let shallow = self.lightest_active(|worker| worker.queue_depth() as f64);
             if deep == shallow
                 || self.workers[deep].normalized_depth()
                     <= self.workers[shallow].normalized_depth() + self.config.steal_threshold as f64
@@ -873,23 +814,145 @@ mod tests {
         (router, corpus)
     }
 
+    /// What every worker holds, queued plus in flight.
+    fn held(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) -> Vec<usize> {
+        router
+            .workers()
+            .iter()
+            .map(|worker| worker.queue_depth() + worker.in_flight())
+            .collect()
+    }
+
+    /// The slot least-loaded placement must pick: the lowest active slot
+    /// holding the fewest requests per unit of speed, computed from
+    /// outside the router.
+    fn expected_slot(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) -> usize {
+        let held = held(router);
+        let mut best: Option<(f64, usize)> = None;
+        for (slot, worker) in router.workers().iter().enumerate() {
+            let load = held[slot] as f64 / worker.profile().speed;
+            if !worker.is_draining() && best.is_none_or(|(least, _)| load < least) {
+                best = Some((load, slot));
+            }
+        }
+        best.expect("an active worker").1
+    }
+
+    /// The slot whose holdings grew between two snapshots.
+    fn grown_slot(before: &[usize], after: &[usize]) -> usize {
+        let grown: Vec<usize> = (0..before.len())
+            .filter(|&slot| after[slot] > before[slot])
+            .collect();
+        assert_eq!(grown.len(), 1, "one worker took the request");
+        grown[0]
+    }
+
     #[test]
-    fn placement_is_deterministic_and_spread() {
-        let (router, _) = router(RouterConfig::default().with_workers(4));
-        let mut seen = [0usize; 4];
-        for raw in 0..256u64 {
-            let id = RequestId::new(raw);
-            let a = router.placement(id);
-            let b = router.placement(id);
-            assert_eq!(a, b, "placement must be a pure function of the id");
-            seen[a.index()] += 1;
+    fn a_submit_joins_the_active_worker_with_the_least_load_per_unit_of_speed() {
+        let corpus = Corpus::librispeech_like(88, 12);
+        let profiles = [
+            WorkerProfile::default(),
+            WorkerProfile::default().with_speed(3.0),
+            WorkerProfile::default().with_speed(0.5),
+        ];
+        let mut router = Router::with_profiles(
+            RouterConfig::default()
+                .with_workers(3)
+                .with_steal_threshold(1_000)
+                .with_worker_config(ServerConfig::default().with_max_batch(2)),
+            TokenizerBinding::for_corpus(&corpus),
+            EncoderProfile::whisper_medium_encoder(),
+            &profiles,
+            |_| models(),
+        );
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let mut taken = [0usize; 3];
+        for (index, utterance) in corpus.split(Split::TestClean).iter().enumerate() {
+            // Ticks in between admit queued requests and retire finished
+            // ones, so the load compared mixes queue and batch.
+            if index % 3 == 2 {
+                router.tick_into(&mut Vec::new());
+            }
+            let expected = expected_slot(&router);
+            let before = held(&router);
+            router.submit(policy, utterance).expect("queues have room");
+            assert_eq!(grown_slot(&before, &held(&router)), expected);
+            taken[expected] += 1;
         }
-        for (worker, &count) in seen.iter().enumerate() {
-            assert!(
-                count > 16,
-                "worker {worker} got only {count}/256 placements — ring is badly skewed"
-            );
+        assert!(
+            router.in_flight() > 0,
+            "the load compared included sessions in flight"
+        );
+        assert!(
+            taken[1] > taken[0] && taken[0] > taken[2],
+            "placements follow speed: {taken:?}"
+        );
+    }
+
+    #[test]
+    fn placement_ties_go_to_the_lowest_slot() {
+        let (mut router, corpus) = router(RouterConfig::default().with_workers(3));
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let mut slots = Vec::new();
+        for utterance in &corpus.split(Split::TestClean)[..7] {
+            let before = held(&router);
+            router.submit(policy, utterance).expect("queues have room");
+            slots.push(grown_slot(&before, &held(&router)));
         }
+        // An idle uniform fleet: every submit ties the lightest workers, and
+        // the lowest of them takes it.
+        assert_eq!(slots, [0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn a_draining_worker_never_receives_a_placement() {
+        let (mut router, corpus) = router(RouterConfig::default().with_workers(3));
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        // Slot 0 would win every tie; draining it leaves it the lightest.
+        router.drain_worker(WorkerId::new(0));
+        for utterance in corpus.split(Split::TestClean) {
+            router.submit(policy, utterance).expect("queues have room");
+            assert_eq!(held(&router)[0], 0, "the draining worker took a request");
+        }
+        assert_eq!(held(&router), [0, 6, 6]);
+    }
+
+    #[test]
+    fn a_drain_moves_requests_and_sessions_to_the_least_loaded_worker() {
+        let (mut router, corpus) = router(
+            RouterConfig::default()
+                .with_workers(3)
+                .with_steal_threshold(1_000)
+                .with_worker_config(ServerConfig::default().with_max_batch(2)),
+        );
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        for utterance in corpus.split(Split::TestClean) {
+            router.submit(policy, utterance).expect("queues have room");
+        }
+        // Every worker admits its batch; worker 0 then serves on until it
+        // has retired requests, so the survivors hold unequal loads.
+        for slot in 0..3 {
+            router.workers[slot].scheduler.tick(&mut Vec::new());
+        }
+        let mut retired = Vec::new();
+        while retired.len() < 2 {
+            router.workers[0].scheduler.tick(&mut retired);
+        }
+        let leaving = router.workers()[2].id();
+        let queued = router.workers()[2].queue_depth();
+        let sessions = router.workers()[2].in_flight();
+        assert!(queued > 0 && sessions > 0, "the leaver holds both kinds");
+        let mut expected = held(&router);
+        expected[2] = 0;
+        assert!(expected[0] < expected[1], "the survivors start unequal");
+        for _ in 0..queued + sessions {
+            // Each moved request or session adds one to its destination,
+            // queued (re-routed or restored) or in flight (handed off).
+            let lightest = if expected[0] <= expected[1] { 0 } else { 1 };
+            expected[lightest] += 1;
+        }
+        assert_eq!(router.drain_worker(leaving), sessions);
+        assert_eq!(held(&router), expected);
     }
 
     #[test]
@@ -915,8 +978,9 @@ mod tests {
 
     #[test]
     fn work_stealing_rebalances_a_skewed_fleet() {
-        // Tiny ring with a single virtual node per worker plus a depth-1
-        // steal threshold makes imbalance easy to provoke.
+        // One-slot batches plus a depth-1 steal threshold: queues that
+        // placement left even skew as soon as one worker's requests finish
+        // faster than the other's.
         let (mut router, corpus) = router(
             RouterConfig::default()
                 .with_workers(2)
@@ -939,7 +1003,7 @@ mod tests {
         router.run_until_idle();
         assert!(
             router.stolen() > 0,
-            "hash placement of 48 requests over 2 workers must trigger stealing at threshold 1"
+            "48 requests of uneven length over 2 workers must trigger stealing at threshold 1"
         );
         let stolen_out: usize = router.workers().iter().map(Worker::stolen_out).sum();
         assert_eq!(router.stolen(), stolen_out);

@@ -758,9 +758,9 @@ where
 
     /// Drains every waiting request out of the admission queue — a worker
     /// entering `Draining` stops admitting, and the router re-routes its
-    /// queue through the ring.  Parked streams (in `waiting`) stay: their
-    /// chunk timetable and committed prefix live on this worker until the
-    /// stream finishes.
+    /// queue to the least-loaded workers.  Parked streams (in `waiting`)
+    /// stay: their chunk timetable and committed prefix live on this worker
+    /// until the stream finishes.
     pub(crate) fn drain_queue(&mut self) -> Vec<QueuedRequest> {
         self.queue.drain(..).collect()
     }

@@ -10,10 +10,9 @@ use crate::stats::ServerStats;
 /// Identity of one worker within a [`crate::Router`] fleet.
 ///
 /// Ids are *stable*: they name the worker for its whole lifetime and are
-/// never reused, even after the worker drains and leaves the fleet.  The
-/// consistent-hash ring derives its points from this id (not from the
-/// worker's current position in the fleet vector), which is what keeps
-/// placement minimally disturbed across membership changes.
+/// never reused, even after the worker drains and leaves the fleet (its
+/// position in the fleet vector, by contrast, shifts as workers are
+/// reaped).  Traces and migration events name workers by this id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(usize);
 
@@ -38,23 +37,23 @@ impl std::fmt::Display for WorkerId {
 /// Lifecycle state of a worker within the fleet.
 ///
 /// `Active → Draining → removed` is the only legal progression.  A draining
-/// worker holds no ring points, admits nothing new, and hands its queued and
-/// migratable in-flight work to the active workers; it stays in the fleet
-/// only until whatever *must* finish locally (streaming sessions bound to
-/// their chunk timetable) has completed, then [`crate::Router::reap_drained`]
-/// removes it.
+/// worker receives no placements, admits nothing new, and hands its queued
+/// and migratable in-flight work to the active workers; it stays in the
+/// fleet only until whatever *must* finish locally (streaming sessions bound
+/// to their chunk timetable) has completed, then
+/// [`crate::Router::reap_drained`] removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkerState {
-    /// Serving normally: on the ring, admitting, stealing.
+    /// Serving normally: receiving placements, admitting, stealing.
     Active,
-    /// Winding down: off the ring, finishing local-only work.
+    /// Winding down: no new placements, finishing local-only work.
     Draining,
 }
 
 /// One scheduler shard owned by a [`crate::Router`].
 ///
-/// The router places requests onto workers (consistent hashing, then work
-/// stealing on imbalance); each worker runs its own independent
+/// The router places requests onto workers (least-loaded placement, then
+/// work stealing on imbalance); each worker runs its own independent
 /// [`Scheduler`] over its own draft/target model pair, so the fleet scales
 /// the way N accelerators would.
 #[derive(Debug)]
@@ -89,7 +88,7 @@ where
         self.id
     }
 
-    /// The worker's capacity profile (ring weight and scheduler overrides).
+    /// The worker's capacity profile (load weight and scheduler overrides).
     pub fn profile(&self) -> &WorkerProfile {
         &self.profile
     }
@@ -122,6 +121,12 @@ where
     /// [`Scheduler::spare_sessions`]).
     pub fn spare_sessions(&self) -> usize {
         self.scheduler.spare_sessions()
+    }
+
+    /// The requests this worker holds, queued plus in flight, per unit of
+    /// its relative speed: the load least-loaded placement compares.
+    pub(crate) fn load(&self) -> f64 {
+        (self.queue_depth() + self.in_flight()) as f64 / self.profile.speed
     }
 
     /// The worker's queue depth normalized by its relative speed: the load

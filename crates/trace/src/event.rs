@@ -308,8 +308,8 @@ pub enum TraceEvent {
         /// The worker's fleet id.
         worker: u64,
     },
-    /// A worker entered `Draining`: it stopped admitting, its queue
-    /// re-routed through the ring, and its migratable sessions moved.
+    /// A worker entered `Draining`: it stopped admitting, and its queue
+    /// and migratable sessions moved to the least-loaded active workers.
     WorkerDraining {
         /// Drain time.
         ts_ms: f64,

@@ -1,7 +1,8 @@
 //! Sharded-serving demo: an open-loop Poisson request stream played against
 //! router fleets of growing size, showing how the latency knee (the offered
 //! QPS where queueing delay takes off) moves right as workers are added, and
-//! how work stealing keeps hash-placed queues balanced.
+//! how many requests work stealing still moves once least-loaded placement
+//! has split the arrivals.
 //!
 //! Run with: `cargo run --release --example sharded_serving`
 
@@ -62,6 +63,6 @@ fn main() {
         "\nreading the table: below the fleet's capacity, P99 tracks the no-load \
          service time; past it, arrivals outpace service and queueing delay \
          dominates.  Adding workers moves that knee to higher offered QPS — the \
-         scaling the router's consistent-hash placement and work stealing buy."
+         scaling the router's least-loaded placement and work stealing buy."
     );
 }

@@ -216,9 +216,10 @@ fn rpc_trace_is_digit_for_digit_identical_to_in_process() {
 
 #[test]
 fn a_stealing_fleet_reconciles_with_hand_offs_counted() {
-    // Two workers with a depth-1 steal threshold: hash placement of the
-    // whole corpus guarantees imbalance, so some requests are enqueued on
-    // one worker and served (and attributed) on the other.  Per-lane
+    // Two workers with a depth-1 steal threshold: the whole corpus split
+    // evenly at submit skews as soon as one worker's requests finish
+    // faster, so some requests are enqueued on one worker and served (and
+    // attributed) on the other.  Per-lane
     // analysis must classify the orphan submissions as hand-offs and still
     // reconcile the merged fleet exactly.
     let setup = StandardSetup::new(904, 8);
