@@ -38,6 +38,8 @@
 //! trace smoke step, which asserts the run contains at least one scale-up
 //! *and* one drain.
 
+use std::collections::HashMap;
+
 use specasr::{AdaptiveConfig, Policy};
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_bench::regression::write_baseline;
@@ -150,15 +152,26 @@ fn run_elastic_cell(
     }
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, BURST_QPS);
     let mut outcomes = Vec::new();
+    let mut arrivals = HashMap::new();
     let mut workers_peak = 1;
     for index in 0..REQUESTS_PER_CELL {
         outcomes.extend(fleet.advance_to(loadgen.next_arrival_ms()));
-        fleet
+        // The router stamps a request's arrival with its clock at submit.
+        let arrival_ms = fleet.router().now_ms();
+        let id = fleet
             .submit(decode_policy(), pool[index % pool.len()])
             .expect("queues are deep");
+        arrivals.insert(id, arrival_ms);
         workers_peak = workers_peak.max(fleet.router().active_workers());
     }
     outcomes.extend(fleet.run_until_idle());
+    // The controller goes idle on an evaluation boundary, which can fall
+    // before the last completion (a worker ticks past its deadline), so the
+    // serving window ends at the latest completion: arrival plus e2e.
+    let drained_ms = outcomes
+        .iter()
+        .map(|outcome| arrivals[&outcome.id] + outcome.e2e_ms())
+        .fold(0.0, f64::max);
     // Quiet tail: give the controller enough idle evaluations to drain all
     // the way back to the minimum and reap, so the trace shows the full
     // worker lifecycle in one run.
@@ -166,7 +179,7 @@ fn run_elastic_cell(
     assert_eq!(outcomes.len(), REQUESTS_PER_CELL);
     let counters = fleet.counters();
     let stats = fleet.router().fleet_stats();
-    let goodput = outcomes.len() as f64 * 1_000.0 / stats.wall_ms();
+    let goodput = outcomes.len() as f64 * 1_000.0 / drained_ms;
 
     let recordings = fleet.router_mut().take_recordings();
     if !recordings.is_empty() {
@@ -263,6 +276,8 @@ fn run_drain_cell(context: &ExperimentContext, pool: &[&Utterance]) -> ReportRow
             .expect("queues are deep");
     }
     outcomes.extend(router.run_until_idle());
+    // Idle, the serving clock stands at the last completion.
+    let drained_ms = router.now_ms();
     router.reap_drained();
     assert!(drained);
     assert_eq!(outcomes.len(), REQUESTS_PER_CELL, "drains never drop work");
@@ -271,7 +286,7 @@ fn run_drain_cell(context: &ExperimentContext, pool: &[&Utterance]) -> ReportRow
         fleet.migrations() > 0,
         "a mid-burst drain must migrate live sessions"
     );
-    let goodput = outcomes.len() as f64 * 1_000.0 / fleet.wall_ms();
+    let goodput = outcomes.len() as f64 * 1_000.0 / drained_ms;
     base_row(
         format!("drain-migrate@q{DRAIN_QPS:.0}"),
         outcomes.len(),

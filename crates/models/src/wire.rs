@@ -58,8 +58,11 @@
 //!
 //! A [`BackendBatch`] holds each request's audio context behind an `Arc`,
 //! and every request of a session shares the same one.  [`CallEncoder`], the
-//! client half, keys a table by `Arc` address and keeps a strong clone in
-//! it, so an address cannot be reused while it is registered.  A submit
+//! client half, lists each registered context in registration order and
+//! finds it by `Arc` identity.  The list keeps a strong clone of each, so an
+//! address cannot be reused while it is registered, and it holds only the
+//! contexts in flight, so a scan is cheap and nothing about the table
+//! depends on where a context happens to be allocated.  A submit
 //! inlines a context only the first time a request uses it, under a fresh
 //! id; later requests name the id.  The submit frame carries the ids the
 //! worker may forget as `forget`, and [`CallDecoder`], the worker half,
@@ -101,8 +104,10 @@
 //! checked against the bytes left before anything is read for it, so a
 //! corrupt frame cannot ask for more memory than its own size implies.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use specasr_audio::UtteranceId;
@@ -269,9 +274,10 @@ const DEVICE_EVENT_BYTES: usize = 8 + 3 * 8 + 8 + 8;
 /// of the register/forget context table (see the module docs).
 #[derive(Debug, Default)]
 pub struct CallEncoder {
-    /// Registered contexts by `Arc` address: the wire id, and a strong clone
-    /// that keeps the address from being reused while it is registered.
-    contexts: HashMap<usize, (u64, Arc<UtteranceTokens>)>,
+    /// Registered contexts in registration order: the wire id, and a strong
+    /// clone that keeps the address from being reused while it is
+    /// registered.
+    contexts: Vec<(u64, Arc<UtteranceTokens>)>,
     next_id: u64,
     /// Ids the next submit forgets: those [`CallEncoder::release`]d since
     /// the last submit, then the ones its sweep finds (reused buffer).
@@ -306,10 +312,17 @@ impl CallEncoder {
     /// next submit tells the worker to forget the id.  Sent again, the
     /// context registers anew, under a new id.
     pub fn release(&mut self, context: &Arc<UtteranceTokens>) {
-        let address = Arc::as_ptr(context) as usize;
-        if let Some((id, _)) = self.contexts.remove(&address) {
+        if let Some(at) = self.position(context) {
+            let (id, _) = self.contexts.remove(at);
             self.forget.push(id);
         }
+    }
+
+    /// Where `context` sits in the table, if it is registered.
+    fn position(&self, context: &Arc<UtteranceTokens>) -> Option<usize> {
+        self.contexts
+            .iter()
+            .position(|(_, registered)| Arc::ptr_eq(registered, context))
     }
 
     fn encode_submit(&mut self, now_ms: f64, batch: &BackendBatch, frame: &mut Vec<u8>) {
@@ -318,7 +331,7 @@ impl CallEncoder {
         // Every request of `batch` holds its own clone, so no context this
         // submit sends can be among the forgotten ones.
         let forget = &mut self.forget;
-        self.contexts.retain(|_, (id, context)| {
+        self.contexts.retain(|(id, context)| {
             let live = Arc::strong_count(context) > 1;
             if !live {
                 forget.push(*id);
@@ -343,15 +356,14 @@ impl CallEncoder {
     }
 
     fn put_context(&mut self, context: &Arc<UtteranceTokens>, frame: &mut Vec<u8>) {
-        let address = Arc::as_ptr(context) as usize;
-        if let Some(&(id, _)) = self.contexts.get(&address) {
+        if let Some(at) = self.position(context) {
             frame.put_u8(CONTEXT_REGISTERED);
-            frame.put_u64(id);
+            frame.put_u64(self.contexts[at].0);
             return;
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.contexts.insert(address, (id, Arc::clone(context)));
+        self.contexts.push((id, Arc::clone(context)));
         frame.put_u8(CONTEXT_NEW);
         frame.put_u64(id);
         put_utterance(frame, context);
@@ -362,7 +374,9 @@ impl CallEncoder {
 /// of the register/forget context table (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct CallDecoder {
-    contexts: HashMap<u64, Arc<UtteranceTokens>>,
+    /// Registered contexts by wire id.  The hasher's key is fixed, so the
+    /// table's layout, and with it its allocations, repeat from run to run.
+    contexts: HashMap<u64, Arc<UtteranceTokens>, BuildHasherDefault<DefaultHasher>>,
     /// Forgotten contexts, whose buffers the next new contexts are read
     /// into.  The table and this list together never hold more contexts
     /// than the client once had registered at the same time.
@@ -1483,7 +1497,8 @@ mod tests {
         let mut frame = Vec::new();
         let mut sink = BackendBatch::new();
         let id_of = |encoder: &CallEncoder, context: &Arc<UtteranceTokens>| {
-            encoder.contexts[&(Arc::as_ptr(context) as usize)].0
+            let at = encoder.position(context).expect("registered");
+            encoder.contexts[at].0
         };
         encoder.encode(
             &WireCall::Submit(0.0, &batch_over(&sessions.iter().collect::<Vec<_>>())),

@@ -233,8 +233,14 @@ where
         &self.workers
     }
 
-    /// The global timeline position in milliseconds: the latest of every
-    /// arrival event and ticked worker clock seen so far.
+    /// The global timeline position in milliseconds: the latest deadline
+    /// passed to [`Router::advance_to`] or [`Router::advance_into`], or the
+    /// latest clock a worker reached in a [`Router::run_until_idle`] tick,
+    /// whichever is later.  A submit stamps its arrival with it.
+    /// `advance_into` folds in only its deadline, and a worker it ticked
+    /// past that deadline runs ahead of this clock, so a completion can land
+    /// after it (an outcome completes at its arrival plus
+    /// [`RequestOutcome::e2e_ms`]).
     pub fn now_ms(&self) -> f64 {
         self.now_ms
     }

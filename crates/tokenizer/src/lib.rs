@@ -8,10 +8,14 @@
 //! * [`Vocabulary`] — an id ↔ piece table with the usual special tokens
 //!   (`<bos>`, `<eos>`, `<pad>`, `<unk>`) and word-boundary markers,
 //! * [`VocabularyBuilder`] — deterministic frequency-based subword vocabulary
-//!   construction (BPE-style merges) from a text corpus,
+//!   construction (BPE-style merges) from a text corpus, counting pairs
+//!   incrementally over interned piece ids: a merge rewrites only the words
+//!   that hold the merged pair,
 //! * [`Tokenizer`] — greedy longest-match encoding and lossless decoding,
 //! * [`TokenMapIndex`] — a precomputed n-gram index over domain token
-//!   sequences, the substrate of model-free token-map drafting.
+//!   sequences, the substrate of model-free token-map drafting: each context
+//!   of up to three tokens is stored once, packed into one integer key, with
+//!   its majority continuation (or "ambiguous") decided at build time.
 //!
 //! The tokenizer is intentionally deterministic: the same corpus and
 //! configuration always produce the same vocabulary, which is required for the

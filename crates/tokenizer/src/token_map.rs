@@ -9,12 +9,17 @@
 //! ambiguous, which yields shorter drafts on out-of-domain audio instead of
 //! wrong ones.
 //!
-//! [`TokenMapIndex`] is that table: counts of next-token continuations for
-//! every context window up to a configurable order, queried with
-//! longest-suffix backoff and a majority rule.  Construction is fully
-//! deterministic (ties break toward the smallest token id), so the same
-//! corpus always yields the same index — the reproducibility bar every other
-//! component of this workspace meets.
+//! [`TokenMapIndex`] is that table: for every context window up to a
+//! configurable order, the answer decided once at build time — the token
+//! that followed it more often than all others together, or "ambiguous" —
+//! queried with longest-suffix backoff.  A context and its length pack into
+//! one `u128` key, so the index is a single hash table of keys and answers:
+//! one allocation however many contexts it holds, and one probe per suffix
+//! tried.  The build sorts each order's (context, next token) windows, so
+//! each context's continuations lie side by side and its majority is read
+//! off in one pass, with no per-context map.  Construction is fully
+//! deterministic, so the same corpus always yields the same index — the
+//! reproducibility bar every other component of this workspace meets.
 //!
 //! The index is pure token-sequence machinery, which is why it lives in
 //! `specasr-tokenizer`; the drafter that walks it during decoding is
@@ -27,32 +32,22 @@ use crate::vocab::TokenId;
 /// Default maximum context length (n-gram order minus one).
 const DEFAULT_MAX_CONTEXT: usize = 3;
 
-/// How often each token followed one context, plus the running best.
-#[derive(Debug, Clone, Default)]
-struct ContinuationCounts {
-    /// Total continuations observed after this context.
-    total: usize,
-    /// Count per continuation token.
-    counts: HashMap<TokenId, usize>,
+/// Longest context a key holds: three 32-bit token ids beside the length.
+const MAX_CONTEXT_LIMIT: usize = 3;
+
+/// Packs `tokens` into the low `32 * tokens.len()` bits, the oldest token
+/// highest.
+fn pack(tokens: &[TokenId]) -> u128 {
+    tokens.iter().fold(0, |packed, token| {
+        (packed << 32) | u128::from(token.value())
+    })
 }
 
-impl ContinuationCounts {
-    fn record(&mut self, token: TokenId) {
-        self.total += 1;
-        *self.counts.entry(token).or_insert(0) += 1;
-    }
-
-    /// The majority continuation, if one token accounts for more than half of
-    /// everything seen after this context (ties cannot reach a majority, so
-    /// the argmax is unique; the smallest token id is still used as a
-    /// deterministic tie-break for the argmax scan itself).
-    fn majority(&self) -> Option<TokenId> {
-        let (&token, &count) = self
-            .counts
-            .iter()
-            .max_by(|(ta, ca), (tb, cb)| ca.cmp(cb).then(tb.cmp(ta)))?;
-        (count * 2 > self.total).then_some(token)
-    }
+/// The index key of a context of `len` tokens (at most
+/// [`MAX_CONTEXT_LIMIT`]) packed by [`pack`]: the length in the top 32
+/// bits, the tokens below.
+fn key(len: usize, packed: u128) -> u128 {
+    ((len as u128) << 96) | packed
 }
 
 /// A precomputed n-gram/trie index over a domain token corpus, mapping short
@@ -74,12 +69,14 @@ impl ContinuationCounts {
 #[derive(Debug, Clone)]
 pub struct TokenMapIndex {
     max_context: usize,
-    map: HashMap<Vec<TokenId>, ContinuationCounts>,
+    /// Every recorded context by its [`key`], with the token that followed it
+    /// more often than all others together, or `None` when no token did.
+    answers: HashMap<u128, Option<TokenId>>,
 }
 
 impl TokenMapIndex {
-    /// Builds the index from domain token sequences, recording continuation
-    /// counts for every context window of length `1..=max_context`.
+    /// Builds the index from domain token sequences, recording every context
+    /// window of length `1..=max_context` with its majority continuation.
     ///
     /// Sequences should be terminated the way decoding terminates (i.e.
     /// include the EOS token) if the index is meant to predict end-of-
@@ -87,24 +84,38 @@ impl TokenMapIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `max_context` is zero.
+    /// Panics if `max_context` is zero or above 3, the longest context a
+    /// key packs.
     pub fn build<'a, I>(sequences: I, max_context: usize) -> Self
     where
         I: IntoIterator<Item = &'a [TokenId]>,
     {
         assert!(max_context > 0, "context length must be positive");
-        let mut map: HashMap<Vec<TokenId>, ContinuationCounts> = HashMap::new();
-        for sequence in sequences {
-            for end in 1..sequence.len() {
-                let next = sequence[end];
-                let longest = end.min(max_context);
-                for order in 1..=longest {
-                    let context = sequence[end - order..end].to_vec();
-                    map.entry(context).or_default().record(next);
-                }
+        assert!(
+            max_context <= MAX_CONTEXT_LIMIT,
+            "context length must be at most {MAX_CONTEXT_LIMIT}"
+        );
+        let sequences: Vec<&[TokenId]> = sequences.into_iter().collect();
+        let mut answers: HashMap<u128, Option<TokenId>> = HashMap::new();
+        // One row per window of `order + 1` tokens: the context in the high
+        // bits, the token that followed it in the low 32.  Sorted, each
+        // context's rows are adjacent, and so are equal continuations.
+        let mut rows: Vec<u128> = Vec::new();
+        for order in 1..=max_context {
+            rows.clear();
+            for sequence in &sequences {
+                rows.extend(sequence.windows(order + 1).map(pack));
+            }
+            rows.sort_unstable();
+            for continuations in rows.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let context = continuations[0] >> 32;
+                answers.insert(key(order, context), majority(continuations));
             }
         }
-        TokenMapIndex { max_context, map }
+        TokenMapIndex {
+            max_context,
+            answers,
+        }
     }
 
     /// Builds the index with the default context length (3, i.e. 4-grams).
@@ -116,24 +127,21 @@ impl TokenMapIndex {
     }
 
     /// Predicts the continuation of `context` with longest-suffix backoff:
-    /// the longest recorded suffix (up to the index's context length) whose
-    /// continuation counts yield a majority token wins.  Returns `None` when
-    /// every suffix is off-map or ambiguous — the signal to stop drafting.
+    /// the longest recorded suffix (up to the index's context length)
+    /// decides.  Returns `None` when no suffix was recorded, or when the
+    /// longest recorded one is ambiguous — the signal to stop drafting.
     pub fn predict(&self, context: &[TokenId]) -> Option<TokenId> {
-        let longest = context.len().min(self.max_context);
-        for order in (1..=longest).rev() {
-            let suffix = &context[context.len() - order..];
-            if let Some(counts) = self.map.get(suffix) {
-                match counts.majority() {
-                    Some(token) => return Some(token),
-                    // An ambiguous long context is not rescued by a shorter
-                    // one: the longer window is strictly better informed, so
-                    // backing off would trade signal for noise.
-                    None => return None,
-                }
-            }
-        }
-        None
+        let suffix = &context[context.len().saturating_sub(self.max_context)..];
+        // An ambiguous long context is not rescued by a shorter one: the
+        // longer window is strictly better informed, so backing off would
+        // trade signal for noise.
+        (0..suffix.len())
+            .find_map(|skip| {
+                let context = &suffix[skip..];
+                self.answers.get(&key(context.len(), pack(context)))
+            })
+            .copied()
+            .flatten()
     }
 
     /// Maximum context length the index was built with.
@@ -141,15 +149,22 @@ impl TokenMapIndex {
         self.max_context
     }
 
-    /// Number of distinct contexts recorded.
+    /// Number of distinct contexts recorded, ambiguous ones included.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.answers.len()
     }
 
     /// Returns `true` if the index recorded no contexts at all.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.answers.is_empty()
     }
+}
+
+/// The continuation that accounts for more than half of one context's
+/// sorted `rows`, if any.
+fn majority(rows: &[u128]) -> Option<TokenId> {
+    let top = rows.chunk_by(|a, b| a == b).max_by_key(|run| run.len())?;
+    (top.len() * 2 > rows.len()).then(|| TokenId::new(top[0] as u32))
 }
 
 #[cfg(test)]
@@ -230,5 +245,124 @@ mod tests {
     #[should_panic(expected = "context length must be positive")]
     fn zero_context_panics() {
         let _ = TokenMapIndex::build(std::iter::empty(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// How often each token followed one context.
+    #[derive(Debug, Default)]
+    struct ContinuationCounts {
+        total: usize,
+        counts: HashMap<TokenId, usize>,
+    }
+
+    impl ContinuationCounts {
+        fn record(&mut self, token: TokenId) {
+            self.total += 1;
+            *self.counts.entry(token).or_insert(0) += 1;
+        }
+
+        fn majority(&self) -> Option<TokenId> {
+            let (&token, &count) = self
+                .counts
+                .iter()
+                .max_by(|(ta, ca), (tb, cb)| ca.cmp(cb).then(tb.cmp(ta)))?;
+            (count * 2 > self.total).then_some(token)
+        }
+    }
+
+    /// The index before each context's answer was decided at build time:
+    /// every context keyed by its own `Vec`, with a map of continuation
+    /// counts whose majority each prediction recomputes.  The packed index
+    /// must answer every query as it does.
+    struct ReferenceIndex {
+        max_context: usize,
+        map: HashMap<Vec<TokenId>, ContinuationCounts>,
+    }
+
+    impl ReferenceIndex {
+        fn build(sequences: &[Vec<TokenId>], max_context: usize) -> Self {
+            let mut map: HashMap<Vec<TokenId>, ContinuationCounts> = HashMap::new();
+            for sequence in sequences {
+                for end in 1..sequence.len() {
+                    let next = sequence[end];
+                    for order in 1..=end.min(max_context) {
+                        let context = sequence[end - order..end].to_vec();
+                        map.entry(context).or_default().record(next);
+                    }
+                }
+            }
+            ReferenceIndex { max_context, map }
+        }
+
+        fn predict(&self, context: &[TokenId]) -> Option<TokenId> {
+            let longest = context.len().min(self.max_context);
+            for order in (1..=longest).rev() {
+                if let Some(counts) = self.map.get(&context[context.len() - order..]) {
+                    return counts.majority();
+                }
+            }
+            None
+        }
+    }
+
+    /// Few tokens, so contexts repeat and some turn ambiguous, with the
+    /// extremes of the id range, so every bit of a packed key is exercised.
+    const TOKENS: [u32; 4] = [0, 1, 7, u32::MAX];
+
+    fn sequences_strategy() -> impl Strategy<Value = Vec<Vec<TokenId>>> {
+        let token = prop::sample::select(TOKENS.to_vec()).prop_map(TokenId::new);
+        proptest::collection::vec(proptest::collection::vec(token, 0..24), 0..8)
+    }
+
+    /// Every context over [`TOKENS`] of each length in `0..=max_len`.
+    fn every_context(max_len: usize) -> Vec<Vec<TokenId>> {
+        let mut contexts = vec![Vec::new()];
+        let mut last = vec![Vec::new()];
+        for _ in 0..max_len {
+            last = last
+                .iter()
+                .flat_map(|context: &Vec<TokenId>| {
+                    TOKENS.iter().map(move |&raw| {
+                        let mut longer = context.clone();
+                        longer.push(TokenId::new(raw));
+                        longer
+                    })
+                })
+                .collect();
+            contexts.extend(last.iter().cloned());
+        }
+        contexts
+    }
+
+    proptest! {
+        /// For every context length up to two past the index's, and every
+        /// context length the key packs, the index answers every context
+        /// as the reference does and counts as many contexts.
+        #[test]
+        fn packed_index_matches_the_reference(sequences in sequences_strategy()) {
+            for max_context in 1..=MAX_CONTEXT_LIMIT {
+                let index = TokenMapIndex::build(sequences.iter().map(Vec::as_slice), max_context);
+                let reference = ReferenceIndex::build(&sequences, max_context);
+                prop_assert_eq!(index.len(), reference.map.len());
+                for context in every_context(max_context + 2) {
+                    prop_assert_eq!(
+                        index.predict(&context),
+                        reference.predict(&context),
+                        "context {:?}, max_context {}", context, max_context
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "context length must be at most 3")]
+    fn contexts_longer_than_a_key_holds_panic() {
+        let _ = TokenMapIndex::build(std::iter::empty(), MAX_CONTEXT_LIMIT + 1);
     }
 }

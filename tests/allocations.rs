@@ -28,7 +28,9 @@
 //!
 //! Admission and retirement allocate what they keep: a KV prefill allocates
 //! at most the block table it fills, and decoding a transcript allocates its
-//! text once.
+//! text once.  The token-map index the drafter walks is one table of packed
+//! contexts, so it holds a fixed handful of allocations however many
+//! contexts its corpus records.
 //!
 //! A stream keeps its decode session between chunks, and its view and
 //! transcript buffers are sized from the full utterance at submit.  Each
@@ -52,7 +54,8 @@
 //! a scrape with nothing new to show allocates only the text it returns,
 //! and so does the median scrape of an open-loop run.
 //!
-//! The allocator also tracks this thread's live bytes and bytes allocated.
+//! The allocator also tracks this thread's live bytes, live allocations and
+//! bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
 //! no per-round history; a served request's outcome holds only its
 //! transcript tokens, its text and its partial spans; an idle
@@ -105,6 +108,9 @@ struct Tally {
     /// Bytes allocated minus bytes freed, by layout size.  Memory another
     /// thread allocated and this one freed counts negative.
     live_bytes: i64,
+    /// Allocations made minus allocations freed (a reallocation keeps its
+    /// one).
+    live_allocations: i64,
 }
 
 thread_local! {
@@ -113,13 +119,15 @@ thread_local! {
             allocations: 0,
             allocated_bytes: 0,
             live_bytes: 0,
+            live_allocations: 0,
         })
     };
 }
 
 /// Counts one call that requests `requested` bytes (zero for a free) and
-/// changes this thread's live bytes by `live_delta`.
-fn count(requested: usize, live_delta: i64) {
+/// changes this thread's live bytes by `live_delta` and its live
+/// allocations by `held_delta`.
+fn count(requested: usize, live_delta: i64, held_delta: i64) {
     // A thread being torn down may have no tally left; nothing to count.
     let _ = TALLY.try_with(|tally| {
         let mut next = tally.get();
@@ -128,6 +136,7 @@ fn count(requested: usize, live_delta: i64) {
             next.allocated_bytes += requested as u64;
         }
         next.live_bytes += live_delta;
+        next.live_allocations += held_delta;
         tally.set(next);
     });
 }
@@ -140,26 +149,26 @@ struct CountingAlloc;
 // initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
+        count(layout.size(), layout.size() as i64, 1);
         // SAFETY: the caller guarantees `layout` has a non-zero size.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size(), layout.size() as i64);
+        count(layout.size(), layout.size() as i64, 1);
         // SAFETY: the caller guarantees `layout` has a non-zero size.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
+        count(0, -(layout.size() as i64), -1);
         // SAFETY: `ptr` came from this allocator (hence from `System`) with
         // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size, new_size as i64 - layout.size() as i64);
+        count(new_size, new_size as i64 - layout.size() as i64, 0);
         // SAFETY: `ptr` came from this allocator with `layout`, and
         // `new_size` is non-zero and does not overflow, as the caller
         // guarantees.
@@ -183,6 +192,11 @@ fn allocated_bytes() -> u64 {
 /// Bytes this thread holds now (allocated minus freed).
 fn live_bytes() -> i64 {
     TALLY.with(Cell::get).live_bytes
+}
+
+/// Allocations this thread holds now (made minus freed).
+fn live_allocations() -> i64 {
+    TALLY.with(Cell::get).live_allocations
 }
 
 /// Runs `f`, returning its result and the allocations it made on this
@@ -276,10 +290,10 @@ fn external_draft(
     });
 }
 
-/// The token-map drafter over the corpus' reference transcripts,
-/// EOS-terminated, the way a deployment builds it.
-fn token_map_for(setup: &StandardSetup) -> TokenMapDrafter {
-    let sequences: Vec<Vec<TokenId>> = Split::ALL
+/// The corpus' reference transcripts, EOS-terminated: what a deployment
+/// mines its token map from.
+fn reference_sequences(setup: &StandardSetup) -> Vec<Vec<TokenId>> {
+    Split::ALL
         .iter()
         .flat_map(|&split| setup.binding.bind_all(setup.corpus.split(split)))
         .map(|audio| {
@@ -287,7 +301,13 @@ fn token_map_for(setup: &StandardSetup) -> TokenMapDrafter {
             sequence.push(audio.eos());
             sequence
         })
-        .collect();
+        .collect()
+}
+
+/// The token-map drafter over the corpus' reference transcripts, the way a
+/// deployment builds it.
+fn token_map_for(setup: &StandardSetup) -> TokenMapDrafter {
+    let sequences = reference_sequences(setup);
     TokenMapDrafter::new(Arc::new(TokenMapIndex::build_default(
         sequences.iter().map(Vec::as_slice),
     )))
@@ -938,6 +958,25 @@ fn a_prefill_allocates_at_most_its_table() {
 
 /// Decoding a transcript sizes its text before filling it: one allocation,
 /// however long the transcript.
+/// The token-map index is one table of packed contexts and the answers
+/// decided for them at build time, so building it over the benchmark's
+/// corpus (1,000 utterances, about 25,700 contexts) leaves a fixed handful
+/// of live allocations, not a key and a continuation map per context.
+#[test]
+fn a_token_map_index_holds_a_fixed_handful_of_allocations() {
+    let setup = StandardSetup::new(2025_0610, 250);
+    let sequences = reference_sequences(&setup);
+    let before = live_allocations();
+    let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
+    let held = live_allocations() - before;
+    assert!(index.len() > 20_000, "{} contexts", index.len());
+    assert!(
+        held <= 4,
+        "an index of {} contexts holds {held} allocations",
+        index.len()
+    );
+}
+
 #[test]
 fn decoding_a_transcript_allocates_once() {
     let setup = StandardSetup::new(31, 6);
