@@ -7,10 +7,12 @@
 //!   queues), but the queue grows without bound during the burst.
 //! * **`elastic-burst@q120`** — the same burst through a
 //!   [`FleetController`] bounded at 1–4 workers.  Queue pressure breaches
-//!   the target, the fleet scales up, the burst drains faster, and once
-//!   traffic quiets the fleet drains back down — migrating any still-live
-//!   sessions — and reaps the drained workers.  The row records the scale
-//!   decisions and migrations next to the serving metrics.
+//!   the target and the fleet grows in one step to the size the queue asks
+//!   for (1 → 4 workers at 200 ms), so the burst drains faster; once
+//!   traffic quiets and one worker can carry what is left, the fleet drains
+//!   straight back to it — migrating any still-live sessions — and reaps
+//!   the drained workers.  The row records the workers added and drained
+//!   and the migrations next to the serving metrics.
 //! * **`hetero-weighted@q120` / `hetero-unweighted@q120`** — a fixed
 //!   heterogeneous fleet (one big-batch worker declared 4× speed + three
 //!   standard workers) with its declared speed normalizing placement load,
@@ -314,7 +316,7 @@ fn main() {
             "the smoke run must scale up under the burst and drain after it"
         );
         println!(
-            "smoke cell `{}` OK: {:.2} utt/s, {} scale-ups, {} scale-downs, {} migrations",
+            "smoke cell `{}` OK: {:.2} utt/s, {} workers added, {} drained, {} migrations",
             row.label,
             row.value("goodput_utps").unwrap_or(0.0),
             row.value("scale_ups").unwrap_or(0.0),

@@ -9,12 +9,19 @@
 //!
 //! * **Elastic scaling** — a [`FleetController`] evaluates the fleet on a
 //!   fixed cadence ([`FleetConfig::evaluate_every_ms`]) against two
-//!   pressure signals: per-active-worker queue depth and the P99 latency of
-//!   the Interactive and Standard SLO classes.  A signal must breach its
-//!   target for [`FleetConfig::scale_up_after`] *consecutive* evaluations
-//!   before a worker is added (hysteresis — one bursty interval never flaps
-//!   the fleet), and sustained headroom for
-//!   [`FleetConfig::scale_down_after`] evaluations before one is drained.
+//!   pressure signals, both read from current state: per-active-worker
+//!   queue depth, and the P99 latency of the Interactive and Standard SLO
+//!   classes over the last [`FleetConfig::scale_down_after`] evaluation
+//!   intervals (a window with no completions reads 0, never a breach).  A
+//!   signal must breach its target for [`FleetConfig::scale_up_after`]
+//!   *consecutive* evaluations (hysteresis — one bursty interval never
+//!   flaps the fleet); the fleet then grows in one step to the size that
+//!   brings the queue to target, at least one worker more.  Sustained
+//!   queue headroom for [`FleetConfig::scale_down_after`] evaluations
+//!   drains the newest worker if the workers that stay can carry the whole
+//!   load (queued plus in flight) in half their batch slots, and drains
+//!   straight to [`FleetConfig::min_workers`] if those alone can; either
+//!   way the headroom streak starts over.
 //! * **Live drain and migration** — scale-down never kills work.  The
 //!   drained worker's queue re-routes to the least-loaded active workers
 //!   and its in-flight sessions migrate: same-machine block-table hand-off
@@ -66,10 +73,19 @@ use specasr::Policy;
 use specasr_audio::Utterance;
 use specasr_models::AsrDecoderModel;
 use specasr_server::{
-    RequestId, RequestOutcome, RequestSpec, Router, SloClass, SubmitError, Worker, WorkerId,
-    WorkerProfile,
+    Histogram, RequestId, RequestOutcome, RequestSpec, Router, SloClass, SubmitError, Worker,
+    WorkerId, WorkerProfile,
 };
 use specasr_trace::MetricsRegistry;
+
+/// The SLO classes held to [`FleetConfig::e2e_p99_target_ms`], in the order
+/// the latency window keeps them.
+const HELD_CLASSES: [SloClass; 2] = [SloClass::Interactive, SloClass::Standard];
+
+/// `class`'s position in [`HELD_CLASSES`], if it is held to the target.
+fn held(class: SloClass) -> Option<usize> {
+    HELD_CLASSES.iter().position(|&held| held == class)
+}
 
 /// Configuration of the elastic control loop.
 ///
@@ -85,12 +101,18 @@ pub struct FleetConfig {
     pub max_workers: usize,
     /// Evaluation cadence on the simulated timeline.
     pub evaluate_every_ms: f64,
-    /// Consecutive breached evaluations required before scaling up.
+    /// Consecutive breached evaluations required before scaling up.  The
+    /// scale-up that completes the streak adds `ceil(queued / queue_target)`
+    /// workers minus those active, at least one, up to `max_workers`.
     pub scale_up_after: usize,
-    /// Consecutive headroom evaluations required before scaling down.
+    /// Consecutive headroom evaluations required before scaling down, and
+    /// the span, in evaluation intervals, of the window the latency signal
+    /// reads its P99 over.
     pub scale_down_after: usize,
     /// Queue-pressure target: mean queued requests per active worker above
-    /// which an evaluation counts as breached.
+    /// which an evaluation counts as breached.  An evaluation has headroom
+    /// at half of it; a drain also needs the queued and in-flight requests
+    /// to fit in half the batch slots of the active workers that stay.
     pub queue_target: f64,
     /// End-to-end P99 target for the latency-critical SLO classes
     /// (Interactive and Standard); `None` disables the latency signal and
@@ -189,9 +211,9 @@ pub struct FleetCounters {
     pub evaluations: usize,
     /// Evaluations whose pressure signals breached a target.
     pub breached_evaluations: usize,
-    /// Scale-up decisions (each added exactly one worker).
+    /// Workers added by scale-ups (one decision can add several).
     pub scale_ups: usize,
-    /// Scale-down decisions (each drained exactly one worker).
+    /// Workers drained by scale-downs (one decision can drain several).
     pub scale_downs: usize,
     /// Drained workers that went idle and were removed from the fleet.
     pub workers_removed: usize,
@@ -213,6 +235,14 @@ pub struct FleetController<D, T, F> {
     breach_streak: usize,
     headroom_streak: usize,
     counters: FleetCounters,
+    /// End-to-end latencies of the [`HELD_CLASSES`] completed in each of
+    /// the last `scale_down_after` evaluation intervals, one histogram per
+    /// class; `window[cursor]` is the interval in progress.
+    window: Vec<[Histogram; 2]>,
+    cursor: usize,
+    /// Each held class's P99 over the window, as the latest evaluation
+    /// read it.
+    window_p99_ms: [f64; 2],
 }
 
 impl<D, T, F> FleetController<D, T, F>
@@ -238,6 +268,9 @@ where
             breach_streak: 0,
             headroom_streak: 0,
             counters: FleetCounters::default(),
+            window: vec![Default::default(); config.scale_down_after],
+            cursor: 0,
+            window_p99_ms: [0.0; 2],
         }
     }
 
@@ -259,6 +292,21 @@ where
     /// Every decision taken so far.
     pub fn counters(&self) -> FleetCounters {
         self.counters
+    }
+
+    /// The P99 end-to-end latency of `class` that the latest evaluation read:
+    /// over the outcomes this controller returned in the last
+    /// [`FleetConfig::scale_down_after`] evaluation intervals, that
+    /// evaluation's own included.  0 when none completed, and before the
+    /// first evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `class` is Interactive or Standard, the classes held
+    /// to [`FleetConfig::e2e_p99_target_ms`].
+    pub fn window_e2e_p99_ms(&self, class: SloClass) -> f64 {
+        let held = held(class).unwrap_or_else(|| panic!("the {class} class has no latency window"));
+        self.window_p99_ms[held]
     }
 
     /// Submits one utterance under `spec` at the current timeline instant
@@ -296,12 +344,9 @@ where
     pub fn advance_to(&mut self, deadline_ms: f64) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
         while self.next_eval_ms <= deadline_ms {
-            let boundary = self.next_eval_ms;
-            self.router.advance_into(boundary, &mut outcomes);
-            self.evaluate();
-            self.next_eval_ms = boundary + self.config.evaluate_every_ms;
+            self.step(&mut outcomes);
         }
-        self.router.advance_into(deadline_ms, &mut outcomes);
+        self.serve_into(deadline_ms, &mut outcomes);
         outcomes
     }
 
@@ -310,30 +355,54 @@ where
     pub fn run_until_idle(&mut self) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
         while !self.router.is_idle() {
-            let boundary = self.next_eval_ms;
-            self.router.advance_into(boundary, &mut outcomes);
-            self.evaluate();
-            self.next_eval_ms = boundary + self.config.evaluate_every_ms;
+            self.step(&mut outcomes);
         }
         self.counters.workers_removed += self.router.reap_drained().len();
         outcomes
     }
 
+    /// Serves to the next cadence boundary and evaluates there.
+    fn step(&mut self, outcomes: &mut Vec<RequestOutcome>) {
+        let boundary = self.next_eval_ms;
+        self.serve_into(boundary, outcomes);
+        self.evaluate();
+        self.next_eval_ms = boundary + self.config.evaluate_every_ms;
+    }
+
+    /// Advances the router to `deadline_ms`, appending what completes to
+    /// `outcomes` and folding the held classes' latencies into the window's
+    /// interval in progress.
+    fn serve_into(&mut self, deadline_ms: f64, outcomes: &mut Vec<RequestOutcome>) {
+        let from = outcomes.len();
+        self.router.advance_into(deadline_ms, outcomes);
+        let interval = &mut self.window[self.cursor];
+        for outcome in &outcomes[from..] {
+            if let Some(held) = held(outcome.slo) {
+                interval[held].record(outcome.e2e_ms());
+            }
+        }
+    }
+
     /// One control-loop evaluation: reap drained workers, measure pressure,
-    /// update the hysteresis streaks, and scale when a streak completes.
+    /// update the hysteresis streaks, scale when a streak completes, and
+    /// move the latency window on by one interval.
     fn evaluate(&mut self) {
         self.counters.evaluations += 1;
         self.counters.workers_removed += self.router.reap_drained().len();
 
         let active = self.router.active_workers();
-        let queue_pressure = self.router.queued() as f64 / active as f64;
-        // A class with no completions reads a P99 of 0, which never exceeds
-        // the (validated, positive) target.
-        let p99_breach = self.config.e2e_p99_target_ms.is_some_and(|target| {
-            [SloClass::Interactive, SloClass::Standard]
-                .iter()
-                .any(|&class| self.router.slo_e2e_p99_ms(class) > target)
-        });
+        let queued = self.router.queued();
+        let queue_pressure = queued as f64 / active as f64;
+        for (held, p99) in self.window_p99_ms.iter_mut().enumerate() {
+            *p99 =
+                Histogram::percentile_of(self.window.iter().map(|interval| &interval[held]), 0.99);
+        }
+        // A window with no completions reads a P99 of 0, which never
+        // exceeds the (validated, positive) target.
+        let p99_breach = self
+            .config
+            .e2e_p99_target_ms
+            .is_some_and(|target| self.window_p99_ms.iter().any(|&p99| p99 > target));
 
         let breached = queue_pressure > self.config.queue_target || p99_breach;
         // Headroom is deliberately stricter than "not breached": the queue
@@ -353,27 +422,77 @@ where
         }
 
         if self.breach_streak >= self.config.scale_up_after && active < self.config.max_workers {
-            self.router
-                .add_worker(WorkerProfile::default(), &mut self.make_models);
-            self.counters.scale_ups += 1;
+            // Meet the queue in one step: as many workers as bring it to
+            // target, and at least one more (a latency breach alone).
+            let wanted = (queued as f64 / self.config.queue_target).ceil() as usize;
+            let added = wanted
+                .saturating_sub(active)
+                .clamp(1, self.config.max_workers - active);
+            for _ in 0..added {
+                self.router
+                    .add_worker(WorkerProfile::default(), &mut self.make_models);
+            }
+            self.counters.scale_ups += added;
             self.breach_streak = 0;
         } else if self.headroom_streak >= self.config.scale_down_after
             && active > self.config.min_workers
         {
-            // Drain the most recently added active worker: LIFO keeps the
-            // longest-lived workers (and their prefix caches) in place and
-            // is deterministic by construction.
-            let newest = self
-                .router
+            // Queue headroom alone is not enough: arrivals that join the
+            // next wave never queue, so the workers that stay must also
+            // carry the whole load.  Whether they can or not, the streak
+            // starts over.
+            let drained = self.drainable(active);
+            for _ in 0..drained {
+                // Drain the most recently added active worker: LIFO keeps
+                // the longest-lived workers (and their prefix caches) in
+                // place and is deterministic by construction.
+                let newest = self
+                    .router
+                    .workers()
+                    .iter()
+                    .filter(|worker| !worker.is_draining())
+                    .map(Worker::id)
+                    .max()
+                    .expect("an active fleet always has an active worker");
+                self.counters.sessions_migrated += self.router.drain_worker(newest);
+            }
+            self.counters.scale_downs += drained;
+            self.headroom_streak = 0;
+        }
+
+        // The oldest interval leaves the window; its histograms, emptied
+        // in place, take the next interval.
+        self.cursor = (self.cursor + 1) % self.window.len();
+        for histogram in &mut self.window[self.cursor] {
+            histogram.reset();
+        }
+    }
+
+    /// How many of the newest of `active` workers can drain now: every one
+    /// above [`FleetConfig::min_workers`] when the whole load — queued plus
+    /// in flight — fits in half the batch slots of that many workers, else
+    /// one when it fits in half the slots of the rest, else none.  Half
+    /// mirrors the queue headroom at half of [`FleetConfig::queue_target`].
+    fn drainable(&self, active: usize) -> usize {
+        let load = self.router.queued() + self.router.in_flight();
+        let base = self.router.config().worker;
+        // The batch slots of the `kept` longest-lived active workers (the
+        // fleet lists workers in join order), each at its own `max_batch`.
+        let slots = |kept: usize| -> usize {
+            self.router
                 .workers()
                 .iter()
                 .filter(|worker| !worker.is_draining())
-                .map(Worker::id)
-                .max()
-                .expect("an active fleet always has an active worker");
-            self.counters.sessions_migrated += self.router.drain_worker(newest);
-            self.counters.scale_downs += 1;
-            self.headroom_streak = 0;
+                .take(kept)
+                .map(|worker| worker.profile().apply(base).max_batch)
+                .sum()
+        };
+        if 2 * load <= slots(self.config.min_workers) {
+            active - self.config.min_workers
+        } else if 2 * load <= slots(active - 1) {
+            1
+        } else {
+            0
         }
     }
 
@@ -411,13 +530,13 @@ where
         );
         registry.set_counter(
             "specasr_fleet_scale_ups_total",
-            "Scale-up decisions taken.",
+            "Workers added by scale-ups.",
             &[],
             self.counters.scale_ups as f64,
         );
         registry.set_counter(
             "specasr_fleet_scale_downs_total",
-            "Scale-down decisions taken.",
+            "Workers drained by scale-downs.",
             &[],
             self.counters.scale_downs as f64,
         );
@@ -439,6 +558,14 @@ where
             &[],
             self.headroom_streak as f64,
         );
+        for class in HELD_CLASSES {
+            registry.set_gauge(
+                "specasr_fleet_window_e2e_p99_ms",
+                "End-to-end P99 over the latest evaluation's window, by SLO class.",
+                &[("class", class.name())],
+                self.window_e2e_p99_ms(class),
+            );
+        }
     }
 }
 
@@ -636,6 +763,83 @@ mod tests {
             "router-side migration stats must reconcile with the controller's count"
         );
         assert_eq!(stats.migrations(), counters.sessions_migrated);
+    }
+
+    /// Submits `requests` utterances at the current instant.
+    fn submit_all(fleet: &mut Fleet, corpus: &Corpus, requests: usize) {
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let pool = corpus.split(Split::TestClean);
+        for index in 0..requests {
+            fleet
+                .submit(policy, &pool[index % pool.len()])
+                .expect("queues are deep");
+        }
+    }
+
+    #[test]
+    fn a_completed_breach_streak_sizes_the_fleet_to_the_queue_in_one_step() {
+        for (queue_target, max_workers) in [(8.0, 8), (2.0, 4)] {
+            let config = FleetConfig::default()
+                .with_worker_bounds(1, max_workers)
+                .with_evaluate_every_ms(50.0)
+                .with_hysteresis(2, 8)
+                .with_queue_target(queue_target);
+            // A twin capped at one worker never scales, so its queue at the
+            // second boundary is the queue the fleet's second evaluation,
+            // the one completing the streak, sees.
+            let (mut twin, corpus) = fleet(config.with_worker_bounds(1, 1), 1);
+            submit_all(&mut twin, &corpus, 48);
+            twin.advance_to(2.0 * config.evaluate_every_ms);
+            let queued = twin.router().queued();
+            assert!(queued as f64 > queue_target, "{queued} queued must breach");
+
+            let (mut fleet, corpus) = fleet(config, 1);
+            submit_all(&mut fleet, &corpus, 48);
+            fleet.advance_to(config.evaluate_every_ms);
+            assert_eq!(fleet.router().active_workers(), 1, "the streak is 1 of 2");
+            fleet.advance_to(2.0 * config.evaluate_every_ms);
+            let sized = (queued as f64 / queue_target).ceil() as usize;
+            assert_eq!(
+                fleet.router().active_workers(),
+                sized.min(max_workers),
+                "{queued} queued at target {queue_target}"
+            );
+            assert_eq!(fleet.counters().scale_ups, sized.min(max_workers) - 1);
+        }
+    }
+
+    #[test]
+    fn a_worker_drains_only_when_the_rest_can_carry_the_load() {
+        let config = FleetConfig::default()
+            .with_worker_bounds(1, 2)
+            .with_evaluate_every_ms(10.0)
+            .with_hysteresis(1, 2)
+            .with_queue_target(2.0);
+        let (mut fleet, corpus) = fleet(config, 2);
+        // Eight requests fill 4 of each worker's 8 batch slots with nothing
+        // queued: headroom on the queue, but more than the 4 that half of
+        // the staying worker's slots hold.
+        submit_all(&mut fleet, &corpus, 8);
+        let mut held = 0;
+        let mut now_ms = 0.0;
+        loop {
+            now_ms += config.evaluate_every_ms;
+            fleet.advance_to(now_ms);
+            let load = fleet.router().queued() + fleet.router().in_flight();
+            if 2 * load <= 8 {
+                break;
+            }
+            assert_eq!(fleet.router().queued(), 0);
+            assert_eq!(fleet.counters().scale_downs, 0, "{load} requests held");
+            held += 1;
+        }
+        assert!(
+            held > config.scale_down_after,
+            "an empty queue for {held} evaluations must outlast the streak"
+        );
+        fleet.run_until_idle();
+        fleet.advance_to(fleet.router().now_ms() + 1_000.0);
+        assert_eq!(fleet.router().active_workers(), 1, "a light fleet drains");
     }
 
     #[test]

@@ -27,11 +27,10 @@ use std::sync::Arc;
 
 use specasr::{Drafter, DrafterKind, Policy};
 use specasr_audio::{EncoderProfile, Utterance};
-use specasr_metrics::Histogram;
 use specasr_models::{AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
-use crate::request::{RequestId, RequestOutcome, RequestSpec, SloClass, SubmitError};
+use crate::request::{RequestId, RequestOutcome, RequestSpec, SubmitError};
 use crate::scheduler::{GrownBuffers, Scheduler};
 use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId};
@@ -623,18 +622,6 @@ where
             merged.merge(worker.stats());
         }
         merged
-    }
-
-    /// P99 of one SLO class's end-to-end latency across the fleet, reaped
-    /// workers included.  The workers' histograms are read in place
-    /// ([`Histogram::percentile_of`]), so this reads
-    /// `self.fleet_stats().slo_class(class).e2e_p99_ms()` bit for bit
-    /// without merging the fleet's statistics.
-    pub fn slo_e2e_p99_ms(&self, class: SloClass) -> f64 {
-        let parts = std::iter::once(&self.retired_stats)
-            .chain(self.workers.iter().map(Worker::stats))
-            .map(|stats| stats.slo_class(class).e2e_histogram());
-        Histogram::percentile_of(parts, 0.99)
     }
 
     /// Installs a draft-free draft source on every worker (workers share the

@@ -1,8 +1,9 @@
 //! Elastic-fleet demo: the same Poisson burst served by a static single
 //! worker and by a [`FleetController`] bounded at 1–4 workers.  The
-//! controller watches queue pressure on the simulated clock, scales up
-//! under sustained breach, and — once the burst passes — drains workers
-//! back down (migrating any sessions they still hold) and reaps them.
+//! controller watches queue pressure on the simulated clock, sizes the
+//! fleet to the queue in one step under sustained breach, and — once the
+//! burst passes and one worker can carry what is left — drains the others
+//! (migrating any sessions they still hold) and reaps them.
 //!
 //! Run with: `cargo run --release --example elastic_fleet`
 
@@ -50,8 +51,8 @@ fn main() {
         static_stats.e2e_p99_ms(),
     );
 
-    // Elastic: the controller adds workers while the burst breaches the
-    // queue target and drains them once traffic quiets.
+    // Elastic: the controller sizes the fleet to the queue once the burst
+    // breaches the target and drains it once traffic quiets.
     let mut fleet = FleetController::new(
         router(&setup),
         FleetConfig::default()
@@ -83,7 +84,7 @@ fn main() {
         stats.e2e_p99_ms(),
     );
     println!(
-        "\nscale decisions : {} up, {} down over {} evaluations \
+        "\nscaling         : {} workers added, {} drained over {} evaluations \
          (peak {} workers, {} now, {} migrations)",
         counters.scale_ups,
         counters.scale_downs,
@@ -97,9 +98,11 @@ fn main() {
     println!(
         "\nreading the numbers: the burst arrives faster than one worker can \
          serve, so the static queue — and with it P99 — grows for the whole \
-         run.  The controller sees the same pressure, scales toward the \
-         ceiling, and the burst drains at fleet speed; once arrivals stop, \
-         sustained headroom drains the extra workers (migrating any live \
-         sessions losslessly) and the fleet returns to one worker."
+         run.  The controller sees the same pressure and adds, in one \
+         step, as many workers as bring the queue to target, so the burst \
+         drains at fleet speed; once arrivals stop and one worker can carry \
+         the load, sustained headroom drains the extra workers together \
+         (migrating any live sessions losslessly) and the fleet returns to \
+         one worker."
     );
 }

@@ -13,8 +13,9 @@ use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{CtcDrafter, SimulatedAsrModel};
 use specasr_server::{
-    run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, MetricsRegistry, RequestOutcome,
-    RequestSpec, Router, RouterConfig, ServerConfig, SloClass, WorkerId, WorkerProfile,
+    run_open_loop, AdmissionOrdering, AdmissionPolicy, Histogram, LoadGen, MetricsRegistry,
+    RequestOutcome, RequestSpec, Router, RouterConfig, ServerConfig, SloClass, WorkerId,
+    WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -588,27 +589,20 @@ fn fleet_metrics_reconcile_exactly_with_controller_counters() {
         fleet.router().fleet_stats().migrations(),
         counters.sessions_migrated
     );
+    assert_eq!(
+        value("specasr_fleet_window_e2e_p99_ms{class=\"interactive\"}"),
+        fleet.window_e2e_p99_ms(SloClass::Interactive)
+    );
 }
 
-/// The fleet controller reads each SLO class's P99 in place, through
-/// `Router::slo_e2e_p99_ms`, instead of merging the fleet's statistics.  The
-/// read must equal the merged statistics' P99 bit for bit for every class,
-/// while the fleet scales up, drains, and after it reaps a worker whose
-/// samples now live in the router's retired aggregate.
+/// The fleet controller reads each held class's P99 over a window of its
+/// last `scale_down_after` evaluation intervals.  The read must equal, bit
+/// for bit, the P99 of a histogram recorded from exactly the outcomes the
+/// controller returned in those intervals, while the fleet scales up,
+/// drains, reaps, and idles; the published gauge must equal the read.
 #[test]
-fn in_place_slo_p99_equals_the_merged_fleet_stats_bit_for_bit() {
-    fn assert_p99s_match(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) {
-        let merged = router.fleet_stats();
-        for class in SloClass::ALL {
-            assert_eq!(
-                router.slo_e2e_p99_ms(class).to_bits(),
-                merged.slo_class(class).e2e_p99_ms().to_bits(),
-                "{class} P99 at {:.0} ms",
-                router.now_ms()
-            );
-        }
-    }
-
+fn windowed_slo_p99_equals_a_histogram_of_the_window_outcomes_bit_for_bit() {
+    const HELD: [SloClass; 2] = [SloClass::Interactive, SloClass::Standard];
     let setup = StandardSetup::new(408, 8);
     let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     let pool = corpus_pool(&setup);
@@ -639,16 +633,54 @@ fn in_place_slo_p99_equals_the_merged_fleet_stats_bit_for_bit() {
             )
             .expect("queues are deep");
     }
+
+    // Each step ends on an evaluation boundary, so it returns exactly the
+    // outcomes of the interval that evaluation closed.
+    let mut intervals: Vec<Vec<RequestOutcome>> = Vec::new();
     let mut now_ms = fleet.router().now_ms();
-    while !fleet.router().is_idle() {
-        now_ms += 100.0;
-        fleet.advance_to(now_ms);
-        assert_p99s_match(fleet.router());
+    let mut idle_steps = 0;
+    let mut nonzero_reads = 0;
+    while idle_steps < 40 {
+        now_ms += config.evaluate_every_ms;
+        intervals.push(fleet.advance_to(now_ms));
+        if fleet.router().is_idle() {
+            idle_steps += 1;
+        }
+        let window = &intervals[intervals.len().saturating_sub(config.scale_down_after)..];
+        let mut registry = MetricsRegistry::new();
+        fleet.publish_metrics(&mut registry);
+        let rendered = registry.render();
+        for class in HELD {
+            let mut expected = Histogram::new();
+            for outcome in window.iter().flatten().filter(|o| o.slo == class) {
+                expected.record(outcome.e2e_ms());
+            }
+            assert_eq!(
+                fleet.window_e2e_p99_ms(class).to_bits(),
+                expected.percentile(0.99).to_bits(),
+                "{class} window P99 at {now_ms:.0} ms"
+            );
+            let gauge = format!("specasr_fleet_window_e2e_p99_ms{{class=\"{class}\"}} ");
+            let published: f64 = rendered
+                .lines()
+                .find_map(|line| line.strip_prefix(&gauge))
+                .unwrap_or_else(|| panic!("{gauge}missing from:\n{rendered}"))
+                .parse()
+                .unwrap();
+            assert_eq!(
+                published.to_bits(),
+                fleet.window_e2e_p99_ms(class).to_bits()
+            );
+            nonzero_reads += usize::from(expected.count() > 0);
+        }
     }
-    // A quiet tail: sustained headroom drains the added workers, and the
-    // next evaluations reap them.
-    fleet.advance_to(now_ms + 2_000.0);
-    assert_p99s_match(fleet.router());
+    assert!(nonzero_reads > 4, "{nonzero_reads} reads saw completions");
+    assert_eq!(intervals.iter().map(Vec::len).sum::<usize>(), 48);
+    assert!(
+        HELD.iter()
+            .all(|&class| fleet.window_e2e_p99_ms(class) == 0.0),
+        "a window with no completions reads 0"
+    );
 
     let counters = fleet.counters();
     assert!(
@@ -676,4 +708,81 @@ fn in_place_slo_p99_equals_the_merged_fleet_stats_bit_for_bit() {
         .filter(|&&class| merged.slo_class(class).completed() > 0)
         .count();
     assert!(served_classes >= 3, "{served_classes} classes served");
+}
+
+/// The controller reads latency over a recent window, not the lifetime: a
+/// burst whose lifetime P99 stays above the target must not hold the fleet
+/// up through a quiet tail whose completions all meet it.  With a lifetime
+/// read, every tail evaluation breaches and the fleet latches at its peak.
+#[test]
+fn a_quiet_tail_drains_the_fleet_after_a_burst_that_broke_the_latency_target() {
+    let setup = StandardSetup::new(409, 8);
+    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let pool = corpus_pool(&setup);
+    const TARGET_MS: f64 = 700.0;
+    let config = FleetConfig::default()
+        .with_worker_bounds(1, 4)
+        .with_evaluate_every_ms(100.0)
+        .with_hysteresis(2, 6)
+        .with_queue_target(2.0)
+        .with_e2e_p99_target_ms(Some(TARGET_MS));
+    let router = router_for(
+        &setup,
+        RouterConfig::default()
+            .with_workers(1)
+            .with_worker_config(ServerConfig::default().with_queue_depth(256)),
+    );
+    let mut fleet = FleetController::new(router, config, |_| {
+        (setup.draft.clone(), setup.target.clone())
+    });
+    let spec = |index: usize| RequestSpec {
+        ttft_budget_ms: Some([500.0, 2_000.0][index % 2]),
+        ..policy.into()
+    };
+    let mut burst = LoadGen::new(9, 300.0);
+    let mut burst_outcomes = Vec::new();
+    for index in 0..96 {
+        burst_outcomes.extend(fleet.advance_to(burst.next_arrival_ms()));
+        fleet
+            .submit(spec(index), pool[index % pool.len()])
+            .expect("queues are deep");
+    }
+    let peak = fleet.router().active_workers();
+    // The tail: one request a second for 30 s, each long done before the
+    // next arrives.
+    let quiet_from_ms = fleet.router().now_ms() + 5_000.0;
+    burst_outcomes.extend(fleet.advance_to(quiet_from_ms));
+    let mut tail = Vec::new();
+    for index in 0..30 {
+        tail.extend(fleet.advance_to(quiet_from_ms + 1_000.0 * index as f64));
+        fleet
+            .submit(spec(index), pool[(96 + index) % pool.len()])
+            .expect("queues are deep");
+    }
+    tail.extend(fleet.run_until_idle());
+    tail.extend(fleet.advance_to(fleet.router().now_ms() + 2_000.0));
+    assert_eq!(tail.len(), 30, "every tail request completes");
+
+    // The premise: the burst's samples keep the lifetime P99 above the
+    // target, and no tail completion comes near it.
+    let lifetime = fleet.router().fleet_stats();
+    assert!(
+        [SloClass::Interactive, SloClass::Standard]
+            .iter()
+            .any(|&class| lifetime.slo_class(class).e2e_p99_ms() > TARGET_MS),
+        "the burst must break the target for good"
+    );
+    let tail_max = tail.iter().map(RequestOutcome::e2e_ms).fold(0.0, f64::max);
+    assert!(tail_max < TARGET_MS, "tail e2e reached {tail_max:.1} ms");
+
+    let counters = fleet.counters();
+    assert!(peak > 1, "the burst must scale up: {counters:?}");
+    assert_eq!(
+        fleet.router().active_workers(),
+        config.min_workers,
+        "the quiet tail must drain to the floor: {counters:?}"
+    );
+    assert_eq!(fleet.router().draining_workers(), 0);
+    assert_eq!(counters.scale_downs, counters.scale_ups);
+    assert_eq!(counters.workers_removed, counters.scale_downs);
 }
