@@ -23,7 +23,8 @@ use serde::{Deserialize, Serialize};
 /// use specasr_audio::{chunk_schedule, ChunkConfig};
 ///
 /// let config = ChunkConfig::default().with_chunk_seconds(0.5);
-/// let chunks = chunk_schedule(2.2, &config);
+/// let mut chunks = Vec::new();
+/// chunk_schedule(2.2, &config, &mut chunks);
 /// assert_eq!(chunks.len(), 5);
 /// assert!((chunks.last().unwrap().end_seconds - 2.2).abs() < 1e-12);
 /// ```
@@ -110,16 +111,19 @@ impl StreamChunk {
     }
 }
 
-/// Builds the timed chunk plan for `duration_seconds` of audio: chunks of
-/// `config.chunk_seconds`, the last one ending exactly at `duration_seconds`,
-/// each arriving when its audio has been spoken plus a seeded jitter, with
-/// arrival times forced non-decreasing.
+/// Fills `chunks` with the timed chunk plan for `duration_seconds` of audio:
+/// chunks of `config.chunk_seconds`, the last one ending exactly at
+/// `duration_seconds`, each arriving when its audio has been spoken plus a
+/// seeded jitter, with arrival times forced non-decreasing.  Whatever
+/// `chunks` held before is replaced, and its buffer is kept, so a caller
+/// that plans every stream into one kept buffer stops allocating once it
+/// has held the longest plan.
 ///
 /// # Panics
 ///
 /// Panics if `config` is invalid or `duration_seconds` is not finite and
 /// positive.
-pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig) -> Vec<StreamChunk> {
+pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig, chunks: &mut Vec<StreamChunk>) {
     config.validate();
     assert!(
         duration_seconds.is_finite() && duration_seconds > 0.0,
@@ -135,7 +139,8 @@ pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig) -> Vec<Stream
         count -= 1;
     }
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ STREAM_JITTER_SEED);
-    let mut chunks = Vec::with_capacity(count);
+    chunks.clear();
+    chunks.reserve(count);
     let mut previous_arrival = 0.0f64;
     for index in 0..count {
         let start_seconds = index as f64 * config.chunk_seconds;
@@ -155,7 +160,6 @@ pub fn chunk_schedule(duration_seconds: f64, config: &ChunkConfig) -> Vec<Stream
             arrival_offset_ms,
         });
     }
-    chunks
 }
 
 /// The shortest chunk [`chunk_schedule`] emits, as a fraction of
@@ -170,6 +174,13 @@ const STREAM_JITTER_SEED: u64 = 0x57ea_4dc4_a2b0_0137;
 mod tests {
     use super::*;
 
+    /// The chunk plan of `duration_seconds` in a new buffer.
+    fn plan(duration_seconds: f64, config: &ChunkConfig) -> Vec<StreamChunk> {
+        let mut chunks = Vec::new();
+        chunk_schedule(duration_seconds, config, &mut chunks);
+        chunks
+    }
+
     #[test]
     fn schedules_partition_the_audio_exactly() {
         for (duration, chunk_s, count) in [
@@ -180,7 +191,7 @@ mod tests {
             (4.9, 0.7, 7),
             (3.87, 0.03, 129),
         ] {
-            let chunks = chunk_schedule(
+            let chunks = plan(
                 duration,
                 &ChunkConfig::default().with_chunk_seconds(chunk_s),
             );
@@ -201,7 +212,7 @@ mod tests {
     #[test]
     fn zero_jitter_delivers_chunks_exactly_on_the_audio_beat() {
         let config = ChunkConfig::default().with_arrival_jitter(0.0);
-        for chunk in chunk_schedule(3.0, &config) {
+        for chunk in plan(3.0, &config) {
             assert!((chunk.arrival_offset_ms - chunk.end_seconds * 1_000.0).abs() < 1e-12);
         }
     }
@@ -209,10 +220,12 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_per_seed_and_bounded() {
         let config = ChunkConfig::default().with_arrival_jitter(0.5).with_seed(9);
-        let a = chunk_schedule(4.0, &config);
-        let b = chunk_schedule(4.0, &config);
+        let a = plan(4.0, &config);
+        // Planned into a buffer that held a longer plan of another seed.
+        let mut b = plan(9.0, &config.with_seed(3));
+        chunk_schedule(4.0, &config, &mut b);
         assert_eq!(a, b);
-        let other = chunk_schedule(4.0, &config.with_seed(10));
+        let other = plan(4.0, &config.with_seed(10));
         assert_ne!(a, other);
         for chunk in &a {
             let late_ms = chunk.arrival_offset_ms - chunk.end_seconds * 1_000.0;
@@ -223,12 +236,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk_seconds")]
     fn zero_chunk_duration_panics() {
-        chunk_schedule(1.0, &ChunkConfig::default().with_chunk_seconds(0.0));
+        plan(1.0, &ChunkConfig::default().with_chunk_seconds(0.0));
     }
 
     #[test]
     #[should_panic(expected = "duration_seconds")]
     fn zero_duration_panics() {
-        chunk_schedule(0.0, &ChunkConfig::default());
+        plan(0.0, &ChunkConfig::default());
     }
 }

@@ -65,15 +65,11 @@ mod tests {
     #[test]
     fn kv_cache_tracks_prefill_and_generation() {
         let (target, audio) = setup();
-        let outcome = decode(&target, &audio[2]);
-        assert_eq!(
-            outcome.target_cache.prefill_len(),
-            audio[2].prefill_tokens()
-        );
-        assert_eq!(
-            outcome.target_cache.generated_len(),
-            outcome.tokens.len() + 1
-        );
-        assert!(outcome.draft_cache.is_empty());
+        let session = Policy::Autoregressive.decoded_session(&target, &target, &audio[2]);
+        let (draft_cache, target_cache) = session.kv_positions();
+        let outcome = session.into_outcome();
+        assert_eq!(target_cache.prefill_len(), audio[2].prefill_tokens());
+        assert_eq!(target_cache.generated_len(), outcome.tokens.len() + 1);
+        assert!(draft_cache.is_empty());
     }
 }

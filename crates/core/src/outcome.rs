@@ -2,14 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 use specasr_models::{DecodeClock, LatencyBreakdown};
-use specasr_runtime::KvCache;
 use specasr_tokenizer::TokenId;
 
 use crate::stats::DecodeStats;
 
 /// Everything a policy produces for one utterance: the transcript tokens, the
-/// round statistics, the simulated latency clock, and the final KV-cache
-/// bookkeeping of both models.
+/// round statistics and the simulated latency clock.  The KV-cache
+/// bookkeeping stays with the [`crate::DecodeSession`] that decoded it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecodeOutcome {
     /// The decoded transcript tokens (EOS excluded).
@@ -18,11 +17,6 @@ pub struct DecodeOutcome {
     pub stats: DecodeStats,
     /// Simulated latency accounting (Figs. 7, 11 and Tab. II).
     pub clock: DecodeClock,
-    /// Final state of the draft model's KV cache (empty for autoregressive
-    /// decoding, which uses no draft model).
-    pub draft_cache: KvCache,
-    /// Final state of the target model's KV cache.
-    pub target_cache: KvCache,
 }
 
 impl DecodeOutcome {
@@ -61,8 +55,6 @@ mod tests {
             tokens: vec![TokenId::new(5)],
             stats: DecodeStats::new(),
             clock,
-            draft_cache: KvCache::new(),
-            target_cache: KvCache::new(),
         };
         assert!((outcome.decode_ms() - 12.0).abs() < 1e-12);
         assert!((outcome.latency().target_ms - 12.0).abs() < 1e-12);

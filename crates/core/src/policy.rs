@@ -69,6 +69,21 @@ impl Policy {
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
+        self.decoded_session(draft, target, audio).into_outcome()
+    }
+
+    /// The finished session [`Policy::decode`] consumes into its outcome.
+    /// Its pool is gone, so it is only good for reading.
+    pub(crate) fn decoded_session<D, T>(
+        &self,
+        draft: &D,
+        target: &T,
+        audio: &UtteranceTokens,
+    ) -> DecodeSession
+    where
+        D: AsrDecoderModel + ?Sized,
+        T: AsrDecoderModel + ?Sized,
+    {
         let mut pool = KvPool::unbounded(16);
         let mut session = DecodeSession::new(
             *self,
@@ -83,7 +98,7 @@ impl Policy {
             .step(&mut pool, draft, target, &mut round)
             .expect("an unbounded pool never exhausts")
         {}
-        session.into_outcome()
+        session
     }
 
     /// The qualitative comparison of Tab. I, one row per speculative-decoding

@@ -797,17 +797,13 @@ impl DecodeSession {
             tokens: self.tokens.clone(),
             stats: self.stats,
             clock: self.clock.clone(),
-            draft_cache: *self.draft_kv.positions(),
-            target_cache: *self.target_kv.positions(),
         }
     }
 
     /// Consumes the session into a [`DecodeOutcome`].
     ///
     /// Normally called once [`DecodeSession::is_finished`] is `true`; calling
-    /// it earlier yields the partial transcript decoded so far.  The
-    /// reported KV caches are the position summaries of the block tables
-    /// (byte-identical to the pre-paged per-session bookkeeping).  Blocks
+    /// it earlier yields the partial transcript decoded so far.  Blocks
     /// still held stay allocated in the pool: release them first with
     /// [`DecodeSession::release_kv`] unless the pool dies with the session.
     pub fn into_outcome(self) -> DecodeOutcome {
@@ -815,8 +811,6 @@ impl DecodeSession {
             tokens: self.tokens,
             stats: self.stats,
             clock: self.clock,
-            draft_cache: *self.draft_kv.positions(),
-            target_cache: *self.target_kv.positions(),
         }
     }
 
@@ -842,8 +836,8 @@ impl DecodeSession {
     }
 
     /// Releases every block the session holds back to `pool` (on finish,
-    /// preemption, or memory rejection).  The position bookkeeping stays, so
-    /// [`DecodeSession::into_outcome`] still reports it.  Idempotent.
+    /// preemption, or memory rejection).  The position bookkeeping stays
+    /// until the next start.  Idempotent.
     pub fn release_kv(&mut self, pool: &mut KvPool) {
         pool.draft_mut().release(&mut self.draft_kv);
         pool.target_mut().release(&mut self.target_kv);
@@ -927,7 +921,15 @@ mod tests {
     use crate::verify::{verify_sequence, verify_tree};
     use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
-    use specasr_runtime::{NodeId, NodeOrigin};
+    use specasr_runtime::{KvCache, NodeId, NodeOrigin};
+
+    impl DecodeSession {
+        /// The position bookkeeping of both KV tables: the draft's, then
+        /// the target's.
+        pub(crate) fn kv_positions(&self) -> (KvCache, KvCache) {
+            (*self.draft_kv.positions(), *self.target_kv.positions())
+        }
+    }
 
     fn setup(split: Split) -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);

@@ -114,21 +114,20 @@ mod tests {
     #[test]
     fn kv_caches_end_at_the_committed_length() {
         let (draft, target, audio) = setup();
-        let outcome = Policy::Speculative(SpeculativeConfig::short_single())
-            .decode(&draft, &target, &audio[2]);
+        let session = Policy::Speculative(SpeculativeConfig::short_single())
+            .decoded_session(&draft, &target, &audio[2]);
+        let (draft_cache, target_cache) = session.kv_positions();
+        let outcome = session.into_outcome();
         let committed = audio[2].prefill_tokens() + outcome.tokens.len();
-        assert!(outcome.target_cache.len() <= committed + 1);
-        assert_eq!(
-            outcome.target_cache.prefill_len(),
-            audio[2].prefill_tokens()
-        );
-        assert_eq!(outcome.draft_cache.prefill_len(), audio[2].prefill_tokens());
+        assert!(target_cache.len() <= committed + 1);
+        assert_eq!(target_cache.prefill_len(), audio[2].prefill_tokens());
+        assert_eq!(draft_cache.prefill_len(), audio[2].prefill_tokens());
         // Speculative positions that were appended but not committed must have
         // been discarded by rollbacks: a round appends every token it
         // predicted.
         assert_eq!(
-            outcome.target_cache.positions_discarded(),
-            outcome.stats.predicted_tokens - outcome.target_cache.generated_len()
+            target_cache.positions_discarded(),
+            outcome.stats.predicted_tokens - target_cache.generated_len()
         );
     }
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use specasr::{DecodeOutcome, DecodeSession, DraftedRound, Drafter, DrafterKind};
-use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
+use specasr_audio::{EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, Completions,
     DeviceTimeline, InFlightSimBackend, ModelProfile, RpcBackend, Ticket, TicketRange, TokenLogits,
@@ -269,6 +269,14 @@ pub struct Scheduler<D, T> {
     waiting: Vec<QueuedRequest>,
     active: Vec<ServerSession>,
     kv: KvPool,
+    /// The tick clock: where the last tick ended, or the instant an idle
+    /// scheduler was advanced to.  The next tick starts here.
+    tick_ms: f64,
+    /// The timeline instant, which stamps submissions: the latest deadline
+    /// passed to [`Scheduler::advance_to`], or the tick clock after a
+    /// caller's own [`Scheduler::tick`] or [`Scheduler::run_until_idle`],
+    /// whichever is later.  Never ahead of the tick clock, and behind it
+    /// when a tick ran past the caller's deadline.
     wall_ms: f64,
     next_id: u64,
     stats: ServerStats,
@@ -289,10 +297,16 @@ pub struct Scheduler<D, T> {
     /// from the free blocks admission sees, a lower bound on what was free
     /// at every instant since.
     freed_at_tick: (usize, usize),
-    /// Decode sessions of retired offline requests, at most `max_batch`,
-    /// each with its grown buffers and its audio context: the next offline
-    /// submits are built in them.
+    /// Decode sessions of retired requests, offline or streaming, at most
+    /// `max_batch`, each with its grown buffers and its audio context: the
+    /// next submits are built in them.
     spares: Vec<DecodeSession>,
+    /// States of retired streams, at most `max_batch`, each with its stream
+    /// session and chunk timetable: the next streams are built in them.  A
+    /// state moves between this pool and its request's
+    /// `Option<Box<StreamState>>` as one box, never reallocated.
+    #[allow(clippy::vec_box)]
+    stream_spares: Vec<Box<StreamState>>,
     /// The marked-word buffer every submit binds its utterance through.
     bind_scratch: String,
 }
@@ -376,6 +390,7 @@ where
             waiting: Vec::new(),
             active: Vec::with_capacity(config.max_batch),
             kv: KvPool::bounded(config.kv_blocks, config.block_size),
+            tick_ms: 0.0,
             wall_ms: 0.0,
             next_id: 0,
             stats,
@@ -386,6 +401,7 @@ where
             scratch: TickScratch::default(),
             freed_at_tick: (0, 0),
             spares: Vec::new(),
+            stream_spares: Vec::new(),
             bind_scratch: String::new(),
         }
     }
@@ -456,7 +472,14 @@ where
         &self.stats
     }
 
-    /// Current simulated wall-clock time in milliseconds.
+    /// The scheduler's timeline instant in milliseconds, which stamps the
+    /// next submission's arrival: the latest deadline passed to
+    /// [`Scheduler::advance_to`], or the clock the last tick reached
+    /// ([`Scheduler::tick`], [`Scheduler::run_until_idle`]), whichever is
+    /// later.  A tick can run past an `advance_to` deadline; the scheduler
+    /// then serves ahead of this instant, and a request stamped at it is
+    /// admitted from its arrival where a batch slot was free by then, as
+    /// behind a [`crate::Router`].
     pub fn wall_ms(&self) -> f64 {
         self.wall_ms
     }
@@ -476,8 +499,8 @@ where
         self.queue.is_empty() && self.active.is_empty() && self.waiting.is_empty()
     }
 
-    /// Decode sessions of retired offline requests kept for the next
-    /// submits, at most [`ServerConfig::max_batch`].
+    /// Decode sessions of retired requests, offline or streaming, kept for
+    /// the next submits, at most [`ServerConfig::max_batch`].
     pub fn spare_sessions(&self) -> usize {
         self.spares.len()
     }
@@ -487,8 +510,9 @@ where
     /// budget; see [`RequestSpec`]).  Different policies and drafters batch
     /// together.
     ///
-    /// The request is timestamped at the current wall time and queued;
-    /// admission happens on the next [`Scheduler::tick`].  Returns the
+    /// The request is timestamped at the scheduler's timeline instant
+    /// ([`Scheduler::wall_ms`]) and queued; admission happens on the next
+    /// [`Scheduler::tick`].  Returns the
     /// request id, or [`SubmitError::QueueFull`] once `queue_depth` requests
     /// are already waiting (backpressure — the caller decides whether to
     /// retry, shed, or block).
@@ -634,14 +658,20 @@ where
         self.spares = spares;
     }
 
-    /// Takes back the decode session of a request that left — retired, or
-    /// shed — holding no KV blocks.  Its context is released on the
-    /// backend, and an offline request's session is kept as a spare while
-    /// this worker keeps fewer than `max_batch`; a stream's is dropped.
-    fn recycle(&mut self, decode: DecodeSession, offline: bool) {
+    /// Takes back what a request that left — retired, or shed — held: its
+    /// decode session, holding no KV blocks, and, for a stream, its state.
+    /// The session's context is released on the backend.  The session is
+    /// kept as a spare while this worker keeps fewer than `max_batch`, and
+    /// so is the stream state, in a pool of its own.
+    fn recycle(&mut self, decode: DecodeSession, stream: Option<Box<StreamState>>) {
         self.target.backend_mut().release_context(decode.audio());
-        if offline && self.spares.len() < self.config.max_batch {
+        if self.spares.len() < self.config.max_batch {
             self.spares.push(decode);
+        }
+        if let Some(stream) = stream {
+            if self.stream_spares.len() < self.config.max_batch {
+                self.stream_spares.push(stream);
+            }
         }
     }
 
@@ -656,13 +686,19 @@ where
     /// utterance.  The stream drafts from the spec's draft source, like an
     /// offline request, and its budget covers its first partial only.
     ///
-    /// The stream keeps one decode session for its whole life.  Between
+    /// The stream is built in a retired request's decode session and a
+    /// retired stream's state when this worker keeps them, or in new ones:
+    /// the utterance is bound once, into the stream session's full-utterance
+    /// buffer, the decode context is refilled from it, and the chunk
+    /// timetable and the transcript buffers are rebuilt, all in place.  The
+    /// stream keeps that session and state for its whole life.  Between
     /// chunks it is parked: its KV blocks are released, and it keeps its
     /// buffers and its audio context, the last view.  A chunk refills that
     /// view in place and admission restarts the session in its buffers.
-    /// The session, the view and the stream's transcript buffers are sized
-    /// here, once, from the full utterance, so a warm chunk allocates
-    /// nothing.
+    /// Every buffer is sized here from the full utterance, so a warm chunk
+    /// allocates nothing.  A warm submit allocates the stream's partial
+    /// spans, which leave with its outcome, and only what an utterance
+    /// longer than earlier streams' outgrows.
     ///
     /// Backpressure counts parked streams against the queue depth, so an
     /// accepted stream is never shed by *queue* pressure mid-utterance.  A
@@ -682,45 +718,63 @@ where
         utterance: &Utterance,
         stream: StreamConfig,
     ) -> Result<RequestId, SubmitError> {
-        let spec = spec.into();
-        self.assert_installed(spec.drafter);
+        let RequestSpec {
+            policy,
+            drafter,
+            ttft_budget_ms,
+        } = spec.into();
+        self.assert_installed(drafter);
         stream.validate();
         if self.queue.len() + self.waiting.len() >= self.config.queue_depth {
             return Err(self.reject());
         }
         let id = RequestId::new(self.next_id);
         self.next_id += 1;
-        let audio = self.binding.bind(utterance);
-        // The stream's decode session lives as long as the stream.  Its
-        // context starts as a copy of the full utterance: every view is a
-        // prefix of it, so refilling views never regrows the copy, and the
-        // session's buffers are sized from it once.
-        let mut decode = DecodeSession::idle(spec.policy, spec.drafter, audio.clone());
-        decode.reserve(&self.kv);
         // Per-utterance jitter: the same utterance streams identically for a
         // given seed, and distinct requests decorrelate through their id.
         let seeded = stream.with_seed(splitmix64(
             stream.chunk.seed ^ utterance.id().value() ^ (id.value() << 17),
         ));
-        let chunks = chunk_schedule(utterance.duration_seconds(), &seeded.chunk);
-        let state = StreamState {
-            session: StreamingSession::new(spec.policy, audio, seeded),
-            // Each partial answers at least one new chunk.
-            partials: Vec::with_capacity(chunks.len()),
-            chunks,
-            submitted_ms: self.wall_ms,
-            delivered: 0,
-            newest_chunk_arrival_ms: self.wall_ms,
-            pending_encoder_ms: 0.0,
-            first_admitted_ms: None,
+        let (binding, scratch) = (&self.binding, &mut self.bind_scratch);
+        let mut bind = |audio: &mut UtteranceTokens| binding.bind_into(utterance, scratch, audio);
+        let mut state = match self.stream_spares.pop() {
+            Some(mut state) => {
+                state.session.restart(policy, seeded, bind);
+                state
+            }
+            None => {
+                let mut audio = UtteranceTokens::default();
+                bind(&mut audio);
+                Box::new(StreamState::new(StreamingSession::new(
+                    policy, audio, seeded,
+                )))
+            }
         };
+        state.restart(self.wall_ms);
+        let mut decode = self
+            .take_spare()
+            .unwrap_or_else(|| DecodeSession::idle(policy, drafter, UtteranceTokens::default()));
+        decode.reassign(policy, drafter);
+        // The decode context starts as a copy of the full utterance (its
+        // view once the whole audio has arrived): every view is a prefix of
+        // it, so refilling views never regrows the copy, and the session's
+        // buffers are sized from it.  A context some other holder still
+        // shares is copied first (`make_mut`), never changed.
+        let full = state.session.audio();
+        full.fill_prefix_view(
+            Arc::make_mut(decode.audio_mut()),
+            full.duration_seconds(),
+            0,
+            0.0,
+        );
+        decode.reserve(&self.kv);
         self.enqueue(
             id,
             self.wall_ms,
             decode,
             utterance,
-            spec.ttft_budget_ms,
-            Some(Box::new(state)),
+            ttft_budget_ms,
+            Some(state),
         );
         Ok(id)
     }
@@ -749,10 +803,11 @@ where
         self.queue.drain(keep..)
     }
 
-    /// Advances the wall clock to at least `ms` without doing work — the
-    /// router fast-forwards idle workers through global time this way (a
-    /// scheduler's clock only moves while it ticks).
+    /// Advances the tick clock and the timeline instant to at least `ms`
+    /// without doing work — the router fast-forwards idle workers through
+    /// global time this way (a scheduler's clock only moves while it ticks).
     pub(crate) fn sync_wall_to(&mut self, ms: f64) {
+        self.tick_ms = self.tick_ms.max(ms);
         self.wall_ms = self.wall_ms.max(ms);
     }
 
@@ -790,7 +845,7 @@ where
         // The migrated session resumes on this worker's clock: its next
         // round starts no earlier than now (clocks never run backwards) and
         // no earlier than its own outstanding wave's completion.
-        session.ready_ms = session.ready_ms.max(self.wall_ms);
+        session.ready_ms = session.ready_ms.max(self.tick_ms);
         self.active.push(session);
     }
 
@@ -810,7 +865,7 @@ where
         if self.is_idle() {
             self.sync_wall_to(request.arrival_ms);
         }
-        request.queued_ms = request.queued_ms.max(self.wall_ms);
+        request.queued_ms = request.queued_ms.max(self.tick_ms);
         if request.preemptions == 0 {
             self.record_submitted(&request);
         }
@@ -841,6 +896,7 @@ where
     ///
     /// Appends the requests that finished this tick to `outcomes`, in
     /// retirement order, so a caller that ticks many times fills one list.
+    /// The timeline instant moves to the tick clock.
     pub fn tick(&mut self, outcomes: &mut Vec<RequestOutcome>) {
         self.release_due_streams();
         // With nothing decodable but streams parked between chunks, the only
@@ -848,19 +904,19 @@ where
         // (a real server would sleep here).
         if self.active.is_empty() && self.queue.is_empty() && !self.waiting.is_empty() {
             if let Some(next) = self.next_chunk_arrival_ms() {
-                self.wall_ms = self.wall_ms.max(next);
+                self.tick_ms = self.tick_ms.max(next);
                 self.release_due_streams();
             }
         }
         self.admit();
-        if self.active.is_empty() {
-            return;
+        if !self.active.is_empty() {
+            // The scratch leaves `self` for the rest of the tick, so the
+            // tick can fill it while preemption borrows the whole scheduler.
+            let mut scratch = std::mem::take(&mut self.scratch);
+            self.decode_tick(&mut scratch, outcomes);
+            self.scratch = scratch;
         }
-        // The scratch leaves `self` for the rest of the tick, so the tick
-        // can fill it while preemption borrows the whole scheduler.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.decode_tick(&mut scratch, outcomes);
-        self.scratch = scratch;
+        self.wall_ms = self.tick_ms;
     }
 
     /// The decode half of a tick over the admitted batch: draft, plan and
@@ -893,7 +949,7 @@ where
         // counted as one draft step on the draft lane.  The per-session
         // draft device time is read off the session clock delta; sessions
         // draft in parallel on the accelerator.
-        let tick_start = self.wall_ms;
+        let tick_start = self.tick_ms;
         self.ticks_seen += 1;
         let tick = self.ticks_seen;
         // The slots nobody holds this tick are free from its start, and the
@@ -1117,7 +1173,7 @@ where
             wall_ms: (tick_end - tick_start).max(0.0),
             sequential_ms: analytic.sequential_ms,
         };
-        self.wall_ms = self.wall_ms.max(tick_end);
+        self.tick_ms = self.tick_ms.max(tick_end);
         self.stats.record_tick(cost, self.active.len());
 
         // Commit per session from its pre-scored verification completion
@@ -1303,7 +1359,7 @@ where
             .count();
         outcomes.reserve(completing);
         let before = outcomes.len();
-        let evicted_ms = self.wall_ms;
+        let evicted_ms = self.tick_ms;
         for (session, removal) in retiring.drain(..).zip(removal.drain(..)) {
             match removal {
                 Removal::Keep if session.decode.is_finished() => {
@@ -1321,7 +1377,7 @@ where
                 }
                 Removal::Rejected => {
                     free_slots.push(evicted_ms);
-                    self.recycle(session.decode, session.stream.is_none());
+                    self.recycle(session.decode, session.stream);
                 }
             }
         }
@@ -1344,7 +1400,7 @@ where
     /// the view cannot change before the request is admitted, and admission
     /// and preemption share it instead of copying it.
     fn release_due_streams(&mut self) {
-        let wall = self.wall_ms;
+        let wall = self.tick_ms;
         let encoder = &self.encoder;
         let tracer = &mut self.tracer;
         let target = self.target.backend_mut();
@@ -1424,7 +1480,7 @@ where
         }
         stream.partials.push(span);
         if partial.is_final {
-            return Some(self.retire_stream(session, *stream));
+            return Some(self.retire_stream(session, stream));
         }
         // Park for the next chunk, which re-queues the stream no earlier
         // than this partial; the original arrival keeps accumulating aging
@@ -1440,8 +1496,14 @@ where
     /// to the offline decode), the decode statistics pooled across every
     /// per-chunk re-decode, and the full partial-span history.
     /// Time-to-first-token is the first partial's arrival-to-emission
-    /// latency, and the reported KV caches are the final view's.
-    fn retire_stream(&mut self, session: ServerSession, stream: StreamState) -> RequestOutcome {
+    /// latency.  The outcome copies the transcript out and takes the
+    /// partial spans; the decode session and the stream state, with their
+    /// other buffers, are recycled for the next submit.
+    fn retire_stream(
+        &mut self,
+        session: ServerSession,
+        mut stream: Box<StreamState>,
+    ) -> RequestOutcome {
         let arrival_ms = session.arrival_ms;
         let completed_ms = session.ready_ms;
         let first_admitted = stream.first_admitted_ms.unwrap_or(arrival_ms);
@@ -1457,18 +1519,13 @@ where
                 + first_partial.encoder_ms,
         };
         let policy = *session.decode.policy();
-        self.target
-            .backend_mut()
-            .release_context(session.decode.audio());
-        let last_view = session.decode.into_outcome();
-        let (tokens, stats, clock) = stream.session.into_transcript();
         let outcome = DecodeOutcome {
-            tokens,
-            stats,
-            clock,
-            draft_cache: last_view.draft_cache,
-            target_cache: last_view.target_cache,
+            tokens: stream.session.committed().to_vec(),
+            stats: *stream.session.decode_stats(),
+            clock: stream.session.clock().clone(),
         };
+        let partials = std::mem::take(&mut stream.partials);
+        self.recycle(session.decode, Some(stream));
         let text = self
             .binding
             .tokenizer()
@@ -1484,7 +1541,7 @@ where
             audio_seconds: session.audio_seconds,
             preemptions: session.preemptions,
             slo: SloClass::of_budget(session.ttft_budget_ms),
-            partials: stream.partials,
+            partials,
         };
         self.stats.record_completion(&outcome);
         let request = outcome.id.value();
@@ -1500,9 +1557,15 @@ where
     /// Advances the scheduler to wall time `ms`, ticking while there is work
     /// (the open-loop driver: submit at arrival timestamps, advance between
     /// them).  Never fast-forwards a chunk arrival later than `ms`.
+    ///
+    /// The timeline instant ([`Scheduler::wall_ms`]) is `ms` afterwards
+    /// (or an instant already later), even when the last tick ran past it:
+    /// the next submission is stamped at the caller's instant, and the
+    /// scheduler admits it from there where a batch slot was free by then.
     pub fn advance_to(&mut self, ms: f64) -> Vec<RequestOutcome> {
+        let instant = self.wall_ms.max(ms);
         let mut outcomes = Vec::new();
-        while !self.is_idle() && self.wall_ms < ms {
+        while !self.is_idle() && self.tick_ms < ms {
             if self.active.is_empty() && self.queue.is_empty() {
                 // Only a chunk arrival can create work; don't jump past
                 // `ms` to reach one.
@@ -1513,7 +1576,8 @@ where
             }
             self.tick(&mut outcomes);
         }
-        self.sync_wall_to(ms);
+        self.tick_ms = self.tick_ms.max(ms);
+        self.wall_ms = instant;
         outcomes
     }
 
@@ -1553,7 +1617,7 @@ where
                     self.active[victim].decode.release_kv(&mut self.kv);
                     removal[victim] = Removal::Preempted;
                     self.stats.record_preemption();
-                    let ts_ms = self.wall_ms;
+                    let ts_ms = self.tick_ms;
                     self.tracer.record_with(|| TraceEvent::KvPreempt {
                         ts_ms,
                         request,
@@ -1571,7 +1635,7 @@ where
                     self.active[index].decode.release_kv(&mut self.kv);
                     removal[index] = Removal::Rejected;
                     self.stats.record_memory_rejection();
-                    let ts_ms = self.wall_ms;
+                    let ts_ms = self.tick_ms;
                     self.tracer.record_with(|| TraceEvent::KvFree {
                         ts_ms,
                         request,
@@ -1622,12 +1686,14 @@ where
     }
 
     /// Ticks until every queued and in-flight request has completed, and
-    /// returns all outcomes in completion order.
+    /// returns all outcomes in completion order.  The timeline instant
+    /// moves to the tick clock.
     pub fn run_until_idle(&mut self) -> Vec<RequestOutcome> {
         let mut outcomes = Vec::new();
         while !self.is_idle() {
             self.tick(&mut outcomes);
         }
+        self.wall_ms = self.tick_ms;
         outcomes
     }
 
@@ -1660,7 +1726,7 @@ where
     /// never fit even an empty pool, in which case it is dropped with a
     /// memory rejection instead of deadlocking the queue.
     fn admit(&mut self) {
-        let now = self.wall_ms;
+        let now = self.tick_ms;
         let freed_since_tick = (
             self.kv.draft().counters().freed - self.freed_at_tick.0,
             self.kv.target().counters().freed - self.freed_at_tick.1,
@@ -1703,7 +1769,7 @@ where
                         request: Some(shed),
                         reason: ShedReason::Memory,
                     });
-                    self.recycle(request.decode, request.stream.is_none());
+                    self.recycle(request.decode, request.stream);
                 }
                 break;
             }
@@ -1756,7 +1822,7 @@ where
     /// the best under the configured ordering among the requests queued by
     /// then, or the earliest-queued one if none was.
     fn pick(&self, slot_ms: f64) -> usize {
-        let now = self.wall_ms;
+        let now = self.tick_ms;
         let waiting = || {
             self.queue
                 .iter()
@@ -1823,7 +1889,7 @@ where
             request: Some(shed),
             reason: ShedReason::Deadline,
         });
-        self.recycle(request.decode, request.stream.is_none());
+        self.recycle(request.decode, request.stream);
     }
 
     /// Whether the request's admission footprint could fit an otherwise
@@ -1869,7 +1935,7 @@ where
         };
         let policy = *session.decode.policy();
         let outcome = session.decode.outcome();
-        self.recycle(session.decode, true);
+        self.recycle(session.decode, None);
         let text = self
             .binding
             .tokenizer()
@@ -2531,14 +2597,75 @@ mod tests {
             )
             .expect("queue has room");
         // The first chunk arrives hundreds of ms in; a short advance must
-        // stop at the target, not leap to the chunk.
+        // stop at the target, not leap to the chunk: neither the timeline
+        // instant nor the tick clock passes it.
         let outcomes = scheduler.advance_to(1.0);
         assert!(outcomes.is_empty());
         assert!((scheduler.wall_ms() - 1.0).abs() < 1e-9);
+        assert!(
+            scheduler.tick_ms <= 1.0,
+            "ticked to {} ms",
+            scheduler.tick_ms
+        );
         // Advancing far enough drains the stream completely.
         scheduler.advance_to(1e12);
         assert!(scheduler.is_idle());
         assert_eq!(scheduler.stats().streaming_completed(), 1);
+    }
+
+    #[test]
+    fn a_stream_is_stamped_at_the_callers_instant_not_at_the_tick_end() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default());
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        let split = corpus.split(Split::TestClean);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
+        let t = 1.0;
+        scheduler.advance_to(t);
+        assert!(scheduler.tick_ms > t, "the first tick ran past {t} ms");
+        assert_eq!(scheduler.wall_ms(), t);
+        // One-second chunks on the audio beat: the first lands 1 s after
+        // the stream's arrival, and the tick clock is well short of the
+        // second when the first is released.
+        let stream = StreamConfig::default()
+            .with_chunk_seconds(1.0)
+            .with_arrival_jitter(0.0);
+        let id = scheduler
+            .submit_streaming(policy, &split[1], stream)
+            .expect("queue has room");
+        let outcomes = scheduler.run_until_idle();
+        assert_eq!(scheduler.wall_ms(), scheduler.tick_ms);
+        let first = &outcomes
+            .iter()
+            .find(|outcome| outcome.id == id)
+            .expect("the stream completes")
+            .partials[0];
+        let first_chunk_ms = split[1].duration_seconds().min(1.0) * 1_000.0;
+        assert_eq!(first.chunk_index, 0);
+        assert_eq!(first.chunk_arrival_ms, t + first_chunk_ms);
+    }
+
+    #[test]
+    fn retired_streams_leave_at_most_max_batch_sessions_and_states() {
+        let config = ServerConfig::default().with_max_batch(3);
+        let (mut scheduler, corpus) = scheduler(config);
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        for utterance in corpus.split(Split::DevClean).iter().take(8) {
+            scheduler
+                .submit_streaming(policy, utterance, StreamConfig::default())
+                .expect("queue has room");
+        }
+        assert_eq!(scheduler.run_until_idle().len(), 8);
+        assert_eq!(scheduler.spare_sessions(), config.max_batch);
+        assert_eq!(scheduler.stream_spares.len(), config.max_batch);
+        // The next streams are built in them.
+        for utterance in corpus.split(Split::DevOther).iter().take(2) {
+            scheduler
+                .submit_streaming(policy, utterance, StreamConfig::default())
+                .expect("queue has room");
+        }
+        assert_eq!(scheduler.spare_sessions(), config.max_batch - 2);
+        assert_eq!(scheduler.stream_spares.len(), config.max_batch - 2);
+        assert_eq!(scheduler.run_until_idle().len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use specasr::DecodeSession;
-use specasr_audio::{EncoderProfile, StreamChunk, UtteranceId};
+use specasr_audio::{chunk_schedule, EncoderProfile, StreamChunk, UtteranceId};
 use specasr_runtime::{KvPool, PoolError};
 use specasr_stream::StreamingSession;
 use specasr_trace::{TraceEvent, Tracer};
@@ -14,6 +14,9 @@ use crate::request::{PartialSpan, RequestId};
 /// Serving-side state of one streaming request: the stream session (horizon,
 /// committed tokens, commit rule) plus the chunk timetable and the partial
 /// spans already emitted.
+///
+/// A retired stream's state is kept, and the next stream is built in its
+/// buffers ([`StreamState::restart`]).
 #[derive(Debug)]
 pub(crate) struct StreamState {
     /// The streaming decode session (commit rule, committed prefix, stats).
@@ -36,6 +39,44 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
+    /// A state around `session`, just opened on its stream's utterance:
+    /// [`StreamState::restart`] starts the stream.
+    pub(crate) fn new(session: StreamingSession) -> Self {
+        StreamState {
+            session,
+            chunks: Vec::new(),
+            submitted_ms: 0.0,
+            delivered: 0,
+            newest_chunk_arrival_ms: 0.0,
+            pending_encoder_ms: 0.0,
+            first_admitted_ms: None,
+            partials: Vec::new(),
+        }
+    }
+
+    /// Starts the stream whose session was just opened or restarted on its
+    /// utterance ([`StreamingSession::restart`]), submitted at
+    /// `submitted_ms`: plans its chunk timetable under the session's chunk
+    /// configuration in the buffer earlier streams grew, and sizes its
+    /// partial spans.  The spans leave with each stream's outcome, so they
+    /// are the one buffer a stream allocates here.
+    pub(crate) fn restart(&mut self, submitted_ms: f64) {
+        let duration_seconds = self.session.audio().duration_seconds();
+        chunk_schedule(
+            duration_seconds,
+            &self.session.config().chunk,
+            &mut self.chunks,
+        );
+        // Each partial answers at least one new chunk.
+        self.partials.clear();
+        self.partials.reserve(self.chunks.len());
+        self.submitted_ms = submitted_ms;
+        self.delivered = 0;
+        self.newest_chunk_arrival_ms = submitted_ms;
+        self.pending_encoder_ms = 0.0;
+        self.first_admitted_ms = None;
+    }
+
     /// Wall time the next undelivered chunk arrives, if any chunk is left.
     pub fn next_arrival_ms(&self) -> Option<f64> {
         self.chunks

@@ -74,7 +74,9 @@
 //! let mut session = StreamingSession::new(policy, audio.clone(), config);
 //! let (mut pool, mut view, mut round) =
 //!     (KvPool::unbounded(16), UtteranceTokens::default(), DraftedRound::new());
-//! for chunk in chunk_schedule(utterance.duration_seconds(), &config.chunk) {
+//! let mut chunks = Vec::new();
+//! chunk_schedule(utterance.duration_seconds(), &config.chunk, &mut chunks);
+//! for chunk in &chunks {
 //!     session.push_audio(chunk.end_seconds);
 //!     if !session.fill_view(&mut view) {
 //!         continue; // nothing audible yet

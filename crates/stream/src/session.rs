@@ -78,23 +78,69 @@ impl StreamingSession {
     /// Panics if `config` is invalid.
     pub fn new(policy: Policy, audio: UtteranceTokens, config: StreamConfig) -> Self {
         config.validate();
-        let transcript = audio.len() + 1;
-        StreamingSession {
+        let mut session = StreamingSession {
             policy,
             audio,
             config,
             received_seconds: 0.0,
             complete: false,
-            committed: Vec::with_capacity(transcript),
-            last_hypothesis: Vec::with_capacity(transcript),
-            survival: Vec::with_capacity(transcript),
+            committed: Vec::new(),
+            last_hypothesis: Vec::new(),
+            survival: Vec::new(),
             partials: 0,
             retracted_tokens: 0,
             emitted_tokens: 0,
             decode_stats: DecodeStats::new(),
             clock: DecodeClock::new(),
             finished: false,
+        };
+        session.reset();
+        session
+    }
+
+    /// Restarts this session on another utterance under `policy` and
+    /// `config`, in the buffers earlier streams grew: `bind` refills the
+    /// full-utterance buffer (whatever it held before, it must hold the new
+    /// utterance afterwards), and the session is then what
+    /// [`StreamingSession::new`] opens over that utterance, with every
+    /// buffer keeping its capacity.  A server that keeps retired streams'
+    /// sessions builds each new stream this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid.
+    pub fn restart(
+        &mut self,
+        policy: Policy,
+        config: StreamConfig,
+        bind: impl FnOnce(&mut UtteranceTokens),
+    ) {
+        config.validate();
+        bind(&mut self.audio);
+        self.policy = policy;
+        self.config = config;
+        self.reset();
+    }
+
+    /// Empties the stream's progress and sizes its transcript buffers from
+    /// the full utterance: the start routine of [`StreamingSession::new`]
+    /// and [`StreamingSession::restart`].
+    fn reset(&mut self) {
+        let transcript = self.audio.len() + 1;
+        for buffer in [&mut self.committed, &mut self.last_hypothesis] {
+            buffer.clear();
+            buffer.reserve(transcript);
         }
+        self.survival.clear();
+        self.survival.reserve(transcript);
+        self.received_seconds = 0.0;
+        self.complete = false;
+        self.partials = 0;
+        self.retracted_tokens = 0;
+        self.emitted_tokens = 0;
+        self.decode_stats = DecodeStats::new();
+        self.clock = DecodeClock::new();
+        self.finished = false;
     }
 
     /// The policy this stream decodes under.
@@ -278,21 +324,13 @@ impl StreamingSession {
         self.last_hypothesis.extend_from_slice(hypothesis);
         partial
     }
-
-    /// Consumes the stream into its final transcript and the decode
-    /// statistics and clock pooled across every re-decode, moving them out
-    /// rather than copying them.  Meaningful once
-    /// [`StreamingSession::is_finished`] returns `true`.
-    pub fn into_transcript(self) -> (Vec<TokenId>, DecodeStats, DecodeClock) {
-        (self.committed, self.decode_stats, self.clock)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use specasr::{AdaptiveConfig, DraftedRound, DrafterKind, SparseTreeConfig, SpeculativeConfig};
-    use specasr_audio::{chunk_schedule, Corpus, Split};
+    use specasr_audio::{chunk_schedule, Corpus, Split, StreamChunk};
     use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
     use specasr_runtime::KvPool;
 
@@ -332,6 +370,13 @@ mod tests {
         Some(session.absorb(&decode))
     }
 
+    /// The chunk plan of `audio` under `config`, in a new buffer.
+    pub(super) fn plan(audio: &UtteranceTokens, config: &StreamConfig) -> Vec<StreamChunk> {
+        let mut chunks = Vec::new();
+        chunk_schedule(audio.duration_seconds(), &config.chunk, &mut chunks);
+        chunks
+    }
+
     fn setup(split: Split) -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);
         let binding = TokenizerBinding::for_corpus(&corpus);
@@ -362,7 +407,7 @@ mod tests {
     ) -> (StreamingSession, Vec<Vec<TokenId>>) {
         let mut session = StreamingSession::new(policy, audio.clone(), config);
         let mut snapshots = Vec::new();
-        for chunk in chunk_schedule(audio.duration_seconds(), &config.chunk) {
+        for chunk in plan(audio, &config) {
             session.push_audio(chunk.end_seconds);
             if redecode(&mut session, draft, target).is_some() {
                 snapshots.push(session.committed().to_vec());
@@ -451,7 +496,7 @@ mod tests {
         let config = StreamConfig::default().with_chunk_seconds(0.4);
         let mut session = StreamingSession::new(policy, audio[0].clone(), config);
         let mut partials = Vec::new();
-        for chunk in chunk_schedule(audio[0].duration_seconds(), &config.chunk) {
+        for chunk in plan(&audio[0], &config) {
             session.push_audio(chunk.end_seconds);
             if let Some(partial) = redecode(&mut session, &draft, &target) {
                 partials.push(partial);
@@ -550,7 +595,7 @@ mod tests {
         let (private, _) = stream_utterance(policy, &audio[2], config, &draft, &target);
 
         let mut pooled = StreamingSession::new(policy, audio[2].clone(), config);
-        for chunk in chunk_schedule(audio[2].duration_seconds(), &config.chunk) {
+        for chunk in plan(&audio[2], &config) {
             pooled.push_audio(chunk.end_seconds);
             let Some(mut session) = resume(&pooled, &mut pool) else {
                 continue;
@@ -568,15 +613,69 @@ mod tests {
         assert_eq!(pooled.committed(), private.committed());
         assert_eq!(pool.used_blocks(), 0, "released streams leave no blocks");
     }
+
+    /// Streams a just opened or restarted `session`'s whole utterance
+    /// through it and returns every partial it emits.
+    fn partials_of(
+        session: &mut StreamingSession,
+        draft: &SimulatedAsrModel,
+        target: &SimulatedAsrModel,
+    ) -> Vec<PartialTranscript> {
+        plan(session.audio(), session.config())
+            .iter()
+            .filter_map(|chunk| {
+                session.push_audio(chunk.end_seconds);
+                redecode(session, draft, target)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_restarted_session_emits_what_a_new_one_emits() {
+        let (draft, target, audio) = setup(Split::TestOther);
+        let corpus = Corpus::librispeech_like(61, 6);
+        let binding = TokenizerBinding::for_corpus(&corpus);
+        let utterances = corpus.split(Split::TestOther);
+        let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+        // A longer utterance first, then a shorter one, then a longer one
+        // again, each under another policy and cadence.
+        let mut order: Vec<usize> = (0..audio.len()).collect();
+        order.sort_by(|&a, &b| audio[b].len().cmp(&audio[a].len()));
+        let last = order.len() - 1;
+        order.swap(1, last);
+        let mut kept = StreamingSession::new(asp, audio[order[0]].clone(), StreamConfig::default());
+        partials_of(&mut kept, &draft, &target);
+        let mut scratch = String::new();
+        for (turn, &index) in order.iter().enumerate().skip(1) {
+            let policy = if turn % 2 == 0 { asp } else { tsp };
+            let config = StreamConfig::default()
+                .with_chunk_seconds(0.3 + 0.2 * turn as f64)
+                .with_seed(turn as u64);
+            let mut new = StreamingSession::new(policy, audio[index].clone(), config);
+            kept.restart(policy, config, |buffer| {
+                binding.bind_into(&utterances[index], &mut scratch, buffer)
+            });
+            assert_eq!(kept.audio(), new.audio());
+            let expected = partials_of(&mut new, &draft, &target);
+            assert!(expected.len() > 1, "{} partials", expected.len());
+            assert_eq!(partials_of(&mut kept, &draft, &target), expected);
+            assert_eq!(kept.committed(), new.committed());
+            assert_eq!(kept.decode_stats(), new.decode_stats());
+            assert_eq!(kept.clock(), new.clock());
+            assert_eq!(kept.retracted_tokens(), new.retracted_tokens());
+            assert_eq!(kept.emitted_tokens(), new.emitted_tokens());
+        }
+    }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::redecode;
+    use super::tests::{plan, redecode};
     use super::*;
     use proptest::prelude::*;
     use specasr::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
-    use specasr_audio::{chunk_schedule, Corpus, Split};
+    use specasr_audio::{Corpus, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
 
     fn policy_strategy() -> impl Strategy<Value = Policy> {
@@ -623,7 +722,7 @@ mod proptests {
                 .with_seed(corpus_seed);
             let mut session = StreamingSession::new(policy, audio.clone(), config);
             let mut previous_committed: Vec<specasr_tokenizer::TokenId> = Vec::new();
-            for chunk in chunk_schedule(audio.duration_seconds(), &config.chunk) {
+            for chunk in plan(&audio, &config) {
                 session.push_audio(chunk.end_seconds);
                 if redecode(&mut session, &draft, &target).is_some() {
                     // Commits only ever extend — never retract.

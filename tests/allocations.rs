@@ -37,7 +37,7 @@
 //! chunk refills the view in place, admission restarts the session in its
 //! kept buffers, and absorbing the re-decode refills the hypothesis in
 //! place.  So once every stream has been admitted and parked once, the
-//! median step that cycles a stream allocates nothing, and the run
+//! median tick that cycles a stream allocates nothing, and the run
 //! allocates less than once per partial.
 //!
 //! An offline submit is built in a retired request's decode session: its
@@ -46,9 +46,15 @@
 //! warm, a scheduler or a router serving offline requests allocates only
 //! each outcome's tokens and text and the list it returns, in process and,
 //! on the serving thread, over the RPC boundary, where a retired context is
-//! released on the backend first.  A worker keeps at most `max_batch` such
-//! spare sessions.  Over RPC a parked stream's view is released before each
-//! chunk too, so the stream test holds there as well.
+//! released on the backend first.  A stream is built the same way, in a
+//! retired request's decode session and a retired stream's state: the
+//! utterance is bound into the state's full-utterance buffer, and the
+//! decode context, the chunk timetable and the transcript buffers are
+//! refilled from it in place.  Its partial spans leave with its outcome, so
+//! a warm stream allocates only those, its tokens and text and its share of
+//! the list.  A worker keeps at most `max_batch` spare sessions and at most
+//! `max_batch` spare stream states.  Over RPC a parked stream's view is
+//! released before each chunk too, so the stream tests hold there as well.
 //!
 //! A metrics scrape refreshes the exposition the router keeps in place, so
 //! a scrape with nothing new to show allocates only the text it returns,
@@ -644,7 +650,7 @@ fn scheduler_for(
 
 /// A stream's chunk cycle (release → admit → decode → absorb → park) keeps
 /// the stream's decode session, its view and its transcript buffers, so
-/// once every stream has been admitted and parked once, the median step
+/// once every stream has been admitted and parked once, the median tick
 /// that releases, re-admits, decodes or parks a stream allocates nothing.
 /// The rest of the run, retirements included, allocates less than once per
 /// partial, and each partial answers at least one delivered chunk.  What
@@ -675,7 +681,6 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
     let mut utterances = corpus_pool(&setup);
     utterances.sort_by(|a, b| b.duration_seconds().total_cmp(&a.duration_seconds()));
     utterances.truncate(12);
-    const STEP_MS: f64 = 20.0;
     let mut steps = Vec::new();
     let mut outcomes: Vec<RequestOutcome> = Vec::new();
     // A first wave of streams warms the scheduler's own buffers (its tick
@@ -687,10 +692,14 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
                 .submit_streaming(policy, utterance, StreamConfig::default())
                 .expect("queue has room");
         }
+        // One step is one tick, which moves the scheduler's clock from the
+        // end of the last tick to the end of this one (fast-forwarding to
+        // the next chunk when every stream is parked).
         while !scheduler.is_idle() {
             let start_ms = scheduler.wall_ms();
             let holding = scheduler.queued() + scheduler.in_flight();
-            let (done, allocated) = counted(|| scheduler.advance_to(start_ms + STEP_MS));
+            let mut done = Vec::new();
+            let ((), allocated) = counted(|| scheduler.tick(&mut done));
             if wave == 1 {
                 steps.push(StreamStep {
                     start_ms,
@@ -732,9 +741,9 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
     );
 }
 
-/// The offline request mix of the refill tests: ASP and TSP requests of the
-/// draft model, and ASP requests of the token-map and CTC drafters.
-fn offline_mix() -> [(Policy, DrafterKind); 4] {
+/// The request mix of the refill tests: ASP and TSP requests of the draft
+/// model, and ASP requests of the token-map and CTC drafters.
+fn request_mix() -> [(Policy, DrafterKind); 4] {
     let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
     [
@@ -766,10 +775,11 @@ fn warm(costs: &[u64]) -> &[u64] {
     &costs[costs.len() * 3 / 4..]
 }
 
-/// Serves 96 rounds of `per_round` offline requests of the mix on
-/// `server`, cycling through the corpus: each round submits its requests,
-/// then runs until idle.  Returns what each round allocated.
-fn offline_rounds<S>(
+/// Serves 96 rounds of `per_round` requests of the mix on `server`,
+/// cycling through the corpus: each round submits its requests, offline or
+/// streaming as `submit` does, then runs until idle.  Returns what each
+/// round allocated.
+fn mix_rounds<S>(
     setup: &StandardSetup,
     server: &mut S,
     per_round: usize,
@@ -777,7 +787,7 @@ fn offline_rounds<S>(
     run_until_idle: impl Fn(&mut S) -> Vec<RequestOutcome>,
 ) -> Vec<u64> {
     let pool = corpus_pool(setup);
-    let mix = offline_mix();
+    let mix = request_mix();
     (0..96)
         .map(|round| {
             let (outcomes, allocated) = counted(|| {
@@ -811,7 +821,7 @@ fn a_warm_offline_request_allocates_only_its_outcome() {
         let mut scheduler = scheduler_for(&setup, config, rpc);
         scheduler.install_drafter(Arc::new(token_map_for(&setup)));
         scheduler.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
-        let costs = offline_rounds(
+        let costs = mix_rounds(
             &setup,
             &mut scheduler,
             config.max_batch,
@@ -837,6 +847,69 @@ fn a_warm_offline_request_allocates_only_its_outcome() {
     }
 }
 
+/// What serving `streams` more streams may allocate once warm: what as many
+/// offline requests may, and each stream's partial spans, which leave with
+/// its outcome.
+fn stream_budget(streams: usize) -> u64 {
+    offline_budget(streams) + streams as u64
+}
+
+/// The streaming twin of [`a_warm_offline_request_allocates_only_its_outcome`]:
+/// each stream is built in a retired request's decode session and a retired
+/// stream's state, whose full utterance, decode context, chunk timetable and
+/// transcript buffers are refilled in place, and retirement copies the
+/// transcript out instead of taking the state.  So once warm, a round of as
+/// many streams as the scheduler keeps states allocates only their tokens,
+/// texts and partial spans and the returned list, in process and, on the
+/// serving thread, over the RPC boundary.
+///
+/// Chunks arrive on the audio beat, without jitter, so every pass over the
+/// corpus pool serves the same rounds, tick for tick, in the same batch
+/// slots: the first pass grows the tick scratch (its drafted trees and probe
+/// layouts) to the largest round each slot drafts.  The kept states and
+/// sessions, handed out last in first out, trade streams in an order that
+/// repeats from pass to pass, so each has served every stream it will serve
+/// within four passes (a permutation of four has order at most four).  The
+/// warm quarter comes after six passes, and its two passes allocate alike.
+#[test]
+fn a_warm_stream_allocates_only_its_outcome() {
+    let setup = StandardSetup::new(31, 12);
+    let stream = StreamConfig::default()
+        .with_chunk_seconds(1.0)
+        .with_arrival_jitter(0.0);
+    for rpc in [false, true] {
+        let config = ServerConfig::default().with_max_batch(4);
+        let mut scheduler = scheduler_for(&setup, config, rpc);
+        scheduler.install_drafter(Arc::new(token_map_for(&setup)));
+        scheduler.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
+        let costs = mix_rounds(
+            &setup,
+            &mut scheduler,
+            config.max_batch,
+            |scheduler, policy, drafter, utterance| {
+                let spec = RequestSpec {
+                    drafter,
+                    ..policy.into()
+                };
+                scheduler
+                    .submit_streaming(spec, utterance, stream)
+                    .expect("queue has room");
+            },
+            Scheduler::run_until_idle,
+        );
+        let budget = stream_budget(config.max_batch);
+        let warm = warm(&costs);
+        assert!(
+            warm.iter().all(|&cost| cost <= budget),
+            "rpc {rpc}: rounds of {} streams allocated {costs:?}, budget {budget}",
+            config.max_batch
+        );
+        let pass = corpus_pool(&setup).len() / config.max_batch;
+        assert_eq!(warm.len(), 2 * pass);
+        assert_eq!(warm[..pass], warm[pass..], "rpc {rpc}: {costs:?}");
+    }
+}
+
 /// [`a_warm_offline_request_allocates_only_its_outcome`] through a
 /// two-worker router: a submit takes a spare session from any worker, so a
 /// round of as many requests as one worker keeps spares allocates only
@@ -857,7 +930,7 @@ fn a_warm_routed_offline_request_allocates_only_its_outcome() {
         );
         router.install_drafter(Arc::new(token_map_for(&setup)));
         router.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)));
-        let costs = offline_rounds(
+        let costs = mix_rounds(
             &setup,
             &mut router,
             worker.max_batch,
@@ -885,7 +958,8 @@ fn a_warm_routed_offline_request_allocates_only_its_outcome() {
 
 /// A worker keeps at most `max_batch` spare sessions, however many
 /// requests it retires between submits: a burst through a three-worker
-/// router, a drain that migrates sessions, and a scheduler on its own.
+/// router, a drain that migrates sessions, a scheduler on its own, and a
+/// scheduler that retires more streams than that.
 #[test]
 fn a_worker_keeps_at_most_max_batch_spare_sessions() {
     let setup = StandardSetup::new(31, 6);
@@ -927,6 +1001,15 @@ fn a_worker_keeps_at_most_max_batch_spare_sessions() {
     }
     assert_eq!(scheduler.run_until_idle().len(), 24);
     assert_eq!(scheduler.spare_sessions(), worker.max_batch);
+
+    let mut streaming = scheduler_for(&setup, worker, false);
+    for utterance in pool.iter().take(12) {
+        streaming
+            .submit_streaming(policy, utterance, StreamConfig::default())
+            .expect("queue has room");
+    }
+    assert_eq!(streaming.run_until_idle().len(), 12);
+    assert_eq!(streaming.spare_sessions(), worker.max_batch);
 }
 
 /// A KV prefill plans its blocks without a buffer: on a warm pool it
