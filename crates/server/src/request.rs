@@ -194,12 +194,19 @@ impl RequestLatency {
 /// One partial transcript emitted while a streaming request was in flight:
 /// the serving-side record of a [`specasr_stream::PartialTranscript`], with
 /// its latency span on the scheduler wall clock.
+///
+/// A span holds its newest chunk's index and arrival, its emission, the
+/// encoder time charged to it and its token counts, and nothing its place
+/// in [`RequestOutcome::partials`] already says: its position there is its
+/// emission order, the last span is the final partial (full audio
+/// received, everything committed; the stream retires on it, so no span
+/// follows), and the tokens a span newly committed are its
+/// `committed_tokens` minus the previous span's.  Counts are `u32` and
+/// times `f64`: 40 bytes a span.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartialSpan {
-    /// Position of this partial in the request's emission order (0-based).
-    pub partial_index: usize,
     /// Index of the newest audio chunk this partial's decode had heard.
-    pub chunk_index: usize,
+    pub chunk_index: u32,
     /// Wall time that chunk arrived at the server.
     pub chunk_arrival_ms: f64,
     /// Wall time the partial was emitted.
@@ -208,17 +215,12 @@ pub struct PartialSpan {
     /// delivered since the previous partial).
     pub encoder_ms: f64,
     /// Total committed (never-retracted) tokens after this partial.
-    pub committed_tokens: usize,
-    /// Tokens this partial newly committed.
-    pub newly_committed: usize,
+    pub committed_tokens: u32,
     /// Full hypothesis length (committed prefix plus unstable tail).
-    pub hypothesis_tokens: usize,
+    pub hypothesis_tokens: u32,
     /// Uncommitted hypothesis positions that changed versus the previous
     /// partial.
-    pub retracted_tokens: usize,
-    /// `true` for the final partial (full audio received, everything
-    /// committed).
-    pub is_final: bool,
+    pub retracted_tokens: u32,
 }
 
 impl PartialSpan {
@@ -235,8 +237,6 @@ impl PartialSpan {
 pub struct RequestOutcome {
     /// The request's identity.
     pub id: RequestId,
-    /// The decode policy the request ran under.
-    pub policy: Policy,
     /// The utterance that was transcribed.
     pub utterance_id: UtteranceId,
     /// The decoded transcript text.
@@ -253,9 +253,11 @@ pub struct RequestOutcome {
     /// The latency-SLO class the request was served under (derived from its
     /// TTFT budget at submission).
     pub slo: SloClass,
-    /// Partial transcripts emitted while the request streamed, in order —
-    /// empty for offline requests.  For streaming requests the latency's
-    /// time-to-first-token is the first partial's arrival-to-emission span.
+    /// Partial transcripts emitted while the request streamed, in emission
+    /// order — empty for offline requests.  A span's position is its
+    /// partial index, and the last span is the final partial.  For
+    /// streaming requests the latency's time-to-first-token is the first
+    /// partial's arrival-to-emission span.
     pub partials: Vec<PartialSpan>,
 }
 
@@ -301,16 +303,13 @@ mod tests {
     #[test]
     fn partial_spans_clamp_skew_and_charge_the_encoder() {
         let span = PartialSpan {
-            partial_index: 0,
             chunk_index: 2,
             chunk_arrival_ms: 100.0,
             emitted_ms: 130.0,
             encoder_ms: 4.0,
             committed_tokens: 6,
-            newly_committed: 2,
             hypothesis_tokens: 9,
             retracted_tokens: 1,
-            is_final: false,
         };
         assert!((span.span_ms() - 34.0).abs() < 1e-12);
         let skewed = PartialSpan {

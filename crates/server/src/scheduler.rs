@@ -168,6 +168,11 @@ fn refill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
     buffer.resize(len, value);
 }
 
+/// A stream's chunk or token count as its [`PartialSpan`] holds it.
+fn span_count(count: usize) -> u32 {
+    u32::try_from(count).expect("a stream holds fewer than 2^32 chunks and tokens")
+}
+
 /// When `request` became admissible on a worker whose clock reads `now_ms`:
 /// its queued instant, clamped to the clock (a router can stamp an arrival
 /// on the fleet timeline ahead of a lagging worker).
@@ -704,9 +709,14 @@ where
     /// accepted stream is never shed by *queue* pressure mid-utterance.  A
     /// KV pool too small for the stream's grown footprint (the committed
     /// prefix is re-appended on every per-chunk resume) can still drop it
-    /// mid-utterance with a `rejected_memory` count — in that case no final
-    /// outcome is produced and already-emitted partials stay with the
-    /// caller; size `ServerConfig::kv_blocks` so a full utterance fits.
+    /// mid-utterance with a `rejected_memory` count.  The caller then gets
+    /// no outcome, and the partials the stream already emitted are lost
+    /// with it: their spans go with the stream's state, which is dropped or
+    /// kept for a later stream that clears them, and
+    /// [`ServerStats::partials_emitted`] counts completed streams only.
+    /// They survive only as [`TraceEvent::PartialEmitted`] events, when the
+    /// flight recorder is on ([`Scheduler::set_trace`]).  Size
+    /// `ServerConfig::kv_blocks` so a full utterance fits.
     ///
     /// # Panics
     ///
@@ -1442,26 +1452,23 @@ where
         let partial = stream.session.absorb(&session.decode);
         let emitted_ms = session.ready_ms;
         let span = PartialSpan {
-            partial_index: partial.partial_index,
-            chunk_index: stream.delivered.saturating_sub(1),
+            chunk_index: span_count(stream.delivered.saturating_sub(1)),
             chunk_arrival_ms: stream.newest_chunk_arrival_ms,
             emitted_ms,
             encoder_ms: stream.pending_encoder_ms,
-            committed_tokens: partial.committed_tokens,
-            newly_committed: partial.newly_committed,
-            hypothesis_tokens: partial.hypothesis_tokens,
-            retracted_tokens: partial.retracted_tokens,
-            is_final: partial.is_final,
+            committed_tokens: span_count(partial.committed_tokens),
+            hypothesis_tokens: span_count(partial.hypothesis_tokens),
+            retracted_tokens: span_count(partial.retracted_tokens),
         };
         stream.pending_encoder_ms = 0.0;
         if self.tracer.is_enabled() {
             let ts_ms = emitted_ms;
             let request = session.id.value();
-            let partial_index = span.partial_index as u64;
-            let committed = span.committed_tokens as u64;
-            let hypothesis = span.hypothesis_tokens as u64;
-            let retracted = span.retracted_tokens as u64;
-            let is_final = span.is_final;
+            let partial_index = partial.partial_index as u64;
+            let committed = partial.committed_tokens as u64;
+            let hypothesis = partial.hypothesis_tokens as u64;
+            let retracted = partial.retracted_tokens as u64;
+            let is_final = partial.is_final;
             self.tracer.record_with(|| TraceEvent::PartialEmitted {
                 ts_ms,
                 request,
@@ -1518,7 +1525,6 @@ where
             time_to_first_token_ms: (first_partial.emitted_ms - arrival_ms).max(0.0)
                 + first_partial.encoder_ms,
         };
-        let policy = *session.decode.policy();
         let outcome = DecodeOutcome {
             tokens: stream.session.committed().to_vec(),
             stats: *stream.session.decode_stats(),
@@ -1533,7 +1539,6 @@ where
             .expect("decoded tokens always come from the shared vocabulary");
         let outcome = RequestOutcome {
             id: session.id,
-            policy,
             utterance_id: session.utterance_id,
             text,
             outcome,
@@ -1933,7 +1938,6 @@ where
             time_to_first_token_ms: (first_token_ms - session.arrival_ms).max(0.0)
                 + session.encoder_ms,
         };
-        let policy = *session.decode.policy();
         let outcome = session.decode.outcome();
         self.recycle(session.decode, None);
         let text = self
@@ -1943,7 +1947,6 @@ where
             .expect("decoded tokens always come from the shared vocabulary");
         let outcome = RequestOutcome {
             id: session.id,
-            policy,
             utterance_id: session.utterance_id,
             text,
             outcome,
@@ -2386,14 +2389,15 @@ mod tests {
             let streamed = streaming_ids.contains(&outcome.id);
             assert_eq!(outcome.is_streaming(), streamed);
             if streamed {
-                // Commits only ever grow, and the last partial is final.
+                // Commits only ever grow, and the last partial is final: it
+                // commits the whole transcript.
                 for pair in outcome.partials.windows(2) {
                     assert!(pair[1].committed_tokens >= pair[0].committed_tokens);
                     assert!(pair[1].emitted_ms >= pair[0].emitted_ms);
                 }
                 let last = outcome.partials.last().expect("non-empty");
-                assert!(last.is_final);
-                assert_eq!(last.committed_tokens, outcome.outcome.tokens.len());
+                assert_eq!(last.committed_tokens, last.hypothesis_tokens);
+                assert_eq!(last.committed_tokens as usize, outcome.outcome.tokens.len());
                 // The first partial lands before the final transcript does.
                 assert!(
                     outcome.latency.time_to_first_token_ms <= outcome.e2e_ms() + 1e-9,

@@ -495,9 +495,9 @@ impl ServerStats {
             for partial in &outcome.partials {
                 self.partials_emitted += 1;
                 self.partial_span.record(partial.span_ms());
-                self.retracted_tokens += partial.retracted_tokens;
+                self.retracted_tokens += partial.retracted_tokens as usize;
                 self.shown_hypothesis_tokens +=
-                    partial.hypothesis_tokens - partial.committed_tokens;
+                    (partial.hypothesis_tokens - partial.committed_tokens) as usize;
             }
         }
     }

@@ -54,14 +54,16 @@ fn main() {
         "{:>8} {:>10} {:>10} {:>10}  partial transcript (committed | unstable)",
         "wall ms", "chunk ms", "span ms", "stable"
     );
-    for partial in &outcome.partials {
+    // A span's position is its partial index, and the last is final.
+    let last = outcome.partials.len() - 1;
+    for (index, partial) in outcome.partials.iter().enumerate() {
         let tokens = &outcome.outcome.tokens;
         let committed = setup
             .binding
             .tokenizer()
-            .decode(&tokens[..partial.committed_tokens.min(tokens.len())])
+            .decode(&tokens[..(partial.committed_tokens as usize).min(tokens.len())])
             .expect("transcript tokens decode");
-        let marker = if partial.is_final { " (final)" } else { "" };
+        let marker = if index == last { " (final)" } else { "" };
         println!(
             "{:>8.0} {:>10.0} {:>10.0} {:>7}/{:<3}  {}{}",
             partial.emitted_ms,
@@ -95,11 +97,11 @@ fn main() {
             .partials
             .iter()
             .map(|p| p.retracted_tokens)
-            .sum::<usize>(),
+            .sum::<u32>(),
         outcome
             .partials
             .iter()
             .map(|p| p.hypothesis_tokens - p.committed_tokens)
-            .sum::<usize>(),
+            .sum::<u32>(),
     );
 }

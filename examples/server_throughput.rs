@@ -57,20 +57,26 @@ fn main() {
         ServerConfig::default(),
     );
     let split = setup.corpus.split(Split::TestOther);
+    let mut submitted = Vec::new();
     for (index, utterance) in split.iter().enumerate() {
         let policy = if index % 2 == 0 {
             Policy::AdaptiveSingleSequence(AdaptiveConfig::paper())
         } else {
             Policy::TwoPassSparseTree(SparseTreeConfig::paper())
         };
-        scheduler.submit(policy, utterance).expect("queue has room");
+        let id = scheduler.submit(policy, utterance).expect("queue has room");
+        submitted.push((id, policy));
     }
     let outcomes = scheduler.run_until_idle();
     let sample = &outcomes[outcomes.len() / 2];
+    let (_, policy) = submitted
+        .iter()
+        .find(|(id, _)| *id == sample.id)
+        .expect("the sample was submitted above");
     println!(
         "\nsample request lifecycle ({} under {}):",
         sample.id,
-        sample.policy.name()
+        policy.name()
     );
     println!("  queued       {:>8.1} ms", sample.latency.queue_ms);
     println!("  encoder      {:>8.1} ms", sample.latency.encoder_ms);

@@ -64,11 +64,12 @@
 //! bytes allocated.
 //! A scheduler keeps a few latency samples per request it has served, and
 //! no per-round history; a served request's outcome holds only its
-//! transcript tokens, its text and its partial spans; an idle
-//! fleet-controller evaluation allocates the same whatever the fleet has
-//! served.  A verify-wave plan allocates the same whatever its wave cap, and
-//! nothing when a kept plan is planned again over as many sessions or
-//! fewer.
+//! transcript tokens, its text and its partial spans, and neither the
+//! outcome (264 bytes) nor a span (40 bytes) repeats what its caller or its
+//! place in the list already says; an idle fleet-controller evaluation
+//! allocates the same whatever the fleet has served.  A verify-wave plan
+//! allocates the same whatever its wave cap, and nothing when a kept plan is
+//! planned again over as many sessions or fewer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -719,13 +720,25 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
         .map(|outcome| outcome.partials[0].emitted_ms)
         .fold(0.0, f64::max);
     let partials = || outcomes.iter().flat_map(|outcome| &outcome.partials);
+    // A stream parks after each partial but its last, and retires on its
+    // last, the final partial.
+    let parked = || {
+        outcomes
+            .iter()
+            .flat_map(|outcome| &outcome.partials[..outcome.partials.len() - 1])
+    };
+    let finals = || {
+        outcomes
+            .iter()
+            .filter_map(|outcome| outcome.partials.last())
+    };
     let within = |step: &StreamStep, ms: f64| step.start_ms < ms && ms <= step.end_ms;
     let window: Vec<&StreamStep> = steps.iter().filter(|s| s.start_ms >= warm_ms).collect();
     let cycling: Vec<u64> = window
         .iter()
         .filter(|step| {
-            let parks = partials().any(|p| !p.is_final && within(step, p.emitted_ms));
-            let retires = partials().any(|p| p.is_final && within(step, p.emitted_ms));
+            let parks = parked().any(|p| within(step, p.emitted_ms));
+            let retires = finals().any(|p| within(step, p.emitted_ms));
             (parks || step.released) && !retires
         })
         .map(|step| step.allocated)
@@ -1181,6 +1194,22 @@ fn a_held_outcome_holds_only_its_tokens_text_and_partials() {
     drop(outcomes);
     let freed = before - live_bytes();
     assert_eq!(freed, held as i64, "bytes freed by dropping the outcomes");
+}
+
+/// The records a served request hands back hold only what its caller cannot
+/// rebuild.  A partial span holds its newest chunk's index, that chunk's
+/// arrival, its emission and its encoder time (`f64`, so its latency span
+/// and a stream's TTFT keep every bit) and its committed, hypothesis and
+/// retracted token counts (`u32`); its position in the outcome's list gives
+/// its partial index and whether it is final, and the previous span gives
+/// what it newly committed.  An outcome holds the request's id and
+/// utterance, its text, its decode outcome (tokens, statistics and device
+/// clock), its latency breakdown, audio length, preemptions and SLO class,
+/// and its partial spans; not the policy, which the caller submitted.
+#[test]
+fn a_served_request_hands_back_only_what_its_caller_cannot_rebuild() {
+    assert_eq!(size_of::<PartialSpan>(), 40);
+    assert_eq!(size_of::<RequestOutcome>(), 264);
 }
 
 #[test]

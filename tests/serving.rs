@@ -332,11 +332,10 @@ fn check_causal_lifecycles(
             first_token <= completed[&request] + 1e-9,
             "{request}: first token after completion"
         );
-        for partial in &outcome.partials {
+        for (index, partial) in outcome.partials.iter().enumerate() {
             prop_assert!(
                 partial.emitted_ms >= partial.chunk_arrival_ms,
-                "{request}: partial {} before its chunk",
-                partial.partial_index
+                "{request}: partial {index} before its chunk"
             );
         }
     }

@@ -14,7 +14,7 @@ use specasr::{
 };
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_models::CtcDrafter;
-use specasr_server::{RequestSpec, Scheduler, ServerConfig, StreamConfig};
+use specasr_server::{RequestOutcome, RequestSpec, Scheduler, ServerConfig, StreamConfig};
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenMapIndex;
 
@@ -81,6 +81,14 @@ fn submit_mixed_workload<'a>(
     expectations
 }
 
+/// Asserts that a stream's last partial is its final one: it commits the
+/// whole transcript.
+fn assert_last_partial_is_final(outcome: &RequestOutcome) {
+    let last = outcome.partials.last().expect("streams emit partials");
+    assert_eq!(last.committed_tokens, last.hypothesis_tokens);
+    assert_eq!(last.committed_tokens as usize, outcome.token_count());
+}
+
 fn mixed_workload_config() -> ServerConfig {
     ServerConfig::default().with_max_batch(8).with_kv_blocks(12)
 }
@@ -130,9 +138,7 @@ fn mixed_streaming_and_offline_traffic_is_lossless_under_preemption() {
             for pair in outcome.partials.windows(2) {
                 assert!(pair[1].committed_tokens >= pair[0].committed_tokens);
             }
-            let last = outcome.partials.last().expect("streams emit partials");
-            assert!(last.is_final);
-            assert_eq!(last.committed_tokens, reference.outcome.tokens.len());
+            assert_last_partial_is_final(outcome);
             // Each chunk's encoder time is charged to exactly one partial.
             let charged: f64 = outcome.partials.iter().map(|span| span.encoder_ms).sum();
             let offline = EncoderProfile::whisper_medium_encoder()
@@ -185,23 +191,23 @@ fn draft_free_streams_are_lossless_and_never_query_the_draft_model() {
                 )
                 .expect("queue has room");
             let reference = pipeline_for(&setup, policy).transcribe(&setup.binding, utterance);
-            expected.push((id, reference));
+            expected.push((id, policy, reference));
         }
         let outcomes = scheduler.run_until_idle();
         assert_eq!(outcomes.len(), split.len(), "{}", drafter.label());
-        for (id, reference) in expected {
+        for (id, policy, reference) in expected {
             let outcome = outcomes
                 .iter()
                 .find(|outcome| outcome.id == id)
                 .expect("every stream completes");
             assert!(outcome.is_streaming());
-            assert!(outcome.partials.last().expect("partials").is_final);
+            assert_last_partial_is_final(outcome);
             assert_eq!(
                 outcome.outcome.tokens,
                 reference.outcome.tokens,
                 "{} stream under {}",
                 drafter.label(),
-                outcome.policy.name()
+                policy.name()
             );
             assert_eq!(outcome.text, reference.text);
         }
@@ -323,8 +329,8 @@ fn streams_finish_when_the_chunk_arithmetic_rounds() {
         }
         assert!(scheduler.is_idle(), "{duration} s stream never finished");
         assert_eq!(outcomes.len(), 1);
+        assert_last_partial_is_final(&outcomes[0]);
         let partials = &outcomes[0].partials;
-        assert!(partials.last().expect("streams emit partials").is_final);
         assert!(
             partials.len() <= chunks,
             "{} partials for {chunks} chunks",
