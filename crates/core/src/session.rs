@@ -789,17 +789,6 @@ impl DecodeSession {
         self.verify_round(pool, target, round)
     }
 
-    /// The session's [`DecodeOutcome`] so far, the transcript copied out:
-    /// what [`DecodeSession::into_outcome`] returns, leaving the session and
-    /// its buffers to serve another request ([`DecodeSession::reassign`]).
-    pub fn outcome(&self) -> DecodeOutcome {
-        DecodeOutcome {
-            tokens: self.tokens.clone(),
-            stats: self.stats,
-            clock: self.clock.clone(),
-        }
-    }
-
     /// Consumes the session into a [`DecodeOutcome`].
     ///
     /// Normally called once [`DecodeSession::is_finished`] is `true`; calling

@@ -230,17 +230,6 @@ impl DecodeClock {
     pub fn target_tokens_processed(&self) -> u64 {
         self.target_tokens_processed
     }
-
-    /// Merges another clock into this one (used when aggregating per-
-    /// utterance clocks into a per-split total).
-    pub fn merge(&mut self, other: &DecodeClock) {
-        self.breakdown.accumulate(&other.breakdown);
-        self.encoder_passes += other.encoder_passes;
-        self.draft_passes += other.draft_passes;
-        self.target_passes += other.target_passes;
-        self.draft_tokens_processed += other.draft_tokens_processed;
-        self.target_tokens_processed += other.target_tokens_processed;
-    }
 }
 
 #[cfg(test)]
@@ -286,20 +275,6 @@ mod tests {
         assert_eq!(clock.draft_passes(), 2);
         assert_eq!(clock.target_passes(), 1);
         assert_eq!(clock.target_tokens_processed(), 8);
-    }
-
-    #[test]
-    fn clock_merge_adds_everything() {
-        let draft = LatencyModel::new(2.0, 0.1, 0.05);
-        let mut a = DecodeClock::new();
-        a.charge_draft(&draft, 3);
-        let mut b = DecodeClock::new();
-        b.charge_draft(&draft, 5);
-        b.charge_encoder_ms(1.0);
-        a.merge(&b);
-        assert_eq!(a.draft_passes(), 2);
-        assert_eq!(a.draft_tokens_processed(), 8);
-        assert_eq!(a.encoder_passes(), 1);
     }
 
     #[test]

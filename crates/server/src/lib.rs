@@ -25,7 +25,8 @@
 //!                              │    2. grouped verification waves
 //!                              │    3. commit + retire finished sessions
 //!                              ▼
-//!                        RequestOutcome (text + latency breakdown + stats)
+//!                        RequestOutcome (text + ServedDecode: tokens and
+//!                        stats + latency breakdown)
 //! ```
 //!
 //! # What batching buys
@@ -103,7 +104,8 @@ pub use config::{
 };
 pub use loadgen::{run_open_loop, run_open_loop_streaming, LoadGen, OpenLoopReport};
 pub use request::{
-    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, SloClass, SubmitError,
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, ServedDecode, SloClass,
+    SubmitError,
 };
 pub use router::Router;
 pub use scheduler::Scheduler;

@@ -2,8 +2,9 @@
 //! with its serving-latency breakdown.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeOutcome, DrafterKind, Policy};
+use specasr::{DecodeStats, DrafterKind, Policy};
 use specasr_audio::UtteranceId;
+use specasr_tokenizer::TokenId;
 
 /// What one request asks of the server: how to decode it, where its drafts
 /// come from, and how soon its first output is due.  Every submit takes
@@ -232,6 +233,25 @@ impl PartialSpan {
     }
 }
 
+/// The decode record of one served request: its transcript tokens and its
+/// round statistics, 80 bytes.
+///
+/// It holds no device-time clock.  A [`specasr::DecodeOutcome`]'s clock is
+/// the device time of one utterance decoded alone, charging every round a
+/// whole forward pass; a served request shares each verify pass with the
+/// rest of its wave, which pays the pass base once for all of them, so
+/// such a clock would not be this request's time.  Its time is its
+/// [`RequestLatency`].  The tokens and statistics equal those of
+/// [`specasr::AsrPipeline::transcribe`] for the same utterance and policy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServedDecode {
+    /// The decoded transcript tokens (EOS excluded).
+    pub tokens: Vec<TokenId>,
+    /// Round and acceptance statistics; for a stream, the counters of all
+    /// its per-chunk re-decodes added up.
+    pub stats: DecodeStats,
+}
+
 /// Everything the server produces for one finished request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
@@ -241,15 +261,16 @@ pub struct RequestOutcome {
     pub utterance_id: UtteranceId,
     /// The decoded transcript text.
     pub text: String,
-    /// The full decoding outcome (tokens, statistics, device-time clock).
-    pub outcome: DecodeOutcome,
+    /// The decode record: transcript tokens and round statistics, with no
+    /// device-time clock (see [`ServedDecode`] for why).
+    pub outcome: ServedDecode,
     /// The serving-latency breakdown.
     pub latency: RequestLatency,
     /// Audio duration of the utterance in seconds.
     pub audio_seconds: f64,
     /// Times this request was preempted (evicted to free KV-pool blocks and
     /// later restored by a deterministic re-decode) before completing.
-    pub preemptions: usize,
+    pub preemptions: u32,
     /// The latency-SLO class the request was served under (derived from its
     /// TTFT budget at submission).
     pub slo: SloClass,

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, DecodeSession, DraftedRound, Drafter, DrafterKind};
+use specasr::{DecodeSession, DraftedRound, Drafter, DrafterKind};
 use specasr_audio::{EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, Completions,
@@ -22,7 +22,8 @@ use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer
 use crate::batch::{plan_verify_waves, TickCost, VerifyPlan};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
-    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, SloClass, SubmitError,
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, RequestSpec, ServedDecode, SloClass,
+    SubmitError,
 };
 use crate::session::{QueuedRequest, ServerSession, StreamState};
 use crate::stats::ServerStats;
@@ -168,9 +169,11 @@ fn refill<T: Clone>(buffer: &mut Vec<T>, len: usize, value: T) {
     buffer.resize(len, value);
 }
 
-/// A stream's chunk or token count as its [`PartialSpan`] holds it.
-fn span_count(count: usize) -> u32 {
-    u32::try_from(count).expect("a stream holds fewer than 2^32 chunks and tokens")
+/// A count as the served records hold it: a stream's chunk and token
+/// counts in its [`PartialSpan`]s, a request's preemptions in its
+/// [`RequestOutcome`].
+fn record_count(count: usize) -> u32 {
+    u32::try_from(count).expect("a request counts fewer than 2^32 chunks, tokens and preemptions")
 }
 
 /// When `request` became admissible on a worker whose clock reads `now_ms`:
@@ -1452,13 +1455,13 @@ where
         let partial = stream.session.absorb(&session.decode);
         let emitted_ms = session.ready_ms;
         let span = PartialSpan {
-            chunk_index: span_count(stream.delivered.saturating_sub(1)),
+            chunk_index: record_count(stream.delivered.saturating_sub(1)),
             chunk_arrival_ms: stream.newest_chunk_arrival_ms,
             emitted_ms,
             encoder_ms: stream.pending_encoder_ms,
-            committed_tokens: span_count(partial.committed_tokens),
-            hypothesis_tokens: span_count(partial.hypothesis_tokens),
-            retracted_tokens: span_count(partial.retracted_tokens),
+            committed_tokens: record_count(partial.committed_tokens),
+            hypothesis_tokens: record_count(partial.hypothesis_tokens),
+            retracted_tokens: record_count(partial.retracted_tokens),
         };
         stream.pending_encoder_ms = 0.0;
         if self.tracer.is_enabled() {
@@ -1525,10 +1528,9 @@ where
             time_to_first_token_ms: (first_partial.emitted_ms - arrival_ms).max(0.0)
                 + first_partial.encoder_ms,
         };
-        let outcome = DecodeOutcome {
+        let outcome = ServedDecode {
             tokens: stream.session.committed().to_vec(),
             stats: *stream.session.decode_stats(),
-            clock: stream.session.clock().clone(),
         };
         let partials = std::mem::take(&mut stream.partials);
         self.recycle(session.decode, Some(stream));
@@ -1544,7 +1546,7 @@ where
             outcome,
             latency,
             audio_seconds: session.audio_seconds,
-            preemptions: session.preemptions,
+            preemptions: record_count(session.preemptions),
             slo: SloClass::of_budget(session.ttft_budget_ms),
             partials,
         };
@@ -1938,7 +1940,10 @@ where
             time_to_first_token_ms: (first_token_ms - session.arrival_ms).max(0.0)
                 + session.encoder_ms,
         };
-        let outcome = session.decode.outcome();
+        let outcome = ServedDecode {
+            tokens: session.decode.tokens().to_vec(),
+            stats: *session.decode.stats(),
+        };
         self.recycle(session.decode, None);
         let text = self
             .binding
@@ -1952,7 +1957,7 @@ where
             outcome,
             latency,
             audio_seconds: session.audio_seconds,
-            preemptions: session.preemptions,
+            preemptions: record_count(session.preemptions),
             slo: SloClass::of_budget(session.ttft_budget_ms),
             partials: Vec::new(),
         };

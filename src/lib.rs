@@ -22,8 +22,8 @@ pub mod prelude {
     pub use specasr_server::{
         run_open_loop, AdmissionOrdering, AdmissionPolicy, BackendStats, KvPool, LoadGen,
         MemoryStats, OpenLoopReport, PreemptPolicy, RequestOutcome, RequestSpec, Router,
-        RouterConfig, Scheduler, ServerConfig, ServerStats, SloClass, Worker, WorkerId,
-        WorkerProfile,
+        RouterConfig, Scheduler, ServedDecode, ServerConfig, ServerStats, SloClass, Worker,
+        WorkerId, WorkerProfile,
     };
     pub use specasr_tokenizer::{TokenId, TokenMapIndex, Tokenizer};
 }

@@ -88,7 +88,7 @@ use specasr_models::{
 use specasr_runtime::{BlockTable, KvPool};
 use specasr_server::{
     plan_verify_waves, LoadGen, PartialSpan, RequestOutcome, RequestSpec, Router, RouterConfig,
-    Scheduler, ServerConfig, SloClass, StreamConfig, VerifyPlan, WorkerProfile,
+    Scheduler, ServedDecode, ServerConfig, SloClass, StreamConfig, VerifyPlan, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -1203,13 +1203,18 @@ fn a_held_outcome_holds_only_its_tokens_text_and_partials() {
 /// retracted token counts (`u32`); its position in the outcome's list gives
 /// its partial index and whether it is final, and the previous span gives
 /// what it newly committed.  An outcome holds the request's id and
-/// utterance, its text, its decode outcome (tokens, statistics and device
-/// clock), its latency breakdown, audio length, preemptions and SLO class,
-/// and its partial spans; not the policy, which the caller submitted.
+/// utterance, its text, its decode record (tokens and statistics), its
+/// latency breakdown, audio length, preemptions (`u32`, packed beside the
+/// SLO class) and SLO class, and its partial spans; not the policy, which
+/// the caller submitted.  The decode record holds no device-time clock: a
+/// served request shares each verify pass with the rest of its wave, so a
+/// per-decode clock, which charges every round a whole pass, is not its
+/// time; its latency breakdown is.
 #[test]
 fn a_served_request_hands_back_only_what_its_caller_cannot_rebuild() {
     assert_eq!(size_of::<PartialSpan>(), 40);
-    assert_eq!(size_of::<RequestOutcome>(), 264);
+    assert_eq!(size_of::<ServedDecode>(), 80);
+    assert_eq!(size_of::<RequestOutcome>(), 192);
 }
 
 #[test]

@@ -84,6 +84,41 @@ fn batched_scheduling_is_lossless_for_every_policy() {
     }
 }
 
+/// A served request hands back the decode record a blocking decode of the
+/// same utterance returns, less its device-time clock: with no preemption,
+/// its tokens and round statistics equal `AsrPipeline::transcribe`'s under
+/// every policy.
+#[test]
+fn a_served_request_hands_back_the_blocking_tokens_and_statistics() {
+    let setup = StandardSetup::new(900, 10);
+    let split = setup.corpus.split(Split::TestOther);
+    for policy in serving_policies() {
+        let name = policy.name();
+        let pipeline = AsrPipeline::new(
+            setup.draft.clone(),
+            setup.target.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            policy,
+        );
+        let mut scheduler = scheduler_for(&setup, ServerConfig::default().with_max_batch(4));
+        for utterance in split {
+            scheduler.submit(policy, utterance).expect("queue has room");
+        }
+        let outcomes = scheduler.run_until_idle();
+        assert_eq!(outcomes.len(), split.len(), "{name}");
+        for served in &outcomes {
+            assert_eq!(served.preemptions, 0, "{name}");
+            let utterance = split
+                .iter()
+                .find(|u| u.id() == served.utterance_id)
+                .expect("every outcome is a submitted utterance");
+            let blocking = pipeline.transcribe(&setup.binding, utterance).outcome;
+            assert_eq!(served.outcome.tokens, blocking.tokens, "{name}");
+            assert_eq!(served.outcome.stats, blocking.stats, "{name}");
+        }
+    }
+}
+
 #[test]
 fn mixed_policy_batches_stay_lossless() {
     let setup = StandardSetup::new(901, 8);
