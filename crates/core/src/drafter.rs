@@ -96,8 +96,9 @@ pub struct DraftRequest<'a> {
     pub committed: &'a [TokenId],
     /// The session's decoding policy (supplies per-round draft budgets).
     pub policy: &'a Policy,
-    /// The rejected suffix retained from the previous round (model-draft
-    /// recycling; draft-free sources may ignore it).
+    /// The tokens retained for recycling: the previous round's rejected
+    /// suffix, or a stream's last unstable tail (model-draft recycling;
+    /// draft-free sources may ignore it).
     pub recycle: &'a RecycleBuffer,
     /// The session's latency clock; model-backed drafters charge their
     /// forward passes here, draft-free drafters charge nothing.
@@ -239,17 +240,12 @@ where
                 );
             }),
             Policy::AdaptiveSingleSequence(config) => {
-                let retained: &[TokenId] = if config.recycling {
-                    recycle.tokens()
-                } else {
-                    &[]
-                };
                 round.refill(RoundKind::Sequence, |plan, scratch| {
                     let phase = run_draft_phase(
                         draft,
                         audio,
                         committed,
-                        retained,
+                        config.recycling.then_some(recycle),
                         PhaseRule {
                             max_len: config.max_prediction_length,
                             threshold: config.truncation_threshold,
@@ -267,11 +263,6 @@ where
                 });
             }
             Policy::TwoPassSparseTree(config) => {
-                let retained: &[TokenId] = if config.recycling {
-                    recycle.tokens()
-                } else {
-                    &[]
-                };
                 round.refill(RoundKind::SparseTree, |plan, scratch| {
                     // Pass 1: greedy trunk, straight into the plan's tokens,
                     // recording uncertainty but never truncating.
@@ -279,7 +270,7 @@ where
                         draft,
                         audio,
                         committed,
-                        retained,
+                        config.recycling.then_some(recycle),
                         PhaseRule {
                             max_len: config.max_prediction_length,
                             threshold: config.uncertainty_threshold,

@@ -101,6 +101,22 @@ impl Policy {
         session
     }
 
+    /// How many leading recycled tokens one round can read: a draft of at
+    /// most `max_prediction_length` tokens merges `merge_offset` positions
+    /// ahead at most, and adoption stops at the draft's length.  0 for a
+    /// policy that does not recycle.
+    pub(crate) fn recycle_reach(&self) -> usize {
+        match *self {
+            Policy::AdaptiveSingleSequence(config) if config.recycling => {
+                config.max_prediction_length + config.merge_offset
+            }
+            Policy::TwoPassSparseTree(config) if config.recycling => {
+                config.max_prediction_length + config.merge_offset
+            }
+            _ => 0,
+        }
+    }
+
     /// The qualitative comparison of Tab. I, one row per speculative-decoding
     /// family.
     pub fn feature_matrix() -> Vec<FeatureRow> {

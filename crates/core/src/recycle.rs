@@ -8,6 +8,13 @@
 //! adjacent) position, the two branches are merged and the rest of the
 //! retained suffix is adopted without spending any further draft passes.
 //!
+//! A stream recycles across chunks the same way: the first round after a new
+//! chunk retains the unstable tail of the stream's last partial, the target's
+//! own output for the shorter view.  That tail is *open-ended*: it stopped at
+//! the old audio horizon, not at a drafting decision, so a phase that adopts
+//! it to its end keeps drafting past it.  A rejected suffix is *closed*, and
+//! adopting it ends the phase.
+//!
 //! [`run_draft_phase`] implements the draft side of one round for both the
 //! adaptive single-sequence policy and the trunk of the two-pass sparse-tree
 //! policy: greedy drafting with optional threshold truncation, optional
@@ -20,7 +27,12 @@ use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
 use specasr_tokenizer::TokenId;
 
-/// The rejected suffix of the previous round's draft, retained for reuse.
+/// The tokens the next round's draft phase may recycle: the rejected suffix
+/// of the previous round's draft, or, for a stream's first round after a
+/// new chunk, its last partial's unstable tail.  A rejected suffix is
+/// closed: adopting it ends the draft phase.  A tail is open-ended, since it
+/// stopped at the old audio horizon: once adopted whole, drafting goes on
+/// past it.
 ///
 /// # Example
 ///
@@ -36,6 +48,9 @@ use specasr_tokenizer::TokenId;
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RecycleBuffer {
     tokens: Vec<TokenId>,
+    /// Whether the tokens ended at an audio horizon rather than where a
+    /// round stopped drafting (always `false` while the buffer is empty).
+    open_ended: bool,
 }
 
 impl RecycleBuffer {
@@ -63,11 +78,22 @@ impl RecycleBuffer {
         let start = (accepted_len + 1).min(draft_tokens.len());
         self.tokens.clear();
         self.tokens.extend_from_slice(&draft_tokens[start..]);
+        self.open_ended = false;
     }
 
-    /// Empties the buffer, keeping its capacity.
-    pub(crate) fn clear(&mut self) {
+    /// Replaces the retained tokens with `tail`, open-ended, in place: a
+    /// stream's last unstable tail for the first round of its next chunk,
+    /// or nothing (an empty, closed buffer).
+    pub(crate) fn seed(&mut self, tail: &[TokenId]) {
         self.tokens.clear();
+        self.tokens.extend_from_slice(tail);
+        self.open_ended = !tail.is_empty();
+    }
+
+    /// Makes room for `len` tokens, so seeding a tail that long allocates
+    /// nothing.
+    pub(crate) fn reserve(&mut self, len: usize) {
+        self.tokens.reserve(len.saturating_sub(self.tokens.len()));
     }
 
     /// The retained tokens.
@@ -129,24 +155,28 @@ pub(crate) struct PhaseRule {
 
 /// Runs the draft side of one speculative round.
 ///
-/// * `retained` — the recycled suffix from the previous round (empty slice if
-///   recycling is disabled or nothing was rejected);
+/// * `recycle` — the tokens this round may recycle (`None` if the policy
+///   does not recycle);
 /// * `tokens` — emptied, then filled with the drafted tokens;
 /// * `detail` — emptied, then filled with each drafted token's
 ///   [`DraftToken`], index-aligned with `tokens`;
 /// * `context` — the draft-model query context, rebuilt as `prefix` plus
 ///   the tokens drafted so far.
 ///
-/// Latency: each regeneration step charges one draft forward pass; while a
-/// retained suffix is being tracked the pass processes two tokens (the masked
-/// parallel decode of the paper), otherwise one.  Tokens adopted via a merge
-/// charge nothing.
+/// A merge adopts the rest of the retained tokens and ends the phase, unless
+/// they are open-ended and were adopted to their end (not cut by `max_len`
+/// or EOS): drafting then goes on past them under the same rule.
+///
+/// Latency: each regeneration step charges one draft forward pass; while
+/// retained tokens are being tracked the pass processes two tokens (the
+/// masked parallel decode of the paper), otherwise one.  Tokens adopted via a
+/// merge charge nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_draft_phase<M>(
     draft: &M,
     audio: &UtteranceTokens,
     prefix: &[TokenId],
-    retained: &[TokenId],
+    recycle: Option<&RecycleBuffer>,
     rule: PhaseRule,
     clock: &mut DecodeClock,
     tokens: &mut Vec<TokenId>,
@@ -166,10 +196,13 @@ where
     context.clear();
     context.reserve(prefix.len() + rule.max_len);
     context.extend_from_slice(prefix);
-    let parallel_width = if retained.is_empty() { 1 } else { 2 };
+    let (mut retained, open_ended) = recycle.map_or((&[][..], false), |buffer| {
+        (buffer.tokens(), buffer.open_ended)
+    });
 
     while tokens.len() < rule.max_len {
         let logits = draft.next_logits(audio, context);
+        let parallel_width = if retained.is_empty() { 1 } else { 2 };
         clock.charge_draft(draft.profile().latency(), parallel_width);
         phase.steps += 1;
 
@@ -191,26 +224,31 @@ where
 
         // Recycling merge: if the regenerated token matches a retained token
         // at the corresponding or an adjacent position, adopt the rest of the
-        // retained suffix for free.
+        // retained tokens for free.
         let position = tokens.len() - 1;
-        if !retained.is_empty() {
-            if let Some(matched) = merge_position(retained, position, top1.token, rule.merge_offset)
-            {
-                for &token in retained.iter().skip(matched + 1) {
-                    if tokens.len() >= rule.max_len || token == audio.eos() {
-                        break;
-                    }
-                    tokens.push(token);
-                    detail.push(DraftToken {
-                        probability: 1.0,
-                        runner_up: None,
-                        recycled: true,
-                    });
-                    context.push(token);
-                    phase.recycled += 1;
+        if let Some(matched) = merge_position(retained, position, top1.token, rule.merge_offset) {
+            let rest = &retained[matched + 1..];
+            let mut adopted = 0;
+            for &token in rest {
+                if tokens.len() >= rule.max_len || token == audio.eos() {
+                    break;
                 }
+                tokens.push(token);
+                detail.push(DraftToken {
+                    probability: 1.0,
+                    runner_up: None,
+                    recycled: true,
+                });
+                context.push(token);
+                adopted += 1;
+            }
+            phase.recycled += adopted;
+            if !open_ended || adopted < rest.len() {
                 break;
             }
+            // An open-ended tail adopted whole: draft on past it, alone.
+            retained = &[];
+            continue;
         }
 
         if rule.truncate_on_threshold && top1.probability < rule.threshold {
@@ -345,7 +383,7 @@ mod tests {
         draft: &SimulatedAsrModel,
         audio: &UtteranceTokens,
         prefix: &[TokenId],
-        retained: &[TokenId],
+        recycle: &RecycleBuffer,
         rule: PhaseRule,
         clock: &mut DecodeClock,
     ) -> Phase {
@@ -354,7 +392,7 @@ mod tests {
             draft,
             audio,
             prefix,
-            retained,
+            Some(recycle),
             rule,
             clock,
             &mut tokens,
@@ -363,6 +401,21 @@ mod tests {
         );
         assert_eq!(tokens.len(), detail.len(), "one detail per drafted token");
         (tokens, detail, counters)
+    }
+
+    /// `tokens` retained as a rejected suffix: closed.
+    fn closed(tokens: &[TokenId]) -> RecycleBuffer {
+        RecycleBuffer {
+            tokens: tokens.to_vec(),
+            open_ended: false,
+        }
+    }
+
+    /// `tokens` seeded as a stream's last tail: open-ended.
+    fn open(tokens: &[TokenId]) -> RecycleBuffer {
+        let mut buffer = RecycleBuffer::new();
+        buffer.seed(tokens);
+        buffer
     }
 
     /// A rule drafting up to `max_len` tokens with merge offset 1.
@@ -379,8 +432,14 @@ mod tests {
     fn draft_phase_respects_the_length_cap() {
         let (draft, _, audio) = setup();
         let mut clock = DecodeClock::new();
-        let (tokens, _, counters) =
-            phase(&draft, &audio[0], &[], &[], rule(5, 0.0, false), &mut clock);
+        let (tokens, _, counters) = phase(
+            &draft,
+            &audio[0],
+            &[],
+            &RecycleBuffer::new(),
+            rule(5, 0.0, false),
+            &mut clock,
+        );
         assert!(tokens.len() <= 5);
         assert_eq!(counters.steps as u64, clock.draft_passes());
         assert_eq!(counters.recycled, 0);
@@ -392,8 +451,14 @@ mod tests {
         // With an extreme threshold every round truncates immediately and the
         // uncertain token itself is withheld from verification.
         let mut clock = DecodeClock::new();
-        let (tokens, _, counters) =
-            phase(&draft, &audio[0], &[], &[], rule(24, 1.0, true), &mut clock);
+        let (tokens, _, counters) = phase(
+            &draft,
+            &audio[0],
+            &[],
+            &RecycleBuffer::new(),
+            rule(24, 1.0, true),
+            &mut clock,
+        );
         assert!(counters.truncated);
         assert!(tokens.is_empty());
         assert_eq!(
@@ -406,7 +471,7 @@ mod tests {
             &draft,
             &audio[0],
             &[],
-            &[],
+            &RecycleBuffer::new(),
             rule(24, 0.0, true),
             &mut clock2,
         );
@@ -426,7 +491,7 @@ mod tests {
             &draft,
             utt,
             &trajectory[..1],
-            &retained,
+            &closed(&retained),
             rule(24, 0.0, false),
             &mut clock,
         );
@@ -450,7 +515,7 @@ mod tests {
             &draft,
             &audio[0],
             &[],
-            &retained,
+            &closed(&retained),
             rule(4, 0.0, false),
             &mut clock,
         );
@@ -470,7 +535,7 @@ mod tests {
             &draft,
             utt,
             &trajectory,
-            &[],
+            &RecycleBuffer::new(),
             rule(24, 0.0, false),
             &mut clock,
         );
@@ -496,7 +561,7 @@ mod tests {
             &draft,
             &audio[0],
             &trajectory[..1],
-            &retained,
+            Some(&closed(&retained)),
             rule(24, 0.4, true),
             &mut clock,
             &mut tokens,
@@ -508,11 +573,181 @@ mod tests {
             &draft,
             &audio[0],
             &trajectory[..1],
-            &retained,
+            &closed(&retained),
             rule(24, 0.4, true),
             &mut fresh_clock,
         );
         assert_eq!((tokens, detail, counters), fresh);
         assert_eq!(clock, fresh_clock);
+    }
+
+    /// A prefix of the target's transcript of `audio[0]` whose next token
+    /// the draft regenerates, with the transcript: a tail of the transcript
+    /// after that prefix merges on the first pass.
+    fn merging_prefix(
+        draft: &SimulatedAsrModel,
+        target: &SimulatedAsrModel,
+        audio: &UtteranceTokens,
+    ) -> (usize, Vec<TokenId>) {
+        let trajectory = target.greedy_transcript(audio);
+        let at = (1..trajectory.len() - 8)
+            .find(|&at| draft.greedy_token(audio, &trajectory[..at]) == trajectory[at])
+            .expect("the paired draft agrees with the target somewhere");
+        (at, trajectory)
+    }
+
+    #[test]
+    fn an_open_tail_adopted_whole_keeps_drafting_under_the_rule() {
+        let (draft, target, audio) = setup();
+        let (at, trajectory) = merging_prefix(&draft, &target, &audio[0]);
+        let tail = &trajectory[at..at + 4];
+        for rule in [rule(24, 0.0, false), rule(24, 0.4, true)] {
+            let mut clock = DecodeClock::new();
+            let (tokens, detail, counters) = phase(
+                &draft,
+                &audio[0],
+                &trajectory[..at],
+                &open(tail),
+                rule,
+                &mut clock,
+            );
+            // The first pass regenerates the tail's first token and merges;
+            // the rest of the tail is adopted for free.
+            assert_eq!(&tokens[..4], tail);
+            assert_eq!(counters.recycled, 3);
+            assert!(detail[1..4].iter().all(|d| d.recycled));
+            // Drafting then goes on past the tail exactly as a phase from
+            // the extended prefix would, with the tail's room taken.
+            let mut rest_clock = DecodeClock::new();
+            let rest = phase(
+                &draft,
+                &audio[0],
+                &trajectory[..at + 4],
+                &RecycleBuffer::new(),
+                PhaseRule {
+                    max_len: rule.max_len - 4,
+                    ..rule
+                },
+                &mut rest_clock,
+            );
+            assert_eq!(tokens[4..], rest.0[..]);
+            assert_eq!(detail[4..], rest.1[..]);
+            assert_eq!(counters.steps, 1 + rest.2.steps);
+            assert_eq!(counters.truncated, rest.2.truncated);
+            // Only the merging pass tracked the tail.
+            assert_eq!(
+                clock.draft_tokens_processed(),
+                2 + rest_clock.draft_tokens_processed()
+            );
+        }
+        // Without truncation the phase fills its length.
+        let mut clock = DecodeClock::new();
+        let (tokens, _, _) = phase(
+            &draft,
+            &audio[0],
+            &trajectory[..at],
+            &open(tail),
+            rule(24, 0.0, false),
+            &mut clock,
+        );
+        assert!(tokens.len() > tail.len());
+    }
+
+    #[test]
+    fn a_closed_suffix_still_stops_after_adoption() {
+        let (draft, target, audio) = setup();
+        let (at, trajectory) = merging_prefix(&draft, &target, &audio[0]);
+        let suffix = &trajectory[at..at + 4];
+        let mut clock = DecodeClock::new();
+        let (tokens, _, counters) = phase(
+            &draft,
+            &audio[0],
+            &trajectory[..at],
+            &closed(suffix),
+            rule(24, 0.0, false),
+            &mut clock,
+        );
+        assert_eq!(tokens, suffix);
+        assert_eq!((counters.steps, counters.recycled), (1, 3));
+        assert_eq!(clock.draft_tokens_processed(), 2);
+    }
+
+    #[test]
+    fn an_open_tail_cut_by_the_length_cap_or_eos_stops() {
+        let (draft, target, audio) = setup();
+        let (at, trajectory) = merging_prefix(&draft, &target, &audio[0]);
+        let tail = &trajectory[at..at + 6];
+        // Cut by the cap: three tokens fit.
+        let mut clock = DecodeClock::new();
+        let (tokens, _, counters) = phase(
+            &draft,
+            &audio[0],
+            &trajectory[..at],
+            &open(tail),
+            rule(3, 0.0, false),
+            &mut clock,
+        );
+        assert_eq!(tokens, &tail[..3]);
+        assert_eq!((counters.steps, counters.recycled), (1, 2));
+        // Cut by EOS: adoption stops before it, and so does the phase.
+        let mut with_eos = tail.to_vec();
+        with_eos[3] = audio[0].eos();
+        let mut clock = DecodeClock::new();
+        let (tokens, _, counters) = phase(
+            &draft,
+            &audio[0],
+            &trajectory[..at],
+            &open(&with_eos),
+            rule(24, 0.0, false),
+            &mut clock,
+        );
+        assert_eq!(tokens, &tail[..3]);
+        assert_eq!((counters.steps, counters.recycled), (1, 2));
+    }
+
+    #[test]
+    fn a_tail_beyond_the_reach_of_a_round_changes_nothing() {
+        let (draft, target, audio) = setup();
+        let (at, trajectory) = merging_prefix(&draft, &target, &audio[0]);
+        let tail = &trajectory[at..at + 8];
+        // Merging at once, or only a position later.
+        for prefix in [&trajectory[..at], &trajectory[..at - 1]] {
+            for max_len in 1..8 {
+                let rule = rule(max_len, 0.0, false);
+                let reach = max_len + rule.merge_offset;
+                let (mut whole_clock, mut cut_clock) = (DecodeClock::new(), DecodeClock::new());
+                let whole = phase(
+                    &draft,
+                    &audio[0],
+                    prefix,
+                    &open(tail),
+                    rule,
+                    &mut whole_clock,
+                );
+                let cut = phase(
+                    &draft,
+                    &audio[0],
+                    prefix,
+                    &open(&tail[..reach]),
+                    rule,
+                    &mut cut_clock,
+                );
+                assert_eq!(whole, cut, "max_len {max_len}");
+                assert_eq!(whole_clock, cut_clock);
+            }
+        }
+    }
+
+    #[test]
+    fn seeding_marks_only_a_non_empty_tail_open() {
+        let tail = [t(4), t(5)];
+        let mut buffer = RecycleBuffer::from_rejected(&[t(1), t(2), t(3)], 0);
+        buffer.seed(&tail);
+        assert_eq!(buffer, open(&tail));
+        assert!(buffer.open_ended);
+        buffer.retain_rejected(&[t(1), t(2), t(3)], 0);
+        assert_eq!(buffer, closed(&[t(2), t(3)]));
+        buffer.seed(&[]);
+        assert_eq!(buffer, RecycleBuffer::new());
     }
 }

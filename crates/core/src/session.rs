@@ -19,9 +19,11 @@
 //! Every session starts, fresh or resumed after a committed prefix, through
 //! one start routine: [`DecodeSession::new`] runs it on a new session, and
 //! [`DecodeSession::restart`] runs it again in the buffers of a released
-//! one, building exactly what `new` builds.  Every session allocates its KV
-//! blocks from a caller-owned [`KvPool`]: the serving scheduler's bounded
-//! pool, or the unbounded pool [`Policy::decode`] creates per utterance.
+//! one, building exactly what `new` builds, plus, for a stream, the last
+//! partial's unstable tail in the recycle buffer.  Every session allocates
+//! its KV blocks from a caller-owned [`KvPool`]: the serving scheduler's
+//! bounded pool, or the unbounded pool [`Policy::decode`] creates per
+//! utterance.
 //! Blocking and scheduled decodes therefore run one code path, and a
 //! scheduler that interleaves rounds across many sessions produces
 //! byte-identical transcripts to sequential decoding (the lossless invariant
@@ -328,15 +330,15 @@ impl DecodeSession {
     /// [`DecodeSession::restart`] runs.
     ///
     /// An empty `committed` starts a fresh decode.  A non-empty one resumes
-    /// after those transcript tokens (a streaming re-decode, or a restore
-    /// after preemption): the transcript and both KV tables are seeded as if
-    /// the tokens had just been committed, and the next round drafts from the
-    /// end of the prefix.  Committed tokens of any lossless decode are the
-    /// target's greedy choices, and every policy's continuation is a
-    /// deterministic function of `(audio, committed prefix)`, so a resumed
-    /// session commits exactly the tokens the original session would have.
-    /// (The recycle buffer starts empty, which can change round boundaries
-    /// but never the committed transcript.)
+    /// after those transcript tokens (a restore after preemption): the
+    /// transcript and both KV tables are seeded as if the tokens had just
+    /// been committed, and the next round drafts from the end of the prefix.
+    /// Committed tokens of any lossless decode are the target's greedy
+    /// choices, and every policy's continuation is a deterministic function
+    /// of `(audio, committed prefix)`, so a resumed session commits exactly
+    /// the tokens the original session would have.  The recycle buffer
+    /// starts empty; a stream's re-decode, which recycles its last partial's
+    /// tail, starts through [`DecodeSession::restart`].
     ///
     /// Prefill blocks are shared with resident sessions holding an identical
     /// prompt+audio prefix (see [`UtteranceTokens::prefix_key`]).  Sessions
@@ -358,7 +360,7 @@ impl DecodeSession {
         pool: &mut KvPool,
     ) -> Result<Self, PoolError> {
         let mut session = DecodeSession::idle(policy, drafter, audio);
-        session.start(committed, pool)?;
+        session.start(committed, &[], pool)?;
         Ok(session)
     }
 
@@ -408,12 +410,23 @@ impl DecodeSession {
     }
 
     /// Starts this released session again, on `audio` after `committed`,
-    /// building in its kept buffers exactly what [`DecodeSession::new`]
-    /// builds: the same transcript, KV positions and blocks, zeroed
-    /// statistics, a zeroed clock and an empty recycle buffer.  Every
-    /// buffer keeps its capacity, so a restart allocates only where the new
-    /// decode needs more room than earlier ones left
-    /// ([`DecodeSession::reserve`] sizes them up front).
+    /// with `tail` to recycle, building in its kept buffers exactly what
+    /// [`DecodeSession::new`] builds: the same transcript, KV positions and
+    /// blocks, zeroed statistics and a zeroed clock.  Every buffer keeps its
+    /// capacity, so a restart allocates only where the new decode needs more
+    /// room than earlier ones left ([`DecodeSession::reserve`] sizes them up
+    /// front).
+    ///
+    /// `tail` is empty for an offline request, and for a stream the
+    /// unstable tail of its last partial: the target's own continuation of
+    /// `committed` on a shorter view of `audio`, which a new chunk mostly
+    /// confirms.  The first round recycles it as it recycles a rejected
+    /// suffix, and once it is adopted whole keeps drafting past it, since
+    /// the tail stopped at the old audio horizon rather than at a drafting
+    /// decision.  Only as much of it as one round can read is kept: the
+    /// draft length plus the merge offset, and nothing under a policy that
+    /// does not recycle.  Verification commits only the target's greedy
+    /// tokens, so the tail moves round boundaries, never the transcript.
     ///
     /// On [`PoolError::OutOfBlocks`] nothing stays allocated, the session
     /// keeps `audio`, and a later restart can try again.
@@ -426,25 +439,34 @@ impl DecodeSession {
         &mut self,
         audio: impl Into<Arc<UtteranceTokens>>,
         committed: &[TokenId],
+        tail: &[TokenId],
         pool: &mut KvPool,
     ) -> Result<(), PoolError> {
         self.audio = audio.into();
-        self.start(committed, pool)
+        self.start(committed, tail, pool)
     }
 
     /// The start routine of [`DecodeSession::new`] and
     /// [`DecodeSession::restart`]: empties every buffer, prefills both KV
-    /// tables and seeds them and the transcript with `committed`.
-    fn start(&mut self, committed: &[TokenId], pool: &mut KvPool) -> Result<(), PoolError> {
+    /// tables, seeds them and the transcript with `committed` and the
+    /// recycle buffer with `tail`.
+    fn start(
+        &mut self,
+        committed: &[TokenId],
+        tail: &[TokenId],
+        pool: &mut KvPool,
+    ) -> Result<(), PoolError> {
         self.draft_kv.reset();
         self.target_kv.reset();
         self.tokens.clear();
         self.tokens.reserve(self.audio.len() + 1);
         self.stats = DecodeStats::new();
         self.clock = DecodeClock::new();
-        // A kept buffer would make the first round recycle the previous
-        // decode's rejected tokens and so move round boundaries.
-        self.recycle.clear();
+        // Nothing of the previous decode's rejected tokens is kept: only
+        // the tail, which continues this decode's own prefix, and only as
+        // much of it as a round can read.
+        let reach = tail.len().min(self.policy.recycle_reach());
+        self.recycle.seed(&tail[..reach]);
         self.finished = false;
         self.cap = self.audio.len() * 2 + 16;
         let holds_draft_kv = self.holds_draft_kv();
@@ -474,12 +496,15 @@ impl DecodeSession {
 
     /// Sizes the transcript buffer and both block tables for a whole decode
     /// of the session's audio on `pool`, so restarting on that audio, or on
-    /// any shorter view of it, regrows neither.  A stream calls this once,
-    /// over its full utterance, before its first chunk.
+    /// any shorter view of it, regrows neither, and the recycle buffer for
+    /// the most a round can read, so no tail or rejected suffix regrows it.
+    /// A stream calls this once, over its full utterance, before its first
+    /// chunk.
     pub fn reserve(&mut self, pool: &KvPool) {
         let transcript = self.audio.len() + 1;
         self.tokens
             .reserve(transcript.saturating_sub(self.tokens.len()));
+        self.recycle.reserve(self.policy.recycle_reach());
         // Prefill plus transcript, rounded up as a prefill sizes its table,
         // which leaves room for a round's draft positions.
         let blocks = pool
@@ -1173,6 +1198,46 @@ mod tests {
         assert_eq!(pool.used_blocks(), 0);
     }
 
+    /// A restart with a tail to recycle commits the blocking transcript
+    /// under every policy, and keeps only as much of the tail as one round
+    /// can read: the draft length plus the merge offset for a recycling
+    /// policy, nothing for one that does not recycle.
+    #[test]
+    fn a_restart_keeps_only_the_tail_a_round_can_read() {
+        let (draft, target, _) = setup(Split::TestClean);
+        let corpus = Corpus::librispeech_like(61, 24);
+        let binding = TokenizerBinding::for_corpus(&corpus);
+        let audio = binding.bind_all(corpus.split(Split::TestOther));
+        let longest = audio
+            .iter()
+            .max_by_key(|audio| audio.len())
+            .expect("a split");
+        let mut policies = all_policies();
+        policies.push(Policy::AdaptiveSingleSequence(
+            AdaptiveConfig::without_recycling(),
+        ));
+        for policy in policies {
+            let reach = match policy {
+                Policy::AdaptiveSingleSequence(config) if config.recycling => 25,
+                Policy::TwoPassSparseTree(_) => 25,
+                _ => 0,
+            };
+            assert_eq!(policy.recycle_reach(), reach, "{policy}");
+            let reference = policy.decode(&draft, &target, longest);
+            let (committed, tail) = reference.tokens.split_at(4);
+            assert!(tail.len() > reach, "{} tail tokens", tail.len());
+            let mut pool = KvPool::unbounded(16);
+            let mut session =
+                DecodeSession::idle(policy, DrafterKind::ModelDraft, UtteranceTokens::default());
+            session
+                .restart(longest.clone(), committed, tail, &mut pool)
+                .expect("unbounded");
+            assert_eq!(session.recycle.tokens(), &tail[..reach], "{policy}");
+            finish(&mut session, &mut pool, &draft, &target);
+            assert_eq!(session.into_outcome().tokens, reference.tokens, "{policy}");
+        }
+    }
+
     #[test]
     fn pooled_resume_on_an_exhausted_pool_leaks_nothing() {
         let (draft, target, audio) = setup(Split::DevOther);
@@ -1676,7 +1741,7 @@ mod proptests {
             );
             if tight < needed {
                 let mut full = KvPool::bounded(tight, 16);
-                let failed = kept.restart(Arc::clone(&audio), committed, &mut full);
+                let failed = kept.restart(Arc::clone(&audio), committed, &[], &mut full);
                 prop_assert!(
                     matches!(failed, Err(PoolError::OutOfBlocks { .. })),
                     "{} blocks for {}", tight, needed
@@ -1684,7 +1749,7 @@ mod proptests {
                 prop_assert_eq!(full.used_blocks(), 0);
                 prop_assert_eq!(kept.kv_blocks_held(), 0);
             }
-            kept.restart(audio, committed, &mut kept_pool).expect("room");
+            kept.restart(audio, committed, &[], &mut kept_pool).expect("room");
             let mut fresh =
                 DecodeSession::new(next_policy, next_kind, second, committed, &mut fresh_pool)
                     .expect("room");

@@ -686,7 +686,8 @@ where
     /// Submits one utterance as a *streaming* request under `spec`: its
     /// audio arrives in chunks on the timed schedule derived from
     /// `stream.chunk` (jitter seeded per utterance), each chunk triggers a
-    /// re-decode of the audio heard so far from the committed prefix, and
+    /// re-decode of the audio heard so far from the committed prefix (its
+    /// first round recycling the last partial's unstable tail), and
     /// partial transcripts are emitted under the stream's commit rule.  The
     /// request re-enters the admission queue for every chunk and competes
     /// with offline requests under the configured admission policy; the

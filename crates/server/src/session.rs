@@ -195,20 +195,25 @@ impl QueuedRequest {
         true
     }
 
-    /// Restarts this request's decode session against `pool`: from the
-    /// committed prefix for a stream, from the start otherwise, with prefix
-    /// blocks shared where possible.
+    /// Restarts this request's decode session against `pool`, with prefix
+    /// blocks shared where possible: for a stream, from the committed prefix
+    /// with the last partial's unstable tail to recycle (a restore after
+    /// preemption starts the view's decode over the same way); from the
+    /// start otherwise.
     ///
     /// On allocation failure nothing stays allocated and the request is
     /// left as it was, so the caller can re-queue or reject it: a
     /// memory-starved admission must not lose the request or leak blocks.
     pub fn restart(&mut self, pool: &mut KvPool) -> Result<(), PoolError> {
-        let committed = match &self.stream {
-            Some(stream) => stream.session.committed(),
-            None => &[],
+        let (committed, tail) = match &self.stream {
+            Some(stream) => {
+                let committed = stream.session.committed();
+                (committed, &stream.session.hypothesis()[committed.len()..])
+            }
+            None => (&[][..], &[][..]),
         };
         let audio = Arc::clone(self.decode.audio());
-        self.decode.restart(audio, committed, pool)
+        self.decode.restart(audio, committed, tail, pool)
     }
 
     /// Admits this request at wall time `admitted_ms`; its decode session

@@ -11,9 +11,10 @@
 //!                                      │  (specasr_models::UtteranceTokens::prefix_view:
 //!                                      │   truncated reference, boundary-boosted
 //!                                      ▼   difficulty near the chunk horizon)
-//!                              re-decode from the committed prefix
-//!                              (DecodeSession::new(.., committed, pool), or
-//!                               a served stream's DecodeSession::restart)
+//!                 re-decode from the committed prefix, the first round
+//!                 recycling the last partial's unstable tail
+//!                 (a served stream's DecodeSession::restart(.., committed,
+//!                  tail, pool), or DecodeSession::new(.., committed, pool))
 //!                                      │
 //!                                      ▼
 //!                          partial hypothesis ──► commit rule ──► committed tokens
@@ -55,7 +56,7 @@
 //! # Example
 //!
 //! ```
-//! use specasr::{DecodeSession, DraftedRound, DrafterKind, Policy};
+//! use specasr::{AdaptiveConfig, DecodeSession, DraftedRound, DrafterKind, Policy};
 //! use specasr_audio::{chunk_schedule, Corpus, Split};
 //! use specasr_models::{
 //!     AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
@@ -70,10 +71,12 @@
 //! let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
 //! let draft = SimulatedAsrModel::draft_paired(ModelProfile::whisper_tiny_en(), 8, &target);
 //!
-//! let (policy, config) = (Policy::Autoregressive, StreamConfig::default());
+//! let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+//! let config = StreamConfig::default();
 //! let mut session = StreamingSession::new(policy, audio.clone(), config);
 //! let (mut pool, mut view, mut round) =
 //!     (KvPool::unbounded(16), UtteranceTokens::default(), DraftedRound::new());
+//! let mut decode = DecodeSession::idle(policy, DrafterKind::ModelDraft, view.clone());
 //! let mut chunks = Vec::new();
 //! chunk_schedule(utterance.duration_seconds(), &config.chunk, &mut chunks);
 //! for chunk in &chunks {
@@ -81,10 +84,12 @@
 //!     if !session.fill_view(&mut view) {
 //!         continue; // nothing audible yet
 //!     }
+//!     // Resume after the committed prefix, recycling the last unstable tail.
 //!     let committed = session.committed();
-//!     let mut decode =
-//!         DecodeSession::new(policy, DrafterKind::ModelDraft, view.clone(), committed, &mut pool)
-//!             .expect("an unbounded pool always admits");
+//!     let tail = &session.hypothesis()[committed.len()..];
+//!     decode
+//!         .restart(view.clone(), committed, tail, &mut pool)
+//!         .expect("an unbounded pool always admits");
 //!     while !decode.step(&mut pool, &draft, &target, &mut round).expect("unbounded") {}
 //!     decode.release_kv(&mut pool);
 //!     let _partial = session.absorb(&decode);

@@ -1,5 +1,6 @@
 //! The streaming decode session: horizon tracking, per-chunk re-decodes from
-//! the committed prefix, and the lossless partial-commit rule.
+//! the committed prefix that recycle the last partial's unstable tail, and
+//! the lossless partial-commit rule.
 
 use serde::{Deserialize, Serialize};
 use specasr::{DecodeSession, DecodeStats, Policy};
@@ -38,10 +39,16 @@ pub struct PartialTranscript {
 /// The decode itself runs through a [`specasr::DecodeSession`] the caller
 /// drives: it fills a view of the audio received so far
 /// ([`StreamingSession::fill_view`]), restarts the decode on it from the
-/// committed prefix ([`StreamingSession::committed`]), steps it to its end
-/// and hands it to [`StreamingSession::absorb`].  The serving scheduler
-/// steps it round by round against its shared paged pool, and may preempt
-/// and deterministically restore it between rounds.
+/// committed prefix ([`StreamingSession::committed`]) with the last
+/// partial's unstable tail to recycle (the rest of
+/// [`StreamingSession::hypothesis`]), steps it to its end and hands it to
+/// [`StreamingSession::absorb`].  The tail is the target's own output for
+/// the previous view, and a new chunk mostly confirms it, so the first
+/// round adopts it after one regeneration pass and drafts on past it
+/// ([`specasr::DecodeSession::restart`]); the transcript cannot change,
+/// only the draft passes and rounds a chunk costs.  The serving scheduler
+/// steps the decode round by round against its shared paged pool, and may
+/// preempt and deterministically restore it between rounds.
 ///
 /// Under a tracing-enabled scheduler, every chunk arrival, emitted partial,
 /// and retraction of a served stream is also stamped into the
@@ -325,21 +332,25 @@ mod tests {
     use specasr_runtime::KvPool;
 
     /// Starts the re-decode of `session`'s current view from its committed
-    /// prefix, with its KV blocks allocated from `pool`, as a serving
-    /// scheduler does on admission.  `None` while no token is audible yet.
+    /// prefix, with the last partial's unstable tail to recycle and its KV
+    /// blocks allocated from `pool`, as a serving scheduler does on
+    /// admission.  `None` while no token is audible yet.
     fn resume(session: &StreamingSession, pool: &mut KvPool) -> Option<DecodeSession> {
         let mut view = UtteranceTokens::default();
         if !session.fill_view(&mut view) {
             return None;
         }
-        let decode = DecodeSession::new(
+        let committed = session.committed();
+        let tail = &session.hypothesis()[committed.len()..];
+        let mut decode = DecodeSession::idle(
             *session.policy(),
             DrafterKind::ModelDraft,
-            view,
-            session.committed(),
-            pool,
+            UtteranceTokens::default(),
         );
-        Some(decode.expect("the pool has room"))
+        decode
+            .restart(view, committed, tail, pool)
+            .expect("the pool has room");
+        Some(decode)
     }
 
     /// One complete streaming step against a private unbounded pool:
@@ -612,6 +623,60 @@ mod tests {
         }
         assert_eq!(pooled.committed(), private.committed());
         assert_eq!(pool.used_blocks(), 0, "released streams leave no blocks");
+    }
+
+    /// A stream's first round after a new chunk recycles the last partial's
+    /// unstable tail.  That moves round boundaries only: the same utterance
+    /// streamed with every re-decode started from the committed prefix alone
+    /// emits the same partials and transcript, for more draft passes.
+    #[test]
+    fn recycling_the_last_tail_saves_draft_passes_and_changes_no_partial() {
+        let (draft, target, audio) = setup(Split::TestOther);
+        let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        let (mut seeded_steps, mut unseeded_steps) = (0, 0);
+        for utt in &audio {
+            for config in [
+                StreamConfig::default(),
+                StreamConfig::default()
+                    .with_chunk_seconds(0.3)
+                    .with_stability_rounds(3),
+            ] {
+                let mut seeded = StreamingSession::new(policy, utt.clone(), config);
+                let mut unseeded = StreamingSession::new(policy, utt.clone(), config);
+                for chunk in plan(utt, &config) {
+                    seeded.push_audio(chunk.end_seconds);
+                    unseeded.push_audio(chunk.end_seconds);
+                    let recycled = redecode(&mut seeded, &draft, &target);
+                    let mut pool = KvPool::unbounded(16);
+                    let mut view = UtteranceTokens::default();
+                    if !unseeded.fill_view(&mut view) {
+                        assert_eq!(recycled, None);
+                        continue;
+                    }
+                    let mut decode = DecodeSession::new(
+                        policy,
+                        DrafterKind::ModelDraft,
+                        view,
+                        unseeded.committed(),
+                        &mut pool,
+                    )
+                    .expect("an unbounded pool always admits");
+                    let mut round = DraftedRound::new();
+                    while !decode
+                        .step(&mut pool, &draft, &target, &mut round)
+                        .expect("an unbounded pool never exhausts")
+                    {}
+                    assert_eq!(recycled, Some(unseeded.absorb(&decode)));
+                }
+                assert_eq!(seeded.committed(), unseeded.committed());
+                seeded_steps += seeded.decode_stats().draft_steps;
+                unseeded_steps += unseeded.decode_stats().draft_steps;
+            }
+        }
+        assert!(
+            seeded_steps < unseeded_steps,
+            "{seeded_steps} draft passes with the tail recycled, {unseeded_steps} without"
+        );
     }
 
     /// Streams a just opened or restarted `session`'s whole utterance

@@ -33,10 +33,11 @@
 //! contexts its corpus records.
 //!
 //! A stream keeps its decode session between chunks, and its view and
-//! transcript buffers are sized from the full utterance at submit.  Each
-//! chunk refills the view in place, admission restarts the session in its
-//! kept buffers, and absorbing the re-decode refills the hypothesis in
-//! place.  So once every stream has been admitted and parked once, the
+//! transcript buffers are sized from the full utterance at submit, its
+//! recycle buffer for the most of a tail one round can read.  Each chunk
+//! refills the view in place, admission restarts the session in its kept
+//! buffers with the last partial's tail to recycle, and absorbing the
+//! re-decode refills the hypothesis in place.  So once every stream has been admitted and parked once, the
 //! median tick that cycles a stream allocates nothing, and the run
 //! allocates less than once per partial.
 //!
@@ -655,11 +656,10 @@ fn scheduler_for(
 /// that releases, re-admits, decodes or parks a stream allocates nothing.
 /// The rest of the run, retirements included, allocates less than once per
 /// partial, and each partial answers at least one delivered chunk.  What
-/// still allocates is doubling growth of a stream's recycle buffer, and one
-/// transcript text per retirement.
+/// still allocates is one transcript text per retirement.
 #[test]
 fn a_warm_stream_chunk_allocates_nothing() {
-    warm_stream_chunks_allocate_nothing(false);
+    warm_stream_chunks_allocate_nothing(false, StreamConfig::default());
 }
 
 /// [`a_warm_stream_chunk_allocates_nothing`] with the target behind the
@@ -668,10 +668,29 @@ fn a_warm_stream_chunk_allocates_nothing() {
 /// refills in place there too, and the wire's buffers are kept.
 #[test]
 fn a_warm_stream_chunk_allocates_nothing_over_rpc() {
-    warm_stream_chunks_allocate_nothing(true);
+    warm_stream_chunks_allocate_nothing(true, StreamConfig::default());
 }
 
-fn warm_stream_chunks_allocate_nothing(rpc: bool) {
+/// [`a_warm_stream_chunk_allocates_nothing`] for streams whose unstable
+/// tails outgrow every rejected suffix a round retains (at most 23 tokens
+/// under a 24-token draft): a token commits only after ten re-decodes
+/// agree on it, over 1 s chunks.  A chunk's first round recycles the last
+/// partial's tail, and each session sized its recycle buffer at submit for
+/// the most a round can read of it, so seeding a tail allocates nothing
+/// either.
+#[test]
+fn a_warm_stream_chunk_with_a_long_tail_allocates_nothing() {
+    let stream = StreamConfig::default()
+        .with_chunk_seconds(1.0)
+        .with_stability_rounds(10);
+    let longest = warm_stream_chunks_allocate_nothing(false, stream);
+    assert!(longest > 23, "the longest tail seeded was {longest} tokens");
+}
+
+/// Streams the twelve longest utterances twice under `stream`, checks the
+/// second, warm wave's chunk cycles, and returns the longest unstable tail
+/// a warm partial left for its stream's next chunk.
+fn warm_stream_chunks_allocate_nothing(rpc: bool, stream: StreamConfig) -> usize {
     let setup = StandardSetup::new(31, 12);
     let mut scheduler = scheduler_for(&setup, ServerConfig::default().with_max_batch(16), rpc);
     let policies = [
@@ -690,7 +709,7 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
         for (index, utterance) in utterances.iter().enumerate() {
             let policy = policies[(index + wave) % policies.len()];
             scheduler
-                .submit_streaming(policy, utterance, StreamConfig::default())
+                .submit_streaming(policy, utterance, stream)
                 .expect("queue has room");
         }
         // One step is one tick, which moves the scheduler's clock from the
@@ -752,6 +771,11 @@ fn warm_stream_chunks_allocate_nothing(rpc: bool) {
         allocated <= emitted as u64,
         "{allocated} allocations for {emitted} partials after warm-up"
     );
+    parked()
+        .filter(|p| p.emitted_ms > warm_ms)
+        .map(|p| (p.hypothesis_tokens - p.committed_tokens) as usize)
+        .max()
+        .unwrap_or(0)
 }
 
 /// The request mix of the refill tests: ASP and TSP requests of the draft
