@@ -12,7 +12,9 @@
 //! Five companion studies ride along: a KV-budget sweep, a shallow-queue
 //! shedding study, a drafter comparison (`w2-fifo+ctc@q50` /
 //! `w2-fifo+token-map@q50`) that re-serves the 2-worker FIFO operating point
-//! with draft-free speculation via [`specasr_server::Router::install_drafter`],
+//! with draft-free speculation via [`specasr_server::Router::install_drafter`]
+//! (and `w2-fifo+mixed@q35`, which serves `open-fleet`'s mix of model-draft
+//! and draft-free requests on it),
 //! a process-boundary comparison (`w2-fifo+rpc@q50`, also reachable with
 //! the `--rpc` flag) that re-serves it with every worker's target model
 //! behind the `RpcBackend` worker thread, and an admission-ordering study
@@ -40,12 +42,12 @@
 
 use std::sync::Arc;
 
-use specasr::{AdaptiveConfig, DrafterKind, Policy, TokenMapDrafter};
+use specasr::{AdaptiveConfig, DrafterKind, Policy, SparseTreeConfig, TokenMapDrafter};
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_bench::regression::write_baseline;
 use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_metrics::{ExperimentRecord, ReportRow};
-use specasr_models::CtcDrafter;
+use specasr_models::{AsrDecoderModel, CtcDrafter};
 use specasr_server::{
     run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, RequestSpec, Router, RouterConfig,
     ServerConfig, SloClass,
@@ -124,6 +126,23 @@ fn admissions() -> Vec<(&'static str, AdmissionPolicy)> {
     ]
 }
 
+/// Writes the flight recordings of a traced cell (nothing when the cell
+/// ran untraced).
+fn write_recordings<D, T>(router: &mut Router<D, T>, trace: &TraceArgs)
+where
+    D: AsrDecoderModel,
+    T: AsrDecoderModel,
+{
+    let recordings = router.take_recordings();
+    if !recordings.is_empty() {
+        let lanes: Vec<(&str, &specasr_server::FlightRecording)> = recordings
+            .iter()
+            .map(|(name, recording)| (name.as_str(), recording))
+            .collect();
+        trace.write(&lanes);
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     context: &ExperimentContext,
@@ -175,14 +194,7 @@ fn run_cell(
     let report = run_open_loop(&mut router, &mut loadgen, workload);
     assert_eq!(report.outcomes.len(), REQUESTS_PER_CELL);
     assert_eq!(report.rejected, 0, "deep queues must never shed");
-    let recordings = router.take_recordings();
-    if !recordings.is_empty() {
-        let lanes: Vec<(&str, &specasr_server::FlightRecording)> = recordings
-            .iter()
-            .map(|(name, recording)| (name.as_str(), recording))
-            .collect();
-        trace.write(&lanes);
-    }
+    write_recordings(&mut router, trace);
 
     let fleet = router.fleet_stats();
     assert_eq!(
@@ -215,20 +227,24 @@ fn run_cell(
         .with("in_flight_depth", fleet.backend().peak_in_flight() as f64)
 }
 
-/// One drafter-comparison cell: the 2-worker FIFO fleet at 50 QPS re-served
-/// with a draft-free drafter (CTC-encoder collapse or the token-map index).
-/// The grid's `w2-fifo@q50` row is the model-draft baseline these compare
-/// against: the lossless verifier commits byte-identical transcripts, so any
-/// movement is pure serving economics — zero draft-lane backend batches and
-/// zero draft KV sub-pool demand.
+/// One drafter-comparison cell: the 2-worker FIFO fleet re-served with
+/// requests cycling through `mix`, every draft-free drafter it names
+/// installed fleet-wide.  The single-drafter cells (`w2-fifo+ctc@q50`,
+/// `w2-fifo+token-map@q50`) compare against the grid's `w2-fifo@q50`
+/// model-draft row: the lossless verifier commits byte-identical
+/// transcripts, so any movement is pure serving economics — zero
+/// draft-lane backend batches and zero draft KV sub-pool demand.  The
+/// mixed cell (`w2-fifo+mixed@q35`) serves model-draft and draft-free
+/// requests side by side, the traffic draft-class-aware placement acts on.
 fn run_drafter_cell(
     context: &ExperimentContext,
     pool: &[&Utterance],
-    kind: DrafterKind,
+    label: &str,
+    mix: &[RequestSpec],
     token_map: &Arc<TokenMapIndex>,
     qps: f64,
+    trace: &TraceArgs,
 ) -> ReportRow {
-    let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     let mut router = Router::new(
         RouterConfig::default().with_workers(2).with_worker_config(
             ServerConfig::default()
@@ -240,31 +256,29 @@ fn run_drafter_cell(
         EncoderProfile::whisper_medium_encoder(),
         |_| context.whisper_pair(),
     );
-    match kind {
-        DrafterKind::ModelDraft => {}
-        DrafterKind::CtcEncoder => {
-            let (_, target) = context.whisper_pair();
-            router.install_drafter(Arc::new(CtcDrafter::paired(&target)));
-        }
-        DrafterKind::TokenMap => {
-            router.install_drafter(Arc::new(TokenMapDrafter::new(Arc::clone(token_map))));
-        }
+    let serves = |kind: DrafterKind| mix.iter().any(|spec| spec.drafter == kind);
+    if serves(DrafterKind::CtcEncoder) {
+        let (_, target) = context.whisper_pair();
+        router.install_drafter(Arc::new(CtcDrafter::paired(&target)));
+    }
+    if serves(DrafterKind::TokenMap) {
+        router.install_drafter(Arc::new(TokenMapDrafter::new(Arc::clone(token_map))));
+    }
+    if trace.wants(label) {
+        router.set_trace(trace.config());
     }
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, qps);
-    let spec = RequestSpec {
-        drafter: kind,
-        ..policy.into()
-    };
-    let workload = (0..REQUESTS_PER_CELL).map(|index| (spec, pool[index % pool.len()]));
+    let workload =
+        (0..REQUESTS_PER_CELL).map(|index| (mix[index % mix.len()], pool[index % pool.len()]));
     let report = run_open_loop(&mut router, &mut loadgen, workload);
     assert_eq!(report.outcomes.len(), REQUESTS_PER_CELL);
     assert_eq!(report.rejected, 0, "deep queues must never shed");
+    write_recordings(&mut router, trace);
 
     let fleet = router.fleet_stats();
     let memory = fleet.memory();
-    ReportRow::new(format!("w2-fifo+{}@q{qps:.0}", kind.label()))
+    ReportRow::new(label)
         .with("workers", 2.0)
-        .with("drafter", kind as u8 as f64)
         .with("target_qps", qps)
         .with("offered_qps", report.offered_qps())
         .with("throughput_utps", report.completed_qps())
@@ -475,9 +489,39 @@ fn main() {
     // moves with the draft source while transcripts stay byte-identical;
     // draft-lane batches and draft sub-pool demand drop to zero.
     let token_map = context.token_map_index();
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     for kind in [DrafterKind::CtcEncoder, DrafterKind::TokenMap] {
-        record.push_row(run_drafter_cell(&context, &pool, kind, &token_map, 50.0));
+        let spec = RequestSpec {
+            drafter: kind,
+            ..asp.into()
+        };
+        let label = format!("w2-fifo+{}@q50", kind.label());
+        let row = run_drafter_cell(&context, &pool, &label, &[spec], &token_map, 50.0, &trace);
+        record.push_row(row.with("drafter", kind as u8 as f64));
     }
+    // Mixed draft classes: the `open-fleet` request mix, where a draft-free
+    // request's round waits for model drafts whenever the two share a
+    // worker's tick.
+    let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+    let mixed = [
+        (asp, DrafterKind::ModelDraft),
+        (tsp, DrafterKind::ModelDraft),
+        (asp, DrafterKind::TokenMap),
+        (asp, DrafterKind::CtcEncoder),
+    ]
+    .map(|(policy, drafter)| RequestSpec {
+        drafter,
+        ..policy.into()
+    });
+    record.push_row(run_drafter_cell(
+        &context,
+        &pool,
+        "w2-fifo+mixed@q35",
+        &mixed,
+        &token_map,
+        35.0,
+        &trace,
+    ));
     // Process-boundary study: the `w2-fifo@q50` operating point with every
     // worker's target behind the RPC worker thread.  The wire mirrors the
     // in-process backend's modeled timing exactly, so every column must

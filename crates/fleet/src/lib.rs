@@ -23,8 +23,10 @@
 //!   straight to [`FleetConfig::min_workers`] if those alone can; either
 //!   way the headroom streak starts over.
 //! * **Live drain and migration** — scale-down never kills work.  The
-//!   drained worker's queue re-routes to the least-loaded active workers
-//!   and its in-flight sessions migrate: same-machine block-table hand-off
+//!   drained worker's queue re-routes through the router's placement choice
+//!   (by load, keeping model-draft and draft-free requests apart while a
+//!   batch slot allows) and its in-flight sessions migrate the same way:
+//!   same-machine block-table hand-off
 //!   when the destination has headroom (decode state survives, no
 //!   re-prefill), preempt-and-restore otherwise.  Transcripts are
 //!   byte-identical either way.

@@ -41,8 +41,10 @@
 //!
 //! One scheduler models one accelerator.  The [`Router`] scales past that:
 //! it owns N [`Worker`]s (independent schedulers with their own model
-//! pairs), places each request on the least-loaded active worker, steals
-//! work across queues when they go imbalanced, and aggregates per-worker
+//! pairs), places each request on the least-loaded active worker that holds
+//! no request of the other draft class (model-draft or draft-free) when it
+//! has a free batch slot, and on the least-loaded active worker otherwise,
+//! steals work across queues when they go imbalanced, and aggregates per-worker
 //! [`ServerStats`] into fleet-wide throughput and latency percentiles.
 //!
 //! [`LoadGen`] complements the router with an *open-loop* seeded Poisson

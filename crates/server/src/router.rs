@@ -1,15 +1,24 @@
-//! The sharded serving front end: least-loaded placement over N
-//! independent scheduler workers, with work stealing on queue imbalance.
+//! The sharded serving front end: draft-class-aware, load-aware placement
+//! over N independent scheduler workers, with work stealing on queue
+//! imbalance.
 //!
 //! One [`crate::Scheduler`] owns one draft/target model pair — one
 //! accelerator's worth of serving capacity.  A [`Router`] scales past that by
 //! owning a fleet of [`Worker`]s and placing every incoming request:
 //!
-//! 1. **Least-loaded placement** — a request joins the active worker that
-//!    holds the fewest requests (queued plus in flight) per unit of
-//!    [`WorkerProfile::speed`], ties going to the lowest slot, so placement
-//!    is deterministic and follows the load the fleet holds at the instant
-//!    of arrival.  A drain re-routes through the same choice.
+//! 1. **Placement** — a request joins the least-loaded active worker
+//!    (fewest requests, queued plus in flight, per unit of
+//!    [`WorkerProfile::speed`]) that holds no request of the other draft
+//!    class (model-draft or draft-free, [`DrafterKind::uses_draft_kv`]),
+//!    if that worker has a free batch slot, and the least-loaded active
+//!    worker otherwise.  A verify wave waits for the slowest draft of its
+//!    tick, so a draft-free request kept apart stops paying for model
+//!    drafts, and the free-slot guard means keeping the classes apart never
+//!    queues a request another worker could admit.  Ties go to the lowest
+//!    slot, so placement is deterministic and follows what the fleet holds
+//!    at the instant of arrival; with one class in the fleet it is
+//!    least-loaded placement.  A drain re-routes and migrates through the
+//!    same choice.
 //! 2. **Work stealing** — whenever one worker's queue is deeper than the
 //!    shallowest queue by more than the configured threshold, the router
 //!    moves the newest-arrived excess requests over, repairing skew that
@@ -269,10 +278,10 @@ where
     /// timeline (a bare [`Policy`] is a model-drafted request with no
     /// budget; see [`RequestSpec`]).
     ///
-    /// The request is placed on the least-loaded active worker; if that
-    /// worker's queue is full the request spills to the shallowest queue
-    /// instead, and only when that is also full is the request rejected
-    /// (fleet-wide backpressure).
+    /// The request is placed by draft class and load (see the module
+    /// docs); if that worker's queue is full the request spills to the
+    /// shallowest queue instead, and only when that is also full is the
+    /// request rejected (fleet-wide backpressure).
     ///
     /// # Panics
     ///
@@ -291,7 +300,7 @@ where
             spec.drafter.label()
         );
         let id = RequestId::new(self.next_id);
-        let primary = self.lightest_active(Worker::load);
+        let primary = self.place(spec.drafter.uses_draft_kv());
         let candidate = if self.workers[primary].queue_depth() < self.config.worker.queue_depth {
             primary
         } else {
@@ -299,7 +308,7 @@ where
         };
         if self.workers[candidate].queue_depth() >= self.config.worker.queue_depth {
             // Every queue is full: reject before tokenizing (the rejection
-            // lands on the least-loaded worker, the one placement chose).
+            // lands on the worker placement chose).
             return Err(self.workers[primary].scheduler.reject());
         }
         self.next_id += 1;
@@ -468,7 +477,8 @@ where
 
     /// Moves worker `id` from `Active` to `Draining`: it receives no more
     /// placements, and its queued requests and migratable in-flight
-    /// sessions move, one at a time, to the least-loaded active worker —
+    /// sessions move, one at a time, to the worker placement would choose
+    /// for them (draft class and load, as [`Router::submit`] places) —
     /// a session via the same-machine block-table hand-off when the
     /// destination has batch and KV headroom (no re-prefill), via
     /// preempt-and-restore otherwise.  Streaming sessions finish on the
@@ -514,7 +524,7 @@ where
         // ordinary admission path afterwards.
         let queued = self.workers[slot].scheduler.drain_queue();
         for request in queued {
-            let dest = self.lightest_active(Worker::load);
+            let dest = self.place(request.decode.drafter().uses_draft_kv());
             self.workers[dest].scheduler.enqueue_moved(request);
         }
 
@@ -522,7 +532,7 @@ where
         let sessions = self.workers[slot].scheduler.extract_migratable();
         let mut migrated = 0;
         for mut session in sessions {
-            let dest = self.lightest_active(Worker::load);
+            let dest = self.place(session.decode.drafter().uses_draft_kv());
             let request = session.id.value();
             if self.workers[dest].is_idle() && self.workers[dest].wall_ms() < self.now_ms {
                 self.workers[dest].scheduler.sync_wall_to(self.now_ms);
@@ -718,19 +728,43 @@ where
             .map(|(index, _)| index)
     }
 
+    /// The worker a request of draft class `model_draft` joins, on submit
+    /// and when a drain moves it: the least-loaded active worker holding no
+    /// request of the other class, if it has a free batch slot, and the
+    /// least-loaded active worker otherwise (the module docs say why).
+    fn place(&self, model_draft: bool) -> usize {
+        let apart = self.lightest_where(
+            |worker| !worker.scheduler.holds_draft_class(!model_draft),
+            Worker::load,
+        );
+        match apart {
+            Some(slot) if self.workers[slot].has_free_slot() => slot,
+            _ => self.lightest_active(Worker::load),
+        }
+    }
+
     /// The *active* worker with the least `measure`: [`Worker::load`] for
-    /// placement and for moves off a draining worker, the queue depth for
-    /// spills and steals.  Ties break to the lowest slot (`min_by` keeps
-    /// the first of equal minima), keeping the fleet deterministic.
-    /// Draining workers never receive a request.
+    /// placement, the queue depth for spills and steals.  Draining workers
+    /// never receive a request.
     fn lightest_active(&self, measure: impl Fn(&Worker<D, T>) -> f64) -> usize {
+        self.lightest_where(|_| true, measure)
+            .expect("a router always has at least one active worker")
+    }
+
+    /// The active worker passing `eligible` with the least `measure`, if
+    /// any passes.  Ties break to the lowest slot (`min_by` keeps the first
+    /// of equal minima), keeping the fleet deterministic.
+    fn lightest_where(
+        &self,
+        eligible: impl Fn(&Worker<D, T>) -> bool,
+        measure: impl Fn(&Worker<D, T>) -> f64,
+    ) -> Option<usize> {
         self.workers
             .iter()
             .enumerate()
-            .filter(|(_, worker)| !worker.is_draining())
+            .filter(|(_, worker)| !worker.is_draining() && eligible(worker))
             .min_by(|(_, a), (_, b)| measure(a).total_cmp(&measure(b)))
             .map(|(index, _)| index)
-            .expect("a router always has at least one active worker")
     }
 
     /// Work stealing: while the deepest queue exceeds the shallowest active
@@ -946,6 +980,61 @@ mod tests {
         }
         assert_eq!(router.drain_worker(leaving), sessions);
         assert_eq!(held(&router), expected);
+    }
+
+    #[test]
+    fn a_drain_keeps_the_draft_classes_apart_on_the_survivors() {
+        let (mut router, corpus) = router(
+            RouterConfig::default()
+                .with_workers(3)
+                .with_steal_threshold(1_000)
+                .with_worker_config(ServerConfig::default().with_max_batch(4)),
+        );
+        let (_, target) = models();
+        router.install_drafter(Arc::new(specasr_models::CtcDrafter::paired(&target)));
+        let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        // Worker 0 holds a model draft, worker 1 a draft-free request, and
+        // worker 2 three of each, queued straight onto its scheduler: no
+        // placement would mix them.
+        let layout = [
+            (0, DrafterKind::ModelDraft),
+            (1, DrafterKind::CtcEncoder),
+            (2, DrafterKind::ModelDraft),
+            (2, DrafterKind::ModelDraft),
+            (2, DrafterKind::ModelDraft),
+            (2, DrafterKind::CtcEncoder),
+            (2, DrafterKind::CtcEncoder),
+            (2, DrafterKind::CtcEncoder),
+        ];
+        // The longest utterances, so none finishes in the tick below.
+        let mut utterances: Vec<&Utterance> = corpus.split(Split::TestClean).iter().collect();
+        utterances.sort_by(|a, b| b.duration_seconds().total_cmp(&a.duration_seconds()));
+        for (&(slot, drafter), utterance) in layout.iter().zip(utterances) {
+            let id = RequestId::new(router.next_id);
+            router.next_id += 1;
+            let spec = RequestSpec {
+                drafter,
+                ..asp.into()
+            };
+            let now_ms = router.now_ms;
+            router.workers[slot]
+                .scheduler
+                .enqueue_offline(id, now_ms, None, spec, utterance);
+        }
+        // Worker 2 admits three model drafts and one draft-free request, and
+        // keeps two draft-free requests queued.
+        router.workers[2].scheduler.tick(&mut Vec::new());
+        assert_eq!(held(&router), [1, 1, 6]);
+        assert_eq!(router.workers()[2].in_flight(), 4);
+        let leaving = router.workers()[2].id();
+        assert_eq!(router.drain_worker(leaving), 4);
+        // Each request joins the survivor holding its class, which has a
+        // free slot for every move; least-loaded moves alone would have
+        // sent the first re-routed draft-free request to worker 0.
+        assert_eq!(held(&router), [4, 4, 0]);
+        assert!(!router.workers[0].scheduler.holds_draft_class(false));
+        assert!(!router.workers[1].scheduler.holds_draft_class(true));
+        assert_eq!(router.run_until_idle().len(), layout.len());
     }
 
     #[test]

@@ -825,9 +825,19 @@ where
         self.wall_ms = self.wall_ms.max(ms);
     }
 
+    /// Whether this worker holds a request of the draft class
+    /// `model_draft` names (drafting with the draft model, or draft-free):
+    /// queued, in flight, or parked between stream chunks.
+    pub(crate) fn holds_draft_class(&self, model_draft: bool) -> bool {
+        let of_class = |decode: &DecodeSession| decode.drafter().uses_draft_kv() == model_draft;
+        self.queue.iter().any(|request| of_class(&request.decode))
+            || self.active.iter().any(|session| of_class(&session.decode))
+            || self.waiting.iter().any(|request| of_class(&request.decode))
+    }
+
     /// Drains every waiting request out of the admission queue — a worker
-    /// entering `Draining` stops admitting, and the router re-routes its
-    /// queue to the least-loaded workers.  Parked streams (in `waiting`)
+    /// entering `Draining` stops admitting, and the router re-routes each
+    /// request through its placement choice.  Parked streams (in `waiting`)
     /// stay: their chunk timetable and committed prefix live on this worker
     /// until the stream finishes.
     pub(crate) fn drain_queue(&mut self) -> Vec<QueuedRequest> {

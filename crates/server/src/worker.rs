@@ -52,8 +52,9 @@ pub enum WorkerState {
 
 /// One scheduler shard owned by a [`crate::Router`].
 ///
-/// The router places requests onto workers (least-loaded placement, then
-/// work stealing on imbalance); each worker runs its own independent
+/// The router places requests onto workers (by load, keeping model-draft
+/// and draft-free requests apart while a batch slot allows, then work
+/// stealing on imbalance); each worker runs its own independent
 /// [`Scheduler`] over its own draft/target model pair, so the fleet scales
 /// the way N accelerators would.
 #[derive(Debug)]
@@ -124,9 +125,16 @@ where
     }
 
     /// The requests this worker holds, queued plus in flight, per unit of
-    /// its relative speed: the load least-loaded placement compares.
+    /// its relative speed: the load placement compares.
     pub(crate) fn load(&self) -> f64 {
         (self.queue_depth() + self.in_flight()) as f64 / self.profile.speed
+    }
+
+    /// Whether a request placed here now would find a batch slot: the
+    /// worker holds fewer requests, queued plus in flight, than its
+    /// `max_batch`.
+    pub(crate) fn has_free_slot(&self) -> bool {
+        self.queue_depth() + self.in_flight() < self.scheduler.config().max_batch
     }
 
     /// The worker's queue depth normalized by its relative speed: the load

@@ -176,6 +176,15 @@ impl RequestAttribution {
         ]
     }
 
+    /// The report's columns: `e2e_ms`, then the components in fold order.
+    fn report_columns(&self) -> [f64; 9] {
+        let parts = self.components().map(|(_, part)| part);
+        std::array::from_fn(|column| match column {
+            0 => self.e2e_ms,
+            _ => parts[column - 1],
+        })
+    }
+
     /// Flat left-fold of the components — bitwise equal to
     /// [`RequestAttribution::e2e_ms`] by construction.
     pub fn attributed_ms(&self) -> f64 {
@@ -542,7 +551,34 @@ impl TraceAnalysis {
         }
     }
 
-    /// Renders the human-readable attribution report.
+    /// Each `(policy, drafter)` group's request count and the mean of each
+    /// report column over its requests, label-ordered.
+    fn group_means(&self) -> Vec<(&str, &str, usize, [f64; 9])> {
+        let mut sums: BTreeMap<(&str, &str), (usize, [f64; 9])> = BTreeMap::new();
+        for a in &self.requests {
+            let (count, sum) = sums
+                .entry((a.policy.as_str(), a.drafter.as_str()))
+                .or_default();
+            *count += 1;
+            for (total, value) in sum.iter_mut().zip(a.report_columns()) {
+                *total += value;
+            }
+        }
+        sums.into_iter()
+            .map(|((policy, drafter), (count, sum))| {
+                (
+                    policy,
+                    drafter,
+                    count,
+                    sum.map(|total| total / count as f64),
+                )
+            })
+            .collect()
+    }
+
+    /// Renders the human-readable attribution report.  The attribution
+    /// section lists every request, then one mean row per
+    /// `(policy, drafter)` group.
     pub fn render_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -564,23 +600,20 @@ impl TraceAnalysis {
             "bubble",
         );
         for a in &self.requests {
-            let _ = writeln!(
-                out,
-                "{:>7}  {:<22} {:<9} {:>10.3} {:>10.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} \
-                 {:>9.3} {:>9.3}",
-                a.request,
-                a.policy,
-                a.drafter,
-                a.e2e_ms,
-                a.queue_wait_ms,
-                a.preemption_penalty_ms,
-                a.encoder_ms,
-                a.draft_ms,
-                a.draft_lane_wait_ms,
-                a.device_backlog_ms,
-                a.device_service_ms,
-                a.pipeline_bubble_ms,
+            write_attribution_row(
+                &mut out,
+                &a.request,
+                &a.policy,
+                &a.drafter,
+                a.report_columns(),
             );
+        }
+        let means = self.group_means();
+        if !means.is_empty() {
+            let _ = writeln!(out, "-- mean per (policy, drafter), over n requests --");
+        }
+        for (policy, drafter, count, columns) in means {
+            write_attribution_row(&mut out, &format!("n={count}"), policy, drafter, columns);
         }
         let _ = writeln!(out);
         let _ = writeln!(out, "== device-time ledger (target device, ms) ==");
@@ -660,6 +693,25 @@ impl TraceAnalysis {
         }
         out
     }
+}
+
+/// Writes one row of the report's attribution section: `first` (a request
+/// id, or a group's count), the labels, then `columns` (see
+/// [`RequestAttribution::report_columns`]).
+fn write_attribution_row(
+    out: &mut String,
+    first: &dyn std::fmt::Display,
+    policy: &str,
+    drafter: &str,
+    columns: [f64; 9],
+) {
+    use std::fmt::Write as _;
+    let [e2e, queue, preempt, encoder, draft, lane, backlog, service, bubble] = columns;
+    let _ = writeln!(
+        out,
+        "{first:>7}  {policy:<22} {drafter:<9} {e2e:>10.3} {queue:>10.3} {preempt:>9.3} \
+         {encoder:>9.3} {draft:>9.3} {lane:>9.3} {backlog:>9.3} {service:>9.3} {bubble:>9.3}",
+    );
 }
 
 /// Analyzes one recording.
@@ -1433,6 +1485,73 @@ mod tests {
             for (closed, part) in parts.iter().zip(&head) {
                 proptest::prop_assert!(closed.to_bits() - part.to_bits() < 64);
             }
+        }
+    }
+
+    #[test]
+    fn each_report_mean_row_is_the_mean_of_its_groups_request_rows() {
+        let row = |request: u64, policy: &str, drafter: &str, base: f64| {
+            let mut attribution = RequestAttribution {
+                request,
+                policy: policy.to_string(),
+                drafter: drafter.to_string(),
+                streaming: false,
+                e2e_ms: 0.0,
+                rounds: 3,
+                queue_wait_ms: base,
+                preemption_penalty_ms: base / 2.0,
+                encoder_ms: 40.0,
+                draft_ms: 3.0 * base,
+                draft_lane_wait_ms: 0.5,
+                device_backlog_ms: base + 1.0,
+                device_service_ms: 20.0 + base,
+                pipeline_bubble_ms: 0.25 * base,
+            };
+            attribution.e2e_ms = attribution.attributed_ms();
+            attribution
+        };
+        let analysis = TraceAnalysis {
+            requests: vec![
+                row(1, "specasr-asp", "model", 1.0),
+                row(2, "specasr-asp", "ctc", 2.5),
+                row(3, "specasr-asp", "model", 4.0),
+                row(4, "specasr-tsp", "model", 7.0),
+                row(5, "specasr-asp", "ctc", 0.5),
+                row(6, "specasr-asp", "model", 9.5),
+            ],
+            ..TraceAnalysis::default()
+        };
+        let report = analysis.render_report();
+        let means = analysis.group_means();
+        let groups: Vec<(&str, &str, usize)> = means
+            .iter()
+            .map(|&(policy, drafter, count, _)| (policy, drafter, count))
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                ("specasr-asp", "ctc", 2),
+                ("specasr-asp", "model", 3),
+                ("specasr-tsp", "model", 1)
+            ]
+        );
+        for (policy, drafter, count, columns) in means {
+            let rows: Vec<[f64; 9]> = analysis
+                .requests
+                .iter()
+                .filter(|a| a.policy == policy && a.drafter == drafter)
+                .map(RequestAttribution::report_columns)
+                .collect();
+            for (column, mean) in columns.iter().enumerate() {
+                let expected = rows.iter().map(|row| row[column]).sum::<f64>() / count as f64;
+                assert!(
+                    (mean - expected).abs() <= 1e-12 * expected.abs().max(1.0),
+                    "{policy} x {drafter} column {column}: {mean} against {expected}"
+                );
+            }
+            let mut line = String::new();
+            write_attribution_row(&mut line, &format!("n={count}"), policy, drafter, columns);
+            assert!(report.contains(&line), "the report shows {line}");
         }
     }
 

@@ -309,7 +309,8 @@ pub enum TraceEvent {
         worker: u64,
     },
     /// A worker entered `Draining`: it stopped admitting, and its queue
-    /// and migratable sessions moved to the least-loaded active workers.
+    /// and migratable sessions moved to active workers through the
+    /// router's placement choice.
     WorkerDraining {
         /// Drain time.
         ts_ms: f64,

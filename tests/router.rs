@@ -1,17 +1,24 @@
 //! Sharded-router integration tests: placement across N workers must be
 //! lossless (byte-identical transcripts to a single scheduler, every request
-//! completing exactly once), and open-loop load generation must stay
-//! deterministic and expose queueing behaviour the closed loop cannot.
+//! completing exactly once), placement must keep model-draft and draft-free
+//! requests apart while a batch slot allows and place one class exactly by
+//! load, and open-loop load generation must stay deterministic and expose
+//! queueing behaviour the closed loop cannot.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
+use specasr::{
+    AdaptiveConfig, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig, TokenMapDrafter,
+};
 use specasr_audio::{EncoderProfile, Split, Utterance};
-use specasr_models::SimulatedAsrModel;
+use specasr_models::{CtcDrafter, SimulatedAsrModel};
 use specasr_server::{
-    run_open_loop, FlightRecording, LoadGen, RequestOutcome, Router, RouterConfig, Scheduler,
-    ServerConfig, TraceConfig, TraceEvent, WorkerId,
+    run_open_loop, FlightRecording, LoadGen, RequestOutcome, RequestSpec, Router, RouterConfig,
+    Scheduler, ServerConfig, TraceConfig, TraceEvent, WorkerId, WorkerProfile,
 };
 use specasr_suite::StandardSetup;
+use specasr_tokenizer::TokenMapIndex;
 use specasr_trace::analyze_lanes;
 
 fn serving_policies() -> Vec<Policy> {
@@ -33,6 +40,54 @@ fn router_for(
         EncoderProfile::whisper_medium_encoder(),
         |_| (setup.draft.clone(), setup.target.clone()),
     )
+}
+
+/// Installs `kind` fleet-wide when it is draft-free: the token map mined
+/// from the corpus reference transcripts, or the CTC drafter paired with the
+/// target.
+fn install(
+    router: &mut Router<SimulatedAsrModel, SimulatedAsrModel>,
+    setup: &StandardSetup,
+    kind: DrafterKind,
+) {
+    match kind {
+        DrafterKind::ModelDraft => {}
+        DrafterKind::CtcEncoder => {
+            router.install_drafter(Arc::new(CtcDrafter::paired(&setup.target)))
+        }
+        DrafterKind::TokenMap => {
+            let sequences: Vec<Vec<_>> = setup
+                .binding
+                .bind_all(setup.corpus.iter())
+                .iter()
+                .map(|utterance| {
+                    let mut sequence = utterance.reference_tokens().to_vec();
+                    sequence.push(utterance.eos());
+                    sequence
+                })
+                .collect();
+            let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
+            router.install_drafter(Arc::new(TokenMapDrafter::new(Arc::new(index))));
+        }
+    }
+}
+
+/// What every worker holds, queued plus in flight.
+fn holdings(router: &Router<SimulatedAsrModel, SimulatedAsrModel>) -> Vec<usize> {
+    router
+        .workers()
+        .iter()
+        .map(|worker| worker.queue_depth() + worker.in_flight())
+        .collect()
+}
+
+/// The one worker whose holdings grew between two snapshots.
+fn grown(before: &[usize], after: &[usize]) -> usize {
+    let grown: Vec<usize> = (0..before.len())
+        .filter(|&slot| after[slot] > before[slot])
+        .collect();
+    assert_eq!(grown.len(), 1, "one worker took the request");
+    grown[0]
 }
 
 /// Submits `workload` to both a fleet of `workers` and a single scheduler,
@@ -109,6 +164,176 @@ proptest! {
             prop_assert_eq!(fleet.utterance_id, solo.utterance_id);
         }
     }
+
+    /// With one draft class in the fleet, placement is least-loaded
+    /// placement: every submit joins the lowest slot of minimal load
+    /// (requests held, queued plus in flight, per unit of speed), whatever
+    /// the policy, the drafter kind and the speeds.
+    #[test]
+    fn single_class_traffic_places_on_the_least_loaded_worker(
+        seed in 0u64..300,
+        speeds in proptest::collection::vec(0usize..4, 1..5),
+        kind in 0usize..3,
+        policy in 0usize..4,
+        requests in 8usize..24,
+    ) {
+        const SPEEDS: [f64; 4] = [0.5, 1.0, 2.0, 3.0];
+        let setup = StandardSetup::new(seed, 5);
+        let kind = DrafterKind::ALL[kind];
+        let spec = RequestSpec {
+            drafter: kind,
+            ..serving_policies()[policy].into()
+        };
+        let profiles: Vec<WorkerProfile> = speeds
+            .iter()
+            .map(|&speed| WorkerProfile::default().with_speed(SPEEDS[speed]))
+            .collect();
+        let mut router = Router::with_profiles(
+            RouterConfig::default()
+                .with_workers(profiles.len())
+                .with_worker_config(ServerConfig::default().with_max_batch(2).with_queue_depth(64)),
+            setup.binding.clone(),
+            EncoderProfile::whisper_medium_encoder(),
+            &profiles,
+            |_| (setup.draft.clone(), setup.target.clone()),
+        );
+        install(&mut router, &setup, kind);
+        let pool: Vec<&Utterance> = Split::ALL
+            .iter()
+            .flat_map(|&split| setup.corpus.split(split))
+            .collect();
+        let mut loadgen = LoadGen::new(seed, 40.0);
+        let mut completed = 0;
+        for index in 0..requests {
+            // Serving between arrivals admits and retires requests, so the
+            // loads compared mix queue and batch.
+            completed += router.advance_to(loadgen.next_arrival_ms()).len();
+            let before = holdings(&router);
+            let loads: Vec<f64> = router
+                .workers()
+                .iter()
+                .zip(&before)
+                .map(|(worker, &held)| held as f64 / worker.profile().speed)
+                .collect();
+            let least = loads.iter().copied().fold(f64::INFINITY, f64::min);
+            let expected = loads.iter().position(|&load| load == least).expect("a worker");
+            router
+                .submit(spec, pool[(index * 7 + seed as usize) % pool.len()])
+                .expect("queues have room");
+            prop_assert_eq!(grown(&before, &holdings(&router)), expected);
+        }
+        completed += router.run_until_idle().len();
+        prop_assert_eq!(completed, requests);
+    }
+}
+
+/// Below `max_batch`, model-draft and draft-free requests never share a
+/// worker: a verify wave waits for the slowest draft of its tick, so a
+/// draft-free request kept apart never waits for a model draft.
+#[test]
+fn draft_classes_keep_to_separate_workers_below_max_batch() {
+    const MAX_BATCH: usize = 8;
+    let setup = StandardSetup::new(909, 8);
+    let mut router = router_for(
+        &setup,
+        RouterConfig::default()
+            .with_workers(2)
+            .with_steal_threshold(1_000)
+            .with_worker_config(ServerConfig::default().with_max_batch(MAX_BATCH)),
+    );
+    install(&mut router, &setup, DrafterKind::TokenMap);
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let pool: Vec<&Utterance> = Split::ALL
+        .iter()
+        .flat_map(|&split| setup.corpus.split(split))
+        .collect();
+    let mut loadgen = LoadGen::new(909, 10.0);
+    // Per worker, the requests it holds and whether each drafts with the
+    // draft model.
+    let mut held: Vec<Vec<(u64, bool)>> = vec![Vec::new(); 2];
+    let mut both_busy = 0;
+    let mut completed = 0;
+    for (index, utterance) in pool.iter().enumerate() {
+        let model_draft = index % 2 == 0;
+        for outcome in router.advance_to(loadgen.next_arrival_ms()) {
+            for worker in &mut held {
+                worker.retain(|&(id, _)| id != outcome.id.value());
+            }
+            completed += 1;
+        }
+        let before = holdings(&router);
+        let spec = RequestSpec {
+            drafter: if model_draft {
+                DrafterKind::ModelDraft
+            } else {
+                DrafterKind::TokenMap
+            },
+            ..asp.into()
+        };
+        let id = router.submit(spec, utterance).expect("queues have room");
+        let after = holdings(&router);
+        held[grown(&before, &after)].push((id.value(), model_draft));
+        for (slot, requests) in held.iter().enumerate() {
+            assert_eq!(requests.len(), after[slot], "nothing moves between workers");
+            assert!(
+                requests.len() < MAX_BATCH,
+                "the load stays below max_batch, so every placement keeps the classes apart"
+            );
+            assert!(
+                requests.iter().all(|&(_, class)| class == requests[0].1),
+                "worker {slot} holds both draft classes: {requests:?}"
+            );
+        }
+        if after.iter().all(|&count| count > 0) {
+            both_busy += 1;
+        }
+    }
+    assert!(both_busy > 0, "both workers served at once");
+    completed += router.run_until_idle().len();
+    assert_eq!(completed, pool.len());
+}
+
+/// Keeping the classes apart never queues a request another worker could
+/// admit: once the model-draft worker's batch is full, the next model-draft
+/// request joins the least-loaded worker, draft-free requests and all.
+#[test]
+fn a_full_class_worker_sends_the_next_request_to_the_least_loaded_worker() {
+    const MAX_BATCH: usize = 2;
+    let setup = StandardSetup::new(908, 8);
+    let mut router = router_for(
+        &setup,
+        RouterConfig::default()
+            .with_workers(2)
+            .with_steal_threshold(1_000)
+            .with_worker_config(ServerConfig::default().with_max_batch(MAX_BATCH)),
+    );
+    install(&mut router, &setup, DrafterKind::TokenMap);
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let token_map = RequestSpec {
+        drafter: DrafterKind::TokenMap,
+        ..asp.into()
+    };
+    let utterances = setup.corpus.split(Split::TestClean);
+    let mut placed = Vec::new();
+    for (spec, utterance) in [
+        (token_map, &utterances[0]),
+        (asp.into(), &utterances[1]),
+        (asp.into(), &utterances[2]),
+        (asp.into(), &utterances[3]),
+    ] {
+        let before = holdings(&router);
+        router.submit(spec, utterance).expect("queues have room");
+        placed.push(grown(&before, &holdings(&router)));
+    }
+    // The token-map request takes worker 0, the model drafts keep to worker
+    // 1 until its batch is full, and the third joins worker 0, the lighter.
+    assert_eq!(placed, [0, 1, 1, 0]);
+    // Every busy worker ticks once: the earliest tick ends past 1 µs.
+    let mut outcomes = router.advance_to(0.001);
+    let depths: Vec<usize> = router.workers().iter().map(|w| w.queue_depth()).collect();
+    assert_eq!(depths, [0, 0], "a request waits behind a full batch");
+    outcomes.extend(router.run_until_idle());
+    assert_eq!(outcomes.len(), 4);
 }
 
 #[test]
