@@ -16,12 +16,13 @@
 //!   signal must breach its target for [`FleetConfig::scale_up_after`]
 //!   *consecutive* evaluations (hysteresis — one bursty interval never
 //!   flaps the fleet); the fleet then grows in one step to the size that
-//!   brings the queue to target, at least one worker more.  Sustained
-//!   queue headroom for [`FleetConfig::scale_down_after`] evaluations
-//!   drains the newest worker if the workers that stay can carry the whole
-//!   load (queued plus in flight) in half their batch slots, and drains
-//!   straight to [`FleetConfig::min_workers`] if those alone can; either
-//!   way the headroom streak starts over.
+//!   brings the queue to target, at least one worker more.  An evaluation
+//!   has headroom when the queue is well under target and the workers that
+//!   stay after a drain could carry the whole load (queued plus in flight)
+//!   in half their batch slots.  [`FleetConfig::scale_down_after`]
+//!   consecutive headroom evaluations drain the newest worker, or drain
+//!   straight to [`FleetConfig::min_workers`] if those alone can carry the
+//!   load, and the headroom streak starts over.
 //! * **Live drain and migration** — scale-down never kills work.  The
 //!   drained worker's queue re-routes through the router's placement choice
 //!   (by load, keeping model-draft and draft-free requests apart while a
@@ -113,8 +114,8 @@ pub struct FleetConfig {
     pub scale_down_after: usize,
     /// Queue-pressure target: mean queued requests per active worker above
     /// which an evaluation counts as breached.  An evaluation has headroom
-    /// at half of it; a drain also needs the queued and in-flight requests
-    /// to fit in half the batch slots of the active workers that stay.
+    /// at half of it, when the queued and in-flight requests also fit in
+    /// half the batch slots of the active workers a drain would keep.
     pub queue_target: f64,
     /// End-to-end P99 target for the latency-critical SLO classes
     /// (Interactive and Standard); `None` disables the latency signal and
@@ -409,8 +410,18 @@ where
         let breached = queue_pressure > self.config.queue_target || p99_breach;
         // Headroom is deliberately stricter than "not breached": the queue
         // must be *well* under target, so the fleet doesn't oscillate
-        // around the threshold.
-        let headroom = !breached && queue_pressure <= self.config.queue_target / 2.0;
+        // around the threshold, and the workers a drain would keep must
+        // carry the whole load, so a streak never ends on one light sample.
+        // Queue headroom alone is not enough: arrivals that join the next
+        // wave never queue.
+        let drainable = if active > self.config.min_workers {
+            self.drainable(active)
+        } else {
+            0
+        };
+        let headroom = !breached
+            && queue_pressure <= self.config.queue_target / 2.0
+            && (active <= self.config.min_workers || drainable > 0);
         if breached {
             self.counters.breached_evaluations += 1;
             self.breach_streak += 1;
@@ -439,12 +450,9 @@ where
         } else if self.headroom_streak >= self.config.scale_down_after
             && active > self.config.min_workers
         {
-            // Queue headroom alone is not enough: arrivals that join the
-            // next wave never queue, so the workers that stay must also
-            // carry the whole load.  Whether they can or not, the streak
-            // starts over.
-            let drained = self.drainable(active);
-            for _ in 0..drained {
+            // Every evaluation of the streak found the load fit the workers
+            // that stay, this one included.
+            for _ in 0..drainable {
                 // Drain the most recently added active worker: LIFO keeps
                 // the longest-lived workers (and their prefix caches) in
                 // place and is deterministic by construction.
@@ -458,7 +466,7 @@ where
                     .expect("an active fleet always has an active worker");
                 self.counters.sessions_migrated += self.router.drain_worker(newest);
             }
-            self.counters.scale_downs += drained;
+            self.counters.scale_downs += drainable;
             self.headroom_streak = 0;
         }
 
@@ -475,6 +483,11 @@ where
     /// in flight — fits in half the batch slots of that many workers, else
     /// one when it fits in half the slots of the rest, else none.  Half
     /// mirrors the queue headroom at half of [`FleetConfig::queue_target`].
+    ///
+    /// An evaluation above the minimum fleet has headroom only when this is
+    /// more than none, so a headroom streak counts only evaluations at which
+    /// the workers a drain keeps could carry the load, and a drain never
+    /// rests on one light sample at the streak's end.
     fn drainable(&self, active: usize) -> usize {
         let load = self.router.queued() + self.router.in_flight();
         let base = self.router.config().worker;
@@ -842,6 +855,62 @@ mod tests {
         fleet.run_until_idle();
         fleet.advance_to(fleet.router().now_ms() + 1_000.0);
         assert_eq!(fleet.router().active_workers(), 1, "a light fleet drains");
+    }
+
+    #[test]
+    fn a_headroom_streak_counts_only_evaluations_the_staying_workers_could_carry() {
+        let config = FleetConfig::default()
+            .with_worker_bounds(1, 2)
+            .with_evaluate_every_ms(10.0)
+            .with_queue_target(2.0);
+        // Eight requests fill 4 of each worker's 8 batch slots with nothing
+        // queued: headroom on the queue from the first evaluation, but the
+        // staying worker's half holds 4 only once requests complete.  A
+        // twin held at two workers finds that evaluation.
+        let (mut twin, corpus) = fleet(config.with_worker_bounds(2, 2), 2);
+        submit_all(&mut twin, &corpus, 8);
+        let mut fits_from = 0;
+        loop {
+            fits_from += 1;
+            twin.advance_to(fits_from as f64 * config.evaluate_every_ms);
+            let load = twin.router().queued() + twin.router().in_flight();
+            assert_eq!(twin.router().queued(), 0);
+            if 2 * load <= 8 {
+                break;
+            }
+        }
+        assert!(fits_from > 1, "the load outgrows one worker at first");
+
+        // A streak as long as the evaluations up to the first fit: on queue
+        // depth alone it would complete there, on one light load sample.
+        let (mut fleet, corpus) = fleet(config.with_hysteresis(1, fits_from), 2);
+        submit_all(&mut fleet, &corpus, 8);
+        let evaluate = |fleet: &mut Fleet, evaluation: usize| {
+            fleet.advance_to(evaluation as f64 * config.evaluate_every_ms);
+        };
+        for evaluation in 1..=fits_from {
+            evaluate(&mut fleet, evaluation);
+        }
+        assert_eq!(
+            fleet.counters().scale_downs,
+            0,
+            "a streak whose load fits only at its last evaluation drains nothing"
+        );
+        assert_eq!(fleet.headroom_streak, 1);
+        // From here the load only falls, so it fits at every evaluation of
+        // the next streak, which drains.
+        for evaluation in fits_from + 1..2 * fits_from {
+            assert_eq!(fleet.counters().scale_downs, 0);
+            evaluate(&mut fleet, evaluation);
+            let load = fleet.router().queued() + fleet.router().in_flight();
+            assert!(2 * load <= 8);
+        }
+        assert_eq!(
+            fleet.counters().scale_downs,
+            1,
+            "a streak whose load fits throughout drains"
+        );
+        assert_eq!(fleet.router().active_workers(), 1);
     }
 
     #[test]

@@ -41,15 +41,30 @@ impl TickCost {
             verify_widths.len(),
             "one draft time and one verify width per batched session"
         );
-        if draft_ms.is_empty() {
+        TickCost::of_rounds(
+            draft_ms.iter().copied().zip(verify_widths.iter().copied()),
+            target,
+        )
+    }
+
+    /// Costs the `(draft_ms, verify_width)` rounds one tick verifies, like
+    /// [`TickCost::of_round`], without gathering them into slices first.
+    pub(crate) fn of_rounds(
+        rounds: impl Iterator<Item = (f64, usize)> + Clone,
+        target: &LatencyModel,
+    ) -> TickCost {
+        if rounds.clone().next().is_none() {
             return TickCost::default();
         }
-        let slowest_draft = draft_ms.iter().copied().fold(0.0f64, f64::max);
-        let wall_ms = slowest_draft + grouped_verify_ms(target, verify_widths);
-        let sequential_ms = draft_ms.iter().sum::<f64>()
-            + verify_widths
-                .iter()
-                .map(|&width| target.forward_pass_ms(width))
+        let slowest_draft = rounds
+            .clone()
+            .map(|(draft, _)| draft)
+            .fold(0.0f64, f64::max);
+        let width = rounds.clone().map(|(_, width)| width).sum();
+        let wall_ms = slowest_draft + target.forward_pass_ms(width);
+        let sequential_ms = rounds.clone().map(|(draft, _)| draft).sum::<f64>()
+            + rounds
+                .map(|(_, width)| target.forward_pass_ms(width))
                 .sum::<f64>();
         TickCost {
             wall_ms,
@@ -71,9 +86,10 @@ pub fn grouped_verify_ms(target: &LatencyModel, verify_widths: &[usize]) -> f64 
 /// which sessions verify in which cross-session batch (wave), when each
 /// wave is submitted, and the modeled completion of the last wave.
 ///
-/// Filled by [`plan_verify_waves`]; the scheduler submits each wave as one
-/// [`specasr_models::BackendBatch`] at its submit offset and advances its
-/// wall clock to the last completion.  The waves are contiguous runs of one
+/// Filled by [`plan_verify_waves`]; the scheduler submits the waves it
+/// verifies this tick (see [`plan_verify_waves`]), each as one
+/// [`specasr_models::BackendBatch`] at its submit offset, and advances its
+/// wall clock to the last of their completions.  The waves are contiguous runs of one
 /// session order, so a plan is that order plus each wave's end, and the
 /// planner's tables live in the plan too: a caller that keeps one plan and
 /// re-plans it every tick stops allocating once the plan has covered its
@@ -158,6 +174,11 @@ impl VerifyPlan {
 /// faster (an extra wave pays the pass base cost again), so the single
 /// grouped batch — wait for the slowest draft, then verify everyone — is
 /// the plan whenever overlap cannot win, and `max_waves = 1` forces it.
+///
+/// The [`crate::Scheduler`] submits a plan's first cohort, and each later
+/// one up to the last that holds a budgeted request's first round; the
+/// cohorts after it keep their drafted rounds, and the next tick plans them
+/// again, already drafted, beside the early sessions' next rounds.
 ///
 /// Whatever `plan` held before is replaced; its buffers keep their
 /// capacity.

@@ -93,13 +93,19 @@ pub struct ServerConfig {
     /// Eviction policy when the KV pool is exhausted mid-decode.
     pub preempt_policy: PreemptPolicy,
     /// Verification-wave pipeline depth (default 4).  The tick runs
-    /// submit-ahead / complete-behind: the wave planner may split a tick
-    /// into up to this many waves, each session's next draft phase starts at
-    /// its *own* wave's completion (not the tick's), and at most this many
-    /// verification waves may be outstanding on the device at any
-    /// submission instant.  `1` is a window of one wave: every tick verifies
-    /// in one grouped batch.  Transcripts are byte-identical at every depth
-    /// — only the timeline compresses.
+    /// submit-ahead / complete-behind: the wave planner may split a tick's
+    /// drafted rounds into up to this many cohorts, each session's next
+    /// draft phase starts at its *own* wave's completion (not the tick's),
+    /// and at most this many verification waves may be outstanding on the
+    /// device at any submission instant.  A tick submits the plan's first
+    /// cohort, and each later one up to the last that holds a budgeted
+    /// request's first round; the sessions of the cohorts after it keep
+    /// their drafted rounds for the next tick's plan, which verifies them
+    /// beside the early sessions' next rounds, and the tick ends when its
+    /// last submitted wave lands.  `1` is a window of one wave: every tick
+    /// verifies every round it drafted in one grouped batch.  Transcripts
+    /// and decode statistics are byte-identical at every depth — only the
+    /// timeline compresses.
     pub max_in_flight_waves: usize,
     /// Modeled draft-device lanes.  `0` leaves per-session draft chains
     /// unconstrained (a pool of draft-sized accelerators, the historical

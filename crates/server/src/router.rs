@@ -1038,6 +1038,83 @@ mod tests {
     }
 
     #[test]
+    fn a_migrated_session_drops_its_deferred_round_and_drafts_it_again() {
+        let (mut router, corpus) = router(
+            RouterConfig::default()
+                .with_workers(2)
+                .with_steal_threshold(1_000)
+                .with_worker_config(ServerConfig::default().with_max_batch(8)),
+        );
+        let (draft, target) = models();
+        let ctc = Arc::new(specasr_models::CtcDrafter::paired(&target));
+        router.install_drafter(ctc.clone());
+        // Draft-free sessions lead worker 1's wave plans, so its
+        // model-drafted sessions' rounds wait for a later tick.
+        let specs: Vec<RequestSpec> = (0..8)
+            .map(|index| {
+                if index % 2 == 0 {
+                    RequestSpec {
+                        drafter: DrafterKind::CtcEncoder,
+                        ..Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()).into()
+                    }
+                } else {
+                    Policy::TwoPassSparseTree(specasr::SparseTreeConfig::paper()).into()
+                }
+            })
+            .collect();
+        let utterances = corpus.split(Split::TestClean);
+        for (spec, utterance) in specs.iter().zip(utterances) {
+            let id = RequestId::new(router.next_id);
+            router.next_id += 1;
+            let now_ms = router.now_ms;
+            router.workers[1]
+                .scheduler
+                .enqueue_offline(id, now_ms, None, *spec, utterance);
+        }
+        for _ in 0..utterances.len() {
+            router.workers[1].scheduler.tick(&mut Vec::new());
+            if router.workers[1].scheduler.deferred_sessions() > 0 {
+                break;
+            }
+        }
+        assert!(
+            router.workers[1].scheduler.deferred_sessions() > 0,
+            "worker 1 keeps a straggler's round for its next tick"
+        );
+        let leaving = router.workers()[1].id();
+        let sessions = router.workers()[1].in_flight();
+        assert_eq!(router.drain_worker(leaving), sessions);
+        assert_eq!(router.fleet_stats().migrated_in_handoff(), sessions);
+        let mut outcomes = router.run_until_idle();
+        outcomes.sort_by_key(|outcome| outcome.id);
+
+        // The same requests on one scheduler that never migrates them.
+        let mut reference = Scheduler::new(
+            draft,
+            target,
+            TokenizerBinding::for_corpus(&corpus),
+            EncoderProfile::whisper_medium_encoder(),
+            ServerConfig::default().with_max_batch(8),
+        );
+        reference.install_drafter(ctc);
+        for (spec, utterance) in specs.iter().zip(utterances) {
+            reference.submit(*spec, utterance).expect("queue has room");
+        }
+        let mut expected = reference.run_until_idle();
+        expected.sort_by_key(|outcome| outcome.id);
+        assert_eq!(outcomes.len(), expected.len());
+        for (served, matching) in outcomes.iter().zip(&expected) {
+            assert_eq!(served.id, matching.id);
+            assert_eq!(served.outcome, matching.outcome, "request {}", served.id);
+        }
+        // The dropped rounds were drafted once more, on the destination.
+        assert!(
+            router.fleet_stats().backend().draft_requests()
+                > reference.stats().backend().draft_requests()
+        );
+    }
+
+    #[test]
     fn fleet_completes_every_request_exactly_once() {
         let (mut router, corpus) = router(RouterConfig::default().with_workers(4));
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());

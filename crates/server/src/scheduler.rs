@@ -114,8 +114,11 @@ struct TickScratch {
     // Draft.
     /// Session indices in draft-readiness order.
     order: Vec<usize>,
-    /// One round per batch slot, refilled by whichever session holds the
-    /// slot this tick.  Grown on demand and never shrunk.
+    /// One round per batch slot, refilled by the session that holds the
+    /// slot, or kept for the next tick by a deferred session
+    /// ([`ServerSession::deferred`]).  A round moves with its session when
+    /// the batch closes up, and the slots sessions left go to the next
+    /// admissions.  Grown on demand and never shrunk.
     drafted: Vec<DraftedRound>,
     /// Draft-lane milliseconds each round spent.
     spent_ms: Vec<f64>,
@@ -151,6 +154,23 @@ struct TickScratch {
     /// session that left it otherwise.  Admission fills slots in this order
     /// and uses each stamp once.
     free_slots: Vec<f64>,
+}
+
+/// Moves the round in batch slot `from`, with its draft end and draft-lane
+/// ms, to slot `to <= from`, where its session moves when the batch closes
+/// up: a deferred session keeps its round, and every session the buffers
+/// its rounds grew.  Slot `to`'s buffers, which no staying session holds,
+/// go to `from`, so nothing is allocated or dropped.
+fn move_round(
+    drafted: &mut [DraftedRound],
+    draft_done: &mut [f64],
+    spent_ms: &mut [f64],
+    from: usize,
+    to: usize,
+) {
+    drafted.swap(from, to);
+    draft_done[to] = draft_done[from];
+    spent_ms[to] = spent_ms[from];
 }
 
 /// The buffers a worker grows serving requests and leaves behind when the
@@ -200,14 +220,16 @@ fn past_budget(request: &QueuedRequest, at_ms: f64) -> bool {
 /// [`Scheduler::tick`] admits queued requests into free batch slots
 /// (iteration-level scheduling — finished sessions free their slots without
 /// waiting for the batch to drain), runs each active session's draft phase,
-/// verifies the drafted material in grouped target passes — up to
-/// [`ServerConfig::max_in_flight_waves`] cross-session waves, planned by
-/// [`crate::plan_verify_waves`] — and retires the sessions that reached EOS.
+/// verifies the drafted material in grouped target passes — the first of
+/// up to [`ServerConfig::max_in_flight_waves`] cross-session cohorts
+/// planned by [`crate::plan_verify_waves`], and any later one holding a
+/// budgeted first round, while the rest keep their rounds for the next
+/// tick — and retires the sessions that reached EOS.
 ///
 /// Time is simulated: the scheduler advances a wall clock to the modeled
-/// completion of each tick's last wave on the target backend's device
-/// timeline, which makes every throughput/latency number deterministic and
-/// reproducible.  The audio
+/// completion of each tick's last submitted wave on the target backend's
+/// device timeline, which makes every throughput/latency number
+/// deterministic and reproducible.  The audio
 /// encoder is modelled as a concurrent pool: its latency counts toward each
 /// request's end-to-end and first-token latency but does not serialise the
 /// decoder timeline.
@@ -846,18 +868,35 @@ where
 
     /// Extracts the in-flight sessions a draining worker can migrate:
     /// offline sessions between ticks.  Streaming sessions stay and finish
-    /// on the draining worker (their per-chunk state does not move).
+    /// on the draining worker (their per-chunk state does not move), and a
+    /// round one of them keeps moves with it as the batch closes up.
+    ///
+    /// A migrating session drops the round it kept for this worker's next
+    /// tick ([`ServerSession::deferred`]): drafting is a pure function of
+    /// the committed prefix, so the destination drafts the same round again
+    /// and tokens and statistics are unchanged; only the draft lane pays for
+    /// the round twice.
     pub(crate) fn extract_migratable(&mut self) -> Vec<ServerSession> {
-        let mut migrated = Vec::new();
-        let mut index = 0;
-        while index < self.active.len() {
-            if self.active[index].stream.is_none() {
-                migrated.push(self.active.remove(index));
-            } else {
-                index += 1;
-            }
-        }
-        migrated
+        let TickScratch {
+            drafted,
+            draft_done,
+            spent_ms,
+            ..
+        } = &mut self.scratch;
+        let (mut from, mut to) = (0, 0);
+        self.active
+            .extract_if(.., |session| {
+                let migrates = session.stream.is_none();
+                if migrates {
+                    session.deferred = false;
+                } else {
+                    move_round(drafted, draft_done, spent_ms, from, to);
+                    to += 1;
+                }
+                from += 1;
+                migrates
+            })
+            .collect()
     }
 
     /// Admits a migrated session whose KV blocks already live in this
@@ -947,6 +986,16 @@ where
     /// submit the verify waves, drain them, commit, sync the gauges and
     /// retire into `outcomes`.  Every per-session and per-wave buffer comes
     /// from `scratch`, cleared and refilled in place.
+    ///
+    /// A session that keeps a round from an earlier tick
+    /// ([`ServerSession::deferred`]) does not draft: its kept round, draft
+    /// end and draft-lane ms enter the plan as they are.  The tick submits
+    /// the plan's first cohort and the later ones that hold a budgeted first
+    /// round ([`Scheduler::defer_later_cohorts`]); the rest keep their
+    /// rounds and commit nothing.  The tick ends when its last submitted
+    /// wave lands, so a session verified early drafts its next round while a
+    /// straggler's round waits, and the two share the next tick's plan.
+    /// Each round is costed once, in the tick that verifies it.
     fn decode_tick(&mut self, scratch: &mut TickScratch, outcomes: &mut Vec<RequestOutcome>) {
         let TickScratch {
             order,
@@ -1020,11 +1069,16 @@ where
         if drafted.len() < sessions {
             drafted.resize_with(sessions, DraftedRound::new);
         }
-        refill(spent_ms, sessions, 0.0);
-        refill(draft_done, sessions, 0.0);
-        refill(verify_widths, sessions, 0);
+        // A deferred session's slot holds its kept round, draft end and
+        // draft-lane ms; every other session's is refilled below.
+        spent_ms.resize(sessions, 0.0);
+        draft_done.resize(sessions, 0.0);
         for &index in order.iter() {
             let session = &mut self.active[index];
+            if session.deferred {
+                // Drafted in an earlier tick, which recorded its phase.
+                continue;
+            }
             let ready = session.ready_ms;
             let before = session.decode.clock().breakdown().draft_ms;
             // Model-draft sessions query the draft model; draft-free sessions
@@ -1069,8 +1123,9 @@ where
             });
             spent_ms[index] = spent;
             draft_done[index] = done;
-            verify_widths[index] = round.verify_tokens();
         }
+        verify_widths.clear();
+        verify_widths.extend(drafted[..sessions].iter().map(DraftedRound::verify_tokens));
 
         // Verification schedule: collect every session's verify request into
         // cross-session `BackendBatch` waves.  Each cohort's wave goes out
@@ -1079,7 +1134,9 @@ where
         // device is already running from earlier ticks.  The plan keeps the
         // single grouped batch whenever overlap cannot win, so the tick
         // never costs more than waiting for every draft and then verifying
-        // everyone at once.
+        // everyone at once.  The tick submits the plan's first cohort, and
+        // the later ones that hold a budgeted first round; the rest keep
+        // their rounds for the next tick's plan.
         let target_latency = self.target.backend().profile().latency().clone();
         plan_verify_waves(
             plan,
@@ -1090,9 +1147,14 @@ where
             pipeline_depth,
             self.target.backend().device_free_ms(),
         );
+        let submitted = self.defer_later_cohorts(plan);
         refill(wave_of, sessions, 0);
         wave_tickets.clear();
-        for (wave_index, (wave, &offset)) in plan.waves().zip(plan.submit_offsets_ms()).enumerate()
+        for (wave_index, (wave, &offset)) in plan
+            .waves()
+            .zip(plan.submit_offsets_ms())
+            .take(submitted)
+            .enumerate()
         {
             for &index in wave {
                 self.active[index]
@@ -1137,12 +1199,12 @@ where
         }
         self.target.backend_mut().poll(completions);
         refill(results, sessions, None);
-        refill(wave_completed, plan.wave_count(), tick_start);
+        refill(wave_completed, submitted, tick_start);
         let mut tick_end = tick_start;
         // Per-wave device spans for the recorder: every request of a wave
         // shares its batch's (submitted, started, completed) triple.
         let mut wave_spans: Vec<Option<(f64, f64, f64)>> = if self.tracer.is_enabled() {
-            vec![None; plan.wave_count()]
+            vec![None; submitted]
         } else {
             Vec::new()
         };
@@ -1164,7 +1226,7 @@ where
             results[owner] = Some(at);
         }
         if self.tracer.is_enabled() {
-            for (wave_index, wave) in plan.waves().enumerate() {
+            for (wave_index, wave) in plan.waves().take(submitted).enumerate() {
                 let Some((submitted_ms, started_ms, completed_ms)) = wave_spans[wave_index] else {
                     continue;
                 };
@@ -1187,12 +1249,16 @@ where
         }
 
         // Advance the shared wall clock to the measured completion of the
-        // last verification wave (drafting in parallel, verification
-        // overlapping the stragglers).  (A session preempted below still
-        // paid for its draft and its share of the verification pass —
-        // evicted speculation is wasted device time, exactly as on real
-        // hardware.)
-        let analytic = TickCost::of_round(spent_ms, verify_widths, &target_latency);
+        // last submitted verification wave (drafting in parallel,
+        // verification overlapping the stragglers).  (A session preempted
+        // below still paid for its draft and its share of the verification
+        // pass — evicted speculation is wasted device time, exactly as on
+        // real hardware.)  A round is costed once, in the tick that
+        // verifies it.
+        let verified = (0..sessions)
+            .filter(|&index| !self.active[index].deferred)
+            .map(|index| (spent_ms[index], verify_widths[index]));
+        let analytic = TickCost::of_rounds(verified, &target_latency);
         let cost = TickCost {
             wall_ms: (tick_end - tick_start).max(0.0),
             sequential_ms: analytic.sequential_ms,
@@ -1207,7 +1273,8 @@ where
         // block demand is checked against the pool; on exhaustion the
         // preemption policy evicts sessions until the round fits — or, when
         // nothing is left to evict, the triggering request itself is dropped
-        // with a memory rejection.
+        // with a memory rejection.  A deferred session commits nothing and
+        // stays, unless a commit evicts it.
         refill(removal, sessions, Removal::Keep);
         // Billed width of each wave (= its backend batch's `charge_tokens`):
         // the denominator of the per-token device-time share that both the
@@ -1216,11 +1283,14 @@ where
         wave_charges.clear();
         wave_charges.extend(
             plan.waves()
+                .take(submitted)
                 .map(|wave| wave.iter().map(|&i| verify_widths[i] as u64).sum::<u64>()),
         );
         for (index, round) in drafted[..sessions].iter().enumerate() {
-            if removal[index] != Removal::Keep {
-                continue; // evicted by an earlier session's memory pressure
+            if removal[index] != Removal::Keep || self.active[index].deferred {
+                // Evicted by an earlier session's memory pressure, or kept
+                // for the next tick.
+                continue;
             }
             self.ensure_round_headroom(index, round, removal);
             if removal[index] != Removal::Keep {
@@ -1364,7 +1434,7 @@ where
         // is free from the instant it left: a finished session's commit, an
         // evicted one's eviction now.  The active sessions trade places with
         // the empty `retiring` buffer, and the ones that stay move back in
-        // order.
+        // order, each with its round.
         std::mem::swap(&mut self.active, retiring);
         // The tick's completions land in `outcomes` in one reservation,
         // not grown one push at a time: a stream completes with its final
@@ -1384,7 +1454,7 @@ where
         outcomes.reserve(completing);
         let before = outcomes.len();
         let evicted_ms = self.tick_ms;
-        for (session, removal) in retiring.drain(..).zip(removal.drain(..)) {
+        for (index, (session, removal)) in retiring.drain(..).zip(removal.drain(..)).enumerate() {
             match removal {
                 Removal::Keep if session.decode.is_finished() => {
                     free_slots.push(session.ready_ms);
@@ -1394,7 +1464,11 @@ where
                         outcomes.push(self.retire(session));
                     }
                 }
-                Removal::Keep => self.active.push(session),
+                Removal::Keep => {
+                    let to = self.active.len();
+                    move_round(drafted, draft_done, spent_ms, index, to);
+                    self.active.push(session);
+                }
                 Removal::Preempted => {
                     free_slots.push(evicted_ms);
                     requeued.push(session.into_requeued(true, evicted_ms));
@@ -1414,6 +1488,28 @@ where
             tick,
             completed,
         });
+    }
+
+    /// How many of `plan`'s cohorts this tick submits: the first, and each
+    /// later one up to the last that holds a session awaiting a budgeted
+    /// first output ([`ServerSession::awaits_budgeted_output`]).  Marks
+    /// every session of the cohorts after them deferred, so it keeps its
+    /// drafted round for the next tick's plan, and every other one not.
+    fn defer_later_cohorts(&mut self, plan: &VerifyPlan) -> usize {
+        let budgeted = |wave: &[usize]| {
+            wave.iter()
+                .any(|&index| self.active[index].awaits_budgeted_output())
+        };
+        let submitted = (1..plan.wave_count())
+            .rev()
+            .find(|&cohort| budgeted(plan.wave(cohort)))
+            .map_or(1, |last| last + 1);
+        for (cohort, wave) in plan.waves().enumerate() {
+            for &index in wave {
+                self.active[index].deferred = cohort >= submitted;
+            }
+        }
+        submitted
     }
 
     /// Delivers every due chunk into the parked streams and moves the ones
@@ -1997,6 +2093,14 @@ mod tests {
         /// used.
         pub(crate) fn scratch_rounds(&self) -> usize {
             self.scratch.drafted.len()
+        }
+
+        /// Sessions that keep a drafted round for the next tick.
+        pub(crate) fn deferred_sessions(&self) -> usize {
+            self.active
+                .iter()
+                .filter(|session| session.deferred)
+                .count()
         }
     }
 
@@ -2950,7 +3054,11 @@ mod tests {
                 scheduler.submit(policy, utterance).expect("queue has room");
             }
             let outcomes = scheduler.run_until_idle();
-            let texts: Vec<String> = outcomes.into_iter().map(|o| o.text).collect();
+            // A deferred round reorders completions, so transcripts are
+            // compared by request.
+            let texts: std::collections::BTreeMap<RequestId, String> =
+                outcomes.into_iter().map(|o| (o.id, o.text)).collect();
+            assert_eq!(texts.len(), corpus.split(Split::TestOther).len());
             (texts, scheduler.wall_ms())
         };
         let (unbounded_texts, unbounded_wall) = run(0);
@@ -3042,15 +3150,17 @@ mod tests {
         }
         scheduler.run_until_idle();
         let events = events(&scheduler);
-        let mut tick_end = std::collections::HashMap::new();
-        let mut waves = std::collections::HashMap::new();
         let mut wave_done = std::collections::HashMap::new();
         let mut last_round = std::collections::HashMap::new();
         let mut completed = std::collections::HashMap::new();
+        // The ticks each request drafted and verified its rounds in, in
+        // order.
+        let mut drafted_in: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        let mut verified_in: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for event in &events {
             match *event {
-                TraceEvent::TickEnd { ts_ms, tick, .. } => {
-                    tick_end.insert(tick, ts_ms);
+                TraceEvent::DraftPhase { tick, request, .. } => {
+                    drafted_in.entry(request).or_default().push(tick);
                 }
                 TraceEvent::VerifyWaveCompleted {
                     tick,
@@ -3058,7 +3168,6 @@ mod tests {
                     completed_ms,
                     ..
                 } => {
-                    *waves.entry(tick).or_insert(0) += 1;
                     wave_done.insert((tick, wave), completed_ms);
                 }
                 TraceEvent::VerifyOutcome {
@@ -3068,6 +3177,7 @@ mod tests {
                     ..
                 } => {
                     last_round.insert(request, (tick, wave));
+                    verified_in.entry(request).or_default().push(tick);
                 }
                 TraceEvent::RequestCompleted { ts_ms, request, .. } => {
                     completed.insert(request, ts_ms);
@@ -3075,23 +3185,110 @@ mod tests {
                 _ => {}
             }
         }
-        let mut before_tick_end = 0;
-        for request in draft_free {
-            let (tick, wave) = last_round[&request];
-            let done = wave_done[&(tick, wave)];
+        for request in &draft_free {
+            let done = wave_done[&last_round[request]];
             assert_eq!(
-                completed[&request], done,
+                completed[request], done,
                 "request {request} completes when its last wave lands"
             );
-            if wave + 1 < waves[&tick] {
-                assert!(done < tick_end[&tick]);
-                before_tick_end += 1;
+        }
+        // Every round is drafted once and verified once, no earlier than the
+        // tick that drafted it.  A model-drafted straggler's round waits
+        // for a later tick while a draft-free session verifies two rounds.
+        let mut waited = 0;
+        for (request, drafts) in &drafted_in {
+            let verifies = &verified_in[request];
+            assert_eq!(drafts.len(), verifies.len(), "request {request}");
+            for (&drafted, &verified) in drafts.iter().zip(verifies) {
+                assert!(verified >= drafted, "request {request}");
+                let overtaken = draft_free.iter().any(|fast| {
+                    verified_in[fast]
+                        .iter()
+                        .filter(|&&tick| drafted <= tick && tick <= verified)
+                        .count()
+                        >= 2
+                });
+                if verified > drafted && overtaken && !draft_free.contains(request) {
+                    waited += 1;
+                }
             }
         }
         assert!(
-            before_tick_end > 0,
-            "some draft-free session finished in an early wave of a split tick"
+            waited > 0,
+            "some model-drafted round waited a tick while a draft-free session verified twice"
         );
+    }
+
+    #[test]
+    fn a_budgeted_first_round_is_verified_in_the_tick_that_drafted_it() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(8));
+        scheduler.set_trace(TraceConfig::enabled());
+        let target = SimulatedAsrModel::target(ModelProfile::whisper_medium_en(), 7);
+        scheduler.install_drafter(Arc::new(CtcDrafter::paired(&target)));
+        // Draft-free sessions lead every plan; model-drafted ones straggle
+        // behind them, every third with a budget none of them overruns.
+        let mut budgeted = Vec::new();
+        let mut unbudgeted_drafted = Vec::new();
+        for (index, utterance) in corpus.split(Split::TestClean).iter().enumerate() {
+            let spec = match index % 3 {
+                0 => RequestSpec {
+                    drafter: DrafterKind::CtcEncoder,
+                    ..Policy::AdaptiveSingleSequence(AdaptiveConfig::paper()).into()
+                },
+                1 => RequestSpec {
+                    ttft_budget_ms: Some(60_000.0),
+                    ..Policy::TwoPassSparseTree(SparseTreeConfig::paper()).into()
+                },
+                _ => Policy::TwoPassSparseTree(SparseTreeConfig::paper()).into(),
+            };
+            let id = scheduler.submit(spec, utterance).expect("queue has room");
+            match index % 3 {
+                1 => budgeted.push(id.value()),
+                2 => unbudgeted_drafted.push(id.value()),
+                _ => {}
+            }
+        }
+        let outcomes = scheduler.run_until_idle();
+        assert_eq!(outcomes.len(), corpus.split(Split::TestClean).len());
+        let events = events(&scheduler);
+        // Each request's rounds: the tick that drafted each, and the tick
+        // and wave that verified it, in order.
+        let mut drafted_in: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        let mut verified_in: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = Default::default();
+        for event in &events {
+            match *event {
+                TraceEvent::DraftPhase { tick, request, .. } => {
+                    drafted_in.entry(request).or_default().push(tick);
+                }
+                TraceEvent::VerifyOutcome {
+                    tick,
+                    wave,
+                    request,
+                    ..
+                } => verified_in.entry(request).or_default().push((tick, wave)),
+                _ => {}
+            }
+        }
+        let mut later_cohorts = 0;
+        for request in &budgeted {
+            let (tick, wave) = verified_in[request][0];
+            assert_eq!(
+                tick, drafted_in[request][0],
+                "request {request}'s budgeted first round waited for a later tick"
+            );
+            later_cohorts += usize::from(wave > 0);
+        }
+        assert!(
+            later_cohorts > 0,
+            "some budgeted first round rode a later cohort of its tick's plan"
+        );
+        let deferred = unbudgeted_drafted.iter().any(|request| {
+            drafted_in[request]
+                .iter()
+                .zip(&verified_in[request])
+                .any(|(&drafted, &(verified, _))| verified > drafted)
+        });
+        assert!(deferred, "some unbudgeted straggler's round was deferred");
     }
 
     #[test]

@@ -234,6 +234,7 @@ impl QueuedRequest {
             preemptions: self.preemptions,
             ttft_budget_ms: self.ttft_budget_ms,
             first_output_emitted: self.first_output_emitted,
+            deferred: false,
             stream: self.stream,
             decode: self.decode,
         }
@@ -265,12 +266,31 @@ pub(crate) struct ServerSession {
     pub ttft_budget_ms: Option<f64>,
     /// Whether the request had produced output before this admission.
     pub first_output_emitted: bool,
+    /// Whether this session's next round is already drafted: a tick's
+    /// wave plan put it in a cohort the tick did not submit, and the round,
+    /// its draft end and its draft-lane ms wait in the session's tick-scratch
+    /// slot.  The next tick verifies that round without drafting it again.
+    /// Cleared on every (re-)admission and migration.
+    pub deferred: bool,
     /// Streaming state, `None` for offline requests.
     pub stream: Option<Box<StreamState>>,
     pub decode: DecodeSession,
 }
 
 impl ServerSession {
+    /// Whether this session's request carries a time-to-first-token budget
+    /// and has not produced its first output yet: no token committed for an
+    /// offline request, no partial emitted for a stream.  The tick verifies
+    /// such a round in the tick that drafted it.
+    pub(crate) fn awaits_budgeted_output(&self) -> bool {
+        self.ttft_budget_ms.is_some()
+            && !self.first_output_emitted
+            && match &self.stream {
+                Some(stream) => stream.partials.is_empty(),
+                None => self.first_token_ms.is_none(),
+            }
+    }
+
     /// Converts this session back into its queued form — after a preemption
     /// (`preempted`, counted; the decode progress of the current pass is
     /// discarded and restore is a deterministic re-prefill + re-decode, for

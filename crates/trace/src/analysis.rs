@@ -1197,6 +1197,69 @@ mod tests {
         analysis.reconcile().expect("reconciles");
     }
 
+    /// A round drafted in tick 1 that the tick deferred: tick 2 verifies
+    /// it without drafting it again.
+    #[test]
+    fn a_deferred_round_waits_in_the_bubble_and_counts_once() {
+        let mut events = offline_stream();
+        // Tick 1 ends at 16 with another session's wave; tick 2 starts
+        // there and submits the kept round at 20.
+        let at = events
+            .iter()
+            .position(|event| matches!(event, TraceEvent::VerifyWaveSubmitted { .. }))
+            .expect("the stream submits a wave");
+        events.insert(
+            at,
+            TraceEvent::TickStart {
+                ts_ms: 16.0,
+                tick: 2,
+                active: 1,
+                queued: 0,
+            },
+        );
+        for event in &mut events {
+            match event {
+                TraceEvent::VerifyWaveSubmitted { ts_ms, tick, .. } => {
+                    *ts_ms = 20.0;
+                    *tick = 2;
+                }
+                TraceEvent::DeviceBatch {
+                    ts_ms, started_ms, ..
+                } => {
+                    *ts_ms = 20.0;
+                    *started_ms = 20.5;
+                }
+                TraceEvent::VerifyWaveCompleted {
+                    tick,
+                    submitted_ms,
+                    started_ms,
+                    ..
+                } => {
+                    *tick = 2;
+                    *submitted_ms = 20.0;
+                    *started_ms = 20.5;
+                }
+                TraceEvent::VerifyOutcome { tick, .. } => *tick = 2,
+                _ => {}
+            }
+        }
+        let spans = assemble_spans(&events);
+        assert_eq!(spans[0].rounds.len(), 1, "one round, drafted in tick 1");
+        assert_eq!(spans[0].rounds[0].tick, 1);
+        assert_eq!(spans[0].rounds[0].verify_submitted_ms, Some(20.0));
+        let analysis = analyze_events(&events);
+        let a = &analysis.requests[0];
+        assert_eq!(a.rounds, 1);
+        assert_eq!(a.draft_ms, 3.0);
+        // Draft end 15 → submit 20 waits for the next tick's wave (bubble),
+        // 20 → 20.5 backlog, 20.5 → 25 service, 25 → 26 retire tail.
+        assert_eq!(a.device_backlog_ms, 0.5);
+        assert_eq!(a.device_service_ms, 4.5);
+        assert_eq!(a.pipeline_bubble_ms, 6.0);
+        assert_eq!(a.attributed_ms().to_bits(), a.e2e_ms.to_bits());
+        analysis.reconcile().expect("reconciles");
+    }
+
     /// A stream that emits a partial, parks, and is re-admitted at its
     /// next chunk's arrival, before the tick that drafts it starts.
     fn readmitted_stream() -> Vec<TraceEvent> {

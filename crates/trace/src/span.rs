@@ -11,10 +11,13 @@ use std::collections::BTreeMap;
 
 use crate::event::TraceEvent;
 
-/// One draft/verify round of a request, anchored to its scheduler tick.
+/// One draft/verify round of a request, anchored to the scheduler tick
+/// that drafted it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundSpan {
-    /// Tick sequence number the round ran in.
+    /// Tick sequence number the round was drafted in.  A round a tick
+    /// deferred is verified in a later tick, and its wave times land here
+    /// too.
     pub tick: u64,
     /// Draft phase start (tick start).
     pub draft_start_ms: f64,
@@ -131,8 +134,13 @@ pub fn assemble_spans<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> V
             .or_insert_with(|| RequestSpans::new(request));
     };
     // Verify waves arrive as (tick, requests[]) groups; remember each
-    // request's round per tick so wave times land on the right round.
+    // request's round per tick so wave times land on the right round.  A
+    // request's round is the one its latest draft phase began: a wave
+    // submits it in its own tick, or in a later one if that tick deferred
+    // it.  A round whose draft phase fell outside the window is keyed by
+    // its wave's tick.
     let mut rounds: BTreeMap<(u64, u64), RoundSpan> = BTreeMap::new();
+    let mut drafted_in: BTreeMap<u64, u64> = BTreeMap::new();
     for event in events {
         match event {
             TraceEvent::RequestSubmitted {
@@ -180,6 +188,7 @@ pub fn assemble_spans<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> V
                 request,
             } => {
                 entry(&mut spans, *request);
+                drafted_in.insert(*request, *tick);
                 let round = rounds
                     .entry((*request, *tick))
                     .or_insert_with(|| RoundSpan::at(*tick));
@@ -194,9 +203,10 @@ pub fn assemble_spans<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> V
             } => {
                 for request in requests {
                     entry(&mut spans, *request);
+                    let drafted = *drafted_in.entry(*request).or_insert(*tick);
                     let round = rounds
-                        .entry((*request, *tick))
-                        .or_insert_with(|| RoundSpan::at(*tick));
+                        .entry((*request, drafted))
+                        .or_insert_with(|| RoundSpan::at(drafted));
                     round.verify_submitted_ms = Some(*ts_ms);
                 }
             }
@@ -209,9 +219,10 @@ pub fn assemble_spans<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> V
             } => {
                 for request in requests {
                     entry(&mut spans, *request);
+                    let drafted = drafted_in.remove(request).unwrap_or(*tick);
                     let round = rounds
-                        .entry((*request, *tick))
-                        .or_insert_with(|| RoundSpan::at(*tick));
+                        .entry((*request, drafted))
+                        .or_insert_with(|| RoundSpan::at(drafted));
                     round.verify_started_ms = Some(*started_ms);
                     round.verify_completed_ms = Some(*completed_ms);
                 }

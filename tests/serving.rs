@@ -17,8 +17,8 @@ use specasr_models::{
     AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenLogits, UtteranceTokens,
 };
 use specasr_server::{
-    AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RequestOutcome, RequestSpec, Scheduler,
-    ServerConfig, StreamConfig, TraceConfig, TraceEvent,
+    AdmissionOrdering, AdmissionPolicy, FlightRecording, PreemptPolicy, RequestOutcome,
+    RequestSpec, Scheduler, ServerConfig, StreamConfig, TraceConfig, TraceEvent,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::TokenId;
@@ -619,14 +619,17 @@ proptest! {
     }
 }
 
-/// A one-wave window verifies every tick in exactly one grouped batch,
-/// while the default window splits ticks whose drafts straggle.
+/// A one-wave window verifies every tick in exactly one grouped batch.  At
+/// the default window a straggler's round is verified in a later tick than
+/// the one that drafted it, and every round is still drafted exactly once:
+/// the draft model answers as many queries as at depth 1.
 #[test]
 fn a_one_wave_window_submits_one_verify_batch_per_tick() {
     let setup = StandardSetup::new(31, 8);
     let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
     let serve = |config: ServerConfig| {
         let mut scheduler = scheduler_for(&setup, config);
+        scheduler.set_trace(TraceConfig::enabled().with_capacity(1 << 20));
         scheduler.install_drafter(std::sync::Arc::new(specasr_models::CtcDrafter::paired(
             &setup.target,
         )));
@@ -647,17 +650,195 @@ fn a_one_wave_window_submits_one_verify_batch_per_tick() {
                 .expect("queue has room");
         }
         scheduler.run_until_idle();
+        let recording = scheduler
+            .take_trace_recording()
+            .expect("tracing was enabled");
+        let carried = carried_rounds(recording.events());
         let stats = scheduler.stats();
-        (stats.backend().verify_batches(), stats.ticks())
+        let backend = stats.backend();
+        (
+            backend.verify_batches(),
+            stats.ticks(),
+            carried,
+            backend.draft_requests(),
+        )
     };
-    let (batches, ticks) = serve(ServerConfig::default().with_max_in_flight_waves(1));
+    let (batches, ticks, carried, queries) =
+        serve(ServerConfig::default().with_max_in_flight_waves(1));
     assert!(ticks > 1, "the workload spans several ticks");
     assert_eq!(batches, ticks, "one verify batch per tick at depth 1");
-    let (batches, ticks) = serve(ServerConfig::default());
-    assert!(
-        batches > ticks,
-        "the default window splits straggling ticks: {batches} batches in {ticks} ticks"
+    assert_eq!(
+        carried, 0,
+        "a one-wave window verifies every round it drafts"
     );
+    let (_, _, pipelined_carried, pipelined_queries) = serve(ServerConfig::default());
+    assert!(
+        pipelined_carried > 0,
+        "the default window carries a straggler's round to a later tick"
+    );
+    assert_eq!(
+        pipelined_queries, queries,
+        "a carried round is never drafted again"
+    );
+}
+
+/// How many rounds of a serve without preemption were verified in a later
+/// tick than the one that drafted them: each request drafts and verifies
+/// its rounds once each, in order.
+fn carried_rounds<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> usize {
+    let mut drafted_in: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut verified_in: HashMap<u64, Vec<u64>> = HashMap::new();
+    for event in events {
+        match *event {
+            TraceEvent::DraftPhase { tick, request, .. } => {
+                drafted_in.entry(request).or_default().push(tick);
+            }
+            TraceEvent::VerifyOutcome { tick, request, .. } => {
+                verified_in.entry(request).or_default().push(tick);
+            }
+            _ => {}
+        }
+    }
+    let mut carried = 0;
+    for (request, drafts) in &drafted_in {
+        let verifies = &verified_in[request];
+        assert_eq!(drafts.len(), verifies.len(), "request {request}");
+        for (drafted, verified) in drafts.iter().zip(verifies) {
+            assert!(verified >= drafted, "request {request}");
+            carried += usize::from(verified > drafted);
+        }
+    }
+    carried
+}
+
+/// The policy × drafter mix of the deferral tests: ASP and TSP, each over
+/// the draft model, CTC and the token map.
+fn mixed_specs() -> Vec<RequestSpec> {
+    let asp = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+    let tsp = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
+    [
+        DrafterKind::ModelDraft,
+        DrafterKind::CtcEncoder,
+        DrafterKind::TokenMap,
+    ]
+    .into_iter()
+    .flat_map(|drafter| {
+        [asp, tsp].map(|policy| RequestSpec {
+            drafter,
+            ..policy.into()
+        })
+    })
+    .collect()
+}
+
+/// Serves `requests` utterances cycling [`mixed_specs`] at `config`, with
+/// the CTC and token-map drafters installed and the recorder on, and
+/// returns the outcomes by request id, the recording and the scheduler.
+fn serve_mixed(
+    setup: &StandardSetup,
+    config: ServerConfig,
+    requests: usize,
+) -> (
+    Vec<RequestOutcome>,
+    FlightRecording,
+    Scheduler<SimulatedAsrModel, SimulatedAsrModel>,
+) {
+    let pool: Vec<&specasr_audio::Utterance> = Split::ALL
+        .iter()
+        .flat_map(|&split| setup.corpus.split(split))
+        .collect();
+    let audio: Vec<UtteranceTokens> = pool
+        .iter()
+        .map(|utterance| setup.binding.bind(utterance))
+        .collect();
+    let mut scheduler = scheduler_for(setup, config.with_queue_depth(requests));
+    scheduler.set_trace(TraceConfig::enabled().with_capacity(1 << 20));
+    scheduler.install_drafter(std::sync::Arc::new(specasr_models::CtcDrafter::paired(
+        &setup.target,
+    )));
+    scheduler.install_drafter(std::sync::Arc::new(token_map_for(&audio)));
+    let specs = mixed_specs();
+    for index in 0..requests {
+        scheduler
+            .submit(specs[index % specs.len()], pool[index % pool.len()])
+            .expect("queue has room");
+    }
+    let mut outcomes = scheduler.run_until_idle();
+    assert_eq!(outcomes.len(), requests);
+    outcomes.sort_by_key(|outcome| outcome.id);
+    let recording = scheduler
+        .take_trace_recording()
+        .expect("tracing was enabled");
+    (outcomes, recording, scheduler)
+}
+
+/// A tick that leaves later cohorts' rounds for the next tick moves only
+/// when rounds run: for a batch mixing ASP and TSP over model, CTC and
+/// token-map drafting, each request's tokens and statistics at the default
+/// window equal those at a one-wave window, which defers nothing.
+#[test]
+fn deferred_rounds_leave_every_requests_tokens_and_statistics_unchanged() {
+    let setup = StandardSetup::new(31, 8);
+    let config = ServerConfig::default().with_max_batch(8);
+    let (reference, one_wave, _) = serve_mixed(&setup, config.with_max_in_flight_waves(1), 24);
+    let (deferred, recording, _) = serve_mixed(&setup, config, 24);
+    assert_eq!(carried_rounds(one_wave.events()), 0);
+    assert!(
+        carried_rounds(recording.events()) > 0,
+        "the default window carries rounds to later ticks"
+    );
+    for (served, matching) in deferred.iter().zip(&reference) {
+        assert_eq!(served.id, matching.id);
+        assert_eq!(served.outcome, matching.outcome, "request {}", served.id);
+    }
+}
+
+/// How many sessions were evicted while they kept a drafted round that no
+/// wave had submitted: a round deferred to a later tick.
+fn deferred_evictions<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> usize {
+    let mut unsubmitted = HashSet::new();
+    let mut evicted = 0;
+    for event in events {
+        match event {
+            TraceEvent::DraftPhase { request, .. } => {
+                unsubmitted.insert(*request);
+            }
+            TraceEvent::VerifyWaveSubmitted { requests, .. } => {
+                for request in requests {
+                    unsubmitted.remove(request);
+                }
+            }
+            TraceEvent::KvPreempt { request, .. } => {
+                evicted += usize::from(unsubmitted.remove(request));
+            }
+            _ => {}
+        }
+    }
+    evicted
+}
+
+/// A session evicted while it keeps a round for the next tick drops the
+/// round: its restore re-drafts from the committed prefix, and its tokens
+/// and statistics are those of a one-wave window on a pool that never
+/// preempts.
+#[test]
+fn a_preempted_session_holding_a_deferred_round_restores_losslessly() {
+    let setup = StandardSetup::new(31, 8);
+    let config = ServerConfig::default().with_max_batch(8);
+    let (outcomes, recording, scheduler) = serve_mixed(&setup, config.with_kv_blocks(24), 24);
+    assert!(
+        deferred_evictions(recording.events()) > 0,
+        "a 24-block pool evicts a session that keeps a deferred round"
+    );
+    assert_eq!(scheduler.stats().rejected_memory(), 0);
+    assert_eq!(scheduler.kv_pool().used_blocks(), 0);
+    let (reference, _, reference_scheduler) =
+        serve_mixed(&setup, config.with_max_in_flight_waves(1), 24);
+    assert_eq!(reference_scheduler.stats().memory().preemptions(), 0);
+    for (served, matching) in outcomes.iter().zip(&reference) {
+        assert_eq!(served.id, matching.id);
+        assert_eq!(served.outcome, matching.outcome, "request {}", served.id);
+    }
 }
 
 /// A draft model that counts every query made of it.

@@ -4,6 +4,8 @@
 //! trace JSON, Prometheus-style metrics text) must be schema-valid and
 //! deterministic.
 
+use std::collections::HashMap;
+
 use specasr::{AdaptiveConfig, Policy, SparseTreeConfig, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_models::SimulatedAsrModel;
@@ -189,24 +191,24 @@ fn pipelining_starts_draft_work_before_the_tick_boundary_and_shrinks_device_idle
     let drained = traced_pipelined_run(&setup, 1, 0);
     let pipelined = traced_pipelined_run(&setup, 4, 0);
 
-    // Cross-tick overlap witness: some session's draft phase begins before
-    // its own tick's start, hidden under the previous tick's later waves.
-    let tick_starts: Vec<(u64, f64)> = pipelined
+    // Cross-tick overlap witness: some session's draft phase ends after its
+    // own tick ended.  The tick verified an earlier cohort and ended when
+    // that wave landed; the straggler's round waits for the next tick,
+    // whose sessions draft on beside it.
+    let tick_ends: HashMap<u64, f64> = pipelined
         .events()
         .filter_map(|event| match event {
-            TraceEvent::TickStart { tick, ts_ms, .. } => Some((*tick, *ts_ms)),
+            TraceEvent::TickEnd { tick, ts_ms, .. } => Some((*tick, *ts_ms)),
             _ => None,
         })
         .collect();
     let head_start = pipelined.events().any(|event| match event {
-        TraceEvent::DraftPhase { tick, start_ms, .. } => tick_starts
-            .iter()
-            .any(|(t, ts)| t == tick && *start_ms < ts - 1e-9),
+        TraceEvent::DraftPhase { tick, end_ms, .. } => *end_ms > tick_ends[tick] + 1e-9,
         _ => false,
     });
     assert!(
         head_start,
-        "no draft phase started ahead of its tick under a depth-4 window"
+        "no draft phase outlasted its tick under a depth-4 window"
     );
 
     // The whole point of the pipeline: the target device's between-span
